@@ -14,11 +14,13 @@
 //! 4. **Corruption** — byte-flipped encodings never panic the decoder,
 //!    and when they still parse, the parse itself round-trips.
 //!
-//! The same four properties also cover the wire-version-2
-//! [`FrameHeader`] that carries the endpoint demux key on the real-UDP
-//! path: header+body frames must round-trip, every strict prefix of the
-//! header (which would truncate the demux fields) must be rejected, and
-//! corrupted version bytes must fail closed.
+//! The same four properties also cover the wire-version-3
+//! [`FrameHeader`] that carries the destination list (one endpoint demux
+//! key per reader the datagram addresses) on the real-UDP path:
+//! header+body frames must round-trip for any list length, every strict
+//! prefix of the header (which would truncate the list) must be rejected,
+//! corrupted version and count bytes must fail closed, and byte-flipped
+//! lists must decode totally.
 //!
 //! Violating inputs are captured as hex strings in the [`FuzzReport`] so
 //! CI can pin them as regression tests (see
@@ -34,7 +36,7 @@ use adamant_proto::wire::{
     HeartbeatMsg, MembershipMsg, NakMsg, RepairMsg, ShmCreditMsg, StreamAckMsg, StreamSynAckMsg,
     StreamSynMsg,
 };
-use adamant_proto::{DetRng, FrameHeader, NodeId, TimePoint, WireMsg};
+use adamant_proto::{DetRng, FrameDest, FrameHeader, NodeId, TimePoint, WireMsg};
 
 /// Which property an input violated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,10 +96,13 @@ pub struct FuzzReport {
     pub mutants: u64,
     /// Mutants that still decoded (coverage signal).
     pub mutants_decoded: u64,
-    /// Header+body datagram frames round-tripped (wire version 2).
+    /// Header+body datagram frames round-tripped (wire version 3).
     pub frames: u64,
+    /// Destinations those frames' headers listed, summed (coverage signal:
+    /// well above `frames` when multi-destination lists are exercised).
+    pub frame_dests: u64,
     /// Strict prefixes of framed datagrams checked against the header
-    /// decoder (truncated demux fields must be rejected).
+    /// decoder (a truncated destination list must be rejected).
     pub frame_prefixes: u64,
     /// Property violations, at most one recorded per iteration.
     pub failures: Vec<FuzzFailure>,
@@ -126,6 +131,7 @@ impl ToJson for FuzzReport {
                 Json::Num(self.mutants_decoded as f64),
             ),
             ("frames".to_owned(), Json::Num(self.frames as f64)),
+            ("frame_dests".to_owned(), Json::Num(self.frame_dests as f64)),
             (
                 "frame_prefixes".to_owned(),
                 Json::Num(self.frame_prefixes as f64),
@@ -319,8 +325,8 @@ pub fn fuzz_wire(seed: u64, iterations: u64) -> FuzzReport {
             }
         }
 
-        // Wire version 2 framing: the same properties over a full
-        // header+body datagram, exercising the demux key fields. Driven
+        // Wire version 3 framing: the same properties over a full
+        // header+body datagram, exercising the destination list. Driven
         // by a per-iteration derived rng so the main property stream
         // keeps its historical coverage profile.
         let mut frame_rng =
@@ -330,35 +336,52 @@ pub fn fuzz_wire(seed: u64, iterations: u64) -> FuzzReport {
     report
 }
 
-/// Frame-header properties (wire version 2): a header+body datagram must
-/// round-trip through [`FrameHeader::decode`] + [`WireMsg::decode`], every
-/// strict prefix of the header must be rejected (a truncated demux key
-/// must never route), and a corrupted version byte must fail closed.
+/// Frame-header properties (wire version 3): a header+body datagram must
+/// round-trip through [`FrameHeader::decode`] + [`WireMsg::decode`] for any
+/// destination-list length, every strict prefix of the header must be
+/// rejected (a truncated list must never route), a corrupted version byte
+/// or a zeroed count must fail closed, and a byte-flipped header must
+/// decode totally — to `None` or to a list that fits the datagram.
 fn check_frame(rng: &mut DetRng, body: &[u8], iteration: u64, report: &mut FuzzReport) {
-    let header = FrameHeader {
-        src: NodeId(rng.next_u64() as u32),
-        dst_endpoint: rng.next_u64() as u32,
-        dst_incarnation: rng.next_u64() as u32,
+    let src = NodeId(rng.next_u64() as u32);
+    // Mostly short lists (what unicast and small groups send), with the
+    // full range up to the u8 count's limit mixed in.
+    let count = match rng.next_below(4) {
+        0 => 1,
+        1 => 1 + rng.next_below(8) as usize,
+        2 => 1 + rng.next_below(FrameHeader::MAX_DESTS as u64) as usize,
+        _ => FrameHeader::MAX_DESTS,
     };
-    let mut frame = Vec::with_capacity(FrameHeader::LEN + body.len());
-    header.encode(&mut frame);
+    let dests: Vec<FrameDest> = (0..count)
+        .map(|_| FrameDest {
+            endpoint: rng.next_u64() as u32,
+            incarnation: rng.next_u64() as u32,
+        })
+        .collect();
+    let header_len = FrameHeader::len_for(count);
+    let mut frame = Vec::with_capacity(header_len + body.len());
+    FrameHeader::encode_list(src, &dests, &mut frame);
     frame.extend_from_slice(body);
     report.frames += 1;
+    report.frame_dests += count as u64;
 
     let fail = |kind, bytes: &[u8]| FuzzFailure {
         kind,
         input_hex: hex(bytes),
         iteration,
     };
-    match catch_unwind(AssertUnwindSafe(|| FrameHeader::decode(&frame))) {
+    let decode = |bytes: &[u8]| {
+        catch_unwind(AssertUnwindSafe(|| {
+            FrameHeader::decode(bytes)
+                .map(|(header, rest)| (header.src, header.iter().collect::<Vec<_>>(), rest.len()))
+        }))
+    };
+    match decode(&frame) {
         Err(_) => report
             .failures
             .push(fail(FuzzFailureKind::DecodePanicked, &frame)),
-        Ok(None) => report
-            .failures
-            .push(fail(FuzzFailureKind::RoundTripMismatch, &frame)),
-        Ok(Some((back, rest))) => {
-            if back != header || rest != body {
+        Ok(back) => {
+            if back != Some((src, dests, body.len())) {
                 report
                     .failures
                     .push(fail(FuzzFailureKind::RoundTripMismatch, &frame));
@@ -366,11 +389,11 @@ fn check_frame(rng: &mut DetRng, body: &[u8], iteration: u64, report: &mut FuzzR
         }
     }
 
-    // Strict prefixes of the header: the demux fields must be complete
-    // before any routing decision — no prefix may parse.
-    for cut in 0..FrameHeader::LEN.min(frame.len()) {
+    // Strict prefixes of the header: the destination list must be
+    // complete before any routing decision — no prefix may parse.
+    for cut in 0..header_len {
         report.frame_prefixes += 1;
-        match catch_unwind(AssertUnwindSafe(|| FrameHeader::decode(&frame[..cut]))) {
+        match decode(&frame[..cut]) {
             Ok(None) => {}
             Ok(Some(_)) => report
                 .failures
@@ -381,18 +404,43 @@ fn check_frame(rng: &mut DetRng, body: &[u8], iteration: u64, report: &mut FuzzR
         }
     }
 
-    // A flipped version byte must be rejected, never misparsed.
+    // A flipped version byte, or a count of zero, must be rejected, never
+    // misparsed.
     let mut wrong_version = frame.clone();
     wrong_version[0] ^= 1 << rng.next_below(8);
-    if wrong_version[0] != frame[0] {
-        match catch_unwind(AssertUnwindSafe(|| FrameHeader::decode(&wrong_version))) {
+    let mut no_dests = frame.clone();
+    no_dests[FrameHeader::len_for(0) - 1] = 0;
+    for closed in [wrong_version, no_dests] {
+        match decode(&closed) {
             Ok(None) => {}
             Ok(Some(_)) => report
                 .failures
-                .push(fail(FuzzFailureKind::RoundTripMismatch, &wrong_version)),
+                .push(fail(FuzzFailureKind::RoundTripMismatch, &closed)),
             Err(_) => report
                 .failures
-                .push(fail(FuzzFailureKind::DecodePanicked, &wrong_version)),
+                .push(fail(FuzzFailureKind::DecodePanicked, &closed)),
+        }
+    }
+
+    // Byte flips anywhere in the header (the count byte included): the
+    // decoder must stay total, and whatever it accepts must account for
+    // exactly the bytes it was given.
+    let mut mutant = frame.clone();
+    for _ in 0..1 + rng.next_below(4) {
+        let pos = rng.next_below(header_len as u64) as usize;
+        mutant[pos] ^= 1 << rng.next_below(8);
+    }
+    match decode(&mutant) {
+        Err(_) => report
+            .failures
+            .push(fail(FuzzFailureKind::DecodePanicked, &mutant)),
+        Ok(None) => {}
+        Ok(Some((_, listed, rest))) => {
+            if FrameHeader::len_for(listed.len()) + rest != mutant.len() {
+                report
+                    .failures
+                    .push(fail(FuzzFailureKind::RoundTripMismatch, &mutant));
+            }
         }
     }
 }
@@ -409,6 +457,10 @@ mod tests {
         assert!(a.mutants_decoded > 0, "no mutant survived decoding");
         assert_eq!(a.frames, a.iterations, "every iteration frames a datagram");
         assert!(a.frame_prefixes > 0, "header prefixes never checked");
+        assert!(
+            a.frame_dests > 8 * a.frames,
+            "multi-destination lists never exercised"
+        );
         let b = fuzz_wire(42, 300);
         assert_eq!(a, b, "same seed must reproduce the same report");
     }

@@ -48,4 +48,7 @@ pub use rng::{DetRng, Entropy};
 pub use snapshot::{fingerprint_debug, Fnv64, StateHash};
 pub use time::{Span, TimePoint};
 pub use timer::{CalendarQueue, TimerFire, TimerWheel};
-pub use wire::{FrameBody, FrameHeader, WireMsg, ANY_ENDPOINT, ANY_INCARNATION, WIRE_VERSION};
+pub use wire::{
+    FrameBody, FrameDest, FrameDests, FrameHeader, WireMsg, ANY_ENDPOINT, ANY_INCARNATION,
+    WIRE_VERSION,
+};

@@ -494,10 +494,12 @@ impl WireMsg {
 
 /// Wire format version carried in the first byte of every datagram frame.
 ///
-/// Version 2 introduced the demux key (`dst_endpoint`/`dst_incarnation`)
-/// so many endpoints can share one socket; version 1 — a bare 4-byte
-/// source-node prefix — is no longer accepted.
-pub const WIRE_VERSION: u8 = 2;
+/// Version 3 turned version 2's single demux key into a destination
+/// *list*, so one datagram can address every reader a group send has
+/// behind one worker; version 2 (one fixed `dst_endpoint`/`dst_incarnation`
+/// pair) and version 1 (a bare 4-byte source-node prefix) are no longer
+/// accepted.
+pub const WIRE_VERSION: u8 = 3;
 
 /// `dst_endpoint` wildcard: the datagram is for whoever owns the socket.
 ///
@@ -510,23 +512,41 @@ pub const ANY_ENDPOINT: u32 = u32::MAX;
 /// `dst_incarnation` wildcard: deliver regardless of restart generation.
 pub const ANY_INCARNATION: u32 = u32::MAX;
 
-/// The fixed-size datagram header prepended to every [`WireMsg`] body on
-/// the real-UDP path.
+/// One destination of a frame: the demux key a receiving worker routes by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameDest {
+    /// Receiver endpoint index within its cluster, or [`ANY_ENDPOINT`].
+    pub endpoint: u32,
+    /// Receiver incarnation the datagram was addressed to, or
+    /// [`ANY_INCARNATION`].
+    pub incarnation: u32,
+}
+
+impl FrameDest {
+    /// Encoded size in bytes: endpoint + incarnation.
+    pub const LEN: usize = 4 + 4;
+}
+
+/// The datagram header prepended to every frame body on the real-UDP path,
+/// in its single-destination form (what every unicast send stamps).
 ///
-/// Layout (little-endian, [`FrameHeader::LEN`] bytes):
+/// Layout (little-endian):
 ///
 /// ```text
-/// [version u8 = 2][src u32][dst_endpoint u32][dst_incarnation u32]
+/// [version u8 = 3][src u32][n u8 >= 1][(dst_endpoint u32, dst_incarnation u32) x n]
 /// ```
 ///
-/// `src` identifies the sending node (replacing the bare node-id prefix of
-/// wire version 1). `dst_endpoint` is the receiving cluster's endpoint
-/// index — the demux key that lets one shared socket serve thousands of
-/// endpoints — and `dst_incarnation` pins the datagram to a restart
-/// generation so packets in flight across a `restart_endpoint` are
-/// counted as stale instead of being delivered to the wrong incarnation.
-/// Senders that cannot or need not name the receiver use the
-/// [`ANY_ENDPOINT`]/[`ANY_INCARNATION`] wildcards.
+/// `src` identifies the sending node. Each `dst_endpoint` is an endpoint
+/// index of the receiving cluster — the demux key that lets one shared
+/// socket serve thousands of endpoints — and its `dst_incarnation` pins the
+/// datagram to a restart generation so packets in flight across a
+/// `restart_endpoint` are counted as stale instead of being delivered to
+/// the wrong incarnation. Senders that cannot or need not name the
+/// receiver use the [`ANY_ENDPOINT`]/[`ANY_INCARNATION`] wildcards.
+///
+/// There is one format: this struct is the `n = 1` case
+/// ([`FrameHeader::LEN`] bytes), [`FrameHeader::encode_list`] writes any
+/// `n`, and [`FrameHeader::decode`] reads both back as a [`FrameDests`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameHeader {
     /// The sending node.
@@ -539,8 +559,19 @@ pub struct FrameHeader {
 }
 
 impl FrameHeader {
-    /// Encoded size in bytes: version + src + dst_endpoint + dst_incarnation.
-    pub const LEN: usize = 1 + 4 + 4 + 4;
+    /// Bytes ahead of the destination list: version + src + count.
+    const PREFIX_LEN: usize = 1 + 4 + 1;
+
+    /// Encoded size of a single-destination header.
+    pub const LEN: usize = Self::len_for(1);
+
+    /// Most destinations one header can list (the count is a `u8`).
+    pub const MAX_DESTS: usize = u8::MAX as usize;
+
+    /// Encoded size of a header listing `dests` destinations.
+    pub const fn len_for(dests: usize) -> usize {
+        Self::PREFIX_LEN + dests * FrameDest::LEN
+    }
 
     /// A header addressed to whichever endpoint owns the destination
     /// socket, any incarnation — what per-socket senders stamp.
@@ -552,36 +583,76 @@ impl FrameHeader {
         }
     }
 
+    /// This header's one destination.
+    pub fn dest(&self) -> FrameDest {
+        FrameDest {
+            endpoint: self.dst_endpoint,
+            incarnation: self.dst_incarnation,
+        }
+    }
+
+    /// The encoded header, built in place (the unicast send path stamps
+    /// one of these per message, so it stays off the heap).
+    pub fn to_bytes(&self) -> [u8; Self::LEN] {
+        let mut bytes = [0; Self::LEN];
+        bytes[0] = WIRE_VERSION;
+        bytes[1..5].copy_from_slice(&self.src.0.to_le_bytes());
+        bytes[5] = 1;
+        bytes[6..10].copy_from_slice(&self.dst_endpoint.to_le_bytes());
+        bytes[10..14].copy_from_slice(&self.dst_incarnation.to_le_bytes());
+        bytes
+    }
+
     /// Appends the header to `buf` (not cleared first).
     pub fn encode(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&self.to_bytes());
+    }
+
+    /// Appends a header from `src` naming every destination in `dests` to
+    /// `buf` (not cleared first).
+    ///
+    /// Returns `false` (appending nothing) unless `dests` holds between 1
+    /// and [`MAX_DESTS`](Self::MAX_DESTS) entries.
+    pub fn encode_list(src: NodeId, dests: &[FrameDest], buf: &mut Vec<u8>) -> bool {
+        let Ok(count @ 1..) = u8::try_from(dests.len()) else {
+            return false;
+        };
         buf.push(WIRE_VERSION);
-        put_u32(buf, self.src.0);
-        put_u32(buf, self.dst_endpoint);
-        put_u32(buf, self.dst_incarnation);
+        put_u32(buf, src.0);
+        buf.push(count);
+        for dest in dests {
+            put_u32(buf, dest.endpoint);
+            put_u32(buf, dest.incarnation);
+        }
+        true
     }
 
     /// Splits a datagram into its header and the frame-body bytes (one or
     /// more length-prefixed [`WireMsg`] entries — see [`FrameBody`]).
     ///
-    /// `None` on a truncated header or an unknown version byte; the body
-    /// is *not* validated here (the runtime decodes it separately so body
-    /// corruption is attributed to the resolved endpoint).
-    pub fn decode(bytes: &[u8]) -> Option<(FrameHeader, &[u8])> {
-        if bytes.len() < Self::LEN || bytes[0] != WIRE_VERSION {
+    /// `None` on an unknown version byte, an empty destination list, or a
+    /// datagram too short for the list it announces; the body is *not*
+    /// validated here (the runtime decodes it separately so body
+    /// corruption is attributed to the resolved endpoints).
+    pub fn decode(bytes: &[u8]) -> Option<(FrameDests<'_>, &[u8])> {
+        if bytes.len() < Self::PREFIX_LEN || bytes[0] != WIRE_VERSION {
             return None;
         }
-        let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
-        let header = FrameHeader {
-            src: NodeId(word(1)),
-            dst_endpoint: word(5),
-            dst_incarnation: word(9),
+        let count = usize::from(bytes[Self::PREFIX_LEN - 1]);
+        let len = Self::len_for(count);
+        if count == 0 || bytes.len() < len {
+            return None;
+        }
+        let header = FrameDests {
+            src: NodeId(word(&bytes[1..5])),
+            list: &bytes[Self::PREFIX_LEN..len],
         };
-        Some((header, &bytes[Self::LEN..]))
+        Some((header, &bytes[len..]))
     }
 
     /// Appends one length-prefixed frame-body entry (`[len u16 LE][bytes]`)
     /// to `buf`. Coalescing senders call this repeatedly to pack several
-    /// messages for the same destination into one datagram; the receiver
+    /// messages for the same destinations into one datagram; the receiver
     /// walks them back out with [`FrameBody`].
     ///
     /// Returns `false` (appending nothing) if `msg` exceeds the `u16`
@@ -597,11 +668,36 @@ impl FrameHeader {
     }
 }
 
+fn word(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes(bytes.try_into().expect("four bytes"))
+}
+
+/// A decoded frame header: the sender plus the (never empty) destination
+/// list, borrowed from the datagram.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameDests<'a> {
+    /// The sending node.
+    pub src: NodeId,
+    list: &'a [u8],
+}
+
+impl<'a> FrameDests<'a> {
+    /// The destinations, in the order the sender listed them.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = FrameDest> + 'a {
+        self.list
+            .chunks_exact(FrameDest::LEN)
+            .map(|pair| FrameDest {
+                endpoint: word(&pair[..4]),
+                incarnation: word(&pair[4..]),
+            })
+    }
+}
+
 /// Iterator over the length-prefixed [`WireMsg`] entries of a frame body.
 ///
 /// A frame body is `([len u16 LE][msg bytes])+`: usually one entry, but a
 /// coalescing sender (the multiplexed runtime) packs every adjacent
-/// same-destination message into one datagram, so per-datagram costs —
+/// message for the same destinations into one datagram, so per-datagram costs —
 /// syscall share, kernel stack traversal, header bytes — amortize over
 /// the whole batch.
 ///
@@ -853,7 +949,8 @@ mod tests {
         assert!(FrameHeader::encode_body_entry(&mut frame, &body.to_bytes()));
 
         let (back, rest) = FrameHeader::decode(&frame).expect("header decodes");
-        assert_eq!(back, header);
+        assert_eq!(back.src, header.src);
+        assert_eq!(back.iter().collect::<Vec<_>>(), [header.dest()]);
         let mut entries = FrameBody::new(rest);
         let entry = entries.next().expect("one entry");
         assert_eq!(WireMsg::decode(entry), Some(body));
@@ -912,8 +1009,79 @@ mod tests {
         header.encode(&mut frame);
         assert_eq!(frame.len(), FrameHeader::LEN);
         let (back, rest) = FrameHeader::decode(&frame).expect("header decodes");
-        assert_eq!(back, header);
+        assert_eq!(back.src, header.src);
+        assert_eq!(back.iter().collect::<Vec<_>>(), [header.dest()]);
         assert!(rest.is_empty());
+    }
+
+    fn dest_list(n: usize) -> Vec<FrameDest> {
+        (0..n as u32)
+            .map(|i| FrameDest {
+                endpoint: i * 7 + 1,
+                incarnation: i % 3,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn destination_lists_round_trip_and_reject_every_truncation() {
+        let body = WireMsg::Fin(FinMsg { total: 5 }).to_bytes();
+        for n in [1, 2, 255] {
+            let dests = dest_list(n);
+            let mut frame = Vec::new();
+            assert!(FrameHeader::encode_list(NodeId(9), &dests, &mut frame));
+            assert_eq!(frame.len(), FrameHeader::len_for(n));
+            // Every strict prefix of the header is refused: the whole list
+            // must be present before any routing decision is made.
+            for cut in 0..frame.len() {
+                assert!(
+                    FrameHeader::decode(&frame[..cut]).is_none(),
+                    "n={n} cut={cut}"
+                );
+            }
+            FrameHeader::encode_body_entry(&mut frame, &body);
+            let (back, rest) = FrameHeader::decode(&frame).expect("header decodes");
+            assert_eq!(back.src, NodeId(9));
+            assert_eq!(back.iter().len(), n);
+            assert_eq!(back.iter().collect::<Vec<_>>(), dests);
+            assert_eq!(FrameBody::new(rest).next(), Some(&body[..]));
+        }
+    }
+
+    #[test]
+    fn a_single_destination_header_is_the_list_encoding_with_n_1() {
+        let header = FrameHeader {
+            src: NodeId(0xA1B2_C3D4),
+            dst_endpoint: 0x0102_0304,
+            dst_incarnation: 0x0A0B_0C0D,
+        };
+        let mut listed = Vec::new();
+        assert!(FrameHeader::encode_list(
+            header.src,
+            &[header.dest()],
+            &mut listed
+        ));
+        assert_eq!(header.to_bytes()[..], listed[..]);
+        let mut encoded = Vec::new();
+        header.encode(&mut encoded);
+        assert_eq!(encoded, listed);
+    }
+
+    #[test]
+    fn empty_and_oversized_destination_lists_are_refused() {
+        let mut frame = Vec::new();
+        assert!(!FrameHeader::encode_list(NodeId(1), &[], &mut frame));
+        assert!(!FrameHeader::encode_list(
+            NodeId(1),
+            &dest_list(FrameHeader::MAX_DESTS + 1),
+            &mut frame
+        ));
+        assert!(frame.is_empty(), "a refused list appends nothing");
+        // A hand-built header announcing zero destinations is rejected,
+        // however many bytes follow it.
+        FrameHeader::broadcast(NodeId(1)).encode(&mut frame);
+        frame[5] = 0;
+        assert!(FrameHeader::decode(&frame).is_none());
     }
 
     #[test]
@@ -925,14 +1093,13 @@ mod tests {
         for cut in 0..frame.len() {
             assert!(FrameHeader::decode(&frame[..cut]).is_none(), "cut={cut}");
         }
-        // Wire version 1 (the bare node-id prefix) and future versions are
-        // both rejected rather than misparsed.
-        let mut v1 = frame.clone();
-        v1[0] = 1;
-        assert!(FrameHeader::decode(&v1).is_none());
-        let mut v3 = frame.clone();
-        v3[0] = 3;
-        assert!(FrameHeader::decode(&v3).is_none());
+        // Wire versions 1 (the bare node-id prefix) and 2 (one fixed
+        // demux key) and future versions are rejected, not misparsed.
+        for version in [1, 2, 4] {
+            let mut other = frame.clone();
+            other[0] = version;
+            assert!(FrameHeader::decode(&other).is_none(), "version={version}");
+        }
         assert!(FrameHeader::decode(&[]).is_none());
     }
 }

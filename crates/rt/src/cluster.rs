@@ -107,7 +107,10 @@ pub struct ClusterStats {
     pub recovered: u64,
     /// Datagrams written to sockets.
     pub datagrams_sent: u64,
-    /// Datagrams read from sockets.
+    /// Datagrams read from sockets. The multiplexed runtime counts a wire
+    /// datagram once however many endpoints its header names (and only
+    /// when it named at least one endpoint of the runtime), so this can be
+    /// smaller than the sum of the endpoints' own `datagrams_received`.
     pub datagrams_received: u64,
     /// Datagrams that failed to parse.
     pub decode_errors: u64,
@@ -115,16 +118,18 @@ pub struct ClusterStats {
     pub unroutable: u64,
     /// Sends parked in an outbox because the socket reported `WouldBlock`.
     pub backpressure_stalls: u64,
-    /// Datagrams shed because an outbox was full.
+    /// Sends shed because an outbox was full, counted per destination
+    /// (a shed group frame drops once for every reader it listed).
     pub backpressure_drops: u64,
     /// Soft I/O errors absorbed (ICMP-unreachable noise).
     pub soft_io_errors: u64,
     /// Datagrams addressed to a previous incarnation of an endpoint
     /// (in flight across a `restart_endpoint`); dropped, never delivered.
     pub stale_drops: u64,
-    /// Datagrams whose demux key named no live endpoint of this runtime
-    /// (multiplexed runtime only; a per-socket runtime's socket *is* its
-    /// demux, so the field stays 0 there).
+    /// Demux keys that named no live endpoint of this runtime, one per
+    /// destination a datagram's header listed (multiplexed runtime only;
+    /// a per-socket runtime's socket *is* its demux, so the field stays 0
+    /// there).
     pub unknown_endpoint_drops: u64,
     /// Datagrams dropped before demux because the frame header was
     /// truncated or carried an unknown wire version (multiplexed runtime;
@@ -171,6 +176,10 @@ pub(crate) struct WorkerCounters {
     pub header_drops: u64,
     /// Demux keys that named no live endpoint of the shard.
     pub unknown_endpoint_drops: u64,
+    /// Wire datagrams whose header named at least one endpoint of the
+    /// shard (multiplexed runtime only: a per-socket runtime's datagrams
+    /// each belong to exactly one endpoint's report).
+    pub datagrams_received: u64,
 }
 
 impl WorkerCounters {
@@ -178,6 +187,7 @@ impl WorkerCounters {
         self.busy_polls += other.busy_polls;
         self.header_drops += other.header_drops;
         self.unknown_endpoint_drops += other.unknown_endpoint_drops;
+        self.datagrams_received += other.datagrams_received;
     }
 }
 

@@ -5,15 +5,16 @@
 //! discharges the same [`Effect`]s, but against a real
 //! [`std::net::UdpSocket`] and the [`MonotonicClock`] instead of the
 //! simulated network and virtual time. Datagrams carry a
-//! [`FrameHeader`] (wire version 2: source node plus the
-//! endpoint/incarnation demux key) followed by the
+//! [`FrameHeader`] (wire version 3: source node plus a list of
+//! endpoint/incarnation demux keys) followed by the
 //! [`adamant_proto::wire`] encoding of the message; the declared
 //! `size_bytes`/`cost` of a [`Effect::Send`] are simulation-model inputs
 //! and are ignored here — real packets cost what they cost. A per-socket
-//! endpoint stamps the wildcard demux key (the socket *is* the demux) and
-//! ignores the endpoint field on receive, but still honours the
-//! incarnation field so datagrams addressed to a previous incarnation are
-//! counted as stale rather than delivered.
+//! endpoint stamps one wildcard demux key (the socket *is* the demux) and
+//! ignores the endpoint fields on receive, but still honours the
+//! incarnation fields: a datagram none of whose destinations names this
+//! incarnation (or the wildcard) is counted as stale rather than
+//! delivered.
 //!
 //! Timers live on the shared [`TimerWheel`] — the same hierarchical
 //! calendar queue the simulator schedules through — rather than a
@@ -107,7 +108,9 @@ pub struct EndpointReport {
     pub events: Vec<ProtoEvent>,
     /// Datagrams written to the socket.
     pub datagrams_sent: u64,
-    /// Datagrams read from the socket.
+    /// Datagrams read from the socket; on the multiplexed runtime, the
+    /// datagrams whose header named this endpoint (one shared by several
+    /// readers counts once for each).
     pub datagrams_received: u64,
     /// Datagrams that failed to parse (short header or bad wire encoding).
     pub decode_errors: u64,
@@ -119,8 +122,10 @@ pub struct EndpointReport {
     /// Times a send hit `WouldBlock` and the datagram was parked in the
     /// outbox instead (the socket outran the core's effect stream).
     pub backpressure_stalls: u64,
-    /// Datagrams shed because the outbox was already at capacity — the
-    /// backpressure rule of last resort (UDP may drop; we count it).
+    /// Sends shed because the outbox was already at capacity — the
+    /// backpressure rule of last resort (UDP may drop; we count it). One
+    /// per destination: a shed multiplexed group frame counts every reader
+    /// it listed.
     pub backpressure_drops: u64,
     /// Soft I/O errors absorbed without aborting the loop (ICMP
     /// port-unreachable surfacing as `ConnectionRefused`/`ConnectionReset`
@@ -352,10 +357,11 @@ impl Slot {
             self.report.decode_errors += 1;
             return Ok(());
         };
-        // The socket is this slot's demux, so `dst_endpoint` is ignored —
-        // but a datagram stamped for an earlier incarnation was in flight
-        // across a restart and must not reach the new core.
-        if header.dst_incarnation != ANY_INCARNATION && header.dst_incarnation != self.incarnation {
+        // The socket is this slot's demux, so the endpoint fields are
+        // ignored — but a datagram stamped only for earlier incarnations
+        // was in flight across a restart and must not reach the new core.
+        let mut incarnations = header.iter().map(|dest| dest.incarnation);
+        if !incarnations.any(|i| i == ANY_INCARNATION || i == self.incarnation) {
             self.report.stale_datagrams += 1;
             return Ok(());
         }
@@ -782,18 +788,22 @@ mod tests {
         let addr = ep.local_addr().unwrap();
         let probe = UdpSocket::bind("127.0.0.1:0").unwrap();
         // Truncated header: version byte present, demux fields cut off.
-        probe.send_to(&[2, 1], addr).unwrap();
+        probe.send_to(&[3, 1], addr).unwrap();
         // Valid header, bad wire kind in the body.
         let mut bad_body = Vec::new();
         FrameHeader::broadcast(NodeId(9)).encode(&mut bad_body);
         bad_body.push(250);
         probe.send_to(&bad_body, addr).unwrap();
-        // Wire version 1 framing (bare node-id prefix) is no longer spoken.
+        // Wire version 1 framing (bare node-id prefix) is no longer spoken,
+        // and neither is version 2's fixed 13-byte header.
         probe.send_to(&[1, 0, 0, 0, 250, 0], addr).unwrap();
+        let mut v2 = bad_body.clone();
+        v2[0] = 2;
+        probe.send_to(&v2, addr).unwrap();
         let mut core = Listener;
         ep.run_for(&mut core, Duration::from_millis(30)).unwrap();
-        assert_eq!(ep.report().datagrams_received, 3);
-        assert_eq!(ep.report().decode_errors, 3);
+        assert_eq!(ep.report().datagrams_received, 4);
+        assert_eq!(ep.report().decode_errors, 4);
         assert!(ep.report().delivered.is_empty());
     }
 
@@ -822,11 +832,21 @@ mod tests {
         FrameHeader::broadcast(NodeId(9)).encode(&mut fresh);
         FrameHeader::encode_body_entry(&mut fresh, &msg.to_bytes());
         probe.send_to(&fresh, addr).unwrap();
+        // A destination list is for this socket when any entry names the
+        // live incarnation, wherever it sits in the list.
+        let dest = |incarnation| adamant_proto::FrameDest {
+            endpoint: adamant_proto::ANY_ENDPOINT,
+            incarnation,
+        };
+        let mut listed = Vec::new();
+        FrameHeader::encode_list(NodeId(9), &[dest(3), dest(0)], &mut listed);
+        FrameHeader::encode_body_entry(&mut listed, &msg.to_bytes());
+        probe.send_to(&listed, addr).unwrap();
         let mut core = Listener;
         ep.run_for(&mut core, Duration::from_millis(30)).unwrap();
-        assert_eq!(ep.report().datagrams_received, 2);
+        assert_eq!(ep.report().datagrams_received, 3);
         assert_eq!(ep.report().stale_datagrams, 1);
         assert_eq!(ep.report().decode_errors, 0);
-        assert_eq!(ep.report().delivered.len(), 1);
+        assert_eq!(ep.report().delivered.len(), 2);
     }
 }

@@ -5,16 +5,23 @@
 //! inside the deterministic simulator, this crate drives the *same* core
 //! over real UDP sockets with a monotonic clock.
 //!
-//! Two drivers, one stepping engine:
+//! Three drivers of the same cores:
 //!
 //! * [`Endpoint`] — one socket, one core, one thread; the caller keeps the
 //!   core and lends it per [`run_for`](Endpoint::run_for) window.
 //! * [`Cluster`] — many cores in one process, sharded across N worker
-//!   threads; each worker owns its shard's sockets plus one shared timer
-//!   wheel (the same hierarchical calendar queue the simulator schedules
-//!   through), batches socket reads/writes per poll iteration, and applies
-//!   bounded-outbox backpressure when a core's effect stream outruns its
-//!   socket.
+//!   threads; each worker owns its shard's sockets (one per endpoint) plus
+//!   one shared timer wheel (the same hierarchical calendar queue the
+//!   simulator schedules through), batches socket reads/writes per poll
+//!   iteration, and applies bounded-outbox backpressure when a core's
+//!   effect stream outruns its socket.
+//! * [`MuxCluster`] — the scale path: the same sharding, but each worker
+//!   multiplexes its whole shard over a small fixed pool of shared
+//!   sockets. Datagrams are demuxed by the destination list in their
+//!   [`FrameHeader`](adamant_proto::FrameHeader), sends coalesce into
+//!   frames flushed with `sendmmsg`, receives drain with `recvmmsg`, idle
+//!   workers park in `epoll`, and a group send costs one datagram per
+//!   destination worker rather than one per member.
 //!
 //! Every fallible public function returns [`RtError`] (never a bare
 //! [`std::io::Error`]). Construction follows one idiom throughout:

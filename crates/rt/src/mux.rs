@@ -8,12 +8,18 @@
 //! small fixed pool of shared sockets and multiplexes the whole shard
 //! over them:
 //!
-//! * **Demux key, not socket identity.** Every datagram carries a
-//!   [`FrameHeader`] naming the destination endpoint index and
-//!   incarnation. The worker routes each received datagram to its
-//!   endpoint by that key; unknown keys, truncated headers, and
+//! * **Demux keys, not socket identity.** Every datagram carries a
+//!   [`FrameHeader`] listing the destination endpoint indices and
+//!   incarnations. The worker routes each received datagram to every
+//!   endpoint it names; unknown keys, truncated headers, and
 //!   cross-incarnation strays are counted in [`ClusterStats`] as typed
-//!   drops — never a panic, never a misdelivery.
+//!   drops, one destination at a time — never a panic, never a
+//!   misdelivery.
+//! * **One datagram per destination worker.** A [`Destination::Group`]
+//!   send is a multicast in the protocols' cost model, and it is one here
+//!   too: the members behind one worker share a single datagram whose
+//!   header names them all, following a per-group plan that is cached
+//!   between [`run_for`](MuxCluster::run_for) windows.
 //! * **Batched syscalls.** Each worker's per-tick sends coalesce into one
 //!   outbox per socket and flush via `sendmmsg`; receives drain via
 //!   `recvmmsg` ([`crate::poller`] carries the portable single-syscall
@@ -44,8 +50,8 @@ use std::time::Duration;
 
 use adamant_metrics::MetricsRegistry;
 use adamant_proto::{
-    Clock, Destination, Effect, EnvHost, FrameBody, FrameHeader, Input, NodeId, ProtocolCore, Span,
-    TimePoint, TimerWheel, WireMsg, ANY_ENDPOINT, ANY_INCARNATION,
+    Clock, Destination, Effect, EnvHost, FrameBody, FrameDest, FrameHeader, Input, NodeId,
+    ProtocolCore, Span, TimePoint, TimerWheel, WireMsg, ANY_ENDPOINT, ANY_INCARNATION,
 };
 
 use crate::clock::MonotonicClock;
@@ -139,6 +145,88 @@ struct MuxRoute {
     incarnation: u32,
 }
 
+impl MuxRoute {
+    fn dest(&self) -> FrameDest {
+        FrameDest {
+            endpoint: self.endpoint,
+            incarnation: self.incarnation,
+        }
+    }
+
+    /// The worker that demuxes this route's datagrams: endpoints are dealt
+    /// out `index % workers`, so the key itself names the shard. `None`
+    /// for a peer outside the cluster (wildcard key).
+    fn shard(&self, workers: usize) -> Option<usize> {
+        (self.endpoint != ANY_ENDPOINT).then(|| self.endpoint as usize % workers)
+    }
+}
+
+/// One datagram of a group's fan-out: the socket it goes to and the
+/// prebuilt header naming every member it reaches.
+struct PlanFrame {
+    addr: SocketAddr,
+    header: Vec<u8>,
+    /// Destinations `header` lists (what shedding this frame drops).
+    dests: u64,
+}
+
+/// The cached fan-out of one group: its members bucketed by destination
+/// worker, one [`PlanFrame`] per bucket chunk. A send copies each frame's
+/// header and appends the body — no per-member route lookup.
+#[derive(Default)]
+struct GroupPlan {
+    frames: Vec<PlanFrame>,
+    /// Members with no route (charged to `unroutable` on every send).
+    unroutable: u64,
+}
+
+/// Most destinations one planned frame lists: the header may fill half the
+/// coalescing cap, leaving the other half for body entries.
+const PLAN_DESTS_MAX: usize = (COALESCE_BYTES / 2 - FrameHeader::len_for(0)) / FrameDest::LEN;
+const _: () = assert!(PLAN_DESTS_MAX >= 1 && PLAN_DESTS_MAX <= FrameHeader::MAX_DESTS);
+
+impl GroupPlan {
+    /// Plans `sender`'s fan-out to `members`. Members behind one worker
+    /// share a frame addressed to the first such member's pinned socket
+    /// (the worker drains its whole pool and demux never looks at the
+    /// arrival socket); a peer outside the cluster keeps a frame of its
+    /// own, since its socket is its demux.
+    fn build(
+        sender: NodeId,
+        members: &[NodeId],
+        routes: &HashMap<NodeId, MuxRoute>,
+        workers: usize,
+    ) -> GroupPlan {
+        let mut plan = GroupPlan::default();
+        let mut buckets: Vec<(Option<usize>, SocketAddr, Vec<FrameDest>)> = Vec::new();
+        for member in members.iter().filter(|&&member| member != sender) {
+            let Some(route) = routes.get(member) else {
+                plan.unroutable += 1;
+                continue;
+            };
+            let shard = route.shard(workers);
+            let open = buckets.iter_mut().find(|(bucket, _, dests)| {
+                shard.is_some() && *bucket == shard && dests.len() < PLAN_DESTS_MAX
+            });
+            match open {
+                Some((_, _, dests)) => dests.push(route.dest()),
+                None => buckets.push((shard, route.addr, vec![route.dest()])),
+            }
+        }
+        for (_, addr, dests) in buckets {
+            let mut header = Vec::with_capacity(FrameHeader::len_for(dests.len()));
+            // Cannot refuse: a bucket holds 1..=PLAN_DESTS_MAX destinations.
+            FrameHeader::encode_list(sender, &dests, &mut header);
+            plan.frames.push(PlanFrame {
+                addr,
+                header,
+                dests: dests.len() as u64,
+            });
+        }
+        plan
+    }
+}
+
 /// One endpoint of the mux cluster. Unlike the per-socket [`Slot`]
 /// (socket + core), a mux entry owns no socket — it is pinned to one of
 /// its worker's shared sockets by index.
@@ -155,24 +243,43 @@ struct MuxEntry {
     /// Index into the worker's socket pool this endpoint sends from (and
     /// whose bound address peers send to).
     socket: usize,
+    /// Fan-out plan per group (index = group id; empty for an endpoint
+    /// without groups), rebuilt by `run_for` when `plans_stale`.
+    plans: Box<[GroupPlan]>,
+    /// Set by whatever changes the routes or the group table — all of it
+    /// runs between windows, so a worker never sees a stale plan.
+    plans_stale: bool,
+}
+
+impl MuxEntry {
+    fn rebuild_plans(&mut self, workers: usize) {
+        let MuxEntry {
+            node, host, routes, ..
+        } = self;
+        self.plans = host
+            .groups_mut()
+            .iter()
+            .map(|members| GroupPlan::build(*node, members, routes, workers))
+            .collect();
+        self.plans_stale = false;
+    }
 }
 
 /// A datagram coalesced into a worker's per-socket outbox, tagged with
 /// the shard-local position of the sending endpoint for stat attribution.
-/// The demux key is kept alongside the encoded frame so later messages
-/// for the same `(addr, key)` can append body entries to this datagram
-/// instead of opening a new one.
+/// `buf` opens with the frame header, which is what later messages are
+/// matched against to append body entries to this datagram instead of
+/// opening a new one.
 struct OutMsg {
     addr: SocketAddr,
-    endpoint: u32,
-    incarnation: u32,
     buf: Vec<u8>,
     from: usize,
 }
 
-/// Coalescing cap per datagram: adjacent same-destination messages pack
-/// into one frame until it reaches this size — an Ethernet-safe payload,
-/// so coalesced frames survive off-loopback paths without fragmentation.
+/// Coalescing cap per datagram: adjacent messages for the same
+/// destinations pack into one frame until it reaches this size — an
+/// Ethernet-safe payload, so coalesced frames survive off-loopback paths
+/// without fragmentation.
 const COALESCE_BYTES: usize = 1400;
 
 /// The multiplexed sharded runtime (see the module docs for the
@@ -292,15 +399,18 @@ impl MuxCluster {
             incarnation: 0,
             wheel_owner: wheel_owner(index, 0),
             socket,
+            plans: Box::default(),
+            plans_stale: false,
         }));
         Ok(EndpointId(index))
     }
 
     /// Restarts endpoint `id` as a fresh incarnation running `core`, with
     /// the same semantics as the per-socket cluster — plus one mux-specific
-    /// step: every live peer's route to this node is re-stamped with the
-    /// new incarnation, so only datagrams already in flight at the restart
-    /// instant are dropped as stale. Call between
+    /// step: every live peer's route to this node (and with it the peer's
+    /// group fan-out plans) is re-stamped with the new incarnation, so
+    /// only datagrams already in flight at the restart instant are
+    /// dropped as stale. Call between
     /// [`run_for`](MuxCluster::run_for) windows.
     ///
     /// # Errors
@@ -334,6 +444,7 @@ impl MuxCluster {
             if let Some(route) = cell.routes.get_mut(&node) {
                 if route.endpoint == id.0 as u32 {
                     route.incarnation = incarnation;
+                    cell.plans_stale = true;
                 }
             }
         }
@@ -401,7 +512,9 @@ impl MuxCluster {
             incarnation: peer_entry.incarnation,
         };
         let peer_node = peer_entry.node;
-        self.entry_mut(id)?.routes.insert(peer_node, route);
+        let entry = self.entry_mut(id)?;
+        entry.routes.insert(peer_node, route);
+        entry.plans_stale = true;
         Ok(())
     }
 
@@ -419,7 +532,8 @@ impl MuxCluster {
         peer: NodeId,
         addr: SocketAddr,
     ) -> Result<(), RtError> {
-        self.entry_mut(id)?.routes.insert(
+        let entry = self.entry_mut(id)?;
+        entry.routes.insert(
             peer,
             MuxRoute {
                 addr,
@@ -427,6 +541,7 @@ impl MuxCluster {
                 incarnation: ANY_INCARNATION,
             },
         );
+        entry.plans_stale = true;
         Ok(())
     }
 
@@ -436,7 +551,9 @@ impl MuxCluster {
     ///
     /// [`RtError::UnknownEndpoint`] for a dead or out-of-range id.
     pub fn set_groups(&mut self, id: EndpointId, groups: Vec<Vec<NodeId>>) -> Result<(), RtError> {
-        *self.entry_mut(id)?.host.groups_mut() = groups;
+        let entry = self.entry_mut(id)?;
+        *entry.host.groups_mut() = groups;
+        entry.plans_stale = true;
         Ok(())
     }
 
@@ -467,6 +584,7 @@ impl MuxCluster {
                 }
             }
             *cell.host.groups_mut() = vec![all_nodes.clone()];
+            cell.plans_stale = true;
         }
         Ok(())
     }
@@ -493,7 +611,10 @@ impl MuxCluster {
 
         let mut shards: Vec<Vec<(usize, MuxEntry)>> = (0..workers).map(|_| Vec::new()).collect();
         for (index, cell) in self.entries.iter_mut().enumerate() {
-            if let Some(entry) = cell.take() {
+            if let Some(mut entry) = cell.take() {
+                if entry.plans_stale {
+                    entry.rebuild_plans(workers);
+                }
                 shards[index % workers].push((index, entry));
             }
         }
@@ -589,7 +710,6 @@ impl MuxCluster {
             stats.delivered += report.delivered.len() as u64;
             stats.recovered += report.recovered_count();
             stats.datagrams_sent += report.datagrams_sent;
-            stats.datagrams_received += report.datagrams_received;
             stats.decode_errors += report.decode_errors;
             stats.unroutable += report.unroutable;
             stats.backpressure_stalls += report.backpressure_stalls;
@@ -597,6 +717,7 @@ impl MuxCluster {
             stats.soft_io_errors += report.soft_io_errors;
             stats.stale_drops += report.stale_datagrams;
         }
+        stats.datagrams_received = self.worker.datagrams_received;
         stats.busy_polls = self.worker.busy_polls;
         stats.header_drops = self.worker.header_drops;
         stats.unknown_endpoint_drops = self.worker.unknown_endpoint_drops;
@@ -644,6 +765,9 @@ struct Scratch {
     /// Retired datagram buffers, recycled to keep the hot path
     /// allocation-free once warmed up.
     pool: Vec<Vec<u8>>,
+    /// Shard positions of the live destinations of the datagram being
+    /// demuxed.
+    live: Vec<usize>,
 }
 
 /// Everything a worker hands back when its window ends: the shard's
@@ -715,6 +839,7 @@ fn drive_mux_shard(
         effects: Vec::new(),
         body: Vec::new(),
         pool: Vec::new(),
+        live: Vec::new(),
     };
 
     for (pos, (_, entry)) in shard.iter_mut().enumerate() {
@@ -821,10 +946,54 @@ fn drive_mux_shard(
     Ok(())
 }
 
+/// Queues one datagram's worth of a send on `outbox`: `body` becomes a
+/// body entry of a frame opening with `header`, bound for `addr`.
+///
+/// Coalesces when the newest queued datagram is the same sender's, for
+/// the same address, opens with the same header bytes (a header spells
+/// out its own length, so a matching prefix is a matching header — same
+/// `src`, same destinations, same incarnations) and has room: per-datagram
+/// costs then amortize over the whole burst. Otherwise opens a new
+/// datagram, shedding it — one drop per destination it would have
+/// reached — once the outbox is full.
+#[inline]
+#[allow(clippy::too_many_arguments)]
+fn queue_frame(
+    outbox: &mut VecDeque<OutMsg>,
+    pool: &mut Vec<Vec<u8>>,
+    report: &mut EndpointReport,
+    from: usize,
+    addr: SocketAddr,
+    header: &[u8],
+    dests: u64,
+    body: &[u8],
+) {
+    if let Some(back) = outbox.back_mut() {
+        if back.from == from
+            && back.addr == addr
+            && back.buf.starts_with(header)
+            && back.buf.len() + 2 + body.len() <= COALESCE_BYTES
+        {
+            FrameHeader::encode_body_entry(&mut back.buf, body);
+            return;
+        }
+    }
+    if outbox.len() >= OUTBOX_MAX {
+        report.backpressure_drops += dests;
+        return;
+    }
+    let mut buf = pool.pop().unwrap_or_default();
+    buf.clear();
+    buf.extend_from_slice(header);
+    FrameHeader::encode_body_entry(&mut buf, body);
+    outbox.push_back(OutMsg { addr, buf, from });
+}
+
 /// Steps one entry's core and discharges its effects: sends are framed
-/// with the destination's demux key and coalesced into the worker's
-/// per-socket outbox; timers go to the shard wheel; deliveries and traces
-/// to the entry's report.
+/// with the destinations' demux keys and coalesced into the worker's
+/// per-socket outbox (a group send as one datagram per frame of the
+/// group's cached plan); timers go to the shard wheel; deliveries and
+/// traces to the entry's report.
 fn step_entry(
     entry: &mut MuxEntry,
     pos: usize,
@@ -842,6 +1011,7 @@ fn step_entry(
         report,
         wheel_owner: owner,
         socket,
+        plans,
         ..
     } = entry;
     let mut effects = std::mem::take(&mut scratch.effects);
@@ -852,60 +1022,34 @@ fn step_entry(
                 scratch.body.clear();
                 msg.encode(&mut scratch.body);
                 let outbox = &mut outboxes[*socket];
-                let body = &scratch.body;
-                let pool = &mut scratch.pool;
-                let mut queue_one = |peer: NodeId| {
-                    let Some(route) = routes.get(&peer) else {
-                        report.unroutable += 1;
-                        return;
-                    };
-                    // Coalesce: if the newest queued datagram is for the
-                    // same destination and key and has room, append this
-                    // message as another body entry — per-datagram costs
-                    // then amortize over the whole burst.
-                    if let Some(back) = outbox.back_mut() {
-                        // `from` must match too: the header carries one
-                        // `src`, so only one sender's messages may share
-                        // a frame.
-                        if back.from == pos
-                            && back.addr == route.addr
-                            && back.endpoint == route.endpoint
-                            && back.incarnation == route.incarnation
-                            && back.buf.len() + 2 + body.len() <= COALESCE_BYTES
-                        {
-                            FrameHeader::encode_body_entry(&mut back.buf, body);
-                            return;
-                        }
-                    }
-                    if outbox.len() >= OUTBOX_MAX {
-                        report.backpressure_drops += 1;
-                        return;
-                    }
-                    let mut buf = pool.pop().unwrap_or_default();
-                    buf.clear();
-                    FrameHeader {
-                        src: *node,
-                        dst_endpoint: route.endpoint,
-                        dst_incarnation: route.incarnation,
-                    }
-                    .encode(&mut buf);
-                    FrameHeader::encode_body_entry(&mut buf, body);
-                    outbox.push_back(OutMsg {
-                        addr: route.addr,
-                        endpoint: route.endpoint,
-                        incarnation: route.incarnation,
-                        buf,
-                        from: pos,
-                    });
-                };
+                let Scratch { body, pool, .. } = scratch;
                 match dst {
-                    Destination::Node(peer) => queue_one(peer),
+                    Destination::Node(peer) => match routes.get(&peer) {
+                        Some(route) => {
+                            let header = FrameHeader {
+                                src: *node,
+                                dst_endpoint: route.endpoint,
+                                dst_incarnation: route.incarnation,
+                            }
+                            .to_bytes();
+                            queue_frame(outbox, pool, report, pos, route.addr, &header, 1, body);
+                        }
+                        None => report.unroutable += 1,
+                    },
                     Destination::Group(group) => {
-                        if let Some(members) = host.groups_mut().get(group.index()) {
-                            for &member in members {
-                                if member != *node {
-                                    queue_one(member);
-                                }
+                        if let Some(plan) = plans.get(group.index()) {
+                            report.unroutable += plan.unroutable;
+                            for frame in &plan.frames {
+                                queue_frame(
+                                    outbox,
+                                    pool,
+                                    report,
+                                    pos,
+                                    frame.addr,
+                                    &frame.header,
+                                    frame.dests,
+                                    body,
+                                );
                             }
                         }
                     }
@@ -926,9 +1070,12 @@ fn step_entry(
     scratch.effects = effects;
 }
 
-/// Routes every datagram of a filled receive batch to its endpoint by
-/// demux key, counting pre-demux failures in the worker counters and
-/// post-demux failures in the resolved endpoint's report.
+/// Routes every datagram of a filled receive batch to the endpoints its
+/// header names, counting pre-demux failures in the worker counters and
+/// post-demux failures in each resolved endpoint's report. Every
+/// destination is checked on its own; each body entry is decoded once and
+/// steps every live destination's core, so each core sees the entries in
+/// order.
 #[allow(clippy::too_many_arguments)]
 fn demux_batch(
     recv: &RecvBatch,
@@ -945,47 +1092,53 @@ fn demux_batch(
             counters.header_drops += 1;
             continue;
         };
-        // A wildcard key cannot be routed on a shared socket: only
-        // per-socket receivers accept `ANY_ENDPOINT`.
-        if header.dst_endpoint == ANY_ENDPOINT {
-            counters.unknown_endpoint_drops += 1;
-            continue;
-        }
-        let Some(pos) = local_pos(header.dst_endpoint as usize, shard, workers) else {
-            counters.unknown_endpoint_drops += 1;
-            continue;
-        };
-        let entry = &mut shard[pos].1;
-        entry.report.datagrams_received += 1;
-        if header.dst_incarnation != ANY_INCARNATION && header.dst_incarnation != entry.incarnation
-        {
-            entry.report.stale_datagrams += 1;
-            continue;
-        }
-        // Walk the frame's coalesced body entries; each one steps the core
-        // independently and damage is counted where it is found.
-        let mut body_entries = FrameBody::new(body);
-        for bytes in &mut body_entries {
-            let Some(msg) = WireMsg::decode(bytes) else {
-                entry.report.decode_errors += 1;
+        let mut live = std::mem::take(&mut scratch.live);
+        let mut resolved = false;
+        for dest in header.iter() {
+            // A wildcard key cannot be routed on a shared socket: only
+            // per-socket receivers accept `ANY_ENDPOINT` (it resolves to
+            // no position, like any index the shard does not hold).
+            let Some(pos) = local_pos(dest.endpoint as usize, shard, workers) else {
+                counters.unknown_endpoint_drops += 1;
                 continue;
             };
-            step_entry(
-                entry,
-                pos,
-                Input::PacketIn {
-                    src: header.src,
-                    msg: &msg,
-                },
-                now,
-                wheel,
-                outboxes,
-                scratch,
-            );
+            resolved = true;
+            let entry = &mut shard[pos].1;
+            entry.report.datagrams_received += 1;
+            if dest.incarnation != ANY_INCARNATION && dest.incarnation != entry.incarnation {
+                entry.report.stale_datagrams += 1;
+                continue;
+            }
+            live.push(pos);
         }
-        if body_entries.malformed() {
-            entry.report.decode_errors += 1;
+        counters.datagrams_received += u64::from(resolved);
+        if !live.is_empty() {
+            // Walk the frame's coalesced body entries; damage is counted
+            // where it is found, against every endpoint it cost a message.
+            let mut body_entries = FrameBody::new(body);
+            for bytes in &mut body_entries {
+                let msg = WireMsg::decode(bytes);
+                for &pos in &live {
+                    let entry = &mut shard[pos].1;
+                    let Some(msg) = &msg else {
+                        entry.report.decode_errors += 1;
+                        continue;
+                    };
+                    let input = Input::PacketIn {
+                        src: header.src,
+                        msg,
+                    };
+                    step_entry(entry, pos, input, now, wheel, outboxes, scratch);
+                }
+            }
+            if body_entries.malformed() {
+                for &pos in &live {
+                    shard[pos].1.report.decode_errors += 1;
+                }
+            }
+            live.clear();
         }
+        scratch.live = live;
     }
 }
 
@@ -1002,12 +1155,7 @@ fn flush_socket(
     let mut total = 0;
     while !outbox.is_empty() {
         let n = outbox.len().min(send.capacity());
-        let msgs: Vec<(SocketAddr, &[u8])> = outbox
-            .iter()
-            .take(n)
-            .map(|m| (m.addr, m.buf.as_slice()))
-            .collect();
-        match send.send(sock, &msgs) {
+        match send.send(sock, outbox.iter().map(|m| (m.addr, m.buf.as_slice()))) {
             Ok(0) => {
                 // Flow-blocked: charge a stall to the stuck message's
                 // sender and let the idle branch pace the retry.
@@ -1017,7 +1165,6 @@ fn flush_socket(
                 break;
             }
             Ok(sent) => {
-                drop(msgs);
                 for _ in 0..sent {
                     let msg = outbox.pop_front().expect("sent ≤ queued");
                     shard[msg.from].1.report.datagrams_sent += 1;
@@ -1029,7 +1176,6 @@ fn flush_socket(
                 }
             }
             Err(e) if soft_io_error(&e) => {
-                drop(msgs);
                 // The error names the first unsent message: drop it so
                 // the batch makes progress past the unreachable peer.
                 if let Some(msg) = outbox.pop_front() {
@@ -1174,17 +1320,375 @@ mod tests {
         FrameHeader::encode_body_entry(&mut wildcard, &msg.to_bytes());
         probe.send_to(&wildcard, addr).unwrap();
         // Truncated header.
-        probe.send_to(&[2, 1, 0], addr).unwrap();
-        // Wrong wire version.
+        probe.send_to(&[3, 1, 0], addr).unwrap();
+        // A destination list cut short of the two entries it announces.
+        let mut short_list = wildcard.clone();
+        short_list[5] = 2;
+        probe
+            .send_to(&short_list[..FrameHeader::LEN], addr)
+            .unwrap();
+        // An empty destination list.
+        let mut no_dests = wildcard.clone();
+        no_dests[5] = 0;
+        probe.send_to(&no_dests, addr).unwrap();
+        // Wire versions that are no longer spoken.
         probe.send_to(&[1, 0, 0, 0, 0], addr).unwrap();
+        let mut v2 = wildcard.clone();
+        v2[0] = 2;
+        probe.send_to(&v2, addr).unwrap();
 
         cluster.run_for(Duration::from_millis(50)).unwrap();
         let stats = cluster.stats();
         assert_eq!(stats.unknown_endpoint_drops, 2);
-        assert_eq!(stats.header_drops, 2);
+        assert_eq!(stats.header_drops, 5);
         assert_eq!(stats.delivered, 0);
         // Pre-demux failures are attributed to no endpoint.
         assert_eq!(stats.datagrams_received, 0);
+    }
+
+    fn data(seq: u64) -> WireMsg {
+        WireMsg::Data(adamant_proto::wire::DataMsg {
+            seq,
+            published_at: TimePoint::from_nanos(0),
+            retransmission: false,
+        })
+    }
+
+    /// A beacon publishing `total` samples into group 0 = `listeners`
+    /// in-cluster [`Listener`]s, wired sender → listeners only.
+    fn beacon_group(
+        cluster: &mut MuxCluster,
+        total: u64,
+        listeners: u32,
+    ) -> (EndpointId, Vec<EndpointId>) {
+        let tx = cluster
+            .add_endpoint(NodeId(0), Beacon { next: 0, total })
+            .unwrap();
+        let mut group = vec![NodeId(0)];
+        let mut rx = Vec::new();
+        for node in 1..=listeners {
+            let id = cluster.add_endpoint(NodeId(node), Listener).unwrap();
+            cluster.add_peer(tx, id).unwrap();
+            group.push(NodeId(node));
+            rx.push(id);
+        }
+        cluster.set_groups(tx, vec![group]).unwrap();
+        (tx, rx)
+    }
+
+    #[test]
+    fn group_send_is_one_datagram_per_destination_worker() {
+        let want: BTreeSet<u64> = (0..25).collect();
+        // One worker: the 8 listeners share every datagram.
+        let mut cluster = small_mux(1, 21);
+        let (tx, rx) = beacon_group(&mut cluster, 25, 8);
+        cluster.run_for(Duration::from_millis(150)).unwrap();
+        assert_eq!(cluster.report(tx).unwrap().datagrams_sent, 25);
+        for &id in &rx {
+            let report = cluster.report(id).unwrap();
+            assert_eq!(report.delivered_seqs(), want);
+            assert_eq!(report.datagrams_received, 25);
+        }
+        let stats = cluster.stats();
+        assert_eq!(stats.delivered, 25 * 8);
+        // A wire datagram counts once cluster-wide, once per endpoint it
+        // names in the endpoints' own reports.
+        assert_eq!(stats.datagrams_received, 25);
+
+        // Three workers: at most one datagram per worker per publish.
+        let mut cluster = small_mux(3, 22);
+        let (tx, rx) = beacon_group(&mut cluster, 25, 8);
+        cluster.run_for(Duration::from_millis(150)).unwrap();
+        let sent = cluster.report(tx).unwrap().datagrams_sent;
+        assert!((25..=3 * 25).contains(&sent), "sent {sent} datagrams");
+        for &id in &rx {
+            assert_eq!(cluster.report(id).unwrap().delivered_seqs(), want);
+        }
+    }
+
+    #[test]
+    fn every_destination_of_a_frame_is_checked_on_its_own() {
+        let mut cluster = small_mux(1, 23);
+        cluster.add_endpoint(NodeId(0), Listener).unwrap();
+        let restarted = cluster.add_endpoint(NodeId(1), Listener).unwrap();
+        cluster.restart_endpoint(restarted, Listener).unwrap();
+        let addr = cluster.endpoint_addr(restarted).unwrap();
+
+        // One live, one unknown, one wildcard, one stale destination.
+        let dest = |endpoint, incarnation| FrameDest {
+            endpoint,
+            incarnation,
+        };
+        let dests = [
+            dest(0, 0),
+            dest(999, ANY_INCARNATION),
+            dest(ANY_ENDPOINT, ANY_INCARNATION),
+            dest(1, 0),
+        ];
+        let mut frame = Vec::new();
+        assert!(FrameHeader::encode_list(NodeId(9), &dests, &mut frame));
+        FrameHeader::encode_body_entry(&mut frame, &data(4).to_bytes());
+        let probe = UdpSocket::bind("127.0.0.1:0").unwrap();
+        probe.send_to(&frame, addr).unwrap();
+
+        cluster.run_for(Duration::from_millis(50)).unwrap();
+        let stats = cluster.stats();
+        assert_eq!(stats.delivered, 1);
+        assert_eq!(stats.unknown_endpoint_drops, 2);
+        assert_eq!(stats.stale_drops, 1);
+        assert_eq!(stats.header_drops, 0);
+        assert_eq!(stats.datagrams_received, 1);
+        assert_eq!(cluster.report(restarted).unwrap().stale_datagrams, 1);
+    }
+
+    #[test]
+    fn damaged_body_entries_are_charged_to_every_live_destination() {
+        let mut cluster = small_mux(1, 24);
+        let a = cluster.add_endpoint(NodeId(0), Listener).unwrap();
+        let b = cluster.add_endpoint(NodeId(1), Listener).unwrap();
+        let dests = [a, b].map(|id| FrameDest {
+            endpoint: id.0 as u32,
+            incarnation: 0,
+        });
+        let mut frame = Vec::new();
+        FrameHeader::encode_list(NodeId(9), &dests, &mut frame);
+        FrameHeader::encode_body_entry(&mut frame, &data(1).to_bytes());
+        FrameHeader::encode_body_entry(&mut frame, &[250]); // no such wire kind
+        frame.extend_from_slice(&[200, 0, 9]); // claims 200 bytes, has 1
+        let probe = UdpSocket::bind("127.0.0.1:0").unwrap();
+        probe
+            .send_to(&frame, cluster.endpoint_addr(a).unwrap())
+            .unwrap();
+        cluster.run_for(Duration::from_millis(50)).unwrap();
+        for id in [a, b] {
+            let report = cluster.report(id).unwrap();
+            assert_eq!(report.delivered_seqs(), BTreeSet::from([1]));
+            assert_eq!(report.decode_errors, 2);
+        }
+    }
+
+    #[test]
+    fn restart_restamps_cached_group_plans_so_traffic_resumes() {
+        let mut cluster = small_mux(1, 25);
+        let (tx, rx) = beacon_group(&mut cluster, 10, 3);
+        cluster.run_for(Duration::from_millis(80)).unwrap();
+        for &id in &rx {
+            assert_eq!(cluster.report(id).unwrap().delivered.len(), 10);
+        }
+        // Restart one member of the group, then publish a second stream
+        // from a restarted sender: its cached plan for the group must name
+        // the member's new incarnation.
+        cluster.restart_endpoint(rx[1], Listener).unwrap();
+        cluster
+            .restart_endpoint(
+                tx,
+                Beacon {
+                    next: 10,
+                    total: 20,
+                },
+            )
+            .unwrap();
+        cluster.run_for(Duration::from_millis(80)).unwrap();
+        let want: BTreeSet<u64> = (0..20).collect();
+        for &id in &rx {
+            let report = cluster.report(id).unwrap();
+            assert_eq!(report.delivered_seqs(), want);
+            assert_eq!(report.stale_datagrams, 0);
+        }
+        assert_eq!(cluster.report(tx).unwrap().datagrams_sent, 20);
+    }
+
+    #[test]
+    fn external_group_members_keep_a_wildcard_frame_of_their_own() {
+        use crate::endpoint::{Endpoint, RtConfig};
+        let mut cluster = small_mux(1, 26);
+        let (tx, rx) = beacon_group(&mut cluster, 25, 2);
+        let mut outside = Endpoint::bind(NodeId(9), "127.0.0.1:0", RtConfig::new(1)).unwrap();
+        cluster
+            .add_external_peer(tx, NodeId(9), outside.local_addr().unwrap())
+            .unwrap();
+        // A member the sender has no route to is unroutable on every send.
+        let group = [0, 1, 9, 2, 77].map(NodeId).to_vec();
+        cluster.set_groups(tx, vec![group]).unwrap();
+
+        let mut listener = Listener;
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                outside
+                    .run_for(&mut listener, Duration::from_millis(500))
+                    .unwrap();
+            });
+            cluster.run_for(Duration::from_millis(150)).unwrap();
+        });
+        let want: BTreeSet<u64> = (0..25).collect();
+        assert_eq!(outside.report().delivered_seqs(), want);
+        assert_eq!(outside.report().stale_datagrams, 0);
+        for &id in &rx {
+            assert_eq!(cluster.report(id).unwrap().delivered_seqs(), want);
+        }
+        // One shared datagram for the two in-cluster members plus one
+        // `n = 1` wildcard datagram for the outsider, per publish.
+        let report = cluster.report(tx).unwrap();
+        assert_eq!(report.datagrams_sent, 2 * 25);
+        assert_eq!(report.unroutable, 25);
+    }
+
+    #[test]
+    fn large_groups_chunk_into_frames_under_the_coalescing_cap() {
+        let mut cluster = small_mux(1, 27);
+        let (tx, rx) = beacon_group(&mut cluster, 5, 300);
+        cluster.run_for(Duration::from_millis(150)).unwrap();
+        let want: BTreeSet<u64> = (0..5).collect();
+        for &id in &rx {
+            assert_eq!(cluster.report(id).unwrap().delivered_seqs(), want);
+        }
+        let plan = &cluster.entries[tx.0].as_ref().unwrap().plans[0];
+        assert!(plan.frames.len() >= 2);
+        assert_eq!(plan.frames.iter().map(|f| f.dests).sum::<u64>(), 300);
+        let body = data(u64::MAX).to_bytes();
+        for frame in &plan.frames {
+            assert!(frame.dests as usize <= FrameHeader::MAX_DESTS);
+            assert!(frame.header.len() + 2 + body.len() <= COALESCE_BYTES);
+        }
+        let sent = cluster.report(tx).unwrap().datagrams_sent;
+        assert_eq!(sent, 5 * plan.frames.len() as u64);
+    }
+
+    #[test]
+    fn frames_coalesce_on_sender_address_and_identical_header() {
+        let addr: SocketAddr = "127.0.0.1:9".parse().unwrap();
+        let header_for = |incarnation| {
+            let dests = [0, 1].map(|endpoint| FrameDest {
+                endpoint,
+                incarnation,
+            });
+            let mut header = Vec::new();
+            FrameHeader::encode_list(NodeId(0), &dests, &mut header);
+            header
+        };
+        let (mut outbox, mut pool) = (VecDeque::new(), Vec::new());
+        let mut report = EndpointReport::default();
+        let body = data(1).to_bytes();
+        let header = header_for(0);
+        // Back-to-back group sends pack into one datagram ...
+        queue_frame(
+            &mut outbox,
+            &mut pool,
+            &mut report,
+            0,
+            addr,
+            &header,
+            2,
+            &body,
+        );
+        queue_frame(
+            &mut outbox,
+            &mut pool,
+            &mut report,
+            0,
+            addr,
+            &header,
+            2,
+            &body,
+        );
+        assert_eq!(outbox.len(), 1);
+        let (_, frame_body) = FrameHeader::decode(&outbox[0].buf).unwrap();
+        assert_eq!(FrameBody::new(frame_body).count(), 2);
+        // ... but not across senders, addresses, or re-stamped headers.
+        queue_frame(
+            &mut outbox,
+            &mut pool,
+            &mut report,
+            1,
+            addr,
+            &header,
+            2,
+            &body,
+        );
+        let other: SocketAddr = "127.0.0.1:10".parse().unwrap();
+        queue_frame(
+            &mut outbox,
+            &mut pool,
+            &mut report,
+            1,
+            other,
+            &header,
+            2,
+            &body,
+        );
+        queue_frame(
+            &mut outbox,
+            &mut pool,
+            &mut report,
+            1,
+            other,
+            &header_for(1),
+            2,
+            &body,
+        );
+        assert_eq!(outbox.len(), 4);
+        // A full frame opens a new datagram instead of growing past the cap.
+        let big = vec![0u8; COALESCE_BYTES - outbox[3].buf.len() - 1];
+        queue_frame(
+            &mut outbox,
+            &mut pool,
+            &mut report,
+            1,
+            other,
+            &header_for(1),
+            2,
+            &big,
+        );
+        assert_eq!(outbox.len(), 5);
+        assert!(outbox.iter().all(|m| m.buf.len() <= COALESCE_BYTES));
+    }
+
+    #[test]
+    fn shedding_a_group_frame_drops_once_per_destination() {
+        let addr: SocketAddr = "127.0.0.1:9".parse().unwrap();
+        let mut outbox: VecDeque<OutMsg> = (0..OUTBOX_MAX)
+            .map(|_| OutMsg {
+                addr,
+                buf: vec![0],
+                from: 0,
+            })
+            .collect();
+        let mut report = EndpointReport::default();
+        let mut header = Vec::new();
+        let dests: Vec<FrameDest> = (0..8)
+            .map(|endpoint| FrameDest {
+                endpoint,
+                incarnation: 0,
+            })
+            .collect();
+        FrameHeader::encode_list(NodeId(0), &dests, &mut header);
+        let body = data(1).to_bytes();
+        queue_frame(
+            &mut outbox,
+            &mut Vec::new(),
+            &mut report,
+            0,
+            addr,
+            &header,
+            8,
+            &body,
+        );
+        assert_eq!(outbox.len(), OUTBOX_MAX);
+        assert_eq!(report.backpressure_drops, 8);
+        // A unicast frame shed the same way is one drop, as before.
+        let mut unicast = Vec::new();
+        FrameHeader::broadcast(NodeId(0)).encode(&mut unicast);
+        queue_frame(
+            &mut outbox,
+            &mut Vec::new(),
+            &mut report,
+            0,
+            addr,
+            &unicast,
+            1,
+            &body,
+        );
+        assert_eq!(report.backpressure_drops, 9);
     }
 
     #[test]

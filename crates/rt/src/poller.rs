@@ -43,6 +43,11 @@ const PRECISE_WAIT: Duration = Duration::from_millis(1);
 /// worst-case reaction latency to datagrams that arrive mid-sleep.
 const FALLBACK_SLEEP: Duration = Duration::from_millis(1);
 
+/// Most ready sockets one `epoll_wait` reports; the rest surface on the
+/// next wait (the worker drains every socket after a wake regardless).
+#[cfg(target_os = "linux")]
+const MAX_EVENTS: usize = 64;
+
 /// Largest UDP payload a batch slot accepts; datagrams beyond this are
 /// truncated by the kernel (the codec then rejects the frame).
 pub(crate) const DATAGRAM_BUF_BYTES: usize = 65536;
@@ -70,7 +75,7 @@ mod sys {
 
     #[repr(C)]
     #[cfg_attr(target_arch = "x86_64", repr(packed))]
-    #[derive(Clone, Copy)]
+    #[derive(Debug, Clone, Copy)]
     pub struct EpollEvent {
         pub events: u32,
         pub data: u64,
@@ -174,7 +179,7 @@ mod sys {
 
     pub fn epoll_poll(epfd: i32, events: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
         // SAFETY: `events` is a live, writable slice; maxevents matches
-        // its length (clamped to at least 1 by the caller).
+        // its length (at least 1: the caller registered a socket).
         let n = check(unsafe {
             epoll_wait(epfd, events.as_mut_ptr(), events.len() as i32, timeout_ms)
         })?;
@@ -230,6 +235,10 @@ use std::os::fd::AsRawFd;
 pub(crate) struct Poller {
     #[cfg(target_os = "linux")]
     epfd: i32,
+    /// The buffer `epoll_wait` reports into, one slot per registered
+    /// socket up to [`MAX_EVENTS`], reused across waits.
+    #[cfg(target_os = "linux")]
+    events: Vec<sys::EpollEvent>,
     registered: usize,
 }
 
@@ -239,6 +248,8 @@ impl Poller {
         Ok(Poller {
             #[cfg(target_os = "linux")]
             epfd: sys::epoll_create()?,
+            #[cfg(target_os = "linux")]
+            events: Vec::new(),
             registered: 0,
         })
     }
@@ -248,7 +259,12 @@ impl Poller {
     /// implicitly when the socket closes.
     pub fn register(&mut self, sock: &UdpSocket) -> io::Result<()> {
         #[cfg(target_os = "linux")]
-        sys::epoll_add(self.epfd, sock.as_raw_fd())?;
+        {
+            sys::epoll_add(self.epfd, sock.as_raw_fd())?;
+            if self.events.len() < MAX_EVENTS {
+                self.events.push(sys::EpollEvent { events: 0, data: 0 });
+            }
+        }
         #[cfg(not(target_os = "linux"))]
         let _ = sock;
         self.registered += 1;
@@ -269,9 +285,7 @@ impl Poller {
         #[cfg(target_os = "linux")]
         {
             let ms = timeout.as_millis().min(i32::MAX as u128) as i32;
-            let mut events =
-                vec![sys::EpollEvent { events: 0, data: 0 }; self.registered.clamp(1, 64)];
-            match sys::epoll_poll(self.epfd, &mut events, ms) {
+            match sys::epoll_poll(self.epfd, &mut self.events, ms) {
                 Ok(n) => Ok(n),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => Ok(0),
                 Err(e) => Err(e),
@@ -299,6 +313,15 @@ pub(crate) struct RecvBatch {
     bufs: Vec<Box<[u8]>>,
     lens: Vec<usize>,
     filled: usize,
+    /// One iovec per slot, pointing at that slot's heap buffer. Only held
+    /// (never resized, never read here) so the `hdrs` pointers into it
+    /// stay valid.
+    #[cfg(target_os = "linux")]
+    _iovs: Vec<sys::IoVec>,
+    /// One `mmsghdr` per slot, built once: `recvmmsg` only writes the
+    /// output fields (`len`, flags) and leaves the iov pointers alone.
+    #[cfg(target_os = "linux")]
+    hdrs: Vec<sys::MMsgHdr>,
     /// ICMP-unreachable noise absorbed while receiving (connection
     /// refused/reset); the caller folds this into its soft-error stat.
     pub soft_errors: u64,
@@ -308,12 +331,41 @@ impl RecvBatch {
     /// A batch of `batch` slots, each [`DATAGRAM_BUF_BYTES`] long.
     pub fn new(batch: usize) -> RecvBatch {
         let batch = batch.max(1);
+        let mut bufs: Vec<Box<[u8]>> = (0..batch)
+            .map(|_| vec![0u8; DATAGRAM_BUF_BYTES].into_boxed_slice())
+            .collect();
+        #[cfg(target_os = "linux")]
+        let mut iovs: Vec<sys::IoVec> = bufs
+            .iter_mut()
+            .map(|b| sys::IoVec {
+                base: b.as_mut_ptr(),
+                len: b.len(),
+            })
+            .collect();
+        #[cfg(target_os = "linux")]
+        let hdrs = iovs
+            .iter_mut()
+            .map(|iov| sys::MMsgHdr {
+                hdr: sys::MsgHdr {
+                    name: std::ptr::null_mut(),
+                    namelen: 0,
+                    iov,
+                    iovlen: 1,
+                    control: std::ptr::null_mut(),
+                    controllen: 0,
+                    flags: 0,
+                },
+                len: 0,
+            })
+            .collect();
         RecvBatch {
-            bufs: (0..batch)
-                .map(|_| vec![0u8; DATAGRAM_BUF_BYTES].into_boxed_slice())
-                .collect(),
+            bufs,
             lens: vec![0; batch],
             filled: 0,
+            #[cfg(target_os = "linux")]
+            _iovs: iovs,
+            #[cfg(target_os = "linux")]
+            hdrs,
             soft_errors: 0,
         }
     }
@@ -325,39 +377,17 @@ impl RecvBatch {
         self.filled = 0;
         #[cfg(target_os = "linux")]
         {
-            let mut iovs: Vec<sys::IoVec> = self
-                .bufs
-                .iter_mut()
-                .map(|b| sys::IoVec {
-                    base: b.as_mut_ptr(),
-                    len: b.len(),
-                })
-                .collect();
-            let mut hdrs: Vec<sys::MMsgHdr> = iovs
-                .iter_mut()
-                .map(|iov| sys::MMsgHdr {
-                    hdr: sys::MsgHdr {
-                        name: std::ptr::null_mut(),
-                        namelen: 0,
-                        iov,
-                        iovlen: 1,
-                        control: std::ptr::null_mut(),
-                        controllen: 0,
-                        flags: 0,
-                    },
-                    len: 0,
-                })
-                .collect();
             loop {
-                match sys::recv_mmsg(sock.as_raw_fd(), &mut hdrs) {
+                match sys::recv_mmsg(sock.as_raw_fd(), &mut self.hdrs) {
                     Ok(n) => {
-                        for (i, h) in hdrs[..n].iter().enumerate() {
-                            self.lens[i] = h.len as usize;
+                        for (len, h) in self.lens.iter_mut().zip(&self.hdrs[..n]) {
+                            *len = h.len as usize;
                         }
                         self.filled = n;
                         return Ok(n);
                     }
                     Err(e) if would_block(&e) => return Ok(0),
+                    Err(e) if interrupted(&e) => continue,
                     Err(e) if soft_io_error(&e) => {
                         self.soft_errors += 1;
                         continue;
@@ -375,6 +405,7 @@ impl RecvBatch {
                         self.filled += 1;
                     }
                     Err(e) if would_block(&e) => break,
+                    Err(e) if interrupted(&e) => {}
                     Err(e) if soft_io_error(&e) => self.soft_errors += 1,
                     Err(e) => return Err(e),
                 }
@@ -424,30 +455,39 @@ impl SendBatch {
         self.capacity
     }
 
-    /// Sends the leading prefix of `msgs` (up to capacity) through
-    /// `sock`, returning how many datagrams the kernel accepted.
+    /// Sends the leading `(destination, payload)` pairs of `msgs` (up to
+    /// capacity) through `sock`, returning how many datagrams the kernel
+    /// accepted. Taking an iterator lets a caller flush straight out of
+    /// its outbox without collecting the pairs first.
     ///
-    /// `Ok(0)` means the socket is flow-blocked — park and retry later.
-    /// An `Err` always refers to the *first unsent* message, so a caller
-    /// that drops that message and retries makes progress (this is how
-    /// ICMP-unreachable noise is absorbed upstream).
-    pub fn send(&mut self, sock: &UdpSocket, msgs: &[(SocketAddr, &[u8])]) -> io::Result<usize> {
-        if msgs.is_empty() {
-            return Ok(0);
-        }
-        let n = msgs.len().min(self.capacity);
+    /// `Ok(0)` means the socket is flow-blocked (or `msgs` was empty) —
+    /// park and retry later; a call interrupted by a signal is retried
+    /// here, never reported as flow control. An `Err` always refers to the
+    /// *first unsent* message, so a caller that drops that message and
+    /// retries makes progress (this is how ICMP-unreachable noise is
+    /// absorbed upstream).
+    pub fn send<'a>(
+        &mut self,
+        sock: &UdpSocket,
+        msgs: impl IntoIterator<Item = (SocketAddr, &'a [u8])>,
+    ) -> io::Result<usize> {
+        let msgs = msgs.into_iter().take(self.capacity);
         #[cfg(target_os = "linux")]
         {
             self.iovs.clear();
             self.hdrs.clear();
-            for (i, (addr, payload)) in msgs[..n].iter().enumerate() {
-                self.addrs[i] = sys::SockAddrStorage::encode(addr);
+            for (i, (addr, payload)) in msgs.enumerate() {
+                self.addrs[i] = sys::SockAddrStorage::encode(&addr);
                 self.iovs.push(sys::IoVec {
                     // sendmmsg never writes through the iov; the mut cast
                     // exists only because iovec is shared with recvmmsg.
                     base: payload.as_ptr() as *mut u8,
                     len: payload.len(),
                 });
+            }
+            let n = self.iovs.len();
+            if n == 0 {
+                return Ok(0);
             }
             for i in 0..n {
                 self.hdrs.push(sys::MMsgHdr {
@@ -463,17 +503,26 @@ impl SendBatch {
                     len: 0,
                 });
             }
-            match sys::send_mmsg(sock.as_raw_fd(), &mut self.hdrs) {
-                Ok(sent) => Ok(sent),
-                Err(e) if would_block(&e) => Ok(0),
-                Err(e) => Err(e),
+            loop {
+                match sys::send_mmsg(sock.as_raw_fd(), &mut self.hdrs) {
+                    Ok(sent) => return Ok(sent),
+                    Err(e) if would_block(&e) => return Ok(0),
+                    Err(e) if interrupted(&e) => continue,
+                    Err(e) => return Err(e),
+                }
             }
         }
         #[cfg(not(target_os = "linux"))]
         {
             let mut sent = 0;
-            for (addr, payload) in &msgs[..n] {
-                match sock.send_to(payload, addr) {
+            for (addr, payload) in msgs {
+                let outcome = loop {
+                    match sock.send_to(payload, addr) {
+                        Err(e) if interrupted(&e) => continue,
+                        other => break other,
+                    }
+                };
+                match outcome {
                     Ok(_) => sent += 1,
                     Err(e) if would_block(&e) => break,
                     // Partial progress: report what went through; the
@@ -509,8 +558,16 @@ pub(crate) fn set_socket_buffers(sock: &UdpSocket, bytes: usize) -> io::Result<(
 pub(crate) fn would_block(e: &io::Error) -> bool {
     matches!(
         e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
     )
+}
+
+/// A syscall cut short by a signal (`EINTR`): nothing happened, so the
+/// call is simply reissued. Not flow control — classing it as such made a
+/// signal look like a full socket buffer (a bogus `backpressure_stalls`
+/// and a parked worker).
+fn interrupted(e: &io::Error) -> bool {
+    e.kind() == io::ErrorKind::Interrupted
 }
 
 /// ICMP port-unreachable noise a UDP runtime must absorb, not die on.
@@ -545,7 +602,7 @@ mod tests {
         let mut sender = SendBatch::new(8);
         let mut sent = 0;
         while sent < msgs.len() {
-            let n = sender.send(&tx, &msgs[sent..]).unwrap();
+            let n = sender.send(&tx, msgs[sent..].iter().copied()).unwrap();
             assert!(n > 0, "loopback send should not flow-block here");
             sent += n;
         }
@@ -577,7 +634,7 @@ mod tests {
         assert_eq!(sender.capacity(), 2);
         let mut sent = 0;
         while sent < msgs.len() {
-            let n = sender.send(&tx, &msgs[sent..]).unwrap();
+            let n = sender.send(&tx, msgs[sent..].iter().copied()).unwrap();
             assert!(n <= 2);
             sent += n.max(1);
         }
@@ -621,6 +678,51 @@ mod tests {
         }
         #[cfg(not(target_os = "linux"))]
         let _ = (ready, woke);
+    }
+
+    #[test]
+    fn eintr_is_retried_not_classed_as_flow_control() {
+        // Regression: `Interrupted` used to count as would-block, so an
+        // EINTR'd sendmmsg reported `Ok(0)` — a phantom backpressure stall.
+        let eintr = io::Error::from(io::ErrorKind::Interrupted);
+        assert!(!would_block(&eintr));
+        assert!(interrupted(&eintr));
+        assert!(!soft_io_error(&eintr));
+        for kind in [io::ErrorKind::WouldBlock, io::ErrorKind::TimedOut] {
+            assert!(would_block(&io::Error::from(kind)));
+            assert!(!interrupted(&io::Error::from(kind)));
+        }
+    }
+
+    #[test]
+    fn an_empty_send_is_a_no_op() {
+        let (tx, _rx, _) = pair();
+        let mut sender = SendBatch::new(4);
+        assert_eq!(sender.send(&tx, std::iter::empty()).unwrap(), 0);
+    }
+
+    #[test]
+    fn recv_batch_reuses_its_headers_across_calls() {
+        // The mmsghdr array is built once; a second and third recv through
+        // the same batch must still land each datagram in its own slot.
+        let (tx, rx, rx_addr) = pair();
+        let mut batch = RecvBatch::new(4);
+        for round in 0u8..3 {
+            assert_eq!(batch.recv(&rx).unwrap(), 0, "drained before round {round}");
+            for i in 0u8..3 {
+                tx.send_to(&[round, i, i], rx_addr).unwrap();
+            }
+            let deadline = Instant::now() + Duration::from_secs(2);
+            let mut got = Vec::new();
+            while got.len() < 3 && Instant::now() < deadline {
+                if batch.recv(&rx).unwrap() > 0 {
+                    got.extend(batch.datagrams().map(<[u8]>::to_vec));
+                }
+            }
+            got.sort();
+            let want: Vec<Vec<u8>> = (0u8..3).map(|i| vec![round, i, i]).collect();
+            assert_eq!(got, want);
+        }
     }
 
     #[test]
