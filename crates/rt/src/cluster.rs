@@ -141,6 +141,12 @@ pub struct ClusterStats {
     /// handful of these per window — not thousands — because workers
     /// sleep in `poll()` until the next timer deadline.
     pub busy_polls: u64,
+    /// Times a worker parked in the poller (a wait entered with a
+    /// non-zero timeout). Parks per delivered message is what the
+    /// runtime's CPU cost per message tracks on paced traffic.
+    pub parks: u64,
+    /// Parks ended by a readable socket rather than by the deadline.
+    pub io_wakes: u64,
 }
 
 impl ClusterStats {
@@ -162,6 +168,8 @@ impl ClusterStats {
         registry.add(key("unknown_endpoint_drops"), self.unknown_endpoint_drops);
         registry.add(key("header_drops"), self.header_drops);
         registry.add(key("busy_polls"), self.busy_polls);
+        registry.add(key("parks"), self.parks);
+        registry.add(key("io_wakes"), self.io_wakes);
     }
 }
 
@@ -172,6 +180,10 @@ impl ClusterStats {
 pub(crate) struct WorkerCounters {
     /// Iterations that made no progress before parking in the poller.
     pub busy_polls: u64,
+    /// Waits entered with a non-zero timeout.
+    pub parks: u64,
+    /// Parks ended by readiness rather than the deadline.
+    pub io_wakes: u64,
     /// Truncated/unknown-version frame headers (dropped before demux).
     pub header_drops: u64,
     /// Demux keys that named no live endpoint of the shard.
@@ -185,6 +197,8 @@ pub(crate) struct WorkerCounters {
 impl WorkerCounters {
     pub(crate) fn absorb(&mut self, other: WorkerCounters) {
         self.busy_polls += other.busy_polls;
+        self.parks += other.parks;
+        self.io_wakes += other.io_wakes;
         self.header_drops += other.header_drops;
         self.unknown_endpoint_drops += other.unknown_endpoint_drops;
         self.datagrams_received += other.datagrams_received;
@@ -545,6 +559,8 @@ impl Cluster {
             stats.stale_drops += report.stale_datagrams;
         }
         stats.busy_polls = self.worker.busy_polls;
+        stats.parks = self.worker.parks;
+        stats.io_wakes = self.worker.io_wakes;
         stats.header_drops = self.worker.header_drops;
         stats.unknown_endpoint_drops = self.worker.unknown_endpoint_drops;
         stats
@@ -704,7 +720,9 @@ fn drive_shard(
                 wait = wait.min(Duration::from_millis(1));
             }
             if !wait.is_zero() {
-                poller.wait(wait).map_err(RtError::Io)?;
+                counters.parks += 1;
+                let ready = poller.wait(wait).map_err(RtError::Io)?;
+                counters.io_wakes += u64::from(ready > 0);
             }
         }
     }

@@ -33,7 +33,6 @@
 //! state ([`Endpoint::add_peer`], [`Endpoint::set_groups`]).
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::io;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 use std::time::Duration;
 
@@ -44,7 +43,7 @@ use adamant_proto::{
 
 use crate::clock::MonotonicClock;
 use crate::error::RtError;
-use crate::poller::Poller;
+use crate::poller::{retry_interrupted, soft_io_error, would_block, Poller};
 
 /// Maximum UDP payload the endpoint will receive (a full 64 KiB datagram).
 pub(crate) const RECV_BUF_BYTES: usize = 65_536;
@@ -196,25 +195,6 @@ impl EndpointReport {
             SimDuration::from_nanos(window_ns),
         )
     }
-}
-
-/// `WouldBlock`-family kinds: the socket has no data / no buffer space.
-fn is_would_block(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
-    )
-}
-
-/// Soft error kinds the runtime absorbs instead of aborting: on Linux a
-/// UDP socket surfaces queued ICMP port-unreachable as
-/// `ConnectionRefused`/`ConnectionReset` on the *next* send or recv, which
-/// just means some peer's socket closed first.
-fn is_soft_io(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::ConnectionRefused | io::ErrorKind::ConnectionReset
-    )
 }
 
 /// The driver-agnostic half of an endpoint: one bound socket, the core's
@@ -402,13 +382,13 @@ impl Slot {
     ) -> Result<bool, RtError> {
         let mut drained_any = false;
         loop {
-            match self.socket.recv_from(buf) {
+            match retry_interrupted(|| self.socket.recv_from(buf)) {
                 Ok((len, _from)) => {
                     drained_any = true;
                     self.on_datagram(core, &buf[..len], wheel, owner)?;
                 }
-                Err(e) if is_would_block(&e) => break,
-                Err(e) if is_soft_io(&e) => self.report.soft_io_errors += 1,
+                Err(e) if would_block(&e) => break,
+                Err(e) if soft_io_error(&e) => self.report.soft_io_errors += 1,
                 Err(e) => return Err(RtError::Recv(e)),
             }
         }
@@ -420,14 +400,14 @@ impl Slot {
     pub(crate) fn flush_outbox(&mut self) -> Result<usize, RtError> {
         let mut sent = 0;
         while let Some((addr, bytes)) = self.outbox.front() {
-            match self.socket.send_to(bytes, *addr) {
+            match retry_interrupted(|| self.socket.send_to(bytes, *addr)) {
                 Ok(_) => {
                     self.report.datagrams_sent += 1;
                     sent += 1;
                     self.outbox.pop_front();
                 }
-                Err(e) if is_would_block(&e) => break,
-                Err(e) if is_soft_io(&e) => {
+                Err(e) if would_block(&e) => break,
+                Err(e) if soft_io_error(&e) => {
                     self.report.soft_io_errors += 1;
                     self.outbox.pop_front();
                 }
@@ -482,13 +462,13 @@ impl Slot {
             return Ok(());
         };
         if self.outbox.is_empty() {
-            match self.socket.send_to(&self.encode_buf, addr) {
+            match retry_interrupted(|| self.socket.send_to(&self.encode_buf, addr)) {
                 Ok(_) => {
                     self.report.datagrams_sent += 1;
                     return Ok(());
                 }
-                Err(e) if is_would_block(&e) => self.report.backpressure_stalls += 1,
-                Err(e) if is_soft_io(&e) => {
+                Err(e) if would_block(&e) => self.report.backpressure_stalls += 1,
+                Err(e) if soft_io_error(&e) => {
                     self.report.soft_io_errors += 1;
                     return Ok(());
                 }

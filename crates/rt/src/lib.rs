@@ -19,9 +19,17 @@
 //!   multiplexes its whole shard over a small fixed pool of shared
 //!   sockets. Datagrams are demuxed by the destination list in their
 //!   [`FrameHeader`](adamant_proto::FrameHeader), sends coalesce into
-//!   frames flushed with `sendmmsg`, receives drain with `recvmmsg`, idle
-//!   workers park in `epoll`, and a group send costs one datagram per
-//!   destination worker rather than one per member.
+//!   frames flushed with `sendmmsg`, receives drain with `recvmmsg` on
+//!   the sockets a readiness query named, and a group send costs one
+//!   datagram per destination worker rather than one per member.
+//!
+//! All three park in the same wait: `epoll_pwait2` with a nanosecond
+//! timeout, which ends at the next timer deadline or at the first
+//! readable socket, whichever comes first — there is no sleep a datagram
+//! cannot end. A mux worker also states how late its parks may end (a
+//! 25 µs timer slack on its own thread); [`ClusterStats::parks`] and
+//! [`ClusterStats::io_wakes`] count the parks and how many a datagram
+//! ended. Off Linux the wait is a sleep capped at a millisecond.
 //!
 //! Every fallible public function returns [`RtError`] (never a bare
 //! [`std::io::Error`]). Construction follows one idiom throughout:
@@ -31,7 +39,7 @@
 //! [`ProtocolCore`]: adamant_proto::ProtocolCore
 
 // `deny` instead of `forbid`: the one sanctioned exception is the FFI
-// shim in `poller::sys` (epoll + recvmmsg/sendmmsg bindings), which opts
+// shim in `poller::sys` (epoll, recvmmsg/sendmmsg and prctl bindings), which opts
 // in explicitly. Everything else in the crate remains safe code.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -24,9 +24,11 @@
 //!   outbox per socket and flush via `sendmmsg`; receives drain via
 //!   `recvmmsg` ([`crate::poller`] carries the portable single-syscall
 //!   fallbacks).
-//! * **Readiness, not spinning.** An idle worker parks in `epoll` until
-//!   the next [`TimerWheel`] deadline or an incoming datagram, so idle
-//!   CPU is ~0 regardless of endpoint count.
+//! * **Readiness, not spinning.** A worker pass fires the due timers (a
+//!   bounded number), flushes its outboxes, then makes *one* readiness
+//!   query — until the next [`TimerWheel`] deadline or the first incoming
+//!   datagram, whichever comes first — and receives only on the sockets
+//!   the query named. Idle CPU is ~0 regardless of endpoint count.
 //!
 //! The file-descriptor budget is `workers × sockets_per_worker` no matter
 //! how many endpoints are added, which is what makes a 100k-endpoint
@@ -60,7 +62,16 @@ use crate::cluster::{
 };
 use crate::endpoint::{EndpointReport, OUTBOX_MAX};
 use crate::error::RtError;
-use crate::poller::{set_socket_buffers, soft_io_error, Poller, RecvBatch, SendBatch};
+use crate::poller::{
+    set_socket_buffers, set_worker_timer_slack, soft_io_error, Poller, RecvBatch, SendBatch,
+};
+
+/// Due timers one worker pass fires, in units of `batch_size`, before it
+/// flushes and drains. After a stall every overdue timer is due at once;
+/// firing them all before serving a socket would shed the burst at
+/// `OUTBOX_MAX` and at the kernel receive buffer. The rest stay due for
+/// the next pass.
+const TIMER_BURST_BATCHES: usize = 4;
 
 /// Kernel buffer size requested per shared socket: large enough to absorb
 /// a full burst wave from every endpoint multiplexed onto the socket
@@ -719,6 +730,8 @@ impl MuxCluster {
         }
         stats.datagrams_received = self.worker.datagrams_received;
         stats.busy_polls = self.worker.busy_polls;
+        stats.parks = self.worker.parks;
+        stats.io_wakes = self.worker.io_wakes;
         stats.header_drops = self.worker.header_drops;
         stats.unknown_endpoint_drops = self.worker.unknown_endpoint_drops;
         stats
@@ -791,6 +804,7 @@ fn run_mux_shard(
     workers: usize,
     batch: usize,
 ) -> ShardRun {
+    set_worker_timer_slack();
     let mut counters = WorkerCounters::default();
     let result = drive_mux_shard(
         &mut shard,
@@ -857,9 +871,15 @@ fn drive_mux_shard(
             );
         }
     }
+    let fire_max = TIMER_BURST_BATCHES * batch;
     loop {
-        // Fire everything due across the shard, in global deadline order.
-        while let Some(fire) = wheel.pop_due(clock.now()) {
+        // 1. Fire what is due across the shard, in global deadline order.
+        let mut fired = 0;
+        while fired < fire_max {
+            let Some(fire) = wheel.pop_due(clock.now()) else {
+                break;
+            };
+            fired += 1;
             let index = (fire.owner >> 8) as usize;
             let Some(pos) = local_pos(index, shard, workers) else {
                 continue;
@@ -884,16 +904,34 @@ fn drive_mux_shard(
         if clock.now() >= deadline {
             break;
         }
-        let mut progressed = false;
-        // Flush each socket's coalesced outbox in send batches.
+        let mut progressed = fired > 0;
+        // 2. Flush each socket's coalesced outbox in send batches.
         for (si, sock) in sockets.iter().enumerate() {
             progressed |=
                 flush_socket(sock, &mut outboxes[si], &mut send, shard, &mut scratch.pool)? > 0;
         }
-        // Drain each socket in receive batches, demuxing as we go.
-        for sock in sockets {
+        // 3. One readiness query: until the next deadline — no time at all
+        // when a timer is already due, so receive is never starved — or
+        // the first readable socket.
+        let next = wheel
+            .next_deadline()
+            .unwrap_or(TimePoint::MAX)
+            .min(deadline);
+        let mut wait = Duration::from_nanos(next.saturating_since(clock.now()).as_nanos());
+        if outboxes.iter().any(|o| !o.is_empty()) {
+            // The poller only watches readability; parked sends need a
+            // bounded retry cadence, not a timer-length nap.
+            wait = wait.min(Duration::from_millis(1));
+        }
+        let ready = poller.wait(wait).map_err(RtError::Io)?;
+        if !wait.is_zero() {
+            counters.parks += 1;
+            counters.io_wakes += u64::from(ready > 0);
+        }
+        // 4. Drain the sockets it named in receive batches, demuxing as we go.
+        for &si in poller.ready() {
             loop {
-                let n = recv.recv(sock).map_err(RtError::Recv)?;
+                let n = recv.recv(&sockets[si]).map_err(RtError::Recv)?;
                 if n == 0 {
                     break;
                 }
@@ -923,22 +961,7 @@ fn drive_mux_shard(
             }
             recv.soft_errors = 0;
         }
-        if !progressed {
-            counters.busy_polls += 1;
-            let next = wheel
-                .next_deadline()
-                .unwrap_or(TimePoint::MAX)
-                .min(deadline);
-            let mut wait = Duration::from_nanos(next.saturating_since(clock.now()).as_nanos());
-            if outboxes.iter().any(|o| !o.is_empty()) {
-                // The poller only watches readability; parked sends need
-                // a bounded retry cadence, not a timer-length nap.
-                wait = wait.min(Duration::from_millis(1));
-            }
-            if !wait.is_zero() {
-                poller.wait(wait).map_err(RtError::Io)?;
-            }
-        }
+        counters.busy_polls += u64::from(!progressed);
     }
     for (si, sock) in sockets.iter().enumerate() {
         flush_socket(sock, &mut outboxes[si], &mut send, shard, &mut scratch.pool)?;
@@ -1805,6 +1828,198 @@ mod tests {
         assert_eq!(registry.counter("udp/cluster/delivered"), 5);
         assert_eq!(registry.counter("udp/cluster/endpoints"), 2);
         assert_eq!(registry.counter("udp/cluster/unknown_endpoint_drops"), 0);
+    }
+
+    /// Arms `timers` timers for the same instant on start; each one fired
+    /// sends one sample, to nodes 1 and 2 in turn.
+    #[derive(Debug)]
+    struct Burst {
+        timers: u64,
+    }
+
+    impl ProtocolCore for Burst {
+        fn step(&mut self, input: Input<'_>, env: &mut Env<'_>) {
+            match input {
+                Input::Start => {
+                    for tag in 0..self.timers {
+                        env.set_timer(Span::from_millis(1), tag);
+                    }
+                }
+                Input::TimerFired { tag, .. } => {
+                    let peer = NodeId(1 + (tag % 2) as u32);
+                    env.send(peer, 64, 1, ProcessingCost::FREE, data(tag));
+                }
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn a_burst_of_overdue_timers_is_fired_in_bounded_passes_and_sheds_nothing() {
+        // 10 000 timers due at once, each one datagram (alternating
+        // listeners, so nothing coalesces) through one socket: fired in one
+        // go they overrun `OUTBOX_MAX`; fired a few batches per pass, with
+        // a flush and a drain in between, every sample arrives.
+        let cfg = MuxConfig::new(1).with_sockets_per_worker(1).with_seed(31);
+        let mut cluster = MuxCluster::bind("127.0.0.1:0", cfg).unwrap();
+        let timers = 10_000;
+        assert!(timers as usize > 2 * OUTBOX_MAX);
+        let tx = cluster.add_endpoint(NodeId(0), Burst { timers }).unwrap();
+        let rx = [1, 2].map(|node| cluster.add_endpoint(NodeId(node), Listener).unwrap());
+        for id in rx {
+            cluster.add_peer(tx, id).unwrap();
+        }
+        cluster.run_for(Duration::from_millis(300)).unwrap();
+        let stats = cluster.stats();
+        assert_eq!(stats.backpressure_drops, 0);
+        assert_eq!(stats.delivered, timers);
+        for (id, parity) in rx.into_iter().zip([0, 1]) {
+            let want: BTreeSet<u64> = (0..timers).filter(|seq| seq % 2 == parity).collect();
+            assert_eq!(cluster.report(id).unwrap().delivered_seqs(), want);
+        }
+    }
+
+    /// A datagram from outside the cluster carrying sample `seq` for the
+    /// first incarnation of endpoint `to`.
+    fn probe_frame(to: EndpointId, seq: u64) -> Vec<u8> {
+        let mut frame = Vec::new();
+        FrameHeader {
+            src: NodeId(999),
+            dst_endpoint: to.0 as u32,
+            dst_incarnation: 0,
+        }
+        .encode(&mut frame);
+        FrameHeader::encode_body_entry(&mut frame, &data(seq).to_bytes());
+        frame
+    }
+
+    #[test]
+    fn a_core_rearming_a_zero_delay_timer_cannot_starve_its_neighbours() {
+        /// Always has a timer due.
+        #[derive(Debug)]
+        struct Spinner;
+        impl ProtocolCore for Spinner {
+            fn step(&mut self, input: Input<'_>, env: &mut Env<'_>) {
+                if matches!(input, Input::Start | Input::TimerFired { .. }) {
+                    env.set_timer(Span::ZERO, 0);
+                }
+            }
+        }
+        let mut cluster = small_mux(1, 32);
+        cluster.add_endpoint(NodeId(0), Spinner).unwrap();
+        let rx = cluster.add_endpoint(NodeId(1), Listener).unwrap();
+        let probe = UdpSocket::bind("127.0.0.1:0").unwrap();
+        probe
+            .send_to(&probe_frame(rx, 7), cluster.endpoint_addr(rx).unwrap())
+            .unwrap();
+        // The window still ends on time, and the listener was served.
+        let start = std::time::Instant::now();
+        cluster.run_for(Duration::from_millis(50)).unwrap();
+        assert!(start.elapsed() < Duration::from_secs(2));
+        assert_eq!(
+            cluster.report(rx).unwrap().delivered_seqs(),
+            BTreeSet::from([7])
+        );
+    }
+
+    #[test]
+    fn every_socket_of_a_pool_larger_than_one_readiness_report_is_served() {
+        // 80 sockets on one worker: more than one wait names (64), so the
+        // rest must surface on later waits.
+        let sockets = 80;
+        let cfg = MuxConfig::new(1)
+            .with_sockets_per_worker(sockets)
+            .with_seed(33);
+        let mut cluster = MuxCluster::bind("127.0.0.1:0", cfg).unwrap();
+        let probe = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let mut addrs = BTreeSet::new();
+        let mut ids = Vec::new();
+        for node in 0..sockets as u32 {
+            let id = cluster.add_endpoint(NodeId(node), Listener).unwrap();
+            let addr = cluster.endpoint_addr(id).unwrap();
+            addrs.insert(addr);
+            probe
+                .send_to(&probe_frame(id, u64::from(node)), addr)
+                .unwrap();
+            ids.push(id);
+        }
+        assert_eq!(addrs.len(), sockets, "one endpoint per socket");
+        cluster.run_for(Duration::from_millis(100)).unwrap();
+        for (node, id) in ids.into_iter().enumerate() {
+            assert_eq!(
+                cluster.report(id).unwrap().delivered_seqs(),
+                BTreeSet::from([node as u64])
+            );
+        }
+    }
+
+    #[test]
+    fn parks_and_io_wakes_are_counted() {
+        /// Returns every sample it hears to its peer, `rounds` times.
+        #[derive(Debug)]
+        struct PingPong {
+            peer: NodeId,
+            serve: bool,
+            rounds: u64,
+        }
+        impl ProtocolCore for PingPong {
+            fn step(&mut self, input: Input<'_>, env: &mut Env<'_>) {
+                let seq = match input {
+                    Input::Start if self.serve => 0,
+                    Input::PacketIn {
+                        msg: WireMsg::Data(ball),
+                        ..
+                    } => {
+                        env.deliver(ball.seq, ball.published_at, false);
+                        ball.seq + 1
+                    }
+                    _ => return,
+                };
+                if seq < self.rounds {
+                    env.send(self.peer, 64, 1, ProcessingCost::FREE, data(seq));
+                }
+            }
+        }
+        // One endpoint per worker, so every return crosses threads and
+        // finds the other worker parked.
+        let mut cluster = small_mux(2, 34);
+        let rounds = 200;
+        let player = |peer, serve| PingPong {
+            peer: NodeId(peer),
+            serve,
+            rounds,
+        };
+        let a = cluster.add_endpoint(NodeId(0), player(1, true)).unwrap();
+        let b = cluster.add_endpoint(NodeId(1), player(0, false)).unwrap();
+        cluster.add_peer(a, b).unwrap();
+        cluster.add_peer(b, a).unwrap();
+        cluster.run_for(Duration::from_millis(200)).unwrap();
+        let stats = cluster.stats();
+        assert_eq!(stats.delivered, rounds);
+        assert!(stats.io_wakes > 0, "no park was ended by a datagram");
+        assert!(stats.io_wakes <= stats.parks);
+        let mut registry = MetricsRegistry::new();
+        cluster.fold_metrics("udp", &mut registry);
+        assert_eq!(registry.counter("udp/cluster/parks"), stats.parks);
+        assert_eq!(registry.counter("udp/cluster/io_wakes"), stats.io_wakes);
+
+        // An idle cluster parks once per worker and window, not per tick
+        // (the off-Linux wait is capped at a millisecond).
+        #[cfg(target_os = "linux")]
+        {
+            let mut idle = small_mux(4, 35);
+            for node in 0..64u32 {
+                idle.add_endpoint(NodeId(node), Listener).unwrap();
+            }
+            idle.run_for(Duration::from_millis(100)).unwrap();
+            let stats = idle.stats();
+            assert!(
+                stats.parks <= 32,
+                "idle cluster parked {} times",
+                stats.parks
+            );
+            assert_eq!(stats.io_wakes, 0);
+        }
     }
 
     /// The mux worker must also park while idle (the same satellite

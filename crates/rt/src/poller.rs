@@ -4,12 +4,11 @@
 //! Three building blocks, each with a Linux fast path and a portable
 //! fallback so the crate builds everywhere the standard library does:
 //!
-//! * [`Poller`] — an `epoll` instance the worker parks in when it has no
-//!   due timers and no pending I/O, with the timeout derived from the
-//!   next [`TimerWheel`](adamant_proto::TimerWheel) deadline. Idle
-//!   workers therefore consume ~0 CPU instead of spinning a short-sleep
-//!   loop. Off Linux, `wait` degrades to a capped `thread::sleep` — the
-//!   exact pre-poller behaviour.
+//! * [`Poller`] — an `epoll` instance the worker parks in until the next
+//!   [`TimerWheel`](adamant_proto::TimerWheel) deadline or the first
+//!   readable socket, whichever comes first, and which names the sockets
+//!   that became readable so the worker reads only those. Off Linux,
+//!   `wait` degrades to a capped sleep that reports every socket ready.
 //! * [`RecvBatch`] — drains a socket with one `recvmmsg` call per batch
 //!   instead of one `recv_from` syscall per datagram.
 //! * [`SendBatch`] — flushes a worker's coalesced outbox with one
@@ -23,30 +22,62 @@
 //!
 //! ## Timeout precision
 //!
-//! `epoll_wait` has millisecond granularity while protocol timers are
-//! armed at microsecond precision, so [`Poller::wait`] is hybrid: waits
-//! shorter than one millisecond use `thread::sleep` (high-resolution,
-//! cannot observe I/O readiness — same as the legacy loop), longer waits
-//! use `epoll_wait` with the timeout floored to whole milliseconds. A
-//! floored wait wakes slightly early, the worker loop re-evaluates its
-//! deadlines, and the sub-millisecond remainder is slept exactly.
+//! Protocol timers are armed at microsecond precision, so
+//! [`Poller::wait`] is **one wait**: `epoll_pwait2`, whose timeout is a
+//! nanosecond `timespec`. A park of any length ends at its deadline *or*
+//! at the first datagram — there is no separate short-wait path that
+//! sleeps through arrivals, and no millisecond rounding. (The call is
+//! made through `syscall(2)` so the crate links against a glibc older
+//! than the wrapper; a kernel older than 5.11 answers `ENOSYS` once and
+//! the poller then uses `epoll_wait` with the timeout rounded *up* to
+//! whole milliseconds for the rest of its life — timers fire late by
+//! under a millisecond there, datagrams still end the wait.)
+//!
+//! How late a timed-out park may return is the calling thread's *timer
+//! slack*: the kernel may delay an `hrtimer` by up to that much to share
+//! a wake-up with a neighbour. Threads inherit 50 µs; a mux worker sets
+//! [`WORKER_TIMER_SLACK`] = 25 µs on itself
+//! ([`set_worker_timer_slack`]). The number is a point on a measured
+//! curve, not a guess. On the reference box (2 vCPUs, loopback,
+//! `pubsub_bench` `echo_paced`: 100 000 msgs/s, one datagram each) a
+//! park/unpark costs about 10 µs of worker CPU, so
+//! `cpu_us_per_op ≈ 2.5 + 10 × parks/msg` and
+//! `relate2_us ≈ 0.8 × park cycle + 5` (medians of three 15 s runs):
+//!
+//! | wait | `relate2_us` | `cpu_us_per_op` |
+//! |---|---|---|
+//! | uninterruptible sleep under 1 ms, slack 50 µs (before) | 44.8 | 4.69 |
+//! | `epoll_pwait2`, slack 50 µs (inherited) | 46.2 | 4.68 |
+//! | `epoll_pwait2`, slack 30 µs | 32.9 | 5.36 |
+//! | `epoll_pwait2`, slack 25 µs (**chosen**) | 30.1 | 5.57 |
+//! | `epoll_pwait2`, slack 20 µs | 28.4 | 5.98 (past the benchmark's 25 % bound) |
+//! | `epoll_pwait2`, slack 1 ns | 19.2 | 8.70 (worker ~90 % busy) |
+//!
+//! Less slack buys latency with wake-ups; 25 µs is the smallest of these
+//! that keeps the CPU cost inside the bound with room for run-to-run
+//! spread (+12 % and +17.5 % over two sets of ten alternating pairs). In
+//! the sizing runs a spin-then-park window (2–6 µs) bought at most 3 µs
+//! at equal CPU for a second constant and was rejected.
 
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::time::Duration;
 
-/// Below this, `Poller::wait` sleeps instead of polling: `epoll_wait`
-/// cannot express sub-millisecond timeouts.
-const PRECISE_WAIT: Duration = Duration::from_millis(1);
-
-/// Cap on the fallback (non-epoll) sleep, preserving the legacy loop's
-/// worst-case reaction latency to datagrams that arrive mid-sleep.
+/// Cap on the off-Linux sleep: the worst-case reaction latency to a
+/// datagram that arrives while the worker is asleep.
+#[cfg(not(target_os = "linux"))]
 const FALLBACK_SLEEP: Duration = Duration::from_millis(1);
 
-/// Most ready sockets one `epoll_wait` reports; the rest surface on the
-/// next wait (the worker drains every socket after a wake regardless).
+/// Most ready sockets one wait reports; epoll is level-triggered, so the
+/// rest surface on the next wait.
 #[cfg(target_os = "linux")]
 const MAX_EVENTS: usize = 64;
+
+/// How late the kernel may fire a mux worker's park timeout in exchange
+/// for sharing a wake-up — half the 50 µs a thread inherits. See
+/// "Timeout precision" in the module docs for the curve this sits on.
+#[cfg(target_os = "linux")]
+const WORKER_TIMER_SLACK: Duration = Duration::from_micros(25);
 
 /// Largest UDP payload a batch slot accepts; datagrams beyond this are
 /// truncated by the kernel (the codec then rejects the frame).
@@ -59,8 +90,18 @@ mod sys {
     //! `epoll_event` packing is x86_64-specific (other arches use the
     //! natural C layout).
 
+    use std::ffi::{c_long, c_ulong};
     use std::io;
     use std::net::SocketAddr;
+    use std::time::Duration;
+
+    pub const ENOSYS: i32 = 38;
+
+    /// `epoll_pwait2` in the syscall table every architecture has shared
+    /// since Linux 5.x (MIPS offsets its tables, so 441 is no call there
+    /// and the `ENOSYS` fallback takes over).
+    const SYS_EPOLL_PWAIT2: c_long = 441;
+    const PR_SET_TIMERSLACK: i32 = 29;
 
     pub const EPOLL_CLOEXEC: i32 = 0o2000000;
     pub const EPOLL_CTL_ADD: i32 = 1;
@@ -79,6 +120,17 @@ mod sys {
     pub struct EpollEvent {
         pub events: u32,
         pub data: u64,
+    }
+
+    impl EpollEvent {
+        pub const ZERO: EpollEvent = EpollEvent { events: 0, data: 0 };
+    }
+
+    /// `struct __kernel_timespec`: 64-bit fields on every architecture.
+    #[repr(C)]
+    struct KernelTimespec {
+        sec: i64,
+        nsec: i64,
     }
 
     #[repr(C)]
@@ -153,6 +205,8 @@ mod sys {
         fn recvmmsg(fd: i32, msgvec: *mut MMsgHdr, vlen: u32, flags: i32, timeout: *mut u8) -> i32;
         fn sendmmsg(fd: i32, msgvec: *mut MMsgHdr, vlen: u32, flags: i32) -> i32;
         fn setsockopt(fd: i32, level: i32, name: i32, value: *const u8, len: u32) -> i32;
+        fn syscall(number: c_long, ...) -> c_long;
+        fn prctl(option: i32, ...) -> i32;
     }
 
     fn check(ret: i32) -> io::Result<i32> {
@@ -168,22 +222,65 @@ mod sys {
         check(unsafe { epoll_create1(EPOLL_CLOEXEC) })
     }
 
-    pub fn epoll_add(epfd: i32, fd: i32) -> io::Result<()> {
+    /// Watches `fd` for readability; a wait reports it as `data`.
+    pub fn epoll_add(epfd: i32, fd: i32, data: u64) -> io::Result<()> {
         let mut ev = EpollEvent {
             events: EPOLLIN,
-            data: fd as u64,
+            data,
         };
         // SAFETY: `ev` outlives the call; the kernel copies it.
         check(unsafe { epoll_ctl(epfd, EPOLL_CTL_ADD, fd, &mut ev) }).map(drop)
     }
 
-    pub fn epoll_poll(epfd: i32, events: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
-        // SAFETY: `events` is a live, writable slice; maxevents matches
-        // its length (at least 1: the caller registered a socket).
+    /// `epoll_pwait2` with no signal mask: like `epoll_wait`, but the
+    /// timeout is a nanosecond `timespec`.
+    pub fn epoll_poll(
+        epfd: i32,
+        events: &mut [EpollEvent],
+        timeout: Duration,
+    ) -> io::Result<usize> {
+        let ts = KernelTimespec {
+            sec: i64::try_from(timeout.as_secs()).unwrap_or(i64::MAX),
+            nsec: i64::from(timeout.subsec_nanos()),
+        };
+        // SAFETY: `events` is a live, writable slice of at least one slot
+        // and maxevents matches its length; `ts` outlives the call. The
+        // mask is null, so the kernel ignores the mask size. Every
+        // variadic argument is passed register-wide, as `syscall` reads
+        // them.
+        let n = unsafe {
+            syscall(
+                SYS_EPOLL_PWAIT2,
+                c_long::from(epfd),
+                events.as_mut_ptr(),
+                events.len() as c_long,
+                &ts as *const KernelTimespec,
+                std::ptr::null::<u8>(),
+                0usize,
+            )
+        };
+        check(n as i32).map(|n| n as usize)
+    }
+
+    /// The pre-5.11 wait: `epoll_wait`, whole milliseconds only.
+    pub fn epoll_poll_ms(
+        epfd: i32,
+        events: &mut [EpollEvent],
+        timeout_ms: i32,
+    ) -> io::Result<usize> {
+        // SAFETY: `events` is a live, writable slice of at least one slot;
+        // maxevents matches its length.
         let n = check(unsafe {
             epoll_wait(epfd, events.as_mut_ptr(), events.len() as i32, timeout_ms)
         })?;
         Ok(n as usize)
+    }
+
+    /// Sets the calling thread's timer slack. Best-effort: a refusal
+    /// (a seccomp filter, say) leaves the inherited slack in place.
+    pub fn set_timer_slack(slack: Duration) {
+        // SAFETY: PR_SET_TIMERSLACK takes one integer and no pointers.
+        unsafe { prctl(PR_SET_TIMERSLACK, slack.as_nanos() as c_ulong) };
     }
 
     pub fn close_fd(fd: i32) {
@@ -225,21 +322,27 @@ mod sys {
 #[cfg(target_os = "linux")]
 use std::os::fd::AsRawFd;
 
-/// Readiness poller a worker parks in while idle.
+/// Readiness poller a worker parks in while it has nothing due.
 ///
 /// On Linux this is an `epoll` instance holding every socket the worker
 /// owns; [`wait`](Poller::wait) blocks until a registered socket becomes
-/// readable or the timeout elapses. Elsewhere it is a stub whose `wait`
-/// sleeps (capped at 1 ms) — functionally the legacy short-sleep loop.
+/// readable or the timeout elapses, and [`ready`](Poller::ready) names the
+/// readable ones. Elsewhere `wait` sleeps (capped at 1 ms) and reports
+/// every socket ready, so callers keep one loop.
 #[derive(Debug)]
 pub(crate) struct Poller {
     #[cfg(target_os = "linux")]
     epfd: i32,
-    /// The buffer `epoll_wait` reports into, one slot per registered
-    /// socket up to [`MAX_EVENTS`], reused across waits.
+    /// The buffer a wait reports into, one slot per registered socket
+    /// (at least one, at most [`MAX_EVENTS`]), reused across waits.
     #[cfg(target_os = "linux")]
     events: Vec<sys::EpollEvent>,
+    /// Cleared for good by the first `ENOSYS` from `epoll_pwait2`.
+    #[cfg(target_os = "linux")]
+    ns_timeouts: bool,
     registered: usize,
+    /// Registration indices the last wait found readable.
+    ready: Vec<usize>,
 }
 
 impl Poller {
@@ -249,20 +352,24 @@ impl Poller {
             #[cfg(target_os = "linux")]
             epfd: sys::epoll_create()?,
             #[cfg(target_os = "linux")]
-            events: Vec::new(),
+            events: vec![sys::EpollEvent::ZERO],
+            #[cfg(target_os = "linux")]
+            ns_timeouts: true,
             registered: 0,
+            ready: Vec::new(),
         })
     }
 
-    /// Adds a socket to the interest set (read readiness). The socket
-    /// must stay alive as long as the poller; deregistration happens
-    /// implicitly when the socket closes.
+    /// Adds a socket to the interest set (read readiness) under the next
+    /// registration index: the first socket registered is 0, and so on.
+    /// The socket must stay alive as long as the poller; deregistration
+    /// happens implicitly when the socket closes.
     pub fn register(&mut self, sock: &UdpSocket) -> io::Result<()> {
         #[cfg(target_os = "linux")]
         {
-            sys::epoll_add(self.epfd, sock.as_raw_fd())?;
-            if self.events.len() < MAX_EVENTS {
-                self.events.push(sys::EpollEvent { events: 0, data: 0 });
+            sys::epoll_add(self.epfd, sock.as_raw_fd(), self.registered as u64)?;
+            if self.events.len() < (self.registered + 1).min(MAX_EVENTS) {
+                self.events.push(sys::EpollEvent::ZERO);
             }
         }
         #[cfg(not(target_os = "linux"))]
@@ -271,31 +378,49 @@ impl Poller {
         Ok(())
     }
 
-    /// Blocks until a registered socket is readable or `timeout` passes.
-    /// Returns the number of ready sockets (0 on timeout). Sub-millisecond
-    /// timeouts are slept rather than polled (see module docs); a wait
-    /// interrupted by a signal reports 0 ready.
+    /// Blocks until a registered socket is readable or `timeout` passes,
+    /// whichever is first; a zero timeout only queries. Returns the number
+    /// of ready sockets (0 on timeout) and leaves their registration
+    /// indices in [`ready`](Poller::ready). A wait interrupted by a signal
+    /// reports 0 ready.
     pub fn wait(&mut self, timeout: Duration) -> io::Result<usize> {
-        if timeout < PRECISE_WAIT || self.registered == 0 {
-            if !timeout.is_zero() {
-                std::thread::sleep(timeout.min(FALLBACK_SLEEP));
-            }
-            return Ok(0);
-        }
+        self.ready.clear();
         #[cfg(target_os = "linux")]
         {
-            let ms = timeout.as_millis().min(i32::MAX as u128) as i32;
-            match sys::epoll_poll(self.epfd, &mut self.events, ms) {
-                Ok(n) => Ok(n),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => Ok(0),
-                Err(e) => Err(e),
+            let polled = loop {
+                if !self.ns_timeouts {
+                    let ms = timeout.as_nanos().div_ceil(1_000_000);
+                    let ms = i32::try_from(ms).unwrap_or(i32::MAX);
+                    break sys::epoll_poll_ms(self.epfd, &mut self.events, ms);
+                }
+                match sys::epoll_poll(self.epfd, &mut self.events, timeout) {
+                    Err(e) if e.raw_os_error() == Some(sys::ENOSYS) => self.ns_timeouts = false,
+                    polled => break polled,
+                }
+            };
+            match polled {
+                Ok(n) => {
+                    let events = &self.events[..n];
+                    self.ready.extend(events.iter().map(|ev| ev.data as usize));
+                }
+                Err(e) if interrupted(&e) => {}
+                Err(e) => return Err(e),
             }
         }
         #[cfg(not(target_os = "linux"))]
         {
-            std::thread::sleep(timeout.min(FALLBACK_SLEEP));
-            Ok(0)
+            if !timeout.is_zero() {
+                std::thread::sleep(timeout.min(FALLBACK_SLEEP)); // off-Linux only
+            }
+            self.ready.extend(0..self.registered);
         }
+        Ok(self.ready.len())
+    }
+
+    /// Registration indices of the sockets the last [`wait`](Poller::wait)
+    /// found readable (every socket, off Linux).
+    pub fn ready(&self) -> &[usize] {
+        &self.ready
     }
 }
 
@@ -304,6 +429,14 @@ impl Drop for Poller {
         #[cfg(target_os = "linux")]
         sys::close_fd(self.epfd);
     }
+}
+
+/// Gives the calling thread the mux worker's timer slack
+/// ([`WORKER_TIMER_SLACK`]), so that how late its parks may end is a
+/// stated number. No-op off Linux.
+pub(crate) fn set_worker_timer_slack() {
+    #[cfg(target_os = "linux")]
+    sys::set_timer_slack(WORKER_TIMER_SLACK);
 }
 
 /// A reusable receive batch: one `recvmmsg` call fills up to `batch`
@@ -331,6 +464,8 @@ impl RecvBatch {
     /// A batch of `batch` slots, each [`DATAGRAM_BUF_BYTES`] long.
     pub fn new(batch: usize) -> RecvBatch {
         let batch = batch.max(1);
+        // Only the Linux arm below takes `iter_mut` of it.
+        #[cfg_attr(not(target_os = "linux"), allow(unused_mut))]
         let mut bufs: Vec<Box<[u8]>> = (0..batch)
             .map(|_| vec![0u8; DATAGRAM_BUF_BYTES].into_boxed_slice())
             .collect();
@@ -516,13 +651,7 @@ impl SendBatch {
         {
             let mut sent = 0;
             for (addr, payload) in msgs {
-                let outcome = loop {
-                    match sock.send_to(payload, addr) {
-                        Err(e) if interrupted(&e) => continue,
-                        other => break other,
-                    }
-                };
-                match outcome {
+                match retry_interrupted(|| sock.send_to(payload, addr)) {
                     Ok(_) => sent += 1,
                     Err(e) if would_block(&e) => break,
                     // Partial progress: report what went through; the
@@ -568,6 +697,17 @@ pub(crate) fn would_block(e: &io::Error) -> bool {
 /// and a parked worker).
 fn interrupted(e: &io::Error) -> bool {
     e.kind() == io::ErrorKind::Interrupted
+}
+
+/// Runs one socket call, reissuing it for as long as a signal cuts it
+/// short.
+pub(crate) fn retry_interrupted<T>(mut call: impl FnMut() -> io::Result<T>) -> io::Result<T> {
+    loop {
+        match call() {
+            Err(e) if interrupted(&e) => {}
+            outcome => return outcome,
+        }
+    }
 }
 
 /// ICMP port-unreachable noise a UDP runtime must absorb, not die on.
@@ -683,7 +823,9 @@ mod tests {
     #[test]
     fn eintr_is_retried_not_classed_as_flow_control() {
         // Regression: `Interrupted` used to count as would-block, so an
-        // EINTR'd sendmmsg reported `Ok(0)` — a phantom backpressure stall.
+        // EINTR'd sendmmsg reported `Ok(0)` — a phantom backpressure stall
+        // — and, in `endpoint.rs`'s private copy of the classifier, ended
+        // a drain early. Every driver now shares these three.
         let eintr = io::Error::from(io::ErrorKind::Interrupted);
         assert!(!would_block(&eintr));
         assert!(interrupted(&eintr));
@@ -726,10 +868,76 @@ mod tests {
     }
 
     #[test]
-    fn sub_millisecond_waits_sleep_exactly() {
+    fn a_pending_datagram_ends_a_sub_millisecond_wait_at_once() {
+        let (tx, rx, rx_addr) = pair();
         let mut poller = Poller::new().unwrap();
+        poller.register(&rx).unwrap();
+        tx.send_to(b"ping", rx_addr).unwrap();
+        // Loopback delivery is synchronous on Linux; elsewhere the wait
+        // reports every socket ready regardless.
+        let ready = poller.wait(Duration::from_micros(500)).unwrap();
+        assert_eq!(ready, 1, "a readable socket must end a short wait");
+        assert_eq!(poller.ready(), [0]);
+    }
+
+    #[test]
+    fn an_idle_sub_millisecond_wait_lasts_its_timeout() {
+        let (_tx, rx, _) = pair();
+        let mut poller = Poller::new().unwrap();
+        // With and without a registered socket: an empty poller is a timer.
+        for registered in [false, true] {
+            if registered {
+                poller.register(&rx).unwrap();
+            }
+            let start = Instant::now();
+            let ready = poller.wait(Duration::from_micros(200)).unwrap();
+            let elapsed = start.elapsed();
+            #[cfg(target_os = "linux")]
+            assert_eq!(ready, 0);
+            #[cfg(not(target_os = "linux"))]
+            let _ = ready;
+            assert!(elapsed >= Duration::from_micros(200), "woke early");
+            assert!(elapsed < Duration::from_millis(50), "overslept");
+        }
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn ready_names_exactly_the_readable_sockets() {
+        let socks = [pair(), pair(), pair()];
+        let mut poller = Poller::new().unwrap();
+        for (_, rx, _) in &socks {
+            poller.register(rx).unwrap();
+        }
+        assert_eq!(poller.wait(Duration::ZERO).unwrap(), 0);
+        assert!(poller.ready().is_empty());
+        let (tx, _, third) = &socks[2];
+        tx.send_to(b"ping", third).unwrap();
+        assert_eq!(poller.wait(Duration::from_secs(2)).unwrap(), 1);
+        assert_eq!(poller.ready(), [2]);
+        // Level-triggered: still readable until drained; a later wait
+        // forgets the earlier answer.
+        assert_eq!(poller.wait(Duration::ZERO).unwrap(), 1);
+        RecvBatch::new(2).recv(&socks[2].1).unwrap();
+        assert_eq!(poller.wait(Duration::ZERO).unwrap(), 0);
+        assert!(poller.ready().is_empty());
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn without_ns_timeouts_waits_round_up_and_still_wake_on_readiness() {
+        // What a pre-5.11 kernel gets after its one `ENOSYS`.
+        let (tx, rx, rx_addr) = pair();
+        let mut poller = Poller::new().unwrap();
+        poller.register(&rx).unwrap();
+        poller.ns_timeouts = false;
         let start = Instant::now();
         assert_eq!(poller.wait(Duration::from_micros(200)).unwrap(), 0);
-        assert!(start.elapsed() < Duration::from_millis(50));
+        assert!(start.elapsed() >= Duration::from_millis(1), "rounded down");
+        tx.send_to(b"ping", rx_addr).unwrap();
+        let start = Instant::now();
+        assert_eq!(poller.wait(Duration::from_secs(5)).unwrap(), 1);
+        assert_eq!(poller.ready(), [0]);
+        assert!(start.elapsed() < Duration::from_secs(2));
     }
 }
