@@ -14,13 +14,18 @@
 //! 4. **Corruption** — byte-flipped encodings never panic the decoder,
 //!    and when they still parse, the parse itself round-trips.
 //!
-//! The same four properties also cover the wire-version-3
-//! [`FrameHeader`] that carries the destination list (one endpoint demux
-//! key per reader the datagram addresses) on the real-UDP path:
-//! header+body frames must round-trip for any list length, every strict
-//! prefix of the header (which would truncate the list) must be rejected,
-//! corrupted version and count bytes must fail closed, and byte-flipped
-//! lists must decode totally.
+//! The same four properties also cover the wire-version-4 datagram
+//! framing of the real-UDP path. The [`FrameHeader`] carries the
+//! destination list (one endpoint demux key per reader the frame
+//! addresses): header+body frames must round-trip for any list length,
+//! every strict prefix of the header (which would truncate the list) must
+//! be rejected, corrupted version and count bytes must fail closed, and
+//! byte-flipped lists must decode totally. A datagram packs several frames
+//! behind frame breaks, and [`Frames`] walks them: a packed datagram must
+//! walk back to exactly the frames and entries it was built from, a strict
+//! prefix to whole earlier entries and then one failure (none when the cut
+//! leaves a whole datagram), and a byte-flipped one to *something* — no
+//! panic, in no more steps than it has bytes.
 //!
 //! Violating inputs are captured as hex strings in the [`FuzzReport`] so
 //! CI can pin them as regression tests (see
@@ -36,7 +41,9 @@ use adamant_proto::wire::{
     HeartbeatMsg, MembershipMsg, NakMsg, RepairMsg, ShmCreditMsg, StreamAckMsg, StreamSynAckMsg,
     StreamSynMsg,
 };
-use adamant_proto::{DetRng, FrameDest, FrameHeader, NodeId, TimePoint, WireMsg};
+use adamant_proto::{
+    DetRng, FrameDest, FrameError, FrameHeader, FramePart, Frames, NodeId, TimePoint, WireMsg,
+};
 
 /// Which property an input violated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,8 +52,11 @@ pub enum FuzzFailureKind {
     DecodePanicked,
     /// `decode(encode(m))` did not reproduce `m`.
     RoundTripMismatch,
-    /// A strict prefix of a valid encoding decoded to `Some`.
+    /// A strict prefix of a valid encoding decoded to `Some`, or walked to
+    /// anything but whole earlier entries and one failure.
     PrefixAccepted,
+    /// A datagram walk took more steps than its input has bytes.
+    WorkUnbounded,
 }
 
 impl std::fmt::Display for FuzzFailureKind {
@@ -55,6 +65,7 @@ impl std::fmt::Display for FuzzFailureKind {
             FuzzFailureKind::DecodePanicked => write!(f, "decode-panicked"),
             FuzzFailureKind::RoundTripMismatch => write!(f, "round-trip-mismatch"),
             FuzzFailureKind::PrefixAccepted => write!(f, "prefix-accepted"),
+            FuzzFailureKind::WorkUnbounded => write!(f, "work-unbounded"),
         }
     }
 }
@@ -96,7 +107,7 @@ pub struct FuzzReport {
     pub mutants: u64,
     /// Mutants that still decoded (coverage signal).
     pub mutants_decoded: u64,
-    /// Header+body datagram frames round-tripped (wire version 3).
+    /// Header+body datagram frames round-tripped (wire version 4).
     pub frames: u64,
     /// Destinations those frames' headers listed, summed (coverage signal:
     /// well above `frames` when multi-destination lists are exercised).
@@ -104,6 +115,14 @@ pub struct FuzzReport {
     /// Strict prefixes of framed datagrams checked against the header
     /// decoder (a truncated destination list must be rejected).
     pub frame_prefixes: u64,
+    /// Frames packed into the datagrams walked back through [`Frames`],
+    /// summed (coverage signal: above `frames` when packing is exercised).
+    pub packed_frames: u64,
+    /// Strict prefixes of packed datagrams walked.
+    pub packed_prefixes: u64,
+    /// Byte-flipped packed datagrams that still walked to the end without
+    /// a failure (coverage signal).
+    pub packed_mutants_clean: u64,
     /// Property violations, at most one recorded per iteration.
     pub failures: Vec<FuzzFailure>,
 }
@@ -135,6 +154,18 @@ impl ToJson for FuzzReport {
             (
                 "frame_prefixes".to_owned(),
                 Json::Num(self.frame_prefixes as f64),
+            ),
+            (
+                "packed_frames".to_owned(),
+                Json::Num(self.packed_frames as f64),
+            ),
+            (
+                "packed_prefixes".to_owned(),
+                Json::Num(self.packed_prefixes as f64),
+            ),
+            (
+                "packed_mutants_clean".to_owned(),
+                Json::Num(self.packed_mutants_clean as f64),
             ),
             ("failures".to_owned(), self.failures.to_json()),
         ])
@@ -325,7 +356,7 @@ pub fn fuzz_wire(seed: u64, iterations: u64) -> FuzzReport {
             }
         }
 
-        // Wire version 3 framing: the same properties over a full
+        // Wire version 4 framing: the same properties over a full
         // header+body datagram, exercising the destination list. Driven
         // by a per-iteration derived rng so the main property stream
         // keeps its historical coverage profile.
@@ -336,12 +367,13 @@ pub fn fuzz_wire(seed: u64, iterations: u64) -> FuzzReport {
     report
 }
 
-/// Frame-header properties (wire version 3): a header+body datagram must
+/// Frame-header properties (wire version 4): a header+body datagram must
 /// round-trip through [`FrameHeader::decode`] + [`WireMsg::decode`] for any
 /// destination-list length, every strict prefix of the header must be
 /// rejected (a truncated list must never route), a corrupted version byte
 /// or a zeroed count must fail closed, and a byte-flipped header must
-/// decode totally — to `None` or to a list that fits the datagram.
+/// decode totally — to `None` or to a list that fits the datagram. Then
+/// the same header opens a packed datagram for [`check_packed`].
 fn check_frame(rng: &mut DetRng, body: &[u8], iteration: u64, report: &mut FuzzReport) {
     let src = NodeId(rng.next_u64() as u32);
     // Mostly short lists (what unicast and small groups send), with the
@@ -381,7 +413,7 @@ fn check_frame(rng: &mut DetRng, body: &[u8], iteration: u64, report: &mut FuzzR
             .failures
             .push(fail(FuzzFailureKind::DecodePanicked, &frame)),
         Ok(back) => {
-            if back != Some((src, dests, body.len())) {
+            if back != Some((src, dests.clone(), body.len())) {
                 report
                     .failures
                     .push(fail(FuzzFailureKind::RoundTripMismatch, &frame));
@@ -443,6 +475,128 @@ fn check_frame(rng: &mut DetRng, body: &[u8], iteration: u64, report: &mut FuzzR
             }
         }
     }
+
+    check_packed(rng, src, dests, body, iteration, report);
+}
+
+/// One step of a [`Frames`] walk, owned.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Step {
+    Header(NodeId, Vec<FrameDest>),
+    Entry(Vec<u8>),
+    Failed(FrameError),
+}
+
+/// Walks `bytes` inside `catch_unwind`, giving up — as a
+/// [`FuzzFailureKind::WorkUnbounded`] failure — on the first step beyond
+/// one per input byte (every step but a last failure consumes at least one).
+fn checked_walk(bytes: &[u8]) -> Result<Vec<Step>, FuzzFailureKind> {
+    let steps = catch_unwind(AssertUnwindSafe(|| {
+        Frames::new(bytes)
+            .take(bytes.len() + 2)
+            .map(|part| match part {
+                Ok(FramePart::Header(header)) => Step::Header(header.src, header.iter().collect()),
+                Ok(FramePart::Entry(entry)) => Step::Entry(entry.to_vec()),
+                Err(e) => Step::Failed(e),
+            })
+            .collect::<Vec<_>>()
+    }))
+    .map_err(|_| FuzzFailureKind::DecodePanicked)?;
+    if steps.len() > bytes.len() + 1 {
+        return Err(FuzzFailureKind::WorkUnbounded);
+    }
+    Ok(steps)
+}
+
+/// Packed-datagram properties (wire version 4): a frame from `src` to
+/// `dests` opens a datagram of 1–4 frames (the later ones to short lists)
+/// of 1–3 entries of `msg` each. It must walk back to exactly what went
+/// in; a strict prefix to whole earlier entries and then exactly one
+/// failure, or none when the cut leaves a whole datagram; byte flips to no
+/// panic and bounded work.
+fn check_packed(
+    rng: &mut DetRng,
+    mut src: NodeId,
+    mut dests: Vec<FrameDest>,
+    msg: &[u8],
+    iteration: u64,
+    report: &mut FuzzReport,
+) {
+    let first_header = FrameHeader::len_for(dests.len());
+    let (mut datagram, mut want) = (Vec::new(), Vec::new());
+    // Cuts that leave a whole, shorter datagram: after any entry.
+    let mut whole_at = Vec::new();
+    let frames = 1 + rng.next_below(4);
+    for i in 0..frames {
+        if i > 0 {
+            FrameHeader::encode_break(&mut datagram);
+            src = NodeId(rng.next_u64() as u32);
+            dests = (0..1 + rng.next_below(4))
+                .map(|_| FrameDest {
+                    endpoint: rng.next_u64() as u32,
+                    incarnation: rng.next_u64() as u32,
+                })
+                .collect();
+        }
+        FrameHeader::encode_list(src, &dests, &mut datagram);
+        want.push(Step::Header(src, dests.clone()));
+        for _ in 0..1 + rng.next_below(3) {
+            FrameHeader::encode_body_entry(&mut datagram, msg);
+            want.push(Step::Entry(msg.to_vec()));
+            whole_at.push(datagram.len());
+        }
+    }
+    report.packed_frames += frames;
+
+    let mut fail = |kind, bytes: &[u8]| {
+        report.failures.push(FuzzFailure {
+            kind,
+            input_hex: hex(bytes),
+            iteration,
+        });
+    };
+    match checked_walk(&datagram) {
+        Ok(steps) if steps == want => {}
+        Ok(_) => fail(FuzzFailureKind::RoundTripMismatch, &datagram),
+        Err(kind) => fail(kind, &datagram),
+    }
+
+    // Strict prefixes, a fixed number per datagram (a walk is linear, so
+    // every cut would make the check quadratic): most behind the first
+    // header, where the frame structure is.
+    for i in 0..16 {
+        let from = if i < 12 { first_header - 1 } else { 0 };
+        let cut = from + rng.next_below((datagram.len() - from) as u64) as usize;
+        report.packed_prefixes += 1;
+        let prefix = &datagram[..cut];
+        match checked_walk(prefix) {
+            Err(kind) => fail(kind, prefix),
+            Ok(mut steps) => {
+                let failed = matches!(steps.last(), Some(Step::Failed(_)));
+                steps.truncate(steps.len() - usize::from(failed));
+                if !want.starts_with(&steps) || failed == whole_at.contains(&cut) {
+                    fail(FuzzFailureKind::PrefixAccepted, prefix);
+                }
+            }
+        }
+    }
+
+    // Byte flips, in the packed part (lengths, breaks, later headers) and
+    // anywhere: the walk stays total and its work bounded by the input.
+    for from in [first_header - 1, 0] {
+        let mut mutant = datagram.clone();
+        for _ in 0..1 + rng.next_below(4) {
+            let pos = from + rng.next_below((mutant.len() - from) as u64) as usize;
+            mutant[pos] ^= 1 << rng.next_below(8);
+        }
+        match checked_walk(&mutant) {
+            Err(kind) => fail(kind, &mutant),
+            Ok(steps) => {
+                let clean = !steps.iter().any(|step| matches!(step, Step::Failed(_)));
+                report.packed_mutants_clean += u64::from(clean);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -460,6 +614,12 @@ mod tests {
         assert!(
             a.frame_dests > 8 * a.frames,
             "multi-destination lists never exercised"
+        );
+        assert!(a.packed_frames > 2 * a.frames, "packing never exercised");
+        assert_eq!(a.packed_prefixes, 16 * a.frames);
+        assert!(
+            0 < a.packed_mutants_clean && a.packed_mutants_clean < 2 * a.frames,
+            "byte flips never (or always) damaged the framing"
         );
         let b = fuzz_wire(42, 300);
         assert_eq!(a, b, "same seed must reproduce the same report");

@@ -49,6 +49,6 @@ pub use snapshot::{fingerprint_debug, Fnv64, StateHash};
 pub use time::{Span, TimePoint};
 pub use timer::{CalendarQueue, TimerFire, TimerWheel};
 pub use wire::{
-    FrameBody, FrameDest, FrameDests, FrameHeader, WireMsg, ANY_ENDPOINT, ANY_INCARNATION,
-    WIRE_VERSION,
+    FrameBody, FrameDest, FrameDests, FrameError, FrameHeader, FramePart, Frames, WireMsg,
+    ANY_ENDPOINT, ANY_INCARNATION, WIRE_VERSION,
 };

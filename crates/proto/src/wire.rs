@@ -6,6 +6,26 @@
 //! nothing needs real bytes). The real-UDP driver in `adamant-rt` encodes
 //! the same values through [`WireMsg::encode`]/[`WireMsg::decode`] — a
 //! little-endian tag-length-value layout, no external dependencies.
+//!
+//! # Datagram grammar (wire version 4)
+//!
+//! ```text
+//! datagram = frame (BREAK frame)*
+//! frame    = header entry+
+//! header   = [version u8 = 4][src u32][n u8 >= 1][(dst_endpoint u32, dst_incarnation u32) x n]
+//! entry    = [len u16 >= 1][WireMsg, len bytes]
+//! BREAK    = [0 u16]
+//! ```
+//!
+//! A frame is what one sender says to one destination list
+//! ([`FrameHeader`], [`FrameBody`]); a datagram packs every frame a
+//! runtime worker queued for one socket address, so the per-packet cost of
+//! the kernel's UDP path is paid once for all of them. `BREAK` is the
+//! entry length no message can have — [`WireMsg::decode`] rejects empty
+//! input, so no sender ever wrote a zero length — which makes a
+//! single-frame datagram the version 3 layout byte for byte after the
+//! version field. Receivers walk a datagram through [`Frames`], the one
+//! place that knows this grammar.
 
 use std::sync::Arc;
 
@@ -494,12 +514,16 @@ impl WireMsg {
 
 /// Wire format version carried in the first byte of every datagram frame.
 ///
-/// Version 3 turned version 2's single demux key into a destination
-/// *list*, so one datagram can address every reader a group send has
-/// behind one worker; version 2 (one fixed `dst_endpoint`/`dst_incarnation`
-/// pair) and version 1 (a bare 4-byte source-node prefix) are no longer
-/// accepted.
-pub const WIRE_VERSION: u8 = 3;
+/// Version 4 lets a datagram carry several frames, each behind its own
+/// header, separated by a zero entry length (see the module docs for the
+/// grammar). The header layout is version 3's, but the version byte moved
+/// all the same: a version 3 receiver would read a second frame's header
+/// as body entries of the first, so it must refuse a packed datagram at
+/// its first byte, and a version 4 receiver refuses version 3 (the
+/// destination *list*), version 2 (one fixed `dst_endpoint`/
+/// `dst_incarnation` pair) and version 1 (a bare 4-byte source-node
+/// prefix) the same way.
+pub const WIRE_VERSION: u8 = 4;
 
 /// `dst_endpoint` wildcard: the datagram is for whoever owns the socket.
 ///
@@ -533,7 +557,7 @@ impl FrameDest {
 /// Layout (little-endian):
 ///
 /// ```text
-/// [version u8 = 3][src u32][n u8 >= 1][(dst_endpoint u32, dst_incarnation u32) x n]
+/// [version u8 = 4][src u32][n u8 >= 1][(dst_endpoint u32, dst_incarnation u32) x n]
 /// ```
 ///
 /// `src` identifies the sending node. Each `dst_endpoint` is an endpoint
@@ -627,11 +651,12 @@ impl FrameHeader {
         true
     }
 
-    /// Splits a datagram into its header and the frame-body bytes (one or
-    /// more length-prefixed [`WireMsg`] entries — see [`FrameBody`]).
+    /// Splits the bytes of a frame into its header and what follows it:
+    /// the frame's body entries (see [`FrameBody`]) and, in a packed
+    /// datagram, the later frames (a runtime walks those with [`Frames`]).
     ///
-    /// `None` on an unknown version byte, an empty destination list, or a
-    /// datagram too short for the list it announces; the body is *not*
+    /// `None` on an unknown version byte, an empty destination list, or
+    /// input too short for the list it announces; the body is *not*
     /// validated here (the runtime decodes it separately so body
     /// corruption is attributed to the resolved endpoints).
     pub fn decode(bytes: &[u8]) -> Option<(FrameDests<'_>, &[u8])> {
@@ -652,7 +677,7 @@ impl FrameHeader {
 
     /// Appends one length-prefixed frame-body entry (`[len u16 LE][bytes]`)
     /// to `buf`. Coalescing senders call this repeatedly to pack several
-    /// messages for the same destinations into one datagram; the receiver
+    /// messages for the same destinations into one frame; the receiver
     /// walks them back out with [`FrameBody`].
     ///
     /// Returns `false` (appending nothing) if `msg` exceeds the `u16`
@@ -665,6 +690,13 @@ impl FrameHeader {
         buf.extend_from_slice(&len.to_le_bytes());
         buf.extend_from_slice(msg);
         true
+    }
+
+    /// Appends a `BREAK` (two bytes) to a datagram `buf` that ends with a
+    /// whole frame, so that another frame — its full header first — can
+    /// follow in the same datagram.
+    pub fn encode_break(buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&BREAK);
     }
 }
 
@@ -693,19 +725,25 @@ impl<'a> FrameDests<'a> {
     }
 }
 
-/// Iterator over the length-prefixed [`WireMsg`] entries of a frame body.
+/// The zero entry length that separates the frames of a packed datagram.
+const BREAK: [u8; 2] = [0, 0];
+
+/// Iterator over the length-prefixed [`WireMsg`] entries of one frame's
+/// body.
 ///
-/// A frame body is `([len u16 LE][msg bytes])+`: usually one entry, but a
-/// coalescing sender (the multiplexed runtime) packs every adjacent
-/// message for the same destinations into one datagram, so per-datagram costs —
-/// syscall share, kernel stack traversal, header bytes — amortize over
-/// the whole batch.
+/// A frame body is `([len u16 LE >= 1][msg bytes])+`: usually one entry,
+/// but a coalescing sender (the multiplexed runtime) packs every adjacent
+/// message for the same destinations into one frame, so header bytes
+/// amortize over the whole batch. The body ends with the datagram or at a
+/// `BREAK` (a zero length, which opens the next frame of a packed
+/// datagram); this iterator stops there and goes no further — crossing
+/// into the next frame is [`Frames`]' job.
 ///
 /// The iterator yields raw entry slices (the caller decodes each with
 /// [`WireMsg::decode`] so a bad entry is counted where it is understood).
 /// A truncated length prefix or an entry running past the buffer stops
-/// iteration and sets [`malformed`](FrameBody::malformed); an empty body
-/// is malformed too (a frame must carry at least one entry).
+/// iteration and sets [`malformed`](FrameBody::malformed); a body with no
+/// entry is malformed too (a frame must carry at least one).
 #[derive(Debug)]
 pub struct FrameBody<'a> {
     rest: &'a [u8],
@@ -717,7 +755,7 @@ impl<'a> FrameBody<'a> {
     pub fn new(body: &'a [u8]) -> FrameBody<'a> {
         FrameBody {
             rest: body,
-            malformed: body.is_empty(),
+            malformed: body.is_empty() || body.starts_with(&BREAK),
         }
     }
 
@@ -731,6 +769,8 @@ impl<'a> FrameBody<'a> {
 impl<'a> Iterator for FrameBody<'a> {
     type Item = &'a [u8];
 
+    /// Leaves `rest` empty, or at the `BREAK` that ended the frame.
+    #[inline]
     fn next(&mut self) -> Option<&'a [u8]> {
         if self.rest.is_empty() {
             return None;
@@ -741,6 +781,9 @@ impl<'a> Iterator for FrameBody<'a> {
             return None;
         }
         let len = u16::from_le_bytes([self.rest[0], self.rest[1]]) as usize;
+        if len == 0 {
+            return None;
+        }
         if self.rest.len() < 2 + len {
             self.malformed = true;
             self.rest = &[];
@@ -749,6 +792,83 @@ impl<'a> Iterator for FrameBody<'a> {
         let entry = &self.rest[2..2 + len];
         self.rest = &self.rest[2 + len..];
         Some(entry)
+    }
+}
+
+/// One step of a walk through a datagram (see [`Frames`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FramePart<'a> {
+    /// A frame opens: its sender and destinations. The entries that follow
+    /// belong to it, up to the next header.
+    Header(FrameDests<'a>),
+    /// One body entry of the open frame, undecoded.
+    Entry(&'a [u8]),
+}
+
+/// Why a walk through a datagram (see [`Frames`]) could not go on as the
+/// grammar says.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameError {
+    /// No decodable header where one is due — at the start of the datagram
+    /// or after a `BREAK`. Nothing after it can be trusted: the walk ends.
+    Header,
+    /// The open frame's body is damaged: an entry cut short (the walk
+    /// ends), or no entry at all (the walk goes on if a `BREAK` follows).
+    Body,
+}
+
+/// The walk through a received datagram: every frame's header, then that
+/// frame's body entries, in wire order, each frame behind its own header
+/// so the caller judges it on its own (route it, count it stale, skip it).
+///
+/// This is the only reader of the datagram grammar in the module docs; every
+/// real-socket driver receives through it. Damage is reported in place as
+/// an `Err` item — everything yielded before it is good — and at most once
+/// per frame. The walk borrows from the datagram, allocates nothing, reads
+/// every byte a bounded number of times and never past a checked length.
+#[derive(Debug)]
+pub struct Frames<'a> {
+    /// The entries left in the open frame.
+    body: FrameBody<'a>,
+    /// The bytes a header is due at: the whole datagram at first, what
+    /// follows a `BREAK` later.
+    header_at: Option<&'a [u8]>,
+}
+
+impl<'a> Frames<'a> {
+    /// Starts walking `datagram`.
+    pub fn new(datagram: &'a [u8]) -> Frames<'a> {
+        Frames {
+            body: FrameBody {
+                rest: &[],
+                malformed: false,
+            },
+            header_at: Some(datagram),
+        }
+    }
+}
+
+impl<'a> Iterator for Frames<'a> {
+    type Item = Result<FramePart<'a>, FrameError>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.header_at.is_none() {
+            if let Some(entry) = self.body.next() {
+                return Some(Ok(FramePart::Entry(entry)));
+            }
+            if std::mem::take(&mut self.body.malformed) {
+                return Some(Err(FrameError::Body));
+            }
+            // The frame ended whole: with the datagram, or at a `BREAK`.
+            self.header_at = Some(self.body.rest.get(BREAK.len()..)?);
+            self.body.rest = &[];
+        }
+        let Some((header, body)) = FrameHeader::decode(self.header_at.take()?) else {
+            return Some(Err(FrameError::Header));
+        };
+        self.body = FrameBody::new(body);
+        Some(Ok(FramePart::Header(header)))
     }
 }
 
@@ -1093,13 +1213,168 @@ mod tests {
         for cut in 0..frame.len() {
             assert!(FrameHeader::decode(&frame[..cut]).is_none(), "cut={cut}");
         }
-        // Wire versions 1 (the bare node-id prefix) and 2 (one fixed
-        // demux key) and future versions are rejected, not misparsed.
-        for version in [1, 2, 4] {
+        // Wire versions 1 (the bare node-id prefix), 2 (one fixed demux
+        // key) and 3 (one frame per datagram) and future versions are
+        // rejected, not misparsed.
+        for version in [1, 2, 3, 5] {
             let mut other = frame.clone();
             other[0] = version;
             assert!(FrameHeader::decode(&other).is_none(), "version={version}");
         }
         assert!(FrameHeader::decode(&[]).is_none());
+    }
+
+    /// What a walk yields, owned: frames as `(src, dests, entries)`, and
+    /// the errors met, in order, with the number of whole entries seen
+    /// before each.
+    type Walked = (
+        Vec<(NodeId, Vec<FrameDest>, Vec<Vec<u8>>)>,
+        Vec<(FrameError, usize)>,
+    );
+
+    fn walk(datagram: &[u8]) -> Walked {
+        let (mut frames, mut errors, mut entries) = (Vec::new(), Vec::new(), 0);
+        for part in Frames::new(datagram) {
+            match part {
+                Ok(FramePart::Header(header)) => {
+                    frames.push((header.src, header.iter().collect(), Vec::new()));
+                }
+                Ok(FramePart::Entry(entry)) => {
+                    let (_, _, body) = frames.last_mut().expect("an entry follows a header");
+                    body.push(entry.to_vec());
+                    entries += 1;
+                }
+                Err(e) => errors.push((e, entries)),
+            }
+        }
+        (frames, errors)
+    }
+
+    /// A seeded packed datagram of `frames` frames and what it says.
+    fn packed(rng: &mut crate::DetRng, frames: usize) -> (Vec<u8>, Walked) {
+        let mut datagram = Vec::new();
+        let mut want = Vec::new();
+        for i in 0..frames {
+            if i > 0 {
+                datagram.extend_from_slice(&BREAK);
+            }
+            let src = NodeId(rng.next_u64() as u32);
+            let dests = dest_list(1 + rng.next_below(FrameHeader::MAX_DESTS as u64) as usize);
+            assert!(FrameHeader::encode_list(src, &dests, &mut datagram));
+            let entries: Vec<Vec<u8>> = (0..1 + rng.next_below(16))
+                .map(|_| {
+                    WireMsg::Nak(NakMsg {
+                        seqs: (0..rng.next_below(4)).map(|_| rng.next_u64()).collect(),
+                    })
+                    .to_bytes()
+                })
+                .collect();
+            for entry in &entries {
+                assert!(FrameHeader::encode_body_entry(&mut datagram, entry));
+            }
+            want.push((src, dests, entries));
+        }
+        (datagram, (want, Vec::new()))
+    }
+
+    #[test]
+    fn packed_datagrams_round_trip_through_the_walker() {
+        let mut rng = crate::DetRng::seed_from_u64(4);
+        for round in 0..64 {
+            let (datagram, want) = packed(&mut rng, 1 + round % 8);
+            assert_eq!(walk(&datagram), want, "round={round}");
+        }
+    }
+
+    #[test]
+    fn a_single_frame_walks_as_header_decode_plus_frame_body() {
+        let mut rng = crate::DetRng::seed_from_u64(5);
+        let (datagram, (want, _)) = packed(&mut rng, 1);
+        let (header, body) = FrameHeader::decode(&datagram).unwrap();
+        let mut entries = FrameBody::new(body);
+        let direct: Vec<Vec<u8>> = entries.by_ref().map(<[u8]>::to_vec).collect();
+        assert!(!entries.malformed());
+        assert_eq!((header.src, header.iter().collect(), direct), want[0]);
+        assert_eq!(walk(&datagram).0, want);
+    }
+
+    #[test]
+    fn frame_body_stops_at_a_break_without_crossing_it() {
+        let mut rng = crate::DetRng::seed_from_u64(6);
+        let (datagram, (want, _)) = packed(&mut rng, 3);
+        let (_, rest) = FrameHeader::decode(&datagram).unwrap();
+        let mut first = FrameBody::new(rest);
+        assert_eq!(first.by_ref().count(), want[0].2.len());
+        assert!(!first.malformed());
+        assert_eq!(first.next(), None, "the next frame is not this body's");
+    }
+
+    #[test]
+    fn every_strict_prefix_yields_whole_entries_then_at_most_one_failure() {
+        let mut rng = crate::DetRng::seed_from_u64(7);
+        let (datagram, (want, _)) = packed(&mut rng, 4);
+        let all: Vec<&Vec<u8>> = want.iter().flat_map(|(_, _, body)| body).collect();
+        // Where a cut leaves a valid, shorter datagram: after a whole entry.
+        let mut whole_at = std::collections::BTreeSet::new();
+        let mut at = 0;
+        for (i, (_, dests, body)) in want.iter().enumerate() {
+            at += if i > 0 { BREAK.len() } else { 0 } + FrameHeader::len_for(dests.len());
+            for entry in body {
+                at += 2 + entry.len();
+                whole_at.insert(at);
+            }
+        }
+        assert_eq!(at, datagram.len());
+        for cut in 0..datagram.len() {
+            let (frames, errors) = walk(&datagram[..cut]);
+            let got: Vec<&Vec<u8>> = frames.iter().flat_map(|(_, _, body)| body).collect();
+            assert_eq!(got[..], all[..got.len()], "cut={cut}: only whole entries");
+            for (frame, full) in frames.iter().zip(&want) {
+                assert_eq!((frame.0, &frame.1), (full.0, &full.1), "cut={cut}");
+            }
+            match errors[..] {
+                [] => assert!(whole_at.contains(&cut), "cut={cut} went unreported"),
+                [(_, seen)] => {
+                    assert!(!whole_at.contains(&cut), "cut={cut} is a whole datagram");
+                    assert_eq!(seen, got.len(), "cut={cut}: the failure comes last");
+                }
+                _ => panic!("cut={cut}: {errors:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn misplaced_breaks_and_empty_frames_are_malformed() {
+        let mut frame = Vec::new();
+        FrameHeader::broadcast(NodeId(1)).encode(&mut frame);
+        let header_only = frame.clone();
+        FrameHeader::encode_body_entry(&mut frame, &[KIND_FIN; 9]);
+        let with = |tail: &[&[u8]]| [&[&frame[..]], tail].concat().concat();
+
+        // A trailing BREAK, or two in a row: no header where one is due.
+        for tail in [&[&BREAK[..]][..], &[&BREAK[..], &BREAK[..], &frame[..]][..]] {
+            let (frames, errors) = walk(&with(tail));
+            assert_eq!(
+                (frames.len(), &errors[..]),
+                (1, &[(FrameError::Header, 1)][..])
+            );
+        }
+        // A header with no entry behind it: at the end of the datagram ...
+        let (frames, errors) = walk(&with(&[&BREAK, &header_only]));
+        assert_eq!(
+            (frames.len(), &errors[..]),
+            (2, &[(FrameError::Body, 1)][..])
+        );
+        assert!(frames[1].2.is_empty());
+        // ... and ahead of a BREAK, where the walk goes on to the next frame.
+        let (frames, errors) = walk(&[&header_only[..], &BREAK, &frame].concat());
+        assert_eq!(
+            (frames.len(), &errors[..]),
+            (2, &[(FrameError::Body, 0)][..])
+        );
+        assert_eq!(frames[1].2.len(), 1);
+        // Not a datagram at all.
+        assert_eq!(walk(&[]), (Vec::new(), vec![(FrameError::Header, 0)]));
+        assert_eq!(walk(&BREAK), (Vec::new(), vec![(FrameError::Header, 0)]));
     }
 }

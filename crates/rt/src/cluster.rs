@@ -14,13 +14,13 @@
 //! timers armed by an endpoint incarnation that has since been restarted
 //! ([`Cluster::restart_endpoint`]) are dropped as stale when they pop.
 //!
-//! Per poll iteration a worker fires all due timers across the shard (in
-//! global deadline order), then visits each endpoint once: retry parked
-//! sends, then drain the socket until `WouldBlock`. Sends that hit a
-//! saturated socket are parked in a bounded per-endpoint outbox
-//! (backpressure), preserving per-destination order; only when the outbox
-//! itself fills are datagrams shed, and both conditions are counted in the
-//! endpoint's [`EndpointReport`].
+//! Per poll iteration a worker fires the due timers across the shard (in
+//! global deadline order, a bounded number per pass), then visits each
+//! endpoint once: retry parked sends, then drain the socket until
+//! `WouldBlock`. Sends that hit a saturated socket are parked in a bounded
+//! per-endpoint outbox (backpressure), preserving per-destination order;
+//! only when the outbox itself fills are datagrams shed, and both
+//! conditions are counted in the endpoint's [`EndpointReport`].
 //!
 //! The cluster owns its cores (unlike [`Endpoint`](crate::Endpoint), which
 //! borrows one per call) because the cores must travel to worker threads;
@@ -34,7 +34,7 @@ use adamant_metrics::MetricsRegistry;
 use adamant_proto::{Clock, Input, NodeId, ProtocolCore, Span, TimePoint, TimerWheel};
 
 use crate::clock::MonotonicClock;
-use crate::endpoint::{EndpointReport, RtConfig, Slot, RECV_BUF_BYTES};
+use crate::endpoint::{EndpointReport, RtConfig, Slot, RECV_BUF_BYTES, TIMER_BURST_BATCHES};
 use crate::error::RtError;
 use crate::poller::Poller;
 
@@ -105,13 +105,19 @@ pub struct ClusterStats {
     pub delivered: u64,
     /// Delivered samples that arrived through a recovery path.
     pub recovered: u64,
-    /// Datagrams written to sockets.
+    /// Datagrams written to sockets (each charged to the endpoint that
+    /// opened it, however many endpoints' frames it carried).
     pub datagrams_sent: u64,
     /// Datagrams read from sockets. The multiplexed runtime counts a wire
-    /// datagram once however many endpoints its header names (and only
-    /// when it named at least one endpoint of the runtime), so this can be
-    /// smaller than the sum of the endpoints' own `datagrams_received`.
+    /// datagram once however many frames it packs and endpoints they name
+    /// (and only when one named an endpoint of the runtime), so this can
+    /// be smaller than the sum of the endpoints' own `datagrams_received`.
     pub datagrams_received: u64,
+    /// Frames whose header decoded, whatever became of them (multiplexed
+    /// runtime; a per-socket runtime's frames are its endpoints'
+    /// `datagrams_received`). Over `datagrams_received` (when nothing is
+    /// dropped before demux), how many frames a datagram packs.
+    pub frames_received: u64,
     /// Datagrams that failed to parse.
     pub decode_errors: u64,
     /// Sends addressed to nodes with no registered peer address.
@@ -131,10 +137,11 @@ pub struct ClusterStats {
     /// a per-socket runtime's socket *is* its demux, so the field stays 0
     /// there).
     pub unknown_endpoint_drops: u64,
-    /// Datagrams dropped before demux because the frame header was
-    /// truncated or carried an unknown wire version (multiplexed runtime;
-    /// the per-socket runtime attributes these to the receiving
-    /// endpoint's `decode_errors` instead).
+    /// Datagrams, or tails of packed datagrams, dropped before demux
+    /// because the frame header due there was truncated or carried an
+    /// unknown wire version (multiplexed runtime; the per-socket runtime
+    /// attributes these to the receiving endpoint's `decode_errors`
+    /// instead).
     pub header_drops: u64,
     /// Worker loop iterations that found no due timer and made no I/O
     /// progress before parking in the poller. An idle cluster accrues a
@@ -159,6 +166,7 @@ impl ClusterStats {
         registry.add(key("recovered"), self.recovered);
         registry.add(key("datagrams_sent"), self.datagrams_sent);
         registry.add(key("datagrams_received"), self.datagrams_received);
+        registry.add(key("frames_received"), self.frames_received);
         registry.add(key("decode_errors"), self.decode_errors);
         registry.add(key("unroutable"), self.unroutable);
         registry.add(key("backpressure_stalls"), self.backpressure_stalls);
@@ -184,14 +192,17 @@ pub(crate) struct WorkerCounters {
     pub parks: u64,
     /// Parks ended by readiness rather than the deadline.
     pub io_wakes: u64,
-    /// Truncated/unknown-version frame headers (dropped before demux).
+    /// Places in a datagram where a frame header was due and none decoded
+    /// (truncated, unknown version): the rest is dropped before demux.
     pub header_drops: u64,
     /// Demux keys that named no live endpoint of the shard.
     pub unknown_endpoint_drops: u64,
-    /// Wire datagrams whose header named at least one endpoint of the
-    /// shard (multiplexed runtime only: a per-socket runtime's datagrams
-    /// each belong to exactly one endpoint's report).
+    /// Wire datagrams with a frame that named at least one endpoint of
+    /// the shard (multiplexed runtime only: a per-socket runtime's
+    /// datagrams each belong to exactly one endpoint's report).
     pub datagrams_received: u64,
+    /// Frames whose header decoded (multiplexed runtime only).
+    pub frames_received: u64,
 }
 
 impl WorkerCounters {
@@ -202,6 +213,7 @@ impl WorkerCounters {
         self.header_drops += other.header_drops;
         self.unknown_endpoint_drops += other.unknown_endpoint_drops;
         self.datagrams_received += other.datagrams_received;
+        self.frames_received += other.frames_received;
     }
 }
 
@@ -674,8 +686,11 @@ fn drive_shard(
         slot.start(core.as_core(), wheel, owner)?;
     }
     loop {
-        // Fire everything due across the shard, in global deadline order.
-        while let Some(fire) = wheel.pop_due(clock.now()) {
+        // Fire what is due across the shard, in global deadline order.
+        for _ in 0..TIMER_BURST_BATCHES * shard.len() {
+            let Some(fire) = wheel.pop_due(clock.now()) else {
+                break;
+            };
             let index = (fire.owner >> 8) as usize;
             let Some(&pos) = positions.get(&index) else {
                 continue; // endpoint no longer in this shard
@@ -1054,6 +1069,47 @@ mod tests {
         assert_eq!(
             seeds,
             (0..16).map(|i| endpoint_seed(42, i)).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn a_core_rearming_a_zero_delay_timer_cannot_starve_its_neighbours() {
+        /// Always has a timer due.
+        #[derive(Debug)]
+        struct Spinner;
+        impl ProtocolCore for Spinner {
+            fn step(&mut self, input: Input<'_>, env: &mut Env<'_>) {
+                if matches!(input, Input::Start | Input::TimerFired { .. }) {
+                    env.set_timer(Span::ZERO, 0);
+                }
+            }
+        }
+        let mut cluster = Cluster::new(ClusterConfig::new(1).with_seed(13));
+        cluster
+            .add_endpoint(NodeId(0), "127.0.0.1:0", Spinner)
+            .unwrap();
+        let rx = cluster
+            .add_endpoint(NodeId(1), "127.0.0.1:0", Listener)
+            .unwrap();
+        let mut frame = Vec::new();
+        adamant_proto::FrameHeader::broadcast(NodeId(9)).encode(&mut frame);
+        let sample = WireMsg::Data(adamant_proto::wire::DataMsg {
+            seq: 7,
+            published_at: TimePoint::from_nanos(0),
+            retransmission: false,
+        });
+        adamant_proto::FrameHeader::encode_body_entry(&mut frame, &sample.to_bytes());
+        let probe = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+        probe
+            .send_to(&frame, cluster.local_addr(rx).unwrap())
+            .unwrap();
+        // The window still ends on time, and the listener was served.
+        let start = std::time::Instant::now();
+        cluster.run_for(Duration::from_millis(50)).unwrap();
+        assert!(start.elapsed() < Duration::from_secs(2));
+        assert_eq!(
+            cluster.report(rx).unwrap().delivered_seqs(),
+            BTreeSet::from([7])
         );
     }
 }

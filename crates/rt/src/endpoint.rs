@@ -5,16 +5,17 @@
 //! discharges the same [`Effect`]s, but against a real
 //! [`std::net::UdpSocket`] and the [`MonotonicClock`] instead of the
 //! simulated network and virtual time. Datagrams carry a
-//! [`FrameHeader`] (wire version 3: source node plus a list of
+//! [`FrameHeader`] (wire version 4: source node plus a list of
 //! endpoint/incarnation demux keys) followed by the
 //! [`adamant_proto::wire`] encoding of the message; the declared
 //! `size_bytes`/`cost` of a [`Effect::Send`] are simulation-model inputs
 //! and are ignored here — real packets cost what they cost. A per-socket
-//! endpoint stamps one wildcard demux key (the socket *is* the demux) and
-//! ignores the endpoint fields on receive, but still honours the
-//! incarnation fields: a datagram none of whose destinations names this
-//! incarnation (or the wildcard) is counted as stale rather than
-//! delivered.
+//! endpoint sends one frame per datagram, stamped with one wildcard demux
+//! key (the socket *is* the demux). On receive it walks every frame of a
+//! datagram (a multiplexed sender packs several) and ignores the endpoint
+//! fields, but still honours the incarnation fields: a frame none of whose
+//! destinations names this incarnation (or the wildcard) is counted as
+//! stale rather than delivered.
 //!
 //! Timers live on the shared [`TimerWheel`] — the same hierarchical
 //! calendar queue the simulator schedules through — rather than a
@@ -37,8 +38,8 @@ use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 use std::time::Duration;
 
 use adamant_proto::{
-    Clock, Destination, Effect, EnvHost, FrameBody, FrameHeader, Input, NodeId, ProtoEvent,
-    ProtocolCore, TimePoint, TimerWheel, WireMsg, ANY_INCARNATION,
+    Clock, Destination, Effect, EnvHost, FrameError, FrameHeader, FramePart, Frames, Input, NodeId,
+    ProtoEvent, ProtocolCore, TimePoint, TimerWheel, WireMsg, ANY_INCARNATION,
 };
 
 use crate::clock::MonotonicClock;
@@ -52,6 +53,15 @@ pub(crate) const RECV_BUF_BYTES: usize = 65_536;
 /// before it starts shedding new ones (counted as
 /// [`backpressure_drops`](EndpointReport::backpressure_drops)).
 pub(crate) const OUTBOX_MAX: usize = 4096;
+
+/// Due timers one driver pass fires, in units of the datagrams it moves
+/// per syscall (`batch_size` on the multiplexed runtime, one per socket
+/// here), before it flushes and drains. After a stall every overdue timer
+/// is due at once; firing them all before serving a socket would shed the
+/// burst at `OUTBOX_MAX` and at the kernel receive buffer, and a core that
+/// always has a timer due would never let the pass end. The rest stay due
+/// for the next pass.
+pub(crate) const TIMER_BURST_BATCHES: usize = 4;
 
 /// Configuration for a real-UDP endpoint.
 #[derive(Debug, Clone, Copy)]
@@ -105,16 +115,20 @@ pub struct EndpointReport {
     pub delivered: Vec<(u64, TimePoint, bool)>,
     /// Protocol-behaviour trace events (empty unless `observed`).
     pub events: Vec<ProtoEvent>,
-    /// Datagrams written to the socket.
+    /// Datagrams written to the socket; on the multiplexed runtime, the
+    /// datagrams this endpoint *opened* — one that other endpoints' frames
+    /// for the same address were packed into still counts once, here.
     pub datagrams_sent: u64,
-    /// Datagrams read from the socket; on the multiplexed runtime, the
-    /// datagrams whose header named this endpoint (one shared by several
-    /// readers counts once for each).
+    /// Frames addressed to this endpoint: every frame read from its own
+    /// socket (one per datagram unless the sender packs) and, on the
+    /// multiplexed runtime, every frame whose header named it (one shared
+    /// by several readers counts once for each).
     pub datagrams_received: u64,
-    /// Datagrams that failed to parse (short header or bad wire encoding).
+    /// Frames or body entries that failed to parse (short header, bad wire
+    /// encoding, entry cut short).
     pub decode_errors: u64,
-    /// Datagrams addressed to a previous incarnation of this endpoint
-    /// (in flight across a restart); dropped, never delivered.
+    /// Frames addressed to a previous incarnation of this endpoint (in
+    /// flight across a restart); dropped, never delivered.
     pub stale_datagrams: u64,
     /// Send effects addressed to a node with no registered peer address.
     pub unroutable: u64,
@@ -324,7 +338,8 @@ impl Slot {
         Ok(())
     }
 
-    /// Decodes one datagram and steps the core with it.
+    /// Walks one datagram and steps the core with every entry of every
+    /// frame that is for this incarnation.
     pub(crate) fn on_datagram<C: ProtocolCore + ?Sized>(
         &mut self,
         core: &mut C,
@@ -332,40 +347,39 @@ impl Slot {
         wheel: &mut TimerWheel,
         owner: u32,
     ) -> Result<(), RtError> {
-        self.report.datagrams_received += 1;
-        let Some((header, body)) = FrameHeader::decode(datagram) else {
-            self.report.decode_errors += 1;
-            return Ok(());
-        };
-        // The socket is this slot's demux, so the endpoint fields are
-        // ignored — but a datagram stamped only for earlier incarnations
-        // was in flight across a restart and must not reach the new core.
-        let mut incarnations = header.iter().map(|dest| dest.incarnation);
-        if !incarnations.any(|i| i == ANY_INCARNATION || i == self.incarnation) {
-            self.report.stale_datagrams += 1;
-            return Ok(());
-        }
-        // The body is one or more length-prefixed entries (a coalescing
-        // sender packs several messages per datagram); each entry steps
-        // the core independently, and damage is counted where it is found.
-        let mut entries = FrameBody::new(body);
-        for entry in &mut entries {
-            let Some(msg) = WireMsg::decode(entry) else {
-                self.report.decode_errors += 1;
-                continue;
-            };
-            self.step(
-                core,
-                Input::PacketIn {
-                    src: header.src,
-                    msg: &msg,
-                },
-                wheel,
-                owner,
-            )?;
-        }
-        if entries.malformed() {
-            self.report.decode_errors += 1;
+        let mut from = None;
+        for part in Frames::new(datagram) {
+            match part {
+                Ok(FramePart::Header(header)) => {
+                    self.report.datagrams_received += 1;
+                    // The socket is this slot's demux, so the endpoint
+                    // fields are ignored — but a frame stamped only for
+                    // earlier incarnations was in flight across a restart
+                    // and must not reach the new core.
+                    let mut incarnations = header.iter().map(|dest| dest.incarnation);
+                    from = incarnations
+                        .any(|i| i == ANY_INCARNATION || i == self.incarnation)
+                        .then_some(header.src);
+                    self.report.stale_datagrams += u64::from(from.is_none());
+                }
+                // Each entry steps the core independently, and damage is
+                // counted where it is found.
+                Ok(FramePart::Entry(entry)) => {
+                    let Some(src) = from else { continue };
+                    match WireMsg::decode(entry) {
+                        Some(msg) => {
+                            self.step(core, Input::PacketIn { src, msg: &msg }, wheel, owner)?
+                        }
+                        None => self.report.decode_errors += 1,
+                    }
+                }
+                // No header where one is due still arrived as a frame.
+                Err(FrameError::Header) => {
+                    self.report.datagrams_received += 1;
+                    self.report.decode_errors += 1;
+                }
+                Err(FrameError::Body) => self.report.decode_errors += u64::from(from.is_some()),
+            }
         }
         Ok(())
     }
@@ -576,7 +590,10 @@ impl Endpoint {
         self.slot.start(core, &mut self.wheel, 0)?;
         let mut buf = vec![0u8; RECV_BUF_BYTES];
         loop {
-            while let Some(fire) = self.wheel.pop_due(clock.now()) {
+            for _ in 0..TIMER_BURST_BATCHES {
+                let Some(fire) = self.wheel.pop_due(clock.now()) else {
+                    break;
+                };
                 self.slot.step(
                     core,
                     Input::TimerFired {
@@ -768,22 +785,25 @@ mod tests {
         let addr = ep.local_addr().unwrap();
         let probe = UdpSocket::bind("127.0.0.1:0").unwrap();
         // Truncated header: version byte present, demux fields cut off.
-        probe.send_to(&[3, 1], addr).unwrap();
+        probe.send_to(&[4, 1], addr).unwrap();
         // Valid header, bad wire kind in the body.
         let mut bad_body = Vec::new();
         FrameHeader::broadcast(NodeId(9)).encode(&mut bad_body);
         bad_body.push(250);
         probe.send_to(&bad_body, addr).unwrap();
         // Wire version 1 framing (bare node-id prefix) is no longer spoken,
-        // and neither is version 2's fixed 13-byte header.
+        // and neither are version 2's fixed 13-byte header and version 3's
+        // one frame per datagram.
         probe.send_to(&[1, 0, 0, 0, 250, 0], addr).unwrap();
-        let mut v2 = bad_body.clone();
-        v2[0] = 2;
-        probe.send_to(&v2, addr).unwrap();
+        for version in [2, 3] {
+            let mut old = bad_body.clone();
+            old[0] = version;
+            probe.send_to(&old, addr).unwrap();
+        }
         let mut core = Listener;
         ep.run_for(&mut core, Duration::from_millis(30)).unwrap();
-        assert_eq!(ep.report().datagrams_received, 4);
-        assert_eq!(ep.report().decode_errors, 4);
+        assert_eq!(ep.report().datagrams_received, 5);
+        assert_eq!(ep.report().decode_errors, 5);
         assert!(ep.report().delivered.is_empty());
     }
 
@@ -828,5 +848,109 @@ mod tests {
         assert_eq!(ep.report().stale_datagrams, 1);
         assert_eq!(ep.report().decode_errors, 0);
         assert_eq!(ep.report().delivered.len(), 2);
+    }
+
+    fn data(seq: u64) -> WireMsg {
+        WireMsg::Data(adamant_proto::wire::DataMsg {
+            seq,
+            published_at: TimePoint::from_nanos(0),
+            retransmission: false,
+        })
+    }
+
+    #[test]
+    fn a_packed_datagram_from_a_mux_cluster_steps_every_frame() {
+        use crate::mux::{MuxCluster, MuxConfig};
+        /// Sends one sample to node 9 on start.
+        #[derive(Debug)]
+        struct Once(u64);
+        impl ProtocolCore for Once {
+            fn step(&mut self, input: Input<'_>, env: &mut Env<'_>) {
+                if matches!(input, Input::Start) {
+                    env.send(NodeId(9), 64, 1, ProcessingCost::FREE, data(self.0));
+                }
+            }
+        }
+        let mut outside = Endpoint::bind(NodeId(9), "127.0.0.1:0", RtConfig::new(6)).unwrap();
+        let cfg = MuxConfig::new(1).with_sockets_per_worker(1);
+        let mut cluster = MuxCluster::bind("127.0.0.1:0", cfg).unwrap();
+        for node in 0..2u32 {
+            let id = cluster
+                .add_endpoint(NodeId(node), Once(u64::from(node)))
+                .unwrap();
+            cluster
+                .add_external_peer(id, NodeId(9), outside.local_addr().unwrap())
+                .unwrap();
+        }
+        cluster.run_for(Duration::from_millis(20)).unwrap();
+        outside
+            .run_for(&mut Listener, Duration::from_millis(30))
+            .unwrap();
+        // Two senders started in one pass, both for one address: one
+        // datagram, two frames, each delivered.
+        assert_eq!(cluster.stats().datagrams_sent, 1);
+        assert_eq!(outside.report().delivered_seqs(), BTreeSet::from([0, 1]));
+        assert_eq!(outside.report().datagrams_received, 2);
+        assert_eq!(outside.report().decode_errors, 0);
+    }
+
+    #[test]
+    fn a_stale_first_frame_does_not_cost_the_fresh_one_behind_it() {
+        let mut ep = Endpoint::bind(NodeId(0), "127.0.0.1:0", RtConfig::new(7)).unwrap();
+        let frame = |incarnation, seq| {
+            let mut frame = Vec::new();
+            FrameHeader {
+                src: NodeId(9),
+                dst_endpoint: adamant_proto::ANY_ENDPOINT,
+                dst_incarnation: incarnation,
+            }
+            .encode(&mut frame);
+            FrameHeader::encode_body_entry(&mut frame, &data(seq).to_bytes());
+            frame
+        };
+        // Stamped for incarnation 3 (this endpoint is 0), then for 0, then
+        // a frame cut off inside its header.
+        let mut datagram = frame(3, 1);
+        FrameHeader::encode_break(&mut datagram);
+        datagram.extend_from_slice(&frame(0, 2));
+        FrameHeader::encode_break(&mut datagram);
+        datagram.extend_from_slice(&frame(0, 3)[..FrameHeader::LEN - 1]);
+        let probe = UdpSocket::bind("127.0.0.1:0").unwrap();
+        probe.send_to(&datagram, ep.local_addr().unwrap()).unwrap();
+        ep.run_for(&mut Listener, Duration::from_millis(30))
+            .unwrap();
+        assert_eq!(ep.report().delivered_seqs(), BTreeSet::from([2]));
+        assert_eq!(ep.report().stale_datagrams, 1);
+        assert_eq!(ep.report().datagrams_received, 3);
+        assert_eq!(ep.report().decode_errors, 1);
+    }
+
+    #[test]
+    fn a_core_rearming_a_zero_delay_timer_cannot_hold_the_window_open() {
+        /// Always has a timer due, and delivers what it hears.
+        #[derive(Debug)]
+        struct SpinningListener;
+        impl ProtocolCore for SpinningListener {
+            fn step(&mut self, input: Input<'_>, env: &mut Env<'_>) {
+                match input {
+                    Input::Start | Input::TimerFired { .. } => {
+                        env.set_timer(Span::ZERO, 0);
+                    }
+                    other => Listener.step(other, env),
+                }
+            }
+        }
+        let mut ep = Endpoint::bind(NodeId(0), "127.0.0.1:0", RtConfig::new(8)).unwrap();
+        let mut frame = Vec::new();
+        FrameHeader::broadcast(NodeId(9)).encode(&mut frame);
+        FrameHeader::encode_body_entry(&mut frame, &data(7).to_bytes());
+        let probe = UdpSocket::bind("127.0.0.1:0").unwrap();
+        probe.send_to(&frame, ep.local_addr().unwrap()).unwrap();
+        // The window still ends on time, and the socket was served.
+        let start = std::time::Instant::now();
+        ep.run_for(&mut SpinningListener, Duration::from_millis(50))
+            .unwrap();
+        assert!(start.elapsed() < Duration::from_secs(2));
+        assert_eq!(ep.report().delivered_seqs(), BTreeSet::from([7]));
     }
 }

@@ -17,11 +17,15 @@
 //!   effect stream outruns its socket.
 //! * [`MuxCluster`] — the scale path: the same sharding, but each worker
 //!   multiplexes its whole shard over a small fixed pool of shared
-//!   sockets. Datagrams are demuxed by the destination list in their
-//!   [`FrameHeader`](adamant_proto::FrameHeader), sends coalesce into
-//!   frames flushed with `sendmmsg`, receives drain with `recvmmsg` on
-//!   the sockets a readiness query named, and a group send costs one
-//!   datagram per destination worker rather than one per member.
+//!   sockets. Every frame a worker pass queues for one address shares a
+//!   datagram (wire version 4) flushed with `sendmmsg`; receives drain
+//!   with `recvmmsg` on the sockets a readiness query named, each frame
+//!   demuxed by the destination list in its
+//!   [`FrameHeader`](adamant_proto::FrameHeader); a group send costs one
+//!   frame per destination worker rather than one datagram per member.
+//!
+//! All three receive through one walker, [`Frames`](adamant_proto::Frames),
+//! so a per-socket endpoint reads what a mux worker packs.
 //!
 //! All three park in the same wait: `epoll_pwait2` with a nanosecond
 //! timeout, which ends at the next timer deadline or at the first

@@ -20,10 +20,11 @@
 //!   too: the members behind one worker share a single datagram whose
 //!   header names them all, following a per-group plan that is cached
 //!   between [`run_for`](MuxCluster::run_for) windows.
-//! * **Batched syscalls.** Each worker's per-tick sends coalesce into one
-//!   outbox per socket and flush via `sendmmsg`; receives drain via
-//!   `recvmmsg` ([`crate::poller`] carries the portable single-syscall
-//!   fallbacks).
+//! * **Packed datagrams, batched syscalls.** Everything a worker pass
+//!   queues for one address shares a datagram, a frame per sender and
+//!   header (wire version 4; [`Frames`] walks them back out). Outboxes
+//!   flush via `sendmmsg`; receives drain via `recvmmsg`
+//!   ([`crate::poller`] carries the portable single-syscall fallbacks).
 //! * **Readiness, not spinning.** A worker pass fires the due timers (a
 //!   bounded number), flushes its outboxes, then makes *one* readiness
 //!   query — until the next [`TimerWheel`] deadline or the first incoming
@@ -52,26 +53,20 @@ use std::time::Duration;
 
 use adamant_metrics::MetricsRegistry;
 use adamant_proto::{
-    Clock, Destination, Effect, EnvHost, FrameBody, FrameDest, FrameHeader, Input, NodeId,
-    ProtocolCore, Span, TimePoint, TimerWheel, WireMsg, ANY_ENDPOINT, ANY_INCARNATION,
+    Clock, Destination, Effect, EnvHost, FrameDest, FrameError, FrameHeader, FramePart, Frames,
+    Input, NodeId, ProtocolCore, Span, TimePoint, TimerWheel, WireMsg, ANY_ENDPOINT,
+    ANY_INCARNATION,
 };
 
 use crate::clock::MonotonicClock;
 use crate::cluster::{
     endpoint_seed, wheel_owner, ClusterCore, ClusterStats, EndpointId, WorkerCounters,
 };
-use crate::endpoint::{EndpointReport, OUTBOX_MAX};
+use crate::endpoint::{EndpointReport, OUTBOX_MAX, TIMER_BURST_BATCHES};
 use crate::error::RtError;
 use crate::poller::{
     set_socket_buffers, set_worker_timer_slack, soft_io_error, Poller, RecvBatch, SendBatch,
 };
-
-/// Due timers one worker pass fires, in units of `batch_size`, before it
-/// flushes and drains. After a stall every overdue timer is due at once;
-/// firing them all before serving a socket would shed the burst at
-/// `OUTBOX_MAX` and at the kernel receive buffer. The rest stay due for
-/// the next pass.
-const TIMER_BURST_BATCHES: usize = 4;
 
 /// Kernel buffer size requested per shared socket: large enough to absorb
 /// a full burst wave from every endpoint multiplexed onto the socket
@@ -276,21 +271,24 @@ impl MuxEntry {
     }
 }
 
-/// A datagram coalesced into a worker's per-socket outbox, tagged with
-/// the shard-local position of the sending endpoint for stat attribution.
-/// `buf` opens with the frame header, which is what later messages are
-/// matched against to append body entries to this datagram instead of
-/// opening a new one.
+/// A datagram packed into a worker's per-socket outbox: one or more
+/// frames for `addr`, tagged with the shard-local position of the endpoint
+/// that opened it, which its send is accounted to. Later messages for
+/// `addr` join it — as body entries of its newest frame when that frame is
+/// theirs, behind a frame break otherwise — instead of opening a new one.
 struct OutMsg {
     addr: SocketAddr,
     buf: Vec<u8>,
     from: usize,
+    /// Where the newest frame's header starts in `buf`.
+    frame_at: usize,
+    /// Shard-local position of the endpoint that queued the newest frame.
+    frame_from: usize,
 }
 
-/// Coalescing cap per datagram: adjacent messages for the same
-/// destinations pack into one frame until it reaches this size — an
-/// Ethernet-safe payload, so coalesced frames survive off-loopback paths
-/// without fragmentation.
+/// Packing cap per datagram: messages for the same address pack into one
+/// datagram until it reaches this size — an Ethernet-safe payload, so
+/// packed datagrams survive off-loopback paths without fragmentation.
 const COALESCE_BYTES: usize = 1400;
 
 /// The multiplexed sharded runtime (see the module docs for the
@@ -729,6 +727,7 @@ impl MuxCluster {
             stats.stale_drops += report.stale_datagrams;
         }
         stats.datagrams_received = self.worker.datagrams_received;
+        stats.frames_received = self.worker.frames_received;
         stats.busy_polls = self.worker.busy_polls;
         stats.parks = self.worker.parks;
         stats.io_wakes = self.worker.io_wakes;
@@ -969,16 +968,21 @@ fn drive_mux_shard(
     Ok(())
 }
 
-/// Queues one datagram's worth of a send on `outbox`: `body` becomes a
-/// body entry of a frame opening with `header`, bound for `addr`.
+/// Queues one frame's worth of a send on `outbox`: `body` becomes a body
+/// entry of a frame opening with `header`, bound for `addr`.
 ///
-/// Coalesces when the newest queued datagram is the same sender's, for
-/// the same address, opens with the same header bytes (a header spells
-/// out its own length, so a matching prefix is a matching header — same
-/// `src`, same destinations, same incarnations) and has room: per-datagram
-/// costs then amortize over the whole burst. Otherwise opens a new
-/// datagram, shedding it — one drop per destination it would have
-/// reached — once the outbox is full.
+/// The address decides the datagram: whatever the newest queued datagram
+/// for the same address has room for joins it, so per-datagram costs
+/// amortize over everything one pass sends there. The sender and the
+/// header decide the frame: `body` extends the datagram's newest frame
+/// when that is the same sender's and opens with the same header bytes (a
+/// header spells out its own length, so a matching prefix is a matching
+/// header — same `src`, same destinations, same incarnations), and goes
+/// behind a frame break and `header` otherwise. Only the newest datagram
+/// is looked at, which keeps every sender's frames for an address in the
+/// order they were queued. What fits nowhere opens a new datagram, shed —
+/// one drop per destination it would have reached — once the outbox is
+/// full.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 fn queue_frame(
@@ -991,12 +995,15 @@ fn queue_frame(
     dests: u64,
     body: &[u8],
 ) {
-    if let Some(back) = outbox.back_mut() {
-        if back.from == from
-            && back.addr == addr
-            && back.buf.starts_with(header)
-            && back.buf.len() + 2 + body.len() <= COALESCE_BYTES
-        {
+    if let Some(back) = outbox.back_mut().filter(|back| back.addr == addr) {
+        let same_frame = back.frame_from == from && back.buf[back.frame_at..].starts_with(header);
+        let opening = if same_frame { 0 } else { 2 + header.len() };
+        if back.buf.len() + opening + 2 + body.len() <= COALESCE_BYTES {
+            if !same_frame {
+                FrameHeader::encode_break(&mut back.buf);
+                (back.frame_at, back.frame_from) = (back.buf.len(), from);
+                back.buf.extend_from_slice(header);
+            }
             FrameHeader::encode_body_entry(&mut back.buf, body);
             return;
         }
@@ -1009,7 +1016,13 @@ fn queue_frame(
     buf.clear();
     buf.extend_from_slice(header);
     FrameHeader::encode_body_entry(&mut buf, body);
-    outbox.push_back(OutMsg { addr, buf, from });
+    outbox.push_back(OutMsg {
+        addr,
+        buf,
+        from,
+        frame_at: 0,
+        frame_from: from,
+    });
 }
 
 /// Steps one entry's core and discharges its effects: sends are framed
@@ -1093,12 +1106,12 @@ fn step_entry(
     scratch.effects = effects;
 }
 
-/// Routes every datagram of a filled receive batch to the endpoints its
-/// header names, counting pre-demux failures in the worker counters and
-/// post-demux failures in each resolved endpoint's report. Every
-/// destination is checked on its own; each body entry is decoded once and
-/// steps every live destination's core, so each core sees the entries in
-/// order.
+/// Routes every frame of every datagram of a filled receive batch to the
+/// endpoints its header names, counting pre-demux failures in the worker
+/// counters and post-demux failures in each resolved endpoint's report.
+/// Every frame is judged on its own, and so is every destination of a
+/// frame; each body entry is decoded once and steps every live
+/// destination's core, so each core sees the entries in order.
 #[allow(clippy::too_many_arguments)]
 fn demux_batch(
     recv: &RecvBatch,
@@ -1111,56 +1124,62 @@ fn demux_batch(
     counters: &mut WorkerCounters,
 ) {
     for datagram in recv.datagrams() {
-        let Some((header, body)) = FrameHeader::decode(datagram) else {
-            counters.header_drops += 1;
-            continue;
-        };
         let mut live = std::mem::take(&mut scratch.live);
         let mut resolved = false;
-        for dest in header.iter() {
-            // A wildcard key cannot be routed on a shared socket: only
-            // per-socket receivers accept `ANY_ENDPOINT` (it resolves to
-            // no position, like any index the shard does not hold).
-            let Some(pos) = local_pos(dest.endpoint as usize, shard, workers) else {
-                counters.unknown_endpoint_drops += 1;
-                continue;
-            };
-            resolved = true;
-            let entry = &mut shard[pos].1;
-            entry.report.datagrams_received += 1;
-            if dest.incarnation != ANY_INCARNATION && dest.incarnation != entry.incarnation {
-                entry.report.stale_datagrams += 1;
-                continue;
+        let mut src = NodeId(0);
+        for part in Frames::new(datagram) {
+            match part {
+                Ok(FramePart::Header(header)) => {
+                    counters.frames_received += 1;
+                    src = header.src;
+                    live.clear();
+                    for dest in header.iter() {
+                        // A wildcard key cannot be routed on a shared
+                        // socket: only per-socket receivers accept
+                        // `ANY_ENDPOINT` (it resolves to no position, like
+                        // any index the shard does not hold).
+                        let Some(pos) = local_pos(dest.endpoint as usize, shard, workers) else {
+                            counters.unknown_endpoint_drops += 1;
+                            continue;
+                        };
+                        resolved = true;
+                        let entry = &mut shard[pos].1;
+                        entry.report.datagrams_received += 1;
+                        if dest.incarnation != ANY_INCARNATION
+                            && dest.incarnation != entry.incarnation
+                        {
+                            entry.report.stale_datagrams += 1;
+                            continue;
+                        }
+                        live.push(pos);
+                    }
+                }
+                // Damage is counted where it is found, against every
+                // endpoint it cost a message; a frame nobody is live for
+                // is walked past unread.
+                Ok(FramePart::Entry(bytes)) if !live.is_empty() => {
+                    let msg = WireMsg::decode(bytes);
+                    for &pos in &live {
+                        let entry = &mut shard[pos].1;
+                        let Some(msg) = &msg else {
+                            entry.report.decode_errors += 1;
+                            continue;
+                        };
+                        let input = Input::PacketIn { src, msg };
+                        step_entry(entry, pos, input, now, wheel, outboxes, scratch);
+                    }
+                }
+                Ok(FramePart::Entry(_)) => {}
+                Err(FrameError::Header) => counters.header_drops += 1,
+                Err(FrameError::Body) => {
+                    for &pos in &live {
+                        shard[pos].1.report.decode_errors += 1;
+                    }
+                }
             }
-            live.push(pos);
         }
         counters.datagrams_received += u64::from(resolved);
-        if !live.is_empty() {
-            // Walk the frame's coalesced body entries; damage is counted
-            // where it is found, against every endpoint it cost a message.
-            let mut body_entries = FrameBody::new(body);
-            for bytes in &mut body_entries {
-                let msg = WireMsg::decode(bytes);
-                for &pos in &live {
-                    let entry = &mut shard[pos].1;
-                    let Some(msg) = &msg else {
-                        entry.report.decode_errors += 1;
-                        continue;
-                    };
-                    let input = Input::PacketIn {
-                        src: header.src,
-                        msg,
-                    };
-                    step_entry(entry, pos, input, now, wheel, outboxes, scratch);
-                }
-            }
-            if body_entries.malformed() {
-                for &pos in &live {
-                    shard[pos].1.report.decode_errors += 1;
-                }
-            }
-            live.clear();
-        }
+        live.clear();
         scratch.live = live;
     }
 }
@@ -1343,7 +1362,7 @@ mod tests {
         FrameHeader::encode_body_entry(&mut wildcard, &msg.to_bytes());
         probe.send_to(&wildcard, addr).unwrap();
         // Truncated header.
-        probe.send_to(&[3, 1, 0], addr).unwrap();
+        probe.send_to(&[4, 1, 0], addr).unwrap();
         // A destination list cut short of the two entries it announces.
         let mut short_list = wildcard.clone();
         short_list[5] = 2;
@@ -1356,14 +1375,16 @@ mod tests {
         probe.send_to(&no_dests, addr).unwrap();
         // Wire versions that are no longer spoken.
         probe.send_to(&[1, 0, 0, 0, 0], addr).unwrap();
-        let mut v2 = wildcard.clone();
-        v2[0] = 2;
-        probe.send_to(&v2, addr).unwrap();
+        for version in [2, 3] {
+            let mut old = wildcard.clone();
+            old[0] = version;
+            probe.send_to(&old, addr).unwrap();
+        }
 
         cluster.run_for(Duration::from_millis(50)).unwrap();
         let stats = cluster.stats();
         assert_eq!(stats.unknown_endpoint_drops, 2);
-        assert_eq!(stats.header_drops, 5);
+        assert_eq!(stats.header_drops, 6);
         assert_eq!(stats.delivered, 0);
         // Pre-demux failures are attributed to no endpoint.
         assert_eq!(stats.datagrams_received, 0);
@@ -1577,8 +1598,42 @@ mod tests {
         assert_eq!(sent, 5 * plan.frames.len() as u64);
     }
 
+    /// `queue_frame` with a throwaway buffer pool.
+    fn queue(
+        outbox: &mut VecDeque<OutMsg>,
+        report: &mut EndpointReport,
+        from: usize,
+        addr: SocketAddr,
+        header: &[u8],
+        dests: u64,
+        body: &[u8],
+    ) {
+        queue_frame(
+            outbox,
+            &mut Vec::new(),
+            report,
+            from,
+            addr,
+            header,
+            dests,
+            body,
+        );
+    }
+
+    /// Entries per frame of a queued datagram, which must walk cleanly.
+    fn frame_sizes(msg: &OutMsg) -> Vec<usize> {
+        let mut sizes = Vec::new();
+        for part in Frames::new(&msg.buf) {
+            match part.expect("a queued datagram is well formed") {
+                FramePart::Header(_) => sizes.push(0),
+                FramePart::Entry(_) => *sizes.last_mut().unwrap() += 1,
+            }
+        }
+        sizes
+    }
+
     #[test]
-    fn frames_coalesce_on_sender_address_and_identical_header() {
+    fn the_address_decides_the_datagram_and_sender_plus_header_the_frame() {
         let addr: SocketAddr = "127.0.0.1:9".parse().unwrap();
         let header_for = |incarnation| {
             let dests = [0, 1].map(|endpoint| FrameDest {
@@ -1589,129 +1644,236 @@ mod tests {
             FrameHeader::encode_list(NodeId(0), &dests, &mut header);
             header
         };
-        let (mut outbox, mut pool) = (VecDeque::new(), Vec::new());
+        let mut outbox = VecDeque::new();
         let mut report = EndpointReport::default();
         let body = data(1).to_bytes();
         let header = header_for(0);
-        // Back-to-back group sends pack into one datagram ...
-        queue_frame(
-            &mut outbox,
-            &mut pool,
-            &mut report,
-            0,
-            addr,
-            &header,
-            2,
-            &body,
-        );
-        queue_frame(
-            &mut outbox,
-            &mut pool,
-            &mut report,
-            0,
-            addr,
-            &header,
-            2,
-            &body,
-        );
+        // Same sender, same header: one frame grows.
+        queue(&mut outbox, &mut report, 0, addr, &header, 2, &body);
+        queue(&mut outbox, &mut report, 0, addr, &header, 2, &body);
         assert_eq!(outbox.len(), 1);
-        let (_, frame_body) = FrameHeader::decode(&outbox[0].buf).unwrap();
-        assert_eq!(FrameBody::new(frame_body).count(), 2);
-        // ... but not across senders, addresses, or re-stamped headers.
-        queue_frame(
-            &mut outbox,
-            &mut pool,
-            &mut report,
-            1,
-            addr,
-            &header,
-            2,
-            &body,
-        );
+        assert_eq!(frame_sizes(&outbox[0]), [2]);
+        // Another sender, or a re-stamped header, for the same address:
+        // the same datagram, a frame of its own.
+        queue(&mut outbox, &mut report, 1, addr, &header, 2, &body);
+        queue(&mut outbox, &mut report, 1, addr, &header_for(1), 2, &body);
+        queue(&mut outbox, &mut report, 1, addr, &header_for(1), 2, &body);
+        assert_eq!(outbox.len(), 1);
+        assert_eq!(frame_sizes(&outbox[0]), [2, 1, 2]);
+        assert_eq!((outbox[0].from, outbox[0].frame_from), (0, 1));
+        // Another address: another datagram, and only the newest is packed
+        // into — a return to the first address does not reach back.
         let other: SocketAddr = "127.0.0.1:10".parse().unwrap();
-        queue_frame(
-            &mut outbox,
-            &mut pool,
-            &mut report,
-            1,
-            other,
-            &header,
-            2,
-            &body,
-        );
-        queue_frame(
-            &mut outbox,
-            &mut pool,
-            &mut report,
-            1,
-            other,
-            &header_for(1),
-            2,
-            &body,
-        );
+        queue(&mut outbox, &mut report, 1, other, &header, 2, &body);
+        queue(&mut outbox, &mut report, 0, addr, &header, 2, &body);
+        assert_eq!(outbox.len(), 3);
+        assert_eq!(frame_sizes(&outbox[0]), [2, 1, 2]);
+        // The cap is never exceeded: an entry that would cross it opens a
+        // new datagram ...
+        let room = COALESCE_BYTES - outbox[2].buf.len();
+        let crosses = vec![0; room - 1];
+        queue(&mut outbox, &mut report, 0, addr, &header, 2, &crosses);
         assert_eq!(outbox.len(), 4);
-        // A full frame opens a new datagram instead of growing past the cap.
-        let big = vec![0u8; COALESCE_BYTES - outbox[3].buf.len() - 1];
-        queue_frame(
-            &mut outbox,
-            &mut pool,
-            &mut report,
-            1,
-            other,
-            &header_for(1),
-            2,
-            &big,
-        );
+        // ... so does a frame whose break and header would, though its
+        // entry alone had room ...
+        let room = COALESCE_BYTES - outbox[3].buf.len();
+        let entry_only = vec![0; room - 2];
+        queue(&mut outbox, &mut report, 1, addr, &header, 2, &entry_only);
         assert_eq!(outbox.len(), 5);
+        // ... and what fits, fits to the byte.
+        let room = COALESCE_BYTES - outbox[4].buf.len();
+        let exact = vec![0; room - 2];
+        queue(&mut outbox, &mut report, 1, addr, &header, 2, &exact);
+        assert_eq!(outbox.len(), 5);
+        assert_eq!(outbox[4].buf.len(), COALESCE_BYTES);
         assert!(outbox.iter().all(|m| m.buf.len() <= COALESCE_BYTES));
+        assert_eq!(report.backpressure_drops, 0);
     }
 
     #[test]
-    fn shedding_a_group_frame_drops_once_per_destination() {
+    fn only_opening_a_datagram_at_a_full_outbox_sheds() {
         let addr: SocketAddr = "127.0.0.1:9".parse().unwrap();
-        let mut outbox: VecDeque<OutMsg> = (0..OUTBOX_MAX)
-            .map(|_| OutMsg {
-                addr,
-                buf: vec![0],
-                from: 0,
-            })
-            .collect();
-        let mut report = EndpointReport::default();
-        let mut header = Vec::new();
+        let other: SocketAddr = "127.0.0.1:10".parse().unwrap();
+        let mut unicast = Vec::new();
+        FrameHeader::broadcast(NodeId(0)).encode(&mut unicast);
+        let mut group = Vec::new();
         let dests: Vec<FrameDest> = (0..8)
             .map(|endpoint| FrameDest {
                 endpoint,
                 incarnation: 0,
             })
             .collect();
-        FrameHeader::encode_list(NodeId(0), &dests, &mut header);
+        FrameHeader::encode_list(NodeId(0), &dests, &mut group);
         let body = data(1).to_bytes();
-        queue_frame(
-            &mut outbox,
-            &mut Vec::new(),
-            &mut report,
-            0,
-            addr,
-            &header,
-            8,
-            &body,
-        );
+        let mut outbox = VecDeque::new();
+        let mut report = EndpointReport::default();
+        for i in 0..OUTBOX_MAX {
+            let to = if i % 2 == 0 { other } else { addr };
+            queue(&mut outbox, &mut report, 0, to, &unicast, 1, &body);
+        }
         assert_eq!(outbox.len(), OUTBOX_MAX);
+        // What fits the newest datagram opens nothing and drops nothing:
+        // the same frame's next entry, and another sender's frame.
+        queue(&mut outbox, &mut report, 0, addr, &unicast, 1, &body);
+        queue(&mut outbox, &mut report, 1, addr, &group, 8, &body);
+        assert_eq!(frame_sizes(&outbox[OUTBOX_MAX - 1]), [2, 1]);
+        assert_eq!(report.backpressure_drops, 0);
+        // What cannot — another address, or no room left — would open a
+        // datagram, and is shed once per destination it would have reached.
+        queue(&mut outbox, &mut report, 0, other, &group, 8, &body);
         assert_eq!(report.backpressure_drops, 8);
-        // A unicast frame shed the same way is one drop, as before.
-        let mut unicast = Vec::new();
-        FrameHeader::broadcast(NodeId(0)).encode(&mut unicast);
-        queue_frame(
+        queue(
             &mut outbox,
-            &mut Vec::new(),
             &mut report,
             0,
             addr,
             &unicast,
             1,
-            &body,
+            &[0; COALESCE_BYTES],
         );
         assert_eq!(report.backpressure_drops, 9);
+        assert_eq!(outbox.len(), OUTBOX_MAX);
+    }
+
+    /// Sends samples `next..end` to `peer`, one per pass of a zero-delay
+    /// timer (so two of them on one worker take turns).
+    #[derive(Debug)]
+    struct Ticker {
+        peer: NodeId,
+        next: u64,
+        end: u64,
+    }
+
+    impl ProtocolCore for Ticker {
+        fn step(&mut self, input: Input<'_>, env: &mut Env<'_>) {
+            if matches!(input, Input::Start | Input::TimerFired { .. }) && self.next < self.end {
+                env.send(self.peer, 64, 1, ProcessingCost::FREE, data(self.next));
+                self.next += 1;
+                env.set_timer(Span::ZERO, 0);
+            }
+        }
+    }
+
+    /// Two [`Ticker`]s (`count` samples each, from 0 and from 1000) and the
+    /// [`Listener`] they send to, all on one socket of one worker.
+    fn two_tickers(seed: u64, count: u64) -> (MuxCluster, EndpointId) {
+        let cfg = MuxConfig::new(1).with_sockets_per_worker(1).with_seed(seed);
+        let mut cluster = MuxCluster::bind("127.0.0.1:0", cfg).unwrap();
+        let ticker = |next| Ticker {
+            peer: NodeId(2),
+            next,
+            end: next + count,
+        };
+        let a = cluster.add_endpoint(NodeId(0), ticker(0)).unwrap();
+        let b = cluster.add_endpoint(NodeId(1), ticker(1000)).unwrap();
+        let rx = cluster.add_endpoint(NodeId(2), Listener).unwrap();
+        cluster.add_peer(a, rx).unwrap();
+        cluster.add_peer(b, rx).unwrap();
+        (cluster, rx)
+    }
+
+    #[test]
+    fn two_senders_to_one_address_in_one_pass_share_a_datagram() {
+        let (mut cluster, rx) = two_tickers(36, 1);
+        cluster.run_for(Duration::from_millis(50)).unwrap();
+        assert_eq!(
+            cluster.report(rx).unwrap().delivered_seqs(),
+            BTreeSet::from([0, 1000])
+        );
+        let stats = cluster.stats();
+        assert_eq!(stats.datagrams_sent, 1);
+        assert_eq!(stats.datagrams_received, 1);
+        assert_eq!(stats.frames_received, 2);
+        assert_eq!(cluster.report(rx).unwrap().datagrams_received, 2);
+        let mut registry = MetricsRegistry::new();
+        cluster.fold_metrics("udp", &mut registry);
+        assert_eq!(registry.counter("udp/cluster/frames_received"), 2);
+    }
+
+    #[test]
+    fn interleaved_senders_arrive_in_per_sender_order() {
+        let (mut cluster, rx) = two_tickers(37, 64);
+        cluster.run_for(Duration::from_millis(100)).unwrap();
+        let heard = &cluster.report(rx).unwrap().delivered;
+        for first in [0, 1000] {
+            let from_one: Vec<u64> = heard
+                .iter()
+                .map(|&(seq, _, _)| seq)
+                .filter(|seq| (first..first + 64).contains(seq))
+                .collect();
+            assert_eq!(from_one, (first..first + 64).collect::<Vec<_>>());
+        }
+        let stats = cluster.stats();
+        assert_eq!(stats.frames_received, 128, "taking turns: a frame each");
+        assert!(stats.datagrams_sent < 128 / 2, "{stats:?}");
+        assert_eq!(stats.decode_errors + stats.header_drops, 0);
+    }
+
+    /// A frame from outside the cluster carrying sample `seq`, addressed to
+    /// `endpoint` at `incarnation`.
+    fn frame_for(endpoint: u32, incarnation: u32, seq: u64) -> Vec<u8> {
+        let mut frame = Vec::new();
+        FrameHeader {
+            src: NodeId(999),
+            dst_endpoint: endpoint,
+            dst_incarnation: incarnation,
+        }
+        .encode(&mut frame);
+        FrameHeader::encode_body_entry(&mut frame, &data(seq).to_bytes());
+        frame
+    }
+
+    #[test]
+    fn every_frame_of_a_packed_datagram_is_judged_on_its_own() {
+        let mut cluster = small_mux(1, 38);
+        let id = cluster.add_endpoint(NodeId(0), Listener).unwrap();
+        cluster.restart_endpoint(id, Listener).unwrap();
+        // An unknown endpoint, a stale incarnation, then a live frame.
+        let mut datagram = frame_for(999, ANY_INCARNATION, 1);
+        FrameHeader::encode_break(&mut datagram);
+        datagram.extend_from_slice(&frame_for(0, 0, 2));
+        FrameHeader::encode_break(&mut datagram);
+        datagram.extend_from_slice(&frame_for(0, 1, 3));
+        let probe = UdpSocket::bind("127.0.0.1:0").unwrap();
+        probe
+            .send_to(&datagram, cluster.endpoint_addr(id).unwrap())
+            .unwrap();
+        cluster.run_for(Duration::from_millis(50)).unwrap();
+        let stats = cluster.stats();
+        assert_eq!(stats.unknown_endpoint_drops, 1);
+        assert_eq!(stats.stale_drops, 1);
+        assert_eq!(
+            cluster.report(id).unwrap().delivered_seqs(),
+            BTreeSet::from([3])
+        );
+        assert_eq!((stats.datagrams_received, stats.frames_received), (1, 3));
+        assert_eq!(stats.header_drops + stats.decode_errors, 0);
+    }
+
+    #[test]
+    fn a_damaged_second_header_costs_only_what_follows_it() {
+        let mut cluster = small_mux(1, 39);
+        let id = cluster.add_endpoint(NodeId(0), Listener).unwrap();
+        let mut datagram = frame_for(0, 0, 1);
+        FrameHeader::encode_break(&mut datagram);
+        let second = datagram.len();
+        datagram.extend_from_slice(&frame_for(0, 0, 2));
+        datagram[second] ^= 0x40; // no such wire version
+        FrameHeader::encode_break(&mut datagram);
+        datagram.extend_from_slice(&frame_for(0, 0, 3));
+        let probe = UdpSocket::bind("127.0.0.1:0").unwrap();
+        probe
+            .send_to(&datagram, cluster.endpoint_addr(id).unwrap())
+            .unwrap();
+        cluster.run_for(Duration::from_millis(50)).unwrap();
+        let stats = cluster.stats();
+        assert_eq!(
+            cluster.report(id).unwrap().delivered_seqs(),
+            BTreeSet::from([1])
+        );
+        assert_eq!(stats.header_drops, 1);
+        assert_eq!((stats.datagrams_received, stats.frames_received), (1, 1));
+        assert_eq!(stats.decode_errors, 0);
     }
 
     #[test]
@@ -1857,10 +2019,11 @@ mod tests {
     #[test]
     fn a_burst_of_overdue_timers_is_fired_in_bounded_passes_and_sheds_nothing() {
         // 10 000 timers due at once, each one datagram (alternating
-        // listeners, so nothing coalesces) through one socket: fired in one
-        // go they overrun `OUTBOX_MAX`; fired a few batches per pass, with
-        // a flush and a drain in between, every sample arrives.
-        let cfg = MuxConfig::new(1).with_sockets_per_worker(1).with_seed(31);
+        // listeners at two addresses, so nothing packs) out of one socket:
+        // fired in one go they overrun `OUTBOX_MAX`; fired a few batches
+        // per pass, with a flush and a drain in between, every sample
+        // arrives.
+        let cfg = MuxConfig::new(1).with_sockets_per_worker(2).with_seed(31);
         let mut cluster = MuxCluster::bind("127.0.0.1:0", cfg).unwrap();
         let timers = 10_000;
         assert!(timers as usize > 2 * OUTBOX_MAX);
@@ -1871,26 +2034,13 @@ mod tests {
         }
         cluster.run_for(Duration::from_millis(300)).unwrap();
         let stats = cluster.stats();
+        assert_eq!(stats.datagrams_sent, timers);
         assert_eq!(stats.backpressure_drops, 0);
         assert_eq!(stats.delivered, timers);
         for (id, parity) in rx.into_iter().zip([0, 1]) {
             let want: BTreeSet<u64> = (0..timers).filter(|seq| seq % 2 == parity).collect();
             assert_eq!(cluster.report(id).unwrap().delivered_seqs(), want);
         }
-    }
-
-    /// A datagram from outside the cluster carrying sample `seq` for the
-    /// first incarnation of endpoint `to`.
-    fn probe_frame(to: EndpointId, seq: u64) -> Vec<u8> {
-        let mut frame = Vec::new();
-        FrameHeader {
-            src: NodeId(999),
-            dst_endpoint: to.0 as u32,
-            dst_incarnation: 0,
-        }
-        .encode(&mut frame);
-        FrameHeader::encode_body_entry(&mut frame, &data(seq).to_bytes());
-        frame
     }
 
     #[test]
@@ -1910,7 +2060,10 @@ mod tests {
         let rx = cluster.add_endpoint(NodeId(1), Listener).unwrap();
         let probe = UdpSocket::bind("127.0.0.1:0").unwrap();
         probe
-            .send_to(&probe_frame(rx, 7), cluster.endpoint_addr(rx).unwrap())
+            .send_to(
+                &frame_for(rx.0 as u32, 0, 7),
+                cluster.endpoint_addr(rx).unwrap(),
+            )
             .unwrap();
         // The window still ends on time, and the listener was served.
         let start = std::time::Instant::now();
@@ -1939,7 +2092,7 @@ mod tests {
             let addr = cluster.endpoint_addr(id).unwrap();
             addrs.insert(addr);
             probe
-                .send_to(&probe_frame(id, u64::from(node)), addr)
+                .send_to(&frame_for(node, 0, u64::from(node)), addr)
                 .unwrap();
             ids.push(id);
         }
