@@ -74,6 +74,14 @@ impl Scenario {
     /// Panics if the DDS layer rejects the session (cannot happen for the
     /// candidate protocols and their matching QoS profiles).
     pub fn run(&self, transport: TransportConfig) -> QosReport {
+        self.run_counted(transport).0
+    }
+
+    /// [`run`](Self::run), also returning how many simulator events the
+    /// run processed — the pinned reference cells compare both, so an
+    /// engine change that alters scheduling cannot hide behind an
+    /// unchanged report.
+    pub fn run_counted(&self, transport: TransportConfig) -> (QosReport, u64) {
         let qos = Self::qos_for(transport.kind);
         let mut participant = DomainParticipant::new(0, self.env.dds);
         let topic = participant
@@ -103,7 +111,7 @@ impl Scenario {
             SimDuration::from_secs_f64(self.samples as f64 / self.app.rate_hz as f64);
         let grace = SimDuration::from_secs(3);
         sim.run_until(adamant_netsim::SimTime::ZERO + publish_span + grace);
-        ant::collect_report(&sim, &handles)
+        (ant::collect_report(&sim, &handles), sim.events_processed())
     }
 
     /// Runs `repetitions` independent repetitions (consecutive seeds), as
