@@ -14,7 +14,7 @@ use adamant_bench::{measure, synthetic_dataset, write_perf_report, PerfReport, P
 use adamant_metrics::{Delivery, MetricKind, QosReport};
 use adamant_netsim::{
     Agent, Bandwidth, CalendarQueue, Ctx, HostConfig, LossModel, MachineClass, MemorySink,
-    NetworkConfig, OutPacket, Packet, SimDuration, SimTime, Simulation,
+    NetworkConfig, OutPacket, Packet, SimDriver, SimDuration, SimTime, Simulation,
 };
 use adamant_proto::wire::DataMsg;
 use adamant_proto::{
@@ -23,7 +23,7 @@ use adamant_proto::{
 use adamant_rt::{
     Cluster, ClusterConfig, Endpoint, MonotonicClock, MuxCluster, MuxConfig, RtConfig,
 };
-use adamant_transport::{NakcastReceiver, Tuning};
+use adamant_transport::{AppSpec, NakcastReceiver, NakcastSender, StackProfile, Tuning};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::any::Any;
 use std::hint::black_box;
@@ -481,6 +481,40 @@ fn bench_allocations(report: &mut PerfReport) {
         report.event_loop_steady_allocs, window_events
     );
 
+    // The same window through `SimDriver`: a NAKcast sender and three
+    // receivers at 10 kHz, loss-free. The raw agents above send the shared
+    // empty payload and arm no timer, so they bypass exactly what the
+    // driver adds — a payload per send and the token/id timer bridge.
+    const SAMPLES: u64 = 8_000;
+    let mut sim = Simulation::new(1).with_network(network);
+    let cfg = HostConfig::new(MachineClass::Pc3000, Bandwidth::GBPS_1);
+    let group = sim.create_group(&[]);
+    let app = AppSpec::at_rate(SAMPLES, 10_000.0, 12);
+    let sender = NakcastSender::new(app, StackProfile::new(10.0, 48), Tuning::default(), group)
+        .with_history_depth(256);
+    let tx = sim.add_node(cfg, SimDriver::new(sender));
+    sim.join_group(group, tx);
+    for _ in 0..3 {
+        let receiver =
+            NakcastReceiver::new(tx, SAMPLES, Span::from_millis(1), Tuning::default(), 0.0);
+        let rx = sim.add_node(cfg, SimDriver::new(receiver));
+        sim.join_group(group, rx);
+    }
+    sim.run_until(SimTime::from_millis(300));
+    let warmed_events = sim.events_processed();
+    let before = allocations();
+    sim.run_until(SimTime::from_millis(700));
+    report.event_loop_steady_allocs_driver = allocations() - before;
+    let window_events = sim.events_processed() - warmed_events;
+    assert!(
+        window_events > 20_000,
+        "the session must still be publishing"
+    );
+    println!(
+        "netsim_event_loop/steady_state_allocs_driver       {:>12} (over {} events)",
+        report.event_loop_steady_allocs_driver, window_events
+    );
+
     // Training: identical runs at 1 and 11 epochs; the difference isolates
     // ten warmed-up epochs from one-time scratch/state construction.
     let data = training_data();
@@ -651,6 +685,7 @@ fn main() {
         selections_per_sec_scalar: 0.0,
         endpoint_scaling: Vec::new(),
         event_loop_steady_allocs: 0,
+        event_loop_steady_allocs_driver: 0,
         training_epoch_allocs: 0,
         measurements: Vec::new(),
         phases: Vec::new(),

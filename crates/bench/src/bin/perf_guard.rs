@@ -29,6 +29,11 @@
 //! amortization claim of `select_batch`, again gated structurally so a
 //! slow runner cannot mask the batch path collapsing to per-call cost.
 //!
+//! Finally, both steady-state allocation counts of the event loop
+//! (`event_loop_steady_allocs` for raw agents, `event_loop_steady_allocs_driver`
+//! for protocol cores behind `SimDriver`) must read exactly 0: they are
+//! counts, not timings, so there is no budget to speak of.
+//!
 //! Exit codes: 0 = within budget, 1 = regression, 2 = usage/parse error.
 //! Thresholds are deliberately loose; the guard exists to catch
 //! structural regressions (an accidentally quadratic queue, a per-event
@@ -151,13 +156,35 @@ fn check_batch_speedup(candidate: &Json) -> Result<bool, String> {
     Ok(true)
 }
 
+/// The event loop's steady-state allocation counts, each of which must be 0.
+const ZERO_ALLOC_FIELDS: &[&str] = &[
+    "event_loop_steady_allocs",
+    "event_loop_steady_allocs_driver",
+];
+
+fn check_zero_allocs(candidate: &Json) -> Result<bool, String> {
+    let mut ok = true;
+    for &name in ZERO_ALLOC_FIELDS {
+        let allocs = candidate
+            .field::<u64>(name)
+            .map_err(|e| format!("candidate: {e}"))?;
+        println!("perf guard: {name} {allocs} (must be 0)");
+        if allocs != 0 {
+            eprintln!("perf guard FAILED: {name} is {allocs}: the warmed event loop allocates");
+            ok = false;
+        }
+    }
+    Ok(ok)
+}
+
 fn run(baseline_path: &str, candidate_path: &str) -> Result<bool, String> {
     let baseline = load(baseline_path)?;
     let candidate = load(candidate_path)?;
     let metrics_ok = check_metrics(&baseline, &candidate)?;
     let scaling_ok = check_scaling(&candidate)?;
     let batch_ok = check_batch_speedup(&candidate)?;
-    Ok(metrics_ok && scaling_ok && batch_ok)
+    let allocs_ok = check_zero_allocs(&candidate)?;
+    Ok(metrics_ok && scaling_ok && batch_ok && allocs_ok)
 }
 
 fn main() {

@@ -181,6 +181,10 @@ pub struct PerfReport {
     /// Heap allocations observed during a steady-state window of the event
     /// loop (after warm-up). The allocation-free hot path keeps this at 0.
     pub event_loop_steady_allocs: u64,
+    /// The same window with protocol cores behind `SimDriver` (a NAKcast
+    /// sender and three receivers, loss-free): payload pooling and the
+    /// timer bridge keep this at 0 too.
+    pub event_loop_steady_allocs_driver: u64,
     /// Heap allocations per warmed-up ANN training epoch.
     pub training_epoch_allocs: u64,
     /// Every per-iteration measurement taken.
@@ -244,6 +248,10 @@ impl ToJson for PerfReport {
             (
                 "event_loop_steady_allocs".to_owned(),
                 Json::Num(self.event_loop_steady_allocs as f64),
+            ),
+            (
+                "event_loop_steady_allocs_driver".to_owned(),
+                Json::Num(self.event_loop_steady_allocs_driver as f64),
             ),
             (
                 "training_epoch_allocs".to_owned(),
@@ -388,6 +396,7 @@ mod tests {
                 busy_polls: 12,
             }],
             event_loop_steady_allocs: 0,
+            event_loop_steady_allocs_driver: 0,
             training_epoch_allocs: 0,
             measurements: vec![BenchMeasurement {
                 name: "x/y".to_owned(),
@@ -416,6 +425,7 @@ mod tests {
         assert_eq!(scaling[0].field::<u64>("endpoints"), Ok(100_000));
         assert_eq!(scaling[0].field::<u64>("busy_polls"), Ok(12));
         assert_eq!(json.field::<u64>("event_loop_steady_allocs"), Ok(0));
+        assert_eq!(json.field::<u64>("event_loop_steady_allocs_driver"), Ok(0));
         assert_eq!(json.field::<u64>("training_epoch_allocs"), Ok(0));
         assert_eq!(
             json.get("phase_wall_ns").unwrap().field::<u64>("warm"),

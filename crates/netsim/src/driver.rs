@@ -10,14 +10,19 @@
 //! hand-written agent would have: same timer-slot allocation order, same
 //! rng draw order, same trace — byte-identical golden traces.
 //!
-//! Timer identity is bridged by a bidirectional map between the core's
-//! [`TimerToken`]s (a per-core counter) and the engine's [`TimerId`]s
-//! (generation-tagged table slots). Both directions are dropped when a
-//! timer fires or is cancelled, so the maps stay bounded by the number of
-//! *pending* timers.
+//! Timer identity is bridged by one small list of pending
+//! `(`[`TimerToken`]`, `[`TimerId`]`)` pairs — the core's per-core counter
+//! against the engine's generation-tagged table slot — searched linearly
+//! in either direction. A pair is dropped when its timer fires or is
+//! cancelled, so the list stays bounded by the number of *pending* timers
+//! (a handful per core), which is why a scan beats two hash maps.
+//!
+//! Outgoing messages are handed to the engine through a
+//! [`PacketArena`] the driver owns: once a payload's copies have all been
+//! delivered its allocation carries the next message, so steady-state
+//! sending allocates nothing.
 
 use std::any::Any;
-use std::collections::HashMap;
 use std::mem;
 
 use adamant_proto::{Effect, Env, Input, ProtoEvent, ProtocolCore, TimerToken, WireMsg};
@@ -25,7 +30,7 @@ use adamant_proto::{Effect, Env, Input, ProtoEvent, ProtocolCore, TimerToken, Wi
 use crate::agent::{Agent, Ctx};
 use crate::event::TimerId;
 use crate::obs::ObsEvent;
-use crate::packet::{NodeId, OutPacket, Packet};
+use crate::packet::{NodeId, OutPacket, Packet, PacketArena};
 
 /// Runs a [`ProtocolCore`] on a simulated host.
 ///
@@ -37,8 +42,10 @@ use crate::packet::{NodeId, OutPacket, Packet};
 pub struct SimDriver<C: ProtocolCore> {
     core: C,
     next_timer: u64,
-    token_to_id: HashMap<TimerToken, TimerId>,
-    id_to_token: HashMap<TimerId, TimerToken>,
+    /// Armed timers that have neither fired nor been cancelled.
+    pending: Vec<(TimerToken, TimerId)>,
+    /// Recycles payload allocations across sends.
+    arena: PacketArena<WireMsg>,
     /// Reused across callbacks so steady-state pumping allocates nothing.
     effects: Vec<Effect>,
 }
@@ -49,8 +56,8 @@ impl<C: ProtocolCore> SimDriver<C> {
         SimDriver {
             core,
             next_timer: 0,
-            token_to_id: HashMap::new(),
-            id_to_token: HashMap::new(),
+            pending: Vec::new(),
+            arena: PacketArena::new(),
             effects: Vec::new(),
         }
     }
@@ -90,17 +97,20 @@ impl<C: ProtocolCore> SimDriver<C> {
                     cost,
                     msg,
                 } => {
-                    ctx.send(dst, OutPacket::new(size_bytes, msg).tag(tag).cost(cost));
+                    let payload = self.arena.alloc(msg);
+                    ctx.send(
+                        dst,
+                        OutPacket::from_shared(size_bytes, payload)
+                            .tag(tag)
+                            .cost(cost),
+                    );
                 }
                 Effect::SetTimer { token, delay, tag } => {
-                    let id = ctx.set_timer(delay, tag);
-                    self.token_to_id.insert(token, id);
-                    self.id_to_token.insert(id, token);
+                    self.pending.push((token, ctx.set_timer(delay, tag)));
                 }
                 Effect::CancelTimer { token } => {
-                    if let Some(id) = self.token_to_id.remove(&token) {
-                        self.id_to_token.remove(&id);
-                        ctx.cancel_timer(id);
+                    if let Some(at) = self.pending.iter().position(|&(t, _)| t == token) {
+                        ctx.cancel_timer(self.pending.swap_remove(at).1);
                     }
                 }
                 // Delivery bookkeeping (reception logs, latency records) is
@@ -136,13 +146,13 @@ impl<C: ProtocolCore> Agent for SimDriver<C> {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: TimerId, tag: u64) {
-        // A fired timer the map does not know was armed before this driver
-        // wrapped the core (impossible today) or already translated — the
-        // engine never double-fires, so simply drop unknowns.
-        let Some(token) = self.id_to_token.remove(&timer) else {
+        // A fired timer the bridge does not know was armed before this
+        // driver wrapped the core (impossible today) or already translated
+        // — the engine never double-fires, so simply drop unknowns.
+        let Some(at) = self.pending.iter().position(|&(_, id)| id == timer) else {
             return;
         };
-        self.token_to_id.remove(&token);
+        let (token, _) = self.pending.swap_remove(at);
         self.pump(ctx, Input::TimerFired { token, tag });
     }
 
@@ -363,6 +373,112 @@ mod tests {
         let core = sim.agent::<CancelOnPacket>(victim).expect("downcast");
         assert!(core.pending.is_none(), "packet arrived before the timer");
         assert!(!core.fired, "cancelled timer must not fire");
+    }
+
+    /// Arms, cancels and re-arms timers on every firing.
+    struct Storm {
+        held: Vec<TimerToken>,
+        fired: u32,
+        budget: u32,
+    }
+
+    impl ProtocolCore for Storm {
+        fn step(&mut self, input: Input<'_>, env: &mut Env<'_>) {
+            match input {
+                Input::Start => {
+                    for i in 0..8 {
+                        self.held.push(env.set_timer(Span::from_micros(10 + i), i));
+                    }
+                }
+                Input::TimerFired { token, .. } => {
+                    self.fired += 1;
+                    self.held.retain(|&t| t != token);
+                    // Cancel one survivor (and, now and then, a token that
+                    // already fired: a no-op the bridge must shrug off).
+                    if let Some(victim) = self.held.pop() {
+                        env.cancel_timer(victim);
+                    }
+                    if self.fired.is_multiple_of(3) {
+                        env.cancel_timer(token);
+                    }
+                    while self.budget > 0 && self.held.len() < 6 {
+                        self.budget -= 1;
+                        let delay = Span::from_micros(1 + u64::from(self.budget % 5));
+                        self.held.push(env.set_timer(delay, 0));
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn fire_cancel_storm_leaves_the_bridge_empty() {
+        use crate::agent::Command;
+        use crate::event::TimerTable;
+        use crate::rng::SimRng;
+        use crate::time::SimTime;
+
+        let mut driver = SimDriver::new(Storm {
+            held: Vec::new(),
+            fired: 0,
+            budget: 500,
+        });
+        let mut rng = SimRng::seed_from_u64(1);
+        let mut timers = TimerTable::new();
+        let mut commands = Vec::new();
+        // The engine's side of the contract: timers armed and not yet
+        // fired or cancelled, in arming order.
+        let mut live: Vec<(TimerId, u64)> = Vec::new();
+        let mut firing = None;
+        let mut rounds = 0;
+        loop {
+            {
+                let mut ctx = Ctx {
+                    now: SimTime::from_micros(rounds),
+                    node: NodeId(0),
+                    machine: MachineClass::Pc3000,
+                    rng: &mut rng,
+                    groups: &[],
+                    commands: &mut commands,
+                    timers: &mut timers,
+                    obs: false,
+                };
+                match firing {
+                    None => driver.on_start(&mut ctx),
+                    Some((id, tag)) => driver.on_timer(&mut ctx, id, tag),
+                }
+            }
+            for command in commands.drain(..) {
+                match command {
+                    Command::SetTimer { id, tag, .. } => live.push((id, tag)),
+                    Command::CancelTimer { id } => {
+                        live.retain(|&(l, _)| l != id);
+                        // What the engine does, now and when the event pops.
+                        timers.cancel(id);
+                        assert!(!timers.fire(id), "a cancelled timer fired");
+                    }
+                    other => panic!("unexpected command {other:?}"),
+                }
+            }
+            assert_eq!(
+                driver.pending.len(),
+                live.len(),
+                "bridge tracks pending timers"
+            );
+            if live.is_empty() {
+                break;
+            }
+            // Fire out of arming order, as deadlines would.
+            let (id, tag) = live.remove(rounds as usize * 7 % live.len());
+            assert!(timers.fire(id));
+            firing = Some((id, tag));
+            rounds += 1;
+        }
+        assert!(driver.pending.is_empty());
+        assert_eq!(driver.core().budget, 0, "the storm ran its course");
+        assert!(driver.core().fired > 100);
+        assert_eq!(timers.armed(), 0);
     }
 
     #[test]

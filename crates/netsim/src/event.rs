@@ -28,10 +28,11 @@ pub struct TimerId(pub(crate) u64);
 #[derive(Debug)]
 pub(crate) enum EventKind {
     /// A packet copy has reached the receiver's switch port and now
-    /// contends for its ingress NIC and CPU (in arrival order).
-    Ingress { node: NodeId, packet: Packet },
+    /// contends for its ingress NIC and CPU (in arrival order). The copy
+    /// itself waits in the engine's [`PacketSlab`] at `slot`.
+    Ingress { node: NodeId, slot: u32 },
     /// Deliver a packet to a node's agent (all pipeline delays already paid).
-    Deliver { node: NodeId, packet: Packet },
+    Deliver { node: NodeId, slot: u32 },
     /// Fire a timer on a node's agent.
     Timer {
         node: NodeId,
@@ -52,6 +53,10 @@ pub(crate) struct Event {
     pub epoch: u32,
     pub kind: EventKind,
 }
+
+// The queue moves its payload on push, per-bucket sort and pop: with the
+// calendar's `(time, seq)` key an entry must stay within one cache line.
+const _: () = assert!(std::mem::size_of::<(u32, EventKind)>() <= 32);
 
 /// A deterministic min-priority queue of simulation events, backed by a
 /// [`CalendarQueue`] keyed on nanosecond timestamps.
@@ -101,6 +106,44 @@ impl EventQueue {
     #[cfg_attr(not(test), allow(dead_code))]
     pub fn is_empty(&self) -> bool {
         self.calendar.is_empty()
+    }
+}
+
+/// Every packet copy in flight, parked between `transmit` and delivery so
+/// queue events carry a `u32` slot instead of a 64-byte [`Packet`]. Freed
+/// slots are reused LIFO; the slab never shrinks, so it is bounded by the
+/// peak number of copies in flight.
+#[derive(Debug, Default)]
+pub(crate) struct PacketSlab {
+    slots: Vec<Option<Packet>>,
+    free: Vec<u32>,
+}
+
+impl PacketSlab {
+    /// Parks `packet` and returns its slot.
+    pub fn put(&mut self, packet: Packet) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(packet);
+                slot
+            }
+            None => {
+                assert!(self.slots.len() < u32::MAX as usize, "packet slab full");
+                self.slots.push(Some(packet));
+                (self.slots.len() - 1) as u32
+            }
+        }
+    }
+
+    /// The copy parked at `slot`.
+    pub fn get(&self, slot: u32) -> &Packet {
+        self.slots[slot as usize].as_ref().expect("live slot")
+    }
+
+    /// Removes the copy parked at `slot`, freeing the slot.
+    pub fn take(&mut self, slot: u32) -> Packet {
+        self.free.push(slot);
+        self.slots[slot as usize].take().expect("live slot")
     }
 }
 
@@ -196,6 +239,25 @@ mod tests {
         EventKind::Start { node: NodeId(node) }
     }
 
+    impl PacketSlab {
+        /// Copies currently parked. Shared with the engine's own tests.
+        pub(crate) fn live(&self) -> usize {
+            self.slots.len() - self.free.len()
+        }
+
+        /// Panics unless every slot is either parked or on the free list,
+        /// once.
+        pub(crate) fn assert_consistent(&self) {
+            let parked = self.slots.iter().filter(|s| s.is_some()).count();
+            assert_eq!(parked, self.live(), "a slot is neither parked nor free");
+            let mut free = self.free.clone();
+            free.sort_unstable();
+            free.dedup();
+            assert_eq!(free.len(), self.free.len(), "a slot was freed twice");
+            assert!(free.iter().all(|&s| self.slots[s as usize].is_none()));
+        }
+    }
+
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
@@ -279,6 +341,29 @@ mod tests {
             })
             .collect();
         assert_eq!(order, vec![1, 3, 2]);
+    }
+
+    #[test]
+    fn packet_slab_reuses_freed_slots() {
+        use crate::packet::{Destination, OutPacket};
+        let out = OutPacket::empty(64);
+        let copy =
+            |wire_id| Packet::from_out(&out, NodeId(0), Destination::Node(NodeId(1)), wire_id);
+        let mut slab = PacketSlab::default();
+        let a = slab.put(copy(1));
+        let b = slab.put(copy(2));
+        assert_eq!((a, b, slab.live()), (0, 1, 2));
+        assert_eq!(slab.get(b).wire_id, 2);
+        assert_eq!(slab.take(a).wire_id, 1);
+        slab.assert_consistent();
+        // The freed slot is handed out again before the slab grows.
+        assert_eq!(slab.put(copy(3)), a);
+        assert_eq!(slab.put(copy(4)), 2);
+        for slot in [a, b, 2] {
+            slab.take(slot);
+        }
+        assert_eq!(slab.live(), 0);
+        slab.assert_consistent();
     }
 
     #[test]

@@ -189,7 +189,6 @@ pub fn empty_payload() -> Payload {
 #[derive(Debug)]
 pub struct PacketArena<T: Any + Send + Sync> {
     pool: VecDeque<Arc<T>>,
-    capacity: usize,
 }
 
 impl<T: Any + Send + Sync> Default for PacketArena<T> {
@@ -199,21 +198,14 @@ impl<T: Any + Send + Sync> Default for PacketArena<T> {
 }
 
 impl<T: Any + Send + Sync> PacketArena<T> {
-    /// Default number of payloads the pool retains.
-    const DEFAULT_CAPACITY: usize = 64;
+    /// Payloads the pool retains at most. Bounds pool memory; allocations
+    /// beyond it still succeed but are not recycled.
+    const CAPACITY: usize = 64;
 
-    /// Creates a pool retaining up to 64 payloads.
+    /// Creates an empty pool (no allocation until the first payload).
     pub fn new() -> Self {
-        Self::with_capacity(Self::DEFAULT_CAPACITY)
-    }
-
-    /// Creates a pool retaining up to `capacity` payloads. The capacity
-    /// bounds pool memory; allocations beyond it still succeed but are not
-    /// recycled.
-    pub fn with_capacity(capacity: usize) -> Self {
         PacketArena {
-            pool: VecDeque::with_capacity(capacity),
-            capacity,
+            pool: VecDeque::new(),
         }
     }
 
@@ -233,15 +225,10 @@ impl<T: Any + Send + Sync> PacketArena<T> {
         }
         let arc = Arc::new(value);
         let payload: Payload = arc.clone();
-        if self.pool.len() < self.capacity {
+        if self.pool.len() < Self::CAPACITY {
             self.pool.push_back(arc);
         }
         payload
-    }
-
-    /// Number of payloads currently retained by the pool.
-    pub fn pooled(&self) -> usize {
-        self.pool.len()
     }
 }
 
@@ -295,10 +282,10 @@ mod tests {
 
     #[test]
     fn arena_recycles_released_payloads() {
-        let mut arena = PacketArena::<u64>::with_capacity(4);
+        let mut arena = PacketArena::<u64>::new();
         let first = arena.alloc(1);
         let first_ptr = Arc::as_ptr(&first) as *const u64;
-        assert_eq!(arena.pooled(), 1);
+        assert_eq!(arena.pool.len(), 1);
         // Still leased: the next alloc cannot reuse it.
         let second = arena.alloc(2);
         assert_ne!(Arc::as_ptr(&second) as *const u64, first_ptr);
@@ -308,14 +295,15 @@ mod tests {
         let third = arena.alloc(3);
         assert_eq!(Arc::as_ptr(&third) as *const u64, first_ptr);
         assert_eq!(third.downcast_ref::<u64>(), Some(&3));
-        assert_eq!(arena.pooled(), 2, "reuse must not grow the pool");
+        assert_eq!(arena.pool.len(), 2, "reuse must not grow the pool");
     }
 
     #[test]
     fn arena_capacity_bounds_pool_growth() {
-        let mut arena = PacketArena::<u64>::with_capacity(2);
-        let leases: Vec<_> = (0..5).map(|i| arena.alloc(i)).collect();
-        assert_eq!(arena.pooled(), 2);
+        let mut arena = PacketArena::<u64>::new();
+        let capacity = PacketArena::<u64>::CAPACITY;
+        let leases: Vec<_> = (0..capacity as u64 + 5).map(|i| arena.alloc(i)).collect();
+        assert_eq!(arena.pool.len(), capacity);
         drop(leases);
         let reused = arena.alloc(99);
         assert_eq!(reused.downcast_ref::<u64>(), Some(&99));

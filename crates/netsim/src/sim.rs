@@ -1,7 +1,7 @@
 //! The discrete-event simulation engine.
 
 use crate::agent::{Agent, Command, Ctx};
-use crate::event::{EventKind, EventQueue, TimerId, TimerTable};
+use crate::event::{EventKind, EventQueue, PacketSlab, TimerId, TimerTable};
 use crate::host::{Bandwidth, HostConfig, HostState};
 use crate::loss::{ChannelState, LossModel};
 use crate::obs::{DropReason, MemorySink, ObsEvent, TraceSink, TracedEvent};
@@ -103,6 +103,9 @@ pub struct Simulation {
     /// released lazily when the timer's queued event pops (live or dead
     /// incarnation alike), so crashes need no pruning scan.
     timers: TimerTable,
+    /// Every packet copy between `transmit` and its delivery (or its
+    /// dead-epoch drop); queue events name copies by slot.
+    packets: PacketSlab,
     /// Reused across dispatches so steady-state agent callbacks append
     /// into warm capacity instead of allocating a fresh command vector.
     command_buf: Vec<Command>,
@@ -151,6 +154,7 @@ impl Simulation {
             stats: WireStats::new(),
             network: NetworkConfig::default(),
             timers: TimerTable::new(),
+            packets: PacketSlab::default(),
             command_buf: Vec::new(),
             fanout_buf: Vec::new(),
             channel_states: Vec::new(),
@@ -408,37 +412,45 @@ impl Simulation {
             // was scheduled: it belongs to a dead incarnation. A packet
             // copy still counts as traffic that hit a downed NIC; timers
             // and deliveries of the old incarnation vanish silently.
-            if let EventKind::Timer { timer, .. } = &event.kind {
+            match event.kind {
                 // Release the dead incarnation's slot so crashed nodes
                 // never leak timer-table entries.
-                self.timers.fire(*timer);
+                EventKind::Timer { timer, .. } => {
+                    self.timers.fire(timer);
+                }
+                EventKind::Ingress { slot, .. } => {
+                    let packet = self.packets.take(slot);
+                    self.stats.record_crash_drop(packet.tag);
+                    self.trace.record(TraceEvent {
+                        time: self.now,
+                        kind: TraceKind::CrashDropped,
+                        node: target,
+                        tag: packet.tag,
+                        wire_id: packet.wire_id,
+                        size_bytes: packet.size_bytes,
+                    });
+                    self.obs_emit(self.now, || ObsEvent::PacketDropped {
+                        node: target,
+                        tag: packet.tag,
+                        wire_id: packet.wire_id,
+                        reason: DropReason::Crash,
+                    });
+                    return true;
+                }
+                // Frees the slab slot; the copy itself vanishes silently.
+                EventKind::Deliver { slot, .. } => drop(self.packets.take(slot)),
+                EventKind::Start { .. } => {}
             }
-            if let EventKind::Ingress { node, packet } = &event.kind {
-                self.stats.record_crash_drop(packet.tag);
-                self.trace.record(TraceEvent {
-                    time: self.now,
-                    kind: TraceKind::CrashDropped,
-                    node: *node,
-                    tag: packet.tag,
-                    wire_id: packet.wire_id,
-                    size_bytes: packet.size_bytes,
-                });
-                let (node, tag, wire_id) = (*node, packet.tag, packet.wire_id);
-                self.obs_emit(self.now, || ObsEvent::PacketDropped {
-                    node,
-                    tag,
-                    wire_id,
-                    reason: DropReason::Crash,
-                });
-            } else {
-                self.obs_emit(self.now, || ObsEvent::EpochDropped { node: target });
-            }
+            self.obs_emit(self.now, || ObsEvent::EpochDropped { node: target });
             return true;
         }
         match event.kind {
             EventKind::Start { node } => self.dispatch(node, AgentCall::Start),
-            EventKind::Ingress { node, packet } => self.ingress(node, packet),
-            EventKind::Deliver { node, packet } => self.dispatch(node, AgentCall::Packet(packet)),
+            EventKind::Ingress { node, slot } => self.ingress(node, slot),
+            EventKind::Deliver { node, slot } => {
+                let packet = self.packets.take(slot);
+                self.dispatch(node, AgentCall::Packet(packet));
+            }
             EventKind::Timer { node, timer, tag } => {
                 if self.timers.fire(timer) {
                     self.dispatch(node, AgentCall::Timer(timer, tag));
@@ -616,7 +628,7 @@ impl Simulation {
             let at_port = at_switch + self.hosts[target.index()].config.uplink_delay;
             // Each copy clones the payload handle (an `Arc`), never the
             // payload bytes — multicast fan-out is O(targets) refcounts.
-            let packet = Packet::from_out(&out, from, dst, wire_id);
+            let slot = self.packets.put(Packet::from_out(&out, from, dst, wire_id));
             self.obs_emit(self.now, || ObsEvent::PacketEnqueued {
                 node: target,
                 tag: out.tag,
@@ -625,10 +637,7 @@ impl Simulation {
             self.queue.schedule(
                 at_port,
                 self.epochs[target.index()],
-                EventKind::Ingress {
-                    node: target,
-                    packet,
-                },
+                EventKind::Ingress { node: target, slot },
             );
         }
         targets.clear();
@@ -637,37 +646,36 @@ impl Simulation {
 
     /// Receiver half of the delivery pipeline, run at switch-port arrival
     /// time: ingress serialization, then CPU, then agent delivery.
-    fn ingress(&mut self, target: NodeId, packet: Packet) {
+    fn ingress(&mut self, target: NodeId, slot: u32) {
+        // Read in place: the copy stays parked until `Deliver` takes it.
+        let packet = self.packets.get(slot);
+        let (tag, wire_id, size_bytes) = (packet.tag, packet.wire_id, packet.size_bytes);
         let contention = self.cpu_contention[target.index()];
         let contended_rx = packet.cost.rx.scale(contention);
         let host = &mut self.hosts[target.index()];
-        let ingress_done = host.occupy_ingress(self.now, packet.size_bytes);
+        let ingress_done = host.occupy_ingress(self.now, size_bytes);
         let rx_cost = contended_rx.scale(host.config.cpu_scale());
         let rx_done = host.occupy_cpu_scaled(ingress_done, rx_cost);
         self.cpu_busy[target.index()] += rx_cost;
-        self.stats
-            .record_delivery(target, packet.tag, packet.size_bytes, rx_done);
+        self.stats.record_delivery(target, tag, size_bytes, rx_done);
         self.trace.record(TraceEvent {
             time: rx_done,
             kind: TraceKind::Delivered,
             node: target,
-            tag: packet.tag,
-            wire_id: packet.wire_id,
-            size_bytes: packet.size_bytes,
+            tag,
+            wire_id,
+            size_bytes,
         });
         self.obs_emit(rx_done, || ObsEvent::PacketDelivered {
             node: target,
-            tag: packet.tag,
-            wire_id: packet.wire_id,
-            size_bytes: packet.size_bytes,
+            tag,
+            wire_id,
+            size_bytes,
         });
         self.queue.schedule(
             rx_done,
             self.epochs[target.index()],
-            EventKind::Deliver {
-                node: target,
-                packet,
-            },
+            EventKind::Deliver { node: target, slot },
         );
     }
 
@@ -1285,6 +1293,78 @@ mod tests {
         let mut sim = Simulation::new(1);
         let a = sim.add_node(gbit_host(), Recorder::new());
         sim.restart_node(a, Box::new(Recorder::new()));
+    }
+
+    #[test]
+    fn quiescence_leaves_no_packet_in_the_slab() {
+        let mut sim = Simulation::new(9).with_network(NetworkConfig {
+            propagation: SimDuration::from_micros(50),
+            loss: LossModel::Bernoulli(0.3),
+        });
+        let cfg = gbit_host();
+        let members: Vec<NodeId> = (0..4).map(|_| sim.add_node(cfg, Recorder::new())).collect();
+        let group = sim.create_group(&members);
+        sim.add_node(
+            cfg,
+            Blaster {
+                dst: group.into(),
+                count: 50,
+                size: 200,
+                cost: crate::ProcessingCost::symmetric(SimDuration::from_micros(3)),
+            },
+        );
+        sim.run_until(SimTime::from_micros(60));
+        assert!(sim.packets.live() > 0, "copies are parked mid-run");
+        sim.packets.assert_consistent();
+        sim.run();
+        assert_eq!(sim.packets.live(), 0);
+        sim.packets.assert_consistent();
+        let delivered: usize = members
+            .iter()
+            .map(|&m| sim.agent::<Recorder>(m).unwrap().arrivals.len())
+            .sum();
+        assert_eq!(delivered as u64, sim.stats().tag(0).deliveries);
+    }
+
+    #[test]
+    fn crash_frees_slots_of_pending_ingress_and_pending_deliver() {
+        let mut sim = Simulation::new(1);
+        let rx = sim.add_node(gbit_host(), Recorder::new());
+        sim.add_node(
+            gbit_host(),
+            Blaster {
+                dst: rx.into(),
+                count: 5,
+                size: 1_250, // 10 µs on the wire
+                cost: crate::ProcessingCost::new(SimDuration::ZERO, SimDuration::from_micros(100)),
+            },
+        );
+        // Copy k reaches the port at 60 + 10k µs and then queues for a
+        // 100 µs CPU: at 75 µs two copies wait for `Deliver` (170, 270 µs)
+        // and three for `Ingress` (80, 90, 100 µs).
+        sim.run_until(SimTime::from_micros(75));
+        assert_eq!(sim.stats().tag(0).deliveries, 2, "two ingressed");
+        assert_eq!(sim.packets.live(), 5);
+        sim.crash_node(rx);
+        sim.run();
+        assert_eq!(sim.packets.live(), 0, "a crash leaked a slot");
+        sim.packets.assert_consistent();
+        assert_eq!(sim.stats().tag(0).crash_drops, 3);
+        // The slots are reusable: a restarted host receives normally.
+        sim.restart_node(rx, Box::new(Recorder::new()));
+        sim.add_node(
+            gbit_host(),
+            Blaster {
+                dst: rx.into(),
+                count: 5,
+                size: 100,
+                cost: crate::ProcessingCost::FREE,
+            },
+        );
+        sim.run();
+        assert_eq!(sim.agent::<Recorder>(rx).unwrap().arrivals.len(), 5);
+        assert_eq!(sim.packets.live(), 0);
+        sim.packets.assert_consistent();
     }
 
     #[test]

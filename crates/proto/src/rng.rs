@@ -171,10 +171,19 @@ impl DetRng {
     ///
     /// If `k >= n`, all indices are returned (shuffled).
     pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..n).collect();
-        self.shuffle(&mut idx);
-        idx.truncate(k.min(n));
+        let mut idx = Vec::new();
+        self.sample_indices_into(n, k, &mut idx);
         idx
+    }
+
+    /// [`sample_indices`](Self::sample_indices) into a caller-owned buffer
+    /// (cleared first), so a hot path can draw without allocating. Same
+    /// draws, same result.
+    pub fn sample_indices_into(&mut self, n: usize, k: usize, out: &mut Vec<usize>) {
+        out.clear();
+        out.extend(0..n);
+        self.shuffle(out);
+        out.truncate(k.min(n));
     }
 }
 
@@ -200,7 +209,15 @@ pub trait Entropy {
     fn bernoulli(&mut self, p: f64) -> bool;
 
     /// Draws `k` distinct indices from `0..n`, in random order.
-    fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize>;
+    fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
+        let mut out = Vec::new();
+        self.sample_indices_into(n, k, &mut out);
+        out
+    }
+
+    /// [`sample_indices`](Self::sample_indices) into a caller-owned buffer
+    /// (cleared first): the same draws without the allocation.
+    fn sample_indices_into(&mut self, n: usize, k: usize, out: &mut Vec<usize>);
 }
 
 impl Entropy for DetRng {
@@ -220,8 +237,8 @@ impl Entropy for DetRng {
         DetRng::bernoulli(self, p)
     }
 
-    fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
-        DetRng::sample_indices(self, n, k)
+    fn sample_indices_into(&mut self, n: usize, k: usize, out: &mut Vec<usize>) {
+        DetRng::sample_indices_into(self, n, k, out)
     }
 }
 
@@ -389,5 +406,8 @@ mod tests {
         assert_eq!(direct.next_below(17), via.next_below(17));
         assert_eq!(direct.bernoulli(0.4), via.bernoulli(0.4));
         assert_eq!(direct.sample_indices(9, 4), via.sample_indices(9, 4));
+        let mut reused = vec![99; 3];
+        via.sample_indices_into(9, 4, &mut reused);
+        assert_eq!(direct.sample_indices(9, 4), reused);
     }
 }

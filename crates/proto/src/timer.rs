@@ -85,6 +85,10 @@ const DEFAULT_BUCKETS: usize = 1024;
 ///
 /// All bucket storage is recycled between drains: once warmed up, a
 /// steady-state push/pop workload performs **zero heap allocations**.
+/// A drained buffer is lent to whichever bucket next needs one rather than
+/// left in its own slot, so warming up costs one allocation per bucket that
+/// is non-empty *at the same time*, not one per slot ever touched — a short
+/// sparse run (one simulated cell) allocates a handful, not a ring's worth.
 #[derive(Debug)]
 pub struct CalendarQueue<T> {
     /// log2 of the bucket width in timestamp units.
@@ -101,8 +105,9 @@ pub struct CalendarQueue<T> {
     ring_len: usize,
     /// Entries at least a full ring beyond the cursor.
     overflow: BinaryHeap<std::cmp::Reverse<Entry<T>>>,
-    /// Recycled bucket storage, swapped into a bucket when it is drained.
-    spare: Vec<Entry<T>>,
+    /// Recycled bucket storage: a drained run's buffer waits here until a
+    /// push lands in a bucket that owns none.
+    spares: Vec<Vec<Entry<T>>>,
     next_seq: u64,
     len: usize,
 }
@@ -142,7 +147,7 @@ impl<T> CalendarQueue<T> {
             buckets: std::iter::repeat_with(Vec::new).take(buckets).collect(),
             ring_len: 0,
             overflow: BinaryHeap::new(),
-            spare: Vec::new(),
+            spares: Vec::new(),
             next_seq: 0,
             len: 0,
         }
@@ -170,8 +175,7 @@ impl<T> CalendarQueue<T> {
             let idx = self.active.partition_point(|e| e.key() < (time, seq));
             self.active.insert(idx, entry);
         } else if abs - self.cursor <= self.mask {
-            self.buckets[(abs & self.mask) as usize].push(entry);
-            self.ring_len += 1;
+            self.push_ring(abs, entry);
         } else {
             self.overflow.push(std::cmp::Reverse(entry));
         }
@@ -253,23 +257,35 @@ impl<T> CalendarQueue<T> {
             }
             debug_assert!(abs >= self.cursor);
             let std::cmp::Reverse(entry) = self.overflow.pop().expect("peeked entry");
-            self.buckets[(abs & self.mask) as usize].push(entry);
-            self.ring_len += 1;
+            self.push_ring(abs, entry);
         }
     }
 
-    /// Sorts ring bucket `slot` and makes it the active drain run, rotating
-    /// the freed storage back into the ring so no buffer is ever dropped.
+    /// Appends `entry` to the ring bucket of absolute index `abs`, lending
+    /// the bucket recycled storage first if it owns none.
+    fn push_ring(&mut self, abs: u64, entry: Entry<T>) {
+        let bucket = &mut self.buckets[(abs & self.mask) as usize];
+        if bucket.capacity() == 0 {
+            if let Some(spare) = self.spares.pop() {
+                *bucket = spare;
+            }
+        }
+        bucket.push(entry);
+        self.ring_len += 1;
+    }
+
+    /// Sorts ring bucket `slot` and makes it the active drain run; the
+    /// buffer of the run just drained joins the spares, so no buffer is ever
+    /// dropped.
     fn load(&mut self, slot: usize) {
         debug_assert!(self.active.is_empty());
         let drained = std::mem::take(&mut self.active);
-        let refill = std::mem::take(&mut self.spare);
-        let mut entries = std::mem::replace(&mut self.buckets[slot], refill);
+        let mut entries = std::mem::take(&mut self.buckets[slot]);
         self.ring_len -= entries.len();
         // Keys are unique (seq is), so unstable sort is deterministic.
         entries.sort_unstable();
         self.active = VecDeque::from(entries);
-        self.spare = Vec::from(drained);
+        self.spares.push(Vec::from(drained));
     }
 }
 
@@ -383,6 +399,28 @@ mod tests {
         let popped: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|(t, _, _)| t).collect();
         assert_eq!(popped, sorted);
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn sparse_runs_share_buffers_instead_of_warming_every_slot() {
+        // One entry in flight at a time, each landing a few buckets ahead:
+        // the walk touches every slot of the ring, yet the drained buffer
+        // follows the entries round instead of a new one per slot.
+        let mut q = CalendarQueue::with_geometry(4, 64);
+        let owned = |q: &CalendarQueue<u64>| {
+            q.buckets.iter().filter(|b| b.capacity() > 0).count()
+                + q.spares.len()
+                + usize::from(q.active.capacity() > 0)
+        };
+        let mut now = 0;
+        q.push(now, 0);
+        for step in 1..1_000u64 {
+            let (t, _, _) = q.pop().expect("one in flight");
+            assert_eq!(t, now);
+            now += 16 * 3 + step % 7;
+            q.push(now, step);
+            assert!(owned(&q) <= 3, "{} buffers at step {step}", owned(&q));
+        }
     }
 
     #[test]

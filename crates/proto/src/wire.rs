@@ -57,10 +57,14 @@ pub struct NakMsg {
 /// but one of the covered packets reconstructs the missing one. The
 /// reproduction carries the covered `(seq, published_at)` pairs — exactly
 /// the information a successful XOR reconstruction would yield.
+///
+/// The entries are shared, not owned: one repair goes to `C` peers and may
+/// wait in each one's pending queue, so a copy is a reference-count bump
+/// rather than a fresh list per peer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RepairMsg {
     /// The packets folded into this repair, as `(seq, published_at)`.
-    pub entries: Vec<(u64, TimePoint)>,
+    pub entries: Arc<[(u64, TimePoint)]>,
 }
 
 /// A sender session heartbeat advertising the highest sequence sent, which
@@ -336,7 +340,7 @@ impl WireMsg {
             WireMsg::Repair(m) => {
                 buf.push(KIND_REPAIR);
                 put_u32(buf, m.entries.len() as u32);
-                for &(seq, at) in &m.entries {
+                for &(seq, at) in m.entries.iter() {
                     put_u64(buf, seq);
                     put_u64(buf, at.as_nanos());
                 }
@@ -440,7 +444,9 @@ impl WireMsg {
                 for _ in 0..count {
                     entries.push((r.u64()?, TimePoint::from_nanos(r.u64()?)));
                 }
-                WireMsg::Repair(RepairMsg { entries })
+                WireMsg::Repair(RepairMsg {
+                    entries: entries.into(),
+                })
             }
             KIND_HEARTBEAT => {
                 let highest_seq = match r.u8()? {
@@ -897,10 +903,11 @@ mod tests {
     #[test]
     fn repair_entries_carry_timestamps() {
         let r = RepairMsg {
-            entries: vec![
+            entries: [
                 (1, TimePoint::from_micros(10)),
                 (2, TimePoint::from_micros(20)),
-            ],
+            ]
+            .into(),
         };
         assert_eq!(r.entries.len(), 2);
     }
@@ -921,10 +928,11 @@ mod tests {
             seqs: vec![1, 5, 9],
         }));
         round_trip(WireMsg::Repair(RepairMsg {
-            entries: vec![
+            entries: [
                 (1, TimePoint::from_micros(10)),
                 (2, TimePoint::from_micros(20)),
-            ],
+            ]
+            .into(),
         }));
         round_trip(WireMsg::Heartbeat(HeartbeatMsg {
             highest_seq: Some(7),

@@ -1545,6 +1545,7 @@ mod tests {
     #[test]
     fn external_group_members_keep_a_wildcard_frame_of_their_own() {
         use crate::endpoint::{Endpoint, RtConfig};
+        use std::sync::atomic::{AtomicBool, Ordering};
         let mut cluster = small_mux(1, 26);
         let (tx, rx) = beacon_group(&mut cluster, 25, 2);
         let mut outside = Endpoint::bind(NodeId(9), "127.0.0.1:0", RtConfig::new(1)).unwrap();
@@ -1555,14 +1556,31 @@ mod tests {
         let group = [0, 1, 9, 2, 77].map(NodeId).to_vec();
         cluster.set_groups(tx, vec![group]).unwrap();
 
+        // Short windows until everyone has heard all 25 (or a generous
+        // deadline passes), not one fixed span: on a loaded test run the
+        // beacon's 25 ms of publishing can take many times that.
         let mut listener = Listener;
+        let deadline = std::time::Instant::now() + Duration::from_secs(20);
+        let expired = || std::time::Instant::now() >= deadline;
+        let heard = AtomicBool::new(false);
         std::thread::scope(|s| {
             s.spawn(|| {
-                outside
-                    .run_for(&mut listener, Duration::from_millis(500))
-                    .unwrap();
+                while outside.report().delivered.len() < 25 && !expired() {
+                    outside
+                        .run_for(&mut listener, Duration::from_millis(20))
+                        .unwrap();
+                }
+                heard.store(true, Ordering::Release);
             });
-            cluster.run_for(Duration::from_millis(150)).unwrap();
+            loop {
+                cluster.run_for(Duration::from_millis(20)).unwrap();
+                let inside = rx
+                    .iter()
+                    .all(|&id| cluster.report(id).unwrap().delivered.len() >= 25);
+                if (inside && heard.load(Ordering::Acquire)) || expired() {
+                    break;
+                }
+            }
         });
         let want: BTreeSet<u64> = (0..25).collect();
         assert_eq!(outside.report().delivered_seqs(), want);

@@ -323,23 +323,22 @@ impl NakcastReceiver {
         if !due.is_empty() {
             let size = FRAMING_BYTES + NAK_BASE_BYTES + NAK_PER_SEQ_BYTES * due.len() as u32;
             let os = Span::from_micros_f64(self.tuning.os_packet_cost_us);
+            let count = due.len() as u32;
+            for seq in &due {
+                if let Some(state) = self.missing.get_mut(seq) {
+                    state.nak_at = now + self.timeout + renak_backoff(state.retries);
+                    state.retries += 1;
+                }
+            }
             env.send(
                 self.sender,
                 size,
                 TAG_NAK,
                 ProcessingCost::symmetric(os),
-                WireMsg::Nak(NakMsg { seqs: due.clone() }),
+                WireMsg::Nak(NakMsg { seqs: due }),
             );
             self.naks_sent += 1;
-            env.emit(|| ProtoEvent::NakSent {
-                count: due.len() as u32,
-            });
-            for seq in due {
-                if let Some(state) = self.missing.get_mut(&seq) {
-                    state.nak_at = now + self.timeout + renak_backoff(state.retries);
-                    state.retries += 1;
-                }
-            }
+            env.emit(|| ProtoEvent::NakSent { count });
         }
         self.try_deliver(env);
         self.reschedule_scan(env);

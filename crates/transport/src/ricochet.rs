@@ -17,7 +17,7 @@
 //! compaction cost of the reference implementation, which grows on slower
 //! machines.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use adamant_metrics::{Delivery, DenseReceptionLog};
 use adamant_proto::wire::{DataMsg, MembershipMsg, RepairMsg};
@@ -96,8 +96,14 @@ pub struct RicochetReceiver {
     flush_timer: Option<TimerToken>,
     /// Repairs that could not be decoded yet (≥ 2 unknowns).
     pending: VecDeque<RepairMsg>,
-    /// Peer liveness from membership heartbeats.
-    last_seen: HashMap<NodeId, TimePoint>,
+    /// Peer liveness from membership heartbeats, sorted by peer: a flush
+    /// asks about every group member, and a binary search over a dozen
+    /// peers is cheaper than hashing each one.
+    last_seen: Vec<(NodeId, TimePoint)>,
+    /// Scratch for [`flush_window`](Self::flush_window), kept so a flush
+    /// allocates only the repair's shared entry list.
+    peers: Vec<NodeId>,
+    chosen: Vec<usize>,
     started_at: TimePoint,
     epoch: u64,
     stream_active: bool,
@@ -137,7 +143,9 @@ impl RicochetReceiver {
             window: Vec::new(),
             flush_timer: None,
             pending: VecDeque::new(),
-            last_seen: HashMap::new(),
+            last_seen: Vec::new(),
+            peers: Vec::new(),
+            chosen: Vec::new(),
             started_at: TimePoint::ZERO,
             epoch: 0,
             stream_active: true,
@@ -175,10 +183,10 @@ impl RicochetReceiver {
     /// Whether `peer` is currently believed alive by the failure detector.
     fn peer_alive(&self, peer: NodeId, now: TimePoint) -> bool {
         let grace = self.tuning.membership_interval * self.tuning.membership_timeout_factor as u64;
-        match self.last_seen.get(&peer) {
-            Some(&t) => now.saturating_since(t) < grace,
+        match self.last_seen.binary_search_by_key(&peer, |&(n, _)| n) {
+            Ok(at) => now.saturating_since(self.last_seen[at].1) < grace,
             // Never heard from: alive during the initial grace period.
-            None => now.saturating_since(self.started_at) < grace,
+            Err(_) => now.saturating_since(self.started_at) < grace,
         }
     }
 
@@ -194,43 +202,51 @@ impl RicochetReceiver {
         if self.window.is_empty() {
             return;
         }
-        let entries = std::mem::take(&mut self.window);
         let now = env.now();
         let me = env.node();
-        let peers: Vec<NodeId> = env
-            .members(self.group)
-            .iter()
-            .copied()
-            .filter(|&n| n != me && n != self.sender && self.peer_alive(n, now))
-            .collect();
-        if peers.is_empty() {
-            return;
+        let mut peers = std::mem::take(&mut self.peers);
+        peers.clear();
+        peers.extend(
+            env.members(self.group)
+                .iter()
+                .copied()
+                .filter(|&n| n != me && n != self.sender && self.peer_alive(n, now)),
+        );
+        if !peers.is_empty() {
+            let mut chosen = std::mem::take(&mut self.chosen);
+            env.rng()
+                .sample_indices_into(peers.len(), self.c, &mut chosen);
+            let msg = RepairMsg {
+                entries: self.window.as_slice().into(),
+            };
+            let span = msg.entries.len() as u32;
+            let size = FRAMING_BYTES
+                + REPAIR_BASE_BYTES
+                + REPAIR_PER_SEQ_BYTES * span
+                + self.payload_bytes;
+            let os = Span::from_micros_f64(self.tuning.os_packet_cost_us);
+            let construct = Span::from_micros_f64(self.tuning.fec_repair_tx_cost_us);
+            let decode = Span::from_micros_f64(self.tuning.fec_repair_rx_cost_us);
+            let copies = chosen.len() as u32;
+            for (i, &peer_idx) in chosen.iter().enumerate() {
+                // XOR construction happens once; the extra copies pay only
+                // the OS send path.
+                let tx = if i == 0 { os + construct } else { os };
+                env.send(
+                    peers[peer_idx],
+                    size,
+                    TAG_REPAIR,
+                    ProcessingCost::new(tx, os + decode),
+                    WireMsg::Repair(msg.clone()),
+                );
+                self.repairs_sent += 1;
+            }
+            env.emit(|| ProtoEvent::RepairSent { copies, span });
+            self.chosen = chosen;
         }
-        let chosen = env.rng().sample_indices(peers.len(), self.c);
-        let size = FRAMING_BYTES
-            + REPAIR_BASE_BYTES
-            + REPAIR_PER_SEQ_BYTES * entries.len() as u32
-            + self.payload_bytes;
-        let os = Span::from_micros_f64(self.tuning.os_packet_cost_us);
-        let construct = Span::from_micros_f64(self.tuning.fec_repair_tx_cost_us);
-        let decode = Span::from_micros_f64(self.tuning.fec_repair_rx_cost_us);
-        let msg = RepairMsg { entries };
-        let span = msg.entries.len() as u32;
-        let copies = chosen.len() as u32;
-        for (i, &peer_idx) in chosen.iter().enumerate() {
-            // XOR construction happens once; the extra copies pay only the
-            // OS send path.
-            let tx = if i == 0 { os + construct } else { os };
-            env.send(
-                peers[peer_idx],
-                size,
-                TAG_REPAIR,
-                ProcessingCost::new(tx, os + decode),
-                WireMsg::Repair(msg.clone()),
-            );
-            self.repairs_sent += 1;
-        }
-        env.emit(|| ProtoEvent::RepairSent { copies, span });
+        self.peers = peers;
+        // The window is spent whether or not anyone was left to repair.
+        self.window.clear();
     }
 
     /// Registers a newly available packet and re-runs pending repairs to a
@@ -274,8 +290,10 @@ impl RicochetReceiver {
     fn decode_pending(&mut self, env: &mut Env<'_>, now: TimePoint) {
         loop {
             let mut progress = false;
-            let mut remaining = VecDeque::with_capacity(self.pending.len());
-            while let Some(repair) = self.pending.pop_front() {
+            // One pass over the queue in place: blocked repairs go round
+            // to the back, so they keep their relative order.
+            for _ in 0..self.pending.len() {
+                let repair = self.pending.pop_front().expect("counted above");
                 match self.try_decode(&repair) {
                     DecodeOutcome::Recovered(seq, published_at) => {
                         if env.rng().bernoulli(self.tuning.repair_efficacy) {
@@ -286,10 +304,9 @@ impl RicochetReceiver {
                         progress = true;
                     }
                     DecodeOutcome::Useless => progress = true,
-                    DecodeOutcome::Blocked => remaining.push_back(repair),
+                    DecodeOutcome::Blocked => self.pending.push_back(repair),
                 }
             }
-            self.pending = remaining;
             if !progress || self.pending.is_empty() {
                 break;
             }
@@ -301,7 +318,7 @@ impl RicochetReceiver {
 
     fn try_decode(&self, repair: &RepairMsg) -> DecodeOutcome {
         let mut unknown: Option<(u64, TimePoint)> = None;
-        for &(seq, published_at) in &repair.entries {
+        for &(seq, published_at) in repair.entries.iter() {
             if !self.store.contains_key(&seq) {
                 if unknown.is_some() {
                     return DecodeOutcome::Blocked;
@@ -428,10 +445,7 @@ impl ProtocolCore for RicochetReceiver {
                     let data = *data;
                     self.on_data(env, &data);
                 }
-                WireMsg::Repair(repair) => {
-                    let repair = repair.clone();
-                    self.on_repair(env, &repair);
-                }
+                WireMsg::Repair(repair) => self.on_repair(env, repair),
                 WireMsg::Fin(_) => {
                     self.stream_active = false;
                     self.flush_window(env);
@@ -440,7 +454,11 @@ impl ProtocolCore for RicochetReceiver {
                     }
                 }
                 WireMsg::Membership(_) => {
-                    self.last_seen.insert(src, env.now());
+                    let seen = (src, env.now());
+                    match self.last_seen.binary_search_by_key(&src, |&(n, _)| n) {
+                        Ok(at) => self.last_seen[at] = seen,
+                        Err(at) => self.last_seen.insert(at, seen),
+                    }
                 }
                 _ => {}
             },

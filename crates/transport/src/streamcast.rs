@@ -396,7 +396,8 @@ impl StreamCastSender {
                 self.rto_retries = 0;
                 self.last_progress = env.now();
             }
-            self.retx_seqs = self.retx_seqs.split_off(&floor);
+            // In place: `split_off` would allocate a new root per ack.
+            self.retx_seqs.retain(|&seq| seq >= floor);
             if self.stalled {
                 self.publish_tick(env);
             }
