@@ -16,9 +16,12 @@
 //! * [`NeuralNetwork`] — dense feedforward network with deterministic
 //!   seeded initialisation, an architecture-only
 //!   [`ops_per_query`](NeuralNetwork::ops_per_query) count for analytic
-//!   timing models, and a batched flat-slice forward pass
-//!   ([`run_batch_into`](NeuralNetwork::run_batch_into) via
-//!   [`BatchScratch`]) that amortizes fleet-scale inference.
+//!   timing models, and a batched forward pass over column-major feature
+//!   lanes ([`run_batch_cols_into`](NeuralNetwork::run_batch_cols_into))
+//!   for fleet-scale inference: a cache-tiled kernel compiled per vector
+//!   ISA and dispatched at run time, bit-identical to per-row `run`. The
+//!   sigmoid's `exp` is the crate's own, so results do not depend on the
+//!   platform's libm.
 //! * [`train`] — iRPROP− (FANN's default) and incremental backpropagation,
 //!   driven to a stopping MSE.
 //! * [`evaluate`] / [`one_hot`] / [`argmax`] — classification utilities.
@@ -41,7 +44,8 @@
 //! assert!(evaluate(&net, &data).accuracy() > 0.9);
 //! ```
 
-#![forbid(unsafe_code)]
+// Not `forbid`: `network::forward_tiles_widest` is the one `allow`.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod activation;

@@ -1,5 +1,5 @@
-//! The feedforward network: dense layers, forward pass, and an operation
-//! count for analytic timing models.
+//! The feedforward network: dense layers, the scalar forward pass, the tiled
+//! batch kernel (DESIGN.md §5.3), and an operation count for timing models.
 
 use adamant_json::impl_json_struct;
 
@@ -34,63 +34,42 @@ impl Layer {
 
     fn forward_into(&self, input: &[f64], out: &mut Vec<f64>) {
         out.clear();
+        out.reserve(self.outputs);
         for o in 0..self.outputs {
             let row = &self.weights[o * self.inputs..(o + 1) * self.inputs];
             let mut sum = self.biases[o];
             for (w, x) in row.iter().zip(input) {
                 sum += w * x;
             }
-            out.push(self.activation.apply(sum));
+            out.push(sum);
         }
+        // Over the finished slice, not per push: a loop that vectorises.
+        self.activation.apply_slice(out);
     }
 
-    /// Forward pass over a column-major `inputs × rows` batch (feature
-    /// `i`'s values for every row stored contiguously at
-    /// `cols[i*rows..(i+1)*rows]`) into a column-major `outputs × rows`
-    /// buffer.
-    ///
-    /// Vectorization runs *across the batch*: each weight is broadcast
-    /// against a contiguous lane of `rows` independent accumulators, so
-    /// the compiler can emit SIMD multiply-adds without reassociating any
-    /// single row's sum — a strict-FP dot-product reduction cannot
-    /// autovectorize, but independent per-lane accumulators can. Each
-    /// row's floating-point order (bias first, then weights in input
-    /// order) is exactly [`forward_into`]'s, so results stay bit-identical
-    /// to the scalar path.
-    fn forward_batch_cols(&self, cols: &[f64], rows: usize, out: &mut Vec<f64>) {
-        debug_assert_eq!(cols.len(), rows * self.inputs);
-        out.clear();
-        out.resize(rows * self.outputs, 0.0);
-        // Blocks of four output lanes share every loaded input column
-        // (column traffic drops 4x versus one-output-at-a-time), and the
-        // bias seeds the first multiply-add pass instead of a separate
-        // fill. Each lane still accumulates bias first, then inputs in
-        // order — forward_into's exact sequence.
-        for (block, lanes) in out.chunks_mut(4 * rows).enumerate() {
-            let o0 = block * 4;
-            let col0 = &cols[..rows];
-            for (k, acc) in lanes.chunks_exact_mut(rows).enumerate() {
-                let w = self.weights[(o0 + k) * self.inputs];
-                let bias = self.biases[o0 + k];
-                for (a, &x) in acc.iter_mut().zip(col0) {
-                    *a = bias + w * x;
+    /// [`forward_into`](Self::forward_into) for [`TILE`] rows at once: input
+    /// `i` of the rows is `src[i * src_stride..][..TILE]`, output `o` goes to
+    /// `dst[o * TILE..][..TILE]`. Each weight is broadcast against `TILE`
+    /// independent accumulators, so SIMD runs *across the rows*; Rust never
+    /// contracts `a * b + c`, so each lane does `forward_into`'s operations
+    /// in its order (bias, inputs in order, activation): bit-identical at
+    /// any vector width.
+    #[inline(always)]
+    fn forward_tile(&self, src: &[f64], src_stride: usize, dst: &mut [f64]) {
+        for o in 0..self.outputs {
+            let mut acc = [self.biases[o]; TILE];
+            let row = &self.weights[o * self.inputs..(o + 1) * self.inputs];
+            for (i, &w) in row.iter().enumerate() {
+                let lane = &src[i * src_stride..][..TILE];
+                for (a, &x) in acc.iter_mut().zip(lane) {
+                    *a += w * x;
                 }
             }
-            for i in 1..self.inputs {
-                let col = &cols[i * rows..(i + 1) * rows];
-                for (k, acc) in lanes.chunks_exact_mut(rows).enumerate() {
-                    let w = self.weights[(o0 + k) * self.inputs + i];
-                    for (a, &x) in acc.iter_mut().zip(col) {
-                        *a += w * x;
-                    }
-                }
-            }
-            for acc in lanes.chunks_exact_mut(rows) {
-                for a in acc.iter_mut() {
-                    *a = self.activation.apply(*a);
-                }
-            }
+            dst[o * TILE..][..TILE].copy_from_slice(&acc);
         }
+        // Over the finished tile, not per `acc`: that constant-length loop
+        // unrolls into scalars and takes the multiply-adds with it.
+        self.activation.apply_slice(&mut dst[..self.outputs * TILE]);
     }
 }
 
@@ -102,9 +81,74 @@ impl_json_struct!(Layer {
     activation,
 });
 
-/// Reusable ping-pong buffers for [`NeuralNetwork::run_batch_into`] and
-/// [`NeuralNetwork::run_scratch`]: after the first call, repeated forward
-/// passes through the same scratch allocate nothing.
+/// Rows per tile of the batch kernel: an accumulator lane is four AVX-512
+/// or eight AVX2 registers (measured against 8/16/64 in DESIGN.md §5.3).
+const TILE: usize = 32;
+/// Widest layer output the tile kernel's stack buffers (8 KB each) hold.
+const TILE_WIDTH: usize = 32;
+
+/// The batch kernel: rows `0..tiled` (a multiple of [`TILE`]) of the
+/// column-major `cols` go input → hidden → output one tile at a time. The
+/// first layer reads its lanes from `cols` (stride `rows`), every later
+/// activation lives in two stack buffers that never leave L1, and the last
+/// layer's lanes are copied into the column-major `out`.
+///
+/// `#[inline(always)]`, so each `#[target_feature]` wrapper below compiles
+/// its own copy of this body, `exp` included, at that wrapper's width.
+#[inline(always)]
+fn forward_tiles(layers: &[Layer], cols: &[f64], rows: usize, tiled: usize, out: &mut [f64]) {
+    let (mut a, mut b) = ([0.0; TILE * TILE_WIDTH], [0.0; TILE * TILE_WIDTH]);
+    let (mut current, mut next) = (&mut a, &mut b);
+    let out_dim = layers.last().map_or(0, |l| l.outputs);
+    for r0 in (0..tiled).step_by(TILE) {
+        for (n, layer) in layers.iter().enumerate() {
+            let (src, src_stride) = match n {
+                0 => (&cols[r0..], rows),
+                _ => (&current[..], TILE),
+            };
+            layer.forward_tile(src, src_stride, &mut next[..]);
+            std::mem::swap(&mut current, &mut next);
+        }
+        for o in 0..out_dim {
+            out[o * rows + r0..][..TILE].copy_from_slice(&current[o * TILE..][..TILE]);
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn forward_tiles_avx512(l: &[Layer], cols: &[f64], rows: usize, tiled: usize, out: &mut [f64]) {
+    forward_tiles(l, cols, rows, tiled, out);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn forward_tiles_avx2(l: &[Layer], cols: &[f64], rows: usize, tiled: usize, out: &mut [f64]) {
+    forward_tiles(l, cols, rows, tiled, out);
+}
+
+/// [`forward_tiles`] at the widest vector ISA this CPU has: the crate's one
+/// `unsafe` site.
+#[allow(unsafe_code)]
+fn forward_tiles_widest(l: &[Layer], cols: &[f64], rows: usize, tiled: usize, out: &mut [f64]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if is_x86_feature_detected!("avx512f") {
+            // SAFETY: the CPU was just found to have AVX-512F, all that
+            // calling a function compiled with it enabled requires.
+            return unsafe { forward_tiles_avx512(l, cols, rows, tiled, out) };
+        }
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: as above, for AVX2.
+            return unsafe { forward_tiles_avx2(l, cols, rows, tiled, out) };
+        }
+    }
+    forward_tiles(l, cols, rows, tiled, out);
+}
+
+/// Reusable ping-pong buffers for [`NeuralNetwork::run_scratch`] and the
+/// scalar rows of [`NeuralNetwork::run_batch_cols_into`]: after the first
+/// call, repeated forward passes through the same scratch allocate nothing.
 #[derive(Debug, Clone, Default)]
 pub struct BatchScratch {
     current: Vec<f64>,
@@ -224,63 +268,15 @@ impl NeuralNetwork {
         );
         scratch.current.clear();
         scratch.current.extend_from_slice(input);
-        for layer in &self.layers {
-            layer.forward_into(&scratch.current, &mut scratch.next);
-            std::mem::swap(&mut scratch.current, &mut scratch.next);
-        }
+        self.forward_scratch(scratch);
         &scratch.current
     }
 
-    /// Batched forward pass: `inputs` is a flat row-major `rows ×
-    /// input_size` matrix and `out` becomes the flat row-major `rows ×
-    /// output_size` activation matrix. Row `r` of the result equals
-    /// `run(&inputs[r*input_size..(r+1)*input_size])` exactly — the batch
-    /// path reuses the scalar accumulation order — but internally the
-    /// batch is transposed into column-major lanes so each dense layer is
-    /// one pass of SIMD-friendly broadcast multiply-adds over contiguous
-    /// slices (see `forward_batch_cols`), with zero allocations after
-    /// warm-up.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len() != rows * input_size`.
-    pub fn run_batch_into(
-        &self,
-        inputs: &[f64],
-        rows: usize,
-        scratch: &mut BatchScratch,
-        out: &mut Vec<f64>,
-    ) {
-        assert_eq!(
-            inputs.len(),
-            rows * self.input_size(),
-            "batch length must be rows × input size"
-        );
-        out.clear();
-        if rows == 0 {
-            return;
-        }
-        // Transpose the row-major queries into column-major feature lanes.
-        let in_dim = self.input_size();
-        scratch.current.clear();
-        scratch.current.resize(rows * in_dim, 0.0);
-        for (r, row) in inputs.chunks_exact(in_dim).enumerate() {
-            for (i, &x) in row.iter().enumerate() {
-                scratch.current[i * rows + r] = x;
-            }
-        }
-        let BatchScratch { current, next } = scratch;
+    /// Runs the layers over `scratch.current`, leaving the output there.
+    fn forward_scratch(&self, scratch: &mut BatchScratch) {
         for layer in &self.layers {
-            layer.forward_batch_cols(current, rows, next);
-            std::mem::swap(current, next);
-        }
-        // Transpose the activations back to one row per query.
-        let out_dim = self.output_size();
-        out.resize(rows * out_dim, 0.0);
-        for (o, col) in current.chunks_exact(rows).enumerate() {
-            for (r, &y) in col.iter().enumerate() {
-                out[r * out_dim + o] = y;
-            }
+            layer.forward_into(&scratch.current, &mut scratch.next);
+            std::mem::swap(&mut scratch.current, &mut scratch.next);
         }
     }
 
@@ -288,10 +284,11 @@ impl NeuralNetwork {
     /// rows` matrix with feature `i`'s values for every query stored
     /// contiguously at `cols[i*rows..(i+1)*rows]`, and `out` becomes the
     /// column-major `output_size × rows` activation matrix (`out[o*rows +
-    /// r]` is output `o` for query `r`). This is the kernel
-    /// [`run_batch_into`](Self::run_batch_into) wraps: results are
-    /// bit-identical to per-row [`run`](Self::run), and callers that can
-    /// produce and consume feature lanes directly skip both transposes.
+    /// r]` is output `o` for query `r`), bit-identical to per-row
+    /// [`run`](Self::run). Full 32-row tiles go through the tile kernel at
+    /// the widest vector ISA this CPU has; the rows past the last full tile
+    /// (every row, for a network with a layer wider than 32) take `run`'s
+    /// scalar path. Nothing allocates once `scratch` and `out` are warm.
     ///
     /// # Panics
     ///
@@ -303,23 +300,29 @@ impl NeuralNetwork {
         scratch: &mut BatchScratch,
         out: &mut Vec<f64>,
     ) {
+        let (in_dim, out_dim) = (self.input_size(), self.output_size());
         assert_eq!(
             cols.len(),
-            rows * self.input_size(),
+            rows * in_dim,
             "batch length must be rows × input size"
         );
-        out.clear();
-        if rows == 0 {
-            return;
+        // No clear: every element is overwritten, a warm `out` is not refilled.
+        out.resize(rows * out_dim, 0.0);
+        let fits = self.layers.iter().all(|l| l.outputs <= TILE_WIDTH);
+        let tiled = if fits { rows - rows % TILE } else { 0 };
+        if tiled > 0 {
+            forward_tiles_widest(&self.layers, cols, rows, tiled, out);
         }
-        let BatchScratch { current, next } = scratch;
-        current.clear();
-        current.extend_from_slice(cols);
-        for layer in &self.layers {
-            layer.forward_batch_cols(current, rows, next);
-            std::mem::swap(current, next);
+        for r in tiled..rows {
+            scratch.current.clear();
+            scratch
+                .current
+                .extend((0..in_dim).map(|i| cols[i * rows + r]));
+            self.forward_scratch(scratch);
+            for (o, &y) in scratch.current.iter().enumerate() {
+                out[o * rows + r] = y;
+            }
         }
-        std::mem::swap(out, current);
     }
 
     /// Forward pass recording every layer's activations into `activations`
@@ -471,7 +474,7 @@ mod tests {
         let net = NeuralNetwork::new(&[3, 2], Activation::fann_default(), 1);
         let mut scratch = BatchScratch::new();
         let mut out = vec![99.0];
-        net.run_batch_into(&[], 0, &mut scratch, &mut out);
+        net.run_batch_cols_into(&[], 0, &mut scratch, &mut out);
         assert!(out.is_empty());
     }
 
@@ -481,44 +484,112 @@ mod tests {
         let net = NeuralNetwork::new(&[3, 2], Activation::fann_default(), 1);
         let mut scratch = BatchScratch::new();
         let mut out = Vec::new();
-        net.run_batch_into(&[1.0, 2.0], 2, &mut scratch, &mut out);
+        net.run_batch_cols_into(&[1.0, 2.0], 2, &mut scratch, &mut out);
     }
 
-    /// Property test: over 200 random architectures and inputs, every row
-    /// of the batched forward pass matches the per-example `run_full_into`
-    /// trace's final activations to ≤ 1e-12 (in fact bit-for-bit: the batch
-    /// kernel reuses the scalar accumulation order).
+    type TileKernel = fn(&[Layer], &[f64], usize, usize, &mut [f64]);
+
+    /// Every instantiation of the tile kernel this host can run, called
+    /// directly rather than through `forward_tiles_widest`.
+    #[allow(unsafe_code)]
+    fn tiers() -> Vec<(&'static str, TileKernel)> {
+        let mut tiers: Vec<(&'static str, TileKernel)> = vec![("baseline", forward_tiles)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx2") {
+                // SAFETY: AVX2 was just detected.
+                tiers.push(("avx2", |l, c, r, t, o| unsafe {
+                    forward_tiles_avx2(l, c, r, t, o)
+                }));
+            }
+            if is_x86_feature_detected!("avx512f") {
+                // SAFETY: AVX-512F was just detected.
+                tiers.push(("avx512f", |l, c, r, t, o| unsafe {
+                    forward_tiles_avx512(l, c, r, t, o)
+                }));
+            }
+        }
+        tiers
+    }
+
+    /// Asserts bit-equality with per-row `run` over `rows` random queries:
+    /// of every tier's kernel on the full tiles (when the network fits the
+    /// tile buffers), and of `run_batch_cols_into` on every row.
+    fn assert_batch_matches_run(net: &NeuralNetwork, rows: usize, rng: &mut InitRng, what: &str) {
+        let (in_dim, out_dim) = (net.input_size(), net.output_size());
+        let cols: Vec<f64> = (0..rows * in_dim).map(|_| rng.uniform(3.0)).collect();
+        let expected: Vec<Vec<f64>> = (0..rows)
+            .map(|r| net.run(&(0..in_dim).map(|i| cols[i * rows + r]).collect::<Vec<_>>()))
+            .collect();
+        let assert_rows = |out: &[f64], upto: usize, tier: &str| {
+            assert_eq!(out.len(), rows * out_dim, "{what} {tier}");
+            for (r, row) in expected.iter().enumerate().take(upto) {
+                for (o, y) in row.iter().enumerate() {
+                    assert_eq!(
+                        out[o * rows + r].to_bits(),
+                        y.to_bits(),
+                        "{what} {tier}: rows {rows} row {r} output {o}"
+                    );
+                }
+            }
+        };
+        if net.layers.iter().all(|l| l.outputs <= TILE_WIDTH) {
+            let tiled = rows - rows % TILE;
+            for (tier, kernel) in tiers() {
+                let mut out = vec![f64::NAN; rows * out_dim];
+                kernel(&net.layers, &cols, rows, tiled, &mut out);
+                assert_rows(&out, tiled, tier);
+                // The rows past the last full tile are not the kernel's.
+                assert!((tiled..rows).all(|r| out[r].is_nan()), "{what} {tier}");
+            }
+        }
+        // A stale, wrongly sized `out` must be fully overwritten.
+        let mut out = vec![f64::NAN; 5];
+        net.run_batch_cols_into(&cols, rows, &mut BatchScratch::new(), &mut out);
+        assert_rows(&out, rows, "run_batch_cols_into");
+    }
+
+    /// Property test: over 200 random architectures (every activation, one
+    /// or two hidden layers or none) and batch sizes on both sides of every
+    /// tile boundary, each ISA tier of the batch kernel equals per-row `run`
+    /// bit for bit.
     #[test]
-    fn batched_forward_matches_scalar_run_full() {
+    fn every_kernel_tier_is_bit_identical_to_scalar_run() {
+        const ROWS: [usize; 7] = [0, 1, 31, 32, 33, 64, 1031];
         let mut rng = InitRng::new(0xBA7C4);
-        let mut scratch = BatchScratch::new();
         for case in 0..200u64 {
             let inputs = 1 + (case % 11) as usize;
             let hidden = 1 + ((case / 11) % 17) as usize;
             let outputs = 1 + (case % 7) as usize;
-            let net = NeuralNetwork::new(
-                &[inputs, hidden, outputs],
-                Activation::fann_default(),
-                0x5EED ^ case,
-            );
-            let rows = (case % 9) as usize + 1;
-            let flat: Vec<f64> = (0..rows * inputs).map(|_| rng.uniform(3.0)).collect();
-            let mut batch = Vec::new();
-            net.run_batch_into(&flat, rows, &mut scratch, &mut batch);
-            assert_eq!(batch.len(), rows * outputs);
-
-            let mut activations = Vec::new();
-            for r in 0..rows {
-                net.run_full_into(&flat[r * inputs..(r + 1) * inputs], &mut activations);
-                let scalar = activations.last().expect("layers exist");
-                let batched = &batch[r * outputs..(r + 1) * outputs];
-                for (b, s) in batched.iter().zip(scalar) {
-                    assert!(
-                        (b - s).abs() <= 1e-12,
-                        "case {case} row {r}: batched {b} vs scalar {s}"
-                    );
-                }
-            }
+            let sizes = match case % 5 {
+                0 => vec![inputs, outputs],
+                1 => vec![inputs, hidden, 1 + hidden / 2, outputs],
+                _ => vec![inputs, hidden, outputs],
+            };
+            let activation = match case % 4 {
+                0 => Activation::SymmetricSigmoid { steepness: 0.7 },
+                1 => Activation::Linear,
+                _ => Activation::fann_default(),
+            };
+            let net = NeuralNetwork::new(&sizes, activation, 0x5EED ^ case);
+            // 1031 rows on every eighth case keeps the test quick.
+            let rows = ROWS[case as usize % if case % 8 == 0 { 7 } else { 6 }];
+            assert_batch_matches_run(&net, rows, &mut rng, &format!("case {case}"));
         }
+        let net = NeuralNetwork::new(&[9, 24, 8], Activation::fann_default(), 3);
+        for rows in ROWS {
+            assert_batch_matches_run(&net, rows, &mut rng, "selector shape");
+        }
+    }
+
+    #[test]
+    fn a_network_wider_than_the_tile_buffers_falls_back_to_the_scalar_rows() {
+        let mut rng = InitRng::new(7);
+        let net = NeuralNetwork::new(&[5, TILE_WIDTH + 1, 3], Activation::fann_default(), 11);
+        for rows in [32, 97] {
+            assert_batch_matches_run(&net, rows, &mut rng, "wide");
+        }
+        let widest = NeuralNetwork::new(&[5, TILE_WIDTH, 3], Activation::fann_default(), 11);
+        assert_batch_matches_run(&widest, 64, &mut rng, "exactly the tile width");
     }
 }

@@ -7,10 +7,9 @@
 //! without a trace sink attached — and per-phase wall-clock, so CI can
 //! archive engine throughput and watch the observability overhead.
 
-use adamant::{AppParams, Choice, FeatureRow, ProtocolSelector, SelectorConfig};
 use adamant_ann::{train, Activation, NeuralNetwork, TrainParams, TrainingData};
 use adamant_bench::ScalingPoint;
-use adamant_bench::{measure, synthetic_dataset, write_perf_report, PerfReport, PhaseProfiler};
+use adamant_bench::{measure, write_perf_report, PerfReport, PhaseProfiler};
 use adamant_metrics::{Delivery, MetricKind, QosReport};
 use adamant_netsim::{
     Agent, Bandwidth, CalendarQueue, Ctx, HostConfig, LossModel, MachineClass, MemorySink,
@@ -582,75 +581,6 @@ fn training_data() -> TrainingData {
     TrainingData::new(inputs, targets)
 }
 
-/// Fleet-scale selection throughput: a trained knowledge base answering a
-/// 1024-query fleet sweep through `select_batch` (one flat-slice forward
-/// pass over the whole batch) against the same mix answered by per-call
-/// scalar `select`. The batched path amortizes dispatch, scaling, and
-/// buffer churn across the batch; the ratio is the consolidation win for
-/// whole-fleet re-selection after an environment change.
-fn bench_selection(report: &mut PerfReport) {
-    use std::time::Duration;
-
-    const TARGET: Duration = Duration::from_millis(300);
-    let dataset = synthetic_dataset();
-    let (selector, _) = ProtocolSelector::train_from(
-        &dataset,
-        &SelectorConfig {
-            train: TrainParams {
-                max_epochs: 200,
-                ..TrainParams::default()
-            },
-            ..SelectorConfig::default()
-        },
-    );
-    // A fleet's worth of distinct queries, cycling the dataset's
-    // environments with varying application parameters.
-    let queries: Vec<FeatureRow> = dataset
-        .rows
-        .iter()
-        .cycle()
-        .take(1024)
-        .enumerate()
-        .map(|(i, row)| {
-            FeatureRow::new(
-                row.env,
-                AppParams::new(1 + (i as u32 % 25), 10 + (i as u32 % 91)),
-                row.metric,
-            )
-        })
-        .collect();
-    let mut out = vec![Choice::default(); queries.len()];
-
-    selector.select_batch(&queries, &mut out);
-    let mut batched_queries = 0u64;
-    let start = Instant::now();
-    while start.elapsed() < TARGET {
-        selector.select_batch(black_box(&queries), &mut out);
-        batched_queries += queries.len() as u64;
-    }
-    report.selections_per_sec = batched_queries as f64 / start.elapsed().as_secs_f64().max(1e-9);
-
-    black_box(selector.select(&queries[0].env, &queries[0].app, queries[0].metric));
-    let mut scalar_queries = 0u64;
-    let start = Instant::now();
-    while start.elapsed() < TARGET {
-        for query in &queries {
-            black_box(selector.select(black_box(&query.env), black_box(&query.app), query.metric));
-        }
-        scalar_queries += queries.len() as u64;
-    }
-    report.selections_per_sec_scalar =
-        scalar_queries as f64 / start.elapsed().as_secs_f64().max(1e-9);
-
-    println!(
-        "selector/selections_per_sec                        {:>12.0} batched (1024-row sweep), \
-         {:>12.0} scalar ({:.1}x)",
-        report.selections_per_sec,
-        report.selections_per_sec_scalar,
-        report.selections_per_sec / report.selections_per_sec_scalar.max(1e-9),
-    );
-}
-
 fn bench_training(report: &mut PerfReport) {
     // Ten RPROP epochs over the paper-scale dataset.
     let data = training_data();
@@ -681,8 +611,6 @@ fn main() {
         cluster_msgs_per_sec: 0.0,
         per_socket_msgs_per_sec: 0.0,
         sequential_msgs_per_sec: 0.0,
-        selections_per_sec: 0.0,
-        selections_per_sec_scalar: 0.0,
         endpoint_scaling: Vec::new(),
         event_loop_steady_allocs: 0,
         event_loop_steady_allocs_driver: 0,
@@ -700,7 +628,6 @@ fn main() {
     });
     profiler.phase("allocations", || bench_allocations(&mut report));
     profiler.phase("metrics", || bench_metrics(&mut report));
-    profiler.phase("selector", || bench_selection(&mut report));
     profiler.phase("ann_training", || bench_training(&mut report));
     report.phases = profiler.phases().to_vec();
     match write_perf_report(&report) {

@@ -17,17 +17,14 @@
 //!   above the per-socket one, so even a halved run clears the old
 //!   runtime by a wide margin).
 //! * `per_socket_msgs_per_sec` — the per-socket cluster runtime (60%).
-//! * `selections_per_sec` — batched fleet-scale protocol selection (60%).
 //!
 //! The candidate must also carry a `cluster_endpoints_scaling` series
 //! with a 100k-endpoint point whose throughput is at least a quarter of
 //! the 1k-endpoint point — the flat-scaling claim of the multiplexed
 //! runtime, gated structurally rather than against the baseline so a
-//! uniformly slow runner cannot mask a scaling collapse. Likewise,
-//! batched `selections_per_sec` must reach at least 4x the scalar
-//! `selections_per_sec_scalar` baseline measured in the same run — the
-//! amortization claim of `select_batch`, again gated structurally so a
-//! slow runner cannot mask the batch path collapsing to per-call cost.
+//! uniformly slow runner cannot mask a scaling collapse. (Selection
+//! throughput is `pubsub_bench`'s `selector_fleet` workload, not a phase
+//! of this report.)
 //!
 //! Finally, both steady-state allocation counts of the event loop
 //! (`event_loop_steady_allocs` for raw agents, `event_loop_steady_allocs_driver`
@@ -46,16 +43,11 @@ const GUARDS: &[(&str, f64)] = &[
     ("events_per_sec", 0.25),
     ("cluster_msgs_per_sec", 0.60),
     ("per_socket_msgs_per_sec", 0.60),
-    ("selections_per_sec", 0.60),
 ];
 
 /// The 100k-endpoint scaling point must deliver at least this fraction of
 /// the 1k-endpoint point's throughput.
 const MIN_SCALING_RATIO: f64 = 0.25;
-
-/// Batched selection must beat the scalar per-call baseline by at least
-/// this factor.
-const MIN_BATCH_SPEEDUP: f64 = 4.0;
 
 fn load(path: &str) -> Result<Json, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
@@ -131,31 +123,6 @@ fn check_scaling(candidate: &Json) -> Result<bool, String> {
     Ok(true)
 }
 
-fn check_batch_speedup(candidate: &Json) -> Result<bool, String> {
-    let batched = candidate
-        .field::<f64>("selections_per_sec")
-        .map_err(|e| format!("candidate: {e}"))?;
-    let scalar = candidate
-        .field::<f64>("selections_per_sec_scalar")
-        .map_err(|e| format!("candidate: {e}"))?;
-    if scalar <= 0.0 {
-        return Err("scalar selection baseline must be positive".to_owned());
-    }
-    let ratio = batched / scalar;
-    println!(
-        "perf guard: selection scalar {scalar:.0}/s -> batched {batched:.0}/s ({ratio:.2}x, \
-         floor {MIN_BATCH_SPEEDUP:.2}x)"
-    );
-    if ratio < MIN_BATCH_SPEEDUP {
-        eprintln!(
-            "perf guard FAILED: batched selection is only {ratio:.2}x the scalar baseline \
-             (floor {MIN_BATCH_SPEEDUP:.2}x)"
-        );
-        return Ok(false);
-    }
-    Ok(true)
-}
-
 /// The event loop's steady-state allocation counts, each of which must be 0.
 const ZERO_ALLOC_FIELDS: &[&str] = &[
     "event_loop_steady_allocs",
@@ -182,9 +149,8 @@ fn run(baseline_path: &str, candidate_path: &str) -> Result<bool, String> {
     let candidate = load(candidate_path)?;
     let metrics_ok = check_metrics(&baseline, &candidate)?;
     let scaling_ok = check_scaling(&candidate)?;
-    let batch_ok = check_batch_speedup(&candidate)?;
     let allocs_ok = check_zero_allocs(&candidate)?;
-    Ok(metrics_ok && scaling_ok && batch_ok && allocs_ok)
+    Ok(metrics_ok && scaling_ok && allocs_ok)
 }
 
 fn main() {

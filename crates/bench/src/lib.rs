@@ -163,15 +163,6 @@ pub struct PerfReport {
     /// single-endpoint `run_for` loops — the no-cluster baseline; zero
     /// when not measured.
     pub sequential_msgs_per_sec: f64,
-    /// Fleet-scale selection throughput: queries answered per wall-clock
-    /// second by `ProtocolSelector::select_batch` sweeping a batch of
-    /// [`FeatureRow`](adamant::FeatureRow)s through one flat-slice forward
-    /// pass; zero when not measured.
-    pub selections_per_sec: f64,
-    /// The same query mix answered through per-call scalar
-    /// `ProtocolSelector::select` — the baseline the batched number is
-    /// measured against; zero when not measured.
-    pub selections_per_sec_scalar: f64,
     /// Multiplexed-runtime endpoint scaling: delivered throughput and
     /// worker idle accounting at 1k/10k/100k endpoints under a constant
     /// aggregate offered load. Flat `msgs_per_sec` across the series is
@@ -232,14 +223,6 @@ impl ToJson for PerfReport {
             (
                 "sequential_msgs_per_sec".to_owned(),
                 Json::Num(self.sequential_msgs_per_sec),
-            ),
-            (
-                "selections_per_sec".to_owned(),
-                Json::Num(self.selections_per_sec),
-            ),
-            (
-                "selections_per_sec_scalar".to_owned(),
-                Json::Num(self.selections_per_sec_scalar),
             ),
             (
                 "cluster_endpoints_scaling".to_owned(),
@@ -388,8 +371,6 @@ mod tests {
             cluster_msgs_per_sec: 2_000_000.0,
             per_socket_msgs_per_sec: 400_000.0,
             sequential_msgs_per_sec: 100_000.0,
-            selections_per_sec: 8_000_000.0,
-            selections_per_sec_scalar: 1_000_000.0,
             endpoint_scaling: vec![ScalingPoint {
                 endpoints: 100_000,
                 msgs_per_sec: 900_000.0,
@@ -412,11 +393,6 @@ mod tests {
         assert_eq!(json.field::<f64>("cluster_msgs_per_sec"), Ok(2_000_000.0));
         assert_eq!(json.field::<f64>("per_socket_msgs_per_sec"), Ok(400_000.0));
         assert_eq!(json.field::<f64>("sequential_msgs_per_sec"), Ok(100_000.0));
-        assert_eq!(json.field::<f64>("selections_per_sec"), Ok(8_000_000.0));
-        assert_eq!(
-            json.field::<f64>("selections_per_sec_scalar"),
-            Ok(1_000_000.0)
-        );
         let scaling = json
             .get("cluster_endpoints_scaling")
             .unwrap()

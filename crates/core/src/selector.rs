@@ -140,33 +140,36 @@ impl ProtocolSelector {
     }
 
     /// Selects the transport protocol for a configuration, measuring the
-    /// query's wall-clock time on this host.
+    /// query's wall-clock time on this host: encode → scale → one scalar
+    /// forward pass → masked argmax, the paper's Fig. 20–21 path.
     ///
-    /// The scalar path is [`select_batch`](Self::select_batch) with a
-    /// single row: both run the same encode → scale → forward → masked
-    /// argmax kernel.
+    /// [`select_batch`](Self::select_batch) decides identically, score bits
+    /// included: a batch's rows past its last full tile run this same scalar
+    /// pass, and the tile kernel does its operations in its order per row.
     pub fn select(&self, env: &Environment, app: &AppParams, metric: MetricKind) -> Selection {
-        let query = [FeatureRow::new(*env, *app, metric)];
         let start = Instant::now();
-        let mut flat = Vec::with_capacity(FEATURE_DIM);
-        let mut scratch = BatchScratch::new();
-        let mut scores = Vec::new();
-        self.score_batch(&query, &mut flat, &mut scratch, &mut scores);
-        let class = Self::feasible_argmax(&scores, env);
+        let mut input = raw_features(env, app, metric);
+        for (d, x) in input.iter_mut().enumerate() {
+            *x = self.scaler.scale_dim(d, *x);
+        }
+        let scores = self.network.run(&input);
+        let protocols = candidate_protocols();
+        let class = feasible_argmax(&protocols, env, |c| scores[c]);
         let elapsed = start.elapsed();
         Selection {
-            protocol: candidate_protocols()[class],
+            protocol: protocols[class],
             scores,
             elapsed,
         }
     }
 
-    /// Selects for a whole fleet of endpoints in one batched forward pass:
-    /// `out[i]` receives the (feasibility-masked) choice for `envs[i]`.
-    /// Identical decisions to per-row [`select`](Self::select) calls, but
-    /// the per-query dispatch, scaling, and buffer churn are amortized
-    /// across the batch — after the internal buffers warm up, the sweep is
-    /// one pass over flat contiguous slices per layer.
+    /// Selects for a whole fleet of endpoints: `out[i]` receives the
+    /// (feasibility-masked) choice for `envs[i]`, identical to per-row
+    /// [`select`](Self::select) calls. The batch is walked in blocks of
+    /// [`BLOCK_ROWS`]: each is encoded and scaled straight into column-major
+    /// feature lanes on the stack, swept through the network's tile kernel
+    /// and arg-maxed while its lanes and scores are still in L1. One block's
+    /// score buffer and the network's scratch are allocated once per call.
     ///
     /// # Panics
     ///
@@ -177,65 +180,29 @@ impl ProtocolSelector {
             out.len(),
             "output slice must match the query batch"
         );
-        if envs.is_empty() {
-            return;
-        }
-        let rows = envs.len();
-        let mut cols = Vec::with_capacity(rows * FEATURE_DIM);
-        let mut scratch = BatchScratch::new();
-        let mut scores = Vec::new();
-        self.score_batch(envs, &mut cols, &mut scratch, &mut scores);
-        let classes = candidate_protocols().len();
-        let mut row_scores = Vec::with_capacity(classes);
-        for (r, (query, choice)) in envs.iter().zip(out.iter_mut()).enumerate() {
-            row_scores.clear();
-            row_scores.extend((0..classes).map(|c| scores[c * rows + r]));
-            let class = Self::feasible_argmax(&row_scores, &query.env);
-            *choice = Choice {
-                protocol: candidate_protocols()[class],
-                class,
-                score: row_scores[class],
-            };
-        }
-    }
-
-    /// Encodes, scales, and forward-passes a batch of queries into
-    /// column-major lanes: `scores` becomes the flat `classes ×
-    /// envs.len()` matrix with class `c`'s score for query `r` at
-    /// `scores[c * envs.len() + r]`. Feature lanes are written directly
-    /// (no row-major intermediate, no transposes), and all buffers are
-    /// caller-provided so repeated sweeps allocate nothing once warm.
-    pub(crate) fn score_batch(
-        &self,
-        envs: &[FeatureRow],
-        cols: &mut Vec<f64>,
-        scratch: &mut BatchScratch,
-        scores: &mut Vec<f64>,
-    ) {
-        let rows = envs.len();
-        cols.clear();
-        cols.resize(rows * FEATURE_DIM, 0.0);
-        for (r, query) in envs.iter().enumerate() {
-            let raw = raw_features(&query.env, &query.app, query.metric);
-            for (i, &x) in raw.iter().enumerate() {
-                cols[i * rows + r] = self.scaler.scale_dim(i, x);
+        let protocols = candidate_protocols();
+        let mut lanes = [0.0; BLOCK_ROWS * FEATURE_DIM];
+        let (mut scratch, mut scores) = (BatchScratch::new(), Vec::new());
+        for (queries, choices) in envs.chunks(BLOCK_ROWS).zip(out.chunks_mut(BLOCK_ROWS)) {
+            let rows = queries.len();
+            let cols = &mut lanes[..rows * FEATURE_DIM];
+            for (r, query) in queries.iter().enumerate() {
+                let raw = raw_features(&query.env, &query.app, query.metric);
+                for (i, &x) in raw.iter().enumerate() {
+                    cols[i * rows + r] = self.scaler.scale_dim(i, x);
+                }
+            }
+            self.network
+                .run_batch_cols_into(cols, rows, &mut scratch, &mut scores);
+            for (r, (query, choice)) in queries.iter().zip(choices).enumerate() {
+                let class = feasible_argmax(&protocols, &query.env, |c| scores[c * rows + r]);
+                *choice = Choice {
+                    protocol: protocols[class],
+                    class,
+                    score: scores[class * rows + r],
+                };
             }
         }
-        self.network
-            .run_batch_cols_into(cols, rows, scratch, scores);
-    }
-
-    /// Argmax over the classes that can actually be deployed in this
-    /// environment: the network may score ShmCast highly near the
-    /// same-host boundary, but a cross-host deployment cannot use it.
-    fn feasible_argmax(scores: &[f64], env: &Environment) -> usize {
-        scores
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| is_feasible(candidate_protocols()[i], env))
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite score"))
-            .map(|(i, _)| i)
-            .expect("at least one feasible candidate")
     }
 
     /// Training-set recall: the paper's "accuracy for environments known
@@ -254,6 +221,24 @@ impl ProtocolSelector {
 }
 
 adamant_json::impl_json_struct!(ProtocolSelector { network, scaler });
+
+/// Rows per block of [`ProtocolSelector::select_batch`]: whole 32-row tiles
+/// whose lanes (9 KB) and scores (8 KB) fit L1 beside the kernel's buffers.
+const BLOCK_ROWS: usize = 128;
+
+/// Argmax of `score(class)` over the classes that can actually be deployed
+/// in this environment: the network may score ShmCast highly near the
+/// same-host boundary, but a cross-host deployment cannot use it.
+fn feasible_argmax(
+    protocols: &[ProtocolKind],
+    env: &Environment,
+    score: impl Fn(usize) -> f64,
+) -> usize {
+    (0..protocols.len())
+        .filter(|&c| is_feasible(protocols[c], env))
+        .max_by(|&a, &b| score(a).partial_cmp(&score(b)).expect("finite score"))
+        .expect("at least one feasible candidate")
+}
 
 /// The manual alternative to the ANN: a lookup table of every measured
 /// configuration, answered by nearest neighbour in scaled feature space.
@@ -584,22 +569,55 @@ mod tests {
         assert!(tree.tree().depth() >= 1);
     }
 
+    /// 1 031 seeded queries — 8 full blocks of full tiles plus a 7-row
+    /// block that takes the scalar rows — drawn from the training
+    /// environments (same-host ones included, so the feasibility mask is
+    /// exercised both ways) under application parameters across and beyond
+    /// the training set's.
     #[test]
     fn batched_selection_matches_scalar_select() {
         let ds = synthetic_dataset();
         let (selector, _) = ProtocolSelector::train_from(&ds, &SelectorConfig::default());
-        let queries: Vec<FeatureRow> = ds
-            .rows
-            .iter()
-            .map(|r| FeatureRow::new(r.env, r.app, r.metric))
+        let mut rng = adamant_proto::DetRng::seed_from_u64(0xF1EE7);
+        let queries: Vec<FeatureRow> = (0..1031)
+            .map(|_| {
+                let env = ds.rows[rng.next_below(ds.rows.len() as u64) as usize].env;
+                let app = AppParams::new(
+                    rng.range_inclusive(1, 25) as u32,
+                    rng.range_inclusive(10, 100) as u32,
+                );
+                let metric = MetricKind::paper_metrics()[rng.next_below(2) as usize];
+                FeatureRow::new(env, app, metric)
+            })
             .collect();
+        assert!(queries.iter().any(|q| q.env.same_host));
+        assert!(queries.iter().any(|q| !q.env.same_host));
         let mut choices = vec![Choice::default(); queries.len()];
         selector.select_batch(&queries, &mut choices);
         for (query, choice) in queries.iter().zip(&choices) {
             let scalar = selector.select(&query.env, &query.app, query.metric);
             assert_eq!(choice.protocol, scalar.protocol);
-            assert_eq!(choice.score, scalar.scores[choice.class]);
+            assert_eq!(candidate_protocols()[choice.class], scalar.protocol);
+            assert_eq!(
+                choice.score.to_bits(),
+                scalar.scores[choice.class].to_bits()
+            );
             assert!(crate::features::is_feasible(choice.protocol, &query.env));
+        }
+        // The mask decides, not the scores: a cross-host twin of a
+        // same-host query never gets ShmCast from either path.
+        let mut near = queries
+            .iter()
+            .copied()
+            .filter(|q| q.env.same_host)
+            .collect::<Vec<_>>();
+        near.iter_mut().for_each(|q| q.env.same_host = false);
+        let mut choices = vec![Choice::default(); near.len()];
+        selector.select_batch(&near, &mut choices);
+        for (query, choice) in near.iter().zip(&choices) {
+            assert!(!matches!(choice.protocol, ProtocolKind::ShmCast { .. }));
+            let scalar = selector.select(&query.env, &query.app, query.metric);
+            assert_eq!(choice.protocol, scalar.protocol);
         }
     }
 
