@@ -593,6 +593,7 @@ impl Cluster {
             registry.add(key("unroutable"), report.unroutable);
             registry.add(key("backpressure_stalls"), report.backpressure_stalls);
             registry.add(key("backpressure_drops"), report.backpressure_drops);
+            registry.add(key("soft_io_errors"), report.soft_io_errors);
             registry.add(key("stale_datagrams"), report.stale_datagrams);
         }
         self.stats().fold_into(protocol, registry);
@@ -748,10 +749,50 @@ fn drive_shard(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use adamant_proto::{Env, GroupId, ProcessingCost, WireMsg};
     use std::collections::BTreeSet;
+
+    /// Gives every counter of `report` that `fold_metrics` reads a distinct
+    /// non-zero value derived from `k`.
+    pub(crate) fn fill_report(report: &mut EndpointReport, k: u64) {
+        let at = TimePoint::from_nanos(0);
+        report.delivered = (0..k).map(|seq| (seq, at, seq % 2 == 1)).collect();
+        report.datagrams_sent = 10 + k;
+        report.datagrams_received = 20 + k;
+        report.decode_errors = 30 + k;
+        report.stale_datagrams = 40 + k;
+        report.unroutable = 50 + k;
+        report.backpressure_stalls = 60 + k;
+        report.backpressure_drops = 70 + k;
+        report.soft_io_errors = 80 + k;
+    }
+
+    /// Every counter folded both per node and per cluster must add up: the
+    /// keys of nodes `0..nodes` sum to the cluster key, and to something.
+    pub(crate) fn assert_node_keys_sum_to_cluster_keys(registry: &MetricsRegistry, nodes: u32) {
+        let both_levels = [
+            ("delivered", "delivered"),
+            ("recovered", "recovered"),
+            ("datagrams_sent", "datagrams_sent"),
+            ("datagrams_received", "datagrams_received"),
+            ("decode_errors", "decode_errors"),
+            ("unroutable", "unroutable"),
+            ("backpressure_stalls", "backpressure_stalls"),
+            ("backpressure_drops", "backpressure_drops"),
+            ("soft_io_errors", "soft_io_errors"),
+            ("stale_datagrams", "stale_drops"),
+        ];
+        for (node_name, cluster_name) in both_levels {
+            let summed: u64 = (0..nodes)
+                .map(|n| registry.counter(&MetricsRegistry::node_key("udp", NodeId(n), node_name)))
+                .sum();
+            let cluster = registry.counter(&format!("udp/cluster/{cluster_name}"));
+            assert!(summed > 0, "no node accounts for {node_name}");
+            assert_eq!(summed, cluster, "{node_name} vs cluster {cluster_name}");
+        }
+    }
 
     /// Publishes `total` sequenced messages into group 0 on a short timer.
     #[derive(Debug)]
@@ -1033,6 +1074,21 @@ mod tests {
             registry.counter("udp/node0/datagrams_sent")
                 + registry.counter("udp/node1/datagrams_sent")
         );
+    }
+
+    #[test]
+    fn node_keys_sum_to_the_cluster_key_for_every_counter_at_both_levels() {
+        let mut cluster = Cluster::new(ClusterConfig::new(2));
+        for node in 0..3u32 {
+            let id = cluster
+                .add_endpoint(NodeId(node), "127.0.0.1:0", Listener)
+                .unwrap();
+            let report = &mut cluster.entry_mut(id).unwrap().slot.report;
+            fill_report(report, 1 + u64::from(node));
+        }
+        let mut registry = MetricsRegistry::new();
+        cluster.fold_metrics("udp", &mut registry);
+        assert_node_keys_sum_to_cluster_keys(&registry, 3);
     }
 
     /// Satellite of the readiness-notification rework: an idle cluster

@@ -33,13 +33,19 @@
 //!
 //! The file-descriptor budget is `workers × sockets_per_worker` no matter
 //! how many endpoints are added, which is what makes a 100k-endpoint
-//! process (the bench's `cluster_endpoints_scaling` phase) possible at
-//! all — the per-socket design would need 100k descriptors.
+//! process possible at all — the per-socket design would need 100k
+//! descriptors.
 //!
 //! Endpoint `i` lives on shard `i % workers` (same deal-out rule as
-//! [`Cluster`](crate::Cluster)) and is pinned to socket
-//! `(i / workers) % sockets_per_worker` of that worker's pool, so shard
-//! layout remains a pure function of add order. Routing is by
+//! [`Cluster`](crate::Cluster)), at position `i / workers` of it, and is
+//! pinned to socket `(i / workers) % sockets_per_worker` of that worker's
+//! pool, so shard layout remains a pure function of add order. The shard
+//! table *is* the storage: a [`run_for`](MuxCluster::run_for) window lends
+//! worker `w` its shard, socket pool and timer wheel in place, and one
+//! before which nothing was added, restarted or re-wired visits no entry
+//! it has no timer or datagram for — its fixed cost is spawn + poller +
+//! join whatever the fleet size. A worker that panics forfeits its shard
+//! (entries cleared, sockets closed); the others run on. Routing is by
 //! [`NodeId`] → `(socket address, endpoint index, incarnation)`; a
 //! [`restart_endpoint`](MuxCluster::restart_endpoint) bumps the
 //! incarnation **and rewrites every peer's route entry**, so only
@@ -257,6 +263,12 @@ struct MuxEntry {
     plans_stale: bool,
 }
 
+// `fleet_100k`'s `peak_rss_mb` is 100 000 of these plus what each owns, and
+// until the benchmark measures set-up differently the 1 024-endpoint
+// `setup_s` depends on the allocator state the entry table's growth leaves
+// behind (DESIGN.md §5.3, candidate (b)): growing an entry moves both.
+const _: () = assert!(std::mem::size_of::<MuxEntry>() <= 296);
+
 impl MuxEntry {
     fn rebuild_plans(&mut self, workers: usize) {
         let MuxEntry {
@@ -319,10 +331,17 @@ const COALESCE_BYTES: usize = 1400;
 /// ```
 pub struct MuxCluster {
     cfg: MuxConfig,
-    /// `None` only for endpoints whose shard was lost to a worker panic.
-    entries: Vec<Option<MuxEntry>>,
-    /// Each worker's socket pool (emptied for a shard lost to a panic —
-    /// the sockets died with the worker thread).
+    /// The entries, stored where they run: endpoint `i` is
+    /// `shards[i % workers][i / workers]`, and a window lends `shards[w]`
+    /// to worker `w`. A shard lost to a worker panic is empty.
+    shards: Vec<Vec<MuxEntry>>,
+    /// Endpoints added so far, lost ones included.
+    len: usize,
+    /// Set by whatever adds or restarts an endpoint or changes a route or
+    /// group table — all of it runs between windows. A window that finds
+    /// it clear visits no entry it has no event for.
+    dirty: bool,
+    /// Each worker's socket pool (emptied for a shard lost to a panic).
     sockets: Vec<Vec<UdpSocket>>,
     /// Bound address of every socket, `addrs[shard][socket]`.
     addrs: Vec<Vec<SocketAddr>>,
@@ -335,7 +354,7 @@ impl std::fmt::Debug for MuxCluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MuxCluster")
             .field("cfg", &self.cfg)
-            .field("endpoints", &self.entries.len())
+            .field("endpoints", &self.len)
             .finish()
     }
 }
@@ -369,7 +388,9 @@ impl MuxCluster {
         }
         Ok(MuxCluster {
             cfg,
-            entries: Vec::new(),
+            shards: (0..workers).map(|_| Vec::new()).collect(),
+            len: 0,
+            dirty: false,
             sockets,
             addrs,
             wheels: Vec::new(),
@@ -390,13 +411,13 @@ impl MuxCluster {
         node: NodeId,
         core: C,
     ) -> Result<EndpointId, RtError> {
-        let index = self.entries.len();
-        let shard = index % self.cfg.workers.max(1);
+        let index = self.len;
+        let shard = index % self.shards.len();
         if self.sockets[shard].is_empty() {
             return Err(RtError::ShardPanicked { shard });
         }
-        let socket = (index / self.cfg.workers.max(1)) % self.sockets[shard].len();
-        self.entries.push(Some(MuxEntry {
+        let socket = (index / self.shards.len()) % self.sockets[shard].len();
+        self.shards[shard].push(MuxEntry {
             node,
             host: EnvHost::new(node, endpoint_seed(self.cfg.seed, index))
                 .with_observed(self.cfg.observed),
@@ -410,7 +431,9 @@ impl MuxCluster {
             socket,
             plans: Box::default(),
             plans_stale: false,
-        }));
+        });
+        self.len += 1;
+        self.dirty = true;
         Ok(EndpointId(index))
     }
 
@@ -449,7 +472,7 @@ impl MuxCluster {
         entry.core = Box::new(core);
         // Re-stamp every peer's route so post-restart sends reach the new
         // incarnation instead of being dropped as stale.
-        for cell in self.entries.iter_mut().flatten() {
+        for cell in self.shards.iter_mut().flatten() {
             if let Some(route) = cell.routes.get_mut(&node) {
                 if route.endpoint == id.0 as u32 {
                     route.incarnation = incarnation;
@@ -457,6 +480,7 @@ impl MuxCluster {
                 }
             }
         }
+        self.dirty = true;
         Ok(())
     }
 
@@ -471,17 +495,17 @@ impl MuxCluster {
 
     /// Endpoints added so far (including any lost to a shard panic).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// Whether no endpoints have been added.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// The worker shard `id` runs on: `index % workers`.
     pub fn shard_of(&self, id: EndpointId) -> usize {
-        id.0 % self.cfg.workers.max(1)
+        id.0 % self.shards.len()
     }
 
     /// The shared-socket address peers should send endpoint `id`'s
@@ -494,7 +518,7 @@ impl MuxCluster {
     /// [`RtError::UnknownEndpoint`] for a dead or out-of-range id.
     pub fn endpoint_addr(&self, id: EndpointId) -> Result<SocketAddr, RtError> {
         let entry = self.entry(id)?;
-        Ok(self.addrs[id.0 % self.cfg.workers.max(1)][entry.socket])
+        Ok(self.addrs[self.shard_of(id)][entry.socket])
     }
 
     /// The protocol node id of endpoint `id`.
@@ -516,7 +540,7 @@ impl MuxCluster {
     pub fn add_peer(&mut self, id: EndpointId, peer: EndpointId) -> Result<(), RtError> {
         let peer_entry = self.entry(peer)?;
         let route = MuxRoute {
-            addr: self.addrs[peer.0 % self.cfg.workers.max(1)][peer_entry.socket],
+            addr: self.addrs[self.shard_of(peer)][peer_entry.socket],
             endpoint: peer.0 as u32,
             incarnation: peer_entry.incarnation,
         };
@@ -524,6 +548,7 @@ impl MuxCluster {
         let entry = self.entry_mut(id)?;
         entry.routes.insert(peer_node, route);
         entry.plans_stale = true;
+        self.dirty = true;
         Ok(())
     }
 
@@ -551,6 +576,7 @@ impl MuxCluster {
             },
         );
         entry.plans_stale = true;
+        self.dirty = true;
         Ok(())
     }
 
@@ -563,6 +589,7 @@ impl MuxCluster {
         let entry = self.entry_mut(id)?;
         *entry.host.groups_mut() = groups;
         entry.plans_stale = true;
+        self.dirty = true;
         Ok(())
     }
 
@@ -570,23 +597,20 @@ impl MuxCluster {
     /// group 0 containing all nodes on each — the all-to-all session shape
     /// the paper's scenarios use.
     pub fn connect_full_mesh(&mut self) -> Result<(), RtError> {
-        let workers = self.cfg.workers.max(1);
-        let mut routes = Vec::with_capacity(self.entries.len());
-        let mut all_nodes = Vec::with_capacity(self.entries.len());
-        for (index, cell) in self.entries.iter().enumerate() {
-            if let Some(entry) = cell {
-                routes.push((
-                    entry.node,
-                    MuxRoute {
-                        addr: self.addrs[index % workers][entry.socket],
-                        endpoint: index as u32,
-                        incarnation: entry.incarnation,
-                    },
-                ));
-                all_nodes.push(entry.node);
-            }
+        let mut routes = Vec::with_capacity(self.len);
+        let mut all_nodes = Vec::with_capacity(self.len);
+        for (index, entry) in self.live() {
+            routes.push((
+                entry.node,
+                MuxRoute {
+                    addr: self.addrs[index % self.shards.len()][entry.socket],
+                    endpoint: index as u32,
+                    incarnation: entry.incarnation,
+                },
+            ));
+            all_nodes.push(entry.node);
         }
-        for cell in self.entries.iter_mut().flatten() {
+        for cell in self.shards.iter_mut().flatten() {
             for &(node, route) in &routes {
                 if node != cell.node {
                     cell.routes.insert(node, route);
@@ -595,6 +619,7 @@ impl MuxCluster {
             *cell.host.groups_mut() = vec![all_nodes.clone()];
             cell.plans_stale = true;
         }
+        self.dirty = true;
         Ok(())
     }
 
@@ -610,39 +635,47 @@ impl MuxCluster {
     /// shard's endpoints and sockets are lost); otherwise the first hard
     /// socket error any worker hit.
     pub fn run_for(&mut self, wall: Duration) -> Result<(), RtError> {
-        if self.entries.is_empty() {
+        if self.len == 0 {
             return Ok(());
         }
-        let workers = self.cfg.workers.max(1);
+        let workers = self.shards.len();
         let batch = self.cfg.batch_size.max(1);
         let clock = self.cfg.clock;
         let deadline = clock.now() + Span::from_nanos(wall.as_nanos() as u64);
 
-        let mut shards: Vec<Vec<(usize, MuxEntry)>> = (0..workers).map(|_| Vec::new()).collect();
-        for (index, cell) in self.entries.iter_mut().enumerate() {
-            if let Some(mut entry) = cell.take() {
+        let dirty = std::mem::take(&mut self.dirty);
+        if dirty {
+            for entry in self.shards.iter_mut().flatten() {
                 if entry.plans_stale {
                     entry.rebuild_plans(workers);
                 }
-                shards[index % workers].push((index, entry));
             }
         }
         self.wheels.resize_with(workers, TimerWheel::new);
-        let wheels: Vec<TimerWheel> = self.wheels.drain(..).collect();
-        let socket_pools: Vec<Vec<UdpSocket>> = std::mem::take(&mut self.sockets);
 
         let mut first_error: Option<RtError> = None;
         let mut panicked: Option<usize> = None;
-        self.wheels.resize_with(workers, TimerWheel::new);
-        self.sockets = (0..workers).map(|_| Vec::new()).collect();
         let joined: Vec<_> = std::thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .into_iter()
-                .zip(wheels)
-                .zip(socket_pools)
-                .map(|((shard, wheel), pool)| {
+            let handles: Vec<_> = self
+                .shards
+                .iter_mut()
+                .zip(&self.sockets)
+                .zip(&mut self.wheels)
+                .map(|((shard, pool), wheel)| {
                     scope.spawn(move || {
-                        run_mux_shard(shard, pool, wheel, clock, deadline, workers, batch)
+                        let mut counters = WorkerCounters::default();
+                        let result = drive_mux_shard(
+                            shard,
+                            pool,
+                            wheel,
+                            clock,
+                            deadline,
+                            workers,
+                            batch,
+                            dirty,
+                            &mut counters,
+                        );
+                        (counters, result.err())
                     })
                 })
                 .collect();
@@ -650,20 +683,18 @@ impl MuxCluster {
         });
         for (shard_index, outcome) in joined.into_iter().enumerate() {
             match outcome {
-                Ok((shard, pool, wheel, counters, error)) => {
-                    for (index, entry) in shard {
-                        self.entries[index] = Some(entry);
-                    }
-                    self.sockets[shard_index] = pool;
-                    self.wheels[shard_index] = wheel;
+                Ok((counters, error)) => {
                     self.worker.absorb(counters);
-                    if first_error.is_none() {
-                        first_error = error;
-                    }
+                    first_error = first_error.or(error);
                 }
-                // The panicked shard's sockets died with the thread; its
-                // endpoints stay `None` and its socket pool stays empty.
-                Err(_) => panicked = panicked.or(Some(shard_index)),
+                // What the worker was stepping when it died cannot be
+                // trusted: the shard's endpoints, sockets and timers go.
+                Err(_) => {
+                    self.shards[shard_index].clear();
+                    self.sockets[shard_index].clear();
+                    self.wheels[shard_index] = TimerWheel::new();
+                    panicked = panicked.or(Some(shard_index));
+                }
             }
         }
         if let Some(shard) = panicked {
@@ -677,34 +708,25 @@ impl MuxCluster {
 
     /// The report of endpoint `id`, if it is still live.
     pub fn report(&self, id: EndpointId) -> Option<&EndpointReport> {
-        self.entries.get(id.0)?.as_ref().map(|e| &e.report)
+        self.entry(id).ok().map(|e| &e.report)
     }
 
     /// Iterates `(id, node, report)` over every live endpoint, in add
     /// order.
     pub fn reports(&self) -> impl Iterator<Item = (EndpointId, NodeId, &EndpointReport)> {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter_map(|(i, cell)| cell.as_ref().map(|e| (EndpointId(i), e.node, &e.report)))
+        self.live().map(|(i, e)| (EndpointId(i), e.node, &e.report))
     }
 
     /// Downcasts endpoint `id`'s core back to its concrete type for
     /// post-run inspection (`None` on a dead id or type mismatch).
     pub fn core<C: ProtocolCore>(&self, id: EndpointId) -> Option<&C> {
-        self.entries
-            .get(id.0)?
-            .as_ref()?
-            .core
-            .as_any()
-            .downcast_ref::<C>()
+        self.entry(id).ok()?.core.as_any().downcast_ref::<C>()
     }
 
     /// Mutable variant of [`core`](MuxCluster::core).
     pub fn core_mut<C: ProtocolCore>(&mut self, id: EndpointId) -> Option<&mut C> {
-        self.entries
-            .get_mut(id.0)?
-            .as_mut()?
+        self.entry_mut(id)
+            .ok()?
             .core
             .as_any_mut()
             .downcast_mut::<C>()
@@ -750,22 +772,28 @@ impl MuxCluster {
             registry.add(key("unroutable"), report.unroutable);
             registry.add(key("backpressure_stalls"), report.backpressure_stalls);
             registry.add(key("backpressure_drops"), report.backpressure_drops);
+            registry.add(key("soft_io_errors"), report.soft_io_errors);
             registry.add(key("stale_datagrams"), report.stale_datagrams);
         }
         self.stats().fold_into(protocol, registry);
     }
 
+    /// Every live entry with its endpoint index, in index (= add) order.
+    fn live(&self) -> impl Iterator<Item = (usize, &MuxEntry)> {
+        let workers = self.shards.len();
+        (0..self.len).filter_map(move |i| Some((i, self.shards[i % workers].get(i / workers)?)))
+    }
+
     fn entry(&self, id: EndpointId) -> Result<&MuxEntry, RtError> {
-        self.entries
-            .get(id.0)
-            .and_then(Option::as_ref)
+        self.shards[self.shard_of(id)]
+            .get(id.0 / self.shards.len())
             .ok_or(RtError::UnknownEndpoint { index: id.0 })
     }
 
     fn entry_mut(&mut self, id: EndpointId) -> Result<&mut MuxEntry, RtError> {
-        self.entries
-            .get_mut(id.0)
-            .and_then(Option::as_mut)
+        let (shard, pos) = (self.shard_of(id), id.0 / self.shards.len());
+        self.shards[shard]
+            .get_mut(pos)
             .ok_or(RtError::UnknownEndpoint { index: id.0 })
     }
 }
@@ -782,69 +810,32 @@ struct Scratch {
     live: Vec<usize>,
 }
 
-/// Everything a worker hands back when its window ends: the shard's
-/// entries, its socket pool, the timer wheel, the worker counters, and
-/// the first hard error (if any).
-type ShardRun = (
-    Vec<(usize, MuxEntry)>,
-    Vec<UdpSocket>,
-    TimerWheel,
-    WorkerCounters,
-    Option<RtError>,
-);
-
-#[allow(clippy::too_many_arguments)]
-fn run_mux_shard(
-    mut shard: Vec<(usize, MuxEntry)>,
-    sockets: Vec<UdpSocket>,
-    mut wheel: TimerWheel,
-    clock: MonotonicClock,
-    deadline: TimePoint,
-    workers: usize,
-    batch: usize,
-) -> ShardRun {
-    set_worker_timer_slack();
-    let mut counters = WorkerCounters::default();
-    let result = drive_mux_shard(
-        &mut shard,
-        &sockets,
-        &mut wheel,
-        clock,
-        deadline,
-        workers,
-        batch,
-        &mut counters,
-    );
-    (shard, sockets, wheel, counters, result.err())
-}
-
 /// Maps a global endpoint index to its position in this shard's entry
 /// slice: entries are dealt out strided (`shard_index`, `shard_index +
 /// workers`, …), so position is `global / workers` — verified against the
-/// stored index so a stale or hostile key can never alias another entry.
-fn local_pos(global: usize, shard: &[(usize, MuxEntry)], workers: usize) -> Option<usize> {
+/// index the entry arms its timers under, so a stale or hostile key can
+/// never alias another entry.
+fn local_pos(global: usize, shard: &[MuxEntry], workers: usize) -> Option<usize> {
     let pos = global / workers;
-    match shard.get(pos) {
-        Some((index, _)) if *index == global => Some(pos),
-        _ => None,
-    }
+    let entry = shard.get(pos)?;
+    ((entry.wheel_owner >> 8) as usize == global).then_some(pos)
 }
 
+/// One worker's window over the shard, socket pool and timer wheel it is
+/// lent; `dirty` says some entry may still be waiting for its `Start`.
 #[allow(clippy::too_many_arguments)]
 fn drive_mux_shard(
-    shard: &mut [(usize, MuxEntry)],
+    shard: &mut [MuxEntry],
     sockets: &[UdpSocket],
     wheel: &mut TimerWheel,
     clock: MonotonicClock,
     deadline: TimePoint,
     workers: usize,
     batch: usize,
+    dirty: bool,
     counters: &mut WorkerCounters,
 ) -> Result<(), RtError> {
-    let mut poller = Poller::new().map_err(RtError::Io)?;
-    for sock in sockets {
-        poller.register(sock).map_err(RtError::Io)?;
-    }
+    set_worker_timer_slack();
     let mut recv = RecvBatch::new(batch);
     let mut send = SendBatch::new(batch);
     let mut outboxes: Vec<VecDeque<OutMsg>> = (0..sockets.len()).map(|_| VecDeque::new()).collect();
@@ -855,20 +846,28 @@ fn drive_mux_shard(
         live: Vec::new(),
     };
 
-    for (pos, (_, entry)) in shard.iter_mut().enumerate() {
-        if !entry.started {
-            entry.started = true;
-            let now = clock.now();
-            step_entry(
-                entry,
-                pos,
-                Input::Start,
-                now,
-                wheel,
-                &mut outboxes,
-                &mut scratch,
-            );
+    // Before anything that can fail, so a dirty window starts every entry
+    // that needs it and a clean one has none to look for.
+    if dirty {
+        for (pos, entry) in shard.iter_mut().enumerate() {
+            if !entry.started {
+                entry.started = true;
+                let now = clock.now();
+                step_entry(
+                    entry,
+                    pos,
+                    Input::Start,
+                    now,
+                    wheel,
+                    &mut outboxes,
+                    &mut scratch,
+                );
+            }
         }
+    }
+    let mut poller = Poller::new().map_err(RtError::Io)?;
+    for sock in sockets {
+        poller.register(sock).map_err(RtError::Io)?;
     }
     let fire_max = TIMER_BURST_BATCHES * batch;
     loop {
@@ -883,12 +882,12 @@ fn drive_mux_shard(
             let Some(pos) = local_pos(index, shard, workers) else {
                 continue;
             };
-            if fire.owner != shard[pos].1.wheel_owner {
+            if fire.owner != shard[pos].wheel_owner {
                 continue; // armed by a dead incarnation: drop as stale
             }
             let now = clock.now();
             step_entry(
-                &mut shard[pos].1,
+                &mut shard[pos],
                 pos,
                 Input::TimerFired {
                     token: fire.token,
@@ -955,7 +954,7 @@ fn drive_mux_shard(
             // ICMP noise read off a shared socket belongs to no single
             // endpoint; fold it into the first live entry's report so the
             // aggregate stat still carries it.
-            if let Some((_, entry)) = shard.first_mut() {
+            if let Some(entry) = shard.first_mut() {
                 entry.report.soft_io_errors += recv.soft_errors;
             }
             recv.soft_errors = 0;
@@ -1115,7 +1114,7 @@ fn step_entry(
 #[allow(clippy::too_many_arguments)]
 fn demux_batch(
     recv: &RecvBatch,
-    shard: &mut [(usize, MuxEntry)],
+    shard: &mut [MuxEntry],
     workers: usize,
     now: TimePoint,
     wheel: &mut TimerWheel,
@@ -1143,7 +1142,7 @@ fn demux_batch(
                             continue;
                         };
                         resolved = true;
-                        let entry = &mut shard[pos].1;
+                        let entry = &mut shard[pos];
                         entry.report.datagrams_received += 1;
                         if dest.incarnation != ANY_INCARNATION
                             && dest.incarnation != entry.incarnation
@@ -1160,7 +1159,7 @@ fn demux_batch(
                 Ok(FramePart::Entry(bytes)) if !live.is_empty() => {
                     let msg = WireMsg::decode(bytes);
                     for &pos in &live {
-                        let entry = &mut shard[pos].1;
+                        let entry = &mut shard[pos];
                         let Some(msg) = &msg else {
                             entry.report.decode_errors += 1;
                             continue;
@@ -1173,7 +1172,7 @@ fn demux_batch(
                 Err(FrameError::Header) => counters.header_drops += 1,
                 Err(FrameError::Body) => {
                     for &pos in &live {
-                        shard[pos].1.report.decode_errors += 1;
+                        shard[pos].report.decode_errors += 1;
                     }
                 }
             }
@@ -1191,7 +1190,7 @@ fn flush_socket(
     sock: &UdpSocket,
     outbox: &mut VecDeque<OutMsg>,
     send: &mut SendBatch,
-    shard: &mut [(usize, MuxEntry)],
+    shard: &mut [MuxEntry],
     pool: &mut Vec<Vec<u8>>,
 ) -> Result<usize, RtError> {
     let mut total = 0;
@@ -1202,14 +1201,14 @@ fn flush_socket(
                 // Flow-blocked: charge a stall to the stuck message's
                 // sender and let the idle branch pace the retry.
                 if let Some(front) = outbox.front() {
-                    shard[front.from].1.report.backpressure_stalls += 1;
+                    shard[front.from].report.backpressure_stalls += 1;
                 }
                 break;
             }
             Ok(sent) => {
                 for _ in 0..sent {
                     let msg = outbox.pop_front().expect("sent ≤ queued");
-                    shard[msg.from].1.report.datagrams_sent += 1;
+                    shard[msg.from].report.datagrams_sent += 1;
                     pool.push(msg.buf);
                 }
                 total += sent;
@@ -1221,7 +1220,7 @@ fn flush_socket(
                 // The error names the first unsent message: drop it so
                 // the batch makes progress past the unreachable peer.
                 if let Some(msg) = outbox.pop_front() {
-                    shard[msg.from].1.report.soft_io_errors += 1;
+                    shard[msg.from].report.soft_io_errors += 1;
                     pool.push(msg.buf);
                 }
             }
@@ -1604,7 +1603,7 @@ mod tests {
         for &id in &rx {
             assert_eq!(cluster.report(id).unwrap().delivered_seqs(), want);
         }
-        let plan = &cluster.entries[tx.0].as_ref().unwrap().plans[0];
+        let plan = &cluster.entry(tx).unwrap().plans[0];
         assert!(plan.frames.len() >= 2);
         assert_eq!(plan.frames.iter().map(|f| f.dests).sum::<u64>(), 300);
         let body = data(u64::MAX).to_bytes();
@@ -1979,17 +1978,64 @@ mod tests {
                 }
             }
         }
-        let mut cluster = small_mux(2, 1);
-        let survivor = cluster.add_endpoint(NodeId(0), Listener).unwrap();
+        // Nine endpoints over three workers; the bomb is the first of shard
+        // 1 (ids 1, 4, 7), and the beacon's group reaches into every shard.
+        let mut cluster = small_mux(3, 1);
+        let tx = cluster
+            .add_endpoint(NodeId(0), Beacon { next: 0, total: 20 })
+            .unwrap();
         let bomb = cluster.add_endpoint(NodeId(1), Bomb).unwrap();
+        let mut group = vec![NodeId(0)];
+        for node in 2..9u32 {
+            let id = cluster.add_endpoint(NodeId(node), Listener).unwrap();
+            cluster.add_peer(tx, id).unwrap();
+            group.push(NodeId(node));
+        }
+        cluster.set_groups(tx, vec![group.clone()]).unwrap();
         let err = cluster.run_for(Duration::from_millis(10)).unwrap_err();
         assert!(matches!(err, RtError::ShardPanicked { shard: 1 }));
-        assert!(cluster.report(survivor).is_some());
-        assert!(cluster.report(bomb).is_none());
-        // The lost shard's sockets died with its worker: adding another
-        // endpoint to that shard is a typed error, not a crash.
-        cluster.add_endpoint(NodeId(2), Listener).unwrap();
-        let err = cluster.add_endpoint(NodeId(3), Listener).unwrap_err();
+
+        // The lost endpoints still count, but every way of naming one
+        // answers that it is gone.
+        assert_eq!(cluster.len(), 9);
+        for lost in [bomb, EndpointId(4), EndpointId(7)] {
+            assert!(cluster.report(lost).is_none());
+            assert!(cluster.core::<Listener>(lost).is_none());
+            assert!(cluster.core_mut::<Listener>(lost).is_none());
+            let gone = |result: Result<(), RtError>| {
+                assert!(
+                    matches!(result, Err(RtError::UnknownEndpoint { index }) if index == lost.0)
+                );
+            };
+            gone(cluster.node(lost).map(drop));
+            gone(cluster.incarnation(lost).map(drop));
+            gone(cluster.endpoint_addr(lost).map(drop));
+            gone(cluster.add_peer(lost, tx));
+            gone(cluster.add_peer(tx, lost));
+            gone(cluster.set_groups(lost, vec![group.clone()]));
+            gone(cluster.restart_endpoint(lost, Listener));
+        }
+        // The survivors come back in id order, interleaved across shards
+        // 0 and 2, and are all that the aggregate counts.
+        let survivors = [0, 2, 3, 5, 6, 8].map(EndpointId);
+        let reported: Vec<_> = cluster.reports().map(|(id, node, _)| (id, node)).collect();
+        let want: Vec<_> = survivors.map(|id| (id, NodeId(id.0 as u32))).to_vec();
+        assert_eq!(reported, want);
+        assert_eq!(cluster.stats().endpoints, 6);
+
+        // The rest of the cluster runs on: the beacon finishes its stream
+        // and every surviving listener hears all of it.
+        cluster.run_for(Duration::from_millis(150)).unwrap();
+        assert_eq!(cluster.core::<Beacon>(tx).unwrap().next, 20);
+        let all: BTreeSet<u64> = (0..20).collect();
+        for &id in &survivors[1..] {
+            assert_eq!(cluster.report(id).unwrap().delivered_seqs(), all);
+        }
+
+        // The lost shard's sockets went with it: adding another endpoint
+        // to that shard is a typed error, not a crash.
+        cluster.add_endpoint(NodeId(9), Listener).unwrap();
+        let err = cluster.add_endpoint(NodeId(10), Listener).unwrap_err();
         assert!(matches!(err, RtError::ShardPanicked { shard: 1 }));
     }
 
@@ -2008,6 +2054,23 @@ mod tests {
         assert_eq!(registry.counter("udp/cluster/delivered"), 5);
         assert_eq!(registry.counter("udp/cluster/endpoints"), 2);
         assert_eq!(registry.counter("udp/cluster/unknown_endpoint_drops"), 0);
+    }
+
+    #[test]
+    fn node_keys_sum_to_the_cluster_key_for_every_counter_at_both_levels() {
+        use crate::cluster::tests::{assert_node_keys_sum_to_cluster_keys, fill_report};
+        let mut cluster = small_mux(2, 10);
+        for node in 0..3u32 {
+            let id = cluster.add_endpoint(NodeId(node), Listener).unwrap();
+            let report = &mut cluster.entry_mut(id).unwrap().report;
+            fill_report(report, 1 + u64::from(node));
+            // One destination per datagram, so what the workers counted on
+            // the wire is what the endpoints counted.
+            cluster.worker.datagrams_received += report.datagrams_received;
+        }
+        let mut registry = MetricsRegistry::new();
+        cluster.fold_metrics("udp", &mut registry);
+        assert_node_keys_sum_to_cluster_keys(&registry, 3);
     }
 
     /// Arms `timers` timers for the same instant on start; each one fired
