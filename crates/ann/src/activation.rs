@@ -47,6 +47,7 @@ impl Activation {
 
     /// Derivative expressed in terms of the activation *output* `y` (the
     /// form backpropagation uses).
+    #[inline(always)]
     pub fn derivative_from_output(self, y: f64) -> f64 {
         match self {
             Activation::Sigmoid { steepness } => {

@@ -1,7 +1,7 @@
 //! Training: batch backpropagation gradients with iRPROP− or plain online
 //! gradient descent, driven to a target MSE (FANN's "stopping error").
 
-use crate::network::NeuralNetwork;
+use crate::network::{NeuralNetwork, TrainingTiles};
 use crate::rng::InitRng;
 
 /// A supervised training set.
@@ -99,15 +99,6 @@ pub enum Algorithm {
         /// Momentum factor in `[0, 1)`.
         momentum: f64,
     },
-    /// Quickprop (Fahlman): batch training with a per-weight parabolic
-    /// step estimated from consecutive gradients, clamped by the growth
-    /// factor `mu`. FANN's second classic batch algorithm.
-    Quickprop {
-        /// Gradient-descent bootstrap/fallback rate.
-        learning_rate: f64,
-        /// Maximum growth factor between consecutive steps (FANN: 1.75).
-        mu: f64,
-    },
 }
 
 /// Training configuration.
@@ -171,222 +162,18 @@ pub fn train(net: &mut NeuralNetwork, data: &TrainingData, params: &TrainParams)
             learning_rate,
             momentum,
         } => train_incremental(net, data, params, learning_rate, momentum),
-        Algorithm::Quickprop { learning_rate, mu } => {
-            train_quickprop(net, data, params, learning_rate, mu)
-        }
     }
 }
 
-/// Per-weight Quickprop state.
-struct QuickpropState {
-    prev_step: Vec<f64>,
-    prev_grad: Vec<f64>,
-}
-
-fn quickprop_update(
-    params: &mut [f64],
-    grad: &[f64],
-    state: &mut QuickpropState,
-    learning_rate: f64,
-    mu: f64,
-) {
-    const SHRINK_GUARD: f64 = 1e-12;
-    for i in 0..params.len() {
-        let g = grad[i];
-        let prev_step = state.prev_step[i];
-        let prev_grad = state.prev_grad[i];
-        let mut step = 0.0;
-        if prev_step.abs() > SHRINK_GUARD {
-            // Parabolic estimate of the minimum along this weight.
-            let denom = prev_grad - g;
-            if denom.abs() > SHRINK_GUARD {
-                step = g / denom * prev_step;
-            }
-            // Clamp growth and keep direction sane.
-            let max_step = mu * prev_step.abs();
-            step = step.clamp(-max_step, max_step);
-            // Add a gradient term while the slope still points the same
-            // way (Fahlman's recommendation; FANN does the same).
-            if g * prev_grad > 0.0 {
-                step += -learning_rate * g;
-            }
-        } else {
-            step = -learning_rate * g;
-        }
-        params[i] += step;
-        state.prev_step[i] = step;
-        state.prev_grad[i] = g;
-    }
-}
-
-fn train_quickprop(
-    net: &mut NeuralNetwork,
-    data: &TrainingData,
-    params: &TrainParams,
-    learning_rate: f64,
-    mu: f64,
-) -> TrainOutcome {
-    let mut states: Vec<(QuickpropState, QuickpropState)> = net
-        .layers
-        .iter()
-        .map(|l| {
-            (
-                QuickpropState {
-                    prev_step: vec![0.0; l.weights.len()],
-                    prev_grad: vec![0.0; l.weights.len()],
-                },
-                QuickpropState {
-                    prev_step: vec![0.0; l.biases.len()],
-                    prev_grad: vec![0.0; l.biases.len()],
-                },
-            )
-        })
-        .collect();
-    let mut scratch = GradScratch::new(net);
-    let mut epochs = 0;
-    loop {
-        let mse = batch_gradients_into(net, data, &mut scratch);
-        if mse <= params.stopping_mse {
-            return TrainOutcome {
-                epochs,
-                final_mse: mse,
-                reached_target: true,
-            };
-        }
-        if epochs >= params.max_epochs {
-            return TrainOutcome {
-                epochs,
-                final_mse: mse,
-                reached_target: false,
-            };
-        }
-        for (l, (gw, gb)) in scratch.grads.iter().enumerate() {
-            let (wstate, bstate) = &mut states[l];
-            quickprop_update(&mut net.layers[l].weights, gw, wstate, learning_rate, mu);
-            quickprop_update(&mut net.layers[l].biases, gb, bstate, learning_rate, mu);
-        }
-        epochs += 1;
-    }
-}
-
-/// Preallocated training buffers, reused across every example and epoch so
-/// a warmed-up epoch performs zero heap allocations.
-struct GradScratch {
-    /// Per-layer `(dE/dw, dE/db)` accumulators, zeroed in place per batch.
-    grads: Vec<(Vec<f64>, Vec<f64>)>,
-    /// Per-layer activations of the current example (index 0 = the input).
-    activations: Vec<Vec<f64>>,
-    /// Backpropagated error terms for the layer being processed.
-    delta: Vec<f64>,
-    /// Error terms under construction for the layer below.
-    next_delta: Vec<f64>,
-}
-
-impl GradScratch {
-    fn new(net: &NeuralNetwork) -> Self {
-        let widest = net.layer_sizes().into_iter().max().unwrap_or(0);
-        GradScratch {
-            grads: net
-                .layers
-                .iter()
-                .map(|l| (vec![0.0; l.weights.len()], vec![0.0; l.biases.len()]))
-                .collect(),
-            activations: vec![Vec::with_capacity(widest); net.layers.len() + 1],
-            delta: Vec::with_capacity(widest),
-            next_delta: Vec::with_capacity(widest),
-        }
-    }
-
-    fn zero_grads(&mut self) {
-        for (gw, gb) in &mut self.grads {
-            gw.fill(0.0);
-            gb.fill(0.0);
-        }
-    }
-}
-
-/// One fused pass over the dataset: accumulates batch gradients into
-/// `scratch.grads` and returns the MSE of the *current* weights.
-///
-/// The error accumulates per output in example order — the exact arithmetic
-/// and association [`NeuralNetwork::mse`] uses — so fusing the stopping
-/// check into the gradient sweep is bit-exact while halving the forward
-/// passes per epoch.
-fn batch_gradients_into(
-    net: &NeuralNetwork,
-    data: &TrainingData,
-    scratch: &mut GradScratch,
-) -> f64 {
-    scratch.zero_grads();
-    let mut total = 0.0;
-    let mut count = 0usize;
-    for (input, target) in data.inputs().iter().zip(data.targets()) {
-        accumulate_example_into(net, input, target, scratch, &mut total, &mut count);
-    }
-    total / count as f64
-}
-
-/// Adds one example's gradients into `scratch.grads` (standard backprop)
-/// and its per-output squared errors into `total`/`count`.
-fn accumulate_example_into(
-    net: &NeuralNetwork,
-    input: &[f64],
-    target: &[f64],
-    scratch: &mut GradScratch,
-    total: &mut f64,
-    count: &mut usize,
-) {
-    net.run_full_into(input, &mut scratch.activations);
-    let depth = net.layers.len();
-    // Output-layer delta: (y - t) * f'(y).
-    let output = &scratch.activations[depth];
-    scratch.delta.clear();
-    for (&y, &t) in output.iter().zip(target) {
-        *total += (y - t) * (y - t);
-        *count += 1;
-        scratch
-            .delta
-            .push((y - t) * net.layers[depth - 1].activation.derivative_from_output(y));
-    }
-    for l in (0..depth).rev() {
-        let layer = &net.layers[l];
-        let prev = &scratch.activations[l];
-        let (gw, gb) = &mut scratch.grads[l];
-        for o in 0..layer.outputs {
-            let d = scratch.delta[o];
-            gb[o] += d;
-            let row = &mut gw[o * layer.inputs..(o + 1) * layer.inputs];
-            for (g, &x) in row.iter_mut().zip(prev) {
-                *g += d * x;
-            }
-        }
-        if l > 0 {
-            let below = &net.layers[l - 1];
-            scratch.next_delta.clear();
-            scratch.next_delta.resize(layer.inputs, 0.0);
-            for (i, nd) in scratch.next_delta.iter_mut().enumerate() {
-                let mut sum = 0.0;
-                for (o, d) in scratch.delta.iter().enumerate() {
-                    sum += d * layer.weights[o * layer.inputs + i];
-                }
-                *nd = sum
-                    * below
-                        .activation
-                        .derivative_from_output(scratch.activations[l][i]);
-            }
-            std::mem::swap(&mut scratch.delta, &mut scratch.next_delta);
-        }
-    }
-}
-
-/// Computes batch gradients (dE/dw, dE/db per layer) for squared error.
-/// Allocating convenience wrapper around the scratch-based sweep, used by
-/// the numeric-gradient test.
-#[cfg(test)]
-fn batch_gradients(net: &NeuralNetwork, data: &TrainingData) -> Vec<(Vec<f64>, Vec<f64>)> {
-    let mut scratch = GradScratch::new(net);
-    batch_gradients_into(net, data, &mut scratch);
-    scratch.grads
+/// One fused pass over the dataset through the tile kernel: the batch
+/// gradients into `set.grads`, and the MSE of the *current* weights
+/// returned. The error accumulates per output in example order — the exact
+/// arithmetic and association [`NeuralNetwork::mse`] uses — so fusing the
+/// stopping check into the gradient sweep is bit-exact while halving the
+/// forward passes per epoch. The set's buffers are reused by every sweep: a
+/// warmed-up epoch performs zero heap allocations.
+fn batch_gradients(net: &NeuralNetwork, data: &TrainingData, set: &mut TrainingTiles) -> f64 {
+    net.gradients(set, 0..data.len()) / (data.len() * data.target_dim()) as f64
 }
 
 fn train_rprop(net: &mut NeuralNetwork, data: &TrainingData, params: &TrainParams) -> TrainOutcome {
@@ -407,10 +194,10 @@ fn train_rprop(net: &mut NeuralNetwork, data: &TrainingData, params: &TrainParam
         })
         .collect();
 
-    let mut scratch = GradScratch::new(net);
+    let mut set = TrainingTiles::new(net, data.inputs(), data.targets());
     let mut epochs = 0;
     loop {
-        let mse = batch_gradients_into(net, data, &mut scratch);
+        let mse = batch_gradients(net, data, &mut set);
         if mse <= params.stopping_mse {
             return TrainOutcome {
                 epochs,
@@ -425,7 +212,7 @@ fn train_rprop(net: &mut NeuralNetwork, data: &TrainingData, params: &TrainParam
                 reached_target: false,
             };
         }
-        for (l, (gw, gb)) in scratch.grads.iter().enumerate() {
+        for (l, (gw, gb)) in set.grads.iter().enumerate() {
             let (wstate, bstate) = &mut states[l];
             rprop_update(&mut net.layers[l].weights, gw, wstate);
             rprop_update(&mut net.layers[l].biases, gb, bstate);
@@ -467,15 +254,11 @@ fn train_incremental(
         .map(|l| (vec![0.0; l.weights.len()], vec![0.0; l.biases.len()]))
         .collect();
     let mut order: Vec<usize> = (0..data.len()).collect();
-    let mut scratch = GradScratch::new(net);
+    let mut set = TrainingTiles::new(net, data.inputs(), data.targets());
     let mut epochs = 0;
     loop {
-        let mse = net.mse_scratch(
-            data.inputs(),
-            data.targets(),
-            &mut scratch.delta,
-            &mut scratch.next_delta,
-        );
+        // The batch sweep's MSE (its gradients go unused): `mse`'s bits.
+        let mse = batch_gradients(net, data, &mut set);
         if mse <= params.stopping_mse {
             return TrainOutcome {
                 epochs,
@@ -496,17 +279,8 @@ fn train_incremental(
             order.swap(i, j);
         }
         for &idx in &order {
-            scratch.zero_grads();
-            let (mut total, mut count) = (0.0, 0usize);
-            accumulate_example_into(
-                net,
-                &data.inputs()[idx],
-                &data.targets()[idx],
-                &mut scratch,
-                &mut total,
-                &mut count,
-            );
-            for (l, (gw, gb)) in scratch.grads.iter().enumerate() {
+            net.gradients(&mut set, idx..idx + 1);
+            for (l, (gw, gb)) in set.grads.iter().enumerate() {
                 let (vw, vb) = &mut velocity[l];
                 for i in 0..gw.len() {
                     vw[i] = momentum * vw[i] - learning_rate * gw[i];
@@ -609,6 +383,198 @@ pub fn train_with_validation(
 mod tests {
     use super::*;
     use crate::activation::Activation;
+    use crate::network::{tests::tiers, Tiles};
+    use std::ops::Range;
+
+    type Grads = Vec<(Vec<f64>, Vec<f64>)>;
+
+    /// Backpropagation one example at a time, in plain scalar code: the
+    /// gradient kernel's oracle. Returns the gradients summed over `rows`
+    /// and their summed squared error.
+    fn per_example_gradients(
+        net: &NeuralNetwork,
+        data: &TrainingData,
+        rows: Range<usize>,
+    ) -> (Grads, f64) {
+        let layers = &net.layers;
+        let mut grads: Grads = layers
+            .iter()
+            .map(|l| (vec![0.0; l.weights.len()], vec![0.0; l.biases.len()]))
+            .collect();
+        let mut total = 0.0;
+        for r in rows {
+            // acts[0] is the input, acts[l + 1] layer l's output.
+            let mut acts = vec![data.inputs()[r].clone()];
+            for layer in layers {
+                let mut out = Vec::new();
+                layer.forward_into(&acts[acts.len() - 1], &mut out);
+                acts.push(out);
+            }
+            let f = layers[layers.len() - 1].activation;
+            let mut delta: Vec<f64> = (acts[layers.len()].iter().zip(&data.targets()[r]))
+                .map(|(&y, &t)| {
+                    total += (y - t) * (y - t);
+                    (y - t) * f.derivative_from_output(y)
+                })
+                .collect();
+            for (l, layer) in layers.iter().enumerate().rev() {
+                let (gw, gb) = &mut grads[l];
+                for (o, &d) in delta.iter().enumerate() {
+                    gb[o] += d;
+                    for (g, &x) in gw[o * layer.inputs..][..layer.inputs]
+                        .iter_mut()
+                        .zip(&acts[l])
+                    {
+                        *g += d * x;
+                    }
+                }
+                if l > 0 {
+                    let f = layers[l - 1].activation;
+                    delta = (0..layer.inputs)
+                        .map(|i| {
+                            let mut sum = 0.0;
+                            for (o, d) in delta.iter().enumerate() {
+                                sum += d * layer.weights[o * layer.inputs + i];
+                            }
+                            sum * f.derivative_from_output(acts[l][i])
+                        })
+                        .collect();
+                }
+            }
+        }
+        (grads, total)
+    }
+
+    fn bits(grads: &Grads) -> Vec<u64> {
+        let all = grads.iter().flat_map(|(w, b)| w.iter().chain(b));
+        all.map(|g| g.to_bits()).collect()
+    }
+
+    /// Asserts that every tier of the gradient kernel the host offers,
+    /// called directly, equals the oracle bit for bit over each range of
+    /// `ranges` — every gradient and the squared error — and that the
+    /// production sweep does over the whole set, MSE included.
+    fn assert_tiers_match_oracle(
+        net: &NeuralNetwork,
+        data: &TrainingData,
+        ranges: &[Range<usize>],
+        what: &str,
+    ) {
+        for (tier, kernel) in tiers() {
+            // One set through every range: no sweep may see another's sums.
+            let mut set = TrainingTiles::new(net, data.inputs(), data.targets());
+            for rows in ranges {
+                let (want, want_error) = per_example_gradients(net, data, rows.clone());
+                let mut error = 0.0;
+                kernel(Tiles::Gradients(
+                    &net.layers,
+                    &mut set,
+                    rows.clone(),
+                    &mut error,
+                ));
+                assert_eq!(
+                    bits(&set.grads),
+                    bits(&want),
+                    "{what} {tier} {rows:?}: gradients"
+                );
+                assert_eq!(
+                    error.to_bits(),
+                    want_error.to_bits(),
+                    "{what} {tier} {rows:?}: error"
+                );
+            }
+        }
+        let mut set = TrainingTiles::new(net, data.inputs(), data.targets());
+        let mse = batch_gradients(net, data, &mut set);
+        let (want, want_error) = per_example_gradients(net, data, 0..data.len());
+        let want_mse = want_error / (data.len() * data.target_dim()) as f64;
+        assert_eq!(bits(&set.grads), bits(&want), "{what} batch_gradients");
+        assert_eq!(
+            mse.to_bits(),
+            want_mse.to_bits(),
+            "{what} batch_gradients: mse"
+        );
+        assert_eq!(
+            mse.to_bits(),
+            net.mse(data.inputs(), data.targets()).to_bits(),
+            "{what}: mse"
+        );
+    }
+
+    /// `rows` random examples, inputs uniform in ±`scale`, targets in ±1.
+    fn random_data(rows: usize, sizes: &[usize], scale: f64, rng: &mut InitRng) -> TrainingData {
+        let mut row = |dim: usize, scale: f64| (0..dim).map(|_| rng.uniform(scale)).collect();
+        let (inputs, targets) = (0..rows)
+            .map(|_| (row(sizes[0], scale), row(sizes[sizes.len() - 1], 1.0)))
+            .unzip();
+        TrainingData::new(inputs, targets)
+    }
+
+    /// Property test: over 200 random architectures (every activation, zero
+    /// to two hidden layers, widths up to 32) and row counts on both sides
+    /// of every tile boundary, each ISA tier of the gradient kernel equals
+    /// the per-example sweep bit for bit — over the whole set, a range
+    /// starting mid-tile, and single rows as incremental training sweeps
+    /// them. Every third case scales inputs to ±50, so saturated neurons
+    /// engage `f′`'s clamp.
+    #[test]
+    fn every_gradient_tier_is_bit_identical_to_the_per_example_sweep() {
+        const ROWS: [usize; 7] = [1, 31, 32, 33, 64, 180, 394];
+        let mut rng = InitRng::new(0x6AD);
+        for case in 0..200u64 {
+            let inputs = 1 + (case % 11) as usize;
+            let hidden = 1 + ((case / 7) % 32) as usize;
+            let outputs = 1 + ((case * 5) % 32) as usize;
+            let sizes = match case % 5 {
+                0 => vec![inputs, outputs],
+                1 => vec![inputs, hidden, 1 + hidden / 2, outputs],
+                _ => vec![inputs, hidden, outputs],
+            };
+            let activation = match case % 4 {
+                0 => Activation::SymmetricSigmoid { steepness: 0.7 },
+                1 => Activation::Linear,
+                _ => Activation::fann_default(),
+            };
+            let net = NeuralNetwork::new(&sizes, activation, 0x5EED ^ case);
+            let scale = if case % 3 == 0 { 50.0 } else { 1.0 };
+            let rows = ROWS[case as usize % 7];
+            let data = random_data(rows, &sizes, scale, &mut rng);
+            let (start, last) = (rng.below(rows), rng.below(rows));
+            let ranges = [
+                0..rows,
+                start.min(last)..start.max(last) + 1,
+                last..last + 1,
+                0..1,
+            ];
+            assert_tiers_match_oracle(&net, &data, &ranges, &format!("case {case}"));
+        }
+    }
+
+    #[test]
+    fn a_nan_row_poisons_the_same_gradients_in_every_tier() {
+        let sizes = [9, 24, 8];
+        let net = NeuralNetwork::new(&sizes, Activation::fann_default(), 3);
+        let data = random_data(180, &sizes, 1.0, &mut InitRng::new(0x4A4));
+        let mut inputs = data.inputs().to_vec();
+        inputs[77][4] = f64::NAN;
+        let poisoned = TrainingData::new(inputs, data.targets().to_vec());
+        assert!(per_example_gradients(&net, &poisoned, 0..180).1.is_nan());
+        assert_tiers_match_oracle(
+            &net,
+            &poisoned,
+            &[0..180, 64..96, 77..78, 78..79],
+            "NaN row",
+        );
+    }
+
+    #[test]
+    fn layers_wider_than_the_batch_kernels_buffers_sweep_the_same() {
+        for sizes in [[3, 33, 2], [9, 40, 8], [4, 5, 64]] {
+            let net = NeuralNetwork::new(&sizes, Activation::fann_default(), 5);
+            let data = random_data(70, &sizes, 1.0, &mut InitRng::new(9));
+            assert_tiers_match_oracle(&net, &data, &[0..70, 33..34], &format!("{sizes:?}"));
+        }
+    }
 
     fn xor_data() -> TrainingData {
         TrainingData::new(
@@ -667,52 +633,6 @@ mod tests {
     }
 
     #[test]
-    fn quickprop_learns_xor() {
-        let mut net = NeuralNetwork::new(&[2, 8, 1], Activation::fann_default(), 21);
-        let outcome = train(
-            &mut net,
-            &xor_data(),
-            &TrainParams {
-                algorithm: Algorithm::Quickprop {
-                    learning_rate: 0.7,
-                    mu: 1.75,
-                },
-                stopping_mse: 1e-2,
-                max_epochs: 10_000,
-                seed: 0,
-            },
-        );
-        assert!(
-            outcome.reached_target,
-            "Quickprop XOR did not converge: mse {}",
-            outcome.final_mse
-        );
-        assert!(net.run(&[1.0, 0.0])[0] > 0.8);
-        assert!(net.run(&[0.0, 0.0])[0] < 0.2);
-    }
-
-    #[test]
-    fn quickprop_is_deterministic() {
-        let run = || {
-            let mut net = NeuralNetwork::new(&[2, 4, 1], Activation::fann_default(), 5);
-            train(
-                &mut net,
-                &xor_data(),
-                &TrainParams {
-                    algorithm: Algorithm::Quickprop {
-                        learning_rate: 0.5,
-                        mu: 1.75,
-                    },
-                    max_epochs: 100,
-                    ..TrainParams::default()
-                },
-            );
-            net
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
     fn training_is_deterministic() {
         let run = || {
             let mut net = NeuralNetwork::new(&[2, 4, 1], Activation::fann_default(), 5);
@@ -767,7 +687,7 @@ mod tests {
     fn gradients_match_numeric_estimate() {
         let net = NeuralNetwork::new(&[2, 3, 2], Activation::fann_default(), 13);
         let data = TrainingData::new(vec![vec![0.3, -0.6]], vec![vec![0.2, 0.9]]);
-        let grads = batch_gradients(&net, &data);
+        let (grads, _) = per_example_gradients(&net, &data, 0..1);
         // Perturb a handful of weights and compare dE/dw numerically.
         // E = sum((y - t)^2) over outputs; batch gradient is dE/dw / 2...
         // our delta uses (y - t) so gradient corresponds to E = 1/2 sum sq.
