@@ -65,13 +65,14 @@ pub struct QosObservation {
 /// A bounded, non-blocking feedback ring. Pushing when full overwrites the
 /// oldest observation and increments the drop counter — the hot path never
 /// waits on the learner, and the learner can see exactly how much history
-/// it lost.
+/// it lost. An impossible window is refused and counted at the door.
 #[derive(Debug, Clone)]
 pub struct FeedbackRing {
     buf: std::collections::VecDeque<QosObservation>,
     capacity: usize,
     pushed: u64,
     dropped: u64,
+    refused: u64,
 }
 
 impl FeedbackRing {
@@ -87,12 +88,24 @@ impl FeedbackRing {
             capacity,
             pushed: 0,
             dropped: 0,
+            refused: 0,
         }
     }
 
     /// Pushes an observation, overwriting (and counting) the oldest when
     /// the ring is full. Never blocks, never allocates once warm.
+    ///
+    /// A window no measurement can produce — a non-finite or negative
+    /// latency or jitter, or more deliveries than publications — is refused
+    /// and counted instead: its score would make the fold panic (NaN) or
+    /// tie the never-observed classes (∞) and mislabel the row.
     pub fn push(&mut self, obs: QosObservation) {
+        let w = &obs.window;
+        let sane = |x: f64| x.is_finite() && x >= 0.0;
+        if !(sane(w.avg_latency_us) && sane(w.jitter_us) && w.delivered <= w.published) {
+            self.refused += 1;
+            return;
+        }
         if self.buf.len() == self.capacity {
             self.buf.pop_front();
             self.dropped += 1;
@@ -119,6 +132,11 @@ impl FeedbackRing {
     /// Observations overwritten before the learner consumed them.
     pub fn dropped(&self) -> u64 {
         self.dropped
+    }
+
+    /// Observations refused as impossible windows (see [`push`](Self::push)).
+    pub fn refused(&self) -> u64 {
+        self.refused
     }
 
     /// Folds the ring into labelled training rows: observations group by
@@ -235,6 +253,11 @@ pub struct OnlineStats {
     pub observations: u64,
     /// Observations overwritten before a retrain consumed them.
     pub dropped: u64,
+    /// Observations the ring refused as impossible windows — a non-finite
+    /// or negative latency or jitter, or more deliveries than publications.
+    /// They are never folded, so they can neither panic nor mislabel a
+    /// retrain.
+    pub refused: u64,
     /// Retrains attempted (enough rows were available).
     pub retrains: u64,
     /// Candidates that passed the holdout gate.
@@ -285,6 +308,7 @@ impl OnlineTrainer {
         OnlineStats {
             observations: self.ring.pushed(),
             dropped: self.ring.dropped(),
+            refused: self.ring.refused(),
             retrains: self.retrains,
             accepted: self.accepted,
             rejected: self.rejected,
@@ -864,6 +888,56 @@ mod tests {
         let ds = ring.fold();
         assert_eq!(ds.rows[0].best_class, 3);
         assert!(ds.rows[0].scores[0] > ds.rows[0].scores[3]);
+    }
+
+    /// A NaN latency panicked the fold's labelling, and an infinite one,
+    /// when alone in its group, tied the never-observed classes so class 0
+    /// was labelled best without ever having run.
+    #[test]
+    fn impossible_windows_are_refused_and_the_retrain_is_the_clean_one() {
+        let mut clean = OnlineTrainer::new(OnlineTrainingConfig::default());
+        drifted_observations(&mut clean);
+        let mut dirty = OnlineTrainer::new(OnlineTrainingConfig::default());
+        let env = env_with_loss(3, BandwidthClass::Gbps1);
+        let hostile = [
+            qos_window(f64::NAN, 100, 100),
+            qos_window(f64::INFINITY, 100, 100),
+            qos_window(-5.0, 100, 100),
+            qos_window(700.0, 100, 101),
+            WindowQos {
+                jitter_us: f64::NAN,
+                ..qos_window(700.0, 100, 100)
+            },
+        ];
+        for (i, window) in hostile.into_iter().enumerate() {
+            // Alone in a group of its own (where an ∞ tied the unobserved
+            // classes), and in a group the valid stream fills too.
+            let lone = env_with_loss(10 + i as u8, BandwidthClass::Gbps1);
+            for (env, class) in [(lone, 2), (env, i % 4)] {
+                dirty.observe(QosObservation {
+                    window,
+                    ..obs(env, class, 0.0)
+                });
+            }
+        }
+        drifted_observations(&mut dirty);
+        let (got, want) = (dirty.maybe_retrain(None), clean.maybe_retrain(None));
+        assert_eq!(got.expect("a candidate"), want.expect("a candidate"));
+        assert_eq!(dirty.ring().fold(), clean.ring().fold());
+        let (dirty, clean) = (dirty.stats(), clean.stats());
+        assert_eq!((dirty.refused, clean.refused), (10, 0));
+        assert_eq!(dirty.observations, clean.observations);
+    }
+
+    #[test]
+    fn an_infinite_window_alone_cannot_label_its_group() {
+        let mut ring = FeedbackRing::new(8);
+        ring.push(QosObservation {
+            window: qos_window(f64::INFINITY, 100, 100),
+            ..obs(env_with_loss(5, BandwidthClass::Gbps1), 2, 0.0)
+        });
+        assert_eq!((ring.len(), ring.pushed(), ring.refused()), (0, 0, 1));
+        assert!(ring.fold().is_empty(), "no row, so no class-0 label");
     }
 
     #[test]
