@@ -43,9 +43,7 @@ fn exercise(queue: &mut CalendarQueue<u32>, seed: u64, ops: usize, time_range: u
             // Events may land at the current time (zero-delay timers) or
             // anywhere in the future, including far past the ring's span.
             let time = clock + rng.next_below(time_range.max(1));
-            let seq = queue.push(time, pushed);
-            reference.push(time, pushed);
-            assert_eq!(seq, reference.next_seq - 1, "seq numbers must align");
+            push_both(queue, &mut reference, time, pushed);
             pushed += 1;
         } else {
             let got = queue.pop();
@@ -58,7 +56,11 @@ fn exercise(queue: &mut CalendarQueue<u32>, seed: u64, ops: usize, time_range: u
             }
         }
     }
-    // Drain both completely; order must agree to the very end.
+    drain(queue, &mut reference);
+}
+
+/// Drains both queues completely; order must agree to the very end.
+fn drain(queue: &mut CalendarQueue<u32>, reference: &mut ReferenceQueue) {
     loop {
         let got = queue.pop();
         let want = reference.pop();
@@ -67,6 +69,13 @@ fn exercise(queue: &mut CalendarQueue<u32>, seed: u64, ops: usize, time_range: u
             break;
         }
     }
+}
+
+/// Pushes `time` into both queues.
+fn push_both(queue: &mut CalendarQueue<u32>, reference: &mut ReferenceQueue, time: u64, item: u32) {
+    let seq = queue.push(time, item);
+    reference.push(time, item);
+    assert_eq!(seq, reference.next_seq - 1, "seq numbers must align");
 }
 
 #[test]
@@ -80,7 +89,7 @@ fn matches_reference_heap_with_dense_ties() {
 
 #[test]
 fn matches_reference_heap_within_one_bucket_year() {
-    // Spread across the default ring (shift 16, 1024 buckets ≈ 67 ms of
+    // Spread across the default ring (shift 18, 1024 buckets ≈ 268 ms of
     // nanoseconds) without overflowing it.
     for seed in 0..4 {
         exercise(&mut CalendarQueue::new(), 2000 + seed, 10_000, 1 << 24);
@@ -129,4 +138,130 @@ fn fifo_among_equal_times_across_bucket_reloads() {
         assert_eq!(queue.pop(), Some((time, u64::from(i), i)));
     }
     assert!(queue.is_empty());
+}
+
+/// Drives both queues like a population of fixed-period timers —
+/// heartbeats, lease checks, paced publishers: `owners` timers first armed
+/// across one period, in a seed-shuffled order, each re-armed `period`
+/// after it fires, for `rounds` periods. A re-arm is never earlier than
+/// the one before it, so at `period` ≥ one ring every re-arm is a far push
+/// in deadline order.
+fn periodic(queue: &mut CalendarQueue<u32>, seed: u64, owners: u32, period: u64, rounds: u32) {
+    let mut reference = ReferenceQueue::default();
+    let mut rng = SimRng::seed_from_u64(seed);
+    let mut order: Vec<u32> = (0..owners).collect();
+    rng.shuffle(&mut order);
+    for owner in order {
+        let first = period * u64::from(owner) / u64::from(owners);
+        push_both(queue, &mut reference, first, owner);
+    }
+    for _ in 0..owners * rounds {
+        let got = queue.pop();
+        assert_eq!(got, reference.pop(), "periodic pop mismatch");
+        let (time, _, owner) = got.expect("every owner stays armed");
+        push_both(queue, &mut reference, time + period, owner);
+    }
+    drain(queue, &mut reference);
+}
+
+#[test]
+fn periodic_timers_match_reference_heap() {
+    // Half a ring (every re-arm stays in the ring), exactly one ring (every
+    // re-arm lands one bucket past the horizon) and 3.7 rings.
+    for (shift, buckets, owners) in [(18, 1024, 2_000), (1, 4, 64)] {
+        let span = buckets << shift;
+        for (i, period) in [span / 2, span, span * 37 / 10].into_iter().enumerate() {
+            for seed in 0..2 {
+                periodic(
+                    &mut CalendarQueue::with_geometry(shift, buckets as usize),
+                    5000 + 10 * i as u64 + seed,
+                    owners,
+                    period,
+                    4,
+                );
+            }
+        }
+    }
+}
+
+/// Far pushes that mostly arrive in deadline order, with one in eight
+/// landing earlier than the latest far push so far, and runs of equal
+/// times, interleaved with pops that advance the cursor.
+fn far_stream(queue: &mut CalendarQueue<u32>, seed: u64, span: u64, ops: usize) {
+    let mut reference = ReferenceQueue::default();
+    let mut rng = SimRng::seed_from_u64(seed);
+    let step = (span / 8).max(1);
+    let mut clock = 0u64;
+    let mut latest = 0u64;
+    let mut pushed = 0u32;
+    for _ in 0..ops {
+        if queue.is_empty() || rng.next_below(3) < 2 {
+            let floor = clock + 2 * span;
+            latest = latest.max(floor);
+            let time = if rng.next_below(8) == 0 {
+                // Out of order, still at least two rings out.
+                floor + rng.next_below(latest - floor + 1)
+            } else {
+                // In order; a zero step repeats the latest time.
+                latest += step * rng.next_below(4);
+                latest
+            };
+            push_both(queue, &mut reference, time, pushed);
+            pushed += 1;
+        } else {
+            let got = queue.pop();
+            assert_eq!(got, reference.pop(), "far-stream pop mismatch");
+            clock = got.expect("queue was not empty").0;
+        }
+    }
+    drain(queue, &mut reference);
+}
+
+#[test]
+fn in_order_far_stream_with_out_of_order_pushes_matches_reference_heap() {
+    for (shift, buckets) in [(18, 1024), (1, 4)] {
+        for seed in 0..4 {
+            far_stream(
+                &mut CalendarQueue::with_geometry(shift, buckets as usize),
+                6000 + seed,
+                buckets << shift,
+                10_000,
+            );
+        }
+    }
+}
+
+#[test]
+fn empty_ring_jump_lands_on_the_earliest_far_entry() {
+    // Far entries a ring or more apart leave the ring empty between them,
+    // so the cursor reaches each one by the empty-ring jump.
+    let span = 1024 << 18;
+    let check = |times: &[u64]| {
+        let mut queue = CalendarQueue::new();
+        let mut reference = ReferenceQueue::default();
+        for (item, &time) in times.iter().enumerate() {
+            push_both(&mut queue, &mut reference, time, item as u32);
+        }
+        drain(&mut queue, &mut reference);
+    };
+    // Rising times, each three rings past the last: every far entry waits
+    // in deadline order.
+    check(&[3 * span, 6 * span + 1, 9 * span + 2, 12 * span + 3]);
+    // Falling times: each push is earlier than every far push before it.
+    // The first, a hundred rings out, stays beyond every jump's reach, so
+    // the jumps in between land only on the later, out-of-order pushes.
+    check(&[100 * span, 12 * span, 9 * span + 7, 6 * span, 3 * span + 1]);
+    // Both interleaved: rising times, then earlier ones between them and
+    // on them, so the jumps alternate between the two kinds and equal
+    // times across them break on push order.
+    check(&[
+        3 * span,
+        6 * span,
+        9 * span,
+        12 * span,
+        3 * span,
+        6 * span - 1,
+        9 * span,
+        4 * span,
+    ]);
 }
