@@ -13,41 +13,3 @@ pub trait Clock {
     /// The current instant on this clock.
     fn now(&self) -> TimePoint;
 }
-
-/// A manually advanced clock, useful in tests and single-threaded harnesses.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ManualClock {
-    now: TimePoint,
-}
-
-impl ManualClock {
-    /// A clock starting at its epoch.
-    pub fn new() -> Self {
-        ManualClock::default()
-    }
-
-    /// Advances the clock to `now` (ignored if it would move backwards).
-    pub fn advance_to(&mut self, now: TimePoint) {
-        self.now = self.now.max(now);
-    }
-}
-
-impl Clock for ManualClock {
-    fn now(&self) -> TimePoint {
-        self.now
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn manual_clock_is_monotone() {
-        let mut c = ManualClock::new();
-        assert_eq!(c.now(), TimePoint::ZERO);
-        c.advance_to(TimePoint::from_micros(10));
-        c.advance_to(TimePoint::from_micros(5));
-        assert_eq!(c.now(), TimePoint::from_micros(10));
-    }
-}

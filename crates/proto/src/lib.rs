@@ -35,7 +35,7 @@ mod time;
 mod timer;
 pub mod wire;
 
-pub use clock::{Clock, ManualClock};
+pub use clock::Clock;
 pub use core::{Effect, Env, EnvHost, Input, Membership, ProtocolCore, TimerToken};
 pub use durable::{
     catch_up_bound, DurabilityMode, DurableConfig, DurableCore, DurableDelivery, LiveJoin,

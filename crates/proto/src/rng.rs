@@ -131,23 +131,6 @@ impl DetRng {
         self.next_f64() < p
     }
 
-    /// Samples a standard normal variate (Box–Muller, polar form).
-    pub fn normal(&mut self) -> f64 {
-        loop {
-            let u = 2.0 * self.next_f64() - 1.0;
-            let v = 2.0 * self.next_f64() - 1.0;
-            let s = u * u + v * v;
-            if s > 0.0 && s < 1.0 {
-                return u * (-2.0 * s.ln() / s).sqrt();
-            }
-        }
-    }
-
-    /// Samples a normal variate with the given mean and standard deviation.
-    pub fn normal_with(&mut self, mean: f64, stddev: f64) -> f64 {
-        mean + stddev * self.normal()
-    }
-
     /// Samples an exponential variate with the given mean.
     ///
     /// Returns zero for non-positive means.
@@ -339,17 +322,6 @@ mod tests {
         let hits = (0..n).filter(|_| rng.bernoulli(0.05)).count();
         let rate = hits as f64 / n as f64;
         assert!((rate - 0.05).abs() < 0.005, "rate {rate} too far from 0.05");
-    }
-
-    #[test]
-    fn normal_moments() {
-        let mut rng = DetRng::seed_from_u64(23);
-        let n = 100_000;
-        let xs: Vec<f64> = (0..n).map(|_| rng.normal()).collect();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.02, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.05, "variance {var}");
     }
 
     #[test]
