@@ -19,9 +19,7 @@ use adamant_proto::wire::DataMsg;
 use adamant_proto::{
     Env, EnvHost, Input, NodeId, ProcessingCost, ProtocolCore, Span, TimePoint, WireMsg,
 };
-use adamant_rt::{
-    Cluster, ClusterConfig, Endpoint, MonotonicClock, MuxCluster, MuxConfig, RtConfig,
-};
+use adamant_rt::{MuxCluster, MuxConfig};
 use adamant_transport::{AppSpec, NakcastReceiver, NakcastSender, StackProfile, Tuning};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::any::Any;
@@ -239,13 +237,13 @@ fn bench_proto_step(report: &mut PerfReport) {
     );
 }
 
-/// A timer-paced publisher that loops datagrams back to its own socket:
-/// every `period` it sends a burst of `Data` messages addressed to its
-/// own node (the peer table maps that to its own UDP port) and delivers
-/// whatever arrives. This is the paper's periodic-sender shape reduced to
-/// one endpoint, so a fleet of them measures how many concurrently paced
+/// A timer-paced publisher that loops datagrams back to itself: every
+/// `period` it sends a burst of `Data` messages addressed to its own node
+/// (its route table maps that to its own endpoint) and delivers whatever
+/// arrives. This is the paper's periodic-sender shape reduced to one
+/// endpoint, so a fleet of them measures how many concurrently paced
 /// endpoints a host can sustain — the consolidation question the sharded
-/// runtimes exist to answer. The first timer is staggered by node id so a
+/// runtime exists to answer. The first timer is staggered by node id so a
 /// large fleet does not fire as one thundering herd.
 struct PacedEcho {
     period: Span,
@@ -283,89 +281,24 @@ impl ProtocolCore for PacedEcho {
     }
 }
 
-/// Aggregate delivered-message throughput of timer-paced echo endpoints,
-/// hosted three ways over real UDP sockets:
-///
-/// * **sequential** — one endpoint at a time through single-endpoint
-///   `run_for` loops (the only option before the cluster existed): the
-///   pacing walls serialize, so aggregate throughput is one endpoint's.
-/// * **per-socket cluster** — 64 endpoints inside a sharded `Cluster` on
-///   4 workers, one UDP socket and one `recv_from` per endpoint per
-///   datagram: every endpoint's pacing overlaps, but each message still
-///   pays a full syscall round trip.
-/// * **multiplexed** — 1024 endpoints inside a `MuxCluster`: per-worker
-///   shared-socket pools, `epoll` parking, `recvmmsg`/`sendmmsg`
-///   batches, and adjacent same-destination messages coalesced into one
-///   datagram. Per-message syscall and kernel-stack costs amortize over
-///   the batch, which is where the order-of-magnitude gain lives.
+/// Aggregate delivered-message throughput of 1024 timer-paced echo
+/// endpoints inside a `MuxCluster`: per-worker shared-socket pools,
+/// `epoll` parking, `recvmmsg`/`sendmmsg` batches, and same-destination
+/// messages packed into one datagram, under a saturating offered load.
 fn bench_cluster(report: &mut PerfReport) {
     use std::time::Duration;
 
-    const ENDPOINTS: usize = 64;
-    const WORKERS: usize = 4;
-    const PERIOD: Span = Span::from_micros(250);
-    const WALL: Duration = Duration::from_millis(30);
-
-    let clock = MonotonicClock::start();
-
-    let sequential_start = Instant::now();
-    let mut sequential_delivered = 0u64;
-    for i in 0..ENDPOINTS as u32 {
-        let node = NodeId(i);
-        let mut ep = Endpoint::bind(
-            node,
-            "127.0.0.1:0",
-            RtConfig::new(u64::from(i) + 1).with_clock(clock),
-        )
-        .expect("bind echo endpoint");
-        let addr = ep.local_addr().expect("local addr");
-        ep.add_peer(node, addr);
-        let mut core = PacedEcho {
-            period: PERIOD,
-            burst: 1,
-            seq: 0,
-        };
-        ep.run_for(&mut core, WALL).expect("sequential echo run");
-        sequential_delivered += ep.report().delivered.len() as u64;
-    }
-    let sequential_secs = sequential_start.elapsed().as_secs_f64().max(1e-9);
-    report.sequential_msgs_per_sec = sequential_delivered as f64 / sequential_secs;
-
-    let mut cluster = Cluster::new(ClusterConfig::new(WORKERS).with_clock(clock));
-    for i in 0..ENDPOINTS as u32 {
-        let node = NodeId(i);
-        let id = cluster
-            .add_endpoint(
-                node,
-                "127.0.0.1:0",
-                PacedEcho {
-                    period: PERIOD,
-                    burst: 1,
-                    seq: 0,
-                },
-            )
-            .expect("bind cluster echo endpoint");
-        let addr = cluster.local_addr(id).expect("local addr");
-        cluster.add_peer(id, node, addr).expect("self peer route");
-    }
-    let cluster_start = Instant::now();
-    cluster.run_for(WALL).expect("cluster echo run");
-    let cluster_secs = cluster_start.elapsed().as_secs_f64().max(1e-9);
-    report.per_socket_msgs_per_sec = cluster.stats().delivered as f64 / cluster_secs;
-
-    // The multiplexed runtime hosts a 16x larger fleet with a saturating
-    // offered load (1024 endpoints x 16 msgs/ms = 16M/s offered); what it
-    // delivers is its actual single-host capacity.
+    // A saturating offered load (1024 endpoints x 16 msgs/ms = 16M/s
+    // offered): what the runtime delivers is its single-host capacity.
     const MUX_ENDPOINTS: u32 = 1024;
     const MUX_WALL: Duration = Duration::from_millis(300);
     let mut mux = MuxCluster::bind(
         "127.0.0.1:0",
-        MuxConfig::new(WORKERS)
+        MuxConfig::new(4)
             .with_sockets_per_worker(4)
             .with_batch_size(64)
             .with_observed(false)
-            .with_seed(1)
-            .with_clock(clock),
+            .with_seed(1),
     )
     .expect("bind mux cluster");
     for i in 0..MUX_ENDPOINTS {
@@ -387,12 +320,8 @@ fn bench_cluster(report: &mut PerfReport) {
     report.cluster_msgs_per_sec = mux.stats().delivered as f64 / mux_secs;
 
     println!(
-        "cluster/echo_msgs_per_sec                          {:>12.0} mux (1024 ep), \
-         {:>12.0} per-socket (64 ep), {:>12.0} sequential ({:.1}x over per-socket)",
+        "cluster/echo_msgs_per_sec                          {:>12.0} (1024 ep)",
         report.cluster_msgs_per_sec,
-        report.per_socket_msgs_per_sec,
-        report.sequential_msgs_per_sec,
-        report.cluster_msgs_per_sec / report.per_socket_msgs_per_sec.max(1e-9),
     );
 }
 
@@ -609,8 +538,6 @@ fn main() {
         queue_ops_per_sec: 0.0,
         proto_effects_per_sec: 0.0,
         cluster_msgs_per_sec: 0.0,
-        per_socket_msgs_per_sec: 0.0,
-        sequential_msgs_per_sec: 0.0,
         endpoint_scaling: Vec::new(),
         event_loop_steady_allocs: 0,
         event_loop_steady_allocs_driver: 0,

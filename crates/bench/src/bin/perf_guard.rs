@@ -13,10 +13,7 @@
 //! * `events_per_sec` — raw simulator dispatch (25% budget).
 //! * `cluster_msgs_per_sec` — the multiplexed UDP runtime (60% budget:
 //!   real sockets on shared CI runners are far noisier than the
-//!   in-process simulator, and the number sits an order of magnitude
-//!   above the per-socket one, so even a halved run clears the old
-//!   runtime by a wide margin).
-//! * `per_socket_msgs_per_sec` — the per-socket cluster runtime (60%).
+//!   in-process simulator).
 //!
 //! The candidate must also carry a `cluster_endpoints_scaling` series
 //! with a 100k-endpoint point whose throughput is at least a quarter of
@@ -39,11 +36,7 @@
 use adamant_json::Json;
 
 /// Guarded metrics and the fractional drop each may show before failing.
-const GUARDS: &[(&str, f64)] = &[
-    ("events_per_sec", 0.25),
-    ("cluster_msgs_per_sec", 0.60),
-    ("per_socket_msgs_per_sec", 0.60),
-];
+const GUARDS: &[(&str, f64)] = &[("events_per_sec", 0.25), ("cluster_msgs_per_sec", 0.60)];
 
 /// The 100k-endpoint scaling point must deliver at least this fraction of
 /// the 1k-endpoint point's throughput.

@@ -154,15 +154,6 @@ pub struct PerfReport {
     /// echo endpoints sharing per-worker socket pools, batched syscalls,
     /// and frame coalescing; zero when not measured.
     pub cluster_msgs_per_sec: f64,
-    /// The same workload shape on the per-socket [`adamant_rt::Cluster`]
-    /// (one UDP socket per endpoint, one `recv_from` per datagram) — the
-    /// pre-multiplexing runtime the mux number is measured against; zero
-    /// when not measured.
-    pub per_socket_msgs_per_sec: f64,
-    /// The echo workload run one endpoint at a time through
-    /// single-endpoint `run_for` loops — the no-cluster baseline; zero
-    /// when not measured.
-    pub sequential_msgs_per_sec: f64,
     /// Multiplexed-runtime endpoint scaling: delivered throughput and
     /// worker idle accounting at 1k/10k/100k endpoints under a constant
     /// aggregate offered load. Flat `msgs_per_sec` across the series is
@@ -215,14 +206,6 @@ impl ToJson for PerfReport {
             (
                 "cluster_msgs_per_sec".to_owned(),
                 Json::Num(self.cluster_msgs_per_sec),
-            ),
-            (
-                "per_socket_msgs_per_sec".to_owned(),
-                Json::Num(self.per_socket_msgs_per_sec),
-            ),
-            (
-                "sequential_msgs_per_sec".to_owned(),
-                Json::Num(self.sequential_msgs_per_sec),
             ),
             (
                 "cluster_endpoints_scaling".to_owned(),
@@ -369,8 +352,6 @@ mod tests {
             queue_ops_per_sec: 50_000_000.0,
             proto_effects_per_sec: 30_000_000.0,
             cluster_msgs_per_sec: 2_000_000.0,
-            per_socket_msgs_per_sec: 400_000.0,
-            sequential_msgs_per_sec: 100_000.0,
             endpoint_scaling: vec![ScalingPoint {
                 endpoints: 100_000,
                 msgs_per_sec: 900_000.0,
@@ -391,8 +372,6 @@ mod tests {
         assert_eq!(json.field::<f64>("queue_ops_per_sec"), Ok(50_000_000.0));
         assert_eq!(json.field::<f64>("proto_effects_per_sec"), Ok(30_000_000.0));
         assert_eq!(json.field::<f64>("cluster_msgs_per_sec"), Ok(2_000_000.0));
-        assert_eq!(json.field::<f64>("per_socket_msgs_per_sec"), Ok(400_000.0));
-        assert_eq!(json.field::<f64>("sequential_msgs_per_sec"), Ok(100_000.0));
         let scaling = json
             .get("cluster_endpoints_scaling")
             .unwrap()

@@ -24,11 +24,9 @@
 // Protocol-layer identities and time (defining crate for NodeId/GroupId).
 pub use adamant_proto::{GroupId, NodeId, ProtocolCore, Span, TimePoint};
 
-// Real-clock runtime: single endpoint, per-socket cluster, or the
-// readiness-driven multiplexed cluster.
+// Real-clock runtime: the readiness-driven multiplexed cluster.
 pub use adamant_rt::{
-    Cluster, ClusterConfig, ClusterStats, Endpoint, EndpointId, EndpointReport, MonotonicClock,
-    MuxCluster, MuxConfig, RtConfig, RtError,
+    ClusterStats, EndpointId, EndpointReport, MonotonicClock, MuxCluster, MuxConfig, RtError,
 };
 
 // Transport selection and tuning.

@@ -166,7 +166,7 @@ impl ProtocolSelector {
     /// Selects for a whole fleet of endpoints: `out[i]` receives the
     /// (feasibility-masked) choice for `envs[i]`, identical to per-row
     /// [`select`](Self::select) calls. The batch is walked in blocks of
-    /// [`BLOCK_ROWS`]: each is encoded and scaled straight into column-major
+    /// `BLOCK_ROWS`: each is encoded and scaled straight into column-major
     /// feature lanes on the stack, swept through the network's tile kernel
     /// and arg-maxed while its lanes and scores are still in L1. One block's
     /// score buffer and the network's scratch are allocated once per call.

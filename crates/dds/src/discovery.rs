@@ -83,8 +83,8 @@ const TIMER_ANNOUNCE: u64 = 40;
 
 /// The discovery state machine: announces its own endpoints and matches
 /// remote announcements against them. Runs under any [`ProtocolCore`]
-/// driver — mount it on the simulator with `SimDriver` or on a real socket
-/// with `adamant_rt::Endpoint`.
+/// driver — mount it on the simulator with `SimDriver` or on real sockets
+/// with `adamant_rt::MuxCluster`.
 #[derive(Debug)]
 pub struct DiscoveryCore {
     participant_id: u32,
@@ -472,12 +472,10 @@ mod tests {
     #[test]
     fn discovery_runs_over_real_udp_loopback() {
         use adamant_proto::NodeId;
-        use adamant_rt::{Endpoint, MonotonicClock, RtConfig};
+        use adamant_rt::{MuxCluster, MuxConfig};
         use std::time::Duration;
 
-        let clock = MonotonicClock::start();
-        let nodes = [NodeId(0), NodeId(1)];
-        let mut cores = [
+        let cores = [
             DiscoveryCore::new(
                 0,
                 GroupId(0),
@@ -497,42 +495,19 @@ mod tests {
                 },
             ),
         ];
-        let mut endpoints: Vec<Endpoint> = nodes
-            .iter()
+        // One endpoint per worker, so every announcement crosses threads.
+        let mut cluster = MuxCluster::bind("127.0.0.1:0", MuxConfig::new(2)).unwrap();
+        let ids: Vec<_> = cores
+            .into_iter()
             .enumerate()
-            .map(|(i, &n)| {
-                Endpoint::bind(n, "127.0.0.1:0", RtConfig::new(i as u64).with_clock(clock)).unwrap()
-            })
+            .map(|(i, core)| cluster.add_endpoint(NodeId(i as u32), core).unwrap())
             .collect();
-        let addrs: Vec<_> = endpoints.iter().map(|e| e.local_addr().unwrap()).collect();
-        for (i, ep) in endpoints.iter_mut().enumerate() {
-            for (j, &n) in nodes.iter().enumerate() {
-                if i != j {
-                    ep.add_peer(n, addrs[j]);
-                }
-            }
-            ep.set_groups(vec![nodes.to_vec()]);
-        }
-        let mut iter = cores.iter_mut();
-        let (writer_core, reader_core) = (iter.next().unwrap(), iter.next().unwrap());
-        let (mut writer_ep, mut reader_ep) = {
-            let mut it = endpoints.into_iter();
-            (it.next().unwrap(), it.next().unwrap())
-        };
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                writer_ep
-                    .run_for(writer_core, Duration::from_millis(120))
-                    .unwrap();
-            });
-            s.spawn(|| {
-                reader_ep
-                    .run_for(reader_core, Duration::from_millis(120))
-                    .unwrap();
-            });
-        });
-        assert_eq!(cores[0].matches().len(), 1, "writer matched the reader");
-        assert_eq!(cores[1].matches().len(), 1, "reader matched the writer");
-        assert_eq!(cores[1].matches()[0].writer_participant, 0);
+        cluster.connect_full_mesh().unwrap();
+        cluster.run_for(Duration::from_millis(120)).unwrap();
+        let [writer, reader] =
+            [ids[0], ids[1]].map(|id| cluster.core::<DiscoveryCore>(id).unwrap());
+        assert_eq!(writer.matches().len(), 1, "writer matched the reader");
+        assert_eq!(reader.matches().len(), 1, "reader matched the writer");
+        assert_eq!(reader.matches()[0].writer_participant, 0);
     }
 }

@@ -14,16 +14,15 @@
 //! when unknown.
 //!
 //! The `udp` mode needs no artifacts: it mounts the same sans-I/O NAKcast
-//! cores the simulator runs onto `adamant-rt` endpoints bound to
-//! `127.0.0.1`, injects the requested end-host loss at each receiver, and
-//! reports what the wire actually did. With `--endpoints N` (and
-//! optionally `--workers W`, default 4) the session runs inside a sharded
-//! [`adamant_rt::Cluster`] — one writer plus `N - 1` readers hosted on `W`
-//! worker threads — instead of one OS thread per endpoint. `--seed S`
+//! cores the simulator runs onto an [`adamant_rt::MuxCluster`] bound to
+//! `127.0.0.1` — one writer plus `N - 1` readers (`--endpoints N`, default
+//! one per receiver plus the writer) sharded across `W` worker threads
+//! (`--workers W`, default 4) — injects the requested end-host loss at
+//! each receiver, and reports what the wire actually did. `--seed S`
 //! fixes the entropy base so a run is reproducible; `--chaos` wraps every
 //! core in a TransientLocal [`adamant_proto::DurableCore`] and
-//! crash-restarts the last reader mid-stream (inside a cluster), proving
-//! durable catch-up over the real wire.
+//! crash-restarts the last reader mid-stream, proving durable catch-up
+//! over the real wire.
 
 use adamant::{
     AdaptivePolicy, AppParams, Environment, LinuxProcProbe, ProtocolSelector, ResourceProbe,
@@ -34,17 +33,10 @@ use adamant_metrics::MetricKind;
 
 /// Runs a NAKcast session over real UDP on localhost and prints per-node
 /// statistics. Arguments: `[loss%] [receivers] [rate_hz] [samples]`, plus
-/// `--endpoints N` / `--workers W` to host the session in a sharded
-/// cluster instead of a thread per endpoint, `--seed S` for a reproducible
-/// entropy base, and `--chaos` for a durable crash-restart run.
+/// `--endpoints N` / `--workers W` to size the cluster, `--seed S` for a
+/// reproducible entropy base, and `--chaos` for a durable crash-restart
+/// run.
 fn run_udp_session(args: &[String]) {
-    use adamant_proto::{GroupId, NodeId, Span};
-    use adamant_rt::{Endpoint, MonotonicClock, RtConfig};
-    use adamant_transport::{
-        AppSpec, DataReader, NakcastReceiver, NakcastSender, StackProfile, Tuning,
-    };
-    use std::time::Duration;
-
     let mut positional: Vec<&String> = Vec::new();
     let mut endpoints_flag: Option<usize> = None;
     let mut workers_flag: Option<usize> = None;
@@ -76,117 +68,25 @@ fn run_udp_session(args: &[String]) {
         .and_then(|s| s.parse().ok())
         .unwrap_or(500);
 
+    let endpoints = endpoints_flag.unwrap_or(receivers + 1).max(2);
+    let workers = workers_flag.unwrap_or(4).max(1);
     if chaos {
-        let endpoints = endpoints_flag.unwrap_or(receivers + 1).max(2);
-        let workers = workers_flag.unwrap_or(4).max(1);
         run_udp_chaos(loss, endpoints, workers, rate, samples, seed);
-        return;
+    } else {
+        run_udp_nakcast(loss, endpoints, workers, rate, samples, seed);
     }
-    if endpoints_flag.is_some() || workers_flag.is_some() {
-        let endpoints = endpoints_flag.unwrap_or(receivers + 1).max(2);
-        let workers = workers_flag.unwrap_or(4).max(1);
-        run_udp_cluster(loss, endpoints, workers, rate, samples, seed);
-        return;
-    }
-
-    let tuning = Tuning::default();
-    let group = GroupId(0);
-    let nodes: Vec<NodeId> = (0..=receivers as u32).map(NodeId).collect();
-    let clock = MonotonicClock::start();
-
-    let mut endpoints: Vec<Endpoint> = nodes
-        .iter()
-        .map(|&n| {
-            Endpoint::bind(
-                n,
-                "127.0.0.1:0",
-                RtConfig::new(seed.wrapping_add(u64::from(n.0) + 1)).with_clock(clock),
-            )
-            .expect("bind 127.0.0.1")
-        })
-        .collect();
-    let addrs: Vec<_> = endpoints
-        .iter()
-        .map(|e| e.local_addr().expect("local addr"))
-        .collect();
-    for (i, ep) in endpoints.iter_mut().enumerate() {
-        for (j, &node) in nodes.iter().enumerate() {
-            if i != j {
-                ep.add_peer(node, addrs[j]);
-            }
-        }
-        ep.set_groups(vec![nodes.clone()]);
-    }
-    for (node, addr) in nodes.iter().zip(&addrs) {
-        let role = if node.0 == 0 { "writer" } else { "reader" };
-        println!("node {:>2} ({role}) on udp://{addr}", node.0);
-    }
-
-    let mut sender = NakcastSender::new(
-        AppSpec::at_rate(samples, rate, 12),
-        StackProfile::new(10.0, 48),
-        tuning,
-        group,
-    );
-    let mut readers: Vec<NakcastReceiver> = (0..receivers)
-        .map(|_| NakcastReceiver::new(nodes[0], samples, Span::from_millis(2), tuning, loss))
-        .collect();
-
-    let publish_secs = samples as f64 / rate.max(1.0);
-    let wall = Duration::from_secs_f64(publish_secs + 2.0);
-    println!(
-        "publishing {samples} samples at {rate} Hz to {receivers} receiver(s), \
-         {:.0}% injected loss, running {:.1}s…",
-        loss * 100.0,
-        wall.as_secs_f64()
-    );
-
-    std::thread::scope(|s| {
-        let mut eps = endpoints.iter_mut();
-        let sender_ep = eps.next().expect("sender endpoint");
-        s.spawn(|| {
-            sender_ep.run_for(&mut sender, wall).expect("sender loop");
-        });
-        for (ep, reader) in eps.zip(readers.iter_mut()) {
-            s.spawn(move || {
-                ep.run_for(reader, wall).expect("receiver loop");
-            });
-        }
-    });
-
-    println!(
-        "\nwriter: published {} samples, {} datagrams out",
-        sender.published(),
-        endpoints[0].report().datagrams_sent
-    );
-    for (i, reader) in readers.iter().enumerate() {
-        let log = reader.log();
-        println!(
-            "reader {}: delivered {}/{} (recovered {}, naks {}, give-ups {}, dropped {})",
-            i + 1,
-            log.delivered_count(),
-            samples,
-            log.recovered_count(),
-            reader.naks_sent(),
-            reader.give_ups(),
-            reader.dropped(),
-        );
-    }
-    let complete = readers.iter().all(|r| r.log().delivered_count() == samples);
-    println!(
-        "\n{}",
-        if complete {
-            "all receivers delivered the full stream"
-        } else {
-            "WARNING: incomplete delivery (try a longer run or lower loss)"
-        }
-    );
 }
 
-/// Hosts the same NAKcast session inside a sharded [`adamant_rt::Cluster`]:
-/// one writer and `endpoints - 1` readers partitioned across `workers`
-/// worker threads, each worker batching socket I/O for its shard.
-fn run_udp_cluster(
+/// The session's sharded runtime: `workers` threads on `127.0.0.1`.
+fn bind_cluster(workers: usize, seed: u64) -> adamant_rt::MuxCluster {
+    let cfg = adamant_rt::MuxConfig::new(workers).with_seed(seed);
+    adamant_rt::MuxCluster::bind("127.0.0.1:0", cfg).expect("bind sockets on 127.0.0.1")
+}
+
+/// Hosts the NAKcast session in a sharded [`adamant_rt::MuxCluster`]: one
+/// writer and `endpoints - 1` readers partitioned across `workers` worker
+/// threads, each worker batching socket I/O for its shard.
+fn run_udp_nakcast(
     loss: f64,
     endpoints: usize,
     workers: usize,
@@ -195,50 +95,41 @@ fn run_udp_cluster(
     seed: u64,
 ) {
     use adamant_proto::{GroupId, NodeId, Span};
-    use adamant_rt::{Cluster, ClusterConfig, EndpointId, MonotonicClock};
+    use adamant_rt::EndpointId;
     use adamant_transport::{
         AppSpec, DataReader, NakcastReceiver, NakcastSender, StackProfile, Tuning,
     };
     use std::time::Duration;
 
     let tuning = Tuning::default();
-    let group = GroupId(0);
     let receivers = endpoints - 1;
-    let clock = MonotonicClock::start();
-
-    let mut cluster = Cluster::new(
-        ClusterConfig::new(workers)
-            .with_seed(seed)
-            .with_clock(clock),
-    );
+    let mut cluster = bind_cluster(workers, seed);
     let writer_id = cluster
         .add_endpoint(
             NodeId(0),
-            "127.0.0.1:0",
             NakcastSender::new(
                 AppSpec::at_rate(samples, rate, 12),
                 StackProfile::new(10.0, 48),
                 tuning,
-                group,
+                GroupId(0),
             ),
         )
-        .expect("bind writer on 127.0.0.1");
+        .expect("add writer");
     let reader_ids: Vec<EndpointId> = (1..=receivers as u32)
         .map(|n| {
             cluster
                 .add_endpoint(
                     NodeId(n),
-                    "127.0.0.1:0",
                     NakcastReceiver::new(NodeId(0), samples, Span::from_millis(2), tuning, loss),
                 )
-                .expect("bind reader on 127.0.0.1")
+                .expect("add reader")
         })
         .collect();
     cluster.connect_full_mesh().expect("wire cluster mesh");
 
     for (id, node, _) in cluster.reports() {
         let role = if node.0 == 0 { "writer" } else { "reader" };
-        let addr = cluster.local_addr(id).expect("local addr");
+        let addr = cluster.endpoint_addr(id).expect("endpoint addr");
         println!(
             "node {:>2} ({role}) on udp://{addr}  [shard {}]",
             node.0,
@@ -304,13 +195,14 @@ fn run_udp_cluster(
 /// Durable crash-restart over the real wire: every core runs inside a
 /// TransientLocal [`adamant_proto::DurableCore`] on a sharded cluster. The
 /// last reader checkpoints its delivered set at 35% of the stream, keeps
-/// running to 70%, then "crashes" — [`adamant_rt::Cluster::restart_endpoint`]
-/// swaps in a fresh incarnation seeded only with the stale checkpoint, so
-/// everything the doomed incarnation delivered after it must come back
-/// through durable catch-up NAKs answered from the writer's history cache.
+/// running to 70%, then "crashes" —
+/// [`adamant_rt::MuxCluster::restart_endpoint`] swaps in a fresh
+/// incarnation seeded only with the stale checkpoint, so everything the
+/// doomed incarnation delivered after it must come back through durable
+/// catch-up NAKs answered from the writer's history cache.
 fn run_udp_chaos(loss: f64, endpoints: usize, workers: usize, rate: f64, samples: u64, seed: u64) {
     use adamant_proto::{DurableConfig, DurableCore, GroupId, NodeId, Span};
-    use adamant_rt::{Cluster, ClusterConfig, EndpointId, MonotonicClock};
+    use adamant_rt::EndpointId;
     use adamant_transport::{AppSpec, NakcastReceiver, NakcastSender, StackProfile, Tuning};
     use std::time::Duration;
 
@@ -318,18 +210,12 @@ fn run_udp_chaos(loss: f64, endpoints: usize, workers: usize, rate: f64, samples
     let group = GroupId(0);
     let config = DurableConfig::transient_local();
     let receivers = endpoints - 1;
-    let clock = MonotonicClock::start();
     let session_nak = Span::from_millis(2);
 
-    let mut cluster = Cluster::new(
-        ClusterConfig::new(workers)
-            .with_seed(seed)
-            .with_clock(clock),
-    );
+    let mut cluster = bind_cluster(workers, seed);
     let writer_id = cluster
         .add_endpoint(
             NodeId(0),
-            "127.0.0.1:0",
             DurableCore::writer(
                 NakcastSender::new(
                     AppSpec::at_rate(samples, rate, 12),
@@ -341,20 +227,19 @@ fn run_udp_chaos(loss: f64, endpoints: usize, workers: usize, rate: f64, samples
                 config,
             ),
         )
-        .expect("bind writer on 127.0.0.1");
+        .expect("add writer");
     let reader_ids: Vec<EndpointId> = (1..=receivers as u32)
         .map(|n| {
             cluster
                 .add_endpoint(
                     NodeId(n),
-                    "127.0.0.1:0",
                     DurableCore::reader(
                         NakcastReceiver::new(NodeId(0), samples, session_nak, tuning, loss),
                         NodeId(0),
                         config,
                     ),
                 )
-                .expect("bind reader on 127.0.0.1")
+                .expect("add reader")
         })
         .collect();
     cluster.connect_full_mesh().expect("wire cluster mesh");
@@ -434,7 +319,7 @@ fn run_udp_chaos(loss: f64, endpoints: usize, workers: usize, rate: f64, samples
     println!(
         "{}",
         if complete {
-            "durable recovery complete: every reader holds the full stream"
+            "durable recovery complete: all receivers delivered the full stream"
         } else {
             "WARNING: durable recovery incomplete (try a longer run or lower loss)"
         }

@@ -1,9 +1,9 @@
 //! Loopback parity for durable crash-restart: the same `DurableCore`
 //! wrappers the netsim chaos scenario proves are mounted on a sharded
-//! [`Cluster`] over real UDP sockets on `127.0.0.1`. One reader endpoint
+//! [`MuxCluster`] over real UDP sockets on `127.0.0.1`. One reader endpoint
 //! checkpoints its delivered set mid-stream and is later replaced by a
 //! fresh incarnation seeded only with that checkpoint
-//! ([`Cluster::restart_endpoint`]), so the checkpoint-lag window must come
+//! ([`MuxCluster::restart_endpoint`]), so the checkpoint-lag window must come
 //! back through durable catch-up over the real wire.
 //!
 //! The endpoint reports are then lifted into a synthesized observability
@@ -20,7 +20,7 @@ use adamant_netsim::{ObsEvent, SimTime, TracedEvent};
 use adamant_proto::{
     catch_up_bound, Clock, DurableConfig, DurableCore, GroupId, NodeId, ProtoEvent, Span,
 };
-use adamant_rt::{Cluster, ClusterConfig, MonotonicClock};
+use adamant_rt::{MonotonicClock, MuxCluster, MuxConfig};
 use adamant_transport::{AppSpec, NakcastReceiver, NakcastSender, StackProfile, Tuning};
 
 const SAMPLES: u64 = 150;
@@ -72,11 +72,11 @@ fn cluster_endpoint_restart_recovers_durably_over_real_udp() {
     let config = DurableConfig::transient_local();
     let clock = MonotonicClock::start();
 
-    let mut cluster = Cluster::new(ClusterConfig::new(2).with_seed(9).with_clock(clock));
+    let cfg = MuxConfig::new(2).with_seed(9).with_clock(clock);
+    let mut cluster = MuxCluster::bind("127.0.0.1:0", cfg).expect("bind cluster");
     let writer_id = cluster
         .add_endpoint(
             NodeId(0),
-            "127.0.0.1:0",
             DurableCore::writer(
                 NakcastSender::new(
                     AppSpec::at_rate(SAMPLES, RATE, 12),
@@ -88,12 +88,12 @@ fn cluster_endpoint_restart_recovers_durably_over_real_udp() {
                 config,
             ),
         )
-        .expect("bind writer");
+        .expect("add writer");
     let reader_ids: Vec<_> = (1..=RECEIVERS)
         .map(|n| {
             cluster
-                .add_endpoint(NodeId(n), "127.0.0.1:0", reader(tuning, config))
-                .expect("bind reader")
+                .add_endpoint(NodeId(n), reader(tuning, config))
+                .expect("add reader")
         })
         .collect();
     cluster.connect_full_mesh().expect("wire mesh");

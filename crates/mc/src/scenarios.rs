@@ -157,7 +157,7 @@ pub fn durable_horizon() -> TimePoint {
 
 /// 1 durable writer, 1 `TransientLocal` durable reader that crashes (by
 /// 4 ms) and restarts (by 8 ms) with its delivered-set checkpoint, as
-/// `Cluster::restart_endpoint` does over real sockets. Crash and restart
+/// `MuxCluster::restart_endpoint` does over real sockets. Crash and restart
 /// *timing* is explored against every delivery interleaving; the spec
 /// demands the union of both incarnations' acceptances covers the stream
 /// with no cross-incarnation duplicate, and that catch-up completes

@@ -533,10 +533,10 @@ pub const WIRE_VERSION: u8 = 4;
 
 /// `dst_endpoint` wildcard: the datagram is for whoever owns the socket.
 ///
-/// Used by per-socket senders (one endpoint per socket, no demux needed)
-/// and by external peers that do not know the receiver's endpoint index.
-/// The multiplexed runtime cannot route a wildcard and counts it as an
-/// unknown-endpoint drop.
+/// Only a receiver with one endpoint per socket could deliver it; the
+/// multiplexed runtime, whose sockets are shared, cannot route a wildcard
+/// and counts it as an unknown-endpoint drop, one destination at a time,
+/// like any index it does not hold.
 pub const ANY_ENDPOINT: u32 = u32::MAX;
 
 /// `dst_incarnation` wildcard: deliver regardless of restart generation.
@@ -604,7 +604,7 @@ impl FrameHeader {
     }
 
     /// A header addressed to whichever endpoint owns the destination
-    /// socket, any incarnation — what per-socket senders stamp.
+    /// socket, any incarnation (both wildcards).
     pub fn broadcast(src: NodeId) -> Self {
         FrameHeader {
             src,

@@ -5,35 +5,28 @@
 //! inside the deterministic simulator, this crate drives the *same* core
 //! over real UDP sockets with a monotonic clock.
 //!
-//! Three drivers of the same cores:
+//! One driver, [`MuxCluster`], hosts any number of cores in one process,
+//! sharded across N worker threads. Each worker multiplexes its whole
+//! shard over a small fixed pool of shared sockets and drives every timer
+//! of the shard from one timer wheel (the same hierarchical calendar
+//! queue the simulator schedules through). Every frame a worker pass
+//! queues for one address shares a datagram (wire version 4) flushed with
+//! `sendmmsg`; receives drain with `recvmmsg` on the sockets a readiness
+//! query named, and each frame is demuxed by the destination list in its
+//! [`FrameHeader`](adamant_proto::FrameHeader), read through
+//! [`Frames`](adamant_proto::Frames). A group send costs one frame per
+//! destination worker rather than one datagram per member. One socket per
+//! endpoint is the degenerate pool:
+//! [`with_sockets_per_worker`](MuxConfig::with_sockets_per_worker) sized to
+//! the shard.
 //!
-//! * [`Endpoint`] — one socket, one core, one thread; the caller keeps the
-//!   core and lends it per [`run_for`](Endpoint::run_for) window.
-//! * [`Cluster`] — many cores in one process, sharded across N worker
-//!   threads; each worker owns its shard's sockets (one per endpoint) plus
-//!   one shared timer wheel (the same hierarchical calendar queue the
-//!   simulator schedules through), batches socket reads/writes per poll
-//!   iteration, and applies bounded-outbox backpressure when a core's
-//!   effect stream outruns its socket.
-//! * [`MuxCluster`] — the scale path: the same sharding, but each worker
-//!   multiplexes its whole shard over a small fixed pool of shared
-//!   sockets. Every frame a worker pass queues for one address shares a
-//!   datagram (wire version 4) flushed with `sendmmsg`; receives drain
-//!   with `recvmmsg` on the sockets a readiness query named, each frame
-//!   demuxed by the destination list in its
-//!   [`FrameHeader`](adamant_proto::FrameHeader); a group send costs one
-//!   frame per destination worker rather than one datagram per member.
-//!
-//! All three receive through one walker, [`Frames`](adamant_proto::Frames),
-//! so a per-socket endpoint reads what a mux worker packs.
-//!
-//! All three park in the same wait: `epoll_pwait2` with a nanosecond
-//! timeout, which ends at the next timer deadline or at the first
-//! readable socket, whichever comes first — there is no sleep a datagram
-//! cannot end. A mux worker also states how late its parks may end (a
-//! 25 µs timer slack on its own thread); [`ClusterStats::parks`] and
-//! [`ClusterStats::io_wakes`] count the parks and how many a datagram
-//! ended. Off Linux the wait is a sleep capped at a millisecond.
+//! A worker parks in one wait: `epoll_pwait2` with a nanosecond timeout,
+//! which ends at the next timer deadline or at the first readable socket,
+//! whichever comes first — there is no sleep a datagram cannot end. A
+//! worker also states how late its parks may end (a 25 µs timer slack on
+//! its own thread); [`ClusterStats::parks`] and [`ClusterStats::io_wakes`]
+//! count the parks and how many a datagram ended. Off Linux the wait is a
+//! sleep capped at a millisecond.
 //!
 //! Every fallible public function returns [`RtError`] (never a bare
 //! [`std::io::Error`]). Construction follows one idiom throughout:
@@ -49,14 +42,12 @@
 #![warn(missing_docs)]
 
 mod clock;
-mod cluster;
-mod endpoint;
 mod error;
 mod mux;
 mod poller;
+mod report;
 
 pub use clock::MonotonicClock;
-pub use cluster::{Cluster, ClusterConfig, ClusterStats, EndpointId};
-pub use endpoint::{Endpoint, EndpointReport, RtConfig};
 pub use error::RtError;
 pub use mux::{MuxCluster, MuxConfig};
+pub use report::{ClusterStats, EndpointId, EndpointReport};

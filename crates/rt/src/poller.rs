@@ -701,7 +701,8 @@ fn interrupted(e: &io::Error) -> bool {
 
 /// Runs one socket call, reissuing it for as long as a signal cuts it
 /// short.
-pub(crate) fn retry_interrupted<T>(mut call: impl FnMut() -> io::Result<T>) -> io::Result<T> {
+#[cfg(not(target_os = "linux"))]
+fn retry_interrupted<T>(mut call: impl FnMut() -> io::Result<T>) -> io::Result<T> {
     loop {
         match call() {
             Err(e) if interrupted(&e) => {}
@@ -824,8 +825,8 @@ mod tests {
     fn eintr_is_retried_not_classed_as_flow_control() {
         // Regression: `Interrupted` used to count as would-block, so an
         // EINTR'd sendmmsg reported `Ok(0)` — a phantom backpressure stall
-        // — and, in `endpoint.rs`'s private copy of the classifier, ended
-        // a drain early. Every driver now shares these three.
+        // — and, in a private copy of the classifier, ended a drain early.
+        // There is one copy now.
         let eintr = io::Error::from(io::ErrorKind::Interrupted);
         assert!(!would_block(&eintr));
         assert!(interrupted(&eintr));

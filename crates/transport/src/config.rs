@@ -253,7 +253,7 @@ pub struct ProtocolProperties {
 /// *relative* behaviour measured in the paper (see DESIGN.md §3); every
 /// value is overridable for ablation studies — either through the
 /// consuming `with_*` builders (the repo-wide pre-bind construction
-/// idiom, shared with `RtConfig` and [`TransportConfig`]) or via struct
+/// idiom, shared with `MuxConfig` and [`TransportConfig`]) or via struct
 /// update syntax on [`Tuning::default()`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Tuning {

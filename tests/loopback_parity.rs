@@ -1,17 +1,17 @@
 //! Driver parity: the same NAKcast cores deliver the same stream whether
 //! they run inside the deterministic simulator or over real UDP sockets
-//! on 127.0.0.1 — the acceptance check for the sans-I/O refactor. Each
-//! receiver injects 5% end-host loss from its own entropy stream, so the
-//! real-socket run exercises genuine NAK/retransmit recovery.
+//! on 127.0.0.1 — the acceptance check for the sans-I/O refactor. The
+//! simulator is the delivered-set oracle; the real-socket runs go through
+//! the multiplexed runtime. Each receiver injects 5% end-host loss from
+//! its own entropy stream, so the real-socket run exercises genuine
+//! NAK/retransmit recovery.
 
 use std::collections::BTreeSet;
 use std::time::Duration;
 
 use adamant_netsim::{Bandwidth, HostConfig, MachineClass, NodeId, SimDriver, SimTime, Simulation};
 use adamant_proto::Span;
-use adamant_rt::{
-    Cluster, ClusterConfig, Endpoint, MonotonicClock, MuxCluster, MuxConfig, RtConfig,
-};
+use adamant_rt::{ClusterStats, MonotonicClock, MuxCluster, MuxConfig};
 use adamant_transport::{
     AppSpec, DataReader, NakcastReceiver, NakcastSender, ShmCastReceiver, ShmCastSender,
     StackProfile, StreamCastReceiver, StreamCastSender, Tuning,
@@ -47,63 +47,7 @@ struct RunOutcome {
     naks_sent: u64,
 }
 
-fn run_netsim() -> RunOutcome {
-    let mut sim = Simulation::new(42);
-    let host = HostConfig::new(MachineClass::Pc3000, Bandwidth::GBPS_1);
-    let group = sim.create_group(&[]);
-    let tx = sim.add_node(host, SimDriver::new(sender_core(group)));
-    sim.join_group(group, tx);
-    let rx = sim.add_node(host, SimDriver::new(receiver_core(tx)));
-    sim.join_group(group, rx);
-    sim.run_until(SimTime::from_secs(5));
-    let r = sim.agent::<NakcastReceiver>(rx).unwrap();
-    RunOutcome {
-        delivered: r.log().deliveries().iter().map(|d| d.seq).collect(),
-        recovered: r.log().recovered_count(),
-        naks_sent: r.naks_sent(),
-    }
-}
-
-fn run_loopback() -> RunOutcome {
-    let clock = MonotonicClock::start();
-    let tx_node = NodeId(0);
-    let rx_node = NodeId(1);
-    let mut tx_ep = Endpoint::bind(tx_node, "127.0.0.1:0", RtConfig::new(7).with_clock(clock))
-        .expect("bind sender");
-    let mut rx_ep = Endpoint::bind(rx_node, "127.0.0.1:0", RtConfig::new(8).with_clock(clock))
-        .expect("bind receiver");
-    tx_ep.add_peer(rx_node, rx_ep.local_addr().unwrap());
-    rx_ep.add_peer(tx_node, tx_ep.local_addr().unwrap());
-    let groups = vec![vec![tx_node, rx_node]];
-    tx_ep.set_groups(groups.clone());
-    rx_ep.set_groups(groups);
-
-    let mut sender = sender_core(adamant_proto::GroupId(0));
-    let mut receiver = receiver_core(tx_node);
-    // Publishing takes SAMPLES / RATE_HZ = 0.6 s; leave generous slack for
-    // tail-loss recovery on loaded CI machines. The sender stays up the
-    // whole window so late NAKs are still answered.
-    std::thread::scope(|s| {
-        s.spawn(|| {
-            tx_ep
-                .run_for(&mut sender, Duration::from_millis(2_500))
-                .expect("sender loop");
-        });
-        s.spawn(|| {
-            rx_ep
-                .run_for(&mut receiver, Duration::from_millis(2_500))
-                .expect("receiver loop");
-        });
-    });
-    assert_eq!(sender.published(), SAMPLES, "sender finished the stream");
-    RunOutcome {
-        delivered: receiver.log().deliveries().iter().map(|d| d.seq).collect(),
-        recovered: receiver.log().recovered_count(),
-        naks_sent: receiver.naks_sent(),
-    }
-}
-
-/// Runs the netsim side of the fleet parity check: one NAKcast sender and
+/// Runs the netsim side of the parity check: one NAKcast sender and
 /// `receivers` lossy receivers inside one simulation.
 fn run_netsim_fleet(receivers: usize) -> Vec<RunOutcome> {
     let mut sim = Simulation::new(42);
@@ -132,71 +76,19 @@ fn run_netsim_fleet(receivers: usize) -> Vec<RunOutcome> {
         .collect()
 }
 
-/// Runs the same fleet inside a sharded [`Cluster`] over real UDP:
-/// returns the shard of every endpoint (sender first), the published
-/// count, and each receiver's outcome.
-fn run_cluster_fleet(
-    receivers: usize,
-    workers: usize,
-    seed: u64,
-    wall: Duration,
-) -> (Vec<usize>, u64, Vec<RunOutcome>) {
-    let clock = MonotonicClock::start();
-    let mut cluster = Cluster::new(
-        ClusterConfig::new(workers)
-            .with_seed(seed)
-            .with_clock(clock),
-    );
-    let tx = cluster
-        .add_endpoint(
-            NodeId(0),
-            "127.0.0.1:0",
-            sender_core(adamant_proto::GroupId(0)),
-        )
-        .expect("bind cluster sender");
-    let rx_ids: Vec<_> = (1..=receivers as u32)
-        .map(|n| {
-            cluster
-                .add_endpoint(NodeId(n), "127.0.0.1:0", receiver_core(NodeId(0)))
-                .expect("bind cluster receiver")
-        })
-        .collect();
-    cluster.connect_full_mesh().expect("wire mesh");
-    let shards: Vec<usize> = std::iter::once(tx)
-        .chain(rx_ids.iter().copied())
-        .map(|id| cluster.shard_of(id))
-        .collect();
-    cluster.run_for(wall).expect("cluster run");
-    let published = cluster
-        .core::<NakcastSender>(tx)
-        .expect("sender core survives")
-        .published();
-    let outcomes = rx_ids
-        .iter()
-        .map(|&id| {
-            let r = cluster
-                .core::<NakcastReceiver>(id)
-                .expect("receiver core survives");
-            RunOutcome {
-                delivered: r.log().deliveries().iter().map(|d| d.seq).collect(),
-                recovered: r.log().recovered_count(),
-                naks_sent: r.naks_sent(),
-            }
-        })
-        .collect();
-    (shards, published, outcomes)
+/// What one real-UDP run of the fleet produced.
+struct MuxFleet {
+    /// The shard of every endpoint, sender first.
+    shards: Vec<usize>,
+    published: u64,
+    receivers: Vec<RunOutcome>,
+    stats: ClusterStats,
 }
 
-/// Runs the same fleet on the multiplexed runtime: all endpoints share
-/// each worker's small socket pool and are demuxed by the wire-header
-/// endpoint ID. Returns the published count, each receiver's outcome,
-/// and the cluster stats (for the no-drop assertions).
-fn run_mux_fleet(
-    receivers: usize,
-    workers: usize,
-    seed: u64,
-    wall: Duration,
-) -> (u64, Vec<RunOutcome>, adamant_rt::ClusterStats) {
+/// Runs the same fleet on the multiplexed runtime over real UDP: all
+/// endpoints share each worker's small socket pool and are demuxed by the
+/// wire-header endpoint ID.
+fn run_mux_fleet(receivers: usize, workers: usize, seed: u64, wall: Duration) -> MuxFleet {
     let clock = MonotonicClock::start();
     let cfg = MuxConfig::new(workers)
         .with_sockets_per_worker(2)
@@ -215,12 +107,16 @@ fn run_mux_fleet(
         })
         .collect();
     cluster.connect_full_mesh().expect("wire mesh");
+    let shards = std::iter::once(tx)
+        .chain(rx_ids.iter().copied())
+        .map(|id| cluster.shard_of(id))
+        .collect();
     cluster.run_for(wall).expect("mux cluster run");
     let published = cluster
         .core::<NakcastSender>(tx)
         .expect("sender core survives")
         .published();
-    let outcomes = rx_ids
+    let receivers = rx_ids
         .iter()
         .map(|&id| {
             let r = cluster
@@ -233,13 +129,24 @@ fn run_mux_fleet(
             }
         })
         .collect();
-    (published, outcomes, cluster.stats())
+    MuxFleet {
+        shards,
+        published,
+        receivers,
+        stats: cluster.stats(),
+    }
 }
 
 #[test]
 fn nakcast_delivers_identically_under_both_drivers() {
-    let sim = run_netsim();
-    let rt = run_loopback();
+    let sim = run_netsim_fleet(1).remove(0);
+    // A sender and a receiver, one per worker. Publishing takes
+    // SAMPLES / RATE_HZ = 0.6 s; leave generous slack for tail-loss
+    // recovery on loaded CI machines. The sender stays up the whole window
+    // so late NAKs are still answered.
+    let mut pair = run_mux_fleet(1, 2, 7, Duration::from_millis(2_500));
+    assert_eq!(pair.published, SAMPLES, "sender finished the stream");
+    let rt = pair.receivers.remove(0);
 
     let expected: BTreeSet<u64> = (0..SAMPLES).collect();
     assert_eq!(
@@ -280,27 +187,29 @@ fn nakcast_delivers_identically_under_both_drivers() {
     );
 }
 
-/// The cluster-scale version of the parity check: the same NAKcast
-/// session over 64 endpoints (one sender, 63 lossy receivers) hosted on
-/// 4 cluster workers must deliver exactly the sequence sets the netsim
-/// run of the same fleet delivers — every receiver, the complete stream.
+/// The fleet-scale version of the parity check: the same 64-endpoint
+/// NAKcast session (one sender, 63 lossy receivers) runs on the
+/// readiness-driven [`MuxCluster`] — 4 workers sharing 2 sockets each,
+/// every datagram demuxed by the wire-header endpoint ID — and must
+/// deliver exactly the sequence sets the netsim run of the same fleet
+/// delivers: every receiver, the complete stream.
 #[test]
-fn cluster_nakcast_matches_netsim_across_64_endpoints() {
+fn mux_cluster_nakcast_matches_netsim_across_64_endpoints() {
     const RECEIVERS: usize = 63;
     const WORKERS: usize = 4;
 
     let sim = run_netsim_fleet(RECEIVERS);
     // Publishing takes 0.6 s; the rest of the wall is recovery slack for
     // 63 receivers sharing 4 workers on a possibly loaded CI machine.
-    let (shards, published, rt) =
-        run_cluster_fleet(RECEIVERS, WORKERS, 42, Duration::from_millis(3_500));
+    let mux = run_mux_fleet(RECEIVERS, WORKERS, 42, Duration::from_millis(3_500));
 
-    assert_eq!(published, SAMPLES, "cluster sender finished the stream");
-    assert_eq!(shards.len(), RECEIVERS + 1);
+    assert_eq!(mux.published, SAMPLES, "mux sender finished the stream");
+    assert_eq!(mux.shards.len(), RECEIVERS + 1);
     for w in 0..WORKERS {
         assert!(
-            shards.contains(&w),
-            "every worker must own a shard slice (assignment {shards:?})"
+            mux.shards.contains(&w),
+            "every worker must own a shard slice (assignment {:?})",
+            mux.shards
         );
     }
 
@@ -312,57 +221,7 @@ fn cluster_nakcast_matches_netsim_across_64_endpoints() {
         );
     }
     let mut recovered_total = 0;
-    for (i, o) in rt.iter().enumerate() {
-        assert_eq!(
-            o.delivered, expected,
-            "cluster receiver {i} must deliver every sample \
-             (recovered {} via {} NAKs)",
-            o.recovered, o.naks_sent
-        );
-        recovered_total += o.recovered;
-    }
-    // 63 receivers × 300 samples × 5% loss ≈ 945 expected drops: the run
-    // must actually exercise the recovery path, not just survive it.
-    assert!(
-        recovered_total > 0,
-        "cluster fleet must exercise NAK recovery"
-    );
-}
-
-/// The multiplexed-runtime leg of the fleet parity check: the same
-/// 64-endpoint NAKcast session (one sender, 63 lossy receivers) runs on
-/// the readiness-driven [`MuxCluster`] — 4 workers sharing 2 sockets
-/// each, every datagram demuxed by the wire-header endpoint ID — and
-/// must deliver exactly the sequence sets the netsim and per-socket
-/// cluster runs deliver: every receiver, the complete stream.
-#[test]
-fn mux_cluster_nakcast_matches_netsim_and_per_socket_fleets() {
-    const RECEIVERS: usize = 63;
-    const WORKERS: usize = 4;
-
-    let sim = run_netsim_fleet(RECEIVERS);
-    let wall = Duration::from_millis(3_500);
-    let (_, per_socket_published, per_socket) = run_cluster_fleet(RECEIVERS, WORKERS, 42, wall);
-    let (mux_published, mux, stats) = run_mux_fleet(RECEIVERS, WORKERS, 42, wall);
-
-    assert_eq!(per_socket_published, SAMPLES, "per-socket sender finished");
-    assert_eq!(mux_published, SAMPLES, "mux sender finished the stream");
-
-    let expected: BTreeSet<u64> = (0..SAMPLES).collect();
-    for (i, o) in sim.iter().enumerate() {
-        assert_eq!(
-            o.delivered, expected,
-            "netsim receiver {i} must deliver every sample"
-        );
-    }
-    for (i, o) in per_socket.iter().enumerate() {
-        assert_eq!(
-            o.delivered, expected,
-            "per-socket receiver {i} must deliver every sample"
-        );
-    }
-    let mut recovered_total = 0;
-    for (i, o) in mux.iter().enumerate() {
+    for (i, o) in mux.receivers.iter().enumerate() {
         assert_eq!(
             o.delivered, expected,
             "mux receiver {i} must deliver every sample \
@@ -371,10 +230,12 @@ fn mux_cluster_nakcast_matches_netsim_and_per_socket_fleets() {
         );
         recovered_total += o.recovered;
     }
-    // 63 receivers × 300 samples × 5% loss ≈ 945 expected drops.
+    // 63 receivers × 300 samples × 5% loss ≈ 945 expected drops: the run
+    // must actually exercise the recovery path, not just survive it.
     assert!(recovered_total > 0, "mux fleet must exercise NAK recovery");
 
     // A healthy same-incarnation run never hits the demux error paths.
+    let stats = mux.stats;
     assert_eq!(stats.endpoints, RECEIVERS + 1);
     assert_eq!(stats.header_drops, 0, "no malformed frames on loopback");
     assert_eq!(stats.unknown_endpoint_drops, 0, "routes cover the mesh");
@@ -555,8 +416,8 @@ fn shmcast_runs_over_the_mux_runtime_on_one_host() {
 }
 
 /// Same seed + same shard assignment ⇒ the same outcome: two
-/// identically-configured cluster runs place every endpoint on the same
-/// worker (`index % workers`) and deliver identical per-endpoint
+/// identically-configured mux cluster runs place every endpoint on the
+/// same worker (`index % workers`) and deliver identical per-endpoint
 /// sequence sets.
 #[test]
 fn cluster_reruns_are_shard_stable_and_deterministic() {
@@ -564,17 +425,17 @@ fn cluster_reruns_are_shard_stable_and_deterministic() {
     const WORKERS: usize = 3;
 
     let wall = Duration::from_millis(2_500);
-    let (shards_a, published_a, a) = run_cluster_fleet(RECEIVERS, WORKERS, 11, wall);
-    let (shards_b, published_b, b) = run_cluster_fleet(RECEIVERS, WORKERS, 11, wall);
+    let a = run_mux_fleet(RECEIVERS, WORKERS, 11, wall);
+    let b = run_mux_fleet(RECEIVERS, WORKERS, 11, wall);
 
-    assert_eq!(shards_a, shards_b, "shard assignment must be rerun-stable");
-    for (index, &shard) in shards_a.iter().enumerate() {
+    assert_eq!(a.shards, b.shards, "shard assignment must be rerun-stable");
+    for (index, &shard) in a.shards.iter().enumerate() {
         assert_eq!(shard, index % WORKERS, "assignment must be index % workers");
     }
-    assert_eq!(published_a, SAMPLES);
-    assert_eq!(published_b, SAMPLES);
+    assert_eq!(a.published, SAMPLES);
+    assert_eq!(b.published, SAMPLES);
     let expected: BTreeSet<u64> = (0..SAMPLES).collect();
-    for (i, (oa, ob)) in a.iter().zip(&b).enumerate() {
+    for (i, (oa, ob)) in a.receivers.iter().zip(&b.receivers).enumerate() {
         assert_eq!(
             oa.delivered, ob.delivered,
             "receiver {i} must deliver the same sequence set on both runs"
