@@ -34,6 +34,12 @@ pub enum RtError {
         /// The index that failed to resolve.
         index: usize,
     },
+    /// An endpoint was refused: the cluster holds as many as an index can
+    /// number.
+    TooManyEndpoints {
+        /// Most endpoints one cluster holds.
+        max: usize,
+    },
     /// An I/O error outside the bind/send/recv paths (catch-all used by
     /// the blanket [`From<io::Error>`] conversion).
     Io(io::Error),
@@ -52,6 +58,9 @@ impl fmt::Display for RtError {
             RtError::UnknownEndpoint { index } => {
                 write!(f, "no live endpoint at index {index}")
             }
+            RtError::TooManyEndpoints { max } => {
+                write!(f, "a cluster holds at most {max} endpoints")
+            }
             RtError::Io(e) => write!(f, "runtime I/O: {e}"),
         }
     }
@@ -65,7 +74,9 @@ impl std::error::Error for RtError {
             | RtError::Send(e)
             | RtError::Recv(e)
             | RtError::Io(e) => Some(e),
-            RtError::ShardPanicked { .. } | RtError::UnknownEndpoint { .. } => None,
+            RtError::ShardPanicked { .. }
+            | RtError::UnknownEndpoint { .. }
+            | RtError::TooManyEndpoints { .. } => None,
         }
     }
 }

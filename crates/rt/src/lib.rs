@@ -50,4 +50,4 @@ mod report;
 pub use clock::MonotonicClock;
 pub use error::RtError;
 pub use mux::{MuxCluster, MuxConfig};
-pub use report::{ClusterStats, EndpointId, EndpointReport};
+pub use report::{ClusterStats, DeliveryLog, EndpointId, EndpointReport};

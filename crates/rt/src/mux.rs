@@ -51,7 +51,8 @@
 //! pending when a window closes fire in the next one. Each timer is armed
 //! under its endpoint's index and incarnation, so one armed by an
 //! incarnation that has since been restarted is dropped as stale when it
-//! pops.
+//! pops. The index takes the top 24 bits of that `u32` owner code, so a
+//! cluster holds at most 2^24 (16 777 216) endpoints.
 //!
 //! **Restart.** Routing is by [`NodeId`] → `(socket address, endpoint
 //! index, incarnation)`. A [`restart_endpoint`](MuxCluster::restart_endpoint)
@@ -286,6 +287,10 @@ fn endpoint_seed(base: u64, index: usize, incarnation: u32) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Endpoints one cluster holds: an index must fit the 24 high bits of its
+/// [`wheel_owner`] code.
+const MAX_ENDPOINTS: usize = 1 << 24;
+
 /// The owner code endpoint `index` arms timers under during `incarnation`:
 /// the index in the high bits, the incarnation (mod 256) in the low byte,
 /// so a restarted endpoint's stale timers are distinguishable when they
@@ -459,6 +464,9 @@ impl MuxCluster {
     ///
     /// # Errors
     ///
+    /// [`RtError::TooManyEndpoints`] once 2^24 endpoints (lost ones
+    /// included) were added; that refusal consumes no index.
+    ///
     /// [`RtError::ShardPanicked`] when the index falls on a shard that lost
     /// its sockets to an earlier worker panic. The refused add still
     /// consumes its index — [`len`](MuxCluster::len) counts it as a lost
@@ -469,6 +477,9 @@ impl MuxCluster {
         core: C,
     ) -> Result<EndpointId, RtError> {
         let index = self.len;
+        if index >= MAX_ENDPOINTS {
+            return Err(RtError::TooManyEndpoints { max: MAX_ENDPOINTS });
+        }
         let shard = index % self.shards.len();
         self.len += 1;
         if self.sockets[shard].is_empty() {
@@ -1125,7 +1136,7 @@ fn step_entry(
                 seq,
                 published_at,
                 recovered,
-            } => report.delivered.push((seq, published_at, recovered)),
+            } => report.delivered.push(seq, published_at, recovered),
             Effect::Trace(event) => report.events.push(event),
         }
     }
@@ -1792,7 +1803,7 @@ mod tests {
         for first in [0, 1000] {
             let from_one: Vec<u64> = heard
                 .iter()
-                .map(|&(seq, _, _)| seq)
+                .map(|(seq, _, _)| seq)
                 .filter(|seq| (first..first + 64).contains(seq))
                 .collect();
             assert_eq!(from_one, (first..first + 64).collect::<Vec<_>>());
@@ -2041,8 +2052,9 @@ mod tests {
     /// Gives every counter of `report` that `fold_metrics` reads a distinct
     /// non-zero value derived from `k`.
     fn fill_report(report: &mut EndpointReport, k: u64) {
-        let at = TimePoint::from_nanos(0);
-        report.delivered = (0..k).map(|seq| (seq, at, seq % 2 == 1)).collect();
+        for seq in 0..k {
+            report.delivered.push(seq, TimePoint::ZERO, seq % 2 == 1);
+        }
         report.datagrams_sent = 10 + k;
         report.datagrams_received = 20 + k;
         report.decode_errors = 30 + k;
@@ -2445,6 +2457,18 @@ mod tests {
             assert_eq!(id.index(), node as usize);
             assert_eq!(cluster.shard_of(id), node as usize % 4);
         }
+    }
+
+    #[test]
+    fn an_index_past_the_timer_owner_code_is_refused_and_not_consumed() {
+        // Endpoint 2^24 would arm its timers under endpoint 0's owner code.
+        let mut cluster = small_mux(1, 0);
+        cluster.add_endpoint(NodeId(0), Listener).unwrap();
+        cluster.len = MAX_ENDPOINTS;
+        let err = cluster.add_endpoint(NodeId(1), Listener).unwrap_err();
+        assert!(matches!(err, RtError::TooManyEndpoints { max } if max == 1 << 24));
+        assert_eq!(cluster.len(), 1 << 24);
+        assert_eq!(cluster.shards[0].len(), 1);
     }
 
     #[test]
