@@ -524,7 +524,7 @@ pub(crate) fn pooled_deliveries(
     }
     for &node in &handles.receivers {
         if !sim.is_crashed(node) {
-            pooled.extend_from_slice(ant::reader(sim, handles, node).log().deliveries());
+            pooled.extend(ant::reader(sim, handles, node).log().deliveries());
         }
     }
     pooled

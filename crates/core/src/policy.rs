@@ -674,7 +674,7 @@ impl AdaptivePolicy {
                         for (slot, &node) in harvested.iter_mut().zip(&handles.receivers) {
                             if !sim.is_crashed(node) {
                                 let r = ant::reader(&sim, &handles, node);
-                                slot.0.extend_from_slice(r.log().deliveries());
+                                slot.0.extend(r.log().deliveries());
                                 slot.1 += r.duplicates();
                             }
                         }
@@ -753,7 +753,7 @@ impl AdaptivePolicy {
         for (slot, &node) in harvested.iter_mut().zip(&handles.receivers) {
             if !sim.is_crashed(node) {
                 let r = ant::reader(&sim, &handles, node);
-                slot.0.extend_from_slice(r.log().deliveries());
+                slot.0.extend(r.log().deliveries());
                 slot.1 += r.duplicates();
             }
         }

@@ -75,7 +75,7 @@ impl ReaderStatuses {
         let mut deadline_missed = 0u64;
         if let Some(period) = deadline {
             if !period.is_zero() {
-                let times: Vec<_> = log.deliveries().iter().map(|d| d.delivered_at).collect();
+                let times: Vec<_> = log.deliveries().map(|d| d.delivered_at).collect();
                 for pair in times.windows(2) {
                     let gap = pair[1].saturating_since(pair[0]);
                     if gap > period {
@@ -143,7 +143,7 @@ pub fn per_instance_statuses(
                     // Re-key to a dense space so loss accounting stays exact.
                     sub.record(adamant_metrics::Delivery {
                         seq: d.seq / instances,
-                        ..*d
+                        ..d
                     });
                 }
             }

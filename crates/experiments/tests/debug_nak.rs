@@ -48,8 +48,8 @@ fn recovered_latency_distribution_stays_in_the_nak_bound() {
     let bound = nakcast_recovery_bound(NAK_TIMEOUT, &tuning);
     for &node in &handles.receivers {
         let r = ant::reader(&sim, &handles, node);
-        let (rec, orig): (Vec<&Delivery>, Vec<&Delivery>) =
-            r.log().deliveries().iter().partition(|d| d.recovered);
+        let (rec, orig): (Vec<Delivery>, Vec<Delivery>) =
+            r.log().deliveries().partition(|d| d.recovered);
         assert_eq!(
             r.log().delivered_count(),
             1000,
@@ -59,7 +59,7 @@ fn recovered_latency_distribution_stays_in_the_nak_bound() {
             !rec.is_empty(),
             "reader {node}: 5% loss must force recoveries"
         );
-        let avg = |v: &[&Delivery]| {
+        let avg = |v: &[Delivery]| {
             v.iter().map(|d| d.latency().as_micros_f64()).sum::<f64>() / v.len() as f64
         };
         assert!(

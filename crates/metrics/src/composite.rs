@@ -161,7 +161,7 @@ mod tests {
         // loss 0 → ReLate2 = 200, ReLate2Jit = 20_000.
         let mut b = QosReport::builder(2, 1);
         b.add_receiver(
-            &[
+            [
                 Delivery {
                     seq: 0,
                     published_at: SimTime::ZERO,
@@ -185,7 +185,7 @@ mod tests {
     fn burst_and_net_variants_use_wire_stats() {
         let mut b = QosReport::builder(1, 1);
         b.add_receiver(
-            &[Delivery {
+            [Delivery {
                 seq: 0,
                 published_at: SimTime::ZERO,
                 delivered_at: SimTime::from_micros(1000),

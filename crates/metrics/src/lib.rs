@@ -6,8 +6,8 @@
 //!
 //! The crate provides three layers:
 //!
-//! * **Raw records** — [`Delivery`] / [`ReceptionLog`] /
-//!   [`DenseReceptionLog`]: what each data reader observed.
+//! * **Raw records** — [`Delivery`] / [`DenseReceptionLog`] /
+//!   [`DeliveryLog`]: what each data reader or runtime endpoint observed.
 //! * **Reports** — [`QosReport`]: pooled reliability, average latency,
 //!   jitter (latency stddev), burstiness (per-second bandwidth stddev), and
 //!   network usage for one run.
@@ -57,7 +57,7 @@ mod windowed;
 
 pub use composite::MetricKind;
 pub use histogram::LatencyHistogram;
-pub use record::{Delivery, DenseReceptionLog, ReceptionLog};
+pub use record::{Delivery, DeliveryLog, DenseReceptionLog};
 pub use registry::{registry_from_trace, MetricsRegistry};
 pub use report::{QosReport, QosReportBuilder};
 pub use stats::{percentile, Welford};

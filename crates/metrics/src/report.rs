@@ -1,5 +1,7 @@
 //! Aggregated QoS reports for a complete experiment run.
 
+use std::borrow::Borrow;
+
 use adamant_netsim::SimDuration;
 
 use crate::histogram::LatencyHistogram;
@@ -111,13 +113,16 @@ pub struct QosReportBuilder {
 
 impl QosReportBuilder {
     /// Adds one receiver's unique deliveries and its duplicate count.
-    pub fn add_receiver(&mut self, deliveries: &[Delivery], duplicates: u64) -> &mut Self {
-        self.delivered += deliveries.len() as u64;
+    pub fn add_receiver(
+        &mut self,
+        deliveries: impl IntoIterator<Item = impl Borrow<Delivery>>,
+        duplicates: u64,
+    ) -> &mut Self {
         self.duplicates += duplicates;
         for d in deliveries {
-            if d.recovered {
-                self.recovered += 1;
-            }
+            let d = d.borrow();
+            self.delivered += 1;
+            self.recovered += u64::from(d.recovered);
             let us = d.latency().as_micros_f64();
             self.latency.push(us);
             self.histogram.record_us(us);
@@ -176,8 +181,8 @@ mod tests {
     #[test]
     fn reliability_pools_receivers() {
         let mut b = QosReport::builder(10, 2);
-        b.add_receiver(&[d(0, 0, 5, false), d(1, 0, 5, false)], 0);
-        b.add_receiver(&[d(0, 0, 5, false)], 0);
+        b.add_receiver([d(0, 0, 5, false), d(1, 0, 5, false)], 0);
+        b.add_receiver([d(0, 0, 5, false)], 0);
         let r = b.finish();
         assert_eq!(r.delivered, 3);
         assert!((r.reliability() - 3.0 / 20.0).abs() < 1e-12);
@@ -187,8 +192,8 @@ mod tests {
     #[test]
     fn latency_and_jitter_pool_all_deliveries() {
         let mut b = QosReport::builder(2, 2);
-        b.add_receiver(&[d(0, 0, 100, false)], 0);
-        b.add_receiver(&[d(0, 0, 300, true)], 1);
+        b.add_receiver([d(0, 0, 100, false)], 0);
+        b.add_receiver([d(0, 0, 300, true)], 1);
         let r = b.finish();
         assert_eq!(r.avg_latency_us, 200.0);
         assert_eq!(r.jitter_us, 100.0);
@@ -200,7 +205,7 @@ mod tests {
     #[test]
     fn wire_stats_feed_burstiness() {
         let mut b = QosReport::builder(1, 1);
-        b.add_receiver(&[d(0, 0, 10, false)], 0);
+        b.add_receiver([d(0, 0, 10, false)], 0);
         b.wire(&[100, 300], 400).duration_secs(2.0);
         let r = b.finish();
         assert_eq!(r.avg_bandwidth_bytes_per_sec, 200.0);
@@ -213,7 +218,7 @@ mod tests {
     fn percentiles_come_from_the_histogram() {
         let mut b = QosReport::builder(3, 1);
         b.add_receiver(
-            &[
+            [
                 d(0, 0, 100, false),
                 d(1, 0, 200, false),
                 d(2, 0, 400, false),
@@ -234,7 +239,7 @@ mod tests {
     #[test]
     fn perfect_run_has_zero_loss() {
         let mut b = QosReport::builder(2, 1);
-        b.add_receiver(&[d(0, 0, 10, false), d(1, 10, 20, false)], 0);
+        b.add_receiver([d(0, 0, 10, false), d(1, 10, 20, false)], 0);
         let r = b.finish();
         assert_eq!(r.reliability(), 1.0);
         assert_eq!(r.percent_loss(), 0.0);

@@ -7,6 +7,8 @@
 //! the samples *published* in that window — so a degradation shows up in
 //! the window where it started, not smeared over the whole run.
 
+use std::borrow::Borrow;
+
 use adamant_netsim::{SimDuration, SimTime};
 
 use crate::record::Delivery;
@@ -58,7 +60,7 @@ impl WindowQos {
 ///
 /// Panics if `window` is zero.
 pub fn windowed_qos(
-    deliveries: &[Delivery],
+    deliveries: impl IntoIterator<Item = impl Borrow<Delivery>>,
     published_per_window: &[u64],
     window: SimDuration,
 ) -> Vec<WindowQos> {
@@ -66,6 +68,7 @@ pub fn windowed_qos(
     let mut latencies: Vec<Welford> = vec![Welford::new(); published_per_window.len()];
     let mut delivered = vec![0u64; published_per_window.len()];
     for d in deliveries {
+        let d = d.borrow();
         let idx = (d.published_at.as_nanos() / window.as_nanos()) as usize;
         if let Some(count) = delivered.get_mut(idx) {
             *count += 1;
@@ -136,7 +139,7 @@ mod tests {
             delivered_at: SimTime::from_millis(1_400),
             recovered: true,
         };
-        let windows = windowed_qos(&[delivery], &[1, 0], SimDuration::from_secs(1));
+        let windows = windowed_qos([delivery], &[1, 0], SimDuration::from_secs(1));
         assert_eq!(windows[0].delivered, 1);
         assert_eq!(windows[1].delivered, 0);
         assert_eq!(windows[0].avg_latency_us, 500_000.0);
@@ -144,7 +147,7 @@ mod tests {
 
     #[test]
     fn deliveries_beyond_the_schedule_are_ignored() {
-        let windows = windowed_qos(&[d(0, 5_000, 100)], &[1, 1], SimDuration::from_secs(1));
+        let windows = windowed_qos([d(0, 5_000, 100)], &[1, 1], SimDuration::from_secs(1));
         assert!(windows.iter().all(|w| w.delivered == 0));
     }
 
@@ -158,13 +161,13 @@ mod tests {
 
     #[test]
     fn empty_window_reliability_is_zero() {
-        let windows = windowed_qos(&[], &[0], SimDuration::from_secs(1));
+        let windows = windowed_qos(&[] as &[Delivery], &[0], SimDuration::from_secs(1));
         assert_eq!(windows[0].reliability(), 0.0);
     }
 
     #[test]
     #[should_panic(expected = "window length")]
     fn zero_window_rejected() {
-        windowed_qos(&[], &[1], SimDuration::ZERO);
+        windowed_qos(&[] as &[Delivery], &[1], SimDuration::ZERO);
     }
 }

@@ -47,7 +47,8 @@ mod mux;
 mod poller;
 mod report;
 
+pub use adamant_metrics::DeliveryLog;
 pub use clock::MonotonicClock;
 pub use error::RtError;
 pub use mux::{MuxCluster, MuxConfig};
-pub use report::{ClusterStats, DeliveryLog, EndpointId, EndpointReport};
+pub use report::{ClusterStats, EndpointId, EndpointReport};

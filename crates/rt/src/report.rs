@@ -3,8 +3,8 @@
 
 use std::collections::BTreeSet;
 
-use adamant_metrics::MetricsRegistry;
-use adamant_proto::{ProtoEvent, TimePoint};
+use adamant_metrics::{DeliveryLog, MetricsRegistry};
+use adamant_proto::ProtoEvent;
 
 /// Handle to one endpoint of a [`MuxCluster`](crate::MuxCluster), returned
 /// by [`add_endpoint`](crate::MuxCluster::add_endpoint).
@@ -180,154 +180,5 @@ impl EndpointReport {
     /// Samples that arrived through a recovery path.
     pub fn recovered_count(&self) -> u64 {
         self.delivered.recovered()
-    }
-}
-
-/// Bytes of a [`DeliveryLog`]'s header: four little-endian `u64`s.
-const LOG_HEADER: usize = 32;
-
-/// An endpoint's deliveries, `(seq, published_at, recovered)` in push
-/// order, kept losslessly in one byte buffer: a header (count, recovered
-/// count, last `seq`, last `published_at`), then two LEB128 varints per
-/// delivery — the wrapping `seq` delta shifted left one bit with the
-/// recovered flag in the low bit (a `u128`, so any `u64` delta
-/// round-trips), and the zigzag-encoded `published_at` delta. A paced
-/// delivery (`seq` + 1, 10 ms later) costs ≈ 5 B against 24 for a
-/// `(u64, TimePoint, bool)`; an empty log allocates nothing.
-#[derive(Debug, Clone, Default)]
-pub struct DeliveryLog {
-    bytes: Vec<u8>,
-}
-
-impl DeliveryLog {
-    /// Appends one delivery.
-    pub fn push(&mut self, seq: u64, published_at: TimePoint, recovered: bool) {
-        let at = published_at.as_nanos();
-        let key = (u128::from(seq.wrapping_sub(self.field(2))) << 1) | u128::from(recovered);
-        let at_delta = at.wrapping_sub(self.field(3)) as i64;
-        let zigzag = (at_delta << 1) ^ (at_delta >> 63);
-        let recovered_count = self.recovered() + u64::from(recovered);
-        let header = [self.field(0) + 1, recovered_count, seq, at];
-        if self.bytes.is_empty() {
-            self.bytes.resize(LOG_HEADER, 0);
-        }
-        self.bytes[..LOG_HEADER].copy_from_slice(header.map(u64::to_le_bytes).as_flattened());
-        put_varint(&mut self.bytes, key);
-        put_varint(&mut self.bytes, u128::from(zigzag as u64));
-    }
-
-    /// Deliveries logged.
-    pub fn len(&self) -> usize {
-        self.field(0) as usize
-    }
-
-    /// Whether nothing has been delivered.
-    pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
-    }
-
-    /// Deliveries that arrived through a recovery path.
-    pub fn recovered(&self) -> u64 {
-        self.field(1)
-    }
-
-    /// Every delivery, `(seq, published_at, recovered)`, in push order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, TimePoint, bool)> + '_ {
-        let mut records = self.bytes.get(LOG_HEADER..).unwrap_or_default();
-        let (mut seq, mut at) = (0u64, 0u64);
-        std::iter::from_fn(move || {
-            let key = take_varint(&mut records)?;
-            let zigzag = take_varint(&mut records)? as u64;
-            seq = seq.wrapping_add((key >> 1) as u64);
-            at = at.wrapping_add((zigzag >> 1) ^ (zigzag & 1).wrapping_neg());
-            Some((seq, TimePoint::from_nanos(at), key & 1 == 1))
-        })
-    }
-
-    /// Header field `index` (0 on an empty log).
-    fn field(&self, index: usize) -> u64 {
-        let (fields, _) = self.bytes.as_chunks();
-        fields.get(index).map_or(0, |&b| u64::from_le_bytes(b))
-    }
-}
-
-fn put_varint(bytes: &mut Vec<u8>, mut value: u128) {
-    while value >= 0x80 {
-        bytes.push(value as u8 | 0x80);
-        value >>= 7;
-    }
-    bytes.push(value as u8);
-}
-
-/// The varint `bytes` starts with, which it steps past (`None` at the end).
-fn take_varint(bytes: &mut &[u8]) -> Option<u128> {
-    let end = bytes.iter().position(|&b| b < 0x80)?;
-    let (varint, rest) = bytes.split_at(end + 1);
-    *bytes = rest;
-    let groups = varint.iter().rev().map(|&b| u128::from(b & 0x7F));
-    Some(groups.fold(0, |value, group| (value << 7) | group))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use adamant_proto::DetRng;
-
-    #[test]
-    fn the_delivery_log_returns_exactly_what_was_pushed() {
-        let mut rng = DetRng::seed_from_u64(29);
-        for case in 0..64 {
-            let mut log = DeliveryLog::default();
-            let mut want = Vec::new();
-            let (mut seq, mut at) = (rng.next_u64(), rng.next_u64());
-            for _ in 0..case * 8 {
-                let draw = rng.next_u64();
-                // In order, reordered, duplicated, wrapped, or anywhere.
-                seq = match draw % 6 {
-                    0 | 1 => seq.wrapping_add(1),
-                    2 => seq.wrapping_sub(draw >> 60),
-                    3 => seq,
-                    4 => [0, u64::MAX][(draw >> 8) as usize & 1],
-                    _ => rng.next_u64(),
-                };
-                // Forward, backwards, or to either extreme.
-                at = match (draw >> 4) % 4 {
-                    0 => at.wrapping_add(10_240_000),
-                    1 => at.wrapping_sub(draw >> 40),
-                    2 => [0, u64::MAX][(draw >> 9) as usize & 1],
-                    _ => rng.next_u64(),
-                };
-                let entry = (seq, TimePoint::from_nanos(at), draw >> 63 == 1);
-                log.push(entry.0, entry.1, entry.2);
-                want.push(entry);
-            }
-            assert_eq!(log.iter().collect::<Vec<_>>(), want, "case {case}");
-            assert_eq!(log.len(), want.len());
-            assert_eq!(log.is_empty(), want.is_empty());
-            let recovered = want.iter().filter(|d| d.2).count() as u64;
-            assert_eq!(log.recovered(), recovered);
-        }
-    }
-
-    /// A log of `count` deliveries, `seq` + 1 and `published_at` + `period`
-    /// each time.
-    fn paced(count: u64, period: u64) -> DeliveryLog {
-        let mut log = DeliveryLog::default();
-        for seq in 0..count {
-            log.push(seq, TimePoint::from_nanos(1_000_000 + seq * period), false);
-        }
-        log
-    }
-
-    #[test]
-    fn a_paced_delivery_costs_about_five_bytes() {
-        let log = paced(10_000, 10_240_000);
-        assert!(log.bytes.len() <= 6 * 10_000, "{} B", log.bytes.len());
-        // A fleet endpoint hears one sample a second for fourteen seconds.
-        let log = paced(14, 1_000_000_000);
-        assert!(log.bytes.capacity() <= 192, "{} B", log.bytes.capacity());
-        let report = EndpointReport::default();
-        assert_eq!(report.delivered.bytes.capacity(), 0);
-        assert_eq!(std::mem::size_of::<DeliveryLog>(), 24);
     }
 }

@@ -524,7 +524,7 @@ mod tests {
             assert_eq!(r.log().delivered_count(), 200);
             assert_eq!(r.naks_sent(), 0);
             // In-order delivery: sequence numbers ascend.
-            let seqs: Vec<u64> = r.log().deliveries().iter().map(|d| d.seq).collect();
+            let seqs: Vec<u64> = r.log().deliveries().map(|d| d.seq).collect();
             let mut sorted = seqs.clone();
             sorted.sort_unstable();
             assert_eq!(seqs, sorted);
@@ -554,18 +554,16 @@ mod tests {
     fn recovered_packets_pay_recovery_latency() {
         let (sim, rxs) = run_session(500, 100.0, 1, 0.05, Span::from_millis(1), 17);
         let r = sim.agent::<NakcastReceiver>(rxs[0]).unwrap();
-        let (rec, orig): (Vec<_>, Vec<_>) = r.log().deliveries().iter().partition(|d| d.recovered);
+        let (rec, orig): (Vec<_>, Vec<_>) = r.log().deliveries().partition(|d| d.recovered);
         assert!(!rec.is_empty());
-        let avg = |v: &[&Delivery]| {
+        let avg = |v: &[Delivery]| {
             v.iter().map(|d| d.latency().as_micros_f64()).sum::<f64>() / v.len() as f64
         };
-        let orig_refs: Vec<&Delivery> = orig.to_vec();
-        let rec_refs: Vec<&Delivery> = rec.to_vec();
         assert!(
-            avg(&rec_refs) > 5.0 * avg(&orig_refs),
+            avg(&rec) > 5.0 * avg(&orig),
             "recovery should cost detection + timeout + RTT: rec {} vs orig {}",
-            avg(&rec_refs),
-            avg(&orig_refs)
+            avg(&rec),
+            avg(&orig)
         );
     }
 
@@ -574,7 +572,11 @@ mod tests {
         let avg_latency = |timeout_ms: u64| {
             let (sim, rxs) = run_session(500, 100.0, 1, 0.05, Span::from_millis(timeout_ms), 23);
             let r = sim.agent::<NakcastReceiver>(rxs[0]).unwrap();
-            let lat = r.log().latencies_us();
+            let lat: Vec<f64> = r
+                .log()
+                .deliveries()
+                .map(|d| d.latency().as_micros_f64())
+                .collect();
             lat.iter().sum::<f64>() / lat.len() as f64
         };
         let fast = avg_latency(1);

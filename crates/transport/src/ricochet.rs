@@ -574,7 +574,7 @@ mod tests {
         let r = sim.agent::<RicochetReceiver>(rxs[0]).unwrap();
         // Losses are recovered later than their successors arrive, so
         // delivery order is not fully sorted.
-        let seqs: Vec<u64> = r.log().deliveries().iter().map(|d| d.seq).collect();
+        let seqs: Vec<u64> = r.log().deliveries().map(|d| d.seq).collect();
         let mut sorted = seqs.clone();
         sorted.sort_unstable();
         assert_ne!(seqs, sorted, "recovered packets arrive out of order");
@@ -587,7 +587,6 @@ mod tests {
         let recovered: Vec<f64> = r
             .log()
             .deliveries()
-            .iter()
             .filter(|d| d.recovered)
             .map(|d| d.latency().as_micros_f64())
             .collect();

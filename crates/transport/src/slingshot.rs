@@ -298,7 +298,6 @@ mod tests {
             let rec: Vec<f64> = r
                 .log()
                 .deliveries()
-                .iter()
                 .filter(|d| d.recovered)
                 .map(|d| d.latency().as_micros_f64())
                 .collect();
@@ -336,7 +335,6 @@ mod tests {
             let rec: Vec<f64> = sling
                 .log()
                 .deliveries()
-                .iter()
                 .filter(|d| d.recovered)
                 .map(|d| d.latency().as_micros_f64())
                 .collect();
@@ -376,7 +374,6 @@ mod tests {
             let rec: Vec<f64> = ric
                 .log()
                 .deliveries()
-                .iter()
                 .filter(|d| d.recovered)
                 .map(|d| d.latency().as_micros_f64())
                 .collect();

@@ -173,7 +173,7 @@ fn ricochet_no_duplicate_deliveries() {
         sim.run_until(SimTime::from_secs(10));
         for &node in &handles.receivers {
             let reader = ant::reader(&sim, &handles, node);
-            let mut seqs: Vec<u64> = reader.log().deliveries().iter().map(|d| d.seq).collect();
+            let mut seqs: Vec<u64> = reader.log().deliveries().map(|d| d.seq).collect();
             let before = seqs.len();
             seqs.sort_unstable();
             seqs.dedup();
@@ -285,7 +285,6 @@ mod edge_cases {
             let late_recoveries = r
                 .log()
                 .deliveries()
-                .iter()
                 .filter(|d| d.recovered && d.published_at > SimTime::from_secs(6))
                 .count();
             assert!(
@@ -317,7 +316,7 @@ mod edge_cases {
         sim.run_until(SimTime::from_secs(15));
         for &node in &handles.receivers {
             let r = ant::reader(&sim, &handles, node);
-            let mut seqs: Vec<u64> = r.log().deliveries().iter().map(|d| d.seq).collect();
+            let mut seqs: Vec<u64> = r.log().deliveries().map(|d| d.seq).collect();
             let n = seqs.len();
             seqs.sort_unstable();
             seqs.dedup();

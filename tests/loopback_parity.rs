@@ -68,7 +68,7 @@ fn run_netsim_fleet(receivers: usize) -> Vec<RunOutcome> {
         .map(|rx| {
             let r = sim.agent::<NakcastReceiver>(rx).unwrap();
             RunOutcome {
-                delivered: r.log().deliveries().iter().map(|d| d.seq).collect(),
+                delivered: r.log().deliveries().map(|d| d.seq).collect(),
                 recovered: r.log().recovered_count(),
                 naks_sent: r.naks_sent(),
             }
@@ -123,7 +123,7 @@ fn run_mux_fleet(receivers: usize, workers: usize, seed: u64, wall: Duration) ->
                 .core::<NakcastReceiver>(id)
                 .expect("receiver core survives");
             RunOutcome {
-                delivered: r.log().deliveries().iter().map(|d| d.seq).collect(),
+                delivered: r.log().deliveries().map(|d| d.seq).collect(),
                 recovered: r.log().recovered_count(),
                 naks_sent: r.naks_sent(),
             }
@@ -285,7 +285,7 @@ fn streamcast_delivers_identically_under_netsim_and_mux_udp() {
     let mut sim_recovered = 0;
     for (i, rx) in rx_nodes.iter().enumerate() {
         let r = sim.agent::<StreamCastReceiver>(*rx).unwrap();
-        let delivered: BTreeSet<u64> = r.log().deliveries().iter().map(|d| d.seq).collect();
+        let delivered: BTreeSet<u64> = r.log().deliveries().map(|d| d.seq).collect();
         assert_eq!(
             delivered, expected,
             "netsim StreamCast receiver {i} must deliver every sample in order"
@@ -337,7 +337,7 @@ fn streamcast_delivers_identically_under_netsim_and_mux_udp() {
             .core::<StreamCastReceiver>(id)
             .expect("receiver core survives");
         assert!(r.is_connected(), "receiver {i} completed the handshake");
-        let delivered: BTreeSet<u64> = r.log().deliveries().iter().map(|d| d.seq).collect();
+        let delivered: BTreeSet<u64> = r.log().deliveries().map(|d| d.seq).collect();
         assert_eq!(
             delivered,
             expected,
@@ -406,7 +406,7 @@ fn shmcast_runs_over_the_mux_runtime_on_one_host() {
         let r = cluster
             .core::<ShmCastReceiver>(id)
             .expect("receiver core survives");
-        let delivered: Vec<u64> = r.log().deliveries().iter().map(|d| d.seq).collect();
+        let delivered: Vec<u64> = r.log().deliveries().map(|d| d.seq).collect();
         assert_eq!(
             delivered, expected,
             "ring receiver {i} must deliver everything in publication order"
