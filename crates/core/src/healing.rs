@@ -1,7 +1,5 @@
-//! The resilient building blocks of the adaptation loop — the graceful
-//! selector chain, switch hysteresis, and the outcome record — plus the
-//! legacy `SelfHealingSession` entry point (now a thin shim over
-//! [`AdaptivePolicy`]).
+//! The resilient building blocks of the adaptation loop: the graceful
+//! selector chain, switch hysteresis, and the outcome record.
 //!
 //! The closed loop itself lives in [`crate::policy`]: a policy runs a live
 //! pub/sub session while a fault plan (loss spikes, bandwidth downgrades,
@@ -19,12 +17,11 @@
 //! under every environment of the paper's evaluation, if not optimal).
 
 use adamant_metrics::{Delivery, MetricKind, QosReport, WindowQos};
-use adamant_netsim::{Bandwidth, FaultPlan, SimDuration, SimTime, Simulation, TracedEvent};
-use adamant_transport::{ant, ProtocolKind, SessionHandles, TransportConfig};
+use adamant_netsim::{Bandwidth, SimDuration, SimTime, Simulation, TracedEvent};
+use adamant_transport::{ant, ProtocolKind, SessionHandles};
 
-use crate::adaptive::MonitorThresholds;
 use crate::env::{AppParams, BandwidthClass, Environment};
-use crate::policy::{AdaptivePolicy, OnlineStats, StreamConfig};
+use crate::policy::OnlineStats;
 use crate::selector::{ProtocolSelector, TreeSelector};
 
 /// Which stage of the fallback chain produced a protocol choice.
@@ -236,88 +233,6 @@ impl SwitchBackoff {
     }
 }
 
-/// Configuration of one self-healing run.
-#[deprecated(
-    note = "use `StreamConfig` for the workload and `AdaptivePolicy` for the decision knobs"
-)]
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HealingConfig {
-    /// The provisioned environment the session starts in (faults may move
-    /// the *actual* conditions away from it mid-run).
-    pub env: Environment,
-    /// Application parameters.
-    pub app: AppParams,
-    /// Samples the writer publishes over the whole session, switches
-    /// included.
-    pub samples: u64,
-    /// Payload bytes per sample.
-    pub payload_bytes: u32,
-    /// Simulation seed.
-    pub seed: u64,
-    /// Monitoring window length.
-    pub window: SimDuration,
-    /// Degradation-alarm thresholds.
-    pub thresholds: MonitorThresholds,
-    /// Minimum dwell after a switch.
-    pub min_dwell: SimDuration,
-    /// Cap on the exponential switch backoff.
-    pub max_backoff: SimDuration,
-    /// Extra windows after the last publication, for tail recovery.
-    pub grace: SimDuration,
-    /// Whether to attach a trace sink and capture a structured
-    /// observability trace of the run (off by default; the engine then
-    /// pays only a disabled-branch per hook site).
-    pub observe: bool,
-}
-
-#[allow(deprecated)]
-impl HealingConfig {
-    /// A configuration with sensible defaults: 12-byte payloads, 1 s
-    /// windows, default thresholds, 2 s dwell backing off to 16 s, 3 s
-    /// grace.
-    pub fn new(env: Environment, app: AppParams, samples: u64, seed: u64) -> Self {
-        HealingConfig {
-            env,
-            app,
-            samples,
-            payload_bytes: 12,
-            seed,
-            window: SimDuration::from_secs(1),
-            thresholds: MonitorThresholds::default(),
-            min_dwell: SimDuration::from_secs(2),
-            max_backoff: SimDuration::from_secs(16),
-            grace: SimDuration::from_secs(3),
-            observe: false,
-        }
-    }
-
-    /// Enables structured trace capture for the run; the captured events
-    /// come back in [`HealingOutcome::trace`].
-    pub fn with_observation(mut self) -> Self {
-        self.observe = true;
-        self
-    }
-
-    /// Overrides the monitoring window length.
-    pub fn with_window(mut self, window: SimDuration) -> Self {
-        self.window = window;
-        self
-    }
-
-    /// Overrides the alarm thresholds.
-    pub fn with_thresholds(mut self, thresholds: MonitorThresholds) -> Self {
-        self.thresholds = thresholds;
-        self
-    }
-
-    /// Overrides the switch dwell and backoff cap.
-    pub fn with_dwell(mut self, min_dwell: SimDuration, max_backoff: SimDuration) -> Self {
-        self.min_dwell = min_dwell;
-        self.max_backoff = max_backoff;
-        self
-    }
-}
-
 /// One committed mid-stream protocol switch.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwitchRecord {
@@ -353,7 +268,8 @@ pub struct HealingOutcome {
     /// Pooled whole-run QoS across every incarnation.
     pub report: QosReport,
     /// The structured observability trace, when the run was configured
-    /// with [`StreamConfig::with_observation`]; empty otherwise.
+    /// with [`StreamConfig::with_observation`](crate::StreamConfig::with_observation);
+    /// empty otherwise.
     pub trace: Vec<TracedEvent>,
     /// Counters of the online learn → vet → hot-swap path (all zero when
     /// online training was not enabled).
@@ -427,53 +343,6 @@ impl HealingOutcome {
                 }
             }
         }
-    }
-}
-
-/// A live pub/sub session wrapped in the monitor → probe → select →
-/// reconfigure loop, run against a fault plan.
-#[deprecated(note = "use `AdaptivePolicy::run_stream` with a `StreamConfig`")]
-#[derive(Debug, Clone)]
-#[allow(deprecated)]
-pub struct SelfHealingSession {
-    config: HealingConfig,
-    selector: ResilientSelector,
-}
-
-#[allow(deprecated)]
-impl SelfHealingSession {
-    /// Creates a session runner.
-    pub fn new(config: HealingConfig, selector: ResilientSelector) -> Self {
-        SelfHealingSession { config, selector }
-    }
-
-    /// Runs the session on `initial`, applying `plan`'s faults at their
-    /// scheduled instants, until the stream completes (plus grace).
-    ///
-    /// This is now a shim over [`AdaptivePolicy::run_stream`]; the two
-    /// paths produce identical outcomes for identical configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial` cannot carry a time-critical topic (e.g. plain
-    /// UDP), or if a fault crashes the session's *sender* (warm-standby
-    /// failover lives in `adamant-transport`, not in this loop).
-    pub fn run(&self, initial: TransportConfig, plan: FaultPlan) -> HealingOutcome {
-        let cfg = self.config;
-        let stream = StreamConfig {
-            env: cfg.env,
-            app: cfg.app,
-            samples: cfg.samples,
-            payload_bytes: cfg.payload_bytes,
-            seed: cfg.seed,
-            window: cfg.window,
-            grace: cfg.grace,
-            observe: cfg.observe,
-        };
-        AdaptivePolicy::from_selector(self.selector.clone())
-            .with_thresholds(cfg.thresholds)
-            .with_backoff(cfg.min_dwell, cfg.max_backoff)
-            .run_stream(&stream, initial, plan)
     }
 }
 

@@ -94,8 +94,6 @@ pub use adaptive::{
 };
 pub use dataset::{best_class_with_margin, DatasetRow, LabeledDataset, LABEL_MARGIN};
 pub use env::{AppParams, BandwidthClass, Environment};
-#[allow(deprecated)]
-pub use healing::{HealingConfig, SelfHealingSession};
 pub use healing::{
     HealingOutcome, ResilientChoice, ResilientSelector, SelectorSource, SwitchBackoff, SwitchRecord,
 };

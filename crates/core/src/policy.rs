@@ -485,13 +485,8 @@ impl AdaptivePolicy {
     /// A policy optimising `metric` with default thresholds and backoff
     /// (2 s dwell doubling to 16 s) and no models yet.
     pub fn new(metric: MetricKind) -> Self {
-        Self::from_selector(ResilientSelector::new(metric))
-    }
-
-    /// Wraps an existing selector chain.
-    pub fn from_selector(selector: ResilientSelector) -> Self {
         AdaptivePolicy {
-            selector,
+            selector: ResilientSelector::new(metric),
             thresholds: MonitorThresholds::default(),
             min_dwell: SimDuration::from_secs(2),
             max_backoff: SimDuration::from_secs(16),
@@ -1025,37 +1020,18 @@ mod tests {
     }
 
     #[test]
-    fn run_stream_matches_the_legacy_session() {
-        // The policy-driven loop is the legacy loop, moved: identical
-        // configuration must produce an identical outcome (including the
-        // structured trace) when online training is off.
+    fn run_stream_without_online_training_reports_no_online_activity() {
         let env = env_with_loss(2, BandwidthClass::Gbps1);
-        let app = AppParams::new(2, 100);
-        let plan = |_: ()| {
-            FaultPlan::new().set_network_at(
-                SimTime::from_secs(2),
-                env_with_loss(9, BandwidthClass::Gbps1).network_config(),
-            )
-        };
+        let plan = FaultPlan::new().set_network_at(
+            SimTime::from_secs(2),
+            env_with_loss(9, BandwidthClass::Gbps1).network_config(),
+        );
         let initial = TransportConfig::new(ProtocolKind::Nakcast {
             timeout: SimDuration::from_millis(50),
         });
-
-        let policy = AdaptivePolicy::new(MetricKind::ReLate2);
-        let stream = StreamConfig::new(env, app, 600, 7).with_observation();
-        let new = policy.run_stream(&stream, initial, plan(()));
-
-        #[allow(deprecated)]
-        let old = {
-            let config = crate::healing::HealingConfig::new(env, app, 600, 7).with_observation();
-            crate::healing::SelfHealingSession::new(
-                config,
-                ResilientSelector::new(MetricKind::ReLate2),
-            )
-            .run(initial, plan(()))
-        };
-        assert_eq!(new, old);
-        assert_eq!(new.online, OnlineStats::default());
+        let stream = StreamConfig::new(env, AppParams::new(2, 100), 600, 7).with_observation();
+        let outcome = AdaptivePolicy::new(MetricKind::ReLate2).run_stream(&stream, initial, plan);
+        assert_eq!(outcome.online, OnlineStats::default());
     }
 
     #[test]
