@@ -47,7 +47,12 @@ fn run_udp_session(args: &[String]) {
         match arg.as_str() {
             "--endpoints" => endpoints_flag = it.next().and_then(|s| s.parse().ok()),
             "--workers" => workers_flag = it.next().and_then(|s| s.parse().ok()),
-            "--seed" => seed = it.next().and_then(|s| s.parse().ok()).unwrap_or(0),
+            "--seed" => {
+                let arg = it.next().map_or("", String::as_str);
+                seed = arg.parse().unwrap_or_else(|_| {
+                    usage_error(&format!("--seed `{arg}` is not an unsigned integer"))
+                });
+            }
             "--chaos" => chaos = true,
             _ => positional.push(arg),
         }
@@ -75,6 +80,15 @@ fn run_udp_session(args: &[String]) {
     } else {
         run_udp_nakcast(loss, endpoints, workers, rate, samples, seed);
     }
+}
+
+/// Prints `problem` and the usage to stderr, then exits 1.
+fn usage_error(problem: &str) -> ! {
+    eprintln!("{problem}; usage:");
+    eprintln!("  adamant_cli [dds] [loss%] [receivers] [rate_hz] [relate2|relate2jit]");
+    eprintln!("  adamant_cli udp [loss%] [receivers] [rate_hz] [samples]");
+    eprintln!("              [--endpoints N] [--workers W] [--seed S] [--chaos]");
+    std::process::exit(1);
 }
 
 /// The session's sharded runtime: `workers` threads on `127.0.0.1`.

@@ -262,25 +262,34 @@ fn print_summary(outcome: &HealingOutcome) {
     );
 }
 
+/// Prints `problem` and the scenario list to stderr, then exits 1.
+fn usage_error(problem: &str) -> ! {
+    eprintln!("{problem}; usage: chaos [scenario] [seed] [--trace], scenario one of:");
+    for s in &SCENARIOS {
+        eprintln!("  {:<24} {}", s.name, s.description);
+    }
+    eprintln!(
+        "  {:<24} durable reader crash/restart with provable catch-up",
+        DURABLE_SCENARIO
+    );
+    eprintln!("  {:<24} every scenario in sequence", "all");
+    std::process::exit(1);
+}
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let trace_mode = args.iter().any(|a| a == "--trace");
     args.retain(|a| a != "--trace");
     let which = args.first().cloned().unwrap_or_else(|| "all".to_owned());
-    let seed: u64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(77);
-
     if which != "all" && which != DURABLE_SCENARIO && chaos::scenario(&which).is_none() {
-        eprintln!("unknown scenario `{which}`; pick one of:");
-        for s in &SCENARIOS {
-            eprintln!("  {:<24} {}", s.name, s.description);
-        }
-        eprintln!(
-            "  {:<24} durable reader crash/restart with provable catch-up",
-            DURABLE_SCENARIO
-        );
-        eprintln!("  {:<24} every scenario in sequence", "all");
-        std::process::exit(1);
+        usage_error(&format!("unknown scenario `{which}`"));
     }
+    let seed: u64 = match args.get(1) {
+        None => 77,
+        Some(arg) => arg
+            .parse()
+            .unwrap_or_else(|_| usage_error(&format!("seed `{arg}` is not an unsigned integer"))),
+    };
 
     let mut clean = true;
     if which == "all" || chaos::scenario(&which).is_some() {
