@@ -3,8 +3,8 @@
 //!
 //! We cannot swap this host's CPU for an 850 MHz Pentium III, so Figures
 //! 20–21's pc850-vs-pc3000 comparison is reproduced two ways: real
-//! wall-clock measurement on this host (Criterion benches and the timing
-//! harness) *and* this cycle-count model, which maps the ANN's fixed
+//! wall-clock measurement on this host (`figures fig20/21` and the
+//! benchmark's `ann.forward_ns` probe) *and* this cycle-count model, which maps the ANN's fixed
 //! per-query operation count onto each machine's clock. The query path is
 //! a dense feedforward pass — the same arithmetic for every input — which
 //! is exactly why its cost model is a constant.

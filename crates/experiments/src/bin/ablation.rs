@@ -14,30 +14,12 @@
 //! 4. Metric family — which protocol each composite metric (including the
 //!    extended ReLate2Burst / ReLate2Net) would pick per environment.
 
-use adamant::{AppParams, BandwidthClass, Environment};
-use adamant_dds::DdsImplementation;
+use adamant::{AppParams, Environment};
+use adamant_experiments::figures::{fast_environment, headline_protocols, slow_environment};
 use adamant_experiments::{run_all, RunSpec};
 use adamant_metrics::{MetricKind, QosReport};
-use adamant_netsim::{MachineClass, SimDuration};
-use adamant_transport::{ProtocolKind, Tuning};
-
-fn fast_env() -> Environment {
-    Environment::new(
-        MachineClass::Pc3000,
-        BandwidthClass::Gbps1,
-        DdsImplementation::OpenSplice,
-        5,
-    )
-}
-
-fn slow_env() -> Environment {
-    Environment::new(
-        MachineClass::Pc850,
-        BandwidthClass::Mbps100,
-        DdsImplementation::OpenSplice,
-        5,
-    )
-}
+use adamant_netsim::SimDuration;
+use adamant_transport::Tuning;
 
 fn duel(
     env: Environment,
@@ -48,12 +30,7 @@ fn duel(
     metric: MetricKind,
 ) -> (f64, f64) {
     let mut scores = Vec::new();
-    for protocol in [
-        ProtocolKind::Nakcast {
-            timeout: SimDuration::from_millis(1),
-        },
-        ProtocolKind::Ricochet { r: 4, c: 3 },
-    ] {
+    for protocol in headline_protocols() {
         let specs: Vec<RunSpec> = (0..reps)
             .map(|repetition| RunSpec {
                 env,
@@ -91,6 +68,7 @@ fn main() {
         .unwrap_or(3);
     let app3 = AppParams::new(3, 25);
     let app15 = AppParams::new(15, 10);
+    let (fast, slow) = (fast_environment(), slow_environment());
 
     println!("── ablation 1: repair_efficacy vs the Fig 4/5 ReLate2 winner ──");
     println!(
@@ -102,8 +80,8 @@ fn main() {
             repair_efficacy: efficacy,
             ..Tuning::default()
         };
-        let (nf, rf) = duel(fast_env(), app3, samples, reps, tuning, MetricKind::ReLate2);
-        let (ns, rs) = duel(slow_env(), app3, samples, reps, tuning, MetricKind::ReLate2);
+        let (nf, rf) = duel(fast, app3, samples, reps, tuning, MetricKind::ReLate2);
+        let (ns, rs) = duel(slow, app3, samples, reps, tuning, MetricKind::ReLate2);
         println!(
             "{:>9.2} | {:>22} | {:>22}",
             efficacy,
@@ -122,7 +100,7 @@ fn main() {
             heartbeat_interval: SimDuration::from_millis(ms),
             ..Tuning::default()
         };
-        let (n, r) = duel(fast_env(), app3, samples, reps, tuning, MetricKind::ReLate2);
+        let (n, r) = duel(fast, app3, samples, reps, tuning, MetricKind::ReLate2);
         println!("{:>8}ms | {:>12.1} | {:>12.1} | {}", ms, n, r, winner(n, r));
     }
 
@@ -136,14 +114,7 @@ fn main() {
             fec_maintenance_cost_us: stall_us,
             ..Tuning::default()
         };
-        let (n, r) = duel(
-            slow_env(),
-            app15,
-            samples,
-            reps,
-            tuning,
-            MetricKind::ReLate2Jit,
-        );
+        let (n, r) = duel(slow, app15, samples, reps, tuning, MetricKind::ReLate2Jit);
         println!(
             "{:>8.0}µs | {:>14.0} | {:>14.0} | {}",
             stall_us,
@@ -159,8 +130,8 @@ fn main() {
         "metric", "pc3000/1Gb", "pc850/100Mb"
     );
     for metric in MetricKind::all() {
-        let (nf, rf) = duel(fast_env(), app3, samples, reps, Tuning::default(), metric);
-        let (ns, rs) = duel(slow_env(), app3, samples, reps, Tuning::default(), metric);
+        let (nf, rf) = duel(fast, app3, samples, reps, Tuning::default(), metric);
+        let (ns, rs) = duel(slow, app3, samples, reps, Tuning::default(), metric);
         println!(
             "{:>14} | {:>12} | {:>12}",
             metric.to_string(),

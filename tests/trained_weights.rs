@@ -14,8 +14,8 @@
 //! table; the diff is then the visible record of what moved.
 
 use adamant::{
-    AppParams, BandwidthClass, DatasetRow, Environment, LabeledDataset, OnlineTrainer,
-    OnlineTrainingConfig, ProtocolSelector, QosObservation, SelectorConfig,
+    AppParams, BandwidthClass, Environment, OnlineTrainer, OnlineTrainingConfig, ProtocolSelector,
+    QosObservation, SelectorConfig,
 };
 use adamant_ann::{train, Activation, NeuralNetwork, TrainParams, TrainingData};
 use adamant_dds::DdsImplementation;
@@ -31,34 +31,6 @@ const PINNED: &[(&str, u64, u64)] = &[
     ("394 rows", 0xf1c5b9a17ed96e3d, 0x16d81a027fec6bec),
     ("online retrain", 0x892c112cba4a2115, 0x17b625bf33f7e913),
 ];
-
-/// The benchmark's 180-row selector set: pc3000 rows labelled class 4 and
-/// pc850 rows class 3 over three LAN bandwidths, both DDS implementations,
-/// five loss levels and three receiver counts.
-fn synthetic_dataset() -> LabeledDataset {
-    let mut rows = Vec::new();
-    for machine in MachineClass::all() {
-        for bandwidth in BandwidthClass::all() {
-            for dds in DdsImplementation::all() {
-                for loss in 1..=5u8 {
-                    for receivers in [3u32, 9, 15] {
-                        rows.push(DatasetRow {
-                            env: Environment::new(machine, bandwidth, dds, loss),
-                            app: AppParams::new(receivers, 25),
-                            metric: MetricKind::ReLate2,
-                            best_class: match machine {
-                                MachineClass::Pc3000 => 4,
-                                MachineClass::Pc850 => 3,
-                            },
-                            scores: vec![0.0; 6],
-                        });
-                    }
-                }
-            }
-        }
-    }
-    LabeledDataset { rows }
-}
 
 /// A fleet that measured class 0 best under light loss and class 3 best
 /// under heavy loss: 24 environments, two classes observed three times in
@@ -104,7 +76,8 @@ fn digest(network: &NeuralNetwork) -> u64 {
 }
 
 fn selector_row(label: &str, config: SelectorConfig) -> (String, u64, u64) {
-    let (selector, outcome) = ProtocolSelector::train_from(&synthetic_dataset(), &config);
+    let (selector, outcome) =
+        ProtocolSelector::train_from(&adamant_bench::synthetic_dataset(), &config);
     (
         label.to_owned(),
         digest(selector.network()),
