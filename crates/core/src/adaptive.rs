@@ -461,6 +461,7 @@ mod tests {
             sender_host: report_env.host_config(),
             receiver_hosts: vec![report_env.host_config()],
             drop_probability: 0.10,
+            capture: true,
         };
         let mut sim = adamant_netsim::Simulation::new(3);
         let handles = ant::install(&mut sim, &spec);
@@ -468,7 +469,7 @@ mod tests {
         let reader = ant::reader(&sim, &handles, handles.receivers[0]);
         let schedule = constant_rate_schedule(100.0, SimDuration::from_secs(1), 4);
         let windows = windowed_qos(
-            reader.log().deliveries(),
+            reader.log().deliveries().expect("captured"),
             &schedule,
             SimDuration::from_secs(1),
         );

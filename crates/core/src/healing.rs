@@ -393,7 +393,8 @@ pub(crate) fn pooled_deliveries(
     }
     for &node in &handles.receivers {
         if !sim.is_crashed(node) {
-            pooled.extend(ant::reader(sim, handles, node).log().deliveries());
+            let log = ant::reader(sim, handles, node).log();
+            pooled.extend(log.deliveries().expect("readers capture"));
         }
     }
     pooled

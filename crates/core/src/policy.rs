@@ -669,7 +669,8 @@ impl AdaptivePolicy {
                         for (slot, &node) in harvested.iter_mut().zip(&handles.receivers) {
                             if !sim.is_crashed(node) {
                                 let r = ant::reader(&sim, &handles, node);
-                                slot.0.extend(r.log().deliveries());
+                                slot.0
+                                    .extend(r.log().deliveries().expect("readers capture"));
                                 slot.1 += r.duplicates();
                             }
                         }
@@ -745,16 +746,13 @@ impl AdaptivePolicy {
             }
         }
 
-        for (slot, &node) in harvested.iter_mut().zip(&handles.receivers) {
+        let mut builder = QosReport::builder(cfg.samples, handles.receivers.len() as u32);
+        for ((deliveries, duplicates), &node) in harvested.iter().zip(&handles.receivers) {
+            builder.add_receiver(deliveries, *duplicates);
             if !sim.is_crashed(node) {
                 let r = ant::reader(&sim, &handles, node);
-                slot.0.extend(r.log().deliveries());
-                slot.1 += r.duplicates();
+                builder.merge_receiver(r.log().qos(), r.duplicates());
             }
-        }
-        let mut builder = QosReport::builder(cfg.samples, handles.receivers.len() as u32);
-        for (deliveries, duplicates) in &harvested {
-            builder.add_receiver(deliveries, *duplicates);
         }
         builder
             .wire(

@@ -102,6 +102,7 @@ impl Scenario {
                 .expect("reader creation is infallible here");
         }
 
+        participant.set_capture(false);
         let mut sim = Simulation::new(self.seed).with_network(self.env.network_config());
         let handles = participant
             .install(&mut sim, topic, transport)

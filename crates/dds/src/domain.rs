@@ -150,6 +150,7 @@ pub struct DomainParticipant {
     topics: Vec<TopicEntry>,
     writers: Vec<WriterEntry>,
     readers: Vec<ReaderEntry>,
+    capture: bool,
 }
 
 impl DomainParticipant {
@@ -161,7 +162,14 @@ impl DomainParticipant {
             topics: Vec::new(),
             writers: Vec::new(),
             readers: Vec::new(),
+            capture: true,
         }
+    }
+
+    /// Whether installed readers keep the record per delivery that
+    /// [`ReaderStatuses`](crate::ReaderStatuses) needs (the default).
+    pub fn set_capture(&mut self, capture: bool) {
+        self.capture = capture;
     }
 
     /// The domain this participant belongs to.
@@ -375,6 +383,7 @@ impl DomainParticipant {
             sender_host: writer.host,
             receiver_hosts: readers.iter().map(|r| r.host).collect(),
             drop_probability,
+            capture: self.capture,
         })
     }
 

@@ -40,6 +40,7 @@ fn recovered_latency_distribution_stays_in_the_nak_bound() {
         sender_host: env.host_config(),
         receiver_hosts: vec![env.host_config(); 3],
         drop_probability: 0.05,
+        capture: true,
     };
     let mut sim = Simulation::new(1).with_network(env.network_config());
     let handles = ant::install(&mut sim, &spec);
@@ -48,8 +49,11 @@ fn recovered_latency_distribution_stays_in_the_nak_bound() {
     let bound = nakcast_recovery_bound(NAK_TIMEOUT, &tuning);
     for &node in &handles.receivers {
         let r = ant::reader(&sim, &handles, node);
-        let (rec, orig): (Vec<Delivery>, Vec<Delivery>) =
-            r.log().deliveries().partition(|d| d.recovered);
+        let (rec, orig): (Vec<Delivery>, Vec<Delivery>) = r
+            .log()
+            .deliveries()
+            .expect("captured")
+            .partition(|d| d.recovered);
         assert_eq!(
             r.log().delivered_count(),
             1000,

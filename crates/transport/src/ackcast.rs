@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use adamant_metrics::{Delivery, DenseReceptionLog};
+use adamant_metrics::DenseReceptionLog;
 use adamant_proto::wire::{AckMsg, DataMsg};
 use adamant_proto::{
     Env, GroupId, Input, NodeId, ProcessingCost, ProtoEvent, ProtocolCore, Span, WireMsg,
@@ -19,7 +19,7 @@ use crate::config::Tuning;
 use crate::flow::TokenBucket;
 use crate::profile::{AppSpec, StackProfile};
 use crate::publisher::PublisherCore;
-use crate::receiver::DataReader;
+use crate::receiver::{accept, DataReader};
 use crate::tags::{FRAMING_BYTES, NAK_BASE_BYTES, NAK_PER_SEQ_BYTES, TAG_ACK};
 
 /// Timer tag for the receiver's ACK/retry cycle.
@@ -221,22 +221,9 @@ impl AckcastReceiver {
                 .map_or(data.seq, |h| h.max(data.seq)),
         );
         self.missing.remove(&data.seq);
-        let delivery = Delivery {
-            seq: data.seq,
-            published_at: data.published_at,
-            delivered_at: env.now(),
-            recovered: data.retransmission,
-        };
-        let fresh = self.log.record(delivery);
-        if fresh {
-            env.deliver(delivery.seq, delivery.published_at, delivery.recovered);
-            env.emit(|| ProtoEvent::SampleAccepted {
-                seq: delivery.seq,
-                published_ns: delivery.published_at.as_nanos(),
-                delivered_ns: delivery.delivered_at.as_nanos(),
-                recovered: delivery.recovered,
-            });
-        } else {
+        let (published_at, recovered) = (data.published_at, data.retransmission);
+        let fresh = accept(&mut self.log, env, data.seq, published_at, recovered);
+        if !fresh {
             self.duplicates += 1;
             let seq = data.seq;
             env.emit(|| ProtoEvent::SampleDuplicate { seq });
@@ -254,6 +241,10 @@ impl AckcastReceiver {
 impl DataReader for AckcastReceiver {
     fn log(&self) -> &DenseReceptionLog {
         &self.log
+    }
+
+    fn capture_deliveries(&mut self) {
+        self.log.capture();
     }
 
     fn dropped(&self) -> u64 {

@@ -8,6 +8,7 @@
 
 use adamant_metrics::QosReport;
 use adamant_netsim::{Agent, GroupId, HostConfig, NodeId, SimDriver, SimDuration, Simulation};
+use adamant_proto::ProtocolCore;
 
 use crate::ackcast::{AckcastReceiver, AckcastSender};
 use crate::config::{ProtocolKind, TransportConfig};
@@ -37,6 +38,10 @@ pub struct SessionSpec {
     pub receiver_hosts: Vec<HostConfig>,
     /// End-host drop probability applied to data packets at each reader.
     pub drop_probability: f64,
+    /// Whether readers keep a record of every delivery
+    /// ([`DataReader::capture_deliveries`]); a run that reads only its
+    /// [`QosReport`] leaves it off.
+    pub capture: bool,
 }
 
 /// Node handles of an installed session.
@@ -91,18 +96,15 @@ fn receiver_agent(spec: &SessionSpec, sender: NodeId, group: GroupId) -> Box<dyn
     let tuning = spec.transport.tuning;
     let app = spec.app;
     match spec.transport.kind {
-        ProtocolKind::Udp => Box::new(SimDriver::new(UdpReceiver::new(
-            app.total_samples,
-            spec.drop_probability,
-        ))),
-        ProtocolKind::Nakcast { timeout } => Box::new(SimDriver::new(NakcastReceiver::new(
+        ProtocolKind::Udp => spec.mount(UdpReceiver::new(app.total_samples, spec.drop_probability)),
+        ProtocolKind::Nakcast { timeout } => spec.mount(NakcastReceiver::new(
             sender,
             app.total_samples,
             timeout,
             tuning,
             spec.drop_probability,
-        ))),
-        ProtocolKind::Ricochet { r, c } => Box::new(SimDriver::new(RicochetReceiver::new(
+        )),
+        ProtocolKind::Ricochet { r, c } => spec.mount(RicochetReceiver::new(
             sender,
             group,
             app.total_samples,
@@ -111,15 +113,15 @@ fn receiver_agent(spec: &SessionSpec, sender: NodeId, group: GroupId) -> Box<dyn
             c,
             tuning,
             spec.drop_probability,
-        ))),
-        ProtocolKind::Ackcast { rto } => Box::new(SimDriver::new(AckcastReceiver::new(
+        )),
+        ProtocolKind::Ackcast { rto } => spec.mount(AckcastReceiver::new(
             sender,
             app.total_samples,
             rto,
             tuning,
             spec.drop_probability,
-        ))),
-        ProtocolKind::Slingshot { c } => Box::new(SimDriver::new(SlingshotReceiver::new(
+        )),
+        ProtocolKind::Slingshot { c } => spec.mount(SlingshotReceiver::new(
             sender,
             group,
             app.total_samples,
@@ -127,20 +129,30 @@ fn receiver_agent(spec: &SessionSpec, sender: NodeId, group: GroupId) -> Box<dyn
             c,
             tuning,
             spec.drop_probability,
-        ))),
-        ProtocolKind::StreamCast { window } => Box::new(SimDriver::new(StreamCastReceiver::new(
+        )),
+        ProtocolKind::StreamCast { window } => spec.mount(StreamCastReceiver::new(
             sender,
             app.total_samples,
             window,
             tuning,
             spec.drop_probability,
-        ))),
-        ProtocolKind::ShmCast { queue } => Box::new(SimDriver::new(ShmCastReceiver::new(
+        )),
+        ProtocolKind::ShmCast { queue } => spec.mount(ShmCastReceiver::new(
             sender,
             app.total_samples,
             queue,
             tuning,
-        ))),
+        )),
+    }
+}
+
+impl SessionSpec {
+    /// Mounts `reader` on the simulator, capturing its deliveries if asked.
+    fn mount<R: DataReader + ProtocolCore>(&self, mut reader: R) -> Box<dyn Agent> {
+        if self.capture {
+            reader.capture_deliveries();
+        }
+        Box::new(SimDriver::new(reader))
     }
 }
 
@@ -345,7 +357,7 @@ pub fn collect_report(sim: &Simulation, handles: &SessionHandles) -> QosReport {
     let mut builder = QosReport::builder(handles.expected_samples, handles.receivers.len() as u32);
     for &node in &handles.receivers {
         let r = reader(sim, handles, node);
-        builder.add_receiver(r.log().deliveries(), r.duplicates());
+        builder.merge_receiver(r.log().qos(), r.duplicates());
     }
     builder
         .wire(
@@ -370,6 +382,7 @@ mod tests {
             sender_host: host,
             receiver_hosts: vec![host; 3],
             drop_probability: 0.05,
+            capture: false,
         }
     }
 

@@ -41,6 +41,7 @@
 //!     sender_host: host,
 //!     receiver_hosts: vec![host; 3],
 //!     drop_probability: 0.05,
+//!     capture: false,
 //! };
 //! let mut sim = Simulation::new(42);
 //! let handles = ant::install(&mut sim, &spec);

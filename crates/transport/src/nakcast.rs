@@ -15,7 +15,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use adamant_metrics::{Delivery, DenseReceptionLog};
+use adamant_metrics::DenseReceptionLog;
 use adamant_proto::wire::{DataMsg, NakMsg};
 use adamant_proto::{
     Env, GroupId, Input, LiveJoin, NodeId, ProcessingCost, ProtoEvent, ProtocolCore, Span,
@@ -25,7 +25,7 @@ use adamant_proto::{
 use crate::config::Tuning;
 use crate::profile::{AppSpec, StackProfile};
 use crate::publisher::PublisherCore;
-use crate::receiver::DataReader;
+use crate::receiver::{accept, DataReader};
 use crate::tags::{FRAMING_BYTES, NAK_BASE_BYTES, NAK_PER_SEQ_BYTES, TAG_NAK};
 
 /// Timer tag for the receiver's NAK scan.
@@ -256,7 +256,6 @@ impl NakcastReceiver {
     /// Delivers the contiguous prefix available in the hold-back buffer,
     /// skipping abandoned sequences.
     fn try_deliver(&mut self, env: &mut Env<'_>) {
-        let now = env.now();
         loop {
             if self.abandoned.contains(&self.next_deliver) {
                 self.next_deliver += 1;
@@ -265,21 +264,8 @@ impl NakcastReceiver {
             let Some(sample) = self.buffer.remove(&self.next_deliver) else {
                 break;
             };
-            let delivery = Delivery {
-                seq: self.next_deliver,
-                published_at: sample.published_at,
-                delivered_at: now,
-                recovered: sample.recovered,
-            };
-            if self.log.record(delivery) {
-                env.deliver(delivery.seq, delivery.published_at, delivery.recovered);
-                env.emit(|| ProtoEvent::SampleAccepted {
-                    seq: delivery.seq,
-                    published_ns: delivery.published_at.as_nanos(),
-                    delivered_ns: delivery.delivered_at.as_nanos(),
-                    recovered: delivery.recovered,
-                });
-            }
+            let (seq, recovered) = (self.next_deliver, sample.recovered);
+            accept(&mut self.log, env, seq, sample.published_at, recovered);
             self.next_deliver += 1;
         }
     }
@@ -366,21 +352,7 @@ impl NakcastReceiver {
         if self.abandoned.remove(&data.seq) {
             // Late arrival of an abandoned sequence: deliver out of order
             // rather than discard, so reliability reflects it.
-            let delivery = Delivery {
-                seq: data.seq,
-                published_at: data.published_at,
-                delivered_at: now,
-                recovered: true,
-            };
-            if self.log.record(delivery) {
-                env.deliver(delivery.seq, delivery.published_at, true);
-                env.emit(|| ProtoEvent::SampleAccepted {
-                    seq: delivery.seq,
-                    published_ns: delivery.published_at.as_nanos(),
-                    delivered_ns: delivery.delivered_at.as_nanos(),
-                    recovered: true,
-                });
-            }
+            accept(&mut self.log, env, data.seq, data.published_at, true);
         } else if self.log.contains(data.seq) || self.buffer.contains_key(&data.seq) {
             self.duplicates += 1;
             let seq = data.seq;
@@ -413,6 +385,10 @@ impl LiveJoin for NakcastReceiver {
 impl DataReader for NakcastReceiver {
     fn log(&self) -> &DenseReceptionLog {
         &self.log
+    }
+
+    fn capture_deliveries(&mut self) {
+        self.log.capture();
     }
 
     fn dropped(&self) -> u64 {
@@ -471,6 +447,8 @@ impl ProtocolCore for NakcastReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::receiver::capturing;
+    use adamant_metrics::Delivery;
     use adamant_netsim::{Bandwidth, HostConfig, MachineClass, SimDriver, Simulation};
 
     fn cfg() -> HostConfig {
@@ -499,13 +477,13 @@ mod tests {
         for _ in 0..receivers {
             let rx = sim.add_node(
                 cfg(),
-                SimDriver::new(NakcastReceiver::new(
+                SimDriver::new(capturing(NakcastReceiver::new(
                     tx,
                     samples,
                     timeout,
                     tuning,
                     drop_probability,
-                )),
+                ))),
             );
             sim.join_group(group, rx);
             rx_nodes.push(rx);
@@ -524,7 +502,12 @@ mod tests {
             assert_eq!(r.log().delivered_count(), 200);
             assert_eq!(r.naks_sent(), 0);
             // In-order delivery: sequence numbers ascend.
-            let seqs: Vec<u64> = r.log().deliveries().map(|d| d.seq).collect();
+            let seqs: Vec<u64> = r
+                .log()
+                .deliveries()
+                .expect("captured")
+                .map(|d| d.seq)
+                .collect();
             let mut sorted = seqs.clone();
             sorted.sort_unstable();
             assert_eq!(seqs, sorted);
@@ -554,7 +537,11 @@ mod tests {
     fn recovered_packets_pay_recovery_latency() {
         let (sim, rxs) = run_session(500, 100.0, 1, 0.05, Span::from_millis(1), 17);
         let r = sim.agent::<NakcastReceiver>(rxs[0]).unwrap();
-        let (rec, orig): (Vec<_>, Vec<_>) = r.log().deliveries().partition(|d| d.recovered);
+        let (rec, orig): (Vec<_>, Vec<_>) = r
+            .log()
+            .deliveries()
+            .expect("captured")
+            .partition(|d| d.recovered);
         assert!(!rec.is_empty());
         let avg = |v: &[Delivery]| {
             v.iter().map(|d| d.latency().as_micros_f64()).sum::<f64>() / v.len() as f64
@@ -575,6 +562,7 @@ mod tests {
             let lat: Vec<f64> = r
                 .log()
                 .deliveries()
+                .expect("captured")
                 .map(|d| d.latency().as_micros_f64())
                 .collect();
             lat.iter().sum::<f64>() / lat.len() as f64
@@ -631,13 +619,13 @@ mod tests {
         sim.join_group(group, tx);
         let rx = sim.add_node(
             dc,
-            SimDriver::new(NakcastReceiver::new(
+            SimDriver::new(capturing(NakcastReceiver::new(
                 tx,
                 300,
                 Span::from_millis(1),
                 tuning,
                 0.1,
-            )),
+            ))),
         );
         sim.join_group(group, rx);
         sim.run_until(adamant_netsim::SimTime::from_secs(30));
@@ -691,24 +679,24 @@ mod tests {
         sim.join_group(group, tx);
         let near = sim.add_node(
             cfg(),
-            SimDriver::new(NakcastReceiver::new(
+            SimDriver::new(capturing(NakcastReceiver::new(
                 tx,
                 samples,
                 Span::from_millis(1),
                 tuning,
                 0.0,
-            )),
+            ))),
         );
         sim.join_group(group, near);
         let far = sim.add_node(
             cfg(),
-            SimDriver::new(NakcastReceiver::new(
+            SimDriver::new(capturing(NakcastReceiver::new(
                 tx,
                 samples,
                 Span::from_millis(1),
                 tuning,
                 0.0,
-            )),
+            ))),
         );
         sim.join_group(group, far);
 

@@ -1,6 +1,7 @@
 //! Receiver-side shared vocabulary.
 
-use adamant_metrics::DenseReceptionLog;
+use adamant_metrics::{Delivery, DenseReceptionLog};
+use adamant_proto::{Env, ProtoEvent, TimePoint};
 
 /// Per-receiver protocol activity counters, unified across protocols so
 /// harnesses can report recovery behaviour without downcasting. Fields a
@@ -25,11 +26,45 @@ pub struct ProtocolStats {
     pub dropped: u64,
 }
 
+/// Records the delivery of `seq` at `env.now()` in `log` and, unless it is
+/// a duplicate, hands it to the application and traces it. Returns whether
+/// it was fresh.
+pub(crate) fn accept(
+    log: &mut DenseReceptionLog,
+    env: &mut Env<'_>,
+    seq: u64,
+    published_at: TimePoint,
+    recovered: bool,
+) -> bool {
+    let delivered_at = env.now();
+    let fresh = log.record(Delivery {
+        seq,
+        published_at,
+        delivered_at,
+        recovered,
+    });
+    if fresh {
+        env.deliver(seq, published_at, recovered);
+        env.emit(|| ProtoEvent::SampleAccepted {
+            seq,
+            published_ns: published_at.as_nanos(),
+            delivered_ns: delivered_at.as_nanos(),
+            recovered,
+        });
+    }
+    fresh
+}
+
 /// Common read-out interface of every protocol's receiving agent, used by
 /// the experiment harness to collect results after a run.
 pub trait DataReader {
-    /// The samples this reader delivered to the application.
+    /// The samples this reader delivered to the application: their
+    /// accumulated QoS, and a record of each only under capture.
     fn log(&self) -> &DenseReceptionLog;
+
+    /// Keeps a record of every delivery from now on
+    /// ([`DenseReceptionLog::capture`]); call it before the first.
+    fn capture_deliveries(&mut self);
 
     /// How many incoming data packets the end-host loss stage discarded.
     fn dropped(&self) -> u64;
@@ -48,4 +83,11 @@ pub trait DataReader {
             ..ProtocolStats::default()
         }
     }
+}
+
+/// `reader`, capturing its deliveries, for tests that compare them.
+#[cfg(test)]
+pub(crate) fn capturing<R: DataReader>(mut reader: R) -> R {
+    reader.capture_deliveries();
+    reader
 }

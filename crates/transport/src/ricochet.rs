@@ -409,6 +409,10 @@ impl DataReader for RicochetReceiver {
         &self.log
     }
 
+    fn capture_deliveries(&mut self) {
+        self.log.capture();
+    }
+
     fn dropped(&self) -> u64 {
         self.dropped
     }
@@ -488,6 +492,7 @@ impl ProtocolCore for RicochetReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::receiver::capturing;
     use adamant_netsim::{Bandwidth, HostConfig, MachineClass, SimDriver, Simulation};
 
     fn cfg() -> HostConfig {
@@ -517,7 +522,7 @@ mod tests {
         for _ in 0..receivers {
             let rx = sim.add_node(
                 cfg(),
-                SimDriver::new(RicochetReceiver::new(
+                SimDriver::new(capturing(RicochetReceiver::new(
                     tx,
                     group,
                     samples,
@@ -526,7 +531,7 @@ mod tests {
                     c,
                     tuning,
                     drop_probability,
-                )),
+                ))),
             );
             sim.join_group(group, rx);
             rx_nodes.push(rx);
@@ -574,7 +579,12 @@ mod tests {
         let r = sim.agent::<RicochetReceiver>(rxs[0]).unwrap();
         // Losses are recovered later than their successors arrive, so
         // delivery order is not fully sorted.
-        let seqs: Vec<u64> = r.log().deliveries().map(|d| d.seq).collect();
+        let seqs: Vec<u64> = r
+            .log()
+            .deliveries()
+            .expect("captured")
+            .map(|d| d.seq)
+            .collect();
         let mut sorted = seqs.clone();
         sorted.sort_unstable();
         assert_ne!(seqs, sorted, "recovered packets arrive out of order");
@@ -587,6 +597,7 @@ mod tests {
         let recovered: Vec<f64> = r
             .log()
             .deliveries()
+            .expect("captured")
             .filter(|d| d.recovered)
             .map(|d| d.latency().as_micros_f64())
             .collect();
@@ -646,9 +657,9 @@ mod tests {
         for _ in 0..4 {
             let rx = sim.add_node(
                 cfg(),
-                SimDriver::new(RicochetReceiver::new(
+                SimDriver::new(capturing(RicochetReceiver::new(
                     tx, group, 3_000, 12, 4, 2, tuning, 0.05,
-                )),
+                ))),
             );
             sim.join_group(group, rx);
             rxs.push(rx);

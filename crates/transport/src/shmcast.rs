@@ -16,7 +16,7 @@
 
 use std::collections::BTreeMap;
 
-use adamant_metrics::{Delivery, DenseReceptionLog};
+use adamant_metrics::DenseReceptionLog;
 use adamant_proto::wire::{DataMsg, FinMsg, ShmCreditMsg};
 use adamant_proto::{
     Env, GroupId, Input, NodeId, ProcessingCost, ProtoEvent, ProtocolCore, Span, WireMsg,
@@ -24,7 +24,7 @@ use adamant_proto::{
 
 use crate::config::Tuning;
 use crate::profile::{AppSpec, StackProfile};
-use crate::receiver::DataReader;
+use crate::receiver::{accept, DataReader};
 use crate::tags::{DATA_HEADER_BYTES, TAG_DATA, TAG_FIN, TAG_SHM_CREDIT};
 
 /// Timer tag for the sender's next publication tick.
@@ -243,21 +243,9 @@ impl ShmCastReceiver {
     }
 
     fn on_data(&mut self, env: &mut Env<'_>, data: &DataMsg) {
-        let delivery = Delivery {
-            seq: data.seq,
-            published_at: data.published_at,
-            delivered_at: env.now(),
-            recovered: data.retransmission,
-        };
-        if self.log.record(delivery) {
+        let (published_at, recovered) = (data.published_at, data.retransmission);
+        if accept(&mut self.log, env, data.seq, published_at, recovered) {
             self.consumed += 1;
-            env.deliver(delivery.seq, delivery.published_at, delivery.recovered);
-            env.emit(|| ProtoEvent::SampleAccepted {
-                seq: delivery.seq,
-                published_ns: delivery.published_at.as_nanos(),
-                delivered_ns: delivery.delivered_at.as_nanos(),
-                recovered: delivery.recovered,
-            });
             // Re-grant once half the ring has been consumed, batching
             // credit traffic instead of ping-ponging per sample.
             if self.granted - self.consumed <= u64::from(self.queue) / 2 {
@@ -274,6 +262,10 @@ impl ShmCastReceiver {
 impl DataReader for ShmCastReceiver {
     fn log(&self) -> &DenseReceptionLog {
         &self.log
+    }
+
+    fn capture_deliveries(&mut self) {
+        self.log.capture();
     }
 
     fn dropped(&self) -> u64 {
@@ -314,6 +306,7 @@ impl ProtocolCore for ShmCastReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::receiver::capturing;
     use adamant_netsim::{
         Bandwidth, HostConfig, LossModel, MachineClass, NetworkConfig, SimDriver, SimDuration,
         Simulation,
@@ -353,7 +346,7 @@ mod tests {
         for _ in 0..3 {
             let rx = sim.add_node(
                 cfg,
-                SimDriver::new(ShmCastReceiver::new(tx, samples, queue, tuning)),
+                SimDriver::new(capturing(ShmCastReceiver::new(tx, samples, queue, tuning))),
             );
             sim.join_group(group, rx);
             rxs.push(rx);
@@ -369,7 +362,7 @@ mod tests {
             let r = sim.agent::<ShmCastReceiver>(rx).unwrap();
             assert_eq!(r.log().delivered_count(), 500);
             assert_eq!(r.duplicates(), 0);
-            for d in r.log().deliveries() {
+            for d in r.log().deliveries().expect("captured") {
                 let latency = d.delivered_at - d.published_at;
                 assert!(
                     latency < Span::from_micros(60),

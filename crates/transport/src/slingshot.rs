@@ -13,7 +13,7 @@
 //! distinguishable from originals for statistics; the wire contents are
 //! identical to a data packet.
 
-use adamant_metrics::{Delivery, DenseReceptionLog};
+use adamant_metrics::DenseReceptionLog;
 use adamant_proto::wire::DataMsg;
 use adamant_proto::{
     Env, GroupId, Input, NodeId, ProcessingCost, ProtoEvent, ProtocolCore, Span, WireMsg,
@@ -22,7 +22,7 @@ use adamant_proto::{
 use crate::config::Tuning;
 use crate::profile::{AppSpec, StackProfile};
 use crate::publisher::PublisherCore;
-use crate::receiver::DataReader;
+use crate::receiver::{accept, DataReader};
 use crate::tags::{DATA_HEADER_BYTES, FRAMING_BYTES, TAG_REPAIR};
 
 /// Sender side of Slingshot: publish-only, like Ricochet's sender.
@@ -158,21 +158,7 @@ impl SlingshotReceiver {
             env.emit(|| ProtoEvent::SampleDuplicate { seq });
             return;
         }
-        let delivery = Delivery {
-            seq: data.seq,
-            published_at: data.published_at,
-            delivered_at: env.now(),
-            recovered: via_copy,
-        };
-        if self.log.record(delivery) {
-            env.deliver(delivery.seq, delivery.published_at, via_copy);
-            env.emit(|| ProtoEvent::SampleAccepted {
-                seq: delivery.seq,
-                published_ns: delivery.published_at.as_nanos(),
-                delivered_ns: delivery.delivered_at.as_nanos(),
-                recovered: via_copy,
-            });
-        }
+        accept(&mut self.log, env, data.seq, data.published_at, via_copy);
         if via_copy {
             self.recovered_via_copy += 1;
         }
@@ -182,6 +168,10 @@ impl SlingshotReceiver {
 impl DataReader for SlingshotReceiver {
     fn log(&self) -> &DenseReceptionLog {
         &self.log
+    }
+
+    fn capture_deliveries(&mut self) {
+        self.log.capture();
     }
 
     fn dropped(&self) -> u64 {
@@ -235,6 +225,7 @@ impl ProtocolCore for SlingshotReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::receiver::capturing;
     use adamant_netsim::{Bandwidth, HostConfig, MachineClass, SimDriver, SimTime, Simulation};
 
     fn run_session(
@@ -263,9 +254,9 @@ mod tests {
         for _ in 0..receivers {
             let rx = sim.add_node(
                 cfg,
-                SimDriver::new(SlingshotReceiver::new(
+                SimDriver::new(capturing(SlingshotReceiver::new(
                     tx, group, samples, 12, c, tuning, drop,
-                )),
+                ))),
             );
             sim.join_group(group, rx);
             rxs.push(rx);
@@ -298,6 +289,7 @@ mod tests {
             let rec: Vec<f64> = r
                 .log()
                 .deliveries()
+                .expect("captured")
                 .filter(|d| d.recovered)
                 .map(|d| d.latency().as_micros_f64())
                 .collect();
@@ -335,6 +327,7 @@ mod tests {
             let rec: Vec<f64> = sling
                 .log()
                 .deliveries()
+                .expect("captured")
                 .filter(|d| d.recovered)
                 .map(|d| d.latency().as_micros_f64())
                 .collect();
@@ -361,9 +354,9 @@ mod tests {
         for _ in 0..4 {
             let rx = ric_sim.add_node(
                 cfg,
-                SimDriver::new(RicochetReceiver::new(
+                SimDriver::new(capturing(RicochetReceiver::new(
                     tx, group, samples, 12, 4, 3, tuning, drop,
-                )),
+                ))),
             );
             ric_sim.join_group(group, rx);
             ric_rx.get_or_insert(rx);
@@ -374,6 +367,7 @@ mod tests {
             let rec: Vec<f64> = ric
                 .log()
                 .deliveries()
+                .expect("captured")
                 .filter(|d| d.recovered)
                 .map(|d| d.latency().as_micros_f64())
                 .collect();

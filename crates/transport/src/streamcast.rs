@@ -17,7 +17,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use adamant_metrics::{Delivery, DenseReceptionLog};
+use adamant_metrics::DenseReceptionLog;
 use adamant_proto::wire::{DataMsg, FinMsg, StreamAckMsg, StreamSynAckMsg, StreamSynMsg};
 use adamant_proto::{
     Env, GroupId, Input, NodeId, ProcessingCost, ProtoEvent, ProtocolCore, Span, TimePoint, WireMsg,
@@ -27,7 +27,7 @@ use adamant_proto::HistoryCache;
 
 use crate::config::Tuning;
 use crate::profile::{AppSpec, StackProfile};
-use crate::receiver::DataReader;
+use crate::receiver::{accept, DataReader};
 use crate::tags::{
     CONTROL_BYTES, DATA_HEADER_BYTES, FRAMING_BYTES, TAG_DATA, TAG_FIN, TAG_RETRANSMIT,
     TAG_STREAM_ACK, TAG_STREAM_SYN,
@@ -636,21 +636,7 @@ impl StreamCastReceiver {
             .insert(data.seq, (data.published_at, data.retransmission));
         // Ordered delivery: drain the contiguous prefix.
         while let Some((published_at, recovered)) = self.buffer.remove(&self.cum_ack) {
-            let delivery = Delivery {
-                seq: self.cum_ack,
-                published_at,
-                delivered_at: env.now(),
-                recovered,
-            };
-            if self.log.record(delivery) {
-                env.deliver(delivery.seq, delivery.published_at, delivery.recovered);
-                env.emit(|| ProtoEvent::SampleAccepted {
-                    seq: delivery.seq,
-                    published_ns: delivery.published_at.as_nanos(),
-                    delivered_ns: delivery.delivered_at.as_nanos(),
-                    recovered: delivery.recovered,
-                });
-            }
+            accept(&mut self.log, env, self.cum_ack, published_at, recovered);
             self.cum_ack += 1;
         }
         self.send_ack(env);
@@ -660,6 +646,10 @@ impl StreamCastReceiver {
 impl DataReader for StreamCastReceiver {
     fn log(&self) -> &DenseReceptionLog {
         &self.log
+    }
+
+    fn capture_deliveries(&mut self) {
+        self.log.capture();
     }
 
     fn dropped(&self) -> u64 {

@@ -1,12 +1,12 @@
 //! Best-effort UDP multicast: the no-recovery baseline.
 
-use adamant_metrics::{Delivery, DenseReceptionLog};
+use adamant_metrics::DenseReceptionLog;
 use adamant_proto::{Env, GroupId, Input, ProtoEvent, ProtocolCore, WireMsg};
 
 use crate::config::Tuning;
 use crate::profile::{AppSpec, StackProfile};
 use crate::publisher::PublisherCore;
-use crate::receiver::DataReader;
+use crate::receiver::{accept, DataReader};
 
 /// Sender side of plain UDP multicast: publishes and nothing else.
 #[derive(Debug)]
@@ -67,6 +67,10 @@ impl DataReader for UdpReceiver {
         &self.log
     }
 
+    fn capture_deliveries(&mut self) {
+        self.log.capture();
+    }
+
     fn dropped(&self) -> u64 {
         self.dropped
     }
@@ -85,21 +89,7 @@ impl ProtocolCore for UdpReceiver {
             self.dropped += 1;
             return;
         }
-        let delivery = Delivery {
-            seq: data.seq,
-            published_at: data.published_at,
-            delivered_at: env.now(),
-            recovered: false,
-        };
-        if self.log.record(delivery) {
-            env.deliver(delivery.seq, delivery.published_at, false);
-            env.emit(|| ProtoEvent::SampleAccepted {
-                seq: delivery.seq,
-                published_ns: delivery.published_at.as_nanos(),
-                delivered_ns: delivery.delivered_at.as_nanos(),
-                recovered: false,
-            });
-        } else {
+        if !accept(&mut self.log, env, data.seq, data.published_at, false) {
             let seq = data.seq;
             env.emit(|| ProtoEvent::SampleDuplicate { seq });
         }

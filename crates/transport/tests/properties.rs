@@ -42,6 +42,7 @@ fn run(
         sender_host: host,
         receiver_hosts: vec![host; receivers],
         drop_probability: drop,
+        capture: false,
     };
     let mut sim = Simulation::new(seed);
     let handles = ant::install(&mut sim, &spec);
@@ -167,13 +168,19 @@ fn ricochet_no_duplicate_deliveries() {
             sender_host: host,
             receiver_hosts: vec![host; 4],
             drop_probability: 0.1,
+            capture: true,
         };
         let mut sim = Simulation::new(seed);
         let handles = ant::install(&mut sim, &spec);
         sim.run_until(SimTime::from_secs(10));
         for &node in &handles.receivers {
             let reader = ant::reader(&sim, &handles, node);
-            let mut seqs: Vec<u64> = reader.log().deliveries().map(|d| d.seq).collect();
+            let mut seqs: Vec<u64> = reader
+                .log()
+                .deliveries()
+                .expect("captured")
+                .map(|d| d.seq)
+                .collect();
             let before = seqs.len();
             seqs.sort_unstable();
             seqs.dedup();
@@ -211,6 +218,7 @@ mod edge_cases {
             sender_host: host(),
             receiver_hosts: vec![host(); 2],
             drop_probability: 0.5, // retransmissions also drop 50%
+            capture: true,
         };
         let mut sim = Simulation::new(5);
         let handles = ant::install(&mut sim, &spec);
@@ -244,6 +252,7 @@ mod edge_cases {
             sender_host: host(),
             receiver_hosts: vec![host(); 4],
             drop_probability: 0.3,
+            capture: true,
         };
         let mut sim = Simulation::new(9);
         let handles = ant::install(&mut sim, &spec);
@@ -272,6 +281,7 @@ mod edge_cases {
             sender_host: host(),
             receiver_hosts: vec![host(); 4],
             drop_probability: 0.05,
+            capture: true,
         };
         let mut sim = Simulation::new(31);
         let handles = ant::install(&mut sim, &spec);
@@ -285,6 +295,7 @@ mod edge_cases {
             let late_recoveries = r
                 .log()
                 .deliveries()
+                .expect("captured")
                 .filter(|d| d.recovered && d.published_at > SimTime::from_secs(6))
                 .count();
             assert!(
@@ -310,13 +321,19 @@ mod edge_cases {
             sender_host: host(),
             receiver_hosts: vec![host(); 3],
             drop_probability: 0.1,
+            capture: true,
         };
         let mut sim = Simulation::new(13);
         let handles = ant::install(&mut sim, &spec);
         sim.run_until(SimTime::from_secs(15));
         for &node in &handles.receivers {
             let r = ant::reader(&sim, &handles, node);
-            let mut seqs: Vec<u64> = r.log().deliveries().map(|d| d.seq).collect();
+            let mut seqs: Vec<u64> = r
+                .log()
+                .deliveries()
+                .expect("captured")
+                .map(|d| d.seq)
+                .collect();
             let n = seqs.len();
             seqs.sort_unstable();
             seqs.dedup();

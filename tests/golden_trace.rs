@@ -34,6 +34,7 @@ fn golden_run() -> Vec<TracedEvent> {
         sender_host: host,
         receiver_hosts: vec![host; 2],
         drop_probability: 0.08,
+        capture: false,
     };
     let mut sim = Simulation::new(SEED).with_obs_sink(MemorySink::new());
     let handles = ant::install(&mut sim, &spec);

@@ -30,14 +30,17 @@ fn sender_core(group: adamant_proto::GroupId) -> NakcastSender {
     )
 }
 
+/// A reader that captures its deliveries, so the sets can be compared.
 fn receiver_core(sender: NodeId) -> NakcastReceiver {
-    NakcastReceiver::new(
+    let mut core = NakcastReceiver::new(
         sender,
         SAMPLES,
         Span::from_millis(2),
         Tuning::default(),
         DROP_P,
-    )
+    );
+    core.capture_deliveries();
+    core
 }
 
 /// Delivered sequences and recovery counters of one receiver.
@@ -68,7 +71,12 @@ fn run_netsim_fleet(receivers: usize) -> Vec<RunOutcome> {
         .map(|rx| {
             let r = sim.agent::<NakcastReceiver>(rx).unwrap();
             RunOutcome {
-                delivered: r.log().deliveries().map(|d| d.seq).collect(),
+                delivered: r
+                    .log()
+                    .deliveries()
+                    .expect("captured")
+                    .map(|d| d.seq)
+                    .collect(),
                 recovered: r.log().recovered_count(),
                 naks_sent: r.naks_sent(),
             }
@@ -123,7 +131,12 @@ fn run_mux_fleet(receivers: usize, workers: usize, seed: u64, wall: Duration) ->
                 .core::<NakcastReceiver>(id)
                 .expect("receiver core survives");
             RunOutcome {
-                delivered: r.log().deliveries().map(|d| d.seq).collect(),
+                delivered: r
+                    .log()
+                    .deliveries()
+                    .expect("captured")
+                    .map(|d| d.seq)
+                    .collect(),
                 recovered: r.log().recovered_count(),
                 naks_sent: r.naks_sent(),
             }
@@ -255,7 +268,10 @@ fn stream_sender_core(group: adamant_proto::GroupId) -> StreamCastSender {
 }
 
 fn stream_receiver_core(sender: NodeId) -> StreamCastReceiver {
-    StreamCastReceiver::new(sender, SAMPLES, STREAM_WINDOW, Tuning::default(), DROP_P)
+    let mut core =
+        StreamCastReceiver::new(sender, SAMPLES, STREAM_WINDOW, Tuning::default(), DROP_P);
+    core.capture_deliveries();
+    core
 }
 
 /// The StreamCast leg of the parity check: the same sender/receiver cores
@@ -285,7 +301,12 @@ fn streamcast_delivers_identically_under_netsim_and_mux_udp() {
     let mut sim_recovered = 0;
     for (i, rx) in rx_nodes.iter().enumerate() {
         let r = sim.agent::<StreamCastReceiver>(*rx).unwrap();
-        let delivered: BTreeSet<u64> = r.log().deliveries().map(|d| d.seq).collect();
+        let delivered: BTreeSet<u64> = r
+            .log()
+            .deliveries()
+            .expect("captured")
+            .map(|d| d.seq)
+            .collect();
         assert_eq!(
             delivered, expected,
             "netsim StreamCast receiver {i} must deliver every sample in order"
@@ -337,7 +358,12 @@ fn streamcast_delivers_identically_under_netsim_and_mux_udp() {
             .core::<StreamCastReceiver>(id)
             .expect("receiver core survives");
         assert!(r.is_connected(), "receiver {i} completed the handshake");
-        let delivered: BTreeSet<u64> = r.log().deliveries().map(|d| d.seq).collect();
+        let delivered: BTreeSet<u64> = r
+            .log()
+            .deliveries()
+            .expect("captured")
+            .map(|d| d.seq)
+            .collect();
         assert_eq!(
             delivered,
             expected,
@@ -383,11 +409,10 @@ fn shmcast_runs_over_the_mux_runtime_on_one_host() {
         .expect("add shm sender");
     let rx_ids: Vec<_> = (1..=RECEIVERS as u32)
         .map(|n| {
+            let mut core = ShmCastReceiver::new(NodeId(0), SAMPLES, QUEUE, Tuning::default());
+            core.capture_deliveries();
             cluster
-                .add_endpoint(
-                    NodeId(n),
-                    ShmCastReceiver::new(NodeId(0), SAMPLES, QUEUE, Tuning::default()),
-                )
+                .add_endpoint(NodeId(n), core)
                 .expect("add shm receiver")
         })
         .collect();
@@ -406,7 +431,12 @@ fn shmcast_runs_over_the_mux_runtime_on_one_host() {
         let r = cluster
             .core::<ShmCastReceiver>(id)
             .expect("receiver core survives");
-        let delivered: Vec<u64> = r.log().deliveries().map(|d| d.seq).collect();
+        let delivered: Vec<u64> = r
+            .log()
+            .deliveries()
+            .expect("captured")
+            .map(|d| d.seq)
+            .collect();
         assert_eq!(
             delivered, expected,
             "ring receiver {i} must deliver everything in publication order"

@@ -1,9 +1,9 @@
 //! Property test: across random seeds, topologies, and protocols, the
 //! ReLate2 composite recomputed purely from the delivery trace equals the
 //! value the metrics engine reports from its pooled QoS report, within
-//! 1e-9. The checker pools per-receiver latencies in the same order the
-//! report builder does, so the two Welford accumulations see the identical
-//! f64 sequence.
+//! 1e-9. The checker and the report both fold the same integer-nanosecond
+//! latencies into a `QosAccumulator`, whose mean does not depend on the
+//! order they arrive in.
 
 use adamant_metrics::{verify_trace, InvariantKind, MetricKind, VerifySpec};
 use adamant_netsim::{
@@ -62,6 +62,7 @@ fn trace_recomputed_relate2_matches_reported() {
             sender_host: host,
             receiver_hosts: vec![host; receivers],
             drop_probability: drop,
+            capture: false,
         };
 
         let mut sim = Simulation::new(seed).with_obs_sink(MemorySink::new());
