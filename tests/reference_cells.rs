@@ -25,29 +25,29 @@ use adamant_transport::{ProtocolKind, TransportConfig};
 /// `(label, receivers, rate_hz, report digest, events processed)`.
 const PINNED: &[(&str, u32, u32, u64, u64)] = &[
     ("nakcast-0.050s", 3, 25, 0x066ae27eba8ea6a4, 1729),
-    ("nakcast-0.025s", 3, 25, 0xa956a2d2d27333b5, 1729),
-    ("nakcast-0.010s", 3, 25, 0x74a138d1b89b363a, 1731),
-    ("nakcast-0.001s", 3, 25, 0xe5e8a743793da2bd, 1731),
-    ("ricochet-r4c3", 3, 25, 0x336c868cf92f1b21, 2291),
-    ("ricochet-r8c3", 3, 25, 0x336c868cf92f1b21, 2291),
-    ("streamcast-w64", 3, 25, 0x162e0c0fb2221efa, 1471),
-    ("shmcast-q256", 3, 25, 0xab9970c8ed154926, 716),
-    ("nakcast-0.050s", 15, 25, 0xd9913a83e019d442, 7613),
-    ("nakcast-0.025s", 15, 25, 0xad39e7d63b56e748, 7613),
-    ("nakcast-0.010s", 15, 25, 0xaebebaf7a290bdf9, 7617),
-    ("nakcast-0.001s", 15, 25, 0x0b4a5166ef7ad513, 7617),
-    ("ricochet-r4c3", 15, 25, 0x165dc9f6d89a4f16, 16821),
-    ("ricochet-r8c3", 15, 25, 0x165dc9f6d89a4f16, 16821),
-    ("streamcast-w64", 15, 25, 0x4412916ac64ba26e, 6495),
-    ("shmcast-q256", 15, 25, 0x62e55e68e4dad37e, 3176),
-    ("nakcast-0.050s", 15, 100, 0xecda7ecf8ddf2b6f, 4529),
-    ("nakcast-0.025s", 15, 100, 0x2de64ef35492b910, 4539),
-    ("nakcast-0.010s", 15, 100, 0xcdcecc60c513756d, 4547),
-    ("nakcast-0.001s", 15, 100, 0x8d1b037d2aae48ae, 4544),
-    ("ricochet-r4c3", 15, 100, 0xaa8860d132937c70, 14031),
-    ("ricochet-r8c3", 15, 100, 0xaa8860d132937c70, 14031),
-    ("streamcast-w64", 15, 100, 0xcbbc8cdbabf83503, 6439),
-    ("shmcast-q256", 15, 100, 0x4196dd0d3f369147, 3176),
+    ("nakcast-0.025s", 3, 25, 0xa99c5a3c3004b8b7, 1729),
+    ("nakcast-0.010s", 3, 25, 0x164950a9545b5adb, 1731),
+    ("nakcast-0.001s", 3, 25, 0xff13d5adda3feab4, 1731),
+    ("ricochet-r4c3", 3, 25, 0x239dd6321890d78f, 2291),
+    ("ricochet-r8c3", 3, 25, 0x239dd6321890d78f, 2291),
+    ("streamcast-w64", 3, 25, 0x51f34d4e37016c78, 1471),
+    ("shmcast-q256", 3, 25, 0x8d7ddef95f31fb94, 716),
+    ("nakcast-0.050s", 15, 25, 0xe4a43de318a9165a, 7613),
+    ("nakcast-0.025s", 15, 25, 0x2ae41626ad4125fc, 7613),
+    ("nakcast-0.010s", 15, 25, 0x5ca2d3cbd3bc3f3b, 7617),
+    ("nakcast-0.001s", 15, 25, 0x267bd27db26e919a, 7617),
+    ("ricochet-r4c3", 15, 25, 0x8e7309b50212c967, 16821),
+    ("ricochet-r8c3", 15, 25, 0x8e7309b50212c967, 16821),
+    ("streamcast-w64", 15, 25, 0xb09b59ff7708a69a, 6495),
+    ("shmcast-q256", 15, 25, 0x0d84f0f202e6aaa2, 3176),
+    ("nakcast-0.050s", 15, 100, 0x75b9ed51a0f16b7d, 4529),
+    ("nakcast-0.025s", 15, 100, 0x8e5e1058a7e8535f, 4539),
+    ("nakcast-0.010s", 15, 100, 0x8ce4391adf9453f0, 4547),
+    ("nakcast-0.001s", 15, 100, 0x225d06721ba7f3a8, 4544),
+    ("ricochet-r4c3", 15, 100, 0x2c6544553c1aa091, 14031),
+    ("ricochet-r8c3", 15, 100, 0x2c6544553c1aa091, 14031),
+    ("streamcast-w64", 15, 100, 0x2331a5e0568a1a63, 6439),
+    ("shmcast-q256", 15, 100, 0xca7a35421cdb645b, 3176),
 ];
 
 /// The benchmark's reference environment: the fast LAN of the paper's
