@@ -4,11 +4,11 @@
 //! The closed loop itself lives in [`crate::policy`]: a policy runs a live
 //! pub/sub session while a fault plan (loss spikes, bandwidth downgrades,
 //! CPU contention — see [`adamant_netsim::FaultPlan`]) degrades it
-//! mid-stream. Each window the loop folds the delivery stream into a
-//! [`WindowQos`]; when the monitor alarms, it re-probes the (now degraded)
-//! environment, asks a [`ResilientSelector`] for a protocol, and — subject
-//! to a [`SwitchBackoff`] hysteresis policy that prevents flapping — swaps
-//! the running transport over mid-stream.
+//! mid-stream. Each window the loop folds the deliveries of that window's
+//! samples into a [`WindowQos`]; when the monitor alarms, it re-probes the
+//! (now degraded) environment, asks a [`ResilientSelector`] for a protocol,
+//! and — subject to a [`SwitchBackoff`] hysteresis policy that prevents
+//! flapping — swaps the running transport over mid-stream.
 //!
 //! The selector chain degrades gracefully: a trained ANN answers only
 //! when its output margin clears a confidence floor, a decision-tree
@@ -16,9 +16,9 @@
 //! back to the safest candidate (NAKcast with a 1 ms timeout — reliable
 //! under every environment of the paper's evaluation, if not optimal).
 
-use adamant_metrics::{Delivery, MetricKind, QosReport, WindowQos};
+use adamant_metrics::{MetricKind, QosReport, WindowQos};
 use adamant_netsim::{Bandwidth, SimDuration, SimTime, Simulation, TracedEvent};
-use adamant_transport::{ant, ProtocolKind, SessionHandles};
+use adamant_transport::{ProtocolKind, SessionHandles};
 
 use crate::env::{AppParams, BandwidthClass, Environment};
 use crate::policy::OnlineStats;
@@ -185,10 +185,9 @@ fn top_two_margin(scores: &[f64]) -> f64 {
 /// happening, so a session oscillating at a decision boundary settles
 /// instead of thrashing.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SwitchBackoff {
-    min_dwell: SimDuration,
+pub(crate) struct SwitchBackoff {
+    dwell: SimDuration,
     max_backoff: SimDuration,
-    current: SimDuration,
     next_allowed: SimTime,
 }
 
@@ -198,38 +197,26 @@ impl SwitchBackoff {
     /// # Panics
     ///
     /// Panics if `min_dwell` is zero or exceeds `max_backoff`.
-    pub fn new(min_dwell: SimDuration, max_backoff: SimDuration) -> Self {
+    pub(crate) fn new(min_dwell: SimDuration, max_backoff: SimDuration) -> Self {
         assert!(!min_dwell.is_zero(), "dwell time must be positive");
         assert!(max_backoff >= min_dwell, "backoff cap below initial dwell");
         SwitchBackoff {
-            min_dwell,
+            dwell: min_dwell,
             max_backoff,
-            current: min_dwell,
             next_allowed: SimTime::ZERO,
         }
     }
 
     /// Whether a switch is currently allowed.
-    pub fn may_switch(&self, now: SimTime) -> bool {
+    pub(crate) fn may_switch(&self, now: SimTime) -> bool {
         now >= self.next_allowed
     }
 
     /// Records a switch at `now`, starting the next dwell period and
     /// doubling it for the one after.
-    pub fn record_switch(&mut self, now: SimTime) {
-        self.next_allowed = now + self.current;
-        self.current = (self.current * 2).min(self.max_backoff);
-    }
-
-    /// The dwell the *next* switch will impose.
-    pub fn current_dwell(&self) -> SimDuration {
-        self.current
-    }
-
-    /// Re-arms the policy to its initial dwell (for callers that consider
-    /// the system to have settled).
-    pub fn reset(&mut self) {
-        self.current = self.min_dwell;
+    pub(crate) fn record_switch(&mut self, now: SimTime) {
+        self.next_allowed = now + self.dwell;
+        self.dwell = (self.dwell * 2).min(self.max_backoff);
     }
 }
 
@@ -281,10 +268,7 @@ impl HealingOutcome {
     /// windowed form of the paper's headline composite metric. Windows
     /// with no publications score zero.
     pub fn window_relate2(&self) -> Vec<f64> {
-        self.windows
-            .iter()
-            .map(|w| w.avg_latency_us * ((1.0 - w.reliability()) * 100.0 + 1.0))
-            .collect()
+        self.windows.iter().map(WindowQos::relate2).collect()
     }
 
     /// Mean windowed ReLate2 over `range` (publishing windows only).
@@ -348,22 +332,17 @@ impl HealingOutcome {
 
 /// Re-probes the environment after an alarm: machine and bandwidth from
 /// the (possibly fault-mutated) host the writer runs on, loss from the
-/// alarming window's own wire evidence — samples that needed recovery or
-/// are still missing — floored at the provisioned rate.
+/// alarming window's own wire evidence — its `recovered` deliveries, which
+/// needed recovery, and the samples still missing — floored at the
+/// provisioned rate.
 pub(crate) fn probe_environment(
     provisioned: &Environment,
     sim: &Simulation,
     handles: &SessionHandles,
-    pooled: &[Delivery],
     window: &WindowQos,
+    recovered: u64,
 ) -> Environment {
     let host = sim.host_config(handles.sender);
-    let start = window.start;
-    let end = window.start + window.length;
-    let recovered = pooled
-        .iter()
-        .filter(|d| d.published_at >= start && d.published_at < end && d.recovered)
-        .count() as u64;
     let expected = window.published;
     let missing = expected.saturating_sub(window.delivered);
     let fraction = if expected == 0 {
@@ -378,26 +357,6 @@ pub(crate) fn probe_environment(
         provisioned.dds,
         observed.max(provisioned.loss_percent),
     )
-}
-
-/// Everything every reader has delivered so far: harvested logs of dead
-/// incarnations plus the live agents' logs, in stable receiver order.
-pub(crate) fn pooled_deliveries(
-    sim: &Simulation,
-    handles: &SessionHandles,
-    harvested: &[(Vec<Delivery>, u64)],
-) -> Vec<Delivery> {
-    let mut pooled: Vec<Delivery> = Vec::new();
-    for (past, _) in harvested {
-        pooled.extend_from_slice(past);
-    }
-    for &node in &handles.receivers {
-        if !sim.is_crashed(node) {
-            let log = ant::reader(sim, handles, node).log();
-            pooled.extend(log.deliveries().expect("readers capture"));
-        }
-    }
-    pooled
 }
 
 /// The Table 1 bandwidth class nearest (in log space) to a raw link
@@ -516,18 +475,14 @@ mod tests {
     fn backoff_enforces_dwell_and_doubles() {
         let mut b = SwitchBackoff::new(SimDuration::from_secs(2), SimDuration::from_secs(8));
         assert!(b.may_switch(SimTime::ZERO));
-        b.record_switch(SimTime::from_secs(1));
-        assert!(!b.may_switch(SimTime::from_millis(2_999)));
-        assert!(b.may_switch(SimTime::from_secs(3)));
-        assert_eq!(b.current_dwell(), SimDuration::from_secs(4));
-        b.record_switch(SimTime::from_secs(3));
-        assert!(!b.may_switch(SimTime::from_millis(6_999)));
-        assert_eq!(b.current_dwell(), SimDuration::from_secs(8));
-        b.record_switch(SimTime::from_secs(10));
-        // Capped: never exceeds the maximum.
-        assert_eq!(b.current_dwell(), SimDuration::from_secs(8));
-        b.reset();
-        assert_eq!(b.current_dwell(), SimDuration::from_secs(2));
+        // Each switch opens the next one `dwell` later: 2 s, then 4 s, then
+        // 8 s, and the cap holds it at 8 s.
+        for (at, dwell) in [(1, 2), (3, 4), (10, 8), (20, 8)] {
+            b.record_switch(SimTime::from_secs(at));
+            let allowed = SimTime::from_secs(at + dwell);
+            assert!(!b.may_switch(SimTime::from_nanos(allowed.as_nanos() - 1)));
+            assert!(b.may_switch(allowed), "switch at {at} s, dwell {dwell} s");
+        }
     }
 
     #[test]

@@ -75,7 +75,6 @@
 #![warn(missing_docs)]
 
 mod adamant;
-pub mod adaptive;
 pub mod dataset;
 mod env;
 pub mod features;
@@ -88,18 +87,14 @@ mod selector;
 mod timing;
 
 pub use crate::adamant::{Adamant, Configuration};
-pub use adaptive::{
-    AdaptationDecision, AdaptiveController, AdaptiveTimeline, MonitorThresholds, Phase,
-    PhaseOutcome, QosMonitor,
-};
 pub use dataset::{best_class_with_margin, DatasetRow, LabeledDataset, LABEL_MARGIN};
 pub use env::{AppParams, BandwidthClass, Environment};
 pub use healing::{
-    HealingOutcome, ResilientChoice, ResilientSelector, SelectorSource, SwitchBackoff, SwitchRecord,
+    HealingOutcome, ResilientChoice, ResilientSelector, SelectorSource, SwitchRecord,
 };
 pub use policy::{
-    AdaptivePolicy, FeedbackRing, OnlineStats, OnlineTrainer, OnlineTrainingConfig, QosObservation,
-    StreamConfig,
+    AdaptivePolicy, FeedbackRing, MonitorThresholds, OnlineStats, OnlineTrainer,
+    OnlineTrainingConfig, QosObservation, StreamConfig,
 };
 pub use probe::{LinuxProcProbe, ProbedResources, ResourceProbe, SimulatedCloud};
 pub use runner::Scenario;

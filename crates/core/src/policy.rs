@@ -1,12 +1,12 @@
 //! The unified adaptation policy: probe → learn → adapt behind one API.
 //!
-//! Earlier layers expose the adaptation loop as parts the caller wires by
-//! hand — a [`QosMonitor`] to notice degradation, a probe to re-read the
-//! environment, a [`ResilientSelector`] to answer "which transport?", a
-//! [`SwitchBackoff`] to stop flapping, and the
-//! mid-stream reinstall plumbing. [`AdaptivePolicy`] collapses that wiring
-//! into one builder, and adds the piece none of the parts had: *online
-//! learning*. A fleet's per-shard [`WindowQos`] observations stream into a
+//! The paper's runtime-adaptation extension is one loop, and
+//! [`AdaptivePolicy`] is it: a QoS monitor notices degradation
+//! ([`MonitorThresholds`]), a probe re-reads the environment, a
+//! [`ResilientSelector`] answers "which transport?", a switch backoff stops
+//! flapping, and the mid-stream reinstall swaps the transport — behind one
+//! builder. It adds *online learning* on top: a fleet's per-shard
+//! [`WindowQos`] observations stream into a
 //! bounded [`FeedbackRing`] (never blocking the hot path — when full, the
 //! oldest observation is overwritten and counted), an [`OnlineTrainer`]
 //! periodically folds the ring into labelled training rows and fits a
@@ -30,19 +30,77 @@
 
 use adamant_ann::{train_with_validation, Activation, NeuralNetwork, TrainParams};
 use adamant_dds::{DomainParticipant, QosProfile};
-use adamant_metrics::{windowed_qos, Delivery, MetricKind, QosReport, WindowQos};
+use adamant_metrics::{Delivery, MetricKind, QosAccumulator, QosReport, WindowQos};
 use adamant_netsim::{FaultPlan, MemorySink, ObsEvent, SimDuration, SimTime, Simulation};
 use adamant_transport::{ant, AppSpec, TransportConfig};
 
-use crate::adaptive::{MonitorThresholds, QosMonitor};
 use crate::dataset::{best_class_with_margin, DatasetRow, LabeledDataset, LABEL_MARGIN};
 use crate::env::{AppParams, Environment};
 use crate::features::{candidate_protocols, class_index, FEATURE_DIM};
 use crate::healing::{
-    pooled_deliveries, probe_environment, HealingOutcome, ResilientChoice, ResilientSelector,
-    SwitchBackoff, SwitchRecord,
+    probe_environment, HealingOutcome, ResilientChoice, ResilientSelector, SwitchBackoff,
+    SwitchRecord,
 };
 use crate::selector::{ProtocolSelector, TreeSelector};
+
+/// Alarm thresholds of the adaptation loop's QoS monitor.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MonitorThresholds {
+    /// Alarm when window reliability falls below this fraction.
+    pub min_reliability: f64,
+    /// Alarm when window average latency exceeds this (µs).
+    pub max_avg_latency_us: f64,
+    /// Consecutive bad windows required before raising the alarm.
+    pub consecutive_windows: u32,
+}
+
+impl Default for MonitorThresholds {
+    fn default() -> Self {
+        MonitorThresholds {
+            min_reliability: 0.98,
+            max_avg_latency_us: 5_000.0,
+            consecutive_windows: 2,
+        }
+    }
+}
+
+/// Watches the stream of windows and raises an alarm when QoS degrades
+/// persistently — the "system monitoring the environment" trigger the
+/// paper's conclusion sketches for runtime adaptation.
+#[derive(Debug, Clone)]
+pub(crate) struct QosMonitor {
+    thresholds: MonitorThresholds,
+    consecutive_bad: u32,
+    alarms: u64,
+}
+
+impl QosMonitor {
+    pub(crate) fn new(thresholds: MonitorThresholds) -> Self {
+        QosMonitor {
+            thresholds,
+            consecutive_bad: 0,
+            alarms: 0,
+        }
+    }
+
+    /// Feeds one window; returns `true` when the degradation alarm fires
+    /// (once per sustained episode — the counter re-arms after a good
+    /// window).
+    pub(crate) fn observe_window(&mut self, window: &WindowQos) -> bool {
+        let bad = window.reliability() < self.thresholds.min_reliability
+            || window.avg_latency_us > self.thresholds.max_avg_latency_us;
+        if !bad {
+            self.consecutive_bad = 0;
+            return false;
+        }
+        self.consecutive_bad += 1;
+        if self.consecutive_bad == self.thresholds.consecutive_windows {
+            self.alarms += 1;
+            return true;
+        }
+        false
+    }
+}
 
 /// One windowed QoS observation from one shard of the fleet: "running
 /// protocol class `class` under (what the shard probed as) `env`, this
@@ -65,7 +123,7 @@ pub struct QosObservation {
 /// A bounded, non-blocking feedback ring. Pushing when full overwrites the
 /// oldest observation and increments the drop counter — the hot path never
 /// waits on the learner, and the learner can see exactly how much history
-/// it lost. An impossible window is refused and counted at the door.
+/// it lost. An impossible observation is refused and counted at the door.
 #[derive(Debug, Clone)]
 pub struct FeedbackRing {
     buf: std::collections::VecDeque<QosObservation>,
@@ -95,14 +153,16 @@ impl FeedbackRing {
     /// Pushes an observation, overwriting (and counting) the oldest when
     /// the ring is full. Never blocks, never allocates once warm.
     ///
-    /// A window no measurement can produce — a non-finite or negative
-    /// latency or jitter, or more deliveries than publications — is refused
-    /// and counted instead: its score would make the fold panic (NaN) or
-    /// tie the never-observed classes (∞) and mislabel the row.
+    /// An observation no run can produce is refused and counted instead:
+    /// a window with a non-finite or negative latency or jitter, or more
+    /// deliveries than publications, whose score would make the fold panic
+    /// (NaN) or tie the never-observed classes (∞) and mislabel the row;
+    /// or a `class` outside [`candidate_protocols`], which no row can hold.
     pub fn push(&mut self, obs: QosObservation) {
         let w = &obs.window;
         let sane = |x: f64| x.is_finite() && x >= 0.0;
-        if !(sane(w.avg_latency_us) && sane(w.jitter_us) && w.delivered <= w.published) {
+        let window_ok = sane(w.avg_latency_us) && sane(w.jitter_us) && w.delivered <= w.published;
+        if !(window_ok && obs.class < candidate_protocols().len()) {
             self.refused += 1;
             return;
         }
@@ -134,7 +194,7 @@ impl FeedbackRing {
         self.dropped
     }
 
-    /// Observations refused as impossible windows (see [`push`](Self::push)).
+    /// Observations refused as impossible (see [`push`](Self::push)).
     pub fn refused(&self) -> u64 {
         self.refused
     }
@@ -151,7 +211,7 @@ impl FeedbackRing {
         let classes = candidate_protocols().len();
         let mut groups: Vec<Group> = Vec::new();
         for obs in &self.buf {
-            if obs.window.published == 0 || obs.class >= classes {
+            if obs.window.published == 0 {
                 continue;
             }
             let group = match groups
@@ -253,10 +313,10 @@ pub struct OnlineStats {
     pub observations: u64,
     /// Observations overwritten before a retrain consumed them.
     pub dropped: u64,
-    /// Observations the ring refused as impossible windows — a non-finite
-    /// or negative latency or jitter, or more deliveries than publications.
-    /// They are never folded, so they can neither panic nor mislabel a
-    /// retrain.
+    /// Observations the ring refused as impossible: a window with a
+    /// non-finite or negative latency or jitter, or more deliveries than
+    /// publications, or a class outside the candidate protocols. They are
+    /// never folded, so they can neither panic nor mislabel a retrain.
     pub refused: u64,
     /// Retrains attempted (enough rows were available).
     pub retrains: u64,
@@ -476,8 +536,7 @@ impl StreamConfig {
 pub struct AdaptivePolicy {
     selector: ResilientSelector,
     thresholds: MonitorThresholds,
-    min_dwell: SimDuration,
-    max_backoff: SimDuration,
+    backoff: SwitchBackoff,
     online: Option<OnlineTrainingConfig>,
 }
 
@@ -488,8 +547,7 @@ impl AdaptivePolicy {
         AdaptivePolicy {
             selector: ResilientSelector::new(metric),
             thresholds: MonitorThresholds::default(),
-            min_dwell: SimDuration::from_secs(2),
-            max_backoff: SimDuration::from_secs(16),
+            backoff: SwitchBackoff::new(SimDuration::from_secs(2), SimDuration::from_secs(16)),
             online: None,
         }
     }
@@ -522,10 +580,7 @@ impl AdaptivePolicy {
     /// eagerly so a misconfigured policy fails at build time, not
     /// mid-stream).
     pub fn with_backoff(mut self, min_dwell: SimDuration, max_backoff: SimDuration) -> Self {
-        // Construct once to run SwitchBackoff's validation now.
-        let _ = SwitchBackoff::new(min_dwell, max_backoff);
-        self.min_dwell = min_dwell;
-        self.max_backoff = max_backoff;
+        self.backoff = SwitchBackoff::new(min_dwell, max_backoff);
         self
     }
 
@@ -612,14 +667,12 @@ impl AdaptivePolicy {
         let mut windows_since_retrain = 0u32;
         let mut swaps = 0u64;
         let mut monitor = QosMonitor::new(self.thresholds);
-        let mut backoff = SwitchBackoff::new(self.min_dwell, self.max_backoff);
+        let mut backoff = self.backoff;
         let mut current = initial.kind;
-        // Reception logs die with their agents on a switch; everything a
-        // dead incarnation delivered is harvested here first, per reader.
-        let mut harvested: Vec<(Vec<Delivery>, u64)> =
-            vec![(Vec::new(), 0); handles.receivers.len()];
+        // Reception logs die with their agents on a switch; what a dead
+        // incarnation delivered is merged here first, per reader.
+        let mut harvested = vec![(QosAccumulator::default(), 0u64); handles.receivers.len()];
         let mut published_before = 0u64;
-        let mut schedule: Vec<u64> = Vec::new();
         let mut last_published_total = 0u64;
         let mut windows: Vec<WindowQos> = Vec::new();
         let mut switches: Vec<SwitchRecord> = Vec::new();
@@ -636,18 +689,28 @@ impl AdaptivePolicy {
         for i in 0..max_windows {
             // Windows are [start, end): measure just shy of the boundary
             // so an event landing exactly on it is accounted — by both the
-            // publication schedule and the delivery fold — to the next
-            // window, matching `windowed_qos`'s assignment.
-            let window_end = SimTime::ZERO + cfg.window * (i as u64 + 1);
-            let measure_at = SimTime::from_nanos(window_end.as_nanos() - 1);
+            // publication count and the delivery fold — to the next window.
+            let start = SimTime::ZERO + cfg.window * i as u64;
+            let measure_at = SimTime::from_nanos((start + cfg.window).as_nanos() - 1);
             plan.run_until(&mut sim, measure_at);
 
             let published_total = published_before + ant::published_count(&sim, &handles);
-            schedule.push((published_total - last_published_total) * receiver_count);
+            let published = (published_total - last_published_total) * receiver_count;
             last_published_total = published_total;
 
-            let pooled = pooled_deliveries(&sim, &handles, &harvested);
-            let window = windowed_qos(&pooled, &schedule, cfg.window)[i];
+            // Each delivery is read once, at the first measure point after
+            // it: a sample published in this window cannot have arrived
+            // before the window began, and one published earlier belongs
+            // to a window already read.
+            let mut qos = QosAccumulator::default();
+            for &node in &handles.receivers {
+                if !sim.is_crashed(node) {
+                    let log = ant::reader_mut(&mut sim, &handles, node).log_mut();
+                    let captured = log.take_captured().expect("readers capture");
+                    fold_window(&mut qos, start, captured);
+                }
+            }
+            let window = window_qos(start, cfg.window, published, &qos);
             windows.push(window);
 
             // Grace windows publish nothing and would read as zero
@@ -655,7 +718,7 @@ impl AdaptivePolicy {
             if window.published > 0 && monitor.observe_window(&window) {
                 sim.emit(ObsEvent::HealAlarm { window: i as u32 });
                 let remaining = cfg.samples.saturating_sub(published_total);
-                let probed = probe_environment(&cfg.env, &sim, &handles, &pooled, &window);
+                let probed = probe_environment(&cfg.env, &sim, &handles, &window, qos.recovered());
                 sim.emit(ObsEvent::HealProbe {
                     loss_percent: probed.loss_percent,
                 });
@@ -669,8 +732,7 @@ impl AdaptivePolicy {
                         for (slot, &node) in harvested.iter_mut().zip(&handles.receivers) {
                             if !sim.is_crashed(node) {
                                 let r = ant::reader(&sim, &handles, node);
-                                slot.0
-                                    .extend(r.log().deliveries().expect("readers capture"));
+                                slot.0.merge(r.log().qos());
                                 slot.1 += r.duplicates();
                             }
                         }
@@ -716,7 +778,7 @@ impl AdaptivePolicy {
                 if window.published > 0 {
                     if let Some(class) = class_index(current) {
                         let observed =
-                            probe_environment(&cfg.env, &sim, &handles, &pooled, &window);
+                            probe_environment(&cfg.env, &sim, &handles, &window, qos.recovered());
                         tr.observe(QosObservation {
                             env: observed,
                             app: cfg.app,
@@ -747,8 +809,8 @@ impl AdaptivePolicy {
         }
 
         let mut builder = QosReport::builder(cfg.samples, handles.receivers.len() as u32);
-        for ((deliveries, duplicates), &node) in harvested.iter().zip(&handles.receivers) {
-            builder.add_receiver(deliveries, *duplicates);
+        for ((qos, duplicates), &node) in harvested.iter().zip(&handles.receivers) {
+            builder.merge_receiver(qos, *duplicates);
             if !sim.is_crashed(node) {
                 let r = ant::reader(&sim, &handles, node);
                 builder.merge_receiver(r.log().qos(), r.duplicates());
@@ -769,7 +831,7 @@ impl AdaptivePolicy {
 
         HealingOutcome {
             windows,
-            alarms: monitor.alarms(),
+            alarms: monitor.alarms,
             switches,
             suppressed_switches,
             initial_protocol: initial.kind,
@@ -778,6 +840,36 @@ impl AdaptivePolicy {
             trace: sim.take_obs_events(),
             online,
         }
+    }
+}
+
+/// Folds into `window` the captured deliveries of samples published at or
+/// after the window's `start`.
+fn fold_window(
+    window: &mut QosAccumulator,
+    start: SimTime,
+    captured: impl Iterator<Item = Delivery>,
+) {
+    for d in captured.filter(|d| d.published_at >= start) {
+        window.record(d.latency(), d.recovered);
+    }
+}
+
+/// The QoS of a window from the deliveries of the `published` samples
+/// published in it.
+fn window_qos(
+    start: SimTime,
+    length: SimDuration,
+    published: u64,
+    qos: &QosAccumulator,
+) -> WindowQos {
+    WindowQos {
+        start,
+        length,
+        published,
+        delivered: qos.delivered(),
+        avg_latency_us: qos.mean_us(),
+        jitter_us: qos.stddev_us(),
     }
 }
 
@@ -913,12 +1005,17 @@ mod tests {
                 });
             }
         }
+        // A sound window of a class no candidate has: it was counted as
+        // pushed, then skipped by the fold.
+        for class in [candidate_protocols().len(), usize::MAX] {
+            dirty.observe(obs(env, class, 700.0));
+        }
         drifted_observations(&mut dirty);
         let (got, want) = (dirty.maybe_retrain(None), clean.maybe_retrain(None));
         assert_eq!(got.expect("a candidate"), want.expect("a candidate"));
         assert_eq!(dirty.ring().fold(), clean.ring().fold());
         let (dirty, clean) = (dirty.stats(), clean.stats());
-        assert_eq!((dirty.refused, clean.refused), (10, 0));
+        assert_eq!((dirty.refused, clean.refused), (12, 0));
         assert_eq!(dirty.observations, clean.observations);
     }
 
@@ -931,6 +1028,80 @@ mod tests {
         });
         assert_eq!((ring.len(), ring.pushed(), ring.refused()), (0, 0, 1));
         assert!(ring.fold().is_empty(), "no row, so no class-0 label");
+    }
+
+    #[test]
+    fn monitor_fires_once_per_sustained_episode() {
+        let mut monitor = QosMonitor::new(MonitorThresholds {
+            min_reliability: 0.95,
+            max_avg_latency_us: 2_000.0,
+            consecutive_windows: 2,
+        });
+        // Healthy stream: no alarms.
+        assert!(!monitor.observe_window(&qos_window(500.0, 100, 100)));
+        // One bad window: not yet.
+        assert!(!monitor.observe_window(&qos_window(500.0, 100, 80)));
+        // Second consecutive: alarm fires exactly once.
+        assert!(monitor.observe_window(&qos_window(500.0, 100, 80)));
+        assert!(!monitor.observe_window(&qos_window(500.0, 100, 80)));
+        assert_eq!(monitor.alarms, 1);
+        // Recovery re-arms the detector; a latency episode fires again.
+        assert!(!monitor.observe_window(&qos_window(500.0, 100, 100)));
+        assert!(!monitor.observe_window(&qos_window(9_000.0, 100, 100)));
+        assert!(monitor.observe_window(&qos_window(9_000.0, 100, 100)));
+        assert_eq!(monitor.alarms, 2);
+    }
+
+    fn delivery(published_ms: u64, delivered_ms: u64, recovered: bool) -> Delivery {
+        Delivery {
+            seq: published_ms,
+            published_at: SimTime::from_millis(published_ms),
+            delivered_at: SimTime::from_millis(delivered_ms),
+            recovered,
+        }
+    }
+
+    /// A window reads the deliveries of its own samples only: a recovery
+    /// late in the window counts toward it with its whole latency, while a
+    /// late delivery of an earlier window's sample — already read at that
+    /// window's measure point — counts nowhere.
+    #[test]
+    fn a_window_folds_the_deliveries_of_its_own_samples() {
+        let start = SimTime::from_secs(1);
+        let captured = [
+            delivery(950, 1_050, true),    // window 0's, recovered in window 1
+            delivery(1_000, 1_000, false), // published as window 1 starts
+            delivery(1_100, 1_600, true),  // recovered 500 ms later
+            delivery(1_200, 1_300, false),
+        ];
+        let mut qos = QosAccumulator::default();
+        fold_window(&mut qos, start, captured.into_iter());
+        let window = window_qos(start, SimDuration::from_secs(1), 4, &qos);
+        assert_eq!((window.published, window.delivered), (4, 3));
+        assert_eq!(qos.recovered(), 1);
+        assert_eq!(window.reliability(), 0.75);
+        assert!((window.avg_latency_us - 200_000.0).abs() < 1e-9);
+        // Latencies 0, 500 and 100 ms: deviations −200, 300 and −100 ms.
+        let jitter = (140_000.0f64 / 3.0).sqrt() * 1_000.0;
+        assert!(
+            (window.jitter_us - jitter).abs() < 1e-6,
+            "{}",
+            window.jitter_us
+        );
+    }
+
+    #[test]
+    fn an_empty_window_reads_reliability_zero() {
+        let mut qos = QosAccumulator::default();
+        fold_window(
+            &mut qos,
+            SimTime::from_secs(3),
+            [delivery(2_500, 3_100, true)].into_iter(),
+        );
+        let window = window_qos(SimTime::from_secs(3), SimDuration::from_secs(1), 0, &qos);
+        assert_eq!((window.delivered, qos.recovered()), (0, 0));
+        assert_eq!(window.reliability(), 0.0);
+        assert_eq!((window.avg_latency_us, window.jitter_us), (0.0, 0.0));
     }
 
     #[test]

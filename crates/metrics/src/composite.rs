@@ -83,22 +83,6 @@ impl MetricKind {
             MetricKind::ReLate2Net => relate2 * (report.avg_bandwidth_bytes_per_sec / 1024.0),
         }
     }
-
-    /// Picks the index of the best (lowest-scoring) report.
-    ///
-    /// Returns `None` for an empty slice. Ties break toward the earliest
-    /// index, making selection deterministic.
-    pub fn best_of(self, reports: &[QosReport]) -> Option<usize> {
-        let mut best: Option<(usize, f64)> = None;
-        for (i, r) in reports.iter().enumerate() {
-            let s = self.score(r);
-            match best {
-                Some((_, b)) if s >= b => {}
-                _ => best = Some((i, s)),
-            }
-        }
-        best.map(|(i, _)| i)
-    }
 }
 
 impl fmt::Display for MetricKind {
@@ -198,16 +182,6 @@ mod tests {
         // ReLate2 = 1000; burstiness = 1024; avg bw = 2048 B/s = 2 KB/s.
         assert!((MetricKind::ReLate2Burst.score(&r) - 1_024_000.0).abs() < 1e-6);
         assert!((MetricKind::ReLate2Net.score(&r) - 2_000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn best_of_prefers_lowest_and_breaks_ties_early() {
-        let a = report(10, 10, 500);
-        let b = report(10, 10, 300);
-        let c = report(10, 10, 300);
-        assert_eq!(MetricKind::ReLate2.best_of(&[a.clone(), b, c]), Some(1));
-        assert_eq!(MetricKind::ReLate2.best_of(&[]), None);
-        assert_eq!(MetricKind::ReLate2.best_of(&[a]), Some(0));
     }
 
     #[test]

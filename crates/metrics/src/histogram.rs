@@ -128,22 +128,6 @@ impl Default for LatencyHistogram {
     }
 }
 
-impl Extend<f64> for LatencyHistogram {
-    fn extend<T: IntoIterator<Item = f64>>(&mut self, iter: T) {
-        for us in iter {
-            self.record_us(us);
-        }
-    }
-}
-
-impl FromIterator<f64> for LatencyHistogram {
-    fn from_iter<T: IntoIterator<Item = f64>>(iter: T) -> Self {
-        let mut h = LatencyHistogram::new();
-        h.extend(iter);
-        h
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,7 +153,10 @@ mod tests {
 
     #[test]
     fn percentiles_track_uniform_data_within_resolution() {
-        let h: LatencyHistogram = (1..=10_000).map(|i| i as f64).collect();
+        let mut h = LatencyHistogram::new();
+        for i in 1..=10_000 {
+            h.record_us(i as f64);
+        }
         for (q, expected) in [(0.5, 5_000.0), (0.9, 9_000.0), (0.99, 9_900.0)] {
             let p = h.percentile(q).unwrap();
             let err = (p - expected).abs() / expected;
@@ -181,14 +168,17 @@ mod tests {
 
     #[test]
     fn merge_equals_combined_recording() {
-        let a: LatencyHistogram = (0..500).map(|i| 10.0 + i as f64).collect();
-        let b: LatencyHistogram = (0..500).map(|i| 2_000.0 + i as f64).collect();
-        let mut merged = a.clone();
+        let (mut a, mut b) = (LatencyHistogram::new(), LatencyHistogram::new());
+        for i in 0..500 {
+            a.record_us(10.0 + i as f64);
+            b.record_us(2_000.0 + i as f64);
+        }
+        let mut direct = a.clone();
+        for i in 0..500 {
+            direct.record_us(2_000.0 + i as f64);
+        }
+        let mut merged = a;
         merged.merge(&b);
-        let direct: LatencyHistogram = (0..500)
-            .map(|i| 10.0 + i as f64)
-            .chain((0..500).map(|i| 2_000.0 + i as f64))
-            .collect();
         assert_eq!(merged, direct);
         assert_eq!(merged.count(), 1_000);
     }

@@ -65,7 +65,7 @@ pub use stats::{percentile, Welford};
 pub use verify::{
     verify_trace, verify_trace_prefix, InvariantKind, VerifyReport, VerifySpec, Violation,
 };
-pub use windowed::{constant_rate_schedule, windowed_qos, WindowQos};
+pub use windowed::WindowQos;
 
 // The sim-time types appear throughout this crate's public API
 // (`Delivery`, `WindowQos`); re-exporting them lets wall-clock drivers

@@ -123,18 +123,15 @@ impl DenseReceptionLog {
     /// `None` when the log does not capture.
     pub fn deliveries(&self) -> Option<impl Iterator<Item = Delivery> + '_> {
         let (log, latencies) = self.capture.as_ref()?;
-        let mut latencies = latencies.as_slice();
-        let latencies = std::iter::from_fn(move || take_varint(&mut latencies));
-        let records = log.iter().zip(latencies);
-        Some(records.map(|((seq, published_at, recovered), latency)| {
-            let delivered = published_at.as_nanos().wrapping_add(unzigzag(latency));
-            Delivery {
-                seq,
-                published_at,
-                delivered_at: SimTime::from_nanos(delivered),
-                recovered,
-            }
-        }))
+        Some(captured(&log.bytes[..], &latencies[..]))
+    }
+
+    /// Hands over the deliveries recorded since capture began or since the
+    /// last take, as [`deliveries`](Self::deliveries) would list them, and
+    /// keeps capturing from empty; `None` when the log does not capture.
+    pub fn take_captured(&mut self) -> Option<impl Iterator<Item = Delivery>> {
+        let (log, latencies) = std::mem::take(self.capture.as_mut()?);
+        Some(captured(log.bytes, latencies))
     }
 
     /// The accumulated QoS of every delivery recorded.
@@ -156,14 +153,20 @@ impl DenseReceptionLog {
     pub fn recovered_count(&self) -> u64 {
         self.qos.recovered()
     }
+}
 
-    /// The highest sequence number seen, if any sample arrived: the far
-    /// set's last, which lies beyond the bitset, or the bitset's top bit.
-    pub fn max_seq(&self) -> Option<u64> {
-        let word = self.seen.iter().rposition(|&bits| bits != 0);
-        let top = word.map(|w| w as u64 * 64 + 63 - u64::from(self.seen[w].leading_zeros()));
-        self.far.last().copied().or(top)
-    }
+/// The deliveries a capture holds: its records zipped with their latencies.
+fn captured<B: AsRef<[u8]>>(records: B, latencies: B) -> impl Iterator<Item = Delivery> {
+    let records = decode_records(records).zip(varints(latencies, 0));
+    records.map(|((seq, published_at, recovered), latency)| {
+        let delivered = published_at.as_nanos().wrapping_add(unzigzag(latency));
+        Delivery {
+            seq,
+            published_at,
+            delivered_at: SimTime::from_nanos(delivered),
+            recovered,
+        }
+    })
 }
 
 /// Bytes of a [`DeliveryLog`]'s header: four little-endian `u64`s.
@@ -216,14 +219,7 @@ impl DeliveryLog {
 
     /// Every delivery, `(seq, published_at, recovered)`, in push order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, SimTime, bool)> + '_ {
-        let mut records = self.bytes.get(LOG_HEADER..).unwrap_or_default();
-        let (mut seq, mut at) = (0u64, 0u64);
-        std::iter::from_fn(move || {
-            let key = take_varint(&mut records)?;
-            seq = seq.wrapping_add((key >> 1) as u64);
-            at = at.wrapping_add(unzigzag(take_varint(&mut records)?));
-            Some((seq, SimTime::from_nanos(at), key & 1 == 1))
-        })
+        decode_records(&self.bytes[..])
     }
 
     /// Header field `index` (0 on an empty log).
@@ -262,6 +258,28 @@ fn take_varint(bytes: &mut &[u8]) -> Option<u128> {
     Some(groups.fold(0, |value, group| (value << 7) | group))
 }
 
+/// The varints of `bytes` from offset `at` on.
+fn varints<B: AsRef<[u8]>>(bytes: B, mut at: usize) -> impl Iterator<Item = u128> {
+    std::iter::from_fn(move || {
+        let mut rest = bytes.as_ref().get(at..)?;
+        let value = take_varint(&mut rest)?;
+        at = bytes.as_ref().len() - rest.len();
+        Some(value)
+    })
+}
+
+/// The `(seq, published_at, recovered)` records of a [`DeliveryLog`]'s bytes.
+fn decode_records<B: AsRef<[u8]>>(bytes: B) -> impl Iterator<Item = (u64, SimTime, bool)> {
+    let mut varints = varints(bytes, LOG_HEADER);
+    let (mut seq, mut at) = (0u64, 0u64);
+    std::iter::from_fn(move || {
+        let key = varints.next()?;
+        seq = seq.wrapping_add((key >> 1) as u64);
+        at = at.wrapping_add(unzigzag(varints.next()?));
+        Some((seq, SimTime::from_nanos(at), key & 1 == 1))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,8 +306,12 @@ mod tests {
             let mut log = DenseReceptionLog::with_capacity(case * 4);
             log.capture();
             let (mut want, mut duplicates) = (Vec::<Delivery>::new(), 0);
+            let mut taken = Vec::new();
             let (mut seq, mut at) = (0u64, rng.next_u64());
-            for _ in 0..case * 8 {
+            for step in 0..case * 8 {
+                if step == case * 5 {
+                    taken.extend(log.take_captured().expect("captured"));
+                }
                 let draw = rng.next_u64();
                 // In order, reordered, duplicated, just past the bitset,
                 // far ahead, or an extreme.
@@ -328,13 +350,14 @@ mod tests {
                     duplicates += 1;
                 }
             }
-            let got: Vec<_> = log.deliveries().expect("captured").collect();
+            // What a take handed over, then what the log captured since.
+            let rest = log.deliveries().expect("still captures");
+            let got: Vec<_> = taken.into_iter().chain(rest).collect();
             assert_eq!(got, want, "case {case}");
             assert_eq!(log.delivered_count(), want.len() as u64);
             let recovered = want.iter().filter(|w| w.recovered).count() as u64;
             assert_eq!(log.recovered_count(), recovered);
             assert_eq!(log.duplicate_count(), duplicates);
-            assert_eq!(log.max_seq(), want.iter().map(|w| w.seq).max());
             for probe in want
                 .iter()
                 .flat_map(|w| [w.seq.wrapping_sub(1), w.seq, w.seq.wrapping_add(1)])
@@ -356,7 +379,6 @@ mod tests {
         }
         assert!(log.seen.is_empty());
         assert_eq!((log.delivered_count(), log.duplicate_count()), (3, 3));
-        assert_eq!(log.max_seq(), Some(u64::MAX));
         // A sequence kept aside moves into the bitset once it grows past it.
         assert!(log.record(d(5_000, 0, 1)));
         for seq in 0..1_000 {
@@ -381,8 +403,8 @@ mod tests {
             let delivery = d(seq, 100 * seq, 100 * seq + latency_us);
             assert_eq!(log.record(delivery), captured.record(delivery));
         }
-        assert!(log.deliveries().is_none());
-        assert_eq!((log.seen.len(), log.max_seq()), (157, Some(3)));
+        assert!(log.deliveries().is_none() && log.take_captured().is_none());
+        assert_eq!(log.seen.len(), 157);
         assert_eq!(log.qos(), captured.qos());
         let mut refolded = QosAccumulator::default();
         for d in captured.deliveries().expect("captured") {

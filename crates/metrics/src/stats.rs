@@ -2,8 +2,8 @@
 
 /// Online mean and variance accumulator (Welford's algorithm).
 ///
-/// Numerically stable for long streams; used for windowed latency and jitter
-/// and for burstiness. A run's latency goes through [`crate::QosAccumulator`].
+/// Numerically stable for long streams; used for burstiness. Latency, per
+/// run or per window, goes through [`crate::QosAccumulator`].
 ///
 /// # Examples
 ///
@@ -39,11 +39,6 @@ impl Welford {
         self.m2 += delta * delta2;
     }
 
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
     /// Arithmetic mean (zero when empty).
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -69,37 +64,6 @@ impl Welford {
     /// use the population form.
     pub fn population_stddev(&self) -> f64 {
         self.population_variance().sqrt()
-    }
-
-    /// Sample variance (Bessel-corrected; zero for fewer than two samples).
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn sample_stddev(&self) -> f64 {
-        self.sample_variance().sqrt()
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &Welford) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        self.m2 +=
-            other.m2 + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.mean += delta * other.count as f64 / total as f64;
-        self.count = total;
     }
 }
 
@@ -150,10 +114,8 @@ mod tests {
     #[test]
     fn empty_accumulator_is_zero() {
         let w = Welford::new();
-        assert_eq!(w.count(), 0);
         assert_eq!(w.mean(), 0.0);
         assert_eq!(w.population_stddev(), 0.0);
-        assert_eq!(w.sample_stddev(), 0.0);
     }
 
     #[test]
@@ -169,32 +131,8 @@ mod tests {
         let w: Welford = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]
             .into_iter()
             .collect();
-        assert_eq!(w.count(), 8);
         assert!((w.mean() - 5.0).abs() < 1e-12);
         assert!((w.population_stddev() - 2.0).abs() < 1e-12);
-        assert!((w.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_matches_sequential() {
-        let all: Welford = (0..100).map(|i| (i as f64) * 0.7 - 3.0).collect();
-        let mut a: Welford = (0..37).map(|i| (i as f64) * 0.7 - 3.0).collect();
-        let b: Welford = (37..100).map(|i| (i as f64) * 0.7 - 3.0).collect();
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.population_variance() - all.population_variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_with_empty_sides() {
-        let mut empty = Welford::new();
-        let data: Welford = [1.0, 2.0, 3.0].into_iter().collect();
-        empty.merge(&data);
-        assert_eq!(empty.mean(), 2.0);
-        let mut data2 = data;
-        data2.merge(&Welford::new());
-        assert_eq!(data2.count(), 3);
     }
 
     #[test]

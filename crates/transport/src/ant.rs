@@ -39,8 +39,8 @@ pub struct SessionSpec {
     /// End-host drop probability applied to data packets at each reader.
     pub drop_probability: f64,
     /// Whether readers keep a record of every delivery
-    /// ([`DataReader::capture_deliveries`]); a run that reads only its
-    /// [`QosReport`] leaves it off.
+    /// ([`capture`](adamant_metrics::DenseReceptionLog::capture)); a run
+    /// that reads only its [`QosReport`] leaves it off.
     pub capture: bool,
 }
 
@@ -150,7 +150,7 @@ impl SessionSpec {
     /// Mounts `reader` on the simulator, capturing its deliveries if asked.
     fn mount<R: DataReader + ProtocolCore>(&self, mut reader: R) -> Box<dyn Agent> {
         if self.capture {
-            reader.capture_deliveries();
+            reader.log_mut().capture();
         }
         Box::new(SimDriver::new(reader))
     }
@@ -327,6 +327,32 @@ pub fn reader<'a>(
     fn get<T: DataReader + 'static>(sim: &Simulation, node: NodeId) -> &dyn DataReader {
         sim.agent::<T>(node)
             .expect("node is not a receiver of this session") as &dyn DataReader
+    }
+    match handles.kind {
+        ProtocolKind::Udp => get::<UdpReceiver>(sim, node),
+        ProtocolKind::Nakcast { .. } => get::<NakcastReceiver>(sim, node),
+        ProtocolKind::Ricochet { .. } => get::<RicochetReceiver>(sim, node),
+        ProtocolKind::Ackcast { .. } => get::<AckcastReceiver>(sim, node),
+        ProtocolKind::Slingshot { .. } => get::<SlingshotReceiver>(sim, node),
+        ProtocolKind::StreamCast { .. } => get::<StreamCastReceiver>(sim, node),
+        ProtocolKind::ShmCast { .. } => get::<ShmCastReceiver>(sim, node),
+    }
+}
+
+/// Returns the mutable [`DataReader`] view of receiver `node`, as
+/// [`reader`] does.
+///
+/// # Panics
+///
+/// Panics if `node` is not a receiver of `handles`' protocol kind.
+pub fn reader_mut<'a>(
+    sim: &'a mut Simulation,
+    handles: &SessionHandles,
+    node: NodeId,
+) -> &'a mut dyn DataReader {
+    fn get<T: DataReader + 'static>(sim: &mut Simulation, node: NodeId) -> &mut dyn DataReader {
+        sim.agent_mut::<T>(node)
+            .expect("node is not a receiver of this session") as &mut dyn DataReader
     }
     match handles.kind {
         ProtocolKind::Udp => get::<UdpReceiver>(sim, node),

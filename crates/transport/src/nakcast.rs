@@ -387,8 +387,8 @@ impl DataReader for NakcastReceiver {
         &self.log
     }
 
-    fn capture_deliveries(&mut self) {
-        self.log.capture();
+    fn log_mut(&mut self) -> &mut DenseReceptionLog {
+        &mut self.log
     }
 
     fn dropped(&self) -> u64 {

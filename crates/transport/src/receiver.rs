@@ -62,9 +62,10 @@ pub trait DataReader {
     /// accumulated QoS, and a record of each only under capture.
     fn log(&self) -> &DenseReceptionLog;
 
-    /// Keeps a record of every delivery from now on
-    /// ([`DenseReceptionLog::capture`]); call it before the first.
-    fn capture_deliveries(&mut self);
+    /// The log, to turn on [capture](DenseReceptionLog::capture) before the
+    /// first delivery or to [take](DenseReceptionLog::take_captured) what
+    /// it captured so far.
+    fn log_mut(&mut self) -> &mut DenseReceptionLog;
 
     /// How many incoming data packets the end-host loss stage discarded.
     fn dropped(&self) -> u64;
@@ -88,6 +89,6 @@ pub trait DataReader {
 /// `reader`, capturing its deliveries, for tests that compare them.
 #[cfg(test)]
 pub(crate) fn capturing<R: DataReader>(mut reader: R) -> R {
-    reader.capture_deliveries();
+    reader.log_mut().capture();
     reader
 }

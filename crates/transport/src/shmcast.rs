@@ -264,8 +264,8 @@ impl DataReader for ShmCastReceiver {
         &self.log
     }
 
-    fn capture_deliveries(&mut self) {
-        self.log.capture();
+    fn log_mut(&mut self) -> &mut DenseReceptionLog {
+        &mut self.log
     }
 
     fn dropped(&self) -> u64 {

@@ -648,8 +648,8 @@ impl DataReader for StreamCastReceiver {
         &self.log
     }
 
-    fn capture_deliveries(&mut self) {
-        self.log.capture();
+    fn log_mut(&mut self) -> &mut DenseReceptionLog {
+        &mut self.log
     }
 
     fn dropped(&self) -> u64 {

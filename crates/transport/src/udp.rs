@@ -67,8 +67,8 @@ impl DataReader for UdpReceiver {
         &self.log
     }
 
-    fn capture_deliveries(&mut self) {
-        self.log.capture();
+    fn log_mut(&mut self) -> &mut DenseReceptionLog {
+        &mut self.log
     }
 
     fn dropped(&self) -> u64 {

@@ -1,104 +1,114 @@
-//! Turbulent environment: the adaptation loop under a flapping cloud.
+//! Turbulent environment: the adaptation loop under a changing cloud.
 //!
 //! The paper's lessons-learned section motivates re-using ADAMANT's fast,
 //! predictable configuration for *runtime* adaptation in turbulent
-//! environments. This example provisions a cloud whose resources change
-//! repeatedly — including a burst of flapping between fast and slow nodes
-//! — and runs the [`AdaptiveController`] with confirmation-based
-//! hysteresis so the middleware neither lags real changes nor thrashes on
-//! transients.
+//! environments. This example runs one live stream through
+//! [`AdaptivePolicy::run_stream`] while the cloud changes under it twice:
+//!
+//! - a loss blip shorter than the monitor's `consecutive_windows` windows,
+//!   which the loop must ride out without an alarm, and
+//! - a sustained loss rise, which must raise an alarm and switch transport.
 //!
 //! ```text
 //! cargo run --release --example turbulent_environment
 //! ```
 
 use adamant::prelude::*;
-use adamant::{AdaptiveController, AdaptiveTimeline, LabeledDataset, Phase};
+use adamant_experiments::chaos::build_policy;
+use adamant_metrics::WindowQos;
+use adamant_netsim::{FaultPlan, LossModel, NetworkConfig};
+
+const BLIP: (SimTime, SimTime) = (SimTime::from_millis(3_000), SimTime::from_millis(3_600));
+const SUSTAINED: SimTime = SimTime::from_secs(8);
 
 fn main() {
-    // Train the knowledge base on a compact measured slice (see the
-    // quickstart; the experiments crate builds the full 394-input set).
-    println!("training the knowledge base...");
-    let mut configs = Vec::new();
-    for machine in MachineClass::all() {
-        for bandwidth in [BandwidthClass::Gbps1, BandwidthClass::Mbps100] {
-            for loss in [2u8, 5] {
-                let env = Environment::new(machine, bandwidth, DdsImplementation::OpenSplice, loss);
-                configs.push((env, AppParams::new(3, 25)));
-            }
-        }
-    }
-    let dataset = LabeledDataset::measure(&configs, 600, 2);
-    let (selector, _) = ProtocolSelector::train_from(&dataset, &SelectorConfig::default());
-
-    // Two confirmations required before switching: transients shorter than
-    // two monitoring periods do not cause reconfiguration churn.
-    let controller = AdaptiveController::new(selector, MetricKind::ReLate2).with_confirmations(2);
-
-    let fast = Environment::new(
+    // The NAK-timeout knowledge base of the chaos scenarios: calm links
+    // (≤ 3 % loss) prefer the lazy 50 ms timeout, lossy ones the 1 ms one.
+    // The monitor alarms after two consecutive bad windows.
+    let policy = build_policy();
+    let env = Environment::new(
         MachineClass::Pc3000,
         BandwidthClass::Gbps1,
         DdsImplementation::OpenSplice,
-        5,
+        2,
     );
-    let slow = Environment::new(
-        MachineClass::Pc850,
-        BandwidthClass::Mbps100,
-        DdsImplementation::OpenSplice,
-        5,
-    );
-    let app = AppParams::new(3, 25);
-    let phase = |env| Phase {
-        env,
-        app,
-        samples: 400,
+    let calm = env.network_config();
+    let stormy = NetworkConfig {
+        loss: LossModel::Bernoulli(0.08),
+        ..calm
     };
-
-    // A turbulent lease: stable slow → one-phase blip of fast (should be
-    // ridden out) → sustained fast (should switch) → back to slow.
-    let phases = [
-        phase(slow),
-        phase(slow),
-        phase(fast), // transient blip
-        phase(slow),
-        phase(fast), // sustained change begins
-        phase(fast),
-        phase(fast),
-        phase(slow), // degradation begins
-        phase(slow),
-    ];
-
-    println!("running {} monitored phases...\n", phases.len());
-    let (outcomes, controller) = AdaptiveTimeline::new(controller, 31).run(&phases);
+    let plan = FaultPlan::new()
+        .set_network_at(BLIP.0, stormy)
+        .set_network_at(BLIP.1, calm)
+        .set_network_at(SUSTAINED, stormy);
+    let stream = StreamConfig::new(env, AppParams::new(2, 100), 1_400, 31);
+    let initial = TransportConfig::new(ProtocolKind::Nakcast {
+        timeout: SimDuration::from_millis(50),
+    });
+    println!(
+        "8 % loss on every link for {:.1} s at {:.1} s, then for good at {:.1} s\n",
+        (BLIP.1 - BLIP.0).as_secs_f64(),
+        BLIP.0.as_secs_f64(),
+        SUSTAINED.as_secs_f64(),
+    );
+    let outcome = policy.run_stream(&stream, initial, plan);
 
     println!(
-        "{:<7} {:<28} {:<14} {:<16} {:>10} {:>10}",
-        "phase", "environment", "decision", "protocol", "reliab %", "ReLate2"
+        "{:>4} {:>6} {:>6} {:>7} {:>10} {:>10}",
+        "win", "pub", "dlv", "rel", "lat(us)", "ReLate2"
     );
-    for (i, o) in outcomes.iter().enumerate() {
-        let decision = if o.decision.reconfigures() {
-            if i == 0 {
-                "configure"
-            } else {
-                "SWITCH"
-            }
-        } else {
-            "keep"
-        };
+    let in_window = |w: &WindowQos, at: SimTime| w.start <= at && at < w.start + w.length;
+    for (i, w) in outcome.windows.iter().enumerate() {
+        let mut notes = Vec::new();
+        if in_window(w, BLIP.0) {
+            notes.push("blip");
+        }
+        if in_window(w, SUSTAINED) {
+            notes.push("sustained change");
+        }
+        if outcome.switches.iter().any(|s| in_window(w, s.at)) {
+            notes.push("SWITCH");
+        }
         println!(
-            "{:<7} {:<28} {:<14} {:<16} {:>10.3} {:>10.0}",
-            i + 1,
-            o.phase.env.to_string(),
-            decision,
-            o.decision.active_protocol().label(),
-            o.report.reliability() * 100.0,
-            MetricKind::ReLate2.score(&o.report),
+            "{i:>4} {:>6} {:>6} {:>7.3} {:>10.0} {:>10.0}  {}",
+            w.published,
+            w.delivered,
+            w.reliability(),
+            w.avg_latency_us,
+            w.relate2(),
+            notes.join(", ")
         );
     }
+
     println!(
-        "\n{} observations, {} reconfigurations — the one-phase blip at phase 3 \
-         was absorbed by hysteresis;\nsustained changes were followed.",
-        controller.observations(),
-        controller.switches()
+        "\nalarms: {}   switches: {}   suppressed by backoff: {}",
+        outcome.alarms,
+        outcome.switches.len(),
+        outcome.suppressed_switches
+    );
+    for s in &outcome.switches {
+        println!(
+            "switch @ {:.2}s: {} -> {} ({:?}, probed {})",
+            s.at.as_secs_f64(),
+            s.from.label(),
+            s.to.label(),
+            s.source,
+            s.probed
+        );
+    }
+    let blip_ridden_out = outcome.switches.iter().all(|s| s.at > SUSTAINED);
+    let change_followed = outcome.switches.iter().any(|s| s.at > SUSTAINED);
+    println!(
+        "the blip was {}; the sustained change was {}.",
+        if blip_ridden_out {
+            "ridden out"
+        } else {
+            "NOT ridden out"
+        },
+        if change_followed {
+            "followed"
+        } else {
+            "NOT followed"
+        }
     );
 }

@@ -7,6 +7,9 @@
 //! - mean latency and jitter agree within 1e-12 relative, or 1e-9 µs
 //!   absolute near zero.
 //!
+//! The self-healing stream's windows are checked the same way against the
+//! trace's deliveries of each window's samples, up to its measure point.
+//!
 //! Each cell runs twice: as `Scenario::run_counted` runs it, whose readers
 //! do not capture, and rebuilt here with a DDS participant whose readers do.
 //! Capturing the deliveries must change neither the report nor the number
@@ -67,6 +70,13 @@ fn run_captured(scenario: &Scenario, transport: TransportConfig) -> (Simulation,
     (sim, handles)
 }
 
+/// Whether `got` is `want` within 1e-12 relative, or 1e-9 absolute near
+/// zero.
+fn close(got: f64, want: f64) -> bool {
+    let diff = (got - want).abs();
+    diff <= 1e-12 * got.abs().max(want.abs()) || diff <= 1e-9
+}
+
 /// What the report must say, folded delivery by delivery.
 #[derive(Default)]
 struct PerDelivery {
@@ -86,10 +96,6 @@ impl PerDelivery {
     }
 
     fn assert_matches(&self, report: &QosReport, ctx: &str) {
-        let close = |got: f64, want: f64| {
-            let diff = (got - want).abs();
-            diff <= 1e-12 * got.abs().max(want.abs()) || diff <= 1e-9
-        };
         assert_eq!(report.delivered, self.delivered, "{ctx}: delivered");
         assert_eq!(report.recovered, self.recovered, "{ctx}: recovered");
         assert_eq!(report.latency_histogram, self.histogram, "{ctx}: histogram");
@@ -165,23 +171,68 @@ fn a_self_healing_stream_reports_what_its_trace_delivered() {
         "the stream must switch protocol"
     );
 
-    let mut want = PerDelivery::default();
-    for event in &outcome.trace {
-        if let ObsEvent::SampleAccepted {
-            seq,
-            published_ns,
-            delivered_ns,
-            recovered,
-            ..
-        } = event.event
-        {
-            want.push(&Delivery {
+    let accepted: Vec<Delivery> = outcome
+        .trace
+        .iter()
+        .filter_map(|event| match event.event {
+            ObsEvent::SampleAccepted {
+                seq,
+                published_ns,
+                delivered_ns,
+                recovered,
+                ..
+            } => Some(Delivery {
                 seq,
                 published_at: SimTime::from_nanos(published_ns),
                 delivered_at: SimTime::from_nanos(delivered_ns),
                 recovered,
-            });
+            }),
+            _ => None,
+        })
+        .collect();
+    let mut want = PerDelivery::default();
+    accepted.iter().for_each(|d| want.push(d));
+    want.assert_matches(&outcome.report, "run_stream");
+
+    // Window by window: a window holds the samples published in it and
+    // delivered by its measure point, 1 ns before it ends — that is, in
+    // the same window.
+    let window_ns = SimDuration::from_secs(1).as_nanos();
+    let mut windows: Vec<PerDelivery> =
+        outcome.windows.iter().map(|_| Default::default()).collect();
+    let (mut recovered_in_window, mut read_too_late) = (0, 0);
+    for d in &accepted {
+        let window = d.published_at.as_nanos() / window_ns;
+        if d.delivered_at.as_nanos() / window_ns == window {
+            windows[window as usize].push(d);
+            recovered_in_window += u64::from(d.recovered);
+        } else {
+            read_too_late += 1;
         }
     }
-    want.assert_matches(&outcome.report, "run_stream");
+    // Recoveries count toward their publication window, and a delivery
+    // after its window was read counts toward none.
+    assert!(recovered_in_window > 0 && read_too_late > 0);
+    for (i, (got, want)) in outcome.windows.iter().zip(&windows).enumerate() {
+        let (mean, jitter) = (want.latency.mean(), want.latency.population_stddev());
+        assert_eq!(got.delivered, want.delivered, "window {i}: delivered");
+        assert!(
+            close(got.avg_latency_us, mean),
+            "window {i}: mean {got:?} vs {mean}"
+        );
+        assert!(
+            close(got.jitter_us, jitter),
+            "window {i}: jitter {got:?} vs {jitter}"
+        );
+    }
+    // The grace windows publish nothing and read reliability 0.
+    let grace: Vec<_> = outcome
+        .windows
+        .iter()
+        .filter(|w| w.published == 0)
+        .collect();
+    assert!(!grace.is_empty());
+    assert!(grace
+        .iter()
+        .all(|w| w.delivered == 0 && w.reliability() == 0.0));
 }

@@ -1,8 +1,8 @@
 //! Integration of the runtime-adaptation loop with the DDS status model.
 
 use adamant::{
-    AdaptiveController, AdaptiveTimeline, AppParams, BandwidthClass, Environment, LabeledDataset,
-    Phase, ProtocolSelector, SelectorConfig,
+    AdaptivePolicy, AppParams, BandwidthClass, Environment, LabeledDataset, ProtocolSelector,
+    Scenario, SelectorConfig,
 };
 use adamant_dds::{DdsImplementation, DomainParticipant, QosProfile, ReaderStatuses};
 use adamant_metrics::MetricKind;
@@ -31,7 +31,7 @@ fn colocated() -> Environment {
     Environment::colocated(MachineClass::Pc3000, DdsImplementation::OpenSplice)
 }
 
-fn trained_controller() -> AdaptiveController {
+fn trained_policy() -> AdaptivePolicy {
     let configs = vec![
         (fast(), AppParams::new(3, 25)),
         (slow(), AppParams::new(3, 25)),
@@ -50,40 +50,37 @@ fn trained_controller() -> AdaptiveController {
     // heartbeat phase, so 2-rep labels would be phase-lottery noise.
     let dataset = LabeledDataset::measure(&configs, 500, 4);
     let (selector, _) = ProtocolSelector::train_from(&dataset, &SelectorConfig::default());
-    AdaptiveController::new(selector, MetricKind::ReLate2)
+    // A zero confidence floor: the ANN answers every query.
+    AdaptivePolicy::new(MetricKind::ReLate2).with_ann(selector, 0.0)
 }
 
 #[test]
 fn adaptation_follows_the_measured_winners() {
-    let controller = trained_controller();
-    let phases = [
-        Phase {
-            env: fast(),
-            app: AppParams::new(3, 25),
-            samples: 400,
-        },
-        Phase {
-            env: colocated(),
-            app: AppParams::new(3, 25),
-            samples: 400,
-        },
-    ];
-    let (outcomes, controller) = AdaptiveTimeline::new(controller, 3).run(&phases);
+    let policy = trained_policy();
+    let app = AppParams::new(3, 25);
+    // Each environment is selected for, then run under its choice for 400
+    // samples, on seeds 3 and 4.
+    let phases: Vec<_> = [fast(), colocated()]
+        .into_iter()
+        .zip(3..)
+        .map(|(env, seed)| {
+            let protocol = policy.select(&env, &app).protocol;
+            let report = Scenario::paper(env, app, seed)
+                .with_samples(400)
+                .run(TransportConfig::new(protocol));
+            (protocol, report)
+        })
+        .collect();
     // On the lossy LAN the sender-driven stream recovers losses faster
     // than NAK- or lateral-error-correction multicast; once the operator
     // consolidates the group onto one host, the shared-memory ring wins
     // outright — and it was never even a candidate before the move.
-    assert!(matches!(
-        outcomes[0].decision.active_protocol(),
-        ProtocolKind::StreamCast { .. }
-    ));
-    assert!(matches!(
-        outcomes[1].decision.active_protocol(),
-        ProtocolKind::ShmCast { .. }
-    ));
-    assert_eq!(controller.switches(), 1);
-    for o in &outcomes {
-        assert!(o.report.reliability() > 0.97);
+    assert!(matches!(phases[0].0, ProtocolKind::StreamCast { .. }));
+    assert!(matches!(phases[1].0, ProtocolKind::ShmCast { .. }));
+    // One switch: the second phase runs a different protocol.
+    assert_ne!(phases[0].0, phases[1].0);
+    for (_, report) in &phases {
+        assert!(report.reliability() > 0.97);
     }
 }
 

@@ -39,7 +39,7 @@ fn receiver_core(sender: NodeId) -> NakcastReceiver {
         Tuning::default(),
         DROP_P,
     );
-    core.capture_deliveries();
+    core.log_mut().capture();
     core
 }
 
@@ -270,7 +270,7 @@ fn stream_sender_core(group: adamant_proto::GroupId) -> StreamCastSender {
 fn stream_receiver_core(sender: NodeId) -> StreamCastReceiver {
     let mut core =
         StreamCastReceiver::new(sender, SAMPLES, STREAM_WINDOW, Tuning::default(), DROP_P);
-    core.capture_deliveries();
+    core.log_mut().capture();
     core
 }
 
@@ -410,7 +410,7 @@ fn shmcast_runs_over_the_mux_runtime_on_one_host() {
     let rx_ids: Vec<_> = (1..=RECEIVERS as u32)
         .map(|n| {
             let mut core = ShmCastReceiver::new(NodeId(0), SAMPLES, QUEUE, Tuning::default());
-            core.capture_deliveries();
+            core.log_mut().capture();
             cluster
                 .add_endpoint(NodeId(n), core)
                 .expect("add shm receiver")
