@@ -37,7 +37,7 @@ pub enum SelectorSource {
 
 impl SelectorSource {
     /// Stable integer encoding used by the `HealDecision` and
-    /// `HealSwitch` trace events of [`adamant_netsim::ObsEvent`].
+    /// `HealSwitch` trace events of [`adamant_proto::ObsEvent`].
     pub fn code(self) -> u8 {
         match self {
             SelectorSource::Ann => 0,

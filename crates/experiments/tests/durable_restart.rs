@@ -6,8 +6,8 @@
 //! ([`MuxCluster::restart_endpoint`]), so the checkpoint-lag window must come
 //! back through durable catch-up over the real wire.
 //!
-//! The endpoint reports are then lifted into a synthesized observability
-//! trace — crash at the checkpoint instant (the last state the durable
+//! The endpoint reports' events are then timestamped into a synthesized
+//! observability trace — crash at the checkpoint instant (the last state the durable
 //! application can attest), restart at the swap instant — and replayed
 //! through the same invariant checker the simulator path uses, proving
 //! no-gap-after-catch-up, cross-incarnation at-most-once, and the
@@ -16,9 +16,9 @@
 use std::time::Duration;
 
 use adamant_metrics::{verify_trace, VerifySpec};
-use adamant_netsim::{ObsEvent, SimTime, TracedEvent};
 use adamant_proto::{
-    catch_up_bound, Clock, DurableConfig, DurableCore, GroupId, NodeId, ProtoEvent, Span,
+    catch_up_bound, Clock, DurableConfig, DurableCore, GroupId, NodeId, ObsEvent, Span, TimePoint,
+    TracedEvent,
 };
 use adamant_rt::{MonotonicClock, MuxCluster, MuxConfig};
 use adamant_transport::{AppSpec, NakcastReceiver, NakcastSender, StackProfile, Tuning};
@@ -36,33 +36,19 @@ fn reader(tuning: Tuning, config: DurableConfig) -> DurableCore<NakcastReceiver>
     )
 }
 
-/// Lifts a core-local trace event from an endpoint report into the
-/// observability shape the invariant checker consumes. Only the events the
-/// checker examines are lifted; `at` stamps events that carry no time of
-/// their own.
-fn lift(node: NodeId, event: &ProtoEvent, at: SimTime) -> Option<TracedEvent> {
-    match *event {
-        ProtoEvent::SampleAccepted {
-            seq,
-            published_ns,
-            delivered_ns,
-            recovered,
-        } => Some(TracedEvent {
-            time: SimTime::from_nanos(delivered_ns),
-            event: ObsEvent::SampleAccepted {
-                node,
-                seq,
-                published_ns,
-                delivered_ns,
-                recovered,
-            },
-        }),
-        ProtoEvent::CatchUpCompleted { recovered } => Some(TracedEvent {
-            time: at,
-            event: ObsEvent::CatchUpCompleted { node, recovered },
-        }),
-        _ => None,
-    }
+/// Timestamps an endpoint report's event for the invariant checker: a
+/// sample at its delivery, anything else at `at`. Only the events the
+/// checker examines are kept.
+fn lift(event: &ObsEvent, at: TimePoint) -> Option<TracedEvent> {
+    let time = match *event {
+        ObsEvent::SampleAccepted { delivered_ns, .. } => TimePoint::from_nanos(delivered_ns),
+        ObsEvent::CatchUpCompleted { .. } => at,
+        _ => return None,
+    };
+    Some(TracedEvent {
+        time,
+        event: *event,
+    })
 }
 
 #[test]
@@ -161,17 +147,17 @@ fn cluster_endpoint_restart_recovers_durably_over_real_udp() {
     // report, the victim's attested prefix, the crash/restart transition,
     // and the new incarnation's events.
     let mut trace: Vec<TracedEvent> = Vec::new();
-    for (id, node, report) in cluster.reports() {
+    for (id, _, report) in cluster.reports() {
         if id == victim || id == writer_id {
             continue;
         }
-        trace.extend(report.events.iter().filter_map(|e| lift(node, e, crash_at)));
+        trace.extend(report.events.iter().filter_map(|e| lift(e, crash_at)));
     }
     let victim_report = cluster.report(victim).expect("victim report");
     trace.extend(
         victim_report.events[..split]
             .iter()
-            .filter_map(|e| lift(victim_node, e, crash_at)),
+            .filter_map(|e| lift(e, crash_at)),
     );
     trace.push(TracedEvent {
         time: crash_at,
@@ -194,10 +180,10 @@ fn cluster_endpoint_restart_recovers_durably_over_real_udp() {
                 // Deliveries of the doomed incarnation's post-checkpoint
                 // window died unattested with the process; drop them so the
                 // trace reflects what the durable application observed.
-                !matches!(e, ProtoEvent::SampleAccepted { delivered_ns, .. }
+                !matches!(e, ObsEvent::SampleAccepted { delivered_ns, .. }
                     if *delivered_ns < restart_at.as_nanos())
             })
-            .filter_map(|e| lift(victim_node, e, caught_up_at)),
+            .filter_map(|e| lift(e, caught_up_at)),
     );
     trace.sort_by_key(|te| te.time);
 

@@ -13,8 +13,7 @@ use std::collections::HashSet;
 
 use adamant_json::{Json, ToJson};
 use adamant_metrics::{verify_trace, verify_trace_prefix, VerifyReport, Violation};
-use adamant_netsim::TracedEvent;
-use adamant_proto::DetRng;
+use adamant_proto::{DetRng, TracedEvent};
 
 use crate::scenario::{McConfig, Scenario};
 use crate::world::{Action, World};

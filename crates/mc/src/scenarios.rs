@@ -4,7 +4,7 @@
 
 use adamant_metrics::VerifySpec;
 use adamant_proto::{
-    catch_up_bound, DurableConfig, DurableCore, Env, GroupId, Input, NodeId, ProtoEvent,
+    catch_up_bound, DurableConfig, DurableCore, Env, GroupId, Input, NodeId, ObsEvent,
     ProtocolCore, Span, TimePoint, WireMsg,
 };
 use adamant_transport::{
@@ -211,7 +211,8 @@ impl ProtocolCore for BrokenDedupReader {
             let (seq, recovered) = (d.seq, d.retransmission);
             let published_ns = d.published_at.as_nanos();
             let delivered_ns = env.now().as_nanos();
-            env.emit(|| ProtoEvent::SampleAccepted {
+            env.emit(|node| ObsEvent::SampleAccepted {
+                node,
                 seq,
                 published_ns,
                 delivered_ns,

@@ -14,10 +14,9 @@
 use std::any::Any;
 use std::fmt;
 
-use adamant_netsim::{lift_proto_event, DropReason, ObsEvent, SimTime, TracedEvent};
 use adamant_proto::{
-    Destination, DetRng, Effect, Env, Fnv64, GroupId, Input, NodeId, ProtocolCore, StateHash,
-    TimePoint, TimerToken, WireMsg,
+    Destination, DetRng, DropReason, Effect, Env, Fnv64, GroupId, Input, NodeId, ObsEvent,
+    ProtocolCore, StateHash, TimePoint, TimerToken, TracedEvent, WireMsg,
 };
 
 use crate::scenario::{FaultKind, McConfig, Scenario};
@@ -215,7 +214,7 @@ impl World {
 
     fn push_trace(&mut self, event: ObsEvent) {
         self.trace.push(TracedEvent {
-            time: SimTime::from_nanos(self.now.as_nanos()),
+            time: self.now,
             event,
         });
     }
@@ -263,10 +262,7 @@ impl World {
                 // Delivery bookkeeping is core-internal; the paired
                 // SampleAccepted trace event carries it into the checker.
                 Effect::Deliver { .. } => {}
-                Effect::Trace(event) => {
-                    let node = self.nodes[index].node;
-                    self.push_trace(lift_proto_event(event, node));
-                }
+                Effect::Trace(event) => self.push_trace(event),
             }
         }
         self.scratch = effects;

@@ -63,11 +63,11 @@ impl MetricKind {
     /// // 1000 µs average latency with 0% loss → ReLate2 = 1000.
     /// let mut b = QosReport::builder(1, 1);
     /// # use adamant_metrics::Delivery;
-    /// # use adamant_netsim::SimTime;
+    /// # use adamant_proto::TimePoint;
     /// b.add_receiver(&[Delivery {
     ///     seq: 0,
-    ///     published_at: SimTime::ZERO,
-    ///     delivered_at: SimTime::from_micros(1000),
+    ///     published_at: TimePoint::ZERO,
+    ///     delivered_at: TimePoint::from_micros(1000),
     ///     recovered: false,
     /// }], 0);
     /// let report = b.finish();
@@ -101,7 +101,7 @@ impl fmt::Display for MetricKind {
 mod tests {
     use super::*;
     use crate::record::Delivery;
-    use adamant_netsim::SimTime;
+    use adamant_proto::TimePoint;
 
     /// Builds a report with `sent` samples to one receiver, `delivered` of
     /// them arriving with the given per-sample latency.
@@ -110,8 +110,8 @@ mod tests {
         let deliveries: Vec<Delivery> = (0..delivered)
             .map(|seq| Delivery {
                 seq,
-                published_at: SimTime::ZERO,
-                delivered_at: SimTime::from_micros(latency_us),
+                published_at: TimePoint::ZERO,
+                delivered_at: TimePoint::from_micros(latency_us),
                 recovered: false,
             })
             .collect();
@@ -148,14 +148,14 @@ mod tests {
             [
                 Delivery {
                     seq: 0,
-                    published_at: SimTime::ZERO,
-                    delivered_at: SimTime::from_micros(100),
+                    published_at: TimePoint::ZERO,
+                    delivered_at: TimePoint::from_micros(100),
                     recovered: false,
                 },
                 Delivery {
                     seq: 1,
-                    published_at: SimTime::ZERO,
-                    delivered_at: SimTime::from_micros(300),
+                    published_at: TimePoint::ZERO,
+                    delivered_at: TimePoint::from_micros(300),
                     recovered: false,
                 },
             ],
@@ -171,8 +171,8 @@ mod tests {
         b.add_receiver(
             [Delivery {
                 seq: 0,
-                published_at: SimTime::ZERO,
-                delivered_at: SimTime::from_micros(1000),
+                published_at: TimePoint::ZERO,
+                delivered_at: TimePoint::from_micros(1000),
                 recovered: false,
             }],
             0,

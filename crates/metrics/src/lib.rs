@@ -15,8 +15,9 @@
 //! * **Composite metrics** — [`MetricKind`]: the ReLate2 family, which
 //!   collapses a report into one comparable score (lower is better).
 //!
-//! On top of those, the crate consumes structured observability traces from
-//! `adamant-netsim`: [`MetricsRegistry`] / [`registry_from_trace`] fold a
+//! On top of those, the crate consumes the structured observability traces
+//! of `adamant-proto`'s [`ObsEvent`](adamant_proto::ObsEvent) taxonomy,
+//! whichever driver recorded them: [`MetricsRegistry`] / [`registry_from_trace`] fold a
 //! trace into counters, gauges, and latency histograms keyed by
 //! `protocol × node` (rendered to JSON run reports), and [`verify_trace`]
 //! replays a trace against runtime invariants — crash-epoch delivery
@@ -27,14 +28,14 @@
 //!
 //! ```
 //! use adamant_metrics::{Delivery, MetricKind, QosReport};
-//! use adamant_netsim::SimTime;
+//! use adamant_proto::TimePoint;
 //!
 //! let mut builder = QosReport::builder(2, 1);
 //! builder.add_receiver(
 //!     &[Delivery {
 //!         seq: 0,
-//!         published_at: SimTime::ZERO,
-//!         delivered_at: SimTime::from_micros(800),
+//!         published_at: TimePoint::ZERO,
+//!         delivered_at: TimePoint::from_micros(800),
 //!         recovered: false,
 //!     }],
 //!     0,
@@ -66,9 +67,3 @@ pub use verify::{
     verify_trace, verify_trace_prefix, InvariantKind, VerifyReport, VerifySpec, Violation,
 };
 pub use windowed::WindowQos;
-
-// The sim-time types appear throughout this crate's public API
-// (`Delivery`, `WindowQos`); re-exporting them lets wall-clock drivers
-// (`adamant-rt`) build windowed observations without a direct simulator
-// dependency.
-pub use adamant_netsim::{SimDuration, SimTime};

@@ -5,7 +5,7 @@
 
 use std::collections::BTreeSet;
 
-use adamant_netsim::{SimDuration, SimTime};
+use adamant_proto::{Span, TimePoint};
 
 use crate::report::QosAccumulator;
 
@@ -15,9 +15,9 @@ pub struct Delivery {
     /// The publisher-assigned sample sequence number.
     pub seq: u64,
     /// When the publisher handed the sample to the middleware.
-    pub published_at: SimTime,
+    pub published_at: TimePoint,
     /// When the receiver's application saw the sample.
-    pub delivered_at: SimTime,
+    pub delivered_at: TimePoint,
     /// Whether the sample was recovered by the transport's error-correction
     /// machinery (NAK retransmission, lateral repair) rather than arriving
     /// on the first attempt.
@@ -26,7 +26,7 @@ pub struct Delivery {
 
 impl Delivery {
     /// End-to-end latency of this delivery.
-    pub fn latency(&self) -> SimDuration {
+    pub fn latency(&self) -> Span {
         self.delivered_at.saturating_since(self.published_at)
     }
 }
@@ -163,7 +163,7 @@ fn captured<B: AsRef<[u8]>>(records: B, latencies: B) -> impl Iterator<Item = De
         Delivery {
             seq,
             published_at,
-            delivered_at: SimTime::from_nanos(delivered),
+            delivered_at: TimePoint::from_nanos(delivered),
             recovered,
         }
     })
@@ -179,7 +179,7 @@ const LOG_HEADER: usize = 32;
 /// recovered flag in the low bit (a `u128`, so any `u64` delta
 /// round-trips), and the zigzag-encoded `published_at` delta. A paced
 /// delivery (`seq` + 1, 10 ms later) costs ≈ 5 B against 24 for a `(u64,
-/// SimTime, bool)`; an empty log allocates nothing.
+/// TimePoint, bool)`; an empty log allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct DeliveryLog {
     bytes: Vec<u8>,
@@ -188,7 +188,7 @@ pub struct DeliveryLog {
 impl DeliveryLog {
     /// Appends one delivery.
     #[inline]
-    pub fn push(&mut self, seq: u64, published_at: SimTime, recovered: bool) {
+    pub fn push(&mut self, seq: u64, published_at: TimePoint, recovered: bool) {
         let at = published_at.as_nanos();
         let key = (u128::from(seq.wrapping_sub(self.field(2))) << 1) | u128::from(recovered);
         let at_delta = zigzag(at.wrapping_sub(self.field(3)));
@@ -218,7 +218,7 @@ impl DeliveryLog {
     }
 
     /// Every delivery, `(seq, published_at, recovered)`, in push order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, SimTime, bool)> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (u64, TimePoint, bool)> + '_ {
         decode_records(&self.bytes[..])
     }
 
@@ -269,39 +269,39 @@ fn varints<B: AsRef<[u8]>>(bytes: B, mut at: usize) -> impl Iterator<Item = u128
 }
 
 /// The `(seq, published_at, recovered)` records of a [`DeliveryLog`]'s bytes.
-fn decode_records<B: AsRef<[u8]>>(bytes: B) -> impl Iterator<Item = (u64, SimTime, bool)> {
+fn decode_records<B: AsRef<[u8]>>(bytes: B) -> impl Iterator<Item = (u64, TimePoint, bool)> {
     let mut varints = varints(bytes, LOG_HEADER);
     let (mut seq, mut at) = (0u64, 0u64);
     std::iter::from_fn(move || {
         let key = varints.next()?;
         seq = seq.wrapping_add((key >> 1) as u64);
         at = at.wrapping_add(unzigzag(varints.next()?));
-        Some((seq, SimTime::from_nanos(at), key & 1 == 1))
+        Some((seq, TimePoint::from_nanos(at), key & 1 == 1))
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adamant_netsim::SimRng;
+    use adamant_proto::DetRng;
 
     fn d(seq: u64, sent_us: u64, recv_us: u64) -> Delivery {
         Delivery {
             seq,
-            published_at: SimTime::from_micros(sent_us),
-            delivered_at: SimTime::from_micros(recv_us),
+            published_at: TimePoint::from_micros(sent_us),
+            delivered_at: TimePoint::from_micros(recv_us),
             recovered: false,
         }
     }
 
     #[test]
     fn latency_is_delivery_minus_publish() {
-        assert_eq!(d(0, 100, 350).latency(), SimDuration::from_micros(250));
+        assert_eq!(d(0, 100, 350).latency(), Span::from_micros(250));
     }
 
     #[test]
     fn the_reception_log_returns_exactly_the_accepted_deliveries() {
-        let mut rng = SimRng::seed_from_u64(30);
+        let mut rng = DetRng::seed_from_u64(30);
         for case in 0..64u64 {
             let mut log = DenseReceptionLog::with_capacity(case * 4);
             log.capture();
@@ -338,8 +338,8 @@ mod tests {
                 };
                 let delivery = Delivery {
                     seq,
-                    published_at: SimTime::from_nanos(at),
-                    delivered_at: SimTime::from_nanos(delivered),
+                    published_at: TimePoint::from_nanos(at),
+                    delivered_at: TimePoint::from_nanos(delivered),
                     recovered: draw >> 63 == 1,
                 };
                 let fresh = want.iter().all(|w| w.seq != seq);
@@ -428,14 +428,14 @@ mod tests {
         let count = 10_000;
         let mut log = DenseReceptionLog::with_capacity(count);
         log.capture();
-        let mut rng = SimRng::seed_from_u64(30);
+        let mut rng = DetRng::seed_from_u64(30);
         for seq in 0..count {
             let published = 3_000_000 + seq * 1_010_000;
             let latency = rng.range_inclusive(20_000, 3_000_000);
             log.record(Delivery {
                 seq,
-                published_at: SimTime::from_nanos(published),
-                delivered_at: SimTime::from_nanos(published + latency),
+                published_at: TimePoint::from_nanos(published),
+                delivered_at: TimePoint::from_nanos(published + latency),
                 recovered: seq % 20 == 0,
             });
         }
@@ -446,7 +446,7 @@ mod tests {
 
     #[test]
     fn the_delivery_log_returns_exactly_what_was_pushed() {
-        let mut rng = SimRng::seed_from_u64(29);
+        let mut rng = DetRng::seed_from_u64(29);
         for case in 0..64 {
             let mut log = DeliveryLog::default();
             let mut want = Vec::new();
@@ -468,7 +468,7 @@ mod tests {
                     2 => [0, u64::MAX][(draw >> 9) as usize & 1],
                     _ => rng.next_u64(),
                 };
-                let entry = (seq, SimTime::from_nanos(at), draw >> 63 == 1);
+                let entry = (seq, TimePoint::from_nanos(at), draw >> 63 == 1);
                 log.push(entry.0, entry.1, entry.2);
                 want.push(entry);
             }
@@ -485,7 +485,7 @@ mod tests {
     fn paced(count: u64, period: u64) -> DeliveryLog {
         let mut log = DeliveryLog::default();
         for seq in 0..count {
-            log.push(seq, SimTime::from_nanos(1_000_000 + seq * period), false);
+            log.push(seq, TimePoint::from_nanos(1_000_000 + seq * period), false);
         }
         log
     }

@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 
 use adamant_json::{Json, ToJson};
-use adamant_netsim::{DropReason, NodeId, ObsEvent, TracedEvent};
+use adamant_proto::{DropReason, NodeId, ObsEvent, TracedEvent};
 
 use crate::histogram::LatencyHistogram;
 
@@ -249,11 +249,11 @@ pub fn registry_from_trace(protocol: &str, events: &[TracedEvent]) -> MetricsReg
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adamant_netsim::SimTime;
+    use adamant_proto::TimePoint;
 
     fn ev(time_us: u64, event: ObsEvent) -> TracedEvent {
         TracedEvent {
-            time: SimTime::from_micros(time_us),
+            time: TimePoint::from_micros(time_us),
             event,
         }
     }

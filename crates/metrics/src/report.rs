@@ -5,7 +5,7 @@
 
 use std::borrow::Borrow;
 
-use adamant_netsim::SimDuration;
+use adamant_proto::Span;
 
 use crate::histogram::LatencyHistogram;
 use crate::record::Delivery;
@@ -38,7 +38,7 @@ impl std::fmt::Debug for QosAccumulator {
 impl QosAccumulator {
     /// Folds in one delivery that took `latency`.
     #[inline]
-    pub fn record(&mut self, latency: SimDuration, recovered: bool) {
+    pub fn record(&mut self, latency: Span, recovered: bool) {
         let ns = u128::from(latency.as_nanos());
         self.delivered += 1;
         self.recovered += u64::from(recovered);
@@ -158,9 +158,9 @@ impl QosReport {
         (1.0 - self.reliability()) * 100.0
     }
 
-    /// Mean latency as a [`SimDuration`].
-    pub fn avg_latency(&self) -> SimDuration {
-        SimDuration::from_micros_f64(self.avg_latency_us)
+    /// Mean latency as a [`Span`].
+    pub fn avg_latency(&self) -> Span {
+        Span::from_micros_f64(self.avg_latency_us)
     }
 
     /// Estimated latency percentile in microseconds (`None` when nothing
@@ -208,8 +208,7 @@ impl QosReportBuilder {
         self
     }
 
-    /// Sets wire-level totals (from
-    /// [`WireStats`](adamant_netsim::WireStats)).
+    /// Sets wire-level totals (from the simulator's `WireStats`).
     pub fn wire(&mut self, bytes_per_second: &[u64], wire_bytes: u64) -> &mut Self {
         self.bytes_per_second = bytes_per_second.to_vec();
         self.wire_bytes = wire_bytes;
@@ -245,7 +244,7 @@ impl QosReportBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adamant_netsim::{SimRng, SimTime};
+    use adamant_proto::{DetRng, TimePoint};
 
     /// Merging accumulators in any grouping and order gives, field for
     /// field as integers, the accumulator that recorded every delivery in
@@ -254,7 +253,7 @@ mod tests {
     /// saturates.
     #[test]
     fn merge_in_any_grouping_and_order_equals_sequential_record() {
-        let mut rng = SimRng::seed_from_u64(33);
+        let mut rng = DetRng::seed_from_u64(33);
         for case in 0..200u64 {
             let count = rng.next_below(48);
             let deliveries: Vec<Delivery> = (0..count)
@@ -271,8 +270,8 @@ mod tests {
                     let published = if draw % 5 == 1 { 0 } else { published };
                     Delivery {
                         seq,
-                        published_at: SimTime::from_nanos(published),
-                        delivered_at: SimTime::from_nanos(delivered),
+                        published_at: TimePoint::from_nanos(published),
+                        delivered_at: TimePoint::from_nanos(delivered),
                         recovered: draw >> 63 == 1,
                     }
                 })
@@ -307,7 +306,7 @@ mod tests {
     fn saturated_sums_clamp_instead_of_wrapping() {
         let mut q = QosAccumulator::default();
         for _ in 0..3 {
-            q.record(SimDuration::from_nanos(u64::MAX), false);
+            q.record(Span::from_nanos(u64::MAX), false);
         }
         assert_eq!(q.latency_ns, 3 * u128::from(u64::MAX));
         assert_eq!(q.latency_ns_sq, u128::MAX);
@@ -324,7 +323,7 @@ mod tests {
         // Σx²/n − mean² gets wrong in f64. The spread is the offsets'.
         let offsets: Vec<u64> = (0..1_000).map(|i| i % 7).collect();
         for &ns in &offsets {
-            q.record(SimDuration::from_nanos(3_600_000_000_000 + ns), false);
+            q.record(Span::from_nanos(3_600_000_000_000 + ns), false);
         }
         let mean = offsets.iter().sum::<u64>() as f64 / 1_000.0;
         let var = offsets
@@ -340,8 +339,8 @@ mod tests {
     fn d(seq: u64, sent_us: u64, recv_us: u64, recovered: bool) -> Delivery {
         Delivery {
             seq,
-            published_at: SimTime::from_micros(sent_us),
-            delivered_at: SimTime::from_micros(recv_us),
+            published_at: TimePoint::from_micros(sent_us),
+            delivered_at: TimePoint::from_micros(recv_us),
             recovered,
         }
     }
@@ -367,7 +366,7 @@ mod tests {
         assert_eq!(r.jitter_us, 100.0);
         assert_eq!(r.recovered, 1);
         assert_eq!(r.duplicates, 1);
-        assert_eq!(r.avg_latency(), SimDuration::from_micros(200));
+        assert_eq!(r.avg_latency(), Span::from_micros(200));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! invariants the protocols and engine are supposed to uphold.
 //!
 //! The checker is deliberately independent of the engine — it sees only the
-//! flat event stream a [`TraceSink`](adamant_netsim::TraceSink) captured,
-//! so a bug that corrupts both the engine state *and* its own report still
+//! flat event stream a [`MemorySink`](adamant_proto::MemorySink) captured
+//! (or a runtime endpoint reported), so a bug that corrupts both the engine state *and* its own report still
 //! trips here unless it also forges a self-consistent trace.
 //!
 //! Invariants checked:
@@ -29,7 +29,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use adamant_json::{Json, ToJson};
-use adamant_netsim::{ObsEvent, SimDuration, TracedEvent};
+use adamant_proto::{ObsEvent, Span, TracedEvent};
 
 use crate::composite::MetricKind;
 use crate::report::{QosAccumulator, QosReport};
@@ -111,7 +111,7 @@ pub struct VerifySpec {
     /// The engine's reported ReLate2, when checking consistency.
     pub reported_relate2: Option<f64>,
     /// Upper bound on recovered-delivery latency, when checking recovery.
-    pub recovery_bound: Option<SimDuration>,
+    pub recovery_bound: Option<Span>,
     /// Absolute tolerance for the ReLate2 comparison.
     pub tolerance: f64,
     /// Nodes holding durable (TransientLocal) readers: their acceptances
@@ -120,7 +120,7 @@ pub struct VerifySpec {
     pub durable_nodes: BTreeSet<usize>,
     /// Upper bound on restart-to-catch-up-completion latency for durable
     /// nodes (derive it from `adamant_proto::catch_up_bound`).
-    pub catch_up_bound: Option<SimDuration>,
+    pub catch_up_bound: Option<Span>,
 }
 
 impl VerifySpec {
@@ -146,7 +146,7 @@ impl VerifySpec {
     }
 
     /// Also bound restart-to-catch-up-completion latency by `bound`.
-    pub fn with_catch_up_bound(mut self, bound: SimDuration) -> Self {
+    pub fn with_catch_up_bound(mut self, bound: Span) -> Self {
         self.catch_up_bound = Some(bound);
         self
     }
@@ -158,7 +158,7 @@ impl VerifySpec {
     }
 
     /// Also bound recovered-delivery latency by `bound`.
-    pub fn with_recovery_bound(mut self, bound: SimDuration) -> Self {
+    pub fn with_recovery_bound(mut self, bound: Span) -> Self {
         self.recovery_bound = Some(bound);
         self
     }
@@ -329,7 +329,7 @@ fn verify_inner(events: &[TracedEvent], spec: &VerifySpec, end_of_trace: bool) -
                     }
                 }
                 let latency_ns = delivered_ns.saturating_sub(published_ns);
-                qos.record(SimDuration::from_nanos(latency_ns), recovered);
+                qos.record(Span::from_nanos(latency_ns), recovered);
                 if let Some(bound) = spec.recovery_bound.filter(|_| recovered) {
                     if latency_ns > bound.as_nanos() {
                         violations.push(Violation {
@@ -406,11 +406,11 @@ fn verify_inner(events: &[TracedEvent], spec: &VerifySpec, end_of_trace: bool) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adamant_netsim::{NodeId, SimTime};
+    use adamant_proto::{NodeId, TimePoint};
 
     fn ev(time_us: u64, event: ObsEvent) -> TracedEvent {
         TracedEvent {
-            time: SimTime::from_micros(time_us),
+            time: TimePoint::from_micros(time_us),
             event,
         }
     }
@@ -485,13 +485,13 @@ mod tests {
     #[test]
     fn slow_recovery_breaks_the_bound() {
         let trace = vec![accept(5_000, 1, 0, true)];
-        let spec = VerifySpec::new(1, 1).with_recovery_bound(SimDuration::from_millis(1));
+        let spec = VerifySpec::new(1, 1).with_recovery_bound(Span::from_millis(1));
         let report = verify_trace(&trace, &spec);
         assert_eq!(report.violations_of(InvariantKind::RecoveryLatencyBound), 1);
         assert_eq!(report.recovered, 1);
         let fast = verify_trace(
             &[accept(500, 1, 0, true)],
-            &VerifySpec::new(1, 1).with_recovery_bound(SimDuration::from_millis(1)),
+            &VerifySpec::new(1, 1).with_recovery_bound(Span::from_millis(1)),
         );
         assert!(fast.is_clean());
     }
@@ -521,7 +521,7 @@ mod tests {
         ];
         let spec = VerifySpec::new(4, 1)
             .with_durable_nodes([1])
-            .with_catch_up_bound(SimDuration::from_millis(1));
+            .with_catch_up_bound(Span::from_millis(1));
         let report = verify_trace(&trace, &spec);
         assert!(report.is_clean(), "violations: {:?}", report.violations);
         assert_eq!(report.accepted, 4);
@@ -587,7 +587,7 @@ mod tests {
         ];
         let spec = VerifySpec::new(1, 1)
             .with_durable_nodes([1])
-            .with_catch_up_bound(SimDuration::from_millis(1));
+            .with_catch_up_bound(Span::from_millis(1));
         let report = verify_trace(&trace, &spec);
         assert_eq!(report.violations_of(InvariantKind::CatchUpLatencyBound), 1);
     }
@@ -603,7 +603,7 @@ mod tests {
         ];
         let spec = VerifySpec::new(3, 1)
             .with_durable_nodes([1])
-            .with_catch_up_bound(SimDuration::from_millis(1))
+            .with_catch_up_bound(Span::from_millis(1))
             .with_reported_relate2(0.0);
         assert!(!verify_trace(&partial, &spec).is_clean());
         assert!(verify_trace_prefix(&partial, &spec).is_clean());

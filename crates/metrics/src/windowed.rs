@@ -7,15 +7,15 @@
 //! a degradation shows up in the window where it started, not smeared over
 //! the whole run.
 
-use adamant_netsim::{SimDuration, SimTime};
+use adamant_proto::{Span, TimePoint};
 
 /// QoS of the samples published during one window.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowQos {
     /// Window start (inclusive).
-    pub start: SimTime,
+    pub start: TimePoint,
     /// Window length.
-    pub length: SimDuration,
+    pub length: Span,
     /// Samples published in the window.
     pub published: u64,
     /// Of those, samples delivered (eventually).
@@ -50,8 +50,8 @@ mod tests {
 
     fn window(published: u64, delivered: u64, avg_latency_us: f64) -> WindowQos {
         WindowQos {
-            start: SimTime::from_secs(1),
-            length: SimDuration::from_secs(1),
+            start: TimePoint::from_secs(1),
+            length: Span::from_secs(1),
             published,
             delivered,
             avg_latency_us,

@@ -2,7 +2,7 @@
 //! deterministic seeded sweeps.
 
 use adamant_metrics::{percentile, Delivery, MetricKind, QosReport, Welford};
-use adamant_netsim::SimTime;
+use adamant_proto::TimePoint;
 
 fn report_from(latencies_us: &[u64], sent: u64) -> QosReport {
     let deliveries: Vec<Delivery> = latencies_us
@@ -10,8 +10,8 @@ fn report_from(latencies_us: &[u64], sent: u64) -> QosReport {
         .enumerate()
         .map(|(i, &lat)| Delivery {
             seq: i as u64,
-            published_at: SimTime::from_micros(1_000 * i as u64),
-            delivered_at: SimTime::from_micros(1_000 * i as u64 + lat),
+            published_at: TimePoint::from_micros(1_000 * i as u64),
+            delivered_at: TimePoint::from_micros(1_000 * i as u64 + lat),
             recovered: false,
         })
         .collect();

@@ -25,12 +25,11 @@
 use std::any::Any;
 use std::mem;
 
-use adamant_proto::{Effect, Env, Input, ProtoEvent, ProtocolCore, TimerToken, WireMsg};
+use adamant_proto::{Effect, Env, Input, ProtocolCore, TimerToken, WireMsg};
 
 use crate::agent::{Agent, Ctx};
 use crate::event::TimerId;
-use crate::obs::ObsEvent;
-use crate::packet::{NodeId, OutPacket, Packet, PacketArena};
+use crate::packet::{OutPacket, Packet, PacketArena};
 
 /// Runs a [`ProtocolCore`] on a simulated host.
 ///
@@ -117,10 +116,7 @@ impl<C: ProtocolCore> SimDriver<C> {
                 // core-internal state read back through `as_any`; the
                 // simulator itself consumes nothing on delivery.
                 Effect::Deliver { .. } => {}
-                Effect::Trace(event) => {
-                    let node = ctx.node;
-                    ctx.emit(|| lift_proto_event(event, node));
-                }
+                Effect::Trace(event) => ctx.emit(|| event),
             }
         }
         self.effects = effects;
@@ -165,57 +161,15 @@ impl<C: ProtocolCore> Agent for SimDriver<C> {
     }
 }
 
-/// Stamps a node-agnostic core trace event with the emitting host,
-/// producing the simulator's observability event.
-///
-/// Public so other drivers of [`ProtocolCore`]s — the model checker in
-/// `adamant-mc` in particular — lower their traces into the exact
-/// `ObsEvent` form the invariant checker consumes.
-pub fn lift_proto_event(event: ProtoEvent, node: NodeId) -> ObsEvent {
-    match event {
-        ProtoEvent::SampleAccepted {
-            seq,
-            published_ns,
-            delivered_ns,
-            recovered,
-        } => ObsEvent::SampleAccepted {
-            node,
-            seq,
-            published_ns,
-            delivered_ns,
-            recovered,
-        },
-        ProtoEvent::SampleDuplicate { seq } => ObsEvent::SampleDuplicate { node, seq },
-        ProtoEvent::NakSent { count } => ObsEvent::NakSent { node, count },
-        ProtoEvent::NakGiveUp { seq } => ObsEvent::NakGiveUp { node, seq },
-        ProtoEvent::Retransmitted { seq } => ObsEvent::Retransmitted { node, seq },
-        ProtoEvent::RepairSent { copies, span } => ObsEvent::RepairSent { node, copies, span },
-        ProtoEvent::RepairDecoded { seq } => ObsEvent::RepairDecoded { node, seq },
-        ProtoEvent::FailoverPromoted => ObsEvent::FailoverPromoted { node },
-        ProtoEvent::HistoryRetained { seq, retained } => ObsEvent::HistoryRetained {
-            node,
-            seq,
-            retained,
-        },
-        ProtoEvent::HistoryEvicted { seq } => ObsEvent::HistoryEvicted { node, seq },
-        ProtoEvent::CatchUpNakSent { count } => ObsEvent::CatchUpNakSent { node, count },
-        ProtoEvent::DurableReplayed { seq } => ObsEvent::DurableReplayed { node, seq },
-        ProtoEvent::CatchUpCompleted { recovered } => {
-            ObsEvent::CatchUpCompleted { node, recovered }
-        }
-        ProtoEvent::CatchUpAbandoned { count } => ObsEvent::CatchUpAbandoned { node, count },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::host::{Bandwidth, HostConfig, MachineClass};
-    use crate::obs::MemorySink;
+    use crate::packet::NodeId;
     use crate::sim::Simulation;
     use crate::time::SimDuration;
     use adamant_proto::wire::FinMsg;
-    use adamant_proto::{ProcessingCost, Span};
+    use adamant_proto::{MemorySink, ObsEvent, ProcessingCost, Span};
 
     /// Sends one FIN per timer firing; counts FINs received.
     struct Echo {
@@ -241,7 +195,10 @@ mod tests {
                         ProcessingCost::FREE,
                         WireMsg::Fin(FinMsg { total: self.sent }),
                     );
-                    env.emit(|| ProtoEvent::Retransmitted { seq: self.sent });
+                    env.emit(|node| ObsEvent::Retransmitted {
+                        node,
+                        seq: self.sent,
+                    });
                     if self.sent < self.stop_after {
                         env.set_timer(self.period, 1);
                     }
@@ -298,7 +255,7 @@ mod tests {
             .iter()
             .filter(|t| matches!(t.event, ObsEvent::Retransmitted { .. }))
             .count();
-        assert_eq!(retransmits, 10, "5 per node, lifted with node identity");
+        assert_eq!(retransmits, 10, "5 per node, stamped with node identity");
         assert!(traces.iter().any(|t| {
             t.event
                 == ObsEvent::Retransmitted {

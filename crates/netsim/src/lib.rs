@@ -70,22 +70,20 @@ mod event;
 mod fault;
 mod host;
 mod loss;
-mod obs;
 mod packet;
 mod rng;
 mod sim;
 mod stats;
 mod time;
-mod trace;
 
-pub use adamant_proto::CalendarQueue;
+// The observability taxonomy lives with the cores that emit it.
+pub use adamant_proto::{CalendarQueue, DropReason, MemorySink, ObsEvent, TracedEvent};
 pub use agent::{Agent, Ctx};
-pub use driver::{lift_proto_event, SimDriver};
+pub use driver::SimDriver;
 pub use event::TimerId;
 pub use fault::{Fault, FaultPlan, RestartFn};
 pub use host::{Bandwidth, HostConfig, LinkProfile, MachineClass};
 pub use loss::LossModel;
-pub use obs::{DropReason, MemorySink, ObsEvent, TraceSink, TracedEvent};
 pub use packet::{
     empty_payload, Destination, GroupId, NodeId, OutPacket, Packet, PacketArena, Payload,
     ProcessingCost,
@@ -94,4 +92,3 @@ pub use rng::SimRng;
 pub use sim::{NetworkConfig, Simulation};
 pub use stats::{TagCounters, WireStats};
 pub use time::{SimDuration, SimTime};
-pub use trace::{Trace, TraceEvent, TraceKind};

@@ -1,15 +1,15 @@
 //! The discrete-event simulation engine.
 
+use adamant_proto::{DropReason, MemorySink, ObsEvent, TracedEvent};
+
 use crate::agent::{Agent, Command, Ctx};
 use crate::event::{EventKind, EventQueue, PacketSlab, TimerId, TimerTable};
 use crate::host::{Bandwidth, HostConfig, HostState};
 use crate::loss::{ChannelState, LossModel};
-use crate::obs::{DropReason, MemorySink, ObsEvent, TraceSink, TracedEvent};
 use crate::packet::{Destination, GroupId, NodeId, OutPacket, Packet};
 use crate::rng::SimRng;
 use crate::stats::WireStats;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{Trace, TraceEvent, TraceKind};
 
 /// Network-wide configuration: the switched-LAN model shared by all hosts.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -112,10 +112,9 @@ pub struct Simulation {
     /// Reused across transmissions for the multicast fan-out target list.
     fanout_buf: Vec<NodeId>,
     channel_states: Vec<ChannelState>,
-    trace: Trace,
     /// Structured observability sink; `None` (the default) makes every
     /// hook site a single branch.
-    obs: Option<Box<dyn TraceSink>>,
+    obs: Option<MemorySink>,
     cpu_busy: Vec<SimDuration>,
     next_wire_id: u64,
     events_processed: u64,
@@ -158,7 +157,6 @@ impl Simulation {
             command_buf: Vec::new(),
             fanout_buf: Vec::new(),
             channel_states: Vec::new(),
-            trace: Trace::new(0),
             obs: None,
             cpu_busy: Vec::new(),
             next_wire_id: 0,
@@ -180,40 +178,25 @@ impl Simulation {
         self
     }
 
-    /// Enables packet-level tracing with a bounded ring of `capacity`
-    /// events (disabled by default; see [`Trace`]).
-    pub fn with_trace_capacity(mut self, capacity: usize) -> Self {
-        self.trace = Trace::new(capacity);
-        self
-    }
-
-    /// Installs a structured observability sink (builder-style); see
-    /// [`TraceSink`]. Disabled by default.
-    pub fn with_obs_sink(mut self, sink: impl TraceSink + 'static) -> Self {
-        self.obs = Some(Box::new(sink));
+    /// Installs a structured observability sink (builder-style), which
+    /// records every packet, fault and protocol event of the run. Disabled
+    /// by default.
+    pub fn with_obs_sink(mut self, sink: MemorySink) -> Self {
+        self.obs = Some(sink);
         self
     }
 
     /// Installs (or replaces) the structured observability sink mid-build.
-    pub fn set_obs_sink(&mut self, sink: impl TraceSink + 'static) {
-        self.obs = Some(Box::new(sink));
+    pub fn set_obs_sink(&mut self, sink: MemorySink) {
+        self.obs = Some(sink);
     }
 
-    /// Removes and returns the installed sink, if any.
-    pub fn take_obs_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.obs.take()
-    }
-
-    /// Removes the installed sink and, when it is a [`MemorySink`],
-    /// returns its captured events.
+    /// Removes the installed sink and returns its captured events (none
+    /// when no sink was installed).
     pub fn take_obs_events(&mut self) -> Vec<TracedEvent> {
         self.obs
             .take()
-            .and_then(|mut sink| {
-                sink.as_any_mut()
-                    .downcast_mut::<MemorySink>()
-                    .map(MemorySink::take_events)
-            })
+            .map(|mut sink| sink.take_events())
             .unwrap_or_default()
     }
 
@@ -328,12 +311,6 @@ impl Simulation {
         &self.stats
     }
 
-    /// The packet trace (empty unless enabled with
-    /// [`with_trace_capacity`](Self::with_trace_capacity)).
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
     /// Accumulated CPU busy time of `node` (protocol + middleware
     /// processing charged through the per-packet cost model).
     pub fn cpu_busy(&self, node: NodeId) -> SimDuration {
@@ -421,14 +398,6 @@ impl Simulation {
                 EventKind::Ingress { slot, .. } => {
                     let packet = self.packets.take(slot);
                     self.stats.record_crash_drop(packet.tag);
-                    self.trace.record(TraceEvent {
-                        time: self.now,
-                        kind: TraceKind::CrashDropped,
-                        node: target,
-                        tag: packet.tag,
-                        wire_id: packet.wire_id,
-                        size_bytes: packet.size_bytes,
-                    });
                     self.obs_emit(self.now, || ObsEvent::PacketDropped {
                         node: target,
                         tag: packet.tag,
@@ -520,14 +489,6 @@ impl Simulation {
         let wire_id = self.next_wire_id;
         self.next_wire_id += 1;
         self.stats.record_send(from, out.tag, out.size_bytes);
-        self.trace.record(TraceEvent {
-            time: self.now,
-            kind: TraceKind::Sent,
-            node: from,
-            tag: out.tag,
-            wire_id,
-            size_bytes: out.size_bytes,
-        });
         self.obs_emit(self.now, || ObsEvent::PacketSent {
             node: from,
             tag: out.tag,
@@ -566,14 +527,6 @@ impl Simulation {
             // the loss pattern seen by unaffected links.
             if self.agents[target.index()].is_none() {
                 self.stats.record_crash_drop(out.tag);
-                self.trace.record(TraceEvent {
-                    time: self.now,
-                    kind: TraceKind::CrashDropped,
-                    node: target,
-                    tag: out.tag,
-                    wire_id,
-                    size_bytes: out.size_bytes,
-                });
                 self.obs_emit(self.now, || ObsEvent::PacketDropped {
                     node: target,
                     tag: out.tag,
@@ -584,14 +537,6 @@ impl Simulation {
             }
             if !self.reachable(from, target) {
                 self.stats.record_partition_drop(out.tag);
-                self.trace.record(TraceEvent {
-                    time: self.now,
-                    kind: TraceKind::Partitioned,
-                    node: target,
-                    tag: out.tag,
-                    wire_id,
-                    size_bytes: out.size_bytes,
-                });
                 self.obs_emit(self.now, || ObsEvent::PacketDropped {
                     node: target,
                     tag: out.tag,
@@ -605,14 +550,6 @@ impl Simulation {
                     .should_drop(&self.network.loss, &mut self.engine_rng)
             {
                 self.stats.record_link_drop(out.tag);
-                self.trace.record(TraceEvent {
-                    time: self.now,
-                    kind: TraceKind::LinkDropped,
-                    node: target,
-                    tag: out.tag,
-                    wire_id,
-                    size_bytes: out.size_bytes,
-                });
                 self.obs_emit(self.now, || ObsEvent::PacketDropped {
                     node: target,
                     tag: out.tag,
@@ -658,14 +595,6 @@ impl Simulation {
         let rx_done = host.occupy_cpu_scaled(ingress_done, rx_cost);
         self.cpu_busy[target.index()] += rx_cost;
         self.stats.record_delivery(target, tag, size_bytes, rx_done);
-        self.trace.record(TraceEvent {
-            time: rx_done,
-            kind: TraceKind::Delivered,
-            node: target,
-            tag,
-            wire_id,
-            size_bytes,
-        });
         self.obs_emit(rx_done, || ObsEvent::PacketDelivered {
             node: target,
             tag,

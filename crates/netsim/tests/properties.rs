@@ -235,11 +235,11 @@ fn serialization_time_additivity() {
 /// Tracing and CPU accounting integration (deterministic cases).
 mod trace_and_cpu {
     use super::*;
-    use adamant_netsim::{LossModel, NetworkConfig, TraceKind};
+    use adamant_netsim::{DropReason, LossModel, MemorySink, NetworkConfig, ObsEvent};
 
     #[test]
     fn trace_records_send_and_delivery() {
-        let mut sim = Simulation::new(1).with_trace_capacity(100);
+        let mut sim = Simulation::new(1).with_obs_sink(MemorySink::new());
         let cfg = HostConfig::new(MachineClass::Pc3000, Bandwidth::GBPS_1);
         let rx = sim.add_node(cfg, Recorder { arrivals: vec![] });
         sim.add_node(
@@ -253,29 +253,34 @@ mod trace_and_cpu {
             },
         );
         sim.run();
-        let trace = sim.trace();
-        assert!(trace.is_enabled());
+        let trace = sim.take_obs_events();
         let sends: Vec<_> = trace
-            .events()
-            .filter(|e| e.kind == TraceKind::Sent)
+            .iter()
+            .filter_map(|e| match e.event {
+                ObsEvent::PacketSent { wire_id, .. } => Some((e.time, wire_id)),
+                _ => None,
+            })
             .collect();
         let deliveries: Vec<_> = trace
-            .events()
-            .filter(|e| e.kind == TraceKind::Delivered)
+            .iter()
+            .filter_map(|e| match e.event {
+                ObsEvent::PacketDelivered { wire_id, .. } => Some((e.time, wire_id)),
+                _ => None,
+            })
             .collect();
         assert_eq!(sends.len(), 2);
         assert_eq!(deliveries.len(), 2);
         // Delivery of a wire id never precedes its send.
-        for d in &deliveries {
-            let s = sends.iter().find(|s| s.wire_id == d.wire_id).unwrap();
-            assert!(d.time >= s.time);
+        for (delivered_at, wire_id) in &deliveries {
+            let (sent_at, _) = sends.iter().find(|(_, w)| w == wire_id).unwrap();
+            assert!(delivered_at >= sent_at);
         }
     }
 
     #[test]
     fn trace_records_link_drops() {
         let mut sim = Simulation::new(3)
-            .with_trace_capacity(4_000)
+            .with_obs_sink(MemorySink::new())
             .with_network(NetworkConfig {
                 propagation: SimDuration::from_micros(50),
                 loss: LossModel::Bernoulli(0.5),
@@ -293,15 +298,22 @@ mod trace_and_cpu {
             },
         );
         sim.run();
-        let dropped = sim
-            .trace()
-            .events()
-            .filter(|e| e.kind == TraceKind::LinkDropped)
+        let trace = sim.take_obs_events();
+        let dropped = trace
+            .iter()
+            .filter(|e| {
+                matches!(
+                    e.event,
+                    ObsEvent::PacketDropped {
+                        reason: DropReason::Link,
+                        ..
+                    }
+                )
+            })
             .count();
-        let delivered = sim
-            .trace()
-            .events()
-            .filter(|e| e.kind == TraceKind::Delivered)
+        let delivered = trace
+            .iter()
+            .filter(|e| matches!(e.event, ObsEvent::PacketDelivered { .. }))
             .count();
         assert_eq!(dropped + delivered, 1000);
         assert!(dropped > 300 && dropped < 700);

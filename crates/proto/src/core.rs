@@ -12,8 +12,8 @@
 //! bit-identical effect stream. The property tests in this crate's
 //! consumers enforce exactly that.
 
-use crate::event::ProtoEvent;
 use crate::ids::{Destination, GroupId, NodeId, ProcessingCost};
+use crate::obs::ObsEvent;
 use crate::rng::{DetRng, Entropy};
 use crate::time::{Span, TimePoint};
 use crate::wire::WireMsg;
@@ -91,7 +91,7 @@ pub enum Effect {
     },
     /// Record a protocol-behaviour trace event (only emitted when the
     /// driver declared itself observed).
-    Trace(ProtoEvent),
+    Trace(ObsEvent),
 }
 
 /// A driver's view of multicast membership, read-only from the core side.
@@ -231,12 +231,13 @@ impl<'a> Env<'a> {
         });
     }
 
-    /// Records a trace event. The closure runs only when the driver is
-    /// observed, so unobserved runs never build events nobody consumes —
-    /// and, crucially, never perturb determinism by doing so.
-    pub fn emit(&mut self, event: impl FnOnce() -> ProtoEvent) {
+    /// Records a trace event, built for the node this core runs on. The
+    /// closure runs only when the driver is observed, so unobserved runs
+    /// never build events nobody consumes — and, crucially, never perturb
+    /// determinism by doing so.
+    pub fn emit(&mut self, event: impl FnOnce(NodeId) -> ObsEvent) {
         if self.observed {
-            self.effects.push(Effect::Trace(event()));
+            self.effects.push(Effect::Trace(event(self.node)));
         }
     }
 
@@ -391,7 +392,10 @@ mod tests {
                         ProcessingCost::FREE,
                         WireMsg::Fin(FinMsg { total: self.pings }),
                     );
-                    env.emit(|| ProtoEvent::SampleDuplicate { seq: self.pings });
+                    env.emit(|node| ObsEvent::SampleDuplicate {
+                        node,
+                        seq: self.pings,
+                    });
                 }
                 Input::TimerFired { tag: 1, .. } => {
                     env.set_timer(self.period, 1);
@@ -435,7 +439,10 @@ mod tests {
         ));
         assert_eq!(
             got[1],
-            Effect::Trace(ProtoEvent::SampleDuplicate { seq: 1 })
+            Effect::Trace(ObsEvent::SampleDuplicate {
+                node: NodeId(0),
+                seq: 1
+            })
         );
         let again = host.step(
             &mut core,

@@ -29,9 +29,9 @@
 use std::collections::{BTreeSet, VecDeque};
 
 use crate::core::{Effect, Env, Input, ProtocolCore, TimerToken};
-use crate::event::ProtoEvent;
 use crate::history::{catch_up_backoff, GapTracker, HistoryCache};
 use crate::ids::{GroupId, NodeId, ProcessingCost};
+use crate::obs::ObsEvent;
 use crate::time::{Span, TimePoint};
 use crate::wire::{DataMsg, DurableHeartbeatMsg, DurableNakMsg, WireMsg};
 
@@ -468,7 +468,7 @@ fn writer_step<C: ProtocolCore>(
                     }),
                 );
                 w.replayed += 1;
-                env.emit(|| ProtoEvent::DurableReplayed { seq });
+                env.emit(|node| ObsEvent::DurableReplayed { node, seq });
             }
         }
         other => {
@@ -500,10 +500,14 @@ fn retain_outgoing(w: &mut WriterState, env: &mut Env<'_>, mark: usize) {
     for (seq, at, size, tag, cost) in fresh {
         w.template = Some((size, tag, cost));
         if let Some(victim) = w.cache.push(seq, at) {
-            env.emit(|| ProtoEvent::HistoryEvicted { seq: victim });
+            env.emit(|node| ObsEvent::HistoryEvicted { node, seq: victim });
         }
         let retained = w.cache.len() as u64;
-        env.emit(|| ProtoEvent::HistoryRetained { seq, retained });
+        env.emit(|node| ObsEvent::HistoryRetained {
+            node,
+            seq,
+            retained,
+        });
     }
 }
 
@@ -576,7 +580,7 @@ fn on_durable_heartbeat<C: ProtocolCore + LiveJoin>(
         if !gone.is_empty() {
             r.abandoned += gone.len() as u64;
             let count = gone.len() as u32;
-            env.emit(|| ProtoEvent::CatchUpAbandoned { count });
+            env.emit(|node| ObsEvent::CatchUpAbandoned { node, count });
             if r.gaps.is_empty() {
                 // Abandonment ended catch-up: terminal, but not a
                 // successful completion.
@@ -637,7 +641,7 @@ fn join<C: ProtocolCore + LiveJoin>(
             if lost > 0 {
                 r.abandoned += lost;
                 let count = lost.min(u64::from(u32::MAX)) as u32;
-                env.emit(|| ProtoEvent::CatchUpAbandoned { count });
+                env.emit(|node| ObsEvent::CatchUpAbandoned { node, count });
             }
             if r.gaps.is_empty() {
                 complete(r, env);
@@ -655,12 +659,13 @@ fn catch_up_arrival(r: &mut ReaderState, d: DataMsg, env: &mut Env<'_>) {
     if !r.delivered.insert(d.seq) {
         r.duplicates += 1;
         let seq = d.seq;
-        env.emit(|| ProtoEvent::SampleDuplicate { seq });
+        env.emit(|node| ObsEvent::SampleDuplicate { node, seq });
     } else {
         let recovered = d.retransmission;
         env.deliver(d.seq, d.published_at, recovered);
         let delivered_at = env.now();
-        env.emit(|| ProtoEvent::SampleAccepted {
+        env.emit(|node| ObsEvent::SampleAccepted {
+            node,
             seq: d.seq,
             published_ns: d.published_at.as_nanos(),
             delivered_ns: delivered_at.as_nanos(),
@@ -688,7 +693,7 @@ fn complete(r: &mut ReaderState, env: &mut Env<'_>) {
         env.cancel_timer(token);
     }
     let recovered = r.recovered_catch_up;
-    env.emit(|| ProtoEvent::CatchUpCompleted { recovered });
+    env.emit(|node| ObsEvent::CatchUpCompleted { node, recovered });
 }
 
 fn send_catch_up_round(r: &mut ReaderState, config: &DurableConfig, env: &mut Env<'_>) {
@@ -705,7 +710,7 @@ fn send_catch_up_round(r: &mut ReaderState, config: &DurableConfig, env: &mut En
         WireMsg::DurableNak(DurableNakMsg { seqs }),
     );
     r.catch_up_naks += 1;
-    env.emit(|| ProtoEvent::CatchUpNakSent { count });
+    env.emit(|node| ObsEvent::CatchUpNakSent { node, count });
     let delay = r.gaps.retry_delay(config.nak_timeout);
     r.catch_up_timer = Some(env.set_timer(delay, TIMER_CATCH_UP));
 }
@@ -719,7 +724,7 @@ fn on_catch_up_timer(r: &mut ReaderState, config: &DurableConfig, env: &mut Env<
         let gone = r.gaps.abandon_all();
         r.abandoned += gone.len() as u64;
         let count = gone.len() as u32;
-        env.emit(|| ProtoEvent::CatchUpAbandoned { count });
+        env.emit(|node| ObsEvent::CatchUpAbandoned { node, count });
         // Terminal, but not a successful catch-up: `caught_up_at` stays
         // `None` so the invariant checker flags the unrecovered history.
         r.completed = true;
@@ -758,12 +763,12 @@ fn forward_to_inner<C: ProtocolCore>(
     if !dups.is_empty() {
         env.retain_effects_since(mark, |effect| match effect {
             Effect::Deliver { seq, .. } => !dups.contains(seq),
-            Effect::Trace(ProtoEvent::SampleAccepted { seq, .. }) => !dups.contains(seq),
+            Effect::Trace(ObsEvent::SampleAccepted { seq, .. }) => !dups.contains(seq),
             _ => true,
         });
         for seq in dups {
             r.duplicates += 1;
-            env.emit(|| ProtoEvent::SampleDuplicate { seq });
+            env.emit(|node| ObsEvent::SampleDuplicate { node, seq });
         }
     }
     let delivered_at = env.now();
@@ -992,7 +997,7 @@ mod tests {
                         {
                             pending = None;
                         }
-                        Effect::Trace(ProtoEvent::CatchUpAbandoned { count }) => {
+                        Effect::Trace(ObsEvent::CatchUpAbandoned { count, .. }) => {
                             reported += u64::from(*count);
                         }
                         _ => {}
@@ -1024,7 +1029,7 @@ mod tests {
                         {
                             pending = None;
                         }
-                        Effect::Trace(ProtoEvent::CatchUpAbandoned { count }) => {
+                        Effect::Trace(ObsEvent::CatchUpAbandoned { count, .. }) => {
                             reported += u64::from(*count);
                         }
                         _ => {}
@@ -1282,9 +1287,10 @@ mod tests {
             },
         );
         assert!(sends_of(&fx).is_empty());
-        assert!(fx
-            .iter()
-            .any(|e| matches!(e, Effect::Trace(ProtoEvent::CatchUpAbandoned { count: 2 }))));
+        assert!(fx.iter().any(|e| matches!(
+            e,
+            Effect::Trace(ObsEvent::CatchUpAbandoned { count: 2, .. })
+        )));
         assert_eq!(reader.catch_up_abandoned(), 2);
         assert_eq!(reader.caught_up_at(), None, "abandonment is not success");
     }
@@ -1327,7 +1333,7 @@ mod tests {
         );
         assert!(fx
             .iter()
-            .any(|e| matches!(e, Effect::Trace(ProtoEvent::SampleDuplicate { seq: 7 }))));
+            .any(|e| matches!(e, Effect::Trace(ObsEvent::SampleDuplicate { seq: 7, .. }))));
         assert_eq!(reader.duplicates_suppressed(), 1);
     }
 

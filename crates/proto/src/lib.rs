@@ -13,6 +13,10 @@
 //! * `adamant-rt` drives the same cores over real UDP sockets with a
 //!   monotonic clock.
 //!
+//! Cores report what they do as [`ObsEvent`]s through [`Env::emit`],
+//! already naming their node: the one event taxonomy every driver records
+//! and the invariant checker in `adamant-metrics` reads.
+//!
 //! Time is abstracted as [`TimePoint`]/[`Span`] (plain nanosecond
 //! counters), randomness behind the [`Entropy`] trait, and wall clocks
 //! behind [`Clock`]. A core is a pure function of its inputs and entropy
@@ -26,9 +30,9 @@
 mod clock;
 mod core;
 mod durable;
-mod event;
 mod history;
 mod ids;
+mod obs;
 mod rng;
 mod snapshot;
 mod time;
@@ -41,9 +45,9 @@ pub use durable::{
     catch_up_bound, DurabilityMode, DurableConfig, DurableCore, DurableDelivery, LiveJoin,
     TAG_DURABLE_HEARTBEAT, TAG_DURABLE_NAK,
 };
-pub use event::ProtoEvent;
 pub use history::{catch_up_backoff, GapTracker, HistoryCache};
 pub use ids::{Destination, GroupId, NodeId, ProcessingCost};
+pub use obs::{DropReason, MemorySink, ObsEvent, TracedEvent};
 pub use rng::{DetRng, Entropy};
 pub use snapshot::{fingerprint_debug, Fnv64, StateHash};
 pub use time::{Span, TimePoint};

@@ -4,7 +4,7 @@
 use std::collections::BTreeSet;
 
 use adamant_metrics::{DeliveryLog, MetricsRegistry};
-use adamant_proto::ProtoEvent;
+use adamant_proto::ObsEvent;
 
 /// Handle to one endpoint of a [`MuxCluster`](crate::MuxCluster), returned
 /// by [`add_endpoint`](crate::MuxCluster::add_endpoint).
@@ -142,8 +142,8 @@ pub struct EndpointReport {
     /// recovered)` in delivery order: one record per delivery for the whole
     /// run, ≈ 5 B each on a paced stream (see [`DeliveryLog`]).
     pub delivered: DeliveryLog,
-    /// Protocol-behaviour trace events (empty unless `observed`).
-    pub events: Vec<ProtoEvent>,
+    /// Core trace events naming this endpoint's node (if `observed`).
+    pub events: Vec<ObsEvent>,
     /// Datagrams this endpoint *opened*: one that other endpoints' frames
     /// for the same address were packed into still counts once, here.
     pub datagrams_sent: u64,

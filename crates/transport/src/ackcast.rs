@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use adamant_metrics::DenseReceptionLog;
 use adamant_proto::wire::{AckMsg, DataMsg};
 use adamant_proto::{
-    Env, GroupId, Input, NodeId, ProcessingCost, ProtoEvent, ProtocolCore, Span, WireMsg,
+    Env, GroupId, Input, NodeId, ObsEvent, ProcessingCost, ProtocolCore, Span, WireMsg,
 };
 
 use crate::config::Tuning;
@@ -83,7 +83,7 @@ impl ProtocolCore for AckcastSender {
                     }
                     if self.core.retransmit(env, src, seq) {
                         self.retransmissions_sent += 1;
-                        env.emit(|| ProtoEvent::Retransmitted { seq });
+                        env.emit(|node| ObsEvent::Retransmitted { node, seq });
                     }
                 }
             }
@@ -181,11 +181,11 @@ impl AckcastReceiver {
         for seq in exhausted {
             self.missing.remove(&seq);
             self.give_ups += 1;
-            env.emit(|| ProtoEvent::NakGiveUp { seq });
+            env.emit(|node| ObsEvent::NakGiveUp { node, seq });
         }
         let below = self.highest_advertised.map_or(0, |h| h + 1);
-        let missing_count = report.len() as u32;
-        let size = FRAMING_BYTES + NAK_BASE_BYTES + NAK_PER_SEQ_BYTES * missing_count;
+        let count = report.len() as u32;
+        let size = FRAMING_BYTES + NAK_BASE_BYTES + NAK_PER_SEQ_BYTES * count;
         let os = Span::from_micros_f64(self.tuning.os_packet_cost_us);
         env.send(
             self.sender,
@@ -198,9 +198,7 @@ impl AckcastReceiver {
             }),
         );
         self.acks_sent += 1;
-        env.emit(|| ProtoEvent::NakSent {
-            count: missing_count,
-        });
+        env.emit(|node| ObsEvent::NakSent { node, count });
         self.since_last_ack = 0;
         if !self.missing.is_empty() && !self.ack_timer_armed {
             env.set_timer(self.rto, TIMER_ACK);
@@ -226,7 +224,7 @@ impl AckcastReceiver {
         if !fresh {
             self.duplicates += 1;
             let seq = data.seq;
-            env.emit(|| ProtoEvent::SampleDuplicate { seq });
+            env.emit(|node| ObsEvent::SampleDuplicate { node, seq });
         }
         self.since_last_ack += 1;
         if self.since_last_ack >= self.tuning.ack_window && !self.missing.is_empty() {

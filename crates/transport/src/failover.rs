@@ -13,7 +13,7 @@
 
 use std::collections::BTreeMap;
 
-use adamant_proto::{Env, GroupId, Input, ProtoEvent, ProtocolCore, Span, TimePoint, WireMsg};
+use adamant_proto::{Env, GroupId, Input, ObsEvent, ProtocolCore, Span, TimePoint, WireMsg};
 
 use crate::config::Tuning;
 use crate::profile::{AppSpec, StackProfile};
@@ -108,7 +108,7 @@ impl NakcastStandby {
     fn promote(&mut self, env: &mut Env<'_>) {
         self.promoted = true;
         self.promoted_at = Some(env.now());
-        env.emit(|| ProtoEvent::FailoverPromoted);
+        env.emit(|node| ObsEvent::FailoverPromoted { node });
         let high = match (self.observed.keys().next_back(), self.highest_advertised) {
             (Some(&o), Some(a)) => Some(o.max(a)),
             (Some(&o), None) => Some(o),
@@ -157,7 +157,7 @@ impl ProtocolCore for NakcastStandby {
                         for &seq in &nak.seqs {
                             if self.core.retransmit(env, src, seq) {
                                 self.retransmissions_sent += 1;
-                                env.emit(|| ProtoEvent::Retransmitted { seq });
+                                env.emit(|node| ObsEvent::Retransmitted { node, seq });
                             }
                         }
                     }

@@ -18,8 +18,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use adamant_metrics::DenseReceptionLog;
 use adamant_proto::wire::{DataMsg, NakMsg};
 use adamant_proto::{
-    Env, GroupId, Input, LiveJoin, NodeId, ProcessingCost, ProtoEvent, ProtocolCore, Span,
-    TimePoint, TimerToken, WireMsg,
+    Env, GroupId, Input, LiveJoin, NodeId, ObsEvent, ProcessingCost, ProtocolCore, Span, TimePoint,
+    TimerToken, WireMsg,
 };
 
 use crate::config::Tuning;
@@ -111,7 +111,7 @@ impl ProtocolCore for NakcastSender {
                 for &seq in &nak.seqs {
                     if self.core.retransmit(env, src, seq) {
                         self.retransmissions_sent += 1;
-                        env.emit(|| ProtoEvent::Retransmitted { seq });
+                        env.emit(|node| ObsEvent::Retransmitted { node, seq });
                     }
                 }
             }
@@ -304,7 +304,7 @@ impl NakcastReceiver {
             self.missing.remove(&seq);
             self.abandoned.insert(seq);
             self.give_ups += 1;
-            env.emit(|| ProtoEvent::NakGiveUp { seq });
+            env.emit(|node| ObsEvent::NakGiveUp { node, seq });
         }
         if !due.is_empty() {
             let size = FRAMING_BYTES + NAK_BASE_BYTES + NAK_PER_SEQ_BYTES * due.len() as u32;
@@ -324,7 +324,7 @@ impl NakcastReceiver {
                 WireMsg::Nak(NakMsg { seqs: due }),
             );
             self.naks_sent += 1;
-            env.emit(|| ProtoEvent::NakSent { count });
+            env.emit(|node| ObsEvent::NakSent { node, count });
         }
         self.try_deliver(env);
         self.reschedule_scan(env);
@@ -356,7 +356,7 @@ impl NakcastReceiver {
         } else if self.log.contains(data.seq) || self.buffer.contains_key(&data.seq) {
             self.duplicates += 1;
             let seq = data.seq;
-            env.emit(|| ProtoEvent::SampleDuplicate { seq });
+            env.emit(|node| ObsEvent::SampleDuplicate { node, seq });
         } else {
             self.buffer.insert(
                 data.seq,

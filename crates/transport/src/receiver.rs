@@ -1,7 +1,7 @@
 //! Receiver-side shared vocabulary.
 
 use adamant_metrics::{Delivery, DenseReceptionLog};
-use adamant_proto::{Env, ProtoEvent, TimePoint};
+use adamant_proto::{Env, ObsEvent, TimePoint};
 
 /// Per-receiver protocol activity counters, unified across protocols so
 /// harnesses can report recovery behaviour without downcasting. Fields a
@@ -45,7 +45,8 @@ pub(crate) fn accept(
     });
     if fresh {
         env.deliver(seq, published_at, recovered);
-        env.emit(|| ProtoEvent::SampleAccepted {
+        env.emit(|node| ObsEvent::SampleAccepted {
+            node,
             seq,
             published_ns: published_at.as_nanos(),
             delivered_ns: delivered_at.as_nanos(),

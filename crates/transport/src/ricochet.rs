@@ -22,7 +22,7 @@ use std::collections::{BTreeMap, VecDeque};
 use adamant_metrics::{Delivery, DenseReceptionLog};
 use adamant_proto::wire::{DataMsg, MembershipMsg, RepairMsg};
 use adamant_proto::{
-    Env, GroupId, Input, NodeId, ProcessingCost, ProtoEvent, ProtocolCore, Span, TimePoint,
+    Env, GroupId, Input, NodeId, ObsEvent, ProcessingCost, ProtocolCore, Span, TimePoint,
     TimerToken, WireMsg,
 };
 
@@ -241,7 +241,7 @@ impl RicochetReceiver {
                 );
                 self.repairs_sent += 1;
             }
-            env.emit(|| ProtoEvent::RepairSent { copies, span });
+            env.emit(|node| ObsEvent::RepairSent { node, copies, span });
             self.chosen = chosen;
         }
         self.peers = peers;
@@ -270,14 +270,15 @@ impl RicochetReceiver {
             recovered,
         }) {
             env.deliver(seq, published_at, recovered);
-            env.emit(|| ProtoEvent::SampleAccepted {
+            env.emit(|node| ObsEvent::SampleAccepted {
+                node,
                 seq,
                 published_ns: published_at.as_nanos(),
                 delivered_ns: now.as_nanos(),
                 recovered,
             });
             if recovered {
-                env.emit(|| ProtoEvent::RepairDecoded { seq });
+                env.emit(|node| ObsEvent::RepairDecoded { node, seq });
             }
         }
         if recovered {
@@ -340,7 +341,7 @@ impl RicochetReceiver {
         if self.log.contains(data.seq) {
             self.duplicates += 1;
             let seq = data.seq;
-            env.emit(|| ProtoEvent::SampleDuplicate { seq });
+            env.emit(|node| ObsEvent::SampleDuplicate { node, seq });
             return;
         }
         self.data_packets += 1;

@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 use adamant_metrics::DenseReceptionLog;
 use adamant_proto::wire::{DataMsg, FinMsg, ShmCreditMsg};
 use adamant_proto::{
-    Env, GroupId, Input, NodeId, ProcessingCost, ProtoEvent, ProtocolCore, Span, WireMsg,
+    Env, GroupId, Input, NodeId, ObsEvent, ProcessingCost, ProtocolCore, Span, WireMsg,
 };
 
 use crate::config::Tuning;
@@ -254,7 +254,7 @@ impl ShmCastReceiver {
         } else {
             self.duplicates += 1;
             let seq = data.seq;
-            env.emit(|| ProtoEvent::SampleDuplicate { seq });
+            env.emit(|node| ObsEvent::SampleDuplicate { node, seq });
         }
     }
 }

@@ -16,7 +16,7 @@
 use adamant_metrics::DenseReceptionLog;
 use adamant_proto::wire::DataMsg;
 use adamant_proto::{
-    Env, GroupId, Input, NodeId, ProcessingCost, ProtoEvent, ProtocolCore, Span, WireMsg,
+    Env, GroupId, Input, NodeId, ObsEvent, ProcessingCost, ProtocolCore, Span, WireMsg,
 };
 
 use crate::config::Tuning;
@@ -148,14 +148,15 @@ impl SlingshotReceiver {
             );
             self.copies_sent += 1;
         }
-        env.emit(|| ProtoEvent::RepairSent { copies, span: 1 });
+        let span = 1;
+        env.emit(|node| ObsEvent::RepairSent { node, copies, span });
     }
 
     fn learn(&mut self, env: &mut Env<'_>, data: DataMsg, via_copy: bool) {
         if self.log.contains(data.seq) {
             self.duplicates += 1;
             let seq = data.seq;
-            env.emit(|| ProtoEvent::SampleDuplicate { seq });
+            env.emit(|node| ObsEvent::SampleDuplicate { node, seq });
             return;
         }
         accept(&mut self.log, env, data.seq, data.published_at, via_copy);

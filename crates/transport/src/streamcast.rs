@@ -20,7 +20,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use adamant_metrics::DenseReceptionLog;
 use adamant_proto::wire::{DataMsg, FinMsg, StreamAckMsg, StreamSynAckMsg, StreamSynMsg};
 use adamant_proto::{
-    Env, GroupId, Input, NodeId, ProcessingCost, ProtoEvent, ProtocolCore, Span, TimePoint, WireMsg,
+    Env, GroupId, Input, NodeId, ObsEvent, ProcessingCost, ProtocolCore, Span, TimePoint, WireMsg,
 };
 
 use adamant_proto::HistoryCache;
@@ -340,7 +340,7 @@ impl StreamCastSender {
                 retransmission: true,
             }),
         );
-        env.emit(|| ProtoEvent::Retransmitted { seq });
+        env.emit(|node| ObsEvent::Retransmitted { node, seq });
     }
 
     fn on_syn(&mut self, env: &mut Env<'_>, src: NodeId, syn: StreamSynMsg) {
@@ -621,7 +621,7 @@ impl StreamCastReceiver {
         if data.seq < self.cum_ack || self.buffer.contains_key(&data.seq) {
             self.duplicates += 1;
             let seq = data.seq;
-            env.emit(|| ProtoEvent::SampleDuplicate { seq });
+            env.emit(|node| ObsEvent::SampleDuplicate { node, seq });
             self.send_ack(env);
             return;
         }

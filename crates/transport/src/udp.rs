@@ -1,7 +1,7 @@
 //! Best-effort UDP multicast: the no-recovery baseline.
 
 use adamant_metrics::DenseReceptionLog;
-use adamant_proto::{Env, GroupId, Input, ProtoEvent, ProtocolCore, WireMsg};
+use adamant_proto::{Env, GroupId, Input, ObsEvent, ProtocolCore, WireMsg};
 
 use crate::config::Tuning;
 use crate::profile::{AppSpec, StackProfile};
@@ -91,7 +91,7 @@ impl ProtocolCore for UdpReceiver {
         }
         if !accept(&mut self.log, env, data.seq, data.published_at, false) {
             let seq = data.seq;
-            env.emit(|| ProtoEvent::SampleDuplicate { seq });
+            env.emit(|node| ObsEvent::SampleDuplicate { node, seq });
         }
     }
 }

@@ -10,7 +10,7 @@ use std::collections::BTreeSet;
 use std::time::Duration;
 
 use adamant_netsim::{Bandwidth, HostConfig, MachineClass, NodeId, SimDriver, SimTime, Simulation};
-use adamant_proto::Span;
+use adamant_proto::{ObsEvent, Span};
 use adamant_rt::{ClusterStats, MonotonicClock, MuxCluster, MuxConfig};
 use adamant_transport::{
     AppSpec, DataReader, NakcastReceiver, NakcastSender, ShmCastReceiver, ShmCastSender,
@@ -147,6 +147,74 @@ fn run_mux_fleet(receivers: usize, workers: usize, seed: u64, wall: Duration) ->
         published,
         receivers,
         stats: cluster.stats(),
+    }
+}
+
+/// The node a core-emitted event names; `None` for the simulator's packet,
+/// fault and adaptation-loop events, which no core emits.
+fn emitter(event: &ObsEvent) -> Option<NodeId> {
+    use ObsEvent::*;
+    match *event {
+        SampleAccepted { node, .. }
+        | SampleDuplicate { node, .. }
+        | NakSent { node, .. }
+        | NakGiveUp { node, .. }
+        | Retransmitted { node, .. }
+        | RepairSent { node, .. }
+        | RepairDecoded { node, .. }
+        | FailoverPromoted { node }
+        | HistoryRetained { node, .. }
+        | HistoryEvicted { node, .. }
+        | CatchUpNakSent { node, .. }
+        | DurableReplayed { node, .. }
+        | CatchUpCompleted { node, .. }
+        | CatchUpAbandoned { node, .. } => Some(node),
+        _ => None,
+    }
+}
+
+/// An observed runtime stamps every event a core emits with the node of
+/// the endpoint the core runs on, so a report's events need no lifting
+/// before the invariant checker reads them. No endpoint is node 0, so a
+/// driver stamping a constant node fails here.
+#[test]
+fn mux_reports_name_each_endpoints_own_node() {
+    let cfg = MuxConfig::new(2)
+        .with_seed(5)
+        .with_clock(MonotonicClock::start());
+    assert!(cfg.observed, "runtimes are observed by default");
+    let mut cluster = MuxCluster::bind("127.0.0.1:0", cfg).expect("bind mux cluster");
+    let sender = NodeId(5);
+    cluster
+        .add_endpoint(sender, sender_core(adamant_proto::GroupId(0)))
+        .expect("add mux sender");
+    for n in 6..=8 {
+        cluster
+            .add_endpoint(NodeId(n), receiver_core(sender))
+            .expect("add mux receiver");
+    }
+    cluster.connect_full_mesh().expect("wire mesh");
+    cluster
+        .run_for(Duration::from_millis(1_500))
+        .expect("mux cluster run");
+
+    for (_, node, report) in cluster.reports() {
+        for event in &report.events {
+            assert_eq!(
+                emitter(event),
+                Some(node),
+                "{node}'s report holds {event:?}"
+            );
+        }
+        if node != sender {
+            assert!(
+                report
+                    .events
+                    .iter()
+                    .any(|e| matches!(e, ObsEvent::SampleAccepted { .. })),
+                "{node} reported no accepted sample"
+            );
+        }
     }
 }
 
