@@ -369,6 +369,36 @@ mod tests {
     }
 
     #[test]
+    fn a_capture_of_paced_deliveries_keeps_each_latency() {
+        // Paced publication in stretches, broken by a recovered sample and a
+        // period change: the records repeat while every latency differs.
+        let mut log = DenseReceptionLog::with_capacity(3_000);
+        log.capture();
+        let (mut want, mut taken) = (Vec::new(), Vec::new());
+        let mut rng = DetRng::seed_from_u64(31);
+        let mut at = 1_000_000u64;
+        for seq in 0..3_000u64 {
+            if seq == 1_234 {
+                taken.extend(log.take_captured().expect("captured"));
+            }
+            at += if seq < 2_000 { 10_000_000 } else { 1_000_000 };
+            let delivery = Delivery {
+                seq,
+                published_at: TimePoint::from_nanos(at),
+                delivered_at: TimePoint::from_nanos(at + rng.range_inclusive(20_000, 90_000)),
+                recovered: seq % 700 == 699,
+            };
+            assert!(log.record(delivery));
+            want.push(delivery);
+        }
+        let got: Vec<_> = taken
+            .into_iter()
+            .chain(log.deliveries().expect("captures"))
+            .collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
     fn a_far_ahead_seq_does_not_size_the_bitset() {
         let mut log = DenseReceptionLog::with_capacity(64);
         for seq in [u64::MAX, 1 << 40, 1 << 63] {
@@ -444,11 +474,25 @@ mod tests {
         assert!(bytes <= 10 * count as usize, "{bytes} B");
     }
 
+    /// Pushes `want` into a fresh log and checks that it gives back exactly
+    /// that; returns the log.
+    fn round_trip(want: &[(u64, TimePoint, bool)]) -> DeliveryLog {
+        let mut log = DeliveryLog::default();
+        for &(seq, at, recovered) in want {
+            log.push(seq, at, recovered);
+        }
+        assert_eq!(log.iter().collect::<Vec<_>>(), want);
+        assert_eq!(log.len(), want.len());
+        assert_eq!(log.is_empty(), want.is_empty());
+        let recovered = want.iter().filter(|d| d.2).count() as u64;
+        assert_eq!(log.recovered(), recovered);
+        log
+    }
+
     #[test]
     fn the_delivery_log_returns_exactly_what_was_pushed() {
         let mut rng = DetRng::seed_from_u64(29);
         for case in 0..64 {
-            let mut log = DeliveryLog::default();
             let mut want = Vec::new();
             let (mut seq, mut at) = (rng.next_u64(), rng.next_u64());
             for _ in 0..case * 8 {
@@ -468,16 +512,82 @@ mod tests {
                     2 => [0, u64::MAX][(draw >> 9) as usize & 1],
                     _ => rng.next_u64(),
                 };
-                let entry = (seq, TimePoint::from_nanos(at), draw >> 63 == 1);
-                log.push(entry.0, entry.1, entry.2);
-                want.push(entry);
+                want.push((seq, TimePoint::from_nanos(at), draw >> 63 == 1));
             }
-            assert_eq!(log.iter().collect::<Vec<_>>(), want, "case {case}");
-            assert_eq!(log.len(), want.len());
-            assert_eq!(log.is_empty(), want.is_empty());
-            let recovered = want.iter().filter(|d| d.2).count() as u64;
-            assert_eq!(log.recovered(), recovered);
+            round_trip(&want);
         }
+        // Run-heavy draws: steps held for long stretches, then changed one
+        // part at a time, starting either anywhere or just short of both
+        // wraps.
+        for case in 0..64u64 {
+            let mut want = Vec::new();
+            let (mut seq, mut at) = match case % 2 {
+                0 => (rng.next_u64(), rng.next_u64()),
+                _ => (u64::MAX - case, u64::MAX - case * 10_000_000),
+            };
+            let (mut seq_step, mut at_step, mut recovered) = (1, 10_000_000, false);
+            for _ in 0..case * 40 {
+                let draw = rng.next_u64();
+                match draw % 32 {
+                    // A run broken only by the recovered flag, once or for good.
+                    0 => recovered = !recovered,
+                    1 => want.push((seq, TimePoint::from_nanos(at), !recovered)),
+                    // Runs of `seq` delta 0, of another delta, of another period.
+                    2 => seq_step = 0,
+                    3 => seq_step = [1, 2, u64::MAX, draw >> 32][(draw >> 5) as usize % 4],
+                    4 => at_step = [0, 1, u64::MAX, draw >> 24][(draw >> 5) as usize % 4],
+                    _ => {}
+                }
+                seq = seq.wrapping_add(seq_step);
+                at = at.wrapping_add(at_step);
+                want.push((seq, TimePoint::from_nanos(at), recovered));
+            }
+            round_trip(&want);
+        }
+    }
+
+    #[test]
+    fn a_run_may_start_at_the_second_record() {
+        // The second record repeats the first's deltas from zero.
+        let at = |ns| TimePoint::from_nanos(ns);
+        round_trip(&[
+            (7, at(500), false),
+            (14, at(1_000), false),
+            (21, at(1_500), false),
+        ]);
+        round_trip(&[(0, at(0), true), (0, at(0), true)]);
+        round_trip(&[(0, at(0), false), (0, at(0), false), (0, at(0), true)]);
+        round_trip(&[]);
+    }
+
+    #[test]
+    fn a_record_that_repeats_nothing_encodes_as_before() {
+        // A NAKcast reader's log: publication times stamped with jitter, and
+        // one loss recovered out of order. No record repeats its
+        // predecessor's deltas, so these bytes are the plain two-varint
+        // records, whatever runs the log would fold.
+        let log = round_trip(&[
+            (0, TimePoint::from_nanos(3_000_112), false),
+            (1, TimePoint::from_nanos(4_010_457), false),
+            (3, TimePoint::from_nanos(6_031_020), false),
+            (2, TimePoint::from_nanos(5_020_733), true),
+            (4, TimePoint::from_nanos(7_041_009), false),
+            (5, TimePoint::from_nanos(8_050_871), false),
+        ]);
+        #[rustfmt::skip]
+        let want = [
+            6, 0, 0, 0, 0, 0, 0, 0, // count
+            1, 0, 0, 0, 0, 0, 0, 0, // recovered count
+            5, 0, 0, 0, 0, 0, 0, 0, // last seq
+            183, 216, 122, 0, 0, 0, 0, 0, // last published_at
+            0, 224, 156, 238, 2, // seq 0
+            2, 210, 170, 123, // seq 1
+            4, 166, 211, 246, 1, // seq 3
+            255, 255, 255, 255, 255, 255, 255, 255, 255, 3, 221, 169, 123, // seq 2, recovered
+            4, 232, 206, 246, 1, // seq 4
+            2, 140, 163, 123, // seq 5
+        ];
+        assert_eq!(log.bytes, want);
     }
 
     /// A log of `count` deliveries, `seq` + 1 and `published_at` + `period`
