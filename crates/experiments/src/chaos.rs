@@ -204,7 +204,6 @@ pub fn chaos_verify_spec(outcome: &HealingOutcome) -> VerifySpec {
             INITIAL_NAK_TIMEOUT,
             &Tuning::default(),
         ))
-        .with_tolerance(1e-9)
 }
 
 // ------------------------------------------------- durable crash-restart

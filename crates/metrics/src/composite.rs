@@ -87,13 +87,7 @@ impl MetricKind {
 
 impl fmt::Display for MetricKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MetricKind::ReLate => write!(f, "ReLate"),
-            MetricKind::ReLate2 => write!(f, "ReLate2"),
-            MetricKind::ReLate2Jit => write!(f, "ReLate2Jit"),
-            MetricKind::ReLate2Burst => write!(f, "ReLate2Burst"),
-            MetricKind::ReLate2Net => write!(f, "ReLate2Net"),
-        }
+        fmt::Debug::fmt(self, f) // the variant's name
     }
 }
 

@@ -1,7 +1,7 @@
 //! Delivery records: a runtime endpoint's [`DeliveryLog`] of delta-varint
-//! records, and a simulated reader's [`DenseReceptionLog`] — a duplicate
-//! filter and a [`QosAccumulator`], plus a `DeliveryLog` and a latency
-//! column only under capture.
+//! records, repeats folded into runs, and a simulated reader's
+//! [`DenseReceptionLog`] — a duplicate filter and a [`QosAccumulator`],
+//! plus a `DeliveryLog` and a latency column only under capture.
 
 use std::collections::BTreeSet;
 
@@ -172,14 +172,21 @@ fn captured<B: AsRef<[u8]>>(records: B, latencies: B) -> impl Iterator<Item = De
 /// Bytes of a [`DeliveryLog`]'s header: four little-endian `u64`s.
 const LOG_HEADER: usize = 32;
 
+/// A run record's second varint: bit 64, which no zigzag delta sets, plus
+/// the repeat count. With the zero varint before it, a run takes 11 bytes.
+const RUN: u128 = 1 << 64;
+
 /// An endpoint's deliveries, `(seq, published_at, recovered)` in push
 /// order, kept losslessly in one byte buffer: a header (count, recovered
 /// count, last `seq`, last `published_at`), then two LEB128 varints per
-/// delivery — the wrapping `seq` delta shifted left one bit with the
+/// record — the wrapping `seq` delta shifted left one bit with the
 /// recovered flag in the low bit (a `u128`, so any `u64` delta
-/// round-trips), and the zigzag-encoded `published_at` delta. A paced
-/// delivery (`seq` + 1, 10 ms later) costs ≈ 5 B against 24 for a `(u64,
-/// TimePoint, bool)`; an empty log allocates nothing.
+/// round-trips), and the zigzag-encoded `published_at` delta. A delivery
+/// whose varints repeat the previous record's is folded into a run record,
+/// `0` then `RUN` + the repeat count, whose count is rewritten in place as
+/// the run grows: a paced stream (`seq` + 1, one period later) costs 11 B
+/// per stretch rather than ≈ 5 B per delivery, a record that repeats
+/// nothing costs what it always did, and an empty log allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct DeliveryLog {
     bytes: Vec<u8>,
@@ -191,15 +198,21 @@ impl DeliveryLog {
     pub fn push(&mut self, seq: u64, published_at: TimePoint, recovered: bool) {
         let at = published_at.as_nanos();
         let key = (u128::from(seq.wrapping_sub(self.field(2))) << 1) | u128::from(recovered);
-        let at_delta = zigzag(at.wrapping_sub(self.field(3)));
+        let mut record = (key, zigzag(at.wrapping_sub(self.field(3))));
         let recovered_count = self.recovered() + u64::from(recovered);
         let header = [self.field(0) + 1, recovered_count, seq, at];
+        // A repeat of the last record rewrites the run after it, or starts one.
+        if let Some((_, run)) = self.last_record().filter(|&(last, _)| last == record) {
+            let len = self.bytes.len() - 11 * usize::from(run > 0);
+            self.bytes.truncate(len);
+            record = (0, RUN + u128::from(run + 1));
+        }
         if self.bytes.is_empty() {
             self.bytes.resize(LOG_HEADER, 0);
         }
         self.bytes[..LOG_HEADER].copy_from_slice(header.map(u64::to_le_bytes).as_flattened());
-        put_varint(&mut self.bytes, key);
-        put_varint(&mut self.bytes, at_delta);
+        put_varint(&mut self.bytes, record.0);
+        put_varint(&mut self.bytes, record.1);
     }
 
     /// Deliveries logged.
@@ -227,6 +240,19 @@ impl DeliveryLog {
         let (fields, _) = self.bytes.as_chunks();
         fields.get(index).map_or(0, |&b| u64::from_le_bytes(b))
     }
+
+    /// The last plain record's varints and how many times a run after it
+    /// repeats them (`None` on an empty log). Only a varint's last byte is
+    /// below 0x80, so the records split into varints from either end.
+    fn last_record(&self) -> Option<((u128, u128), u64)> {
+        let records = self.bytes.get(LOG_HEADER..)?;
+        let mut back = records.split_inclusive(|&b| b < 0x80).rev().map(varint);
+        let (mut second, mut first, mut repeats) = (back.next()?, back.next()?, 0);
+        if second >= RUN {
+            (repeats, second, first) = (second as u64, back.next()?, back.next()?);
+        }
+        Some(((first, second), repeats))
+    }
 }
 
 /// A wrapping difference read as an `i64` and zigzag-mapped, so a small
@@ -249,33 +275,36 @@ fn put_varint(bytes: &mut Vec<u8>, mut value: u128) {
     bytes.push(value as u8);
 }
 
-/// The varint `bytes` starts with, which it steps past (`None` at the end).
-fn take_varint(bytes: &mut &[u8]) -> Option<u128> {
-    let end = bytes.iter().position(|&b| b < 0x80)?;
-    let (varint, rest) = bytes.split_at(end + 1);
-    *bytes = rest;
-    let groups = varint.iter().rev().map(|&b| u128::from(b & 0x7F));
-    Some(groups.fold(0, |value, group| (value << 7) | group))
+/// The value of one whole varint.
+fn varint(bytes: &[u8]) -> u128 {
+    let groups = bytes.iter().rev().map(|&b| u128::from(b & 0x7F));
+    groups.fold(0, |value, group| (value << 7) | group)
 }
 
 /// The varints of `bytes` from offset `at` on.
 fn varints<B: AsRef<[u8]>>(bytes: B, mut at: usize) -> impl Iterator<Item = u128> {
     std::iter::from_fn(move || {
-        let mut rest = bytes.as_ref().get(at..)?;
-        let value = take_varint(&mut rest)?;
-        at = bytes.as_ref().len() - rest.len();
-        Some(value)
+        let bytes = bytes.as_ref().get(at..)?;
+        let len = bytes.iter().position(|&b| b < 0x80)? + 1;
+        at += len;
+        Some(varint(&bytes[..len]))
     })
 }
 
 /// The `(seq, published_at, recovered)` records of a [`DeliveryLog`]'s bytes.
 fn decode_records<B: AsRef<[u8]>>(bytes: B) -> impl Iterator<Item = (u64, TimePoint, bool)> {
     let mut varints = varints(bytes, LOG_HEADER);
-    let (mut seq, mut at) = (0u64, 0u64);
+    let (mut seq, mut at, mut record, mut repeats) = (0u64, 0u64, (0, 0), 0);
     std::iter::from_fn(move || {
-        let key = varints.next()?;
+        if repeats == 0 {
+            let next = (varints.next()?, varints.next()?);
+            record = if next.1 < RUN { next } else { record };
+            repeats = if next.1 < RUN { 1 } else { next.1 as u64 };
+        }
+        repeats -= 1;
+        let (key, at_delta) = record;
         seq = seq.wrapping_add((key >> 1) as u64);
-        at = at.wrapping_add(unzigzag(varints.next()?));
+        at = at.wrapping_add(unzigzag(at_delta));
         Some((seq, TimePoint::from_nanos(at), key & 1 == 1))
     })
 }
@@ -601,12 +630,22 @@ mod tests {
     }
 
     #[test]
-    fn a_paced_delivery_costs_about_five_bytes() {
-        let log = paced(10_000, 10_240_000);
-        assert!(log.bytes.len() <= 6 * 10_000, "{} B", log.bytes.len());
+    fn a_paced_stream_costs_the_same_few_bytes_however_long_it_runs() {
+        // The first two records, then one run rewritten in place.
+        let log = paced(1_000_000, 10_240_000);
+        assert_eq!(log.len(), 1_000_000);
+        assert!(log.bytes.capacity() <= 64, "{} B", log.bytes.capacity());
+        assert_eq!(
+            log.iter().nth(999_999),
+            Some((
+                999_999,
+                TimePoint::from_nanos(1_000_000 + 999_999 * 10_240_000),
+                false
+            ))
+        );
         // A fleet endpoint hears one sample a second for fourteen seconds.
         let log = paced(14, 1_000_000_000);
-        assert!(log.bytes.capacity() <= 192, "{} B", log.bytes.capacity());
+        assert!(log.bytes.capacity() <= 64, "{} B", log.bytes.capacity());
         assert_eq!(DeliveryLog::default().bytes.capacity(), 0);
         assert_eq!(std::mem::size_of::<DeliveryLog>(), 24);
     }

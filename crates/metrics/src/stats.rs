@@ -67,18 +67,10 @@ impl Welford {
     }
 }
 
-impl Extend<f64> for Welford {
-    fn extend<T: IntoIterator<Item = f64>>(&mut self, iter: T) {
-        for x in iter {
-            self.push(x);
-        }
-    }
-}
-
 impl FromIterator<f64> for Welford {
     fn from_iter<T: IntoIterator<Item = f64>>(iter: T) -> Self {
         let mut w = Welford::new();
-        w.extend(iter);
+        iter.into_iter().for_each(|x| w.push(x));
         w
     }
 }

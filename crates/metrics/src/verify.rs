@@ -162,12 +162,6 @@ impl VerifySpec {
         self.recovery_bound = Some(bound);
         self
     }
-
-    /// Overrides the ReLate2 comparison tolerance.
-    pub fn with_tolerance(mut self, tolerance: f64) -> Self {
-        self.tolerance = tolerance;
-        self
-    }
 }
 
 /// The checker's result: violations plus the quantities it recomputed.
