@@ -44,9 +44,10 @@ pub enum Input<'a> {
 
 /// Handle to a pending timer, allocated by [`Env::set_timer`].
 ///
-/// Tokens are unique per core for the lifetime of the session (a plain
-/// counter), so a stale token can never alias a newer timer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// Tokens count up from the default for the lifetime of the session, and
+/// an [`EnvHost`] keeps counting across [`reseed`](EnvHost::reseed)s, so a
+/// stale token can never alias a newer timer.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TimerToken(u64);
 
 /// One side effect requested by a protocol core.
@@ -109,13 +110,6 @@ impl Membership for &[Vec<NodeId>] {
 impl Membership for Vec<Vec<NodeId>> {
     fn members(&self, group: GroupId) -> &[NodeId] {
         &self[group.index()]
-    }
-}
-
-/// An empty membership view for cores that never consult groups.
-impl Membership for () {
-    fn members(&self, _group: GroupId) -> &[NodeId] {
-        &[]
     }
 }
 
@@ -288,7 +282,6 @@ pub trait ProtocolCore: Send + 'static {
 #[derive(Debug)]
 pub struct EnvHost {
     node: NodeId,
-    cpu_scale: f64,
     observed: bool,
     groups: Vec<Vec<NodeId>>,
     rng: DetRng,
@@ -301,7 +294,6 @@ impl EnvHost {
     pub fn new(node: NodeId, seed: u64) -> Self {
         EnvHost {
             node,
-            cpu_scale: 1.0,
             observed: true,
             groups: Vec::new(),
             rng: DetRng::seed_from_u64(seed),
@@ -319,6 +311,14 @@ impl EnvHost {
     pub fn with_observed(mut self, observed: bool) -> Self {
         self.observed = observed;
         self
+    }
+
+    /// Restarts the entropy stream from `seed` for the endpoint's next
+    /// incarnation, keeping the groups and the timer counter, so no token is
+    /// handed out twice; returns the first token the incarnation gets.
+    pub fn reseed(&mut self, seed: u64) -> TimerToken {
+        self.rng = DetRng::seed_from_u64(seed);
+        TimerToken(self.next_timer)
     }
 
     /// The endpoint this host represents.
@@ -342,7 +342,7 @@ impl EnvHost {
         let mut env = Env::new(
             now,
             self.node,
-            self.cpu_scale,
+            1.0,
             self.observed,
             &mut self.rng,
             &self.groups,

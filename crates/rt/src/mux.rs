@@ -49,10 +49,11 @@
 //! makes one `next_deadline` query per park no matter how many endpoints
 //! it hosts. The wheels live on the cluster between windows, so timers
 //! pending when a window closes fire in the next one. Each timer is armed
-//! under its endpoint's index and incarnation, so one armed by an
-//! incarnation that has since been restarted is dropped as stale when it
-//! pops. The index takes the top 24 bits of that `u32` owner code, so a
-//! cluster holds at most 2^24 (16 777 216) endpoints.
+//! under its endpoint's index, and an endpoint's timer tokens keep counting
+//! across incarnations: a timer whose token precedes the live
+//! incarnation's first was armed by a restarted one, however many restarts
+//! back, and is dropped as stale when it pops. A cluster holds at most
+//! 2^24 (16 777 216) endpoints.
 //!
 //! **Restart.** Routing is by [`NodeId`] → `(socket address, endpoint
 //! index, incarnation)`. A [`restart_endpoint`](MuxCluster::restart_endpoint)
@@ -69,7 +70,7 @@ use std::time::Duration;
 use adamant_metrics::MetricsRegistry;
 use adamant_proto::{
     Clock, Destination, Effect, EnvHost, FrameDest, FrameError, FrameHeader, FramePart, Frames,
-    Input, NodeId, ProtocolCore, Span, TimePoint, TimerWheel, WireMsg, ANY_INCARNATION,
+    Input, NodeId, ProtocolCore, Span, TimePoint, TimerToken, TimerWheel, WireMsg, ANY_INCARNATION,
 };
 
 use crate::clock::MonotonicClock;
@@ -287,17 +288,9 @@ fn endpoint_seed(base: u64, index: usize, incarnation: u32) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Endpoints one cluster holds: an index must fit the 24 high bits of its
-/// [`wheel_owner`] code.
+/// Endpoints one cluster holds; an index is a `u32` on the wheel and in
+/// frame headers.
 const MAX_ENDPOINTS: usize = 1 << 24;
-
-/// The owner code endpoint `index` arms timers under during `incarnation`:
-/// the index in the high bits, the incarnation (mod 256) in the low byte,
-/// so a restarted endpoint's stale timers are distinguishable when they
-/// pop from the shard's persistent wheel.
-fn wheel_owner(index: usize, incarnation: u32) -> u32 {
-    ((index as u32) << 8) | (incarnation & 0xFF)
-}
 
 /// One endpoint of the mux cluster. An entry owns no socket — it is
 /// pinned to one of its worker's shared sockets by index.
@@ -308,9 +301,11 @@ struct MuxEntry {
     routes: HashMap<NodeId, MuxRoute>,
     report: EndpointReport,
     started: bool,
-    observed: bool,
     incarnation: u32,
-    wheel_owner: u32,
+    /// The global index, which the endpoint's timers are armed under.
+    index: u32,
+    /// The live incarnation's first timer token: a fire below it is stale.
+    first_timer: TimerToken,
     /// Index into the worker's socket pool this endpoint sends from (and
     /// whose bound address peers send to).
     socket: usize,
@@ -494,9 +489,9 @@ impl MuxCluster {
             routes: HashMap::new(),
             report: EndpointReport::default(),
             started: false,
-            observed: self.cfg.observed,
             incarnation: 0,
-            wheel_owner: wheel_owner(index, 0),
+            index: index as u32,
+            first_timer: TimerToken::default(),
             socket,
             plans: Box::default(),
             plans_stale: false,
@@ -528,13 +523,9 @@ impl MuxCluster {
         let entry = self.entry_mut(id)?;
         let node = entry.node;
         entry.incarnation = entry.incarnation.wrapping_add(1);
-        entry.wheel_owner = wheel_owner(id.0, entry.incarnation);
         entry.started = false;
         let incarnation = entry.incarnation;
-        let seed = endpoint_seed(base, id.0, incarnation);
-        let groups = std::mem::take(entry.host.groups_mut());
-        entry.host = EnvHost::new(node, seed).with_observed(entry.observed);
-        *entry.host.groups_mut() = groups;
+        entry.first_timer = entry.host.reseed(endpoint_seed(base, id.0, incarnation));
         entry.core = Box::new(core);
         // Re-stamp every peer's route so post-restart sends reach the new
         // incarnation instead of being dropped as stale.
@@ -856,7 +847,7 @@ struct Scratch {
 fn local_pos(global: usize, shard: &[MuxEntry], workers: usize) -> Option<usize> {
     let pos = global / workers;
     let entry = shard.get(pos)?;
-    ((entry.wheel_owner >> 8) as usize == global).then_some(pos)
+    (entry.index as usize == global).then_some(pos)
 }
 
 /// One worker's window over the shard, socket pool and timer wheel it is
@@ -916,11 +907,10 @@ fn drive_mux_shard(
                 break;
             };
             fired += 1;
-            let index = (fire.owner >> 8) as usize;
-            let Some(pos) = local_pos(index, shard, workers) else {
+            let Some(pos) = local_pos(fire.owner as usize, shard, workers) else {
                 continue;
             };
-            if fire.owner != shard[pos].wheel_owner {
+            if fire.token < shard[pos].first_timer {
                 continue; // armed by a dead incarnation: drop as stale
             }
             let now = clock.now();
@@ -1082,7 +1072,7 @@ fn step_entry(
         core,
         routes,
         report,
-        wheel_owner: owner,
+        index: owner,
         socket,
         plans,
         ..
@@ -1921,6 +1911,40 @@ mod tests {
         assert_eq!(stats.stale_drops, 1);
         assert_eq!(stats.delivered, 1);
         assert_eq!(stats.datagrams_received, 2);
+    }
+
+    /// Arms one timer at `Start` when it has a delay; delivers a sample for
+    /// every timer that fires on it.
+    struct Alarm(Option<Span>);
+
+    impl ProtocolCore for Alarm {
+        fn step(&mut self, input: Input<'_>, env: &mut Env<'_>) {
+            match (input, self.0) {
+                (Input::Start, Some(delay)) => {
+                    env.set_timer(delay, 0);
+                }
+                (Input::TimerFired { .. }, _) => env.deliver(0, env.now(), false),
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn a_timer_of_an_incarnation_256_restarts_back_does_not_fire_on_the_new_core() {
+        // A timer still pending from incarnation 0 must fire on no later
+        // core; 256 restarts is where an 8-bit incarnation tag would wrap.
+        for restarts in [1, 255, 256, 257] {
+            let mut cluster = small_mux(1, 3);
+            let alarm = Alarm(Some(Span::from_millis(60)));
+            let id = cluster.add_endpoint(NodeId(0), alarm).unwrap();
+            cluster.run_for(Duration::from_millis(5)).unwrap();
+            for _ in 0..restarts {
+                cluster.restart_endpoint(id, Alarm(None)).unwrap();
+            }
+            cluster.run_for(Duration::from_millis(120)).unwrap();
+            let fired = cluster.report(id).unwrap().delivered.len();
+            assert_eq!(fired, 0, "after {restarts} restarts");
+        }
     }
 
     #[test]
