@@ -93,22 +93,19 @@ impl ToJson for MetricsRegistry {
             .map(|(k, &v)| (k.clone(), Json::Num(v as f64)));
         let gauges = self.gauges.iter().map(|(k, &v)| (k.clone(), Json::Num(v)));
         let histograms = self.histograms.iter().map(|(k, h)| {
-            // An empty histogram has a count and nothing else.
-            let (p50, p99) = (h.percentile(0.5), h.percentile(0.99));
-            let stats = [
-                ("min_us", h.min_us()),
-                ("p50_us", p50),
-                ("p99_us", p99),
-                ("max_us", h.max_us()),
-            ];
-            let stats = stats
-                .into_iter()
-                .filter_map(|(name, v)| Some((name.to_owned(), Json::Num(v?))));
-            let count = ("count".to_owned(), Json::Num(h.count() as f64));
-            (
-                k.clone(),
-                Json::Obj([count].into_iter().chain(stats).collect()),
-            )
+            let mut o = vec![("count".to_owned(), Json::Num(h.count() as f64))];
+            if let (Some(min), Some(p50), Some(p99), Some(max)) = (
+                h.min_us(),
+                h.percentile(0.5),
+                h.percentile(0.99),
+                h.max_us(),
+            ) {
+                o.push(("min_us".to_owned(), Json::Num(min)));
+                o.push(("p50_us".to_owned(), Json::Num(p50)));
+                o.push(("p99_us".to_owned(), Json::Num(p99)));
+                o.push(("max_us".to_owned(), Json::Num(max)));
+            }
+            (k.clone(), Json::Obj(o))
         });
         Json::Obj(vec![
             ("counters".to_owned(), Json::Obj(counters.collect())),

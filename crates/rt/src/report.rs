@@ -139,8 +139,9 @@ impl WorkerCounters {
 #[derive(Debug, Clone, Default)]
 pub struct EndpointReport {
     /// Samples the core handed up the stack, `(seq, published_at,
-    /// recovered)` in delivery order: one record per delivery for the whole
-    /// run, ≈ 5 B each on a paced stream (see [`DeliveryLog`]).
+    /// recovered)` in delivery order, for the whole run: a few bytes per
+    /// delivery that breaks the stream's rhythm, while a paced stretch of
+    /// any length folds into one 11-byte run (see [`DeliveryLog`]).
     pub delivered: DeliveryLog,
     /// Core trace events naming this endpoint's node (if `observed`).
     pub events: Vec<ObsEvent>,
