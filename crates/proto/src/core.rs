@@ -342,7 +342,7 @@ impl EnvHost {
         let mut env = Env::new(
             now,
             self.node,
-            1.0,
+            1.0, // the reference machine class
             self.observed,
             &mut self.rng,
             &self.groups,
