@@ -3,9 +3,7 @@
 //! [`DenseReceptionLog`] — a duplicate filter and a [`QosAccumulator`],
 //! plus a `DeliveryLog` and a latency column only under capture.
 
-use std::collections::BTreeSet;
-
-use adamant_proto::{Span, TimePoint};
+use adamant_proto::{Insert, SeqWindow, Span, TimePoint};
 
 use crate::report::QosAccumulator;
 
@@ -36,13 +34,13 @@ impl Delivery {
 /// Transports append to this as they deliver samples. A second copy of a
 /// delivered sequence number is refused and counted as a duplicate; every
 /// accepted one folds into the log's [`QosAccumulator`], which is all a
-/// [`QosReport`](crate::QosReport) needs. Nothing is allocated before it.
+/// [`QosReport`](crate::QosReport) needs.
 ///
-/// Delivered sequence numbers are tracked in a bitset, so `record` and
-/// `contains` are O(1). The bitset covers at most `max(capacity,
-/// 2 × delivered_count + 4 096)` sequences; a farther `seq` is kept in a
-/// sorted side set, so memory stays O(capacity + deliveries) whatever
-/// sequence numbers arrive.
+/// Delivered sequence numbers are settled in a [`SeqWindow`], so `record`
+/// and `contains` are O(1) and the log holds at most
+/// [`SPAN`](adamant_proto::SPAN) bits whatever sequence numbers arrive. A
+/// `seq` more than `SPAN` past the highest delivery is refused and counted
+/// as a window overflow.
 ///
 /// Only under [`capture`](Self::capture) is each delivery also kept, in
 /// record order, as a [`DeliveryLog`] record plus a zigzag `delivered_at −
@@ -51,17 +49,18 @@ impl Delivery {
 pub struct DenseReceptionLog {
     qos: QosAccumulator,
     capture: Option<(DeliveryLog, Vec<u8>)>, // records, zigzag latency varints
-    capacity: u64,
-    seen: Vec<u64>,     // bitset, one bit per sequence number
-    far: BTreeSet<u64>, // delivered sequences beyond the bitset
+    expected: u64,
+    seen: SeqWindow,
     duplicates: u64,
+    overflows: u64,
 }
 
 impl DenseReceptionLog {
-    /// Creates an empty log sized for sequences `0..capacity`.
-    pub fn with_capacity(capacity: u64) -> Self {
+    /// Creates an empty log that reserves room for `expected` sequences
+    /// (at most [`SPAN`](adamant_proto::SPAN)) at its first delivery.
+    pub fn with_capacity(expected: u64) -> Self {
         DenseReceptionLog {
-            capacity,
+            expected,
             ..DenseReceptionLog::default()
         }
     }
@@ -71,34 +70,22 @@ impl DenseReceptionLog {
         self.capture.get_or_insert_default();
     }
 
-    fn test_and_set(&mut self, seq: u64) -> bool {
-        let word = seq / 64;
-        if word >= self.seen.len() as u64 {
-            let capacity = self.capacity.div_ceil(64);
-            if word >= capacity.max((2 * self.qos.delivered() + 4_096) / 64) {
-                // Far past what the log holds: one hostile `seq` must not
-                // size the bitset.
-                return !self.far.insert(seq);
-            }
-            self.seen.resize((word + 1).max(capacity) as usize, 0);
-            // Sequences the bitset now covers move into it.
-            let beyond = self.far.split_off(&(self.seen.len() as u64 * 64));
-            for seq in std::mem::replace(&mut self.far, beyond) {
-                self.seen[(seq / 64) as usize] |= 1 << (seq % 64);
-            }
+    /// Records a delivery unless its sequence number was delivered already
+    /// ([`Insert::Seen`]) or lies too far ahead ([`Insert::Beyond`]); each
+    /// refusal is counted.
+    pub fn record(&mut self, delivery: Delivery) -> Insert {
+        if self.seen.is_empty() {
+            self.seen.reserve(self.expected);
         }
-        let (word, bit) = (word as usize, 1u64 << (seq % 64));
-        let was_set = self.seen[word] & bit != 0;
-        self.seen[word] |= bit;
-        was_set
-    }
-
-    /// Records a delivery. Returns `false` if this sequence number was
-    /// already delivered.
-    pub fn record(&mut self, delivery: Delivery) -> bool {
-        if self.test_and_set(delivery.seq) {
-            self.duplicates += 1;
-            return false;
+        let outcome = self.seen.insert(delivery.seq);
+        let refusals = match outcome {
+            Insert::Fresh { .. } => None,
+            Insert::Seen => Some(&mut self.duplicates),
+            Insert::Beyond => Some(&mut self.overflows),
+        };
+        if let Some(count) = refusals {
+            *count += 1;
+            return outcome;
         }
         self.qos.record(delivery.latency(), delivery.recovered);
         if let Some((log, latencies)) = &mut self.capture {
@@ -107,15 +94,19 @@ impl DenseReceptionLog {
             let latency = delivery.delivered_at.as_nanos().wrapping_sub(published);
             put_varint(latencies, zigzag(latency));
         }
-        true
+        outcome
     }
 
-    /// Whether `seq` has been delivered.
-    pub fn contains(&self, seq: u64) -> bool {
-        match self.seen.get((seq / 64) as usize) {
-            Some(word) => word & (1 << (seq % 64)) != 0,
-            None => self.far.contains(&seq),
-        }
+    /// The window of delivered sequence numbers: whether a `seq` was
+    /// delivered (or lies below the window) is `window().contains(seq)`.
+    pub fn window(&self) -> &SeqWindow {
+        &self.seen
+    }
+
+    /// Counts every sequence below `floor` as settled: a reader joining a
+    /// stream at `floor` starts its window there.
+    pub fn start_at(&mut self, floor: u64) {
+        self.seen.advance_to(floor);
     }
 
     /// Every recorded (unique) delivery since [`capture`](Self::capture),
@@ -147,6 +138,11 @@ impl DenseReceptionLog {
     /// Number of duplicate deliveries suppressed.
     pub fn duplicate_count(&self) -> u64 {
         self.duplicates
+    }
+
+    /// Number of deliveries refused as too far ahead of the window.
+    pub fn overflow_count(&self) -> u64 {
+        self.overflows
     }
 
     /// Number of deliveries that came through error recovery.
@@ -312,7 +308,7 @@ fn decode_records<B: AsRef<[u8]>>(bytes: B) -> impl Iterator<Item = (u64, TimePo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adamant_proto::DetRng;
+    use adamant_proto::{DetRng, SPAN};
 
     fn d(seq: u64, sent_us: u64, recv_us: u64) -> Delivery {
         Delivery {
@@ -334,7 +330,7 @@ mod tests {
         for case in 0..64u64 {
             let mut log = DenseReceptionLog::with_capacity(case * 4);
             log.capture();
-            let (mut want, mut duplicates) = (Vec::<Delivery>::new(), 0);
+            let (mut want, mut duplicates, mut overflows) = (Vec::<Delivery>::new(), 0, 0);
             let mut taken = Vec::new();
             let (mut seq, mut at) = (0u64, rng.next_u64());
             for step in 0..case * 8 {
@@ -342,13 +338,13 @@ mod tests {
                     taken.extend(log.take_captured().expect("captured"));
                 }
                 let draw = rng.next_u64();
-                // In order, reordered, duplicated, just past the bitset,
-                // far ahead, or an extreme.
+                // In order, reordered, duplicated, just past the window's
+                // span, far ahead, or an extreme.
                 seq = match draw % 7 {
                     0 | 1 => seq.wrapping_add(1),
                     2 => seq.wrapping_sub(draw >> 60),
                     3 => seq,
-                    4 => seq.wrapping_add(draw >> 50),
+                    4 => seq.wrapping_add(SPAN - 8 + (draw >> 60)),
                     5 => seq.wrapping_add(draw >> 20),
                     _ => [0, u64::MAX][(draw >> 8) as usize & 1],
                 };
@@ -371,12 +367,17 @@ mod tests {
                     delivered_at: TimePoint::from_nanos(delivered),
                     recovered: draw >> 63 == 1,
                 };
-                let fresh = want.iter().all(|w| w.seq != seq);
-                assert_eq!(log.record(delivery), fresh, "case {case}");
-                if fresh {
-                    want.push(delivery);
-                } else {
-                    duplicates += 1;
+                let settled = log.window().contains(seq);
+                match log.record(delivery) {
+                    Insert::Fresh { .. } => {
+                        assert!(want.iter().all(|w| w.seq != seq), "case {case}");
+                        want.push(delivery);
+                    }
+                    Insert::Seen => {
+                        assert!(settled, "case {case}");
+                        duplicates += 1;
+                    }
+                    Insert::Beyond => overflows += 1,
                 }
             }
             // What a take handed over, then what the log captured since.
@@ -387,13 +388,11 @@ mod tests {
             let recovered = want.iter().filter(|w| w.recovered).count() as u64;
             assert_eq!(log.recovered_count(), recovered);
             assert_eq!(log.duplicate_count(), duplicates);
-            for probe in want
-                .iter()
-                .flat_map(|w| [w.seq.wrapping_sub(1), w.seq, w.seq.wrapping_add(1)])
-            {
-                let delivered = want.iter().any(|w| w.seq == probe);
-                assert_eq!(log.contains(probe), delivered, "case {case} seq {probe}");
-            }
+            assert_eq!(log.overflow_count(), overflows);
+            assert!(
+                want.iter().all(|w| log.window().contains(w.seq)),
+                "case {case}"
+            );
         }
     }
 
@@ -417,7 +416,7 @@ mod tests {
                 delivered_at: TimePoint::from_nanos(at + rng.range_inclusive(20_000, 90_000)),
                 recovered: seq % 700 == 699,
             };
-            assert!(log.record(delivery));
+            assert!(log.record(delivery).is_fresh());
             want.push(delivery);
         }
         let got: Vec<_> = taken
@@ -430,31 +429,28 @@ mod tests {
     #[test]
     fn a_far_ahead_seq_does_not_size_the_bitset() {
         let mut log = DenseReceptionLog::with_capacity(64);
-        for seq in [u64::MAX, 1 << 40, 1 << 63] {
-            assert!(log.record(d(seq, 0, 1)));
-            assert!(!log.record(d(seq, 0, 2)));
-            assert!(log.contains(seq));
-            assert!(!log.contains(seq - 1));
+        for seq in 0..10 {
+            assert!(log.record(d(seq, 0, 1)).is_fresh());
         }
-        assert!(log.seen.is_empty());
-        assert_eq!((log.delivered_count(), log.duplicate_count()), (3, 3));
-        // A sequence kept aside moves into the bitset once it grows past it.
-        assert!(log.record(d(5_000, 0, 1)));
-        for seq in 0..1_000 {
-            assert!(log.record(d(seq, 0, 1)));
+        // More than `SPAN` past the highest delivery: refused and counted,
+        // the window untouched.
+        for seq in [u64::MAX, 1 << 40, 1 << 63, 10 + SPAN] {
+            assert_eq!(log.record(d(seq, 0, 1)), Insert::Beyond);
+            assert!(!log.window().contains(seq));
         }
-        assert!(log.record(d(5_100, 0, 1)));
-        assert!(!log.far.contains(&5_000));
-        assert!(!log.record(d(5_000, 0, 2)));
-        assert!(log.contains(5_000));
-        assert_eq!(log.far.len(), 3);
+        assert_eq!(log.window().word_count(), 1);
+        let counts = (log.delivered_count(), log.duplicate_count());
+        assert_eq!((counts, log.overflow_count()), ((10, 0), 4));
+        // The farthest `seq` it takes slides the window, which stays bounded.
+        assert!(log.record(d(9 + SPAN, 0, 1)).is_fresh());
+        assert_eq!(log.window().base(), 10);
+        assert!(log.window().word_count() as u64 <= SPAN / 64 + 1);
+        assert_eq!(log.record(d(5, 0, 2)), Insert::Seen);
     }
 
     #[test]
     fn a_log_that_does_not_capture_keeps_only_its_accumulator() {
         let mut log = DenseReceptionLog::with_capacity(10_000);
-        // Nothing is allocated before the first delivery.
-        assert_eq!((log.seen.capacity(), log.far.len()), (0, 0));
         assert!(log.qos() == &QosAccumulator::default() && log.deliveries().is_none());
         let mut captured = log.clone();
         captured.capture();
@@ -463,7 +459,7 @@ mod tests {
             assert_eq!(log.record(delivery), captured.record(delivery));
         }
         assert!(log.deliveries().is_none() && log.take_captured().is_none());
-        assert_eq!(log.seen.len(), 157);
+        assert_eq!(log.window().word_count(), 1);
         assert_eq!(log.qos(), captured.qos());
         let mut refolded = QosAccumulator::default();
         for d in captured.deliveries().expect("captured") {
@@ -476,10 +472,10 @@ mod tests {
     #[test]
     fn dense_log_grows_past_capacity() {
         let mut dense = DenseReceptionLog::with_capacity(1);
-        assert!(dense.record(d(1_000, 0, 1)));
-        assert!(dense.contains(1_000));
-        assert!(!dense.contains(999));
-        assert!(!dense.record(d(1_000, 0, 2)));
+        assert!(dense.record(d(1_000, 0, 1)).is_fresh());
+        assert!(dense.window().contains(1_000));
+        assert!(!dense.window().contains(999));
+        assert_eq!(dense.record(d(1_000, 0, 2)), Insert::Seen);
     }
 
     #[test]

@@ -18,21 +18,22 @@
 //! everything older: a [`GapTracker`] batch-NAKs the wanted history with
 //! retry + exponential backoff + timeout (the same idiom as the NAKcast
 //! re-NAK schedule), replayed samples are delivered by the wrapper, and a
-//! `delivered` set carried across incarnations dedupes what the previous
-//! life already handed to the application. A
+//! delivered [`SeqWindow`] carried across incarnations dedupes what the
+//! previous life already handed to the application. A
 //! [`DurabilityMode::Volatile`] reader joins at the live edge and
 //! requests nothing.
 //!
 //! The wrapper is itself a [`ProtocolCore`], so the simulator and the
 //! real-UDP runtime share this one implementation.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use crate::core::{Effect, Env, Input, ProtocolCore, TimerToken};
 use crate::history::{catch_up_backoff, GapTracker, HistoryCache};
 use crate::ids::{GroupId, NodeId, ProcessingCost};
 use crate::obs::ObsEvent;
 use crate::time::{Span, TimePoint};
+use crate::window::{Insert, SeqWindow, SPAN};
 use crate::wire::{DataMsg, DurableHeartbeatMsg, DurableNakMsg, WireMsg};
 
 /// Timer tag for the writer's durable-history advertisement. High base so
@@ -53,11 +54,6 @@ const DURABLE_NAK_PER_SEQ_BYTES: u32 = 8;
 /// Live packets a not-yet-joined reader will hold before shedding the
 /// oldest (bounds memory if the writer's durable heartbeat never comes).
 const HOLD_CAP: usize = 4096;
-/// Largest advertised history span a joining reader will request; anything
-/// older is abandoned up front. Bounds the work and memory a single
-/// (possibly hostile) durable heartbeat can cause, far above any history
-/// depth the experiments configure.
-const CATCH_UP_SPAN_CAP: u64 = 1 << 16;
 
 /// Opt-in hook for receiver cores that can join a stream mid-flight: the
 /// durable reader wrapper calls [`join_at`](Self::join_at) once, before
@@ -202,7 +198,7 @@ struct ReaderState {
     join_floor: u64,
     hold: VecDeque<(NodeId, WireMsg)>,
     gaps: GapTracker,
-    delivered: BTreeSet<u64>,
+    delivered: SeqWindow,
     log: Vec<DurableDelivery>,
     catch_up_timer: Option<TimerToken>,
     catch_up_naks: u64,
@@ -261,7 +257,7 @@ impl<C> DurableCore<C> {
                 join_floor: 0,
                 hold: VecDeque::new(),
                 gaps: GapTracker::new(max_retries),
-                delivered: BTreeSet::new(),
+                delivered: SeqWindow::default(),
                 log: Vec::new(),
                 catch_up_timer: None,
                 catch_up_naks: 0,
@@ -280,7 +276,7 @@ impl<C> DurableCore<C> {
     ///
     /// # Panics
     /// If called on a writer.
-    pub fn with_delivered(mut self, delivered: BTreeSet<u64>) -> Self {
+    pub fn with_delivered(mut self, delivered: SeqWindow) -> Self {
         match &mut self.role {
             Role::Reader(r) => r.delivered = delivered,
             Role::Writer(_) => panic!("with_delivered applies to durable readers"),
@@ -291,11 +287,6 @@ impl<C> DurableCore<C> {
     /// The wrapped core.
     pub fn inner(&self) -> &C {
         &self.inner
-    }
-
-    /// Mutable access to the wrapped core.
-    pub fn inner_mut(&mut self) -> &mut C {
-        &mut self.inner
     }
 
     /// The configured durability mode.
@@ -331,7 +322,7 @@ impl<C> DurableCore<C> {
     ///
     /// # Panics
     /// If called on a writer.
-    pub fn delivered_set(&self) -> &BTreeSet<u64> {
+    pub fn delivered_set(&self) -> &SeqWindow {
         &self.reader_state().delivered
     }
 
@@ -384,14 +375,6 @@ impl<C> DurableCore<C> {
     /// If called on a writer.
     pub fn caught_up_at(&self) -> Option<TimePoint> {
         self.reader_state().caught_up_at
-    }
-
-    /// Whether the reader has positioned itself at the live edge.
-    ///
-    /// # Panics
-    /// If called on a writer.
-    pub fn is_joined(&self) -> bool {
-        self.reader_state().joined
     }
 }
 
@@ -576,21 +559,37 @@ fn on_durable_heartbeat<C: ProtocolCore + LiveJoin>(
     // The writer's retained range can shrink from below (bounded cache):
     // anything we still want below the new floor is unrecoverable.
     if config.mode == DurabilityMode::TransientLocal && !r.completed {
-        let gone = r.gaps.abandon_below(hb.first_seq);
-        if !gone.is_empty() {
-            r.abandoned += gone.len() as u64;
-            let count = gone.len() as u32;
-            env.emit(|node| ObsEvent::CatchUpAbandoned { node, count });
-            if r.gaps.is_empty() {
-                // Abandonment ended catch-up: terminal, but not a
-                // successful completion.
-                r.completed = true;
-                if let Some(token) = r.catch_up_timer.take() {
-                    env.cancel_timer(token);
-                }
-            }
+        let gone = r.gaps.abandon_below(hb.first_seq, &r.delivered);
+        abandon(r, gone, env);
+    }
+}
+
+/// Counts `gone` wanted sequences as abandoned. When that leaves nothing
+/// wanted, catch-up has ended: terminal, but not a successful completion.
+fn abandon(r: &mut ReaderState, gone: u64, env: &mut Env<'_>) {
+    if gone == 0 {
+        return;
+    }
+    r.abandoned += gone;
+    let count = gone.min(u64::from(u32::MAX)) as u32;
+    env.emit(|node| ObsEvent::CatchUpAbandoned { node, count });
+    if r.gaps.is_empty() {
+        r.completed = true;
+        if let Some(token) = r.catch_up_timer.take() {
+            env.cancel_timer(token);
         }
     }
+}
+
+/// Settles `seq` in the delivered window. Wanted history the window would
+/// slide past to make room is abandoned first, so none is settled unseen.
+fn settle(r: &mut ReaderState, seq: u64, env: &mut Env<'_>) -> Insert {
+    let floor = r.delivered.base_after(seq);
+    let gone = r.gaps.abandon_below(floor, &r.delivered);
+    abandon(r, gone, env);
+    let outcome = r.delivered.insert(seq);
+    r.gaps.skip_settled(&r.delivered);
+    outcome
 }
 
 fn join<C: ProtocolCore + LiveJoin>(
@@ -605,6 +604,13 @@ fn join<C: ProtocolCore + LiveJoin>(
     // `last_seq == u64::MAX` must not panic the reader (fuzz finding).
     r.join_floor = hb.last_seq.saturating_add(1);
     inner.join_at(r.join_floor);
+    // Only the newest `SPAN / 2` advertised sequences are requested: a
+    // hostile heartbeat claiming an astronomical retained range must not
+    // make the reader enumerate it (fuzz finding), and the delivered window
+    // keeps the other half of its span for the live edge during catch-up.
+    // Everything older counts as settled from here on.
+    let start = hb.first_seq.max(r.join_floor.saturating_sub(SPAN / 2));
+    r.delivered.advance_to(start);
 
     // Drain the held live traffic: historical data is wrapper-owned, the
     // rest flows into the freshly positioned inner core.
@@ -622,27 +628,10 @@ fn join<C: ProtocolCore + LiveJoin>(
             r.completed = true;
         }
         DurabilityMode::TransientLocal => {
-            // Only the newest `CATCH_UP_SPAN_CAP` advertised sequences are
-            // requested; a hostile heartbeat claiming an astronomical
-            // retained range must not make the reader enumerate it (fuzz
-            // finding — the work here has to stay bounded by reader state,
-            // not by attacker-chosen integers).
-            let start = hb
-                .first_seq
-                .max(r.join_floor.saturating_sub(CATCH_UP_SPAN_CAP));
-            for seq in start..r.join_floor {
-                if !r.delivered.contains(&seq) {
-                    r.gaps.want(seq);
-                }
-            }
+            r.gaps.want(start..r.join_floor, &r.delivered);
             // Sequences the writer already evicted — or beyond the span
             // this reader will request — are gone for good.
-            let lost = start.saturating_sub(r.delivered.range(..start).count() as u64);
-            if lost > 0 {
-                r.abandoned += lost;
-                let count = lost.min(u64::from(u32::MAX)) as u32;
-                env.emit(|node| ObsEvent::CatchUpAbandoned { node, count });
-            }
+            abandon(r, r.delivered.given_up(), env);
             if r.gaps.is_empty() {
                 complete(r, env);
             } else {
@@ -655,8 +644,8 @@ fn join<C: ProtocolCore + LiveJoin>(
 /// A historical data packet the wrapper owns: dedupe across incarnations,
 /// deliver, and advance catch-up.
 fn catch_up_arrival(r: &mut ReaderState, d: DataMsg, env: &mut Env<'_>) {
-    let was_wanted = r.gaps.resolve(d.seq);
-    if !r.delivered.insert(d.seq) {
+    let was_wanted = r.gaps.wants(d.seq, &r.delivered);
+    if !settle(r, d.seq, env).is_fresh() {
         r.duplicates += 1;
         let seq = d.seq;
         env.emit(|node| ObsEvent::SampleDuplicate { node, seq });
@@ -697,7 +686,7 @@ fn complete(r: &mut ReaderState, env: &mut Env<'_>) {
 }
 
 fn send_catch_up_round(r: &mut ReaderState, config: &DurableConfig, env: &mut Env<'_>) {
-    let seqs = r.gaps.begin_round();
+    let seqs = r.gaps.begin_round(&r.delivered);
     if seqs.is_empty() {
         return;
     }
@@ -721,21 +710,19 @@ fn on_catch_up_timer(r: &mut ReaderState, config: &DurableConfig, env: &mut Env<
         return;
     }
     if r.gaps.exhausted() {
-        let gone = r.gaps.abandon_all();
-        r.abandoned += gone.len() as u64;
-        let count = gone.len() as u32;
-        env.emit(|node| ObsEvent::CatchUpAbandoned { node, count });
         // Terminal, but not a successful catch-up: `caught_up_at` stays
         // `None` so the invariant checker flags the unrecovered history.
-        r.completed = true;
+        let gone = r.gaps.abandon_all(&r.delivered);
+        abandon(r, gone, env);
         return;
     }
     send_catch_up_round(r, config, env);
 }
 
 /// Forwards an input to the inner core, absorbing its deliveries into the
-/// reader's cross-incarnation log and suppressing duplicates the previous
-/// incarnation already handed up.
+/// reader's cross-incarnation log and suppressing what the delivered window
+/// refuses: duplicates the previous incarnation already handed up, and
+/// anything more than [`SPAN`] past it.
 fn forward_to_inner<C: ProtocolCore>(
     inner: &mut C,
     r: &mut ReaderState,
@@ -744,8 +731,7 @@ fn forward_to_inner<C: ProtocolCore>(
 ) {
     let mark = env.effects_len();
     inner.step(input, env);
-    let mut dups: BTreeSet<u64> = BTreeSet::new();
-    let mut fresh: Vec<(u64, TimePoint, bool)> = Vec::new();
+    let mut delivered: Vec<(u64, TimePoint, bool)> = Vec::new();
     for effect in env.effects_since(mark) {
         if let Effect::Deliver {
             seq,
@@ -753,14 +739,24 @@ fn forward_to_inner<C: ProtocolCore>(
             recovered,
         } = effect
         {
-            if r.delivered.contains(seq) {
-                dups.insert(*seq);
-            } else {
-                fresh.push((*seq, *published_at, *recovered));
-            }
+            delivered.push((*seq, *published_at, *recovered));
         }
     }
+    let (mut dups, delivered_at) = (Vec::new(), env.now());
+    for (seq, published_at, recovered) in delivered {
+        if !settle(r, seq, env).is_fresh() {
+            dups.push(seq);
+            continue;
+        }
+        r.log.push(DurableDelivery {
+            seq,
+            published_at,
+            delivered_at,
+            recovered,
+        });
+    }
     if !dups.is_empty() {
+        dups.sort_unstable();
         env.retain_effects_since(mark, |effect| match effect {
             Effect::Deliver { seq, .. } => !dups.contains(seq),
             Effect::Trace(ObsEvent::SampleAccepted { seq, .. }) => !dups.contains(seq),
@@ -770,16 +766,6 @@ fn forward_to_inner<C: ProtocolCore>(
             r.duplicates += 1;
             env.emit(|node| ObsEvent::SampleDuplicate { node, seq });
         }
-    }
-    let delivered_at = env.now();
-    for (seq, published_at, recovered) in fresh {
-        r.delivered.insert(seq);
-        r.log.push(DurableDelivery {
-            seq,
-            published_at,
-            delivered_at,
-            recovered,
-        });
     }
 }
 
@@ -926,6 +912,15 @@ mod tests {
             .collect();
         assert_eq!(datas, vec![5, 7]);
         assert_eq!(writer.replayed(), 2);
+    }
+
+    /// A delivered window holding `seqs`.
+    fn window(seqs: &[u64]) -> SeqWindow {
+        let mut window = SeqWindow::default();
+        for &seq in seqs {
+            window.insert(seq);
+        }
+        window
     }
 
     fn durable_hb(first: u64, last: u64) -> WireMsg {
@@ -1080,8 +1075,8 @@ mod tests {
         // last_seq == u64::MAX used to overflow `last_seq + 1` (debug
         // panic; silent wrap-to-zero skipping catch-up in release), and a
         // saturating floor alone would enumerate ~2^64 gap entries. The
-        // reader must instead join promptly, request at most
-        // CATCH_UP_SPAN_CAP sequences, and report the rest abandoned.
+        // reader must instead join promptly, request at most SPAN / 2
+        // sequences, and report the rest abandoned.
         let mut host = EnvHost::new(NodeId(1), 2);
         let mut reader =
             DurableCore::reader(TestSink::new(), NodeId(0), DurableConfig::transient_local());
@@ -1103,11 +1098,11 @@ mod tests {
                 _ => None,
             })
             .sum();
-        assert!(naked as u64 <= CATCH_UP_SPAN_CAP, "requests stay bounded");
+        assert!(naked as u64 <= SPAN / 2, "requests stay bounded");
         assert!(naked > 0, "the newest span is still requested");
         assert_eq!(
             reader.catch_up_abandoned(),
-            u64::MAX - CATCH_UP_SPAN_CAP,
+            u64::MAX - SPAN / 2,
             "everything beyond the cap is abandoned, not silently dropped"
         );
         assert_eq!(reader.caught_up_at(), None);
@@ -1119,7 +1114,7 @@ mod tests {
         let writer = NodeId(0);
         let mut reader =
             DurableCore::reader(TestSink::new(), writer, DurableConfig::transient_local())
-                .with_delivered([0u64, 1].into_iter().collect());
+                .with_delivered(window(&[0, 1]));
         host.step(&mut reader, TimePoint::ZERO, Input::Start);
 
         // Live data before the join is held, not leaked to the inner core.
@@ -1151,7 +1146,6 @@ mod tests {
                 msg: &hb,
             },
         );
-        assert!(reader.is_joined());
         assert_eq!(reader.inner().joined_at, Some(5));
         assert_eq!(reader.inner().delivered, vec![5]);
         let naks: Vec<&WireMsg> = sends_of(&joined);
@@ -1186,8 +1180,7 @@ mod tests {
         }
         assert_eq!(reader.recovered_via_catch_up(), 3);
         assert_eq!(reader.caught_up_at(), Some(TimePoint::from_millis(34)));
-        let all: BTreeSet<u64> = reader.delivered_set().clone();
-        assert_eq!(all, (0..=5).collect());
+        assert_eq!(reader.delivered_set(), &window(&[0, 1, 2, 3, 4, 5]));
         // The inner core never saw the historical sequences.
         assert_eq!(reader.inner().delivered, vec![5]);
     }
@@ -1227,7 +1220,7 @@ mod tests {
             },
         );
         assert!(reader.inner().delivered.is_empty());
-        assert!(reader.delivered_set().contains(&3));
+        assert!(reader.delivered_set().contains(3));
     }
 
     #[test]
@@ -1301,7 +1294,7 @@ mod tests {
         let writer = NodeId(0);
         let mut reader =
             DurableCore::reader(TestSink::new(), writer, DurableConfig::transient_local())
-                .with_delivered([7u64].into_iter().collect());
+                .with_delivered(window(&[7]));
         host.step(&mut reader, TimePoint::ZERO, Input::Start);
         let hb = durable_hb(7, 6); // empty wanted range; join floor 7
         host.step(

@@ -1,6 +1,6 @@
 //! Durable-delivery state: the writer-side [`HistoryCache`] ring of
 //! retained samples and the reader-side [`GapTracker`] that drives
-//! catch-up NAK rounds.
+//! catch-up NAK rounds over the reader's delivered [`SeqWindow`].
 //!
 //! Both are plain data structures with no I/O and no timers of their own —
 //! the [`DurableCore`](crate::DurableCore) wrapper owns the protocol that
@@ -8,8 +8,10 @@
 //! implementation.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
 use crate::time::{Span, TimePoint};
+use crate::window::SeqWindow;
 
 /// Base wait added per catch-up retry round; doubles each round up to
 /// [`CATCH_UP_BACKOFF_MAX`]. Mirrors the NAKcast re-NAK backoff idiom so a
@@ -30,8 +32,7 @@ pub fn catch_up_backoff(retries: u32) -> Span {
 /// Samples must be pushed in ascending contiguous sequence order (the
 /// publisher's natural order). When a depth is configured, pushing past it
 /// evicts the oldest retained sample; [`evicted`](Self::evicted) counts
-/// those forced evictions. Acknowledged prefixes can also be trimmed with
-/// [`ack_up_to`](Self::ack_up_to), which does *not* count as eviction.
+/// those forced evictions.
 #[derive(Debug, Clone)]
 pub struct HistoryCache {
     depth: Option<usize>,
@@ -116,35 +117,24 @@ impl HistoryCache {
         self.times.is_empty()
     }
 
-    /// Samples forced out by the depth bound (acknowledged trims are not
-    /// counted here).
+    /// Samples forced out by the depth bound.
     pub fn evicted(&self) -> u64 {
         self.evicted
     }
-
-    /// Drops every retained sample with sequence `<= seq` (all consumers
-    /// acknowledged them). Keeps the contiguity invariant: the cache
-    /// afterwards starts at `seq + 1` (or is empty).
-    pub fn ack_up_to(&mut self, seq: u64) {
-        while self.first <= seq && !self.times.is_empty() {
-            self.times.pop_front();
-            self.first += 1;
-        }
-        if self.times.is_empty() {
-            self.first = self.first.max(seq + 1);
-        }
-    }
 }
 
-/// Reader-side catch-up bookkeeping: which historical sequences are still
-/// wanted, and how many NAK rounds have been spent asking for them.
+/// Reader-side catch-up bookkeeping: the span `[lo, hi)` of history still
+/// wanted — its sequences the reader's delivered [`SeqWindow`] has not
+/// settled — and how many NAK rounds have been spent asking for them.
 ///
 /// The tracker is timer-free; the durable reader wrapper asks it which
 /// sequences to request each round and computes the next retry delay from
-/// [`retry_delay`](Self::retry_delay).
+/// [`retry_delay`](Self::retry_delay). `lo` is kept on the first wanted
+/// sequence, so an empty tracker is `lo == hi`.
 #[derive(Debug, Clone)]
 pub struct GapTracker {
-    pending: std::collections::BTreeSet<u64>,
+    lo: u64,
+    hi: u64,
     rounds: u32,
     max_retries: u32,
 }
@@ -154,50 +144,45 @@ impl GapTracker {
     /// request round.
     pub fn new(max_retries: u32) -> Self {
         GapTracker {
-            pending: std::collections::BTreeSet::new(),
+            lo: 0,
+            hi: 0,
             rounds: 0,
             max_retries,
         }
     }
 
-    /// Marks `seq` as wanted.
-    pub fn want(&mut self, seq: u64) {
-        self.pending.insert(seq);
+    /// Wants every sequence of `span` that `delivered` has not settled.
+    pub fn want(&mut self, span: Range<u64>, delivered: &SeqWindow) {
+        (self.lo, self.hi) = (span.start, span.end.max(span.start));
+        self.skip_settled(delivered);
     }
 
-    /// Marks `seq` as satisfied; returns whether it was still wanted.
-    pub fn resolve(&mut self, seq: u64) -> bool {
-        self.pending.remove(&seq)
+    /// Whether `seq` is still wanted.
+    pub fn wants(&self, seq: u64, delivered: &SeqWindow) -> bool {
+        (self.lo..self.hi).contains(&seq) && !delivered.contains(seq)
     }
 
-    /// Sequences still wanted, in ascending order.
-    pub fn outstanding(&self) -> impl Iterator<Item = u64> + '_ {
-        self.pending.iter().copied()
+    /// Moves past the settled front of the span; call after `delivered`
+    /// settles a wanted sequence.
+    pub fn skip_settled(&mut self, delivered: &SeqWindow) {
+        while self.lo < self.hi && delivered.contains(self.lo) {
+            self.lo += 1;
+        }
     }
 
     /// Whether every wanted sequence has been satisfied (or abandoned).
     pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
-    }
-
-    /// Wanted sequences remaining.
-    pub fn len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Completed request rounds.
-    pub fn rounds(&self) -> u32 {
-        self.rounds
+        self.lo == self.hi
     }
 
     /// Starts a request round: returns the sequences to NAK and counts the
     /// round. Returns an empty vec when nothing is outstanding.
-    pub fn begin_round(&mut self) -> Vec<u64> {
-        if self.pending.is_empty() {
+    pub fn begin_round(&mut self, delivered: &SeqWindow) -> Vec<u64> {
+        if self.is_empty() {
             return Vec::new();
         }
         self.rounds += 1;
-        self.pending.iter().copied().collect()
+        delivered.unsettled(self.lo..self.hi).collect()
     }
 
     /// Whether the retry budget is spent (the first round plus
@@ -206,20 +191,20 @@ impl GapTracker {
         self.rounds > self.max_retries
     }
 
-    /// Abandons everything still wanted, returning the abandoned
-    /// sequences.
-    pub fn abandon_all(&mut self) -> Vec<u64> {
-        let gone: Vec<u64> = self.pending.iter().copied().collect();
-        self.pending.clear();
-        gone
+    /// Abandons everything still wanted, returning how many sequences that
+    /// was.
+    pub fn abandon_all(&mut self, delivered: &SeqWindow) -> u64 {
+        self.abandon_below(self.hi, delivered)
     }
 
     /// Abandons every wanted sequence below `floor` (the writer evicted
-    /// them), returning the abandoned sequences.
-    pub fn abandon_below(&mut self, floor: u64) -> Vec<u64> {
-        let keep = self.pending.split_off(&floor);
-        let gone: Vec<u64> = self.pending.iter().copied().collect();
-        self.pending = keep;
+    /// them, or the delivered window must slide past them), returning how
+    /// many that was.
+    pub fn abandon_below(&mut self, floor: u64, delivered: &SeqWindow) -> u64 {
+        let floor = floor.clamp(self.lo, self.hi);
+        let gone = delivered.unsettled(self.lo..floor).count() as u64;
+        self.lo = floor;
+        self.skip_settled(delivered);
         gone
     }
 
@@ -264,23 +249,7 @@ mod tests {
         assert!(cache.get(2).is_some());
     }
 
-    #[test]
-    fn ack_trims_without_counting_eviction() {
-        let mut cache = HistoryCache::bounded(10);
-        for seq in 0..5 {
-            cache.push(seq, TimePoint::ZERO);
-        }
-        cache.ack_up_to(2);
-        assert_eq!(cache.first_seq(), Some(3));
-        assert_eq!(cache.evicted(), 0);
-        cache.ack_up_to(10);
-        assert!(cache.is_empty());
-        // The contiguous run resumes past the acked prefix.
-        cache.push(11, TimePoint::ZERO);
-        assert_eq!(cache.first_seq(), Some(11));
-    }
-
-    /// Property test (satellite): under random write/ack interleavings the
+    /// Property test (satellite): under random depths and run lengths the
     /// cache never exceeds its depth, stays a contiguous run, evicts
     /// oldest-first, and its low edge never moves backwards.
     #[test]
@@ -289,24 +258,17 @@ mod tests {
         for case in 0..200u64 {
             let depth = 1 + rng.next_below(16) as usize;
             let mut cache = HistoryCache::bounded(depth);
-            let mut next_seq = 0u64;
             let mut last_first: Option<u64> = None;
             let mut last_evicted = 0u64;
-            for _ in 0..300 {
-                if rng.bernoulli(0.7) {
-                    let evicted = cache.push(next_seq, TimePoint::from_micros(next_seq));
-                    // Oldest-first: the only sequence a push can evict is
-                    // the previous low edge, and only when full.
-                    if let Some(victim) = evicted {
-                        assert_eq!(Some(victim), last_first, "case {case}");
-                        assert_eq!(cache.evicted(), last_evicted + 1);
-                    } else {
-                        assert_eq!(cache.evicted(), last_evicted);
-                    }
-                    next_seq += 1;
-                } else if next_seq > 0 {
-                    let upto = rng.next_below(next_seq);
-                    cache.ack_up_to(upto);
+            for next_seq in 0..rng.next_below(300) {
+                let evicted = cache.push(next_seq, TimePoint::from_micros(next_seq));
+                // Oldest-first: the only sequence a push can evict is the
+                // previous low edge, and only when full.
+                if let Some(victim) = evicted {
+                    assert_eq!(Some(victim), last_first, "case {case}");
+                    assert_eq!(cache.evicted(), last_evicted + 1);
+                } else {
+                    assert_eq!(cache.evicted(), last_evicted);
                 }
                 assert!(cache.len() <= depth, "case {case}: depth exceeded");
                 match (cache.first_seq(), cache.last_seq()) {
@@ -330,34 +292,64 @@ mod tests {
         }
     }
 
+    /// A delivered window holding `seqs`.
+    fn delivered(seqs: &[u64]) -> SeqWindow {
+        let mut window = SeqWindow::default();
+        for &seq in seqs {
+            window.insert(seq);
+        }
+        window
+    }
+
     #[test]
     fn gap_tracker_rounds_and_backoff() {
+        // 3, 5 and 7 are wanted: the rest of 3..8 was delivered already.
+        let mut window = delivered(&[4, 6]);
         let mut gaps = GapTracker::new(2);
-        gaps.want(3);
-        gaps.want(7);
-        gaps.want(5);
-        assert_eq!(gaps.begin_round(), vec![3, 5, 7]);
+        gaps.want(3..8, &window);
+        assert_eq!(gaps.begin_round(&window), vec![3, 5, 7]);
         assert!(!gaps.exhausted());
-        assert!(gaps.resolve(5));
-        assert!(!gaps.resolve(5));
-        assert_eq!(gaps.begin_round(), vec![3, 7]);
-        assert_eq!(gaps.begin_round(), vec![3, 7]);
+        assert!(gaps.wants(5, &window));
+        window.insert(5);
+        gaps.skip_settled(&window);
+        assert!(!gaps.wants(5, &window));
+        assert_eq!(gaps.begin_round(&window), vec![3, 7]);
+        assert_eq!(gaps.begin_round(&window), vec![3, 7]);
         assert!(gaps.exhausted());
-        assert_eq!(gaps.abandon_all(), vec![3, 7]);
+        assert_eq!(gaps.abandon_all(&window), 2);
         assert!(gaps.is_empty());
         // Nothing outstanding: rounds stop counting.
-        assert!(gaps.begin_round().is_empty());
-        assert_eq!(gaps.rounds(), 3);
+        assert!(gaps.begin_round(&window).is_empty());
+        assert_eq!(gaps.retry_delay(Span::ZERO), catch_up_backoff(2));
     }
 
     #[test]
     fn gap_tracker_abandons_below_eviction_floor() {
+        // 1, 2, 5 and 9 are wanted.
+        let window = delivered(&[3, 4, 6, 7, 8]);
         let mut gaps = GapTracker::new(4);
-        for seq in [1u64, 2, 5, 9] {
-            gaps.want(seq);
+        gaps.want(1..10, &window);
+        assert_eq!(gaps.abandon_below(5, &window), 2);
+        assert_eq!(gaps.begin_round(&window), vec![5, 9]);
+        // A floor below the span, or past it, clamps to the span.
+        assert_eq!(gaps.abandon_below(0, &window), 0);
+        assert_eq!(gaps.abandon_below(100, &window), 2);
+        assert!(gaps.is_empty());
+    }
+
+    #[test]
+    fn gap_tracker_empties_once_its_front_is_settled() {
+        let mut window = SeqWindow::default();
+        let mut gaps = GapTracker::new(0);
+        gaps.want(0..3, &window);
+        for seq in [2, 0, 1] {
+            assert!(!gaps.is_empty() && gaps.wants(seq, &window));
+            window.insert(seq);
+            gaps.skip_settled(&window);
         }
-        assert_eq!(gaps.abandon_below(5), vec![1, 2]);
-        assert_eq!(gaps.outstanding().collect::<Vec<_>>(), vec![5, 9]);
+        assert!(gaps.is_empty());
+        gaps.want(5..5, &window);
+        assert!(gaps.is_empty() && gaps.begin_round(&window).is_empty());
     }
 
     #[test]
@@ -366,14 +358,14 @@ mod tests {
         assert_eq!(catch_up_backoff(2), Span::from_millis(20));
         assert_eq!(catch_up_backoff(16), Span::from_secs(2));
         assert_eq!(catch_up_backoff(40), Span::from_secs(2));
-        let mut gaps = GapTracker::new(3);
-        gaps.want(0);
-        gaps.begin_round();
+        let (mut gaps, window) = (GapTracker::new(3), SeqWindow::default());
+        gaps.want(0..1, &window);
+        gaps.begin_round(&window);
         assert_eq!(
             gaps.retry_delay(Span::from_millis(50)),
             Span::from_millis(55)
         );
-        gaps.begin_round();
+        gaps.begin_round(&window);
         assert_eq!(
             gaps.retry_delay(Span::from_millis(50)),
             Span::from_millis(60)

@@ -12,7 +12,8 @@ use std::collections::BTreeMap;
 use adamant_metrics::DenseReceptionLog;
 use adamant_proto::wire::{AckMsg, DataMsg};
 use adamant_proto::{
-    Env, GroupId, Input, NodeId, ObsEvent, ProcessingCost, ProtocolCore, Span, WireMsg,
+    beyond, Env, GroupId, Input, Insert, NodeId, ObsEvent, ProcessingCost, ProtocolCore, Span,
+    WireMsg,
 };
 
 use crate::config::Tuning;
@@ -109,6 +110,7 @@ pub struct AckcastReceiver {
     ack_timer_armed: bool,
     acks_sent: u64,
     give_ups: u64,
+    window_overflows: u64,
 }
 
 impl AckcastReceiver {
@@ -135,6 +137,7 @@ impl AckcastReceiver {
             ack_timer_armed: false,
             acks_sent: 0,
             give_ups: 0,
+            window_overflows: 0,
         }
     }
 
@@ -153,18 +156,22 @@ impl AckcastReceiver {
         self.duplicates
     }
 
-    fn note_advertised_upto(&mut self, upto: u64) {
+    /// Marks every sequence `<= upto` not yet heard of missing and advances
+    /// the advertised high-water mark, unless `upto` is [`beyond`] it: that
+    /// is refused, counted and answered `false`.
+    fn note_advertised_upto(&mut self, upto: u64) -> bool {
+        if beyond(self.highest_advertised, upto) {
+            self.window_overflows += 1;
+            return false;
+        }
         let start = match self.highest_advertised {
-            Some(h) if h >= upto => return,
+            Some(h) if h >= upto => return true,
             Some(h) => h + 1,
             None => 0,
         };
-        for seq in start..=upto {
-            if !self.log.contains(seq) {
-                self.missing.entry(seq).or_insert(0);
-            }
-        }
+        self.missing.extend((start..=upto).map(|seq| (seq, 0)));
         self.highest_advertised = Some(upto);
+        true
     }
 
     fn send_ack(&mut self, env: &mut Env<'_>) {
@@ -183,7 +190,7 @@ impl AckcastReceiver {
             self.give_ups += 1;
             env.emit(|node| ObsEvent::NakGiveUp { node, seq });
         }
-        let below = self.highest_advertised.map_or(0, |h| h + 1);
+        let below = self.highest_advertised.map_or(0, |h| h.saturating_add(1));
         let count = report.len() as u32;
         let size = FRAMING_BYTES + NAK_BASE_BYTES + NAK_PER_SEQ_BYTES * count;
         let os = Span::from_micros_f64(self.tuning.os_packet_cost_us);
@@ -211,17 +218,12 @@ impl AckcastReceiver {
             self.dropped += 1;
             return;
         }
-        if data.seq > 0 {
-            self.note_advertised_upto(data.seq - 1);
+        if !self.note_advertised_upto(data.seq) {
+            return;
         }
-        self.highest_advertised = Some(
-            self.highest_advertised
-                .map_or(data.seq, |h| h.max(data.seq)),
-        );
         self.missing.remove(&data.seq);
         let (published_at, recovered) = (data.published_at, data.retransmission);
-        let fresh = accept(&mut self.log, env, data.seq, published_at, recovered);
-        if !fresh {
+        if accept(&mut self.log, env, data.seq, published_at, recovered) == Insert::Seen {
             self.duplicates += 1;
             let seq = data.seq;
             env.emit(|node| ObsEvent::SampleDuplicate { node, seq });
@@ -245,14 +247,6 @@ impl DataReader for AckcastReceiver {
         &mut self.log
     }
 
-    fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    fn duplicates(&self) -> u64 {
-        AckcastReceiver::duplicates(self)
-    }
-
     fn protocol_stats(&self) -> crate::ProtocolStats {
         crate::ProtocolStats {
             acks_sent: self.acks_sent,
@@ -260,6 +254,7 @@ impl DataReader for AckcastReceiver {
             give_ups: self.give_ups,
             duplicates: AckcastReceiver::duplicates(self),
             dropped: self.dropped,
+            window_overflows: self.window_overflows + self.log.overflow_count(),
             ..crate::ProtocolStats::default()
         }
     }
@@ -305,6 +300,39 @@ impl ProtocolCore for AckcastReceiver {
 mod tests {
     use super::*;
     use adamant_netsim::{Bandwidth, HostConfig, MachineClass, SimDriver, Simulation};
+    use adamant_proto::wire::FinMsg;
+    use adamant_proto::{Effect, EnvHost, TimePoint};
+
+    #[test]
+    fn an_ack_at_the_top_of_the_sequence_space_saturates() {
+        // A fresh reader refuses a first frame at `u64::MAX` as too far
+        // ahead of a stream heard from 0...
+        let (mut host, src) = (EnvHost::new(NodeId(1), 3), NodeId(0));
+        let mut rx = AckcastReceiver::new(src, 10, Span::from_millis(5), Tuning::default(), 0.0);
+        let top = WireMsg::Data(DataMsg {
+            seq: u64::MAX,
+            published_at: TimePoint::ZERO,
+            retransmission: false,
+        });
+        let input = Input::PacketIn { src, msg: &top };
+        assert!(host.step(&mut rx, TimePoint::ZERO, input).is_empty());
+        assert_eq!(rx.protocol_stats().window_overflows, 1);
+        // ...and one that has heard of `u64::MAX` acknowledges everything
+        // below it instead of overflowing `highest + 1`.
+        rx.highest_advertised = Some(u64::MAX);
+        rx.missing.insert(7, 0);
+        let fin = WireMsg::Fin(FinMsg { total: 1 });
+        let input = Input::PacketIn { src, msg: &fin };
+        let effects = host.step(&mut rx, TimePoint::from_millis(1), input);
+        let below = effects.iter().find_map(|effect| match effect {
+            Effect::Send {
+                msg: WireMsg::Ack(ack),
+                ..
+            } => Some(ack.below),
+            _ => None,
+        });
+        assert_eq!(below, Some(u64::MAX));
+    }
 
     fn run_session(samples: u64, drop_probability: f64, seed: u64) -> (Simulation, Vec<NodeId>) {
         let mut sim = Simulation::new(seed);

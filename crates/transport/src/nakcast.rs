@@ -13,13 +13,13 @@
 //! through `adamant_netsim::SimDriver`, the real-UDP runtime through
 //! `adamant-rt`.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use adamant_metrics::DenseReceptionLog;
 use adamant_proto::wire::{DataMsg, NakMsg};
 use adamant_proto::{
-    Env, GroupId, Input, LiveJoin, NodeId, ObsEvent, ProcessingCost, ProtocolCore, Span, TimePoint,
-    TimerToken, WireMsg,
+    beyond, Env, GroupId, Input, LiveJoin, NodeId, ObsEvent, ProcessingCost, ProtocolCore, Span,
+    TimePoint, TimerToken, WireMsg,
 };
 
 use crate::config::Tuning;
@@ -120,16 +120,17 @@ impl ProtocolCore for NakcastSender {
     }
 }
 
+/// What a NAKcast receiver holds for one advertised sequence it has
+/// neither delivered nor given up.
 #[derive(Debug, Clone, Copy)]
-struct PendingSample {
-    published_at: TimePoint,
-    recovered: bool,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct MissingState {
-    nak_at: TimePoint,
-    retries: u32,
+enum Slot {
+    /// Not heard yet: NAK at `nak_at`, after `retries` NAKs so far.
+    Missing { nak_at: TimePoint, retries: u32 },
+    /// Heard, and held back until no earlier sequence is missing.
+    Buffered {
+        published_at: TimePoint,
+        recovered: bool,
+    },
 }
 
 /// Receiver side of NAKcast.
@@ -142,18 +143,19 @@ pub struct NakcastReceiver {
     log: DenseReceptionLog,
     dropped: u64,
     duplicates: u64,
-    next_deliver: u64,
     /// Live-join floor: sequences below this predate the join and are
     /// ignored outright (a durable wrapper recovers them instead).
     floor: u64,
-    buffer: BTreeMap<u64, PendingSample>,
-    missing: BTreeMap<u64, MissingState>,
-    abandoned: BTreeSet<u64>,
+    /// Every advertised sequence neither delivered nor given up. One from
+    /// `floor` up to the high-water mark that has no slot and is not in the
+    /// log was given up; above the mark, nothing is known.
+    slots: BTreeMap<u64, Slot>,
     highest_advertised: Option<u64>,
     scan_timer: Option<(TimerToken, TimePoint)>,
     naks_sent: u64,
     give_ups: u64,
     sender_changes: u64,
+    window_overflows: u64,
 }
 
 impl NakcastReceiver {
@@ -175,16 +177,14 @@ impl NakcastReceiver {
             log: DenseReceptionLog::with_capacity(expected),
             dropped: 0,
             duplicates: 0,
-            next_deliver: 0,
             floor: 0,
-            buffer: BTreeMap::new(),
-            missing: BTreeMap::new(),
-            abandoned: BTreeSet::new(),
+            slots: BTreeMap::new(),
             highest_advertised: None,
             scan_timer: None,
             naks_sent: 0,
             give_ups: 0,
             sender_changes: 0,
+            window_overflows: 0,
         }
     }
 
@@ -224,55 +224,57 @@ impl NakcastReceiver {
         self.duplicates + self.log.duplicate_count()
     }
 
-    fn is_known(&self, seq: u64) -> bool {
-        self.log.contains(seq)
-            || self.buffer.contains_key(&seq)
-            || self.abandoned.contains(&seq)
-            || self.missing.contains_key(&seq)
+    /// Advertised sequences neither delivered nor given up: missing, or
+    /// heard and held back behind one that is.
+    pub fn open_slots(&self) -> usize {
+        self.slots.len()
     }
 
-    /// Marks every unseen sequence `<= upto` missing and advances the
-    /// advertised high-water mark.
-    fn note_advertised_upto(&mut self, now: TimePoint, upto: u64) {
+    /// Marks every sequence `<= upto` missing and advances the advertised
+    /// high-water mark, unless `upto` is [`beyond`] it: that is refused,
+    /// counted and answered `false`.
+    fn note_advertised_upto(&mut self, now: TimePoint, upto: u64) -> bool {
+        if beyond(self.highest_advertised, upto) {
+            self.window_overflows += 1;
+            return false;
+        }
         let start = match self.highest_advertised {
-            Some(h) if h >= upto => return,
+            Some(h) if h >= upto => return true,
             Some(h) => h + 1,
             None => 0,
         };
-        for seq in start..=upto {
-            if !self.is_known(seq) {
-                self.missing.insert(
-                    seq,
-                    MissingState {
-                        nak_at: now + self.timeout,
-                        retries: 0,
-                    },
-                );
-            }
-        }
+        let missing = Slot::Missing {
+            nak_at: now + self.timeout,
+            retries: 0,
+        };
+        self.slots.extend((start..=upto).map(|seq| (seq, missing)));
         self.highest_advertised = Some(upto);
+        true
     }
 
-    /// Delivers the contiguous prefix available in the hold-back buffer,
-    /// skipping abandoned sequences.
+    /// Delivers held-back samples in order, up to the first sequence still
+    /// missing; given-up sequences hold no slot, so they are passed over.
     fn try_deliver(&mut self, env: &mut Env<'_>) {
-        loop {
-            if self.abandoned.contains(&self.next_deliver) {
-                self.next_deliver += 1;
-                continue;
-            }
-            let Some(sample) = self.buffer.remove(&self.next_deliver) else {
+        while let Some(slot) = self.slots.first_entry() {
+            let Slot::Buffered {
+                published_at,
+                recovered,
+            } = *slot.get()
+            else {
                 break;
             };
-            let (seq, recovered) = (self.next_deliver, sample.recovered);
-            accept(&mut self.log, env, seq, sample.published_at, recovered);
-            self.next_deliver += 1;
+            let seq = slot.remove_entry().0;
+            accept(&mut self.log, env, seq, published_at, recovered);
         }
     }
 
     /// (Re-)arms the scan timer for the earliest pending NAK deadline.
     fn reschedule_scan(&mut self, env: &mut Env<'_>) {
-        let Some(min_at) = self.missing.values().map(|m| m.nak_at).min() else {
+        let deadlines = self.slots.values().filter_map(|slot| match slot {
+            Slot::Missing { nak_at, .. } => Some(*nak_at),
+            _ => None,
+        });
+        let Some(min_at) = deadlines.min() else {
             return;
         };
         if let Some((token, at)) = self.scan_timer {
@@ -291,9 +293,12 @@ impl NakcastReceiver {
         let now = env.now();
         let mut due = Vec::new();
         let mut exhausted = Vec::new();
-        for (&seq, state) in &self.missing {
-            if state.nak_at <= now {
-                if state.retries >= self.tuning.nak_max_retries {
+        for (&seq, slot) in &self.slots {
+            if let Slot::Missing { nak_at, retries } = *slot {
+                if nak_at > now {
+                    continue;
+                }
+                if retries >= self.tuning.nak_max_retries {
                     exhausted.push(seq);
                 } else {
                     due.push(seq);
@@ -301,8 +306,7 @@ impl NakcastReceiver {
             }
         }
         for seq in exhausted {
-            self.missing.remove(&seq);
-            self.abandoned.insert(seq);
+            self.slots.remove(&seq);
             self.give_ups += 1;
             env.emit(|node| ObsEvent::NakGiveUp { node, seq });
         }
@@ -311,9 +315,9 @@ impl NakcastReceiver {
             let os = Span::from_micros_f64(self.tuning.os_packet_cost_us);
             let count = due.len() as u32;
             for seq in &due {
-                if let Some(state) = self.missing.get_mut(seq) {
-                    state.nak_at = now + self.timeout + renak_backoff(state.retries);
-                    state.retries += 1;
+                if let Some(Slot::Missing { nak_at, retries }) = self.slots.get_mut(seq) {
+                    *nak_at = now + self.timeout + renak_backoff(*retries);
+                    *retries += 1;
                 }
             }
             env.send(
@@ -340,31 +344,27 @@ impl NakcastReceiver {
             self.dropped += 1;
             return;
         }
-        let now = env.now();
-        if data.seq > 0 {
-            self.note_advertised_upto(now, data.seq - 1);
+        let seq = data.seq;
+        if !self.note_advertised_upto(env.now(), seq) {
+            return;
         }
-        self.highest_advertised = Some(
-            self.highest_advertised
-                .map_or(data.seq, |h| h.max(data.seq)),
-        );
-        self.missing.remove(&data.seq);
-        if self.abandoned.remove(&data.seq) {
-            // Late arrival of an abandoned sequence: deliver out of order
-            // rather than discard, so reliability reflects it.
-            accept(&mut self.log, env, data.seq, data.published_at, true);
-        } else if self.log.contains(data.seq) || self.buffer.contains_key(&data.seq) {
-            self.duplicates += 1;
-            let seq = data.seq;
-            env.emit(|node| ObsEvent::SampleDuplicate { node, seq });
-        } else {
-            self.buffer.insert(
-                data.seq,
-                PendingSample {
+        match self.slots.get(&seq) {
+            Some(Slot::Missing { .. }) => {
+                let sample = Slot::Buffered {
                     published_at: data.published_at,
                     recovered: data.retransmission,
-                },
-            );
+                };
+                self.slots.insert(seq, sample);
+            }
+            // Late arrival of a sequence given up on: deliver out of order
+            // rather than discard, so reliability reflects it.
+            None if !self.log.window().contains(seq) => {
+                accept(&mut self.log, env, seq, data.published_at, true);
+            }
+            _ => {
+                self.duplicates += 1;
+                env.emit(|node| ObsEvent::SampleDuplicate { node, seq });
+            }
         }
         self.try_deliver(env);
         self.reschedule_scan(env);
@@ -373,12 +373,13 @@ impl NakcastReceiver {
 
 impl LiveJoin for NakcastReceiver {
     /// Positions the receiver at the live edge: in-order delivery resumes
-    /// at `next`, nothing below it is ever marked missing, and the
-    /// advertised high-water mark starts just below the join point.
+    /// at `next`, nothing below it is ever marked missing, the advertised
+    /// high-water mark starts just below the join point, and the log's
+    /// window starts at it.
     fn join_at(&mut self, next: u64) {
-        self.next_deliver = next;
         self.floor = next;
         self.highest_advertised = next.checked_sub(1);
+        self.log.start_at(next);
     }
 }
 
@@ -391,14 +392,6 @@ impl DataReader for NakcastReceiver {
         &mut self.log
     }
 
-    fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    fn duplicates(&self) -> u64 {
-        NakcastReceiver::duplicates(self)
-    }
-
     fn protocol_stats(&self) -> crate::ProtocolStats {
         crate::ProtocolStats {
             naks_sent: self.naks_sent,
@@ -406,6 +399,7 @@ impl DataReader for NakcastReceiver {
             give_ups: self.give_ups,
             duplicates: NakcastReceiver::duplicates(self),
             dropped: self.dropped,
+            window_overflows: self.window_overflows + self.log.overflow_count(),
             ..crate::ProtocolStats::default()
         }
     }

@@ -1,7 +1,7 @@
 //! Receiver-side shared vocabulary.
 
 use adamant_metrics::{Delivery, DenseReceptionLog};
-use adamant_proto::{Env, ObsEvent, TimePoint};
+use adamant_proto::{Env, Insert, ObsEvent, TimePoint};
 
 /// Per-receiver protocol activity counters, unified across protocols so
 /// harnesses can report recovery behaviour without downcasting. Fields a
@@ -24,26 +24,29 @@ pub struct ProtocolStats {
     pub duplicates: u64,
     /// Data packets discarded by the end-host loss stage.
     pub dropped: u64,
+    /// Frames refused for landing too far ahead: beyond the receive window
+    /// (StreamCast), or more than [`SPAN`](adamant_proto::SPAN) past the
+    /// highest sequence heard of.
+    pub window_overflows: u64,
 }
 
-/// Records the delivery of `seq` at `env.now()` in `log` and, unless it is
-/// a duplicate, hands it to the application and traces it. Returns whether
-/// it was fresh.
+/// Records the delivery of `seq` at `env.now()` in `log` and, unless the
+/// log refuses it, hands it to the application and traces it.
 pub(crate) fn accept(
     log: &mut DenseReceptionLog,
     env: &mut Env<'_>,
     seq: u64,
     published_at: TimePoint,
     recovered: bool,
-) -> bool {
+) -> Insert {
     let delivered_at = env.now();
-    let fresh = log.record(Delivery {
+    let outcome = log.record(Delivery {
         seq,
         published_at,
         delivered_at,
         recovered,
     });
-    if fresh {
+    if outcome.is_fresh() {
         env.deliver(seq, published_at, recovered);
         env.emit(|node| ObsEvent::SampleAccepted {
             node,
@@ -53,7 +56,7 @@ pub(crate) fn accept(
             recovered,
         });
     }
-    fresh
+    outcome
 }
 
 /// Common read-out interface of every protocol's receiving agent, used by
@@ -68,22 +71,17 @@ pub trait DataReader {
     /// it captured so far.
     fn log_mut(&mut self) -> &mut DenseReceptionLog;
 
+    /// Unified protocol activity counters.
+    fn protocol_stats(&self) -> ProtocolStats;
+
     /// How many incoming data packets the end-host loss stage discarded.
-    fn dropped(&self) -> u64;
+    fn dropped(&self) -> u64 {
+        self.protocol_stats().dropped
+    }
 
     /// Duplicate data copies discarded by the protocol.
     fn duplicates(&self) -> u64 {
-        self.log().duplicate_count()
-    }
-
-    /// Unified protocol activity counters.
-    fn protocol_stats(&self) -> ProtocolStats {
-        ProtocolStats {
-            recovered: self.log().recovered_count(),
-            duplicates: self.duplicates(),
-            dropped: self.dropped(),
-            ..ProtocolStats::default()
-        }
+        self.protocol_stats().duplicates
     }
 }
 

@@ -259,16 +259,17 @@ impl RicochetReceiver {
         published_at: TimePoint,
         recovered: bool,
     ) {
-        if self.log.contains(seq) {
+        if self.log.window().contains(seq) {
             self.store.insert(seq, published_at);
             return;
         }
-        if self.log.record(Delivery {
+        let delivery = Delivery {
             seq,
             published_at,
             delivered_at: now,
             recovered,
-        }) {
+        };
+        if self.log.record(delivery).is_fresh() {
             env.deliver(seq, published_at, recovered);
             env.emit(|node| ObsEvent::SampleAccepted {
                 node,
@@ -338,7 +339,7 @@ impl RicochetReceiver {
             self.dropped += 1;
             return;
         }
-        if self.log.contains(data.seq) {
+        if self.log.window().contains(data.seq) {
             self.duplicates += 1;
             let seq = data.seq;
             env.emit(|node| ObsEvent::SampleDuplicate { node, seq });
@@ -414,14 +415,6 @@ impl DataReader for RicochetReceiver {
         &mut self.log
     }
 
-    fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    fn duplicates(&self) -> u64 {
-        RicochetReceiver::duplicates(self)
-    }
-
     fn protocol_stats(&self) -> crate::ProtocolStats {
         crate::ProtocolStats {
             repairs_sent: self.repairs_sent,
@@ -429,6 +422,7 @@ impl DataReader for RicochetReceiver {
             recovered: self.recovered_via_repair,
             duplicates: RicochetReceiver::duplicates(self),
             dropped: self.dropped,
+            window_overflows: self.log.overflow_count(),
             ..crate::ProtocolStats::default()
         }
     }

@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 use adamant_metrics::DenseReceptionLog;
 use adamant_proto::wire::{DataMsg, FinMsg, ShmCreditMsg};
 use adamant_proto::{
-    Env, GroupId, Input, NodeId, ObsEvent, ProcessingCost, ProtocolCore, Span, WireMsg,
+    Env, GroupId, Input, Insert, NodeId, ObsEvent, ProcessingCost, ProtocolCore, Span, WireMsg,
 };
 
 use crate::config::Tuning;
@@ -244,17 +244,21 @@ impl ShmCastReceiver {
 
     fn on_data(&mut self, env: &mut Env<'_>, data: &DataMsg) {
         let (published_at, recovered) = (data.published_at, data.retransmission);
-        if accept(&mut self.log, env, data.seq, published_at, recovered) {
-            self.consumed += 1;
-            // Re-grant once half the ring has been consumed, batching
-            // credit traffic instead of ping-ponging per sample.
-            if self.granted - self.consumed <= u64::from(self.queue) / 2 {
-                self.send_credit(env);
+        match accept(&mut self.log, env, data.seq, published_at, recovered) {
+            Insert::Fresh { .. } => {
+                self.consumed += 1;
+                // Re-grant once half the ring has been consumed, batching
+                // credit traffic instead of ping-ponging per sample.
+                if self.granted - self.consumed <= u64::from(self.queue) / 2 {
+                    self.send_credit(env);
+                }
             }
-        } else {
-            self.duplicates += 1;
-            let seq = data.seq;
-            env.emit(|node| ObsEvent::SampleDuplicate { node, seq });
+            Insert::Seen => {
+                self.duplicates += 1;
+                let seq = data.seq;
+                env.emit(|node| ObsEvent::SampleDuplicate { node, seq });
+            }
+            Insert::Beyond => {}
         }
     }
 }
@@ -268,19 +272,12 @@ impl DataReader for ShmCastReceiver {
         &mut self.log
     }
 
-    fn dropped(&self) -> u64 {
-        0
-    }
-
-    fn duplicates(&self) -> u64 {
-        ShmCastReceiver::duplicates(self)
-    }
-
     fn protocol_stats(&self) -> crate::ProtocolStats {
         crate::ProtocolStats {
             acks_sent: self.credits_sent,
             recovered: self.log.recovered_count(),
             duplicates: ShmCastReceiver::duplicates(self),
+            window_overflows: self.log.overflow_count(),
             ..crate::ProtocolStats::default()
         }
     }

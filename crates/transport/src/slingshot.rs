@@ -153,7 +153,7 @@ impl SlingshotReceiver {
     }
 
     fn learn(&mut self, env: &mut Env<'_>, data: DataMsg, via_copy: bool) {
-        if self.log.contains(data.seq) {
+        if self.log.window().contains(data.seq) {
             self.duplicates += 1;
             let seq = data.seq;
             env.emit(|node| ObsEvent::SampleDuplicate { node, seq });
@@ -175,14 +175,6 @@ impl DataReader for SlingshotReceiver {
         &mut self.log
     }
 
-    fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    fn duplicates(&self) -> u64 {
-        SlingshotReceiver::duplicates(self)
-    }
-
     fn protocol_stats(&self) -> crate::ProtocolStats {
         crate::ProtocolStats {
             repairs_sent: self.copies_sent,
@@ -190,6 +182,7 @@ impl DataReader for SlingshotReceiver {
             recovered: self.recovered_via_copy,
             duplicates: SlingshotReceiver::duplicates(self),
             dropped: self.dropped,
+            window_overflows: self.log.overflow_count(),
             ..crate::ProtocolStats::default()
         }
     }

@@ -652,20 +652,13 @@ impl DataReader for StreamCastReceiver {
         &mut self.log
     }
 
-    fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    fn duplicates(&self) -> u64 {
-        StreamCastReceiver::duplicates(self)
-    }
-
     fn protocol_stats(&self) -> crate::ProtocolStats {
         crate::ProtocolStats {
             acks_sent: self.acks_sent,
             recovered: self.log.recovered_count(),
             duplicates: StreamCastReceiver::duplicates(self),
             dropped: self.dropped,
+            window_overflows: self.window_overflows + self.log.overflow_count(),
             ..crate::ProtocolStats::default()
         }
     }

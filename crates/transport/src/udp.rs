@@ -1,7 +1,7 @@
 //! Best-effort UDP multicast: the no-recovery baseline.
 
 use adamant_metrics::DenseReceptionLog;
-use adamant_proto::{Env, GroupId, Input, ObsEvent, ProtocolCore, WireMsg};
+use adamant_proto::{Env, GroupId, Input, Insert, ObsEvent, ProtocolCore, WireMsg};
 
 use crate::config::Tuning;
 use crate::profile::{AppSpec, StackProfile};
@@ -71,8 +71,13 @@ impl DataReader for UdpReceiver {
         &mut self.log
     }
 
-    fn dropped(&self) -> u64 {
-        self.dropped
+    fn protocol_stats(&self) -> crate::ProtocolStats {
+        crate::ProtocolStats {
+            duplicates: self.log.duplicate_count(),
+            dropped: self.dropped,
+            window_overflows: self.log.overflow_count(),
+            ..crate::ProtocolStats::default()
+        }
     }
 }
 
@@ -89,7 +94,7 @@ impl ProtocolCore for UdpReceiver {
             self.dropped += 1;
             return;
         }
-        if !accept(&mut self.log, env, data.seq, data.published_at, false) {
+        if accept(&mut self.log, env, data.seq, data.published_at, false) == Insert::Seen {
             let seq = data.seq;
             env.emit(|node| ObsEvent::SampleDuplicate { node, seq });
         }
