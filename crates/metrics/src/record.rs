@@ -3,7 +3,7 @@
 //! [`DenseReceptionLog`] — a duplicate filter and a [`QosAccumulator`],
 //! plus a `DeliveryLog` and a latency column only under capture.
 
-use adamant_proto::{Insert, SeqWindow, Span, TimePoint};
+use adamant_proto::{Insert, Refusals, SeqWindow, Span, TimePoint};
 
 use crate::report::QosAccumulator;
 
@@ -40,7 +40,9 @@ impl Delivery {
 /// and `contains` are O(1) and the log holds at most
 /// [`SPAN`](adamant_proto::SPAN) bits whatever sequence numbers arrive. A
 /// `seq` more than `SPAN` past the highest delivery is refused and counted
-/// as a window overflow.
+/// as a window overflow, unless a run of [`Refusals`] shows the stream
+/// moved on: then the window slides to it. A receiver whose protocol vetted
+/// a sequence calls [`make_room`](Self::make_room) first.
 ///
 /// Only under [`capture`](Self::capture) is each delivery also kept, in
 /// record order, as a [`DeliveryLog`] record plus a zigzag `delivered_at −
@@ -53,6 +55,7 @@ pub struct DenseReceptionLog {
     seen: SeqWindow,
     duplicates: u64,
     overflows: u64,
+    refusals: Refusals,
 }
 
 impl DenseReceptionLog {
@@ -77,9 +80,15 @@ impl DenseReceptionLog {
         if self.seen.is_empty() {
             self.seen.reserve(self.expected);
         }
-        let outcome = self.seen.insert(delivery.seq);
+        let mut outcome = self.seen.insert(delivery.seq);
+        if outcome != Insert::Beyond {
+            self.refusals.clear();
+        } else if self.refusals.refuse(delivery.seq).is_some() {
+            self.seen.make_room(delivery.seq);
+            outcome = self.seen.insert(delivery.seq);
+        }
         let refusals = match outcome {
-            Insert::Fresh { .. } => None,
+            Insert::Fresh => None,
             Insert::Seen => Some(&mut self.duplicates),
             Insert::Beyond => Some(&mut self.overflows),
         };
@@ -107,6 +116,12 @@ impl DenseReceptionLog {
     /// stream at `floor` starts its window there.
     pub fn start_at(&mut self, floor: u64) {
         self.seen.advance_to(floor);
+    }
+
+    /// Slides the window so that `seq`, which the receiver's protocol has
+    /// vetted, is not refused as too far ahead ([`SeqWindow::make_room`]).
+    pub fn make_room(&mut self, seq: u64) {
+        self.seen.make_room(seq);
     }
 
     /// Every recorded (unique) delivery since [`capture`](Self::capture),
@@ -369,7 +384,7 @@ mod tests {
                 };
                 let settled = log.window().contains(seq);
                 match log.record(delivery) {
-                    Insert::Fresh { .. } => {
+                    Insert::Fresh => {
                         assert!(want.iter().all(|w| w.seq != seq), "case {case}");
                         want.push(delivery);
                     }

@@ -33,7 +33,7 @@ use crate::history::{catch_up_backoff, GapTracker, HistoryCache};
 use crate::ids::{GroupId, NodeId, ProcessingCost};
 use crate::obs::ObsEvent;
 use crate::time::{Span, TimePoint};
-use crate::window::{Insert, SeqWindow, SPAN};
+use crate::window::{SeqWindow, SPAN};
 use crate::wire::{DataMsg, DurableHeartbeatMsg, DurableNakMsg, WireMsg};
 
 /// Timer tag for the writer's durable-history advertisement. High base so
@@ -289,6 +289,11 @@ impl<C> DurableCore<C> {
         &self.inner
     }
 
+    /// Mutable access to the wrapped core.
+    pub fn inner_mut(&mut self) -> &mut C {
+        &mut self.inner
+    }
+
     /// The configured durability mode.
     pub fn mode(&self) -> DurabilityMode {
         self.config.mode
@@ -375,6 +380,14 @@ impl<C> DurableCore<C> {
     /// If called on a writer.
     pub fn caught_up_at(&self) -> Option<TimePoint> {
         self.reader_state().caught_up_at
+    }
+
+    /// Whether the reader has positioned itself at the live edge.
+    ///
+    /// # Panics
+    /// If called on a writer.
+    pub fn is_joined(&self) -> bool {
+        self.reader_state().joined
     }
 }
 
@@ -581,15 +594,19 @@ fn abandon(r: &mut ReaderState, gone: u64, env: &mut Env<'_>) {
     }
 }
 
-/// Settles `seq` in the delivered window. Wanted history the window would
-/// slide past to make room is abandoned first, so none is settled unseen.
-fn settle(r: &mut ReaderState, seq: u64, env: &mut Env<'_>) -> Insert {
+/// Settles `seq` in the delivered window, sliding the window to make room
+/// for it: every `seq` here was vetted, by the inner core's own guard or by
+/// lying below the join floor, within `SPAN / 2` of the window. Wanted
+/// history the window slides past is abandoned first, so none is settled
+/// unseen. Answers whether `seq` was fresh.
+fn settle(r: &mut ReaderState, seq: u64, env: &mut Env<'_>) -> bool {
     let floor = r.delivered.base_after(seq);
     let gone = r.gaps.abandon_below(floor, &r.delivered);
     abandon(r, gone, env);
-    let outcome = r.delivered.insert(seq);
+    r.delivered.make_room(seq);
+    let fresh = r.delivered.insert(seq).is_fresh();
     r.gaps.skip_settled(&r.delivered);
-    outcome
+    fresh
 }
 
 fn join<C: ProtocolCore + LiveJoin>(
@@ -645,7 +662,7 @@ fn join<C: ProtocolCore + LiveJoin>(
 /// deliver, and advance catch-up.
 fn catch_up_arrival(r: &mut ReaderState, d: DataMsg, env: &mut Env<'_>) {
     let was_wanted = r.gaps.wants(d.seq, &r.delivered);
-    if !settle(r, d.seq, env).is_fresh() {
+    if !settle(r, d.seq, env) {
         r.duplicates += 1;
         let seq = d.seq;
         env.emit(|node| ObsEvent::SampleDuplicate { node, seq });
@@ -720,9 +737,9 @@ fn on_catch_up_timer(r: &mut ReaderState, config: &DurableConfig, env: &mut Env<
 }
 
 /// Forwards an input to the inner core, absorbing its deliveries into the
-/// reader's cross-incarnation log and suppressing what the delivered window
-/// refuses: duplicates the previous incarnation already handed up, and
-/// anything more than [`SPAN`] past it.
+/// reader's cross-incarnation log and suppressing the duplicates the
+/// delivered window already settled, such as what the previous incarnation
+/// handed up.
 fn forward_to_inner<C: ProtocolCore>(
     inner: &mut C,
     r: &mut ReaderState,
@@ -744,7 +761,7 @@ fn forward_to_inner<C: ProtocolCore>(
     }
     let (mut dups, delivered_at) = (Vec::new(), env.now());
     for (seq, published_at, recovered) in delivered {
-        if !settle(r, seq, env).is_fresh() {
+        if !settle(r, seq, env) {
             dups.push(seq);
             continue;
         }
@@ -756,7 +773,6 @@ fn forward_to_inner<C: ProtocolCore>(
         });
     }
     if !dups.is_empty() {
-        dups.sort_unstable();
         env.retain_effects_since(mark, |effect| match effect {
             Effect::Deliver { seq, .. } => !dups.contains(seq),
             Effect::Trace(ObsEvent::SampleAccepted { seq, .. }) => !dups.contains(seq),
@@ -1146,6 +1162,7 @@ mod tests {
                 msg: &hb,
             },
         );
+        assert!(reader.is_joined());
         assert_eq!(reader.inner().joined_at, Some(5));
         assert_eq!(reader.inner().delivered, vec![5]);
         let naks: Vec<&WireMsg> = sends_of(&joined);
@@ -1286,6 +1303,45 @@ mod tests {
         )));
         assert_eq!(reader.catch_up_abandoned(), 2);
         assert_eq!(reader.caught_up_at(), None, "abandonment is not success");
+    }
+
+    #[test]
+    fn a_live_delivery_past_the_window_slides_it_and_abandons_what_it_passes() {
+        // The inner core vetted the sequence (its own guard followed the
+        // stream), so the delivered window makes room instead of refusing.
+        let mut host = EnvHost::new(NodeId(1), 6);
+        let writer = NodeId(0);
+        let mut reader =
+            DurableCore::reader(TestSink::new(), writer, DurableConfig::transient_local());
+        host.step(&mut reader, TimePoint::ZERO, Input::Start);
+        let hb = durable_hb(0, 9); // wants 0..10
+        let input = Input::PacketIn {
+            src: writer,
+            msg: &hb,
+        };
+        host.step(&mut reader, TimePoint::from_millis(1), input);
+        let far = 10 + 2 * SPAN;
+        let mut fx = Vec::new();
+        for seq in [10, far] {
+            let live = WireMsg::Data(DataMsg {
+                seq,
+                published_at: TimePoint::from_millis(1),
+                retransmission: false,
+            });
+            let input = Input::PacketIn {
+                src: writer,
+                msg: &live,
+            };
+            fx = host.step(&mut reader, TimePoint::from_millis(2), input);
+        }
+        assert!(fx
+            .iter()
+            .any(|e| matches!(e, Effect::Deliver { seq, .. } if *seq == far)));
+        assert_eq!(reader.duplicates_suppressed(), 0);
+        assert!(reader.delivered_set().contains(far));
+        // The wanted history fell below the slid window: abandoned, counted.
+        assert_eq!(reader.catch_up_abandoned(), 10);
+        assert_eq!(reader.caught_up_at(), None);
     }
 
     #[test]

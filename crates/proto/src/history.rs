@@ -32,7 +32,8 @@ pub fn catch_up_backoff(retries: u32) -> Span {
 /// Samples must be pushed in ascending contiguous sequence order (the
 /// publisher's natural order). When a depth is configured, pushing past it
 /// evicts the oldest retained sample; [`evicted`](Self::evicted) counts
-/// those forced evictions.
+/// those forced evictions. Acknowledged prefixes can also be trimmed with
+/// [`ack_up_to`](Self::ack_up_to), which does *not* count as eviction.
 #[derive(Debug, Clone)]
 pub struct HistoryCache {
     depth: Option<usize>,
@@ -117,9 +118,23 @@ impl HistoryCache {
         self.times.is_empty()
     }
 
-    /// Samples forced out by the depth bound.
+    /// Samples forced out by the depth bound (acknowledged trims are not
+    /// counted here).
     pub fn evicted(&self) -> u64 {
         self.evicted
+    }
+
+    /// Drops every retained sample with sequence `<= seq` (all consumers
+    /// acknowledged them). Keeps the contiguity invariant: the cache
+    /// afterwards starts at `seq + 1` (or is empty).
+    pub fn ack_up_to(&mut self, seq: u64) {
+        while self.first <= seq && !self.times.is_empty() {
+            self.times.pop_front();
+            self.first += 1;
+        }
+        if self.times.is_empty() {
+            self.first = self.first.max(seq + 1);
+        }
     }
 }
 
@@ -173,6 +188,11 @@ impl GapTracker {
     /// Whether every wanted sequence has been satisfied (or abandoned).
     pub fn is_empty(&self) -> bool {
         self.lo == self.hi
+    }
+
+    /// Completed request rounds.
+    pub fn rounds(&self) -> u32 {
+        self.rounds
     }
 
     /// Starts a request round: returns the sequences to NAK and counts the
@@ -249,7 +269,23 @@ mod tests {
         assert!(cache.get(2).is_some());
     }
 
-    /// Property test (satellite): under random depths and run lengths the
+    #[test]
+    fn ack_trims_without_counting_eviction() {
+        let mut cache = HistoryCache::bounded(10);
+        for seq in 0..5 {
+            cache.push(seq, TimePoint::ZERO);
+        }
+        cache.ack_up_to(2);
+        assert_eq!(cache.first_seq(), Some(3));
+        assert_eq!(cache.evicted(), 0);
+        cache.ack_up_to(10);
+        assert!(cache.is_empty());
+        // The contiguous run resumes past the acked prefix.
+        cache.push(11, TimePoint::ZERO);
+        assert_eq!(cache.first_seq(), Some(11));
+    }
+
+    /// Property test (satellite): under random write/ack interleavings the
     /// cache never exceeds its depth, stays a contiguous run, evicts
     /// oldest-first, and its low edge never moves backwards.
     #[test]
@@ -258,17 +294,24 @@ mod tests {
         for case in 0..200u64 {
             let depth = 1 + rng.next_below(16) as usize;
             let mut cache = HistoryCache::bounded(depth);
+            let mut next_seq = 0u64;
             let mut last_first: Option<u64> = None;
             let mut last_evicted = 0u64;
-            for next_seq in 0..rng.next_below(300) {
-                let evicted = cache.push(next_seq, TimePoint::from_micros(next_seq));
-                // Oldest-first: the only sequence a push can evict is the
-                // previous low edge, and only when full.
-                if let Some(victim) = evicted {
-                    assert_eq!(Some(victim), last_first, "case {case}");
-                    assert_eq!(cache.evicted(), last_evicted + 1);
-                } else {
-                    assert_eq!(cache.evicted(), last_evicted);
+            for _ in 0..300 {
+                if rng.bernoulli(0.7) {
+                    let evicted = cache.push(next_seq, TimePoint::from_micros(next_seq));
+                    // Oldest-first: the only sequence a push can evict is
+                    // the previous low edge, and only when full.
+                    if let Some(victim) = evicted {
+                        assert_eq!(Some(victim), last_first, "case {case}");
+                        assert_eq!(cache.evicted(), last_evicted + 1);
+                    } else {
+                        assert_eq!(cache.evicted(), last_evicted);
+                    }
+                    next_seq += 1;
+                } else if next_seq > 0 {
+                    let upto = rng.next_below(next_seq);
+                    cache.ack_up_to(upto);
                 }
                 assert!(cache.len() <= depth, "case {case}: depth exceeded");
                 match (cache.first_seq(), cache.last_seq()) {
@@ -320,6 +363,7 @@ mod tests {
         assert!(gaps.is_empty());
         // Nothing outstanding: rounds stop counting.
         assert!(gaps.begin_round(&window).is_empty());
+        assert_eq!(gaps.rounds(), 3);
         assert_eq!(gaps.retry_delay(Span::ZERO), catch_up_backoff(2));
     }
 

@@ -53,7 +53,7 @@ pub use rng::{DetRng, Entropy};
 pub use snapshot::{fingerprint_debug, Fnv64, StateHash};
 pub use time::{Span, TimePoint};
 pub use timer::{CalendarQueue, TimerFire, TimerWheel};
-pub use window::{beyond, Insert, SeqWindow, SPAN};
+pub use window::{beyond, Insert, Refusals, SeqWindow, RESYNC_AFTER, SPAN};
 pub use wire::{
     FrameBody, FrameDest, FrameDests, FrameError, FrameHeader, FramePart, Frames, WireMsg,
     ANY_ENDPOINT, ANY_INCARNATION, WIRE_VERSION,

@@ -10,15 +10,17 @@ use std::ops::Range;
 /// one frame; a farther frame is refused as [`Insert::Beyond`].
 pub const SPAN: u64 = 1 << 17;
 
+/// How many frames in a row, each refused as beyond the window and all
+/// within [`SPAN`] of each other, make a receiver follow the jump.
+pub const RESYNC_AFTER: u32 = 3;
+
 /// What [`SeqWindow::insert`] made of a sequence number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Insert {
-    /// Newly settled. Making room slid the watermark past `given_up`
-    /// sequences that were never settled; they count as settled from now on.
-    Fresh {
-        /// Unsettled sequences the watermark passed.
-        given_up: u64,
-    },
+    /// Newly settled. Unsettled sequences the watermark slid past to make
+    /// room count as settled from now on, and in
+    /// [`given_up`](SeqWindow::given_up).
+    Fresh,
     /// Already settled: inserted before, or below the watermark.
     Seen,
     /// More than [`SPAN`] past the highest sequence the window settled:
@@ -29,7 +31,7 @@ pub enum Insert {
 impl Insert {
     /// Whether the sequence was newly settled.
     pub fn is_fresh(self) -> bool {
-        matches!(self, Insert::Fresh { .. })
+        self == Insert::Fresh
     }
 }
 
@@ -39,6 +41,42 @@ impl Insert {
 /// the gap up to `seq`.
 pub fn beyond(high: Option<u64>, seq: u64) -> bool {
     seq > high.map_or(SPAN - 1, |high| high.saturating_add(SPAN))
+}
+
+/// The frames a receiver refused in a row as [`beyond`] its window.
+///
+/// One hostile frame is refused and forgotten. A stream that really moved
+/// on — a partition outlasted [`SPAN`] sequences — keeps sending frames
+/// that agree with each other, and after [`RESYNC_AFTER`] of them in a row
+/// the receiver follows it instead of staying deaf.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Refusals {
+    low: u64,
+    count: u32,
+}
+
+impl Refusals {
+    /// Notes a refused `seq`. Once [`RESYNC_AFTER`] refusals in a row lie
+    /// within [`SPAN`] of the lowest of them, returns that lowest — where the
+    /// stream resumed — and starts over.
+    pub fn refuse(&mut self, seq: u64) -> Option<u64> {
+        if self.count == 0 || seq.abs_diff(self.low) > SPAN {
+            *self = Refusals { low: seq, count: 0 };
+        }
+        self.low = self.low.min(seq);
+        self.count += 1;
+        if self.count < RESYNC_AFTER {
+            return None;
+        }
+        let low = self.low;
+        self.clear();
+        Some(low)
+    }
+
+    /// Ends the run: a frame inside the window arrived.
+    pub fn clear(&mut self) {
+        *self = Refusals::default();
+    }
 }
 
 /// A set of sequence numbers that stays O([`SPAN`]) in memory and work,
@@ -108,6 +146,23 @@ impl SeqWindow {
         range.filter(|&seq| !self.contains(seq))
     }
 
+    /// Whether an insert of `seq` would be refused as [`Insert::Beyond`].
+    fn is_beyond(&self, seq: u64) -> bool {
+        let top = self.high.map(|high| high.max(self.base.saturating_sub(1)));
+        top.is_some_and(|top| beyond(Some(top), seq))
+    }
+
+    /// Slides the watermark just far enough that an insert of `seq` is not
+    /// [`Insert::Beyond`]; returns how many unsettled sequences it passed.
+    /// For a receiver whose protocol already vetted `seq`.
+    pub fn make_room(&mut self, seq: u64) -> u64 {
+        if self.is_beyond(seq) {
+            self.advance_to(seq - (SPAN - 1))
+        } else {
+            0
+        }
+    }
+
     /// The watermark an insert of `seq` would leave.
     pub fn base_after(&self, seq: u64) -> u64 {
         match seq.checked_sub(SPAN - 1) {
@@ -122,11 +177,10 @@ impl SeqWindow {
         if self.contains(seq) {
             return Insert::Seen;
         }
-        let top = self.high.map(|high| high.max(self.base.saturating_sub(1)));
-        if top.is_some_and(|top| beyond(Some(top), seq)) {
+        if self.is_beyond(seq) {
             return Insert::Beyond;
         }
-        let given_up = self.advance_to(self.base_after(seq));
+        self.advance_to(self.base_after(seq));
         let index = (seq / 64 - self.base / 64) as usize;
         self.words.resize(self.words.len().max(index + 1), 0);
         self.words[0] |= low_bits(self.base);
@@ -134,7 +188,7 @@ impl SeqWindow {
         self.len += 1;
         self.high = Some(self.high.map_or(seq, |high| high.max(seq)));
         self.trim();
-        Insert::Fresh { given_up }
+        Insert::Fresh
     }
 
     /// Raises the watermark to `floor`, settling everything below it;
@@ -219,10 +273,18 @@ mod tests {
                 Some(floor) => floor,
                 None => 0,
             };
-            let given_up = self.advance_to(floor);
+            self.advance_to(floor);
             self.inserted.insert(seq);
             self.high = Some(self.high.map_or(seq, |high| high.max(seq)));
-            Insert::Fresh { given_up }
+            Insert::Fresh
+        }
+
+        fn make_room(&mut self, seq: u64) -> u64 {
+            let top = self.high.map(|high| high.max(self.base.saturating_sub(1)));
+            match top {
+                Some(top) if seq > top.saturating_add(SPAN) => self.advance_to(seq - SPAN + 1),
+                _ => 0,
+            }
         }
     }
 
@@ -236,7 +298,7 @@ mod tests {
             let mut seq = [0, rng.next_u64() >> 20, u64::MAX - 300][case as usize % 3];
             for _ in 0..400 {
                 let draw = rng.next_u64();
-                seq = match draw % 12 {
+                seq = match draw % 13 {
                     0..=3 => seq.wrapping_add(1 + (draw >> 60)),
                     4 => seq.wrapping_sub(draw >> 58),
                     5 => seq.wrapping_add(SPAN - 64 + (draw >> 57)),
@@ -249,6 +311,14 @@ mod tests {
                         assert_eq!(window.advance_to(floor), model.advance_to(floor));
                         assert!(window.base() >= before.max(floor), "case {case}");
                         seq
+                    }
+                    9 => {
+                        // A vetted jump: room is made for it, then it lands.
+                        let far = seq.saturating_add(SPAN + (draw >> 44));
+                        let before = window.base();
+                        assert_eq!(window.make_room(far), model.make_room(far));
+                        assert!(!window.is_beyond(far) && window.base() >= before);
+                        far
                     }
                     _ => seq,
                 };
@@ -283,14 +353,13 @@ mod tests {
     #[test]
     fn an_empty_window_positions_at_its_first_insert() {
         let mut window = SeqWindow::default();
-        assert_eq!(window.insert(1 << 40), Insert::Fresh { given_up: 1 << 40 });
+        assert_eq!(window.insert(1 << 40), Insert::Fresh);
         assert_eq!((window.base(), window.word_count()), (1 << 40, 1));
+        assert_eq!(window.given_up(), 1 << 40);
         assert_eq!(window.insert((1 << 40) - 1), Insert::Seen);
         assert_eq!(window.insert(u64::MAX), Insert::Beyond);
-        assert_eq!(
-            window.insert((1 << 40) + SPAN),
-            Insert::Fresh { given_up: 0 }
-        );
+        assert_eq!(window.insert((1 << 40) + SPAN), Insert::Fresh);
+        assert_eq!(window.given_up(), 1 << 40);
         let mut top = SeqWindow::default();
         assert!(top.insert(u64::MAX - 1).is_fresh() && top.insert(u64::MAX).is_fresh());
         assert_eq!(top.insert(u64::MAX), Insert::Seen);
@@ -301,17 +370,31 @@ mod tests {
     #[test]
     fn a_stream_with_holes_keeps_its_ring_bounded() {
         let mut window = SeqWindow::default();
-        let mut given_up = 0;
         for seq in (0..10 * SPAN).filter(|seq| seq % 1_000 != 7) {
-            match window.insert(seq) {
-                Insert::Fresh { given_up: passed } => given_up += passed,
-                other => panic!("{seq}: {other:?}"),
-            }
+            assert_eq!(window.insert(seq), Insert::Fresh, "{seq}");
             assert!(window.word_count() as u64 <= SPAN / 64 + 1);
         }
-        // Each hole is handed back once, when the watermark slides past it.
+        // Each hole is given up once, when the watermark slides past it.
         let holes_below = window.base() / 1_000 + u64::from(window.base() % 1_000 > 7);
-        assert_eq!((given_up, window.given_up()), (holes_below, holes_below));
+        assert_eq!(window.given_up(), holes_below);
         assert!(!window.contains(1_310_007) && window.contains(1_310_008));
+    }
+
+    #[test]
+    fn a_run_of_agreeing_refusals_resyncs_and_one_stray_does_not() {
+        let mut refusals = Refusals::default();
+        // Strays far apart never make a run.
+        for seq in [1 << 40, u64::MAX, 1 << 50, u64::MAX - 1, 1 << 40] {
+            assert_eq!(refusals.refuse(seq), None);
+        }
+        // A frame inside the window ends a run.
+        refusals.clear();
+        assert_eq!(refusals.refuse(5 * SPAN), None);
+        refusals.clear();
+        assert_eq!(refusals.refuse(5 * SPAN + 1), None);
+        assert_eq!(refusals.refuse(5 * SPAN - 3), None);
+        // The third agreeing refusal resyncs at the lowest, and starts over.
+        assert_eq!(refusals.refuse(5 * SPAN + 9), Some(5 * SPAN - 3));
+        assert_eq!(refusals, Refusals::default());
     }
 }

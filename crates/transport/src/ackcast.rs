@@ -12,8 +12,8 @@ use std::collections::BTreeMap;
 use adamant_metrics::DenseReceptionLog;
 use adamant_proto::wire::{AckMsg, DataMsg};
 use adamant_proto::{
-    beyond, Env, GroupId, Input, Insert, NodeId, ObsEvent, ProcessingCost, ProtocolCore, Span,
-    WireMsg,
+    beyond, Env, GroupId, Input, Insert, NodeId, ObsEvent, ProcessingCost, ProtocolCore, Refusals,
+    Span, WireMsg,
 };
 
 use crate::config::Tuning;
@@ -106,6 +106,8 @@ pub struct AckcastReceiver {
     /// Missing sequences with their retry counts.
     missing: BTreeMap<u64, u32>,
     highest_advertised: Option<u64>,
+    /// Frames in a row whose sequence was [`beyond`] the high-water mark.
+    refusals: Refusals,
     since_last_ack: u32,
     ack_timer_armed: bool,
     acks_sent: u64,
@@ -133,6 +135,7 @@ impl AckcastReceiver {
             duplicates: 0,
             missing: BTreeMap::new(),
             highest_advertised: None,
+            refusals: Refusals::default(),
             since_last_ack: 0,
             ack_timer_armed: false,
             acks_sent: 0,
@@ -158,9 +161,18 @@ impl AckcastReceiver {
 
     /// Marks every sequence `<= upto` not yet heard of missing and advances
     /// the advertised high-water mark, unless `upto` is [`beyond`] it: that
-    /// is refused, counted and answered `false`.
-    fn note_advertised_upto(&mut self, upto: u64) -> bool {
-        if beyond(self.highest_advertised, upto) {
+    /// is refused, counted and answered `false`, but a run of [`Refusals`]
+    /// first gives up every missing sequence and resumes at the lowest.
+    fn note_advertised_upto(&mut self, env: &mut Env<'_>, upto: u64) -> bool {
+        if !beyond(self.highest_advertised, upto) {
+            self.refusals.clear();
+        } else if let Some(low) = self.refusals.refuse(upto) {
+            for seq in std::mem::take(&mut self.missing).into_keys() {
+                self.give_ups += 1;
+                env.emit(|node| ObsEvent::NakGiveUp { node, seq });
+            }
+            self.highest_advertised = low.checked_sub(1);
+        } else {
             self.window_overflows += 1;
             return false;
         }
@@ -218,10 +230,12 @@ impl AckcastReceiver {
             self.dropped += 1;
             return;
         }
-        if !self.note_advertised_upto(data.seq) {
+        if !self.note_advertised_upto(env, data.seq) {
             return;
         }
         self.missing.remove(&data.seq);
+        // Vetted above: the log makes room for it.
+        self.log.make_room(data.seq);
         let (published_at, recovered) = (data.published_at, data.retransmission);
         if accept(&mut self.log, env, data.seq, published_at, recovered) == Insert::Seen {
             self.duplicates += 1;
@@ -270,7 +284,7 @@ impl ProtocolCore for AckcastReceiver {
                 }
                 WireMsg::Heartbeat(hb) => {
                     if let Some(high) = hb.highest_seq {
-                        self.note_advertised_upto(high);
+                        self.note_advertised_upto(env, high);
                         if !self.missing.is_empty() && !self.ack_timer_armed {
                             env.set_timer(self.rto, TIMER_ACK);
                             self.ack_timer_armed = true;
@@ -278,7 +292,7 @@ impl ProtocolCore for AckcastReceiver {
                     }
                 }
                 WireMsg::Fin(fin) if fin.total > 0 => {
-                    self.note_advertised_upto(fin.total - 1);
+                    self.note_advertised_upto(env, fin.total - 1);
                     if !self.missing.is_empty() {
                         self.send_ack(env);
                     }

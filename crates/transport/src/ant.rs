@@ -7,11 +7,12 @@
 //! protocol properties into concrete agents on simulated hosts.
 
 use adamant_metrics::QosReport;
-use adamant_netsim::{Agent, GroupId, HostConfig, NodeId, SimDriver, Simulation};
+use adamant_netsim::{Agent, GroupId, HostConfig, NodeId, SimDriver, SimDuration, Simulation};
 use adamant_proto::ProtocolCore;
 
 use crate::ackcast::{AckcastReceiver, AckcastSender};
 use crate::config::{ProtocolKind, TransportConfig};
+use crate::failover::NakcastStandby;
 use crate::nakcast::{NakcastReceiver, NakcastSender};
 use crate::profile::{AppSpec, StackProfile};
 use crate::receiver::DataReader;
@@ -184,6 +185,61 @@ pub fn install(sim: &mut Simulation, spec: &SessionSpec) -> SessionHandles {
     }
 }
 
+/// Restarts receiver `index` of an installed session after a crash, with a
+/// fresh agent of the session's protocol (same node id, host, and group
+/// membership). The new incarnation starts with an empty reception log and
+/// catches up on the stream through the protocol's own recovery machinery
+/// (e.g. NAKcast's heartbeat-advertised high-water mark).
+///
+/// # Panics
+///
+/// Panics if the receiver is not currently crashed.
+pub fn rejoin_receiver(
+    sim: &mut Simulation,
+    spec: &SessionSpec,
+    handles: &SessionHandles,
+    index: usize,
+) {
+    let node = handles.receivers[index];
+    let agent = receiver_agent(spec, handles.sender, handles.group);
+    sim.restart_node(node, agent);
+    sim.join_group(handles.group, node);
+}
+
+/// Adds a warm-standby sender to an installed NAKcast session on `host`.
+/// The standby overhears the group, detects primary silence after
+/// `detect_timeout`, and promotes itself to continue the stream.
+///
+/// # Panics
+///
+/// Panics if the session's protocol is not NAKcast (other protocols have
+/// no standby implementation).
+pub fn install_standby(
+    sim: &mut Simulation,
+    spec: &SessionSpec,
+    handles: &SessionHandles,
+    host: HostConfig,
+    detect_timeout: SimDuration,
+) -> NodeId {
+    assert!(
+        matches!(spec.transport.kind, ProtocolKind::Nakcast { .. }),
+        "warm standby is only implemented for NAKcast, not {}",
+        spec.transport.kind
+    );
+    let standby = sim.add_node(
+        host,
+        SimDriver::new(NakcastStandby::new(
+            spec.app,
+            spec.stack,
+            spec.transport.tuning,
+            handles.group,
+            detect_timeout,
+        )),
+    );
+    sim.join_group(handles.group, standby);
+    standby
+}
+
 /// Tears down a running session's agents and installs `spec`'s protocol on
 /// the same nodes and group — a live mid-stream protocol switch. Every
 /// node keeps its id, host configuration, and group membership; the old
@@ -309,6 +365,19 @@ pub fn reader_mut<'a>(
     }
 }
 
+/// Collects every receiver's unified protocol counters (aligned with
+/// `handles.receivers`).
+pub fn collect_protocol_stats(
+    sim: &Simulation,
+    handles: &SessionHandles,
+) -> Vec<crate::ProtocolStats> {
+    handles
+        .receivers
+        .iter()
+        .map(|&node| reader(sim, handles, node).protocol_stats())
+        .collect()
+}
+
 /// Builds the pooled [`QosReport`] for a finished session.
 pub fn collect_report(sim: &Simulation, handles: &SessionHandles) -> QosReport {
     let mut builder = QosReport::builder(handles.expected_samples, handles.receivers.len() as u32);
@@ -328,17 +397,7 @@ pub fn collect_report(sim: &Simulation, handles: &SessionHandles) -> QosReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ProtocolStats;
     use adamant_netsim::{Bandwidth, MachineClass, SimDuration, SimTime};
-
-    /// Every receiver's unified protocol counters.
-    fn collect_protocol_stats(sim: &Simulation, handles: &SessionHandles) -> Vec<ProtocolStats> {
-        let readers = handles
-            .receivers
-            .iter()
-            .map(|&node| reader(sim, handles, node));
-        readers.map(DataReader::protocol_stats).collect()
-    }
 
     fn spec(kind: ProtocolKind) -> SessionSpec {
         let host = HostConfig::new(MachineClass::Pc3000, Bandwidth::GBPS_1);

@@ -323,6 +323,63 @@ pub struct Tuning {
     pub shm_packet_cost_us: f64,
 }
 
+impl Tuning {
+    /// Replaces the sender heartbeat interval (builder-style).
+    pub fn with_heartbeat_interval(mut self, interval: SimDuration) -> Self {
+        self.heartbeat_interval = interval;
+        self
+    }
+
+    /// Replaces the NAK retry give-up bound (builder-style).
+    pub fn with_nak_max_retries(mut self, retries: u32) -> Self {
+        self.nak_max_retries = retries;
+        self
+    }
+
+    /// Replaces the Ricochet partial-window flush delay (builder-style).
+    pub fn with_ricochet_flush(mut self, flush: SimDuration) -> Self {
+        self.ricochet_flush = flush;
+        self
+    }
+
+    /// Replaces the ACKcast window size (builder-style).
+    pub fn with_ack_window(mut self, window: u32) -> Self {
+        self.ack_window = window;
+        self
+    }
+
+    /// Replaces the receiver membership-heartbeat interval (builder-style).
+    pub fn with_membership_interval(mut self, interval: SimDuration) -> Self {
+        self.membership_interval = interval;
+        self
+    }
+
+    /// Replaces the modelled repair efficacy (builder-style).
+    pub fn with_repair_efficacy(mut self, efficacy: f64) -> Self {
+        self.repair_efficacy = efficacy;
+        self
+    }
+
+    /// Replaces the StreamCast SYN retry interval (builder-style).
+    pub fn with_stream_syn_retry(mut self, interval: SimDuration) -> Self {
+        self.stream_syn_retry = interval;
+        self
+    }
+
+    /// Replaces the StreamCast RTO clamp range (builder-style).
+    pub fn with_stream_rto_range(mut self, min: SimDuration, max: SimDuration) -> Self {
+        self.stream_rto_min = min;
+        self.stream_rto_max = max;
+        self
+    }
+
+    /// Replaces the ShmCast per-packet reference cost (builder-style).
+    pub fn with_shm_packet_cost_us(mut self, cost: f64) -> Self {
+        self.shm_packet_cost_us = cost;
+        self
+    }
+}
+
 impl Default for Tuning {
     fn default() -> Self {
         Tuning {

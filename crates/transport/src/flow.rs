@@ -5,7 +5,7 @@
 //! retransmission storm that competes with live data for the sender's CPU
 //! and egress link.
 
-use adamant_netsim::SimTime;
+use adamant_netsim::{SimDuration, SimTime};
 
 /// A deterministic token bucket over simulated time.
 ///
@@ -79,6 +79,16 @@ impl TokenBucket {
             false
         }
     }
+
+    /// How long from `now` until the next token is available (zero if one
+    /// is available already).
+    pub fn next_available(&mut self, now: SimTime) -> SimDuration {
+        self.refill(now);
+        if self.tokens >= 1.0 {
+            return SimDuration::ZERO;
+        }
+        SimDuration::from_secs_f64((1.0 - self.tokens) / self.rate_per_sec)
+    }
 }
 
 #[cfg(test)]
@@ -95,8 +105,7 @@ mod tests {
         assert!(bucket.admit(t0));
         assert!(!bucket.admit(t0));
         // 100 tokens/s → one per 10 ms.
-        let mut early = bucket;
-        assert!(!early.admit(SimTime::from_millis(9)));
+        assert_eq!(bucket.next_available(t0), SimDuration::from_millis(10));
         assert!(bucket.admit(SimTime::from_millis(10)));
         assert!(!bucket.admit(SimTime::from_millis(10)));
     }

@@ -18,8 +18,8 @@ use std::collections::BTreeMap;
 use adamant_metrics::DenseReceptionLog;
 use adamant_proto::wire::{DataMsg, NakMsg};
 use adamant_proto::{
-    beyond, Env, GroupId, Input, LiveJoin, NodeId, ObsEvent, ProcessingCost, ProtocolCore, Span,
-    TimePoint, TimerToken, WireMsg,
+    beyond, Env, GroupId, Input, LiveJoin, NodeId, ObsEvent, ProcessingCost, ProtocolCore,
+    Refusals, Span, TimePoint, TimerToken, WireMsg,
 };
 
 use crate::config::Tuning;
@@ -120,17 +120,12 @@ impl ProtocolCore for NakcastSender {
     }
 }
 
-/// What a NAKcast receiver holds for one advertised sequence it has
-/// neither delivered nor given up.
+/// An advertised sequence not heard yet: NAK at `nak_at`, after `retries`
+/// NAKs so far.
 #[derive(Debug, Clone, Copy)]
-enum Slot {
-    /// Not heard yet: NAK at `nak_at`, after `retries` NAKs so far.
-    Missing { nak_at: TimePoint, retries: u32 },
-    /// Heard, and held back until no earlier sequence is missing.
-    Buffered {
-        published_at: TimePoint,
-        recovered: bool,
-    },
+struct Missing {
+    nak_at: TimePoint,
+    retries: u32,
 }
 
 /// Receiver side of NAKcast.
@@ -146,11 +141,17 @@ pub struct NakcastReceiver {
     /// Live-join floor: sequences below this predate the join and are
     /// ignored outright (a durable wrapper recovers them instead).
     floor: u64,
-    /// Every advertised sequence neither delivered nor given up. One from
-    /// `floor` up to the high-water mark that has no slot and is not in the
-    /// log was given up; above the mark, nothing is known.
-    slots: BTreeMap<u64, Slot>,
+    /// Every advertised sequence neither delivered nor given up is missing
+    /// or held. One from `floor` up to the high-water mark that is in
+    /// neither map nor the log was given up; above the mark, nothing is
+    /// known. The two are apart so a NAK scan never visits held samples.
+    missing: BTreeMap<u64, Missing>,
+    /// Samples heard, `(published_at, recovered)`, held back until no
+    /// earlier sequence is missing.
+    held: BTreeMap<u64, (TimePoint, bool)>,
     highest_advertised: Option<u64>,
+    /// Frames in a row whose sequence was [`beyond`] the high-water mark.
+    refusals: Refusals,
     scan_timer: Option<(TimerToken, TimePoint)>,
     naks_sent: u64,
     give_ups: u64,
@@ -178,8 +179,10 @@ impl NakcastReceiver {
             dropped: 0,
             duplicates: 0,
             floor: 0,
-            slots: BTreeMap::new(),
+            missing: BTreeMap::new(),
+            held: BTreeMap::new(),
             highest_advertised: None,
+            refusals: Refusals::default(),
             scan_timer: None,
             naks_sent: 0,
             give_ups: 0,
@@ -227,54 +230,75 @@ impl NakcastReceiver {
     /// Advertised sequences neither delivered nor given up: missing, or
     /// heard and held back behind one that is.
     pub fn open_slots(&self) -> usize {
-        self.slots.len()
+        self.missing.len() + self.held.len()
     }
 
-    /// Marks every sequence `<= upto` missing and advances the advertised
-    /// high-water mark, unless `upto` is [`beyond`] it: that is refused,
-    /// counted and answered `false`.
-    fn note_advertised_upto(&mut self, now: TimePoint, upto: u64) -> bool {
-        if beyond(self.highest_advertised, upto) {
+    /// Advances the advertised high-water mark to `upto`, marking every
+    /// newly advertised sequence missing but `upto` itself when it was
+    /// `heard`; answers whether `upto` was newly advertised. An `upto`
+    /// [`beyond`] the mark is refused, counted and answered `None`, but a
+    /// run of [`Refusals`] first resyncs the receiver at the lowest.
+    fn advertise(&mut self, env: &mut Env<'_>, upto: u64, heard: bool) -> Option<bool> {
+        if !beyond(self.highest_advertised, upto) {
+            self.refusals.clear();
+        } else if let Some(low) = self.refusals.refuse(upto) {
+            self.resync(env, low);
+        } else {
             self.window_overflows += 1;
-            return false;
+            return None;
         }
         let start = match self.highest_advertised {
-            Some(h) if h >= upto => return true,
+            Some(h) if h >= upto => return Some(false),
             Some(h) => h + 1,
             None => 0,
         };
-        let missing = Slot::Missing {
-            nak_at: now + self.timeout,
+        let missing = Missing {
+            nak_at: env.now() + self.timeout,
             retries: 0,
         };
-        self.slots.extend((start..=upto).map(|seq| (seq, missing)));
+        self.missing.extend((start..upto).map(|seq| (seq, missing)));
+        if !heard {
+            self.missing.insert(upto, missing);
+        }
         self.highest_advertised = Some(upto);
-        true
+        Some(true)
+    }
+
+    /// Follows a stream that moved on more than `SPAN` sequences while this
+    /// receiver heard none of it: every missing sequence is given up, held
+    /// samples are handed up, and the stream resumes at `low`.
+    fn resync(&mut self, env: &mut Env<'_>, low: u64) {
+        for seq in std::mem::take(&mut self.missing).into_keys() {
+            self.give_ups += 1;
+            env.emit(|node| ObsEvent::NakGiveUp { node, seq });
+        }
+        self.try_deliver(env);
+        self.highest_advertised = low.checked_sub(1);
+    }
+
+    /// Hands up `seq`, which this receiver vetted, making room in the log's
+    /// window for it.
+    fn deliver(&mut self, env: &mut Env<'_>, seq: u64, sample: (TimePoint, bool)) {
+        self.log.make_room(seq);
+        accept(&mut self.log, env, seq, sample.0, sample.1);
     }
 
     /// Delivers held-back samples in order, up to the first sequence still
-    /// missing; given-up sequences hold no slot, so they are passed over.
+    /// missing; given-up sequences are in neither map, so they are passed
+    /// over.
     fn try_deliver(&mut self, env: &mut Env<'_>) {
-        while let Some(slot) = self.slots.first_entry() {
-            let Slot::Buffered {
-                published_at,
-                recovered,
-            } = *slot.get()
-            else {
+        while let Some(held) = self.held.first_entry() {
+            if self.missing.keys().next().is_some_and(|&m| m < *held.key()) {
                 break;
-            };
-            let seq = slot.remove_entry().0;
-            accept(&mut self.log, env, seq, published_at, recovered);
+            }
+            let (seq, sample) = held.remove_entry();
+            self.deliver(env, seq, sample);
         }
     }
 
     /// (Re-)arms the scan timer for the earliest pending NAK deadline.
     fn reschedule_scan(&mut self, env: &mut Env<'_>) {
-        let deadlines = self.slots.values().filter_map(|slot| match slot {
-            Slot::Missing { nak_at, .. } => Some(*nak_at),
-            _ => None,
-        });
-        let Some(min_at) = deadlines.min() else {
+        let Some(min_at) = self.missing.values().map(|m| m.nak_at).min() else {
             return;
         };
         if let Some((token, at)) = self.scan_timer {
@@ -293,12 +317,9 @@ impl NakcastReceiver {
         let now = env.now();
         let mut due = Vec::new();
         let mut exhausted = Vec::new();
-        for (&seq, slot) in &self.slots {
-            if let Slot::Missing { nak_at, retries } = *slot {
-                if nak_at > now {
-                    continue;
-                }
-                if retries >= self.tuning.nak_max_retries {
+        for (&seq, state) in &self.missing {
+            if state.nak_at <= now {
+                if state.retries >= self.tuning.nak_max_retries {
                     exhausted.push(seq);
                 } else {
                     due.push(seq);
@@ -306,7 +327,7 @@ impl NakcastReceiver {
             }
         }
         for seq in exhausted {
-            self.slots.remove(&seq);
+            self.missing.remove(&seq);
             self.give_ups += 1;
             env.emit(|node| ObsEvent::NakGiveUp { node, seq });
         }
@@ -315,9 +336,9 @@ impl NakcastReceiver {
             let os = Span::from_micros_f64(self.tuning.os_packet_cost_us);
             let count = due.len() as u32;
             for seq in &due {
-                if let Some(Slot::Missing { nak_at, retries }) = self.slots.get_mut(seq) {
-                    *nak_at = now + self.timeout + renak_backoff(*retries);
-                    *retries += 1;
+                if let Some(state) = self.missing.get_mut(seq) {
+                    state.nak_at = now + self.timeout + renak_backoff(state.retries);
+                    state.retries += 1;
                 }
             }
             env.send(
@@ -345,26 +366,19 @@ impl NakcastReceiver {
             return;
         }
         let seq = data.seq;
-        if !self.note_advertised_upto(env.now(), seq) {
+        let Some(ahead) = self.advertise(env, seq, true) else {
             return;
-        }
-        match self.slots.get(&seq) {
-            Some(Slot::Missing { .. }) => {
-                let sample = Slot::Buffered {
-                    published_at: data.published_at,
-                    recovered: data.retransmission,
-                };
-                self.slots.insert(seq, sample);
-            }
+        };
+        let published_at = data.published_at;
+        if ahead || self.missing.remove(&seq).is_some() {
+            self.held.insert(seq, (published_at, data.retransmission));
+        } else if self.held.contains_key(&seq) || self.log.window().contains(seq) {
+            self.duplicates += 1;
+            env.emit(|node| ObsEvent::SampleDuplicate { node, seq });
+        } else {
             // Late arrival of a sequence given up on: deliver out of order
             // rather than discard, so reliability reflects it.
-            None if !self.log.window().contains(seq) => {
-                accept(&mut self.log, env, seq, data.published_at, true);
-            }
-            _ => {
-                self.duplicates += 1;
-                env.emit(|node| ObsEvent::SampleDuplicate { node, seq });
-            }
+            self.deliver(env, seq, (published_at, true));
         }
         self.try_deliver(env);
         self.reschedule_scan(env);
@@ -417,14 +431,14 @@ impl ProtocolCore for NakcastReceiver {
                 WireMsg::Heartbeat(hb) => {
                     self.note_sender(src);
                     if let Some(high) = hb.highest_seq {
-                        self.note_advertised_upto(env.now(), high);
+                        self.advertise(env, high, false);
                         self.reschedule_scan(env);
                     }
                 }
                 WireMsg::Fin(fin) => {
                     self.note_sender(src);
                     if fin.total > 0 {
-                        self.note_advertised_upto(env.now(), fin.total - 1);
+                        self.advertise(env, fin.total - 1, false);
                         self.reschedule_scan(env);
                     }
                 }

@@ -59,6 +59,11 @@ impl AppSpec {
         }
     }
 
+    /// The paper's workload: 12-byte samples, 20 000 of them, at `rate_hz`.
+    pub fn paper_workload(rate_hz: f64) -> Self {
+        AppSpec::at_rate(20_000, rate_hz, 12)
+    }
+
     /// The sending rate in hertz.
     pub fn rate_hz(&self) -> f64 {
         1.0 / self.interval.as_secs_f64()
@@ -88,6 +93,14 @@ mod tests {
         assert_eq!(app.interval, SimDuration::from_millis(40));
         assert!((app.rate_hz() - 25.0).abs() < 1e-9);
         assert_eq!(app.publish_span(), SimDuration::from_secs(4));
+    }
+
+    #[test]
+    fn paper_workload_matches_section_4_2() {
+        let app = AppSpec::paper_workload(50.0);
+        assert_eq!(app.total_samples, 20_000);
+        assert_eq!(app.payload_bytes, 12);
+        assert_eq!(app.interval, SimDuration::from_millis(20));
     }
 
     #[test]

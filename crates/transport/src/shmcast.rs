@@ -245,7 +245,7 @@ impl ShmCastReceiver {
     fn on_data(&mut self, env: &mut Env<'_>, data: &DataMsg) {
         let (published_at, recovered) = (data.published_at, data.retransmission);
         match accept(&mut self.log, env, data.seq, published_at, recovered) {
-            Insert::Fresh { .. } => {
+            Insert::Fresh => {
                 self.consumed += 1;
                 // Re-grant once half the ring has been consumed, batching
                 // credit traffic instead of ping-ponging per sample.
