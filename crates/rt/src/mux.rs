@@ -37,9 +37,10 @@
 //! order, so the same construction sequence always yields the same shard
 //! layout — at position `i / workers` of it, and is pinned to socket
 //! `(i / workers) % sockets_per_worker` of that worker's pool. The shard
-//! table *is* the storage: a [`run_for`](MuxCluster::run_for) window lends
-//! worker `w` its shard, socket pool and timer wheel in place, and one
-//! before which nothing was added, restarted or re-wired visits no entry
+//! table *is* the storage, in fixed 64-entry segments that never move: a
+//! [`run_for`](MuxCluster::run_for) window lends worker `w` its shard,
+//! socket pool and timer wheel in place, and one before which nothing was
+//! added, restarted or re-wired visits no entry
 //! it has no timer or datagram for — its fixed cost is spawn + poller +
 //! join whatever the fleet size. A worker that panics forfeits its shard
 //! (entries cleared, sockets closed); the others run on.
@@ -55,15 +56,15 @@
 //! back, and is dropped as stale when it pops. A cluster holds at most
 //! 2^24 (16 777 216) endpoints.
 //!
-//! **Restart.** Routing is by [`NodeId`] → `(socket address, endpoint
-//! index, incarnation)`. A [`restart_endpoint`](MuxCluster::restart_endpoint)
-//! swaps in a fresh core on a fresh entropy stream, bumps the incarnation
-//! **and rewrites every peer's route entry**, so only datagrams already in
-//! flight at the restart instant are dropped as stale; the report keeps
-//! accumulating across incarnations.
+//! **Restart.** An endpoint lists the peers it may send to as [`NodeId`] →
+//! endpoint index; a peer's address and incarnation follow from its index.
+//! A [`restart_endpoint`](MuxCluster::restart_endpoint) swaps in a fresh
+//! core on a fresh entropy stream and bumps the one incarnation slot every
+//! sender reads, so only datagrams already in flight at the restart instant
+//! are dropped as stale; the report keeps accumulating across incarnations.
 
 use std::any::Any;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 use std::time::Duration;
 
@@ -166,27 +167,49 @@ impl MuxConfig {
     }
 }
 
-/// Where an endpoint sends datagrams for one peer node: the peer's shared
-/// socket plus the demux key its worker routes by.
-#[derive(Debug, Clone, Copy)]
-struct MuxRoute {
-    addr: SocketAddr,
-    endpoint: u32,
-    incarnation: u32,
+/// How any endpoint reaches endpoint `index`: its socket follows from the
+/// index by the deal-out rule, and its incarnation is the one slot a restart
+/// writes. Workers share it read-only for a window.
+struct RouteBook {
+    /// Bound address of every socket, `addrs[shard][socket]`.
+    addrs: Vec<Vec<SocketAddr>>,
+    /// Incarnation of every endpoint added (lost ones too), by index.
+    incarnations: Vec<u32>,
 }
 
-impl MuxRoute {
-    fn dest(&self) -> FrameDest {
-        FrameDest {
-            endpoint: self.endpoint,
-            incarnation: self.incarnation,
+impl RouteBook {
+    fn addr(&self, index: u32) -> SocketAddr {
+        let workers = self.addrs.len() as u32;
+        let pool = &self.addrs[(index % workers) as usize];
+        pool[(index / workers) as usize % pool.len()]
+    }
+}
+
+/// The peers an endpoint may send to, node → endpoint index: the first
+/// inline (most endpoints have one), the rest sorted by node. A node added
+/// again routes to the endpoint named last; one not listed is unroutable.
+#[derive(Default)]
+struct Peers {
+    first: Option<(NodeId, u32)>,
+    rest: Vec<(NodeId, u32)>,
+}
+
+impl Peers {
+    fn insert(&mut self, node: NodeId, index: u32) {
+        let found = self.rest.binary_search_by_key(&node, |peer| peer.0);
+        match (&mut self.first, found) {
+            (None, _) => self.first = Some((node, index)),
+            (Some(first), _) if first.0 == node => first.1 = index,
+            (_, Ok(at)) => self.rest[at].1 = index,
+            (_, Err(at)) => self.rest.insert(at, (node, index)),
         }
     }
 
-    /// The worker that demuxes this route's datagrams: endpoints are dealt
-    /// out `index % workers`, so the key itself names the shard.
-    fn shard(&self, workers: usize) -> usize {
-        self.endpoint as usize % workers
+    fn get(&self, node: NodeId) -> Option<u32> {
+        match self.first {
+            Some((first, index)) if first == node => Some(index),
+            _ => Some(self.rest[self.rest.binary_search_by_key(&node, |peer| peer.0).ok()?].1),
+        }
     }
 }
 
@@ -219,26 +242,26 @@ impl GroupPlan {
     /// share a frame addressed to the first such member's pinned socket
     /// (the worker drains its whole pool and demux never looks at the
     /// arrival socket).
-    fn build(
-        sender: NodeId,
-        members: &[NodeId],
-        routes: &HashMap<NodeId, MuxRoute>,
-        workers: usize,
-    ) -> GroupPlan {
+    fn build(sender: NodeId, members: &[NodeId], peers: &Peers, book: &RouteBook) -> GroupPlan {
         let mut plan = GroupPlan::default();
         let mut buckets: Vec<(usize, SocketAddr, Vec<FrameDest>)> = Vec::new();
-        for member in members.iter().filter(|&&member| member != sender) {
-            let Some(route) = routes.get(member) else {
+        for &member in members.iter().filter(|&&member| member != sender) {
+            let Some(index) = peers.get(member) else {
                 plan.unroutable += 1;
                 continue;
             };
-            let shard = route.shard(workers);
+            // Dealt out `index % workers`: the worker that demuxes it.
+            let shard = index as usize % book.addrs.len();
+            let dest = FrameDest {
+                endpoint: index,
+                incarnation: book.incarnations[index as usize],
+            };
             let open = buckets
                 .iter_mut()
                 .find(|(bucket, _, dests)| *bucket == shard && dests.len() < PLAN_DESTS_MAX);
             match open {
-                Some((_, _, dests)) => dests.push(route.dest()),
-                None => buckets.push((shard, route.addr, vec![route.dest()])),
+                Some((_, _, dests)) => dests.push(dest),
+                None => buckets.push((shard, book.addr(index), vec![dest])),
             }
         }
         for (_, addr, dests) in buckets {
@@ -255,26 +278,12 @@ impl GroupPlan {
     }
 }
 
-/// Object-safe bridge that keeps a boxed core both steppable and
-/// downcastable (`ProtocolCore` is `Send + 'static`, so every sized core
-/// is `Any`; the explicit methods avoid relying on dyn upcasting).
-trait ClusterCore: Send {
-    fn as_core(&mut self) -> &mut dyn ProtocolCore;
-    fn as_any(&self) -> &dyn Any;
-    fn as_any_mut(&mut self) -> &mut dyn Any;
-}
+/// A boxed core that is both steppable and downcastable: `ProtocolCore` is
+/// `Send + 'static`, so every sized core is `Any`, and a `dyn ClusterCore`
+/// upcasts to `dyn Any`.
+trait ClusterCore: ProtocolCore + Any {}
 
-impl<T: ProtocolCore> ClusterCore for T {
-    fn as_core(&mut self) -> &mut dyn ProtocolCore {
-        self
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
+impl<T: ProtocolCore> ClusterCore for T {}
 
 /// Deterministic seed of endpoint `index`'s `incarnation`: SplitMix64-style
 /// stream derivation from the cluster seed, so one cluster seed determines
@@ -298,42 +307,60 @@ struct MuxEntry {
     node: NodeId,
     host: EnvHost,
     core: Box<dyn ClusterCore>,
-    routes: HashMap<NodeId, MuxRoute>,
+    peers: Peers,
     report: EndpointReport,
     started: bool,
-    incarnation: u32,
-    /// The global index, which the endpoint's timers are armed under.
+    /// The global index, which the endpoint's timers are armed under and
+    /// its socket and incarnation follow from.
     index: u32,
     /// The live incarnation's first timer token: a fire below it is stale.
     first_timer: TimerToken,
-    /// Index into the worker's socket pool this endpoint sends from (and
-    /// whose bound address peers send to).
-    socket: usize,
     /// Fan-out plan per group (index = group id; empty for an endpoint
-    /// without groups), rebuilt by `run_for` when `plans_stale`.
+    /// without groups), rebuilt by every `run_for` that finds the cluster
+    /// dirty, so a worker never sees a stale plan.
     plans: Box<[GroupPlan]>,
-    /// Set by whatever changes the routes or the group table — all of it
-    /// runs between windows, so a worker never sees a stale plan.
-    plans_stale: bool,
 }
 
-// `fleet_100k`'s `peak_rss_mb` is 100 000 of these plus what each owns, and
-// until the benchmark measures set-up differently the 1 024-endpoint
-// `setup_s` depends on the allocator state the entry table's growth leaves
-// behind (DESIGN.md §5.3, candidate (b)): growing an entry moves both.
-const _: () = assert!(std::mem::size_of::<MuxEntry>() <= 296);
+// `fleet_100k`'s `peak_rss_mb` is 100 000 of these plus what each owns. An
+// entry past 2 KiB would take a `SEGMENT` over the mmap threshold, where
+// set-up cost follows the allocator's history (DESIGN.md §5.3 (b)).
+const _: () = assert!(std::mem::size_of::<MuxEntry>() <= 280);
 
-impl MuxEntry {
-    fn rebuild_plans(&mut self, workers: usize) {
-        let MuxEntry {
-            node, host, routes, ..
-        } = self;
-        self.plans = host
-            .groups_mut()
-            .iter()
-            .map(|members| GroupPlan::build(*node, members, routes, workers))
-            .collect();
-        self.plans_stale = false;
+/// Entries per segment of a shard table: one ≈ 18 KB allocation that never
+/// moves. glibc maps blocks of 128 KiB and more, and unmapping one raises
+/// that threshold for every later allocation, so a table grown in such
+/// blocks makes each set-up's cost depend on the set-ups before it.
+const SEGMENT: usize = 64;
+
+/// One worker's entries in add order: position `pos` is entry
+/// `pos % SEGMENT` of segment `pos / SEGMENT`.
+#[derive(Default)]
+struct Shard {
+    segments: Vec<Vec<MuxEntry>>,
+}
+
+impl Shard {
+    fn get(&self, pos: usize) -> Option<&MuxEntry> {
+        self.segments.get(pos / SEGMENT)?.get(pos % SEGMENT)
+    }
+
+    fn at(&mut self, pos: usize) -> &mut MuxEntry {
+        &mut self.segments[pos / SEGMENT][pos % SEGMENT]
+    }
+
+    fn push(&mut self, entry: MuxEntry) {
+        match self.segments.last_mut().filter(|last| last.len() < SEGMENT) {
+            Some(last) => last.push(entry),
+            None => {
+                let mut segment = Vec::with_capacity(SEGMENT);
+                segment.push(entry);
+                self.segments.push(segment);
+            }
+        }
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut MuxEntry> {
+        self.segments.iter_mut().flatten()
     }
 }
 
@@ -388,17 +415,15 @@ pub struct MuxCluster {
     /// The entries, stored where they run: endpoint `i` is
     /// `shards[i % workers][i / workers]`, and a window lends `shards[w]`
     /// to worker `w`. A shard lost to a worker panic is empty.
-    shards: Vec<Vec<MuxEntry>>,
-    /// Endpoints added so far, lost ones included.
-    len: usize,
+    shards: Vec<Shard>,
     /// Set by whatever adds or restarts an endpoint or changes a route or
     /// group table — all of it runs between windows. A window that finds
-    /// it clear visits no entry it has no event for.
+    /// it set rebuilds every group plan; one that finds it clear visits no
+    /// entry it has no event for.
     dirty: bool,
     /// Each worker's socket pool (emptied for a shard lost to a panic).
     sockets: Vec<Vec<UdpSocket>>,
-    /// Bound address of every socket, `addrs[shard][socket]`.
-    addrs: Vec<Vec<SocketAddr>>,
+    book: RouteBook,
     /// One timer wheel per shard, persisted across windows so pending
     /// timers survive window boundaries.
     wheels: Vec<TimerWheel>,
@@ -409,7 +434,7 @@ impl std::fmt::Debug for MuxCluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MuxCluster")
             .field("cfg", &self.cfg)
-            .field("endpoints", &self.len)
+            .field("endpoints", &self.book.incarnations.len())
             .finish()
     }
 }
@@ -443,11 +468,13 @@ impl MuxCluster {
         }
         Ok(MuxCluster {
             cfg,
-            shards: (0..workers).map(|_| Vec::new()).collect(),
-            len: 0,
+            shards: (0..workers).map(|_| Shard::default()).collect(),
             dirty: false,
             sockets,
-            addrs,
+            book: RouteBook {
+                addrs,
+                incarnations: Vec::new(),
+            },
             wheels: Vec::new(),
             worker: WorkerCounters::default(),
         })
@@ -471,30 +498,26 @@ impl MuxCluster {
         node: NodeId,
         core: C,
     ) -> Result<EndpointId, RtError> {
-        let index = self.len;
+        let index = self.book.incarnations.len();
         if index >= MAX_ENDPOINTS {
             return Err(RtError::TooManyEndpoints { max: MAX_ENDPOINTS });
         }
         let shard = index % self.shards.len();
-        self.len += 1;
+        self.book.incarnations.push(0);
         if self.sockets[shard].is_empty() {
             return Err(RtError::ShardPanicked { shard });
         }
-        let socket = (index / self.shards.len()) % self.sockets[shard].len();
         self.shards[shard].push(MuxEntry {
             node,
             host: EnvHost::new(node, endpoint_seed(self.cfg.seed, index, 0))
                 .with_observed(self.cfg.observed),
             core: Box::new(core),
-            routes: HashMap::new(),
+            peers: Peers::default(),
             report: EndpointReport::default(),
             started: false,
-            incarnation: 0,
             index: index as u32,
             first_timer: TimerToken::default(),
-            socket,
             plans: Box::default(),
-            plans_stale: false,
         });
         self.dirty = true;
         Ok(EndpointId(index))
@@ -505,10 +528,10 @@ impl MuxCluster {
     /// came back on the same port); the core, entropy stream and in-flight
     /// state are replaced, and timers armed by the previous incarnation
     /// are dropped as stale when they pop from the shard's wheel. Every
-    /// live peer's route to this node (and with it the peer's group
-    /// fan-out plans) is re-stamped with the new incarnation, so only
-    /// datagrams already in flight at the restart instant are dropped as
-    /// stale. The endpoint's report keeps accumulating across
+    /// peer's route to this endpoint reads the one incarnation slot this
+    /// bumps (and the next window rebuilds the group fan-out plans), so
+    /// only datagrams already in flight at the restart instant are dropped
+    /// as stale. The endpoint's report keeps accumulating across
     /// incarnations. Call between [`run_for`](MuxCluster::run_for) windows.
     ///
     /// # Errors
@@ -519,24 +542,13 @@ impl MuxCluster {
         id: EndpointId,
         core: C,
     ) -> Result<(), RtError> {
-        let base = self.cfg.seed;
+        let incarnation = self.incarnation(id)?.wrapping_add(1);
+        self.book.incarnations[id.0] = incarnation;
+        let seed = endpoint_seed(self.cfg.seed, id.0, incarnation);
         let entry = self.entry_mut(id)?;
-        let node = entry.node;
-        entry.incarnation = entry.incarnation.wrapping_add(1);
         entry.started = false;
-        let incarnation = entry.incarnation;
-        entry.first_timer = entry.host.reseed(endpoint_seed(base, id.0, incarnation));
+        entry.first_timer = entry.host.reseed(seed);
         entry.core = Box::new(core);
-        // Re-stamp every peer's route so post-restart sends reach the new
-        // incarnation instead of being dropped as stale.
-        for cell in self.shards.iter_mut().flatten() {
-            if let Some(route) = cell.routes.get_mut(&node) {
-                if route.endpoint == id.0 as u32 {
-                    route.incarnation = incarnation;
-                    cell.plans_stale = true;
-                }
-            }
-        }
         self.dirty = true;
         Ok(())
     }
@@ -547,17 +559,18 @@ impl MuxCluster {
     ///
     /// [`RtError::UnknownEndpoint`] for a dead or out-of-range id.
     pub fn incarnation(&self, id: EndpointId) -> Result<u32, RtError> {
-        Ok(self.entry(id)?.incarnation)
+        self.entry(id)?;
+        Ok(self.book.incarnations[id.0])
     }
 
     /// Endpoints added so far (including any lost to a shard panic).
     pub fn len(&self) -> usize {
-        self.len
+        self.book.incarnations.len()
     }
 
     /// Whether no endpoints have been added.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.book.incarnations.is_empty()
     }
 
     /// The worker shard `id` runs on: `index % workers`.
@@ -573,8 +586,8 @@ impl MuxCluster {
     ///
     /// [`RtError::UnknownEndpoint`] for a dead or out-of-range id.
     pub fn endpoint_addr(&self, id: EndpointId) -> Result<SocketAddr, RtError> {
-        let entry = self.entry(id)?;
-        Ok(self.addrs[self.shard_of(id)][entry.socket])
+        self.entry(id)?;
+        Ok(self.book.addr(id.0 as u32))
     }
 
     /// The protocol node id of endpoint `id`.
@@ -594,16 +607,8 @@ impl MuxCluster {
     ///
     /// [`RtError::UnknownEndpoint`] when either id is dead or out of range.
     pub fn add_peer(&mut self, id: EndpointId, peer: EndpointId) -> Result<(), RtError> {
-        let peer_entry = self.entry(peer)?;
-        let route = MuxRoute {
-            addr: self.addrs[self.shard_of(peer)][peer_entry.socket],
-            endpoint: peer.0 as u32,
-            incarnation: peer_entry.incarnation,
-        };
-        let peer_node = peer_entry.node;
-        let entry = self.entry_mut(id)?;
-        entry.routes.insert(peer_node, route);
-        entry.plans_stale = true;
+        let peer_node = self.entry(peer)?.node;
+        self.entry_mut(id)?.peers.insert(peer_node, peer.0 as u32);
         self.dirty = true;
         Ok(())
     }
@@ -614,9 +619,7 @@ impl MuxCluster {
     ///
     /// [`RtError::UnknownEndpoint`] for a dead or out-of-range id.
     pub fn set_groups(&mut self, id: EndpointId, groups: Vec<Vec<NodeId>>) -> Result<(), RtError> {
-        let entry = self.entry_mut(id)?;
-        *entry.host.groups_mut() = groups;
-        entry.plans_stale = true;
+        *self.entry_mut(id)?.host.groups_mut() = groups;
         self.dirty = true;
         Ok(())
     }
@@ -625,27 +628,15 @@ impl MuxCluster {
     /// group 0 containing all nodes on each — the all-to-all session shape
     /// the paper's scenarios use.
     pub fn connect_full_mesh(&mut self) -> Result<(), RtError> {
-        let mut routes = Vec::with_capacity(self.len);
-        let mut all_nodes = Vec::with_capacity(self.len);
-        for (index, entry) in self.live() {
-            routes.push((
-                entry.node,
-                MuxRoute {
-                    addr: self.addrs[index % self.shards.len()][entry.socket],
-                    endpoint: index as u32,
-                    incarnation: entry.incarnation,
-                },
-            ));
-            all_nodes.push(entry.node);
-        }
-        for cell in self.shards.iter_mut().flatten() {
-            for &(node, route) in &routes {
+        let peers: Vec<(NodeId, u32)> = self.live().map(|(i, e)| (e.node, i as u32)).collect();
+        let all_nodes: Vec<NodeId> = peers.iter().map(|&(node, _)| node).collect();
+        for cell in self.shards.iter_mut().flat_map(Shard::iter_mut) {
+            for &(node, index) in &peers {
                 if node != cell.node {
-                    cell.routes.insert(node, route);
+                    cell.peers.insert(node, index);
                 }
             }
             *cell.host.groups_mut() = vec![all_nodes.clone()];
-            cell.plans_stale = true;
         }
         self.dirty = true;
         Ok(())
@@ -663,7 +654,7 @@ impl MuxCluster {
     /// shard's endpoints and sockets are lost); otherwise the first hard
     /// socket error any worker hit.
     pub fn run_for(&mut self, wall: Duration) -> Result<(), RtError> {
-        if self.len == 0 {
+        if self.book.incarnations.is_empty() {
             return Ok(());
         }
         let workers = self.shards.len();
@@ -671,12 +662,14 @@ impl MuxCluster {
         let clock = self.cfg.clock;
         let deadline = clock.now() + Span::from_nanos(wall.as_nanos() as u64);
 
+        let book = &self.book;
         let dirty = std::mem::take(&mut self.dirty);
         if dirty {
-            for entry in self.shards.iter_mut().flatten() {
-                if entry.plans_stale {
-                    entry.rebuild_plans(workers);
-                }
+            for entry in self.shards.iter_mut().flat_map(Shard::iter_mut) {
+                let (groups, peers) = (entry.host.groups_mut(), &entry.peers);
+                let plan =
+                    |members: &Vec<NodeId>| GroupPlan::build(entry.node, members, peers, book);
+                entry.plans = groups.iter().map(plan).collect();
             }
         }
         self.wheels.resize_with(workers, TimerWheel::new);
@@ -698,7 +691,7 @@ impl MuxCluster {
                             wheel,
                             clock,
                             deadline,
-                            workers,
+                            book,
                             batch,
                             dirty,
                             &mut counters,
@@ -718,7 +711,7 @@ impl MuxCluster {
                 // What the worker was stepping when it died cannot be
                 // trusted: the shard's endpoints, sockets and timers go.
                 Err(_) => {
-                    self.shards[shard_index].clear();
+                    self.shards[shard_index] = Shard::default();
                     self.sockets[shard_index].clear();
                     self.wheels[shard_index] = TimerWheel::new();
                     panicked = panicked.or(Some(shard_index));
@@ -748,16 +741,14 @@ impl MuxCluster {
     /// Downcasts endpoint `id`'s core back to its concrete type for
     /// post-run inspection (`None` on a dead id or type mismatch).
     pub fn core<C: ProtocolCore>(&self, id: EndpointId) -> Option<&C> {
-        self.entry(id).ok()?.core.as_any().downcast_ref::<C>()
+        let core: &dyn Any = &*self.entry(id).ok()?.core;
+        core.downcast_ref::<C>()
     }
 
     /// Mutable variant of [`core`](MuxCluster::core).
     pub fn core_mut<C: ProtocolCore>(&mut self, id: EndpointId) -> Option<&mut C> {
-        self.entry_mut(id)
-            .ok()?
-            .core
-            .as_any_mut()
-            .downcast_mut::<C>()
+        let core: &mut dyn Any = &mut *self.entry_mut(id).ok()?.core;
+        core.downcast_mut::<C>()
     }
 
     /// Aggregate counters across every live endpoint plus the workers'
@@ -810,7 +801,7 @@ impl MuxCluster {
     /// Every live entry with its endpoint index, in index (= add) order.
     fn live(&self) -> impl Iterator<Item = (usize, &MuxEntry)> {
         let workers = self.shards.len();
-        (0..self.len).filter_map(move |i| Some((i, self.shards[i % workers].get(i / workers)?)))
+        (0..self.len()).filter_map(move |i| Some((i, self.shards[i % workers].get(i / workers)?)))
     }
 
     fn entry(&self, id: EndpointId) -> Result<&MuxEntry, RtError> {
@@ -820,10 +811,9 @@ impl MuxCluster {
     }
 
     fn entry_mut(&mut self, id: EndpointId) -> Result<&mut MuxEntry, RtError> {
-        let (shard, pos) = (self.shard_of(id), id.0 / self.shards.len());
-        self.shards[shard]
-            .get_mut(pos)
-            .ok_or(RtError::UnknownEndpoint { index: id.0 })
+        self.entry(id)?;
+        let workers = self.shards.len();
+        Ok(self.shards[id.0 % workers].at(id.0 / workers))
     }
 }
 
@@ -840,11 +830,11 @@ struct Scratch {
 }
 
 /// Maps a global endpoint index to its position in this shard's entry
-/// slice: entries are dealt out strided (`shard_index`, `shard_index +
+/// table: entries are dealt out strided (`shard_index`, `shard_index +
 /// workers`, …), so position is `global / workers` — verified against the
 /// index the entry arms its timers under, so a stale or hostile key can
 /// never alias another entry.
-fn local_pos(global: usize, shard: &[MuxEntry], workers: usize) -> Option<usize> {
+fn local_pos(global: usize, shard: &Shard, workers: usize) -> Option<usize> {
     let pos = global / workers;
     let entry = shard.get(pos)?;
     (entry.index as usize == global).then_some(pos)
@@ -854,12 +844,12 @@ fn local_pos(global: usize, shard: &[MuxEntry], workers: usize) -> Option<usize>
 /// lent; `dirty` says some entry may still be waiting for its `Start`.
 #[allow(clippy::too_many_arguments)]
 fn drive_mux_shard(
-    shard: &mut [MuxEntry],
+    shard: &mut Shard,
     sockets: &[UdpSocket],
     wheel: &mut TimerWheel,
     clock: MonotonicClock,
     deadline: TimePoint,
-    workers: usize,
+    book: &RouteBook,
     batch: usize,
     dirty: bool,
     counters: &mut WorkerCounters,
@@ -887,6 +877,7 @@ fn drive_mux_shard(
                     pos,
                     Input::Start,
                     now,
+                    book,
                     wheel,
                     &mut outboxes,
                     &mut scratch,
@@ -907,21 +898,22 @@ fn drive_mux_shard(
                 break;
             };
             fired += 1;
-            let Some(pos) = local_pos(fire.owner as usize, shard, workers) else {
+            let Some(pos) = local_pos(fire.owner as usize, shard, book.addrs.len()) else {
                 continue;
             };
-            if fire.token < shard[pos].first_timer {
+            if fire.token < shard.at(pos).first_timer {
                 continue; // armed by a dead incarnation: drop as stale
             }
             let now = clock.now();
             step_entry(
-                &mut shard[pos],
+                shard.at(pos),
                 pos,
                 Input::TimerFired {
                     token: fire.token,
                     tag: fire.tag,
                 },
                 now,
+                book,
                 wheel,
                 &mut outboxes,
                 &mut scratch,
@@ -966,7 +958,7 @@ fn drive_mux_shard(
                 demux_batch(
                     &recv,
                     shard,
-                    workers,
+                    book,
                     now,
                     wheel,
                     &mut outboxes,
@@ -982,7 +974,7 @@ fn drive_mux_shard(
             // ICMP noise read off a shared socket belongs to no single
             // endpoint; fold it into the first live entry's report so the
             // aggregate stat still carries it.
-            if let Some(entry) = shard.first_mut() {
+            if let Some(entry) = shard.iter_mut().next() {
                 entry.report.soft_io_errors += recv.soft_errors;
             }
             recv.soft_errors = 0;
@@ -1057,11 +1049,13 @@ fn queue_frame(
 /// per-socket outbox (a group send as one datagram per frame of the
 /// group's cached plan); timers go to the shard wheel; deliveries and
 /// traces to the entry's report.
+#[allow(clippy::too_many_arguments)]
 fn step_entry(
     entry: &mut MuxEntry,
     pos: usize,
     input: Input<'_>,
     now: TimePoint,
+    book: &RouteBook,
     wheel: &mut TimerWheel,
     outboxes: &mut [VecDeque<OutMsg>],
     scratch: &mut Scratch,
@@ -1070,32 +1064,33 @@ fn step_entry(
         node,
         host,
         core,
-        routes,
+        peers,
         report,
         index: owner,
-        socket,
         plans,
         ..
     } = entry;
     let mut effects = std::mem::take(&mut scratch.effects);
-    host.step_into(core.as_core(), now, input, &mut effects);
+    host.step_into(&mut **core, now, input, &mut effects);
     for effect in effects.drain(..) {
         match effect {
             Effect::Send { dst, msg, .. } => {
                 scratch.body.clear();
                 msg.encode(&mut scratch.body);
-                let outbox = &mut outboxes[*socket];
+                // The entry's pinned socket (`pos` is `index / workers`).
+                let outbox = &mut outboxes[pos % outboxes.len()];
                 let Scratch { body, pool, .. } = scratch;
                 match dst {
-                    Destination::Node(peer) => match routes.get(&peer) {
-                        Some(route) => {
+                    Destination::Node(peer) => match peers.get(peer) {
+                        Some(index) => {
                             let header = FrameHeader {
                                 src: *node,
-                                dst_endpoint: route.endpoint,
-                                dst_incarnation: route.incarnation,
+                                dst_endpoint: index,
+                                dst_incarnation: book.incarnations[index as usize],
                             }
                             .to_bytes();
-                            queue_frame(outbox, pool, report, pos, route.addr, &header, 1, body);
+                            let addr = book.addr(index);
+                            queue_frame(outbox, pool, report, pos, addr, &header, 1, body);
                         }
                         None => report.unroutable += 1,
                     },
@@ -1142,8 +1137,8 @@ fn step_entry(
 #[allow(clippy::too_many_arguments)]
 fn demux_batch(
     recv: &RecvBatch,
-    shard: &mut [MuxEntry],
-    workers: usize,
+    shard: &mut Shard,
+    book: &RouteBook,
     now: TimePoint,
     wheel: &mut TimerWheel,
     outboxes: &mut [VecDeque<OutMsg>],
@@ -1164,15 +1159,16 @@ fn demux_batch(
                         // A wildcard key cannot be routed on a shared
                         // socket: `ANY_ENDPOINT` resolves to no position,
                         // like any index the shard does not hold.
-                        let Some(pos) = local_pos(dest.endpoint as usize, shard, workers) else {
+                        let Some(pos) = local_pos(dest.endpoint as usize, shard, book.addrs.len())
+                        else {
                             counters.unknown_endpoint_drops += 1;
                             continue;
                         };
                         resolved = true;
-                        let entry = &mut shard[pos];
+                        let entry = shard.at(pos);
                         entry.report.datagrams_received += 1;
                         if dest.incarnation != ANY_INCARNATION
-                            && dest.incarnation != entry.incarnation
+                            && dest.incarnation != book.incarnations[dest.endpoint as usize]
                         {
                             entry.report.stale_datagrams += 1;
                             continue;
@@ -1186,20 +1182,20 @@ fn demux_batch(
                 Ok(FramePart::Entry(bytes)) if !live.is_empty() => {
                     let msg = WireMsg::decode(bytes);
                     for &pos in &live {
-                        let entry = &mut shard[pos];
+                        let entry = shard.at(pos);
                         let Some(msg) = &msg else {
                             entry.report.decode_errors += 1;
                             continue;
                         };
                         let input = Input::PacketIn { src, msg };
-                        step_entry(entry, pos, input, now, wheel, outboxes, scratch);
+                        step_entry(entry, pos, input, now, book, wheel, outboxes, scratch);
                     }
                 }
                 Ok(FramePart::Entry(_)) => {}
                 Err(FrameError::Header) => counters.header_drops += 1,
                 Err(FrameError::Body) => {
                     for &pos in &live {
-                        shard[pos].report.decode_errors += 1;
+                        shard.at(pos).report.decode_errors += 1;
                     }
                 }
             }
@@ -1217,7 +1213,7 @@ fn flush_socket(
     sock: &UdpSocket,
     outbox: &mut VecDeque<OutMsg>,
     send: &mut SendBatch,
-    shard: &mut [MuxEntry],
+    shard: &mut Shard,
     pool: &mut Vec<Vec<u8>>,
 ) -> Result<usize, RtError> {
     let mut total = 0;
@@ -1228,14 +1224,14 @@ fn flush_socket(
                 // Flow-blocked: charge a stall to the stuck message's
                 // sender and let the idle branch pace the retry.
                 if let Some(front) = outbox.front() {
-                    shard[front.from].report.backpressure_stalls += 1;
+                    shard.at(front.from).report.backpressure_stalls += 1;
                 }
                 break;
             }
             Ok(sent) => {
                 for _ in 0..sent {
                     let msg = outbox.pop_front().expect("sent ≤ queued");
-                    shard[msg.from].report.datagrams_sent += 1;
+                    shard.at(msg.from).report.datagrams_sent += 1;
                     pool.push(msg.buf);
                 }
                 total += sent;
@@ -1247,7 +1243,7 @@ fn flush_socket(
                 // The error names the first unsent message: drop it so
                 // the batch makes progress past the unreachable peer.
                 if let Some(msg) = outbox.pop_front() {
-                    shard[msg.from].report.soft_io_errors += 1;
+                    shard.at(msg.from).report.soft_io_errors += 1;
                     pool.push(msg.buf);
                 }
             }
@@ -1980,6 +1976,126 @@ mod tests {
     }
 
     #[test]
+    fn unicast_to_a_peer_on_the_other_worker_resumes_after_a_restart() {
+        // The ticker (shard 0) routes to the listener (shard 1) through the
+        // listener's incarnation slot, which the restart bumps.
+        let mut cluster = small_mux(2, 12);
+        let ticker = |next| Ticker {
+            peer: NodeId(1),
+            next,
+            end: next + 10,
+        };
+        let tx = cluster.add_endpoint(NodeId(0), ticker(0)).unwrap();
+        let rx = cluster.add_endpoint(NodeId(1), Listener).unwrap();
+        assert_ne!(cluster.shard_of(tx), cluster.shard_of(rx));
+        cluster.add_peer(tx, rx).unwrap();
+        cluster.run_for(Duration::from_millis(50)).unwrap();
+        assert_eq!(cluster.report(rx).unwrap().delivered.len(), 10);
+
+        cluster.restart_endpoint(rx, Listener).unwrap();
+        cluster.restart_endpoint(tx, ticker(10)).unwrap();
+        cluster.run_for(Duration::from_millis(50)).unwrap();
+        let report = cluster.report(rx).unwrap();
+        assert_eq!(report.delivered_seqs(), (0..20).collect());
+        assert_eq!(report.stale_datagrams, 0);
+    }
+
+    #[test]
+    fn a_group_plan_listing_a_restarted_member_reaches_the_new_incarnation() {
+        // Only the member restarts: the sender's cached plan still named
+        // incarnation 0, so the next window must plan it afresh.
+        let mut cluster = small_mux(1, 26);
+        let (tx, rx) = beacon_group(&mut cluster, 40, 3);
+        cluster.run_for(Duration::from_millis(15)).unwrap();
+        let mid = cluster.core::<Beacon>(tx).unwrap().next;
+        assert!(mid < 40, "the first window should end mid-stream, at {mid}");
+        cluster.restart_endpoint(rx[1], Listener).unwrap();
+        cluster.run_for(Duration::from_millis(100)).unwrap();
+        assert_eq!(cluster.incarnation(tx).unwrap(), 0);
+        assert_eq!(cluster.incarnation(rx[1]).unwrap(), 1);
+        // What was in flight at the restart may be stale; everything
+        // published after it reaches the new incarnation.
+        let heard = cluster.report(rx[1]).unwrap().delivered_seqs();
+        assert!((mid..40).all(|seq| heard.contains(&seq)), "{heard:?}");
+        for id in [rx[0], rx[2]] {
+            let report = cluster.report(id).unwrap();
+            assert_eq!(report.delivered_seqs(), (0..40).collect());
+        }
+    }
+
+    /// Which of two listeners that share node 5 hears a ticker's unicast.
+    fn heard_by(cluster: &mut MuxCluster, a: EndpointId, b: EndpointId) -> (usize, usize) {
+        cluster.run_for(Duration::from_millis(50)).unwrap();
+        let heard = |id| cluster.report(id).unwrap().delivered.len();
+        (heard(a), heard(b))
+    }
+
+    #[test]
+    fn with_duplicate_nodes_the_route_named_last_wins() {
+        let ticker = || Ticker {
+            peer: NodeId(5),
+            next: 0,
+            end: 5,
+        };
+        // `add_peer`: the later call wins, whichever index it names.
+        for later_is_a in [false, true] {
+            let mut cluster = small_mux(1, 40);
+            let tx = cluster.add_endpoint(NodeId(0), ticker()).unwrap();
+            let a = cluster.add_endpoint(NodeId(5), Listener).unwrap();
+            let b = cluster.add_endpoint(NodeId(5), Listener).unwrap();
+            let (first, later) = if later_is_a { (b, a) } else { (a, b) };
+            cluster.add_peer(tx, first).unwrap();
+            cluster.add_peer(tx, later).unwrap();
+            let want = if later_is_a { (5, 0) } else { (0, 5) };
+            assert_eq!(heard_by(&mut cluster, a, b), want);
+        }
+        // `connect_full_mesh`: the later endpoint wins, with the duplicate
+        // listed inline (first peer) or behind another peer.
+        for before in [0, 1] {
+            let mut cluster = small_mux(1, 41);
+            cluster.add_endpoint(NodeId(0), ticker()).unwrap();
+            for node in 0..before {
+                cluster.add_endpoint(NodeId(7 + node), Listener).unwrap();
+            }
+            let a = cluster.add_endpoint(NodeId(5), Listener).unwrap();
+            let b = cluster.add_endpoint(NodeId(5), Listener).unwrap();
+            cluster.connect_full_mesh().unwrap();
+            assert_eq!(heard_by(&mut cluster, a, b), (0, 5), "after {before}");
+        }
+    }
+
+    #[test]
+    fn an_endpoint_routes_to_each_of_its_peers_and_not_to_unlisted_nodes() {
+        /// Sends one sample to each node it lists, numbered by the node.
+        #[derive(Debug)]
+        struct Scatter(Vec<u32>);
+        impl ProtocolCore for Scatter {
+            fn step(&mut self, input: Input<'_>, env: &mut Env<'_>) {
+                if matches!(input, Input::Start) {
+                    for &node in &self.0 {
+                        env.send(NodeId(node), 64, 1, ProcessingCost::FREE, data(node.into()));
+                    }
+                }
+            }
+        }
+        let mut cluster = small_mux(2, 42);
+        let tx = cluster
+            .add_endpoint(NodeId(0), Scatter(vec![4, 1, 9, 3, 2]))
+            .unwrap();
+        let rx = [1, 2, 3, 4].map(|node| cluster.add_endpoint(NodeId(node), Listener).unwrap());
+        // Out of node order, so the sorted list is built by insertion.
+        for i in [2, 0, 3, 1] {
+            cluster.add_peer(tx, rx[i]).unwrap();
+        }
+        cluster.run_for(Duration::from_millis(50)).unwrap();
+        for (id, node) in rx.into_iter().zip(1..) {
+            let heard = cluster.report(id).unwrap().delivered_seqs();
+            assert_eq!(heard, BTreeSet::from([node]));
+        }
+        assert_eq!(cluster.report(tx).unwrap().unroutable, 1);
+    }
+
+    #[test]
     fn worker_panic_surfaces_as_shard_panicked_and_shard_is_lost() {
         #[derive(Debug)]
         struct Bomb;
@@ -2488,11 +2604,11 @@ mod tests {
         // Endpoint 2^24 would arm its timers under endpoint 0's owner code.
         let mut cluster = small_mux(1, 0);
         cluster.add_endpoint(NodeId(0), Listener).unwrap();
-        cluster.len = MAX_ENDPOINTS;
+        cluster.book.incarnations.resize(MAX_ENDPOINTS, 0);
         let err = cluster.add_endpoint(NodeId(1), Listener).unwrap_err();
         assert!(matches!(err, RtError::TooManyEndpoints { max } if max == 1 << 24));
         assert_eq!(cluster.len(), 1 << 24);
-        assert_eq!(cluster.shards[0].len(), 1);
+        assert_eq!(cluster.shards[0].iter_mut().count(), 1);
     }
 
     #[test]
