@@ -172,17 +172,17 @@ fn run_udp_nakcast(
         let reader = cluster
             .core::<NakcastReceiver>(id)
             .expect("reader core survives the run");
-        let log = reader.log();
-        complete &= log.delivered_count() == samples;
+        let (delivered, stats) = (reader.log().delivered_count(), reader.protocol_stats());
+        complete &= delivered == samples;
         println!(
             "reader {}: delivered {}/{} (recovered {}, naks {}, give-ups {}, dropped {})",
             i + 1,
-            log.delivered_count(),
+            delivered,
             samples,
-            log.recovered_count(),
-            reader.naks_sent(),
-            reader.give_ups(),
-            reader.dropped(),
+            stats.recovered,
+            stats.naks_sent,
+            stats.give_ups,
+            stats.dropped,
         );
     }
     let stats = cluster.stats();

@@ -15,7 +15,7 @@ use adamant_metrics::Delivery;
 use adamant_netsim::{MachineClass, SimDuration, SimTime, Simulation};
 use adamant_proto::{Effect, EnvHost, Input, NodeId, TimePoint, WireMsg};
 use adamant_transport::{
-    ant, nakcast_recovery_bound, AppSpec, NakcastReceiver, ProtocolKind, SessionSpec,
+    ant, nakcast_recovery_bound, AppSpec, DataReader, NakcastReceiver, ProtocolKind, SessionSpec,
     TransportConfig, Tuning,
 };
 
@@ -151,7 +151,7 @@ fn receiver_core_naks_a_gap_through_the_protocol_api() {
         })
         .expect("scan must emit a NAK");
     assert_eq!(nak.seqs, vec![1]);
-    assert_eq!(core.naks_sent(), 1);
+    assert_eq!(core.protocol_stats().naks_sent, 1);
 
     // The retransmission fills the gap and releases both held samples.
     let retx = WireMsg::Data(adamant_proto::wire::DataMsg {

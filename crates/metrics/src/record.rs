@@ -32,15 +32,15 @@ impl Delivery {
 /// Everything one receiver observed during a run.
 ///
 /// Transports append to this as they deliver samples. A second copy of a
-/// delivered sequence number is refused and counted as a duplicate; every
-/// accepted one folds into the log's [`QosAccumulator`], which is all a
+/// delivered sequence number is refused as a duplicate; every accepted one
+/// folds into the log's [`QosAccumulator`], which is all a
 /// [`QosReport`](crate::QosReport) needs.
 ///
 /// Delivered sequence numbers are settled in a [`SeqWindow`], so `record`
 /// and `contains` are O(1) and the log holds at most
 /// [`SPAN`](adamant_proto::SPAN) bits whatever sequence numbers arrive. A
-/// `seq` more than `SPAN` past the highest delivery is refused and counted
-/// as a window overflow, unless a run of [`Refusals`] shows the stream
+/// `seq` more than `SPAN` past the highest delivery is refused as a window
+/// overflow, unless a run of [`Refusals`] shows the stream
 /// moved on: then the window slides to it. A receiver whose protocol vetted
 /// a sequence calls [`make_room`](Self::make_room) first.
 ///
@@ -53,8 +53,6 @@ pub struct DenseReceptionLog {
     capture: Option<(DeliveryLog, Vec<u8>)>, // records, zigzag latency varints
     expected: u64,
     seen: SeqWindow,
-    duplicates: u64,
-    overflows: u64,
     refusals: Refusals,
 }
 
@@ -74,8 +72,7 @@ impl DenseReceptionLog {
     }
 
     /// Records a delivery unless its sequence number was delivered already
-    /// ([`Insert::Seen`]) or lies too far ahead ([`Insert::Beyond`]); each
-    /// refusal is counted.
+    /// ([`Insert::Seen`]) or lies too far ahead ([`Insert::Beyond`]).
     pub fn record(&mut self, delivery: Delivery) -> Insert {
         if self.seen.is_empty() {
             self.seen.reserve(self.expected);
@@ -87,13 +84,7 @@ impl DenseReceptionLog {
             self.seen.make_room(delivery.seq);
             outcome = self.seen.insert(delivery.seq);
         }
-        let refusals = match outcome {
-            Insert::Fresh => None,
-            Insert::Seen => Some(&mut self.duplicates),
-            Insert::Beyond => Some(&mut self.overflows),
-        };
-        if let Some(count) = refusals {
-            *count += 1;
+        if !outcome.is_fresh() {
             return outcome;
         }
         self.qos.record(delivery.latency(), delivery.recovered);
@@ -148,16 +139,6 @@ impl DenseReceptionLog {
     /// Number of unique samples delivered.
     pub fn delivered_count(&self) -> u64 {
         self.qos.delivered()
-    }
-
-    /// Number of duplicate deliveries suppressed.
-    pub fn duplicate_count(&self) -> u64 {
-        self.duplicates
-    }
-
-    /// Number of deliveries refused as too far ahead of the window.
-    pub fn overflow_count(&self) -> u64 {
-        self.overflows
     }
 
     /// Number of deliveries that came through error recovery.
@@ -345,7 +326,7 @@ mod tests {
         for case in 0..64u64 {
             let mut log = DenseReceptionLog::with_capacity(case * 4);
             log.capture();
-            let (mut want, mut duplicates, mut overflows) = (Vec::<Delivery>::new(), 0, 0);
+            let mut want = Vec::<Delivery>::new();
             let mut taken = Vec::new();
             let (mut seq, mut at) = (0u64, rng.next_u64());
             for step in 0..case * 8 {
@@ -388,11 +369,8 @@ mod tests {
                         assert!(want.iter().all(|w| w.seq != seq), "case {case}");
                         want.push(delivery);
                     }
-                    Insert::Seen => {
-                        assert!(settled, "case {case}");
-                        duplicates += 1;
-                    }
-                    Insert::Beyond => overflows += 1,
+                    Insert::Seen => assert!(settled, "case {case}"),
+                    Insert::Beyond => {}
                 }
             }
             // What a take handed over, then what the log captured since.
@@ -402,8 +380,6 @@ mod tests {
             assert_eq!(log.delivered_count(), want.len() as u64);
             let recovered = want.iter().filter(|w| w.recovered).count() as u64;
             assert_eq!(log.recovered_count(), recovered);
-            assert_eq!(log.duplicate_count(), duplicates);
-            assert_eq!(log.overflow_count(), overflows);
             assert!(
                 want.iter().all(|w| log.window().contains(w.seq)),
                 "case {case}"
@@ -447,15 +423,14 @@ mod tests {
         for seq in 0..10 {
             assert!(log.record(d(seq, 0, 1)).is_fresh());
         }
-        // More than `SPAN` past the highest delivery: refused and counted,
-        // the window untouched.
+        // More than `SPAN` past the highest delivery: refused, the window
+        // untouched.
         for seq in [u64::MAX, 1 << 40, 1 << 63, 10 + SPAN] {
             assert_eq!(log.record(d(seq, 0, 1)), Insert::Beyond);
             assert!(!log.window().contains(seq));
         }
         assert_eq!(log.window().word_count(), 1);
-        let counts = (log.delivered_count(), log.duplicate_count());
-        assert_eq!((counts, log.overflow_count()), ((10, 0), 4));
+        assert_eq!(log.delivered_count(), 10);
         // The farthest `seq` it takes slides the window, which stays bounded.
         assert!(log.record(d(9 + SPAN, 0, 1)).is_fresh());
         assert_eq!(log.window().base(), 10);
@@ -481,7 +456,7 @@ mod tests {
             refolded.record(d.latency(), d.recovered);
         }
         assert_eq!(&refolded, log.qos());
-        assert_eq!((log.delivered_count(), log.duplicate_count()), (3, 1));
+        assert_eq!(log.delivered_count(), 3);
     }
 
     #[test]

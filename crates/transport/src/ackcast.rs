@@ -9,18 +9,17 @@
 
 use std::collections::BTreeMap;
 
-use adamant_metrics::DenseReceptionLog;
 use adamant_proto::wire::{AckMsg, DataMsg};
 use adamant_proto::{
-    beyond, Env, GroupId, Input, Insert, NodeId, ObsEvent, ProcessingCost, ProtocolCore, Refusals,
-    Span, WireMsg,
+    beyond, Env, GroupId, Input, NodeId, ObsEvent, ProcessingCost, ProtocolCore, Refusals, Span,
+    WireMsg,
 };
 
 use crate::config::Tuning;
 use crate::flow::TokenBucket;
 use crate::profile::{AppSpec, StackProfile};
 use crate::publisher::PublisherCore;
-use crate::receiver::{accept, DataReader};
+use crate::receiver::{DataReader, Reception};
 use crate::tags::{FRAMING_BYTES, NAK_BASE_BYTES, NAK_PER_SEQ_BYTES, TAG_ACK};
 
 /// Timer tag for the receiver's ACK/retry cycle.
@@ -99,10 +98,7 @@ pub struct AckcastReceiver {
     sender: NodeId,
     rto: Span,
     tuning: Tuning,
-    drop_probability: f64,
-    log: DenseReceptionLog,
-    dropped: u64,
-    duplicates: u64,
+    reception: Reception,
     /// Missing sequences with their retry counts.
     missing: BTreeMap<u64, u32>,
     highest_advertised: Option<u64>,
@@ -110,9 +106,6 @@ pub struct AckcastReceiver {
     refusals: Refusals,
     since_last_ack: u32,
     ack_timer_armed: bool,
-    acks_sent: u64,
-    give_ups: u64,
-    window_overflows: u64,
 }
 
 impl AckcastReceiver {
@@ -129,34 +122,13 @@ impl AckcastReceiver {
             sender,
             rto,
             tuning,
-            drop_probability,
-            log: DenseReceptionLog::with_capacity(expected),
-            dropped: 0,
-            duplicates: 0,
+            reception: Reception::new(expected, drop_probability),
             missing: BTreeMap::new(),
             highest_advertised: None,
             refusals: Refusals::default(),
             since_last_ack: 0,
             ack_timer_armed: false,
-            acks_sent: 0,
-            give_ups: 0,
-            window_overflows: 0,
         }
-    }
-
-    /// Acknowledgement packets sent.
-    pub fn acks_sent(&self) -> u64 {
-        self.acks_sent
-    }
-
-    /// Sequences abandoned after exhausting retries.
-    pub fn give_ups(&self) -> u64 {
-        self.give_ups
-    }
-
-    /// Duplicate data copies discarded.
-    pub fn duplicates(&self) -> u64 {
-        self.duplicates
     }
 
     /// Marks every sequence `<= upto` not yet heard of missing and advances
@@ -168,12 +140,11 @@ impl AckcastReceiver {
             self.refusals.clear();
         } else if let Some(low) = self.refusals.refuse(upto) {
             for seq in std::mem::take(&mut self.missing).into_keys() {
-                self.give_ups += 1;
-                env.emit(|node| ObsEvent::NakGiveUp { node, seq });
+                self.reception.give_up(env, seq);
             }
             self.highest_advertised = low.checked_sub(1);
         } else {
-            self.window_overflows += 1;
+            self.reception.stats.window_overflows += 1;
             return false;
         }
         let start = match self.highest_advertised {
@@ -199,8 +170,7 @@ impl AckcastReceiver {
         }
         for seq in exhausted {
             self.missing.remove(&seq);
-            self.give_ups += 1;
-            env.emit(|node| ObsEvent::NakGiveUp { node, seq });
+            self.reception.give_up(env, seq);
         }
         let below = self.highest_advertised.map_or(0, |h| h.saturating_add(1));
         let count = report.len() as u32;
@@ -216,7 +186,7 @@ impl AckcastReceiver {
                 missing: report,
             }),
         );
-        self.acks_sent += 1;
+        self.reception.stats.acks_sent += 1;
         env.emit(|node| ObsEvent::NakSent { node, count });
         self.since_last_ack = 0;
         if !self.missing.is_empty() && !self.ack_timer_armed {
@@ -226,8 +196,7 @@ impl AckcastReceiver {
     }
 
     fn on_data(&mut self, env: &mut Env<'_>, data: &DataMsg) {
-        if env.rng().bernoulli(self.drop_probability) {
-            self.dropped += 1;
+        if self.reception.lost(env) {
             return;
         }
         if !self.note_advertised_upto(env, data.seq) {
@@ -235,13 +204,11 @@ impl AckcastReceiver {
         }
         self.missing.remove(&data.seq);
         // Vetted above: the log makes room for it.
-        self.log.make_room(data.seq);
+        self.reception.log_mut().make_room(data.seq);
+        let now = env.now();
         let (published_at, recovered) = (data.published_at, data.retransmission);
-        if accept(&mut self.log, env, data.seq, published_at, recovered) == Insert::Seen {
-            self.duplicates += 1;
-            let seq = data.seq;
-            env.emit(|node| ObsEvent::SampleDuplicate { node, seq });
-        }
+        self.reception
+            .accept(env, data.seq, published_at, now, recovered);
         self.since_last_ack += 1;
         if self.since_last_ack >= self.tuning.ack_window && !self.missing.is_empty() {
             self.send_ack(env);
@@ -253,24 +220,12 @@ impl AckcastReceiver {
 }
 
 impl DataReader for AckcastReceiver {
-    fn log(&self) -> &DenseReceptionLog {
-        &self.log
+    fn reception(&self) -> &Reception {
+        &self.reception
     }
 
-    fn log_mut(&mut self) -> &mut DenseReceptionLog {
-        &mut self.log
-    }
-
-    fn protocol_stats(&self) -> crate::ProtocolStats {
-        crate::ProtocolStats {
-            acks_sent: self.acks_sent,
-            recovered: self.log.recovered_count(),
-            give_ups: self.give_ups,
-            duplicates: AckcastReceiver::duplicates(self),
-            dropped: self.dropped,
-            window_overflows: self.window_overflows + self.log.overflow_count(),
-            ..crate::ProtocolStats::default()
-        }
+    fn reception_mut(&mut self) -> &mut Reception {
+        &mut self.reception
     }
 }
 
@@ -389,7 +344,7 @@ mod tests {
         for rx in rxs {
             let r = sim.agent::<AckcastReceiver>(rx).unwrap();
             assert_eq!(r.log().delivered_count(), 300);
-            assert_eq!(r.give_ups(), 0);
+            assert_eq!(r.protocol_stats().give_ups, 0);
         }
     }
 
@@ -447,10 +402,10 @@ mod tests {
                 1_000,
                 "dropped={} acks={} give_ups={}",
                 r.dropped(),
-                r.acks_sent(),
-                r.give_ups()
+                r.protocol_stats().acks_sent,
+                r.protocol_stats().give_ups
             );
-            assert!(r.acks_sent() > 0);
+            assert!(r.protocol_stats().acks_sent > 0);
         }
         let s = sim.agent::<AckcastSender>(NodeId::from_index(0)).unwrap();
         assert!(s.retransmissions_sent() > 0);

@@ -307,8 +307,8 @@ mod tests {
                 r.log().delivered_count(),
                 500,
                 "receiver missed samples across the failover (naks={}, give_ups={})",
-                r.naks_sent(),
-                r.give_ups()
+                r.protocol_stats().naks_sent,
+                r.protocol_stats().give_ups
             );
             assert_eq!(r.sender_changes(), 1);
             assert_eq!(r.sender(), s.standby);
@@ -341,7 +341,7 @@ mod tests {
             let mut out = vec![(standby.published(), standby.retransmissions_sent())];
             for &rx in &s.rxs {
                 let r = s.sim.agent::<NakcastReceiver>(rx).unwrap();
-                out.push((r.log().delivered_count(), r.naks_sent()));
+                out.push((r.log().delivered_count(), r.protocol_stats().naks_sent));
             }
             out
         };

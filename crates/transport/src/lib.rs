@@ -76,7 +76,7 @@ pub use failover::NakcastStandby;
 pub use flow::TokenBucket;
 pub use nakcast::{nakcast_recovery_bound, NakcastReceiver, NakcastSender};
 pub use profile::{AppSpec, StackProfile};
-pub use receiver::{DataReader, ProtocolStats};
+pub use receiver::{DataReader, ProtocolStats, Reception};
 pub use ricochet::{RicochetReceiver, RicochetSender};
 pub use shmcast::{ShmCastReceiver, ShmCastSender, SHM_FRAMING_BYTES};
 pub use slingshot::{SlingshotReceiver, SlingshotSender};

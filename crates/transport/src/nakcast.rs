@@ -15,7 +15,6 @@
 
 use std::collections::BTreeMap;
 
-use adamant_metrics::DenseReceptionLog;
 use adamant_proto::wire::{DataMsg, NakMsg};
 use adamant_proto::{
     beyond, Env, GroupId, Input, LiveJoin, NodeId, ObsEvent, ProcessingCost, ProtocolCore,
@@ -25,7 +24,7 @@ use adamant_proto::{
 use crate::config::Tuning;
 use crate::profile::{AppSpec, StackProfile};
 use crate::publisher::PublisherCore;
-use crate::receiver::{accept, DataReader};
+use crate::receiver::{DataReader, Reception};
 use crate::tags::{FRAMING_BYTES, NAK_BASE_BYTES, NAK_PER_SEQ_BYTES, TAG_NAK};
 
 /// Timer tag for the receiver's NAK scan.
@@ -134,10 +133,7 @@ pub struct NakcastReceiver {
     sender: NodeId,
     timeout: Span,
     tuning: Tuning,
-    drop_probability: f64,
-    log: DenseReceptionLog,
-    dropped: u64,
-    duplicates: u64,
+    reception: Reception,
     /// Live-join floor: sequences below this predate the join and are
     /// ignored outright (a durable wrapper recovers them instead).
     floor: u64,
@@ -153,10 +149,7 @@ pub struct NakcastReceiver {
     /// Frames in a row whose sequence was [`beyond`] the high-water mark.
     refusals: Refusals,
     scan_timer: Option<(TimerToken, TimePoint)>,
-    naks_sent: u64,
-    give_ups: u64,
     sender_changes: u64,
-    window_overflows: u64,
 }
 
 impl NakcastReceiver {
@@ -174,20 +167,14 @@ impl NakcastReceiver {
             sender,
             timeout,
             tuning,
-            drop_probability,
-            log: DenseReceptionLog::with_capacity(expected),
-            dropped: 0,
-            duplicates: 0,
+            reception: Reception::new(expected, drop_probability),
             floor: 0,
             missing: BTreeMap::new(),
             held: BTreeMap::new(),
             highest_advertised: None,
             refusals: Refusals::default(),
             scan_timer: None,
-            naks_sent: 0,
-            give_ups: 0,
             sender_changes: 0,
-            window_overflows: 0,
         }
     }
 
@@ -212,21 +199,6 @@ impl NakcastReceiver {
         self.sender_changes
     }
 
-    /// NAK packets sent.
-    pub fn naks_sent(&self) -> u64 {
-        self.naks_sent
-    }
-
-    /// Sequences abandoned after exhausting NAK retries.
-    pub fn give_ups(&self) -> u64 {
-        self.give_ups
-    }
-
-    /// Duplicate data copies discarded.
-    pub fn duplicates(&self) -> u64 {
-        self.duplicates + self.log.duplicate_count()
-    }
-
     /// Advertised sequences neither delivered nor given up: missing, or
     /// heard and held back behind one that is.
     pub fn open_slots(&self) -> usize {
@@ -244,7 +216,7 @@ impl NakcastReceiver {
         } else if let Some(low) = self.refusals.refuse(upto) {
             self.resync(env, low);
         } else {
-            self.window_overflows += 1;
+            self.reception.stats.window_overflows += 1;
             return None;
         }
         let start = match self.highest_advertised {
@@ -269,8 +241,7 @@ impl NakcastReceiver {
     /// samples are handed up, and the stream resumes at `low`.
     fn resync(&mut self, env: &mut Env<'_>, low: u64) {
         for seq in std::mem::take(&mut self.missing).into_keys() {
-            self.give_ups += 1;
-            env.emit(|node| ObsEvent::NakGiveUp { node, seq });
+            self.reception.give_up(env, seq);
         }
         self.try_deliver(env);
         self.highest_advertised = low.checked_sub(1);
@@ -279,8 +250,9 @@ impl NakcastReceiver {
     /// Hands up `seq`, which this receiver vetted, making room in the log's
     /// window for it.
     fn deliver(&mut self, env: &mut Env<'_>, seq: u64, sample: (TimePoint, bool)) {
-        self.log.make_room(seq);
-        accept(&mut self.log, env, seq, sample.0, sample.1);
+        self.reception.log_mut().make_room(seq);
+        let now = env.now();
+        self.reception.accept(env, seq, sample.0, now, sample.1);
     }
 
     /// Delivers held-back samples in order, up to the first sequence still
@@ -328,8 +300,7 @@ impl NakcastReceiver {
         }
         for seq in exhausted {
             self.missing.remove(&seq);
-            self.give_ups += 1;
-            env.emit(|node| ObsEvent::NakGiveUp { node, seq });
+            self.reception.give_up(env, seq);
         }
         if !due.is_empty() {
             let size = FRAMING_BYTES + NAK_BASE_BYTES + NAK_PER_SEQ_BYTES * due.len() as u32;
@@ -348,7 +319,7 @@ impl NakcastReceiver {
                 ProcessingCost::symmetric(os),
                 WireMsg::Nak(NakMsg { seqs: due }),
             );
-            self.naks_sent += 1;
+            self.reception.stats.naks_sent += 1;
             env.emit(|node| ObsEvent::NakSent { node, count });
         }
         self.try_deliver(env);
@@ -361,8 +332,7 @@ impl NakcastReceiver {
             // wrapper owns recovery below the join floor.
             return;
         }
-        if env.rng().bernoulli(self.drop_probability) {
-            self.dropped += 1;
+        if self.reception.lost(env) {
             return;
         }
         let seq = data.seq;
@@ -372,9 +342,8 @@ impl NakcastReceiver {
         let published_at = data.published_at;
         if ahead || self.missing.remove(&seq).is_some() {
             self.held.insert(seq, (published_at, data.retransmission));
-        } else if self.held.contains_key(&seq) || self.log.window().contains(seq) {
-            self.duplicates += 1;
-            env.emit(|node| ObsEvent::SampleDuplicate { node, seq });
+        } else if self.held.contains_key(&seq) || self.reception.log().window().contains(seq) {
+            self.reception.duplicate(env, seq);
         } else {
             // Late arrival of a sequence given up on: deliver out of order
             // rather than discard, so reliability reflects it.
@@ -393,29 +362,17 @@ impl LiveJoin for NakcastReceiver {
     fn join_at(&mut self, next: u64) {
         self.floor = next;
         self.highest_advertised = next.checked_sub(1);
-        self.log.start_at(next);
+        self.reception.log_mut().start_at(next);
     }
 }
 
 impl DataReader for NakcastReceiver {
-    fn log(&self) -> &DenseReceptionLog {
-        &self.log
+    fn reception(&self) -> &Reception {
+        &self.reception
     }
 
-    fn log_mut(&mut self) -> &mut DenseReceptionLog {
-        &mut self.log
-    }
-
-    fn protocol_stats(&self) -> crate::ProtocolStats {
-        crate::ProtocolStats {
-            naks_sent: self.naks_sent,
-            recovered: self.log.recovered_count(),
-            give_ups: self.give_ups,
-            duplicates: NakcastReceiver::duplicates(self),
-            dropped: self.dropped,
-            window_overflows: self.window_overflows + self.log.overflow_count(),
-            ..crate::ProtocolStats::default()
-        }
+    fn reception_mut(&mut self) -> &mut Reception {
+        &mut self.reception
     }
 }
 
@@ -508,7 +465,7 @@ mod tests {
         for rx in rxs {
             let r = sim.agent::<NakcastReceiver>(rx).unwrap();
             assert_eq!(r.log().delivered_count(), 200);
-            assert_eq!(r.naks_sent(), 0);
+            assert_eq!(r.protocol_stats().naks_sent, 0);
             // In-order delivery: sequence numbers ascend.
             let seqs: Vec<u64> = r
                 .log()
@@ -532,11 +489,11 @@ mod tests {
                 500,
                 "NAKcast should recover all losses (dropped={}, naks={}, give_ups={})",
                 r.dropped(),
-                r.naks_sent(),
-                r.give_ups()
+                r.protocol_stats().naks_sent,
+                r.protocol_stats().give_ups
             );
             assert!(r.dropped() > 0, "loss injection should have fired");
-            assert!(r.naks_sent() > 0);
+            assert!(r.protocol_stats().naks_sent > 0);
             assert!(r.log().recovered_count() > 0);
         }
     }
@@ -643,9 +600,9 @@ mod tests {
         // completes ≈ 200 NAKs. Without backoff the fixed 6 ms re-NAK
         // cycle would send ~80 NAKs per loss (~2500 total).
         assert!(
-            r.naks_sent() < 350,
+            r.protocol_stats().naks_sent < 350,
             "NAK amplification too high: {}",
-            r.naks_sent()
+            r.protocol_stats().naks_sent
         );
         let s = sim.agent::<NakcastSender>(tx).unwrap();
         assert!(
@@ -726,13 +683,13 @@ mod tests {
                 r.log().delivered_count(),
                 samples,
                 "{name} receiver failed to reconverge (naks={}, give_ups={})",
-                r.naks_sent(),
-                r.give_ups()
+                r.protocol_stats().naks_sent,
+                r.protocol_stats().give_ups
             );
         }
         // The far receiver did the recovering.
         let far_r = sim.agent::<NakcastReceiver>(far).unwrap();
-        assert!(far_r.naks_sent() > 0);
+        assert!(far_r.protocol_stats().naks_sent > 0);
         assert!(far_r.log().recovered_count() > 50);
     }
 

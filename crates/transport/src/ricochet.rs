@@ -19,7 +19,6 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use adamant_metrics::{Delivery, DenseReceptionLog};
 use adamant_proto::wire::{DataMsg, MembershipMsg, RepairMsg};
 use adamant_proto::{
     Env, GroupId, Input, NodeId, ObsEvent, ProcessingCost, ProtocolCore, Span, TimePoint,
@@ -29,7 +28,7 @@ use adamant_proto::{
 use crate::config::Tuning;
 use crate::profile::{AppSpec, StackProfile};
 use crate::publisher::PublisherCore;
-use crate::receiver::DataReader;
+use crate::receiver::{DataReader, Reception};
 use crate::tags::{
     CONTROL_BYTES, FRAMING_BYTES, REPAIR_BASE_BYTES, REPAIR_PER_SEQ_BYTES, TAG_MEMBERSHIP,
     TAG_REPAIR,
@@ -84,11 +83,8 @@ pub struct RicochetReceiver {
     r: usize,
     c: usize,
     tuning: Tuning,
-    drop_probability: f64,
     payload_bytes: u32,
-    log: DenseReceptionLog,
-    dropped: u64,
-    duplicates: u64,
+    reception: Reception,
     /// Received/recovered packets retained for XOR reconstruction.
     store: BTreeMap<u64, TimePoint>,
     /// The repair window currently being accumulated.
@@ -108,9 +104,6 @@ pub struct RicochetReceiver {
     epoch: u64,
     stream_active: bool,
     data_packets: u64,
-    repairs_sent: u64,
-    repairs_received: u64,
-    recovered_via_repair: u64,
 }
 
 impl RicochetReceiver {
@@ -134,11 +127,8 @@ impl RicochetReceiver {
             r: r.max(1) as usize,
             c: c.max(1) as usize,
             tuning,
-            drop_probability,
             payload_bytes,
-            log: DenseReceptionLog::with_capacity(expected),
-            dropped: 0,
-            duplicates: 0,
+            reception: Reception::new(expected, drop_probability),
             store: BTreeMap::new(),
             window: Vec::new(),
             flush_timer: None,
@@ -150,30 +140,7 @@ impl RicochetReceiver {
             epoch: 0,
             stream_active: true,
             data_packets: 0,
-            repairs_sent: 0,
-            repairs_received: 0,
-            recovered_via_repair: 0,
         }
-    }
-
-    /// Repair packets sent (each counted once per targeted peer).
-    pub fn repairs_sent(&self) -> u64 {
-        self.repairs_sent
-    }
-
-    /// Repair packets received from peers.
-    pub fn repairs_received(&self) -> u64 {
-        self.repairs_received
-    }
-
-    /// Samples reconstructed from repairs.
-    pub fn recovered_via_repair(&self) -> u64 {
-        self.recovered_via_repair
-    }
-
-    /// Duplicate data copies discarded.
-    pub fn duplicates(&self) -> u64 {
-        self.duplicates
     }
 
     fn control_cost(&self) -> ProcessingCost {
@@ -239,7 +206,7 @@ impl RicochetReceiver {
                     ProcessingCost::new(tx, os + decode),
                     WireMsg::Repair(msg.clone()),
                 );
-                self.repairs_sent += 1;
+                self.reception.stats.repairs_sent += 1;
             }
             env.emit(|node| ObsEvent::RepairSent { node, copies, span });
             self.chosen = chosen;
@@ -259,31 +226,15 @@ impl RicochetReceiver {
         published_at: TimePoint,
         recovered: bool,
     ) {
-        if self.log.window().contains(seq) {
+        if self.reception.log().window().contains(seq) {
             self.store.insert(seq, published_at);
             return;
         }
-        let delivery = Delivery {
-            seq,
-            published_at,
-            delivered_at: now,
-            recovered,
-        };
-        if self.log.record(delivery).is_fresh() {
-            env.deliver(seq, published_at, recovered);
-            env.emit(|node| ObsEvent::SampleAccepted {
-                node,
-                seq,
-                published_ns: published_at.as_nanos(),
-                delivered_ns: now.as_nanos(),
-                recovered,
-            });
-            if recovered {
-                env.emit(|node| ObsEvent::RepairDecoded { node, seq });
-            }
-        }
-        if recovered {
-            self.recovered_via_repair += 1;
+        let outcome = self
+            .reception
+            .accept(env, seq, published_at, now, recovered);
+        if recovered && outcome.is_fresh() {
+            env.emit(|node| ObsEvent::RepairDecoded { node, seq });
         }
         self.store.insert(seq, published_at);
         self.prune_store();
@@ -335,14 +286,11 @@ impl RicochetReceiver {
     }
 
     fn on_data(&mut self, env: &mut Env<'_>, data: &DataMsg) {
-        if env.rng().bernoulli(self.drop_probability) {
-            self.dropped += 1;
+        if self.reception.lost(env) {
             return;
         }
-        if self.log.window().contains(data.seq) {
-            self.duplicates += 1;
-            let seq = data.seq;
-            env.emit(|node| ObsEvent::SampleDuplicate { node, seq });
+        if self.reception.log().window().contains(data.seq) {
+            self.reception.duplicate(env, data.seq);
             return;
         }
         self.data_packets += 1;
@@ -373,7 +321,7 @@ impl RicochetReceiver {
     }
 
     fn on_repair(&mut self, env: &mut Env<'_>, repair: &RepairMsg) {
-        self.repairs_received += 1;
+        self.reception.stats.repairs_received += 1;
         let now = env.now();
         match self.try_decode(repair) {
             DecodeOutcome::Recovered(seq, published_at) => {
@@ -407,24 +355,12 @@ enum DecodeOutcome {
 }
 
 impl DataReader for RicochetReceiver {
-    fn log(&self) -> &DenseReceptionLog {
-        &self.log
+    fn reception(&self) -> &Reception {
+        &self.reception
     }
 
-    fn log_mut(&mut self) -> &mut DenseReceptionLog {
-        &mut self.log
-    }
-
-    fn protocol_stats(&self) -> crate::ProtocolStats {
-        crate::ProtocolStats {
-            repairs_sent: self.repairs_sent,
-            repairs_received: self.repairs_received,
-            recovered: self.recovered_via_repair,
-            duplicates: RicochetReceiver::duplicates(self),
-            dropped: self.dropped,
-            window_overflows: self.log.overflow_count(),
-            ..crate::ProtocolStats::default()
-        }
+    fn reception_mut(&mut self) -> &mut Reception {
+        &mut self.reception
     }
 }
 
@@ -543,8 +479,11 @@ mod tests {
         for rx in rxs {
             let r = sim.agent::<RicochetReceiver>(rx).unwrap();
             assert_eq!(r.log().delivered_count(), 300);
-            assert_eq!(r.recovered_via_repair(), 0);
-            assert!(r.repairs_sent() > 0, "repairs flow even without loss");
+            assert_eq!(r.protocol_stats().recovered, 0);
+            assert!(
+                r.protocol_stats().repairs_sent > 0,
+                "repairs flow even without loss"
+            );
         }
     }
 
@@ -562,7 +501,7 @@ mod tests {
                 reliability < 1.0,
                 "Ricochet gives probabilistic, not perfect, delivery"
             );
-            assert!(r.recovered_via_repair() > 0);
+            assert!(r.protocol_stats().recovered > 0);
         }
     }
 
@@ -610,7 +549,7 @@ mod tests {
         let repairs = |r: u8| {
             let (sim, rxs) = run_session(2_000, 1_000.0, 3, 0.0, r, 3, 29);
             let a = sim.agent::<RicochetReceiver>(rxs[0]).unwrap();
-            a.repairs_sent()
+            a.protocol_stats().repairs_sent
         };
         let r4 = repairs(4);
         let r8 = repairs(8);
@@ -670,7 +609,7 @@ mod tests {
             assert!(reliability > 0.98, "got {reliability}");
             // Failure detection kicked in: the dead peer stopped being
             // chosen once its heartbeats aged out.
-            assert!(r.repairs_received() > 0);
+            assert!(r.protocol_stats().repairs_received > 0);
         }
     }
 }

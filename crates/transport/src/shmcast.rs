@@ -16,15 +16,12 @@
 
 use std::collections::BTreeMap;
 
-use adamant_metrics::DenseReceptionLog;
 use adamant_proto::wire::{DataMsg, FinMsg, ShmCreditMsg};
-use adamant_proto::{
-    Env, GroupId, Input, Insert, NodeId, ObsEvent, ProcessingCost, ProtocolCore, Span, WireMsg,
-};
+use adamant_proto::{Env, GroupId, Input, NodeId, ProcessingCost, ProtocolCore, Span, WireMsg};
 
 use crate::config::Tuning;
 use crate::profile::{AppSpec, StackProfile};
-use crate::receiver::{accept, DataReader};
+use crate::receiver::{DataReader, Reception};
 use crate::tags::{DATA_HEADER_BYTES, TAG_DATA, TAG_FIN, TAG_SHM_CREDIT};
 
 /// Timer tag for the sender's next publication tick.
@@ -194,13 +191,11 @@ pub struct ShmCastReceiver {
     sender: NodeId,
     queue: u32,
     tuning: Tuning,
-    log: DenseReceptionLog,
-    duplicates: u64,
+    reception: Reception,
     /// Samples consumed (drives credit re-grants).
     consumed: u64,
     /// Credit granted so far (sequences `< granted` may be sent).
     granted: u64,
-    credits_sent: u64,
 }
 
 impl ShmCastReceiver {
@@ -211,27 +206,15 @@ impl ShmCastReceiver {
             sender,
             queue: queue.max(1),
             tuning,
-            log: DenseReceptionLog::with_capacity(expected),
-            duplicates: 0,
+            reception: Reception::new(expected, 0.0),
             consumed: 0,
             granted: 0,
-            credits_sent: 0,
         }
-    }
-
-    /// Credit grants sent.
-    pub fn credits_sent(&self) -> u64 {
-        self.credits_sent
-    }
-
-    /// Duplicate copies discarded.
-    pub fn duplicates(&self) -> u64 {
-        self.duplicates
     }
 
     fn send_credit(&mut self, env: &mut Env<'_>) {
         self.granted = self.consumed + u64::from(self.queue);
-        self.credits_sent += 1;
+        self.reception.stats.acks_sent += 1;
         let slot = Span::from_micros_f64(self.tuning.shm_packet_cost_us);
         env.send(
             self.sender,
@@ -244,42 +227,29 @@ impl ShmCastReceiver {
 
     fn on_data(&mut self, env: &mut Env<'_>, data: &DataMsg) {
         let (published_at, recovered) = (data.published_at, data.retransmission);
-        match accept(&mut self.log, env, data.seq, published_at, recovered) {
-            Insert::Fresh => {
-                self.consumed += 1;
-                // Re-grant once half the ring has been consumed, batching
-                // credit traffic instead of ping-ponging per sample.
-                if self.granted - self.consumed <= u64::from(self.queue) / 2 {
-                    self.send_credit(env);
-                }
+        let now = env.now();
+        if self
+            .reception
+            .accept(env, data.seq, published_at, now, recovered)
+            .is_fresh()
+        {
+            self.consumed += 1;
+            // Re-grant once half the ring has been consumed, batching
+            // credit traffic instead of ping-ponging per sample.
+            if self.granted - self.consumed <= u64::from(self.queue) / 2 {
+                self.send_credit(env);
             }
-            Insert::Seen => {
-                self.duplicates += 1;
-                let seq = data.seq;
-                env.emit(|node| ObsEvent::SampleDuplicate { node, seq });
-            }
-            Insert::Beyond => {}
         }
     }
 }
 
 impl DataReader for ShmCastReceiver {
-    fn log(&self) -> &DenseReceptionLog {
-        &self.log
+    fn reception(&self) -> &Reception {
+        &self.reception
     }
 
-    fn log_mut(&mut self) -> &mut DenseReceptionLog {
-        &mut self.log
-    }
-
-    fn protocol_stats(&self) -> crate::ProtocolStats {
-        crate::ProtocolStats {
-            acks_sent: self.credits_sent,
-            recovered: self.log.recovered_count(),
-            duplicates: ShmCastReceiver::duplicates(self),
-            window_overflows: self.log.overflow_count(),
-            ..crate::ProtocolStats::default()
-        }
+    fn reception_mut(&mut self) -> &mut Reception {
+        &mut self.reception
     }
 }
 
@@ -383,7 +353,7 @@ mod tests {
         for rx in rxs {
             let r = sim.agent::<ShmCastReceiver>(rx).unwrap();
             assert_eq!(r.log().delivered_count(), 2_000);
-            assert!(r.credits_sent() > 1);
+            assert!(r.protocol_stats().acks_sent > 1);
         }
     }
 
@@ -419,7 +389,7 @@ mod tests {
             for rx in rxs {
                 let r = sim.agent::<ShmCastReceiver>(rx).unwrap();
                 summary.push(r.log().delivered_count());
-                summary.push(r.credits_sent());
+                summary.push(r.protocol_stats().acks_sent);
             }
             summary
         };

@@ -13,7 +13,6 @@
 //! distinguishable from originals for statistics; the wire contents are
 //! identical to a data packet.
 
-use adamant_metrics::DenseReceptionLog;
 use adamant_proto::wire::DataMsg;
 use adamant_proto::{
     Env, GroupId, Input, NodeId, ObsEvent, ProcessingCost, ProtocolCore, Span, WireMsg,
@@ -22,7 +21,7 @@ use adamant_proto::{
 use crate::config::Tuning;
 use crate::profile::{AppSpec, StackProfile};
 use crate::publisher::PublisherCore;
-use crate::receiver::{accept, DataReader};
+use crate::receiver::{DataReader, Reception};
 use crate::tags::{DATA_HEADER_BYTES, FRAMING_BYTES, TAG_REPAIR};
 
 /// Sender side of Slingshot: publish-only, like Ricochet's sender.
@@ -65,14 +64,8 @@ pub struct SlingshotReceiver {
     group: GroupId,
     c: usize,
     tuning: Tuning,
-    drop_probability: f64,
     payload_bytes: u32,
-    log: DenseReceptionLog,
-    dropped: u64,
-    duplicates: u64,
-    copies_sent: u64,
-    copies_received: u64,
-    recovered_via_copy: u64,
+    reception: Reception,
 }
 
 impl SlingshotReceiver {
@@ -92,35 +85,9 @@ impl SlingshotReceiver {
             group,
             c: c.max(1) as usize,
             tuning,
-            drop_probability,
             payload_bytes,
-            log: DenseReceptionLog::with_capacity(expected),
-            dropped: 0,
-            duplicates: 0,
-            copies_sent: 0,
-            copies_received: 0,
-            recovered_via_copy: 0,
+            reception: Reception::new(expected, drop_probability),
         }
-    }
-
-    /// Copies forwarded to peers.
-    pub fn copies_sent(&self) -> u64 {
-        self.copies_sent
-    }
-
-    /// Copies received from peers.
-    pub fn copies_received(&self) -> u64 {
-        self.copies_received
-    }
-
-    /// Samples whose only delivery came through a forwarded copy.
-    pub fn recovered_via_copy(&self) -> u64 {
-        self.recovered_via_copy
-    }
-
-    /// Duplicate data copies discarded.
-    pub fn duplicates(&self) -> u64 {
-        self.duplicates
     }
 
     fn forward(&mut self, env: &mut Env<'_>, data: DataMsg) {
@@ -146,45 +113,30 @@ impl SlingshotReceiver {
                 ProcessingCost::symmetric(os),
                 WireMsg::Forwarded(data),
             );
-            self.copies_sent += 1;
+            self.reception.stats.repairs_sent += 1;
         }
         let span = 1;
         env.emit(|node| ObsEvent::RepairSent { node, copies, span });
     }
 
     fn learn(&mut self, env: &mut Env<'_>, data: DataMsg, via_copy: bool) {
-        if self.log.window().contains(data.seq) {
-            self.duplicates += 1;
-            let seq = data.seq;
-            env.emit(|node| ObsEvent::SampleDuplicate { node, seq });
+        if self.reception.log().window().contains(data.seq) {
+            self.reception.duplicate(env, data.seq);
             return;
         }
-        accept(&mut self.log, env, data.seq, data.published_at, via_copy);
-        if via_copy {
-            self.recovered_via_copy += 1;
-        }
+        let now = env.now();
+        self.reception
+            .accept(env, data.seq, data.published_at, now, via_copy);
     }
 }
 
 impl DataReader for SlingshotReceiver {
-    fn log(&self) -> &DenseReceptionLog {
-        &self.log
+    fn reception(&self) -> &Reception {
+        &self.reception
     }
 
-    fn log_mut(&mut self) -> &mut DenseReceptionLog {
-        &mut self.log
-    }
-
-    fn protocol_stats(&self) -> crate::ProtocolStats {
-        crate::ProtocolStats {
-            repairs_sent: self.copies_sent,
-            repairs_received: self.copies_received,
-            recovered: self.recovered_via_copy,
-            duplicates: SlingshotReceiver::duplicates(self),
-            dropped: self.dropped,
-            window_overflows: self.log.overflow_count(),
-            ..crate::ProtocolStats::default()
-        }
+    fn reception_mut(&mut self) -> &mut Reception {
+        &mut self.reception
     }
 }
 
@@ -196,8 +148,7 @@ impl ProtocolCore for SlingshotReceiver {
                 ..
             } => {
                 let data = *data;
-                if env.rng().bernoulli(self.drop_probability) {
-                    self.dropped += 1;
+                if self.reception.lost(env) {
                     return;
                 }
                 self.learn(env, data, false);
@@ -208,7 +159,7 @@ impl ProtocolCore for SlingshotReceiver {
                 ..
             } => {
                 let data = *copy;
-                self.copies_received += 1;
+                self.reception.stats.repairs_received += 1;
                 self.learn(env, data, true);
             }
             Input::Start | Input::PacketIn { .. } | Input::TimerFired { .. } | Input::Tick => {}
@@ -265,8 +216,8 @@ mod tests {
         for rx in rxs {
             let r = sim.agent::<SlingshotReceiver>(rx).unwrap();
             assert_eq!(r.log().delivered_count(), 300);
-            assert_eq!(r.recovered_via_copy(), 0);
-            assert!(r.copies_sent() > 0);
+            assert_eq!(r.protocol_stats().recovered, 0);
+            assert!(r.protocol_stats().repairs_sent > 0);
             assert!(r.duplicates() > 0, "copies of already-held packets");
         }
     }
@@ -278,7 +229,7 @@ mod tests {
             let r = sim.agent::<SlingshotReceiver>(rx).unwrap();
             let reliability = r.log().delivered_count() as f64 / 1_000.0;
             assert!(reliability > 0.985, "reliability {reliability}");
-            assert!(r.recovered_via_copy() > 0);
+            assert!(r.protocol_stats().recovered > 0);
             // Recovery is one forward hop: microseconds, not milliseconds.
             let rec: Vec<f64> = r
                 .log()
@@ -297,7 +248,7 @@ mod tests {
         let copies = |c: u8| {
             let (sim, rxs) = run_session(500, 4, 0.0, c, 11);
             let r = sim.agent::<SlingshotReceiver>(rxs[0]).unwrap();
-            r.copies_sent()
+            r.protocol_stats().repairs_sent
         };
         let one = copies(1);
         let three = copies(3);

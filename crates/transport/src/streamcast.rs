@@ -17,7 +17,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use adamant_metrics::DenseReceptionLog;
 use adamant_proto::wire::{DataMsg, FinMsg, StreamAckMsg, StreamSynAckMsg, StreamSynMsg};
 use adamant_proto::{
     Env, GroupId, Input, NodeId, ObsEvent, ProcessingCost, ProtocolCore, Span, TimePoint, WireMsg,
@@ -27,7 +26,7 @@ use adamant_proto::HistoryCache;
 
 use crate::config::Tuning;
 use crate::profile::{AppSpec, StackProfile};
-use crate::receiver::{accept, DataReader};
+use crate::receiver::{DataReader, Reception};
 use crate::tags::{
     CONTROL_BYTES, DATA_HEADER_BYTES, FRAMING_BYTES, TAG_DATA, TAG_FIN, TAG_RETRANSMIT,
     TAG_STREAM_ACK, TAG_STREAM_SYN,
@@ -504,18 +503,13 @@ pub struct StreamCastReceiver {
     sender: NodeId,
     window: u32,
     tuning: Tuning,
-    drop_probability: f64,
-    log: DenseReceptionLog,
-    dropped: u64,
-    duplicates: u64,
+    reception: Reception,
     /// Everything below this has been delivered in order.
     cum_ack: u64,
     /// Out-of-order hold-back buffer: `seq -> (published_at, recovered)`.
     buffer: BTreeMap<u64, (TimePoint, bool)>,
     connected: bool,
     syns_sent: u64,
-    acks_sent: u64,
-    window_overflows: u64,
 }
 
 impl StreamCastReceiver {
@@ -532,16 +526,11 @@ impl StreamCastReceiver {
             sender,
             window: window.max(1),
             tuning,
-            drop_probability,
-            log: DenseReceptionLog::with_capacity(expected),
-            dropped: 0,
-            duplicates: 0,
+            reception: Reception::new(expected, drop_probability),
             cum_ack: 0,
             buffer: BTreeMap::new(),
             connected: false,
             syns_sent: 0,
-            acks_sent: 0,
-            window_overflows: 0,
         }
     }
 
@@ -564,21 +553,6 @@ impl StreamCastReceiver {
         self.syns_sent
     }
 
-    /// Cumulative acknowledgements sent.
-    pub fn acks_sent(&self) -> u64 {
-        self.acks_sent
-    }
-
-    /// Duplicate data copies discarded.
-    pub fn duplicates(&self) -> u64 {
-        self.duplicates
-    }
-
-    /// Packets refused because they landed beyond the receive window.
-    pub fn window_overflows(&self) -> u64 {
-        self.window_overflows
-    }
-
     fn control_cost(&self) -> ProcessingCost {
         let os = Span::from_micros_f64(self.tuning.os_packet_cost_us);
         ProcessingCost::symmetric(os)
@@ -599,7 +573,7 @@ impl StreamCastReceiver {
     }
 
     fn send_ack(&mut self, env: &mut Env<'_>) {
-        self.acks_sent += 1;
+        self.reception.stats.acks_sent += 1;
         let remaining = self.window.saturating_sub(self.buffer.len() as u32).max(1);
         env.send(
             self.sender,
@@ -614,29 +588,28 @@ impl StreamCastReceiver {
     }
 
     fn on_data(&mut self, env: &mut Env<'_>, data: &DataMsg) {
-        if env.rng().bernoulli(self.drop_probability) {
-            self.dropped += 1;
+        if self.reception.lost(env) {
             return;
         }
         if data.seq < self.cum_ack || self.buffer.contains_key(&data.seq) {
-            self.duplicates += 1;
-            let seq = data.seq;
-            env.emit(|node| ObsEvent::SampleDuplicate { node, seq });
+            self.reception.duplicate(env, data.seq);
             self.send_ack(env);
             return;
         }
         if data.seq >= self.cum_ack + u64::from(self.window) {
             // Beyond the advertised window: a well-behaved sender never
             // lands here; refuse rather than buffer without bound.
-            self.window_overflows += 1;
+            self.reception.stats.window_overflows += 1;
             self.send_ack(env);
             return;
         }
         self.buffer
             .insert(data.seq, (data.published_at, data.retransmission));
         // Ordered delivery: drain the contiguous prefix.
+        let now = env.now();
         while let Some((published_at, recovered)) = self.buffer.remove(&self.cum_ack) {
-            accept(&mut self.log, env, self.cum_ack, published_at, recovered);
+            self.reception
+                .accept(env, self.cum_ack, published_at, now, recovered);
             self.cum_ack += 1;
         }
         self.send_ack(env);
@@ -644,23 +617,12 @@ impl StreamCastReceiver {
 }
 
 impl DataReader for StreamCastReceiver {
-    fn log(&self) -> &DenseReceptionLog {
-        &self.log
+    fn reception(&self) -> &Reception {
+        &self.reception
     }
 
-    fn log_mut(&mut self) -> &mut DenseReceptionLog {
-        &mut self.log
-    }
-
-    fn protocol_stats(&self) -> crate::ProtocolStats {
-        crate::ProtocolStats {
-            acks_sent: self.acks_sent,
-            recovered: self.log.recovered_count(),
-            duplicates: StreamCastReceiver::duplicates(self),
-            dropped: self.dropped,
-            window_overflows: self.window_overflows + self.log.overflow_count(),
-            ..crate::ProtocolStats::default()
-        }
+    fn reception_mut(&mut self) -> &mut Reception {
+        &mut self.reception
     }
 }
 
@@ -781,7 +743,7 @@ mod tests {
                 1_000,
                 "dropped={} acks={}",
                 r.dropped(),
-                r.acks_sent()
+                r.protocol_stats().acks_sent
             );
         }
         let s = sim.agent::<StreamCastSender>(tx).unwrap();
@@ -803,7 +765,12 @@ mod tests {
         let mut syns = 0;
         for rx in rxs {
             let r = sim.agent::<StreamCastReceiver>(rx).unwrap();
-            assert_eq!(r.log().delivered_count(), 500, "acks={}", r.acks_sent());
+            assert_eq!(
+                r.log().delivered_count(),
+                500,
+                "acks={}",
+                r.protocol_stats().acks_sent
+            );
             syns += r.syns_sent();
         }
         assert!(syns >= 3);
@@ -848,7 +815,7 @@ mod tests {
             for rx in rxs {
                 let r = sim.agent::<StreamCastReceiver>(rx).unwrap();
                 summary.push(r.log().delivered_count());
-                summary.push(r.acks_sent());
+                summary.push(r.protocol_stats().acks_sent);
                 summary.push(r.dropped());
             }
             summary

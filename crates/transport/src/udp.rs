@@ -1,12 +1,11 @@
 //! Best-effort UDP multicast: the no-recovery baseline.
 
-use adamant_metrics::DenseReceptionLog;
-use adamant_proto::{Env, GroupId, Input, Insert, ObsEvent, ProtocolCore, WireMsg};
+use adamant_proto::{Env, GroupId, Input, ProtocolCore, WireMsg};
 
 use crate::config::Tuning;
 use crate::profile::{AppSpec, StackProfile};
 use crate::publisher::PublisherCore;
-use crate::receiver::{accept, DataReader};
+use crate::receiver::{DataReader, Reception};
 
 /// Sender side of plain UDP multicast: publishes and nothing else.
 #[derive(Debug)]
@@ -44,9 +43,7 @@ impl ProtocolCore for UdpSender {
 /// survives the end-host drop stage.
 #[derive(Debug)]
 pub struct UdpReceiver {
-    log: DenseReceptionLog,
-    drop_probability: f64,
-    dropped: u64,
+    reception: Reception,
 }
 
 impl UdpReceiver {
@@ -55,29 +52,18 @@ impl UdpReceiver {
     /// injection).
     pub fn new(expected: u64, drop_probability: f64) -> Self {
         UdpReceiver {
-            log: DenseReceptionLog::with_capacity(expected),
-            drop_probability,
-            dropped: 0,
+            reception: Reception::new(expected, drop_probability),
         }
     }
 }
 
 impl DataReader for UdpReceiver {
-    fn log(&self) -> &DenseReceptionLog {
-        &self.log
+    fn reception(&self) -> &Reception {
+        &self.reception
     }
 
-    fn log_mut(&mut self) -> &mut DenseReceptionLog {
-        &mut self.log
-    }
-
-    fn protocol_stats(&self) -> crate::ProtocolStats {
-        crate::ProtocolStats {
-            duplicates: self.log.duplicate_count(),
-            dropped: self.dropped,
-            window_overflows: self.log.overflow_count(),
-            ..crate::ProtocolStats::default()
-        }
+    fn reception_mut(&mut self) -> &mut Reception {
+        &mut self.reception
     }
 }
 
@@ -90,13 +76,10 @@ impl ProtocolCore for UdpReceiver {
         else {
             return;
         };
-        if env.rng().bernoulli(self.drop_probability) {
-            self.dropped += 1;
-            return;
-        }
-        if accept(&mut self.log, env, data.seq, data.published_at, false) == Insert::Seen {
-            let seq = data.seq;
-            env.emit(|node| ObsEvent::SampleDuplicate { node, seq });
+        if !self.reception.lost(env) {
+            let now = env.now();
+            self.reception
+                .accept(env, data.seq, data.published_at, now, false);
         }
     }
 }

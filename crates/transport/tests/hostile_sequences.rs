@@ -14,11 +14,15 @@
 
 use std::time::{Duration, Instant};
 
-use adamant_proto::wire::{DataMsg, FinMsg, HeartbeatMsg};
+use adamant_proto::wire::{DataMsg, FinMsg, HeartbeatMsg, RepairMsg};
 use adamant_proto::{
-    Effect, EnvHost, Input, NodeId, ProtocolCore, Span, TimePoint, WireMsg, RESYNC_AFTER, SPAN,
+    Effect, EnvHost, GroupId, Input, NodeId, ObsEvent, ProtocolCore, Span, TimePoint, WireMsg,
+    RESYNC_AFTER, SPAN,
 };
-use adamant_transport::{AckcastReceiver, DataReader, NakcastReceiver, Tuning, UdpReceiver};
+use adamant_transport::{
+    AckcastReceiver, DataReader, NakcastReceiver, RicochetReceiver, SlingshotReceiver, Tuning,
+    UdpReceiver,
+};
 
 const PREFIX: u64 = 6;
 const HOSTILE: [u64; 3] = [1 << 40, u64::MAX - 1, u64::MAX];
@@ -82,7 +86,7 @@ fn nakcast_refuses_hostile_data_heartbeats_and_fins() {
             let rx = refuses(nakcast(), &frame);
             // No missing entry was made: nothing is held beyond the stream.
             assert_eq!(rx.open_slots(), 0, "{frame:?}");
-            assert_eq!(rx.naks_sent(), 0);
+            assert_eq!(rx.protocol_stats().naks_sent, 0);
         }
     }
 }
@@ -97,16 +101,69 @@ fn ackcast_refuses_hostile_data() {
         let fin = WireMsg::Fin(FinMsg { total: PREFIX + 1 });
         let effects = step(&mut EnvHost::new(NodeId(1), 8), &mut rx, 100, &fin);
         assert!(effects.is_empty(), "{effects:?}");
-        assert_eq!(rx.acks_sent(), 0);
+        assert_eq!(rx.protocol_stats().acks_sent, 0);
     }
 }
 
 #[test]
 fn udp_refuses_hostile_data() {
     for seq in HOSTILE {
-        let rx = refuses(UdpReceiver::new(100, 0.0), &data(seq));
-        assert_eq!(rx.log().overflow_count(), 1);
+        refuses(UdpReceiver::new(100, 0.0), &data(seq));
     }
+}
+
+/// Feeds `core` the prefix, then `hostile`, which recovers a sample
+/// through a peer: the log refuses it as too far ahead, so it is one
+/// counted overflow and neither delivered nor counted as recovered.
+fn refuses_recovery<C: ProtocolCore + DataReader>(mut core: C, hostile: &WireMsg) {
+    // Group 0 holds only the sender and this reader: no peer to repair.
+    let mut host = EnvHost::new(NodeId(1), 7).with_groups(vec![vec![NodeId(0), NodeId(1)]]);
+    for seq in 0..PREFIX {
+        step(&mut host, &mut core, seq, &data(seq));
+    }
+    let effects = step(&mut host, &mut core, PREFIX, hostile);
+    let accepted = effects.iter().any(|e| {
+        matches!(
+            e,
+            Effect::Deliver { .. } | Effect::Trace(ObsEvent::SampleAccepted { .. })
+        )
+    });
+    assert!(!accepted, "{hostile:?}: {effects:?}");
+    let stats = core.protocol_stats();
+    assert_eq!(
+        (stats.window_overflows, stats.recovered),
+        (1, 0),
+        "{hostile:?}"
+    );
+    assert_eq!(core.log().delivered_count(), PREFIX);
+}
+
+#[test]
+fn ricochet_refuses_a_hostile_repair() {
+    // Decoding always succeeds, so the repair's one unknown is recovered.
+    let tuning = Tuning {
+        repair_efficacy: 1.0,
+        ..Tuning::default()
+    };
+    let rx = RicochetReceiver::new(NodeId(0), GroupId(0), 100, 12, 4, 3, tuning, 0.0);
+    let seq = HOSTILE[0];
+    let entries = vec![(seq, TimePoint::from_nanos(seq))];
+    let repair = WireMsg::Repair(RepairMsg {
+        entries: entries.into(),
+    });
+    refuses_recovery(rx, &repair);
+}
+
+#[test]
+fn slingshot_refuses_a_hostile_copy() {
+    let rx = SlingshotReceiver::new(NodeId(0), GroupId(0), 100, 12, 2, Tuning::default(), 0.0);
+    let seq = HOSTILE[0];
+    let copy = WireMsg::Forwarded(DataMsg {
+        seq,
+        published_at: TimePoint::from_nanos(seq),
+        retransmission: false,
+    });
+    refuses_recovery(rx, &copy);
 }
 
 fn retransmitted(seq: u64) -> WireMsg {
@@ -194,7 +251,7 @@ fn nakcast_delivers_after_giving_up_more_than_a_window() {
         at += 2_000;
         let scan = Input::TimerFired { token, tag };
         host.step(&mut rx, TimePoint::from_micros(at), scan);
-        assert_eq!(rx.give_ups(), stretch * SPAN);
+        assert_eq!(rx.protocol_stats().give_ups, stretch * SPAN);
     }
     assert_eq!(rx.open_slots(), 0);
     // The stream resumes just past the advertised mark, more than `SPAN`

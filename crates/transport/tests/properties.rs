@@ -226,7 +226,7 @@ mod edge_cases {
         let mut total_give_ups = 0;
         for &node in &handles.receivers {
             let r = sim.agent::<NakcastReceiver>(node).unwrap();
-            total_give_ups += r.give_ups();
+            total_give_ups += r.protocol_stats().give_ups;
             // Delivery made progress despite abandonment (no deadlock).
             assert!(r.log().delivered_count() > 300);
         }

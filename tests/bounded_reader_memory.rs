@@ -199,6 +199,6 @@ fn a_durable_readers_memory_is_flat_after_warm_up() {
     assert!(slots <= MAX_OPEN_SLOTS, "{slots} open slots");
     let reader = &rig.core;
     assert!(reader.recovered_via_catch_up() > 50 && reader.catch_up_abandoned() > 0);
-    assert!(reader.inner().give_ups() > 2_000);
+    assert!(reader.inner().protocol_stats().give_ups > 2_000);
     assert!(reader.delivered_set().len() as u64 > SEQS * 99 / 100);
 }

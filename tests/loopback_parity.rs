@@ -78,7 +78,7 @@ fn run_netsim_fleet(receivers: usize) -> Vec<RunOutcome> {
                     .map(|d| d.seq)
                     .collect(),
                 recovered: r.log().recovered_count(),
-                naks_sent: r.naks_sent(),
+                naks_sent: r.protocol_stats().naks_sent,
             }
         })
         .collect()
@@ -138,7 +138,7 @@ fn run_mux_fleet(receivers: usize, workers: usize, seed: u64, wall: Duration) ->
                     .map(|d| d.seq)
                     .collect(),
                 recovered: r.log().recovered_count(),
-                naks_sent: r.naks_sent(),
+                naks_sent: r.protocol_stats().naks_sent,
             }
         })
         .collect();
@@ -438,7 +438,7 @@ fn streamcast_delivers_identically_under_netsim_and_mux_udp() {
             "mux StreamCast receiver {i} must deliver every sample \
              (dropped {} acks {})",
             r.dropped(),
-            r.acks_sent()
+            r.protocol_stats().acks_sent
         );
         rt_recovered += r.log().recovered_count();
     }
