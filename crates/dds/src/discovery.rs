@@ -14,9 +14,8 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use adamant_netsim::{GroupId, SimDuration, SimTime};
 use adamant_proto::wire::{DiscoveryMsg, EndpointAd};
-use adamant_proto::{Env, Input, ProcessingCost, ProtocolCore, WireMsg};
+use adamant_proto::{Env, GroupId, Input, ProcessingCost, ProtocolCore, Span, TimePoint, WireMsg};
 
 use crate::qos::QosProfile;
 
@@ -51,17 +50,17 @@ impl EndpointInfo {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiscoveryConfig {
     /// Interval between announcements.
-    pub announce_interval: SimDuration,
+    pub announce_interval: Span,
     /// How long to keep announcing (bounds the simulation; real SPDP
     /// announces forever).
-    pub announce_for: SimDuration,
+    pub announce_for: Span,
 }
 
 impl Default for DiscoveryConfig {
     fn default() -> Self {
         DiscoveryConfig {
-            announce_interval: SimDuration::from_millis(100),
-            announce_for: SimDuration::from_secs(5),
+            announce_interval: Span::from_millis(100),
+            announce_for: Span::from_secs(5),
         }
     }
 }
@@ -76,7 +75,7 @@ pub struct Match {
     /// Reader's participant id.
     pub reader_participant: u32,
     /// When the match was established (at the observing participant).
-    pub matched_at: SimTime,
+    pub matched_at: TimePoint,
 }
 
 const TIMER_ANNOUNCE: u64 = 40;
@@ -98,10 +97,10 @@ pub struct DiscoveryCore {
     /// the endpoint list.
     announcement: Arc<DiscoveryMsg>,
     config: DiscoveryConfig,
-    started_at: SimTime,
+    started_at: TimePoint,
     /// Remote participants seen (id → current epoch + last announcement
     /// time).
-    seen: BTreeMap<u32, (u32, SimTime)>,
+    seen: BTreeMap<u32, (u32, TimePoint)>,
     matches: Vec<Match>,
     announcements_sent: u64,
     stale_prunes: u64,
@@ -124,7 +123,7 @@ impl DiscoveryCore {
             endpoints,
             announcement,
             config,
-            started_at: SimTime::ZERO,
+            started_at: TimePoint::ZERO,
             seen: BTreeMap::new(),
             matches: Vec::new(),
             announcements_sent: 0,
@@ -181,7 +180,7 @@ impl DiscoveryCore {
     }
 
     /// Time from start to the first established match, if any.
-    pub fn time_to_first_match(&self) -> Option<SimDuration> {
+    pub fn time_to_first_match(&self) -> Option<Span> {
         self.matches
             .first()
             .map(|m| m.matched_at.saturating_since(self.started_at))
@@ -194,13 +193,13 @@ impl DiscoveryCore {
             self.group,
             size,
             TAG_DISCOVERY,
-            ProcessingCost::symmetric(SimDuration::from_micros(20)),
+            ProcessingCost::symmetric(Span::from_micros(20)),
             WireMsg::Discovery(Arc::clone(&self.announcement)),
         );
         self.announcements_sent += 1;
     }
 
-    fn consider(&mut self, now: SimTime, remote: &DiscoveryMsg) {
+    fn consider(&mut self, now: TimePoint, remote: &DiscoveryMsg) {
         match self.seen.get(&remote.participant_id) {
             // A delayed announcement from a dead incarnation: ignore it
             // entirely, or a restarted participant would flap back to its
@@ -266,7 +265,7 @@ impl ProtocolCore for DiscoveryCore {
                 // Random phase, like every periodic protocol in this
                 // workspace.
                 let interval = self.config.announce_interval.as_nanos();
-                let phase = SimDuration::from_nanos(env.rng().next_below(interval.max(1)));
+                let phase = Span::from_nanos(env.rng().next_below(interval.max(1)));
                 env.set_timer(phase, TIMER_ANNOUNCE);
             }
             Input::TimerFired { tag, .. } if tag == TIMER_ANNOUNCE => {
@@ -317,7 +316,7 @@ mod tests {
             sim.join_group(group, node);
             nodes.push(node);
         }
-        sim.run_until(SimTime::from_secs(6));
+        sim.run_until(TimePoint::from_secs(6));
         (sim, nodes)
     }
 
@@ -339,10 +338,7 @@ mod tests {
             assert_eq!(reader.matches()[0].writer_participant, 0);
             // Matching completes within a couple of announce intervals.
             let ttm = reader.time_to_first_match().unwrap();
-            assert!(
-                ttm <= SimDuration::from_millis(250),
-                "slow discovery: {ttm}"
-            );
+            assert!(ttm <= Span::from_millis(250), "slow discovery: {ttm}");
         }
     }
 
@@ -394,7 +390,7 @@ mod tests {
             epoch: 0,
             endpoints: vec![reader_ad.clone()],
         };
-        core.consider(SimTime::from_millis(1), &v1);
+        core.consider(TimePoint::from_millis(1), &v1);
         assert_eq!(core.matches().len(), 1);
 
         // The participant restarts; its new incarnation has no reader yet.
@@ -403,12 +399,12 @@ mod tests {
             epoch: 1,
             endpoints: vec![],
         };
-        core.consider(SimTime::from_millis(2), &v2);
+        core.consider(TimePoint::from_millis(2), &v2);
         assert!(core.matches().is_empty(), "stale matches pruned");
         assert_eq!(core.stale_prunes(), 1);
 
         // A delayed duplicate from the dead incarnation changes nothing.
-        core.consider(SimTime::from_millis(3), &v1);
+        core.consider(TimePoint::from_millis(3), &v1);
         assert!(core.matches().is_empty());
         assert_eq!(core.stale_prunes(), 1);
 
@@ -418,9 +414,9 @@ mod tests {
             epoch: 2,
             endpoints: vec![reader_ad],
         };
-        core.consider(SimTime::from_millis(4), &v3);
+        core.consider(TimePoint::from_millis(4), &v3);
         assert_eq!(core.matches().len(), 1);
-        assert_eq!(core.matches()[0].matched_at, SimTime::from_millis(4));
+        assert_eq!(core.matches()[0].matched_at, TimePoint::from_millis(4));
         assert_eq!(core.participants_seen(), 1);
     }
 
@@ -481,8 +477,8 @@ mod tests {
                 GroupId(0),
                 vec![endpoint("sensors", true, QosProfile::reliable())],
                 DiscoveryConfig {
-                    announce_interval: SimDuration::from_millis(5),
-                    announce_for: SimDuration::from_secs(1),
+                    announce_interval: Span::from_millis(5),
+                    announce_for: Span::from_secs(1),
                 },
             ),
             DiscoveryCore::new(
@@ -490,8 +486,8 @@ mod tests {
                 GroupId(0),
                 vec![endpoint("sensors", false, QosProfile::reliable())],
                 DiscoveryConfig {
-                    announce_interval: SimDuration::from_millis(5),
-                    announce_for: SimDuration::from_secs(1),
+                    announce_interval: Span::from_millis(5),
+                    announce_for: Span::from_secs(1),
                 },
             ),
         ];

@@ -1,8 +1,7 @@
 //! DDS QoS policy vocabulary (a pragmatic subset of the OMG DDS 1.2
 //! specification) with requested-vs-offered compatibility checking.
 
-use adamant_netsim::SimDuration;
-use adamant_proto::{DurabilityMode, DurableConfig};
+use adamant_proto::{DurabilityMode, DurableConfig, Span};
 
 /// RELIABILITY QoS policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,9 +71,9 @@ pub struct QosProfile {
     /// Delivery ordering.
     pub ordering: Ordering,
     /// Maximum tolerated inter-sample gap, if any (DEADLINE).
-    pub deadline: Option<SimDuration>,
+    pub deadline: Option<Span>,
     /// Acceptable added latency for batching (LATENCY_BUDGET).
-    pub latency_budget: SimDuration,
+    pub latency_budget: Span,
 }
 
 impl QosProfile {
@@ -87,7 +86,7 @@ impl QosProfile {
             durability: Durability::Volatile,
             ordering: Ordering::SourceOrdered,
             deadline: None,
-            latency_budget: SimDuration::ZERO,
+            latency_budget: Span::ZERO,
         }
     }
 
@@ -99,7 +98,7 @@ impl QosProfile {
             durability: Durability::Volatile,
             ordering: Ordering::Unordered,
             deadline: None,
-            latency_budget: SimDuration::ZERO,
+            latency_budget: Span::ZERO,
         }
     }
 
@@ -112,7 +111,7 @@ impl QosProfile {
             durability: Durability::Volatile,
             ordering: Ordering::Unordered,
             deadline: None,
-            latency_budget: SimDuration::ZERO,
+            latency_budget: Span::ZERO,
         }
     }
 
@@ -152,18 +151,18 @@ impl QosProfile {
     ///
     /// ```
     /// use adamant_dds::QosProfile;
-    /// use adamant_netsim::SimDuration;
+    /// use adamant_proto::Span;
     ///
-    /// let qos = QosProfile::reliable().with_deadline(SimDuration::from_millis(100));
-    /// assert_eq!(qos.deadline, Some(SimDuration::from_millis(100)));
+    /// let qos = QosProfile::reliable().with_deadline(Span::from_millis(100));
+    /// assert_eq!(qos.deadline, Some(Span::from_millis(100)));
     /// ```
-    pub fn with_deadline(mut self, period: SimDuration) -> Self {
+    pub fn with_deadline(mut self, period: Span) -> Self {
         self.deadline = Some(period);
         self
     }
 
     /// Sets the LATENCY_BUDGET (builder-style).
-    pub fn with_latency_budget(mut self, budget: SimDuration) -> Self {
+    pub fn with_latency_budget(mut self, budget: Span) -> Self {
         self.latency_budget = budget;
         self
     }
@@ -267,9 +266,9 @@ impl QosProfile {
             deadline: if deadline_ms == CODE_NO_DEADLINE {
                 None
             } else {
-                Some(SimDuration::from_millis(deadline_ms))
+                Some(Span::from_millis(deadline_ms))
             },
-            latency_budget: SimDuration::from_millis((code >> 32) & 0xFFFF),
+            latency_budget: Span::from_millis((code >> 32) & 0xFFFF),
         }
     }
 }
@@ -356,32 +355,32 @@ mod tests {
     fn deadline_rules() {
         let mut offered = QosProfile::reliable();
         let mut requested = QosProfile::reliable();
-        requested.deadline = Some(SimDuration::from_millis(10));
+        requested.deadline = Some(Span::from_millis(10));
         // Writer promises nothing: incompatible.
         assert_eq!(
             offered.compatible_with(&requested),
             Err(QosMismatch::Deadline)
         );
         // Writer promises 20 ms, reader wants 10 ms: incompatible.
-        offered.deadline = Some(SimDuration::from_millis(20));
+        offered.deadline = Some(Span::from_millis(20));
         assert_eq!(
             offered.compatible_with(&requested),
             Err(QosMismatch::Deadline)
         );
         // Writer promises 5 ms: fine.
-        offered.deadline = Some(SimDuration::from_millis(5));
+        offered.deadline = Some(Span::from_millis(5));
         assert!(offered.compatible_with(&requested).is_ok());
     }
 
     #[test]
     fn builder_methods_compose() {
         let qos = QosProfile::best_effort()
-            .with_deadline(SimDuration::from_millis(50))
-            .with_latency_budget(SimDuration::from_millis(5))
+            .with_deadline(Span::from_millis(50))
+            .with_latency_budget(Span::from_millis(5))
             .with_history(History::KeepLast(8))
             .with_durability(Durability::TransientLocal);
-        assert_eq!(qos.deadline, Some(SimDuration::from_millis(50)));
-        assert_eq!(qos.latency_budget, SimDuration::from_millis(5));
+        assert_eq!(qos.deadline, Some(Span::from_millis(50)));
+        assert_eq!(qos.latency_budget, Span::from_millis(5));
         assert_eq!(qos.history, History::KeepLast(8));
         assert_eq!(qos.durability, Durability::TransientLocal);
         assert_eq!(qos.reliability, Reliability::BestEffort);
@@ -413,10 +412,10 @@ mod tests {
             QosProfile::reliable(),
             QosProfile::best_effort(),
             QosProfile::time_critical(),
-            QosProfile::reliable().with_deadline(SimDuration::from_millis(100)),
+            QosProfile::reliable().with_deadline(Span::from_millis(100)),
             QosProfile::best_effort()
-                .with_deadline(SimDuration::from_millis(50))
-                .with_latency_budget(SimDuration::from_millis(5))
+                .with_deadline(Span::from_millis(50))
+                .with_latency_budget(Span::from_millis(5))
                 .with_history(History::KeepLast(8))
                 .with_durability(Durability::TransientLocal),
         ];
@@ -437,7 +436,7 @@ mod tests {
         assert_eq!(QosProfile::time_critical().code(), 0xFFFF_0401);
         assert_eq!(
             QosProfile::reliable()
-                .with_deadline(SimDuration::from_millis(100))
+                .with_deadline(Span::from_millis(100))
                 .code(),
             0x0064_000D
         );
@@ -445,7 +444,7 @@ mod tests {
             QosProfile::reliable()
                 .with_durability(Durability::TransientLocal)
                 .with_history(History::KeepLast(32))
-                .with_latency_budget(SimDuration::from_millis(5))
+                .with_latency_budget(Span::from_millis(5))
                 .code(),
             0x5_FFFF_0207
         );
@@ -458,7 +457,7 @@ mod tests {
         );
         assert_eq!(
             QosProfile::best_effort()
-                .with_deadline(SimDuration::from_secs(100))
+                .with_deadline(Span::from_secs(100))
                 .code(),
             0xFFFE_0010
         );
@@ -472,8 +471,8 @@ mod tests {
             QosProfile::reliable(),
             QosProfile::best_effort(),
             QosProfile::time_critical(),
-            QosProfile::reliable().with_deadline(SimDuration::from_millis(20)),
-            QosProfile::reliable().with_deadline(SimDuration::from_millis(10)),
+            QosProfile::reliable().with_deadline(Span::from_millis(20)),
+            QosProfile::reliable().with_deadline(Span::from_millis(10)),
         ];
         for offered in pool {
             for requested in pool {

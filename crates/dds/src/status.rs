@@ -8,7 +8,7 @@
 //! adaptation loop inspect them.
 
 use adamant_metrics::DenseReceptionLog;
-use adamant_netsim::SimDuration;
+use adamant_proto::Span;
 
 /// SAMPLE_LOST: samples that never reached this reader.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -71,7 +71,7 @@ impl ReaderStatuses {
         log: &DenseReceptionLog,
         expected: u64,
         duplicates: u64,
-        deadline: Option<SimDuration>,
+        deadline: Option<Span>,
     ) -> ReaderStatuses {
         let mut statuses = ReaderStatuses::default();
         statuses.sample_lost.total_count = expected.saturating_sub(log.delivered_count());
@@ -114,7 +114,7 @@ pub fn per_instance_statuses(
     log: &DenseReceptionLog,
     expected_total: u64,
     instances: u64,
-    deadline: Option<SimDuration>,
+    deadline: Option<Span>,
 ) -> Vec<ReaderStatuses> {
     assert!(instances > 0, "need at least one instance");
     (0..instances)
@@ -142,7 +142,7 @@ pub fn per_instance_statuses(
 mod tests {
     use super::*;
     use adamant_metrics::Delivery;
-    use adamant_netsim::SimTime;
+    use adamant_proto::TimePoint;
 
     fn log_from(entries: &[(u64, u64)]) -> DenseReceptionLog {
         // (seq, delivered_at_ms)
@@ -151,8 +151,8 @@ mod tests {
         for &(seq, at_ms) in entries {
             log.record(Delivery {
                 seq,
-                published_at: SimTime::ZERO,
-                delivered_at: SimTime::from_millis(at_ms),
+                published_at: TimePoint::ZERO,
+                delivered_at: TimePoint::from_millis(at_ms),
                 recovered: false,
             });
         }
@@ -165,8 +165,8 @@ mod tests {
         let mut log = DenseReceptionLog::with_capacity(64);
         log.record(Delivery {
             seq: 0,
-            published_at: SimTime::ZERO,
-            delivered_at: SimTime::from_millis(1),
+            published_at: TimePoint::ZERO,
+            delivered_at: TimePoint::from_millis(1),
             recovered: false,
         });
         ReaderStatuses::from_log(&log, 1, 0, None);
@@ -175,7 +175,7 @@ mod tests {
     #[test]
     fn clean_stream_is_clean() {
         let log = log_from(&[(0, 10), (1, 20), (2, 30)]);
-        let s = ReaderStatuses::from_log(&log, 3, 0, Some(SimDuration::from_millis(15)));
+        let s = ReaderStatuses::from_log(&log, 3, 0, Some(Span::from_millis(15)));
         assert!(s.is_clean(), "{s:?}");
     }
 
@@ -192,11 +192,11 @@ mod tests {
         // Deliveries at 0 ms and 35 ms with a 10 ms deadline: periods end
         // at 10, 20, 30 — three misses.
         let log = log_from(&[(0, 0), (1, 35)]);
-        let s = ReaderStatuses::from_log(&log, 2, 0, Some(SimDuration::from_millis(10)));
+        let s = ReaderStatuses::from_log(&log, 2, 0, Some(Span::from_millis(10)));
         assert_eq!(s.deadline_missed.total_count, 3);
         // Exactly one period is not a miss.
         let log = log_from(&[(0, 0), (1, 10)]);
-        let s = ReaderStatuses::from_log(&log, 2, 0, Some(SimDuration::from_millis(10)));
+        let s = ReaderStatuses::from_log(&log, 2, 0, Some(Span::from_millis(10)));
         assert_eq!(s.deadline_missed.total_count, 0);
     }
 
@@ -227,10 +227,10 @@ mod tests {
             entries.push((i, 10 * i));
         }
         let log = log_from(&entries);
-        let aggregate = ReaderStatuses::from_log(&log, 20, 0, Some(SimDuration::from_millis(25)));
+        let aggregate = ReaderStatuses::from_log(&log, 20, 0, Some(Span::from_millis(25)));
         assert_eq!(aggregate.deadline_missed.total_count, 0);
 
-        let per = per_instance_statuses(&log, 20, 2, Some(SimDuration::from_millis(25)));
+        let per = per_instance_statuses(&log, 20, 2, Some(Span::from_millis(25)));
         assert_eq!(per.len(), 2);
         assert_eq!(per[0].deadline_missed.total_count, 0);
         assert_eq!(per[0].sample_lost.total_count, 0);
@@ -238,7 +238,7 @@ mod tests {
         // Instance 1 delivered at 10,30,50,70,90 ms then stopped: its gaps
         // are 20 ms < 25 ms, so misses come only from losses, which is
         // what sample_lost already shows; a tighter deadline exposes gaps.
-        let tight = per_instance_statuses(&log, 20, 2, Some(SimDuration::from_millis(15)));
+        let tight = per_instance_statuses(&log, 20, 2, Some(Span::from_millis(15)));
         assert!(tight[1].deadline_missed.total_count > 0);
     }
 

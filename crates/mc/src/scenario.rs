@@ -12,8 +12,8 @@ use crate::world::McCore;
 pub type CoreFactory = Box<dyn Fn() -> Box<dyn McCore>>;
 
 /// Builds a node's replacement core on restart, given the crashed
-/// incarnation's core for checkpoint extraction (downcast via
-/// [`McCore::as_any`]).
+/// incarnation's core for checkpoint extraction (upcast to `dyn Any` and
+/// downcast).
 pub type RestartFactory = Box<dyn Fn(&dyn McCore) -> Box<dyn McCore>>;
 
 /// What one scripted fault step does.

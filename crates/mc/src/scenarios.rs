@@ -177,8 +177,8 @@ pub fn durable_crash_restart(samples: u64) -> Scenario {
         .with_groups(vec![vec![NodeId(0), NodeId(1)]])
         .with_crash(NodeId(1), TimePoint::from_millis(4))
         .with_restart(NodeId(1), TimePoint::from_millis(8), move |dead| {
+            let dead: &dyn std::any::Any = dead;
             let checkpoint = dead
-                .as_any()
                 .downcast_ref::<DurableCore<NakcastReceiver>>()
                 .expect("restarting a durable NAKcast reader")
                 .delivered_set()

@@ -22,25 +22,19 @@ use adamant_proto::{
 use crate::scenario::{FaultKind, McConfig, Scenario};
 
 /// What the model checker needs from a core beyond [`ProtocolCore`]:
-/// cloneable (worlds fork at every branch), `Debug` (state fingerprints
-/// hash the rendering), and downcastable (restart factories extract
-/// checkpoints from the dead incarnation).
+/// cloneable (worlds fork at every branch) and `Debug` (state fingerprints
+/// hash the rendering). A `dyn McCore` upcasts to `dyn Any`, which is how
+/// restart factories extract checkpoints from the dead incarnation.
 ///
 /// Blanket-implemented, so every concrete core qualifies for free.
 pub trait McCore: ProtocolCore + fmt::Debug {
     /// Clones the core behind the trait object.
     fn clone_core(&self) -> Box<dyn McCore>;
-    /// The core as `Any`, for checkpoint extraction on restart.
-    fn as_any(&self) -> &dyn Any;
 }
 
 impl<C: ProtocolCore + fmt::Debug + Clone> McCore for C {
     fn clone_core(&self) -> Box<dyn McCore> {
         Box::new(self.clone())
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 
@@ -209,7 +203,8 @@ impl World {
 
     /// The core at `index`, downcast to its concrete type.
     pub fn core<C: 'static>(&self, index: usize) -> Option<&C> {
-        self.nodes.get(index)?.core.as_any().downcast_ref::<C>()
+        let core: &dyn Any = &*self.nodes.get(index)?.core;
+        core.downcast_ref::<C>()
     }
 
     fn push_trace(&mut self, event: ObsEvent) {

@@ -5,7 +5,6 @@ use std::any::Any;
 
 use adamant_proto::ObsEvent;
 
-use crate::event::{TimerId, TimerTable};
 use crate::host::MachineClass;
 use crate::packet::{Destination, GroupId, NodeId, OutPacket, Packet};
 use crate::rng::SimRng;
@@ -26,8 +25,10 @@ pub trait Agent: Send {
     /// to) has cleared the full delivery pipeline.
     fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _packet: Packet) {}
 
-    /// Called when a timer set by this agent fires.
-    fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _timer: TimerId, _tag: u64) {}
+    /// Called when a timer set by this agent fires, with the `tag` it was
+    /// armed with. The engine never cancels a timer: an agent that no
+    /// longer wants one ignores its tag.
+    fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _tag: u64) {}
 
     /// Upcasts for post-run result extraction.
     fn as_any(&self) -> &dyn Any;
@@ -45,13 +46,11 @@ pub(crate) enum Command {
         packet: OutPacket,
     },
     SetTimer {
-        id: TimerId,
         fire_at: SimTime,
         tag: u64,
     },
-    CancelTimer {
-        id: TimerId,
-    },
+    /// A core's trace event, pushed only by [`SimDriver`](crate::SimDriver)
+    /// and only when a sink is installed.
     Emit {
         event: ObsEvent,
     },
@@ -61,7 +60,7 @@ pub(crate) enum Command {
 ///
 /// Provides the simulation clock, the host's identity and hardware class,
 /// deterministic randomness, group membership lookups, and the ability to
-/// send packets and manage timers. Mutating calls are buffered and applied
+/// send packets and set timers. Mutating calls are buffered and applied
 /// by the engine after the callback returns, in call order.
 pub struct Ctx<'a> {
     pub(crate) now: SimTime,
@@ -72,9 +71,7 @@ pub struct Ctx<'a> {
     /// Borrowed from the engine and reused across callbacks, so buffering
     /// commands allocates nothing once the capacity is warm.
     pub(crate) commands: &'a mut Vec<Command>,
-    pub(crate) timers: &'a mut TimerTable,
-    /// Whether a structured-trace sink is installed on the simulation;
-    /// when false, [`Ctx::emit`] never even constructs its event.
+    /// Whether a structured-trace sink is installed on the simulation.
     pub(crate) obs: bool,
 }
 
@@ -121,39 +118,13 @@ impl<'a> Ctx<'a> {
         });
     }
 
-    /// Arms a timer to fire after `delay`, delivering `tag` to
-    /// [`Agent::on_timer`]. Returns a handle usable with
-    /// [`Ctx::cancel_timer`].
-    pub fn set_timer(&mut self, delay: SimDuration, tag: u64) -> TimerId {
-        let id = self.timers.arm();
+    /// Arms a timer to fire after `delay`, handing `tag` back to
+    /// [`Agent::on_timer`].
+    pub fn set_timer(&mut self, delay: SimDuration, tag: u64) {
         self.commands.push(Command::SetTimer {
-            id,
             fire_at: self.now + delay,
             tag,
         });
-        id
-    }
-
-    /// Cancels a previously set timer. Cancelling an already-fired or
-    /// already-cancelled timer is a no-op.
-    pub fn cancel_timer(&mut self, id: TimerId) {
-        self.commands.push(Command::CancelTimer { id });
-    }
-
-    /// Whether a structured-trace sink is installed. Protocol code can use
-    /// this to skip expensive event preparation when nobody is listening.
-    pub fn observed(&self) -> bool {
-        self.obs
-    }
-
-    /// Emits a structured [`ObsEvent`] into the simulation's trace sink.
-    ///
-    /// The closure is only invoked when a sink is installed, so call sites
-    /// pay one branch (and no event construction) in unobserved runs.
-    pub fn emit(&mut self, event: impl FnOnce() -> ObsEvent) {
-        if self.obs {
-            self.commands.push(Command::Emit { event: event() });
-        }
     }
 }
 
@@ -165,7 +136,6 @@ mod tests {
         rng: &'a mut SimRng,
         groups: &'a [Vec<NodeId>],
         commands: &'a mut Vec<Command>,
-        timers: &'a mut TimerTable,
     ) -> Ctx<'a> {
         Ctx {
             now: SimTime::from_micros(100),
@@ -174,28 +144,32 @@ mod tests {
             rng,
             groups,
             commands,
-            timers,
             obs: true,
         }
     }
 
     #[test]
-    fn set_timer_assigns_unique_ids_and_absolute_time() {
+    fn set_timer_buffers_absolute_time_and_tag() {
         let mut rng = SimRng::seed_from_u64(1);
         let groups = vec![];
         let mut commands = Vec::new();
-        let mut timers = TimerTable::new();
-        let mut ctx = make_ctx(&mut rng, &groups, &mut commands, &mut timers);
-        let a = ctx.set_timer(SimDuration::from_micros(5), 7);
-        let b = ctx.set_timer(SimDuration::from_micros(9), 8);
-        assert_ne!(a, b);
-        match &ctx.commands[0] {
-            Command::SetTimer { fire_at, tag, .. } => {
-                assert_eq!(*fire_at, SimTime::from_micros(105));
-                assert_eq!(*tag, 7);
-            }
-            other => panic!("unexpected command {other:?}"),
-        }
+        let mut ctx = make_ctx(&mut rng, &groups, &mut commands);
+        ctx.set_timer(SimDuration::from_micros(5), 7);
+        ctx.set_timer(SimDuration::from_micros(9), 8);
+        let armed: Vec<_> = commands
+            .iter()
+            .map(|c| match c {
+                Command::SetTimer { fire_at, tag } => (*fire_at, *tag),
+                other => panic!("unexpected command {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            armed,
+            vec![
+                (SimTime::from_micros(105), 7),
+                (SimTime::from_micros(109), 8)
+            ]
+        );
     }
 
     #[test]
@@ -203,33 +177,11 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(1);
         let groups = vec![vec![NodeId(0), NodeId(1)]];
         let mut commands = Vec::new();
-        let mut timers = TimerTable::new();
-        let mut ctx = make_ctx(&mut rng, &groups, &mut commands, &mut timers);
-        ctx.send(NodeId(1), OutPacket::new(10, ()));
-        ctx.send(GroupId(0), OutPacket::new(20, ()));
+        let mut ctx = make_ctx(&mut rng, &groups, &mut commands);
+        ctx.send(NodeId(1), OutPacket::empty(10));
+        ctx.send(GroupId(0), OutPacket::empty(20));
         assert_eq!(ctx.commands.len(), 2);
         assert_eq!(ctx.members(GroupId(0)), &[NodeId(0), NodeId(1)]);
-    }
-
-    #[test]
-    fn emit_is_gated_on_observation() {
-        let mut rng = SimRng::seed_from_u64(1);
-        let groups = vec![];
-        let mut commands = Vec::new();
-        let mut timers = TimerTable::new();
-        let mut ctx = make_ctx(&mut rng, &groups, &mut commands, &mut timers);
-        assert!(ctx.observed());
-        ctx.emit(|| ObsEvent::EpochDropped { node: NodeId(0) });
-        assert_eq!(ctx.commands.len(), 1);
-
-        ctx.obs = false;
-        let mut constructed = false;
-        ctx.emit(|| {
-            constructed = true;
-            ObsEvent::EpochDropped { node: NodeId(0) }
-        });
-        assert!(!constructed, "event built despite no sink");
-        assert_eq!(ctx.commands.len(), 1);
     }
 
     #[test]
@@ -237,8 +189,7 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(1);
         let groups = vec![];
         let mut commands = Vec::new();
-        let mut timers = TimerTable::new();
-        let mut ctx = make_ctx(&mut rng, &groups, &mut commands, &mut timers);
+        let mut ctx = make_ctx(&mut rng, &groups, &mut commands);
         assert_eq!(ctx.now(), SimTime::from_micros(100));
         assert_eq!(ctx.node(), NodeId(0));
         assert_eq!(ctx.machine(), MachineClass::Pc3000);

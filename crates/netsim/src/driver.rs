@@ -7,44 +7,39 @@
 //! order, within the same callback*. Because [`Ctx`] buffers commands and
 //! the engine applies them after the callback in call order, a core stepped
 //! through this driver produces exactly the command sequence the equivalent
-//! hand-written agent would have: same timer-slot allocation order, same
-//! rng draw order, same trace — byte-identical golden traces.
+//! hand-written agent would have: same timer order, same rng draw order,
+//! same trace — byte-identical golden traces.
 //!
-//! Timer identity is bridged by one small list of pending
-//! `(`[`TimerToken`]`, `[`TimerId`]`)` pairs — the core's per-core counter
-//! against the engine's generation-tagged table slot — searched linearly
-//! in either direction. A pair is dropped when its timer fires or is
-//! cancelled, so the list stays bounded by the number of *pending* timers
-//! (a handful per core), which is why a scan beats two hash maps.
-//!
-//! Outgoing messages are handed to the engine through a
-//! [`PacketArena`] the driver owns: once a payload's copies have all been
-//! delivered its allocation carries the next message, so steady-state
-//! sending allocates nothing.
+//! A timer has one identity, the core's [`TimerToken`]: the driver arms the
+//! engine timer with the token's value and keeps one small list of pending
+//! `(token, tag)` pairs, searched linearly. The engine cancels nothing, so
+//! a cancelled timer still pops; its token is no longer on the list and
+//! the fire is dropped before the core is stepped. The list stays bounded
+//! by the number of *pending* timers (a handful per core), which is why a
+//! scan beats a hash map.
 
 use std::any::Any;
 use std::mem;
 
-use adamant_proto::{Effect, Env, Input, ProtocolCore, TimerToken, WireMsg};
+use adamant_proto::{Effect, Env, Input, ProtocolCore, TimerToken};
 
-use crate::agent::{Agent, Ctx};
-use crate::event::TimerId;
-use crate::packet::{OutPacket, Packet, PacketArena};
+use crate::agent::{Agent, Command, Ctx};
+use crate::packet::{OutPacket, Packet};
 
 /// Runs a [`ProtocolCore`] on a simulated host.
 ///
-/// Packets exchanged through this driver carry a [`WireMsg`] payload;
-/// packets whose payload is anything else are ignored (the core never sees
-/// them). [`Agent::as_any`] exposes the *core*, not the driver, so
-/// harnesses keep downcasting with `sim.agent::<NakcastReceiver>(node)`
-/// exactly as they did when the protocols were hand-written agents.
+/// Packets exchanged through this driver carry a
+/// [`WireMsg`](adamant_proto::WireMsg); bodiless packets are ignored (the
+/// core never sees them). [`Agent::as_any`] exposes the *core*, not the
+/// driver, so harnesses keep downcasting with
+/// `sim.agent::<NakcastReceiver>(node)` exactly as they did when the
+/// protocols were hand-written agents.
 pub struct SimDriver<C: ProtocolCore> {
     core: C,
     next_timer: u64,
-    /// Armed timers that have neither fired nor been cancelled.
-    pending: Vec<(TimerToken, TimerId)>,
-    /// Recycles payload allocations across sends.
-    arena: PacketArena<WireMsg>,
+    /// Armed timers that have neither fired nor been cancelled, with the
+    /// core's tag.
+    pending: Vec<(TimerToken, u64)>,
     /// Reused across callbacks so steady-state pumping allocates nothing.
     effects: Vec<Effect>,
 }
@@ -56,7 +51,6 @@ impl<C: ProtocolCore> SimDriver<C> {
             core,
             next_timer: 0,
             pending: Vec::new(),
-            arena: PacketArena::new(),
             effects: Vec::new(),
         }
     }
@@ -95,28 +89,30 @@ impl<C: ProtocolCore> SimDriver<C> {
                     tag,
                     cost,
                     msg,
-                } => {
-                    let payload = self.arena.alloc(msg);
-                    ctx.send(
-                        dst,
-                        OutPacket::from_shared(size_bytes, payload)
-                            .tag(tag)
-                            .cost(cost),
-                    );
-                }
+                } => ctx.send(
+                    dst,
+                    OutPacket {
+                        size_bytes,
+                        tag,
+                        cost,
+                        msg: Some(msg),
+                    },
+                ),
                 Effect::SetTimer { token, delay, tag } => {
-                    self.pending.push((token, ctx.set_timer(delay, tag)));
+                    self.pending.push((token, tag));
+                    ctx.set_timer(delay, token.into());
                 }
                 Effect::CancelTimer { token } => {
                     if let Some(at) = self.pending.iter().position(|&(t, _)| t == token) {
-                        ctx.cancel_timer(self.pending.swap_remove(at).1);
+                        self.pending.swap_remove(at);
                     }
                 }
                 // Delivery bookkeeping (reception logs, latency records) is
                 // core-internal state read back through `as_any`; the
                 // simulator itself consumes nothing on delivery.
                 Effect::Deliver { .. } => {}
-                Effect::Trace(event) => ctx.emit(|| event),
+                // The core traces only when `ctx.obs` said a sink listens.
+                Effect::Trace(event) => ctx.commands.push(Command::Emit { event }),
             }
         }
         self.effects = effects;
@@ -129,26 +125,27 @@ impl<C: ProtocolCore> Agent for SimDriver<C> {
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, packet: Packet) {
-        let Some(msg) = packet.payload_as::<WireMsg>() else {
-            return;
-        };
-        self.pump(
-            ctx,
-            Input::PacketIn {
-                src: packet.src,
-                msg,
-            },
-        );
+        if let Some(msg) = &packet.msg {
+            self.pump(
+                ctx,
+                Input::PacketIn {
+                    src: packet.src,
+                    msg,
+                },
+            );
+        }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: TimerId, tag: u64) {
-        // A fired timer the bridge does not know was armed before this
-        // driver wrapped the core (impossible today) or already translated
-        // — the engine never double-fires, so simply drop unknowns.
-        let Some(at) = self.pending.iter().position(|&(_, id)| id == timer) else {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+        // A token no longer pending was cancelled: drop the fire unseen.
+        let Some(at) = self
+            .pending
+            .iter()
+            .position(|&(t, _)| u64::from(t) == token)
+        else {
             return;
         };
-        let (token, _) = self.pending.swap_remove(at);
+        let (token, tag) = self.pending.swap_remove(at);
         self.pump(ctx, Input::TimerFired { token, tag });
     }
 
@@ -169,7 +166,7 @@ mod tests {
     use crate::sim::Simulation;
     use crate::time::SimDuration;
     use adamant_proto::wire::FinMsg;
-    use adamant_proto::{MemorySink, ObsEvent, ProcessingCost, Span};
+    use adamant_proto::{MemorySink, ObsEvent, ProcessingCost, Span, WireMsg};
 
     /// Sends one FIN per timer firing; counts FINs received.
     struct Echo {
@@ -316,7 +313,7 @@ mod tests {
     }
 
     #[test]
-    fn cancel_timer_crosses_the_token_bridge() {
+    fn a_cancelled_timer_never_reaches_its_core() {
         let mut sim = Simulation::new(3);
         let victim = sim.add_node(
             host(),
@@ -370,9 +367,7 @@ mod tests {
     }
 
     #[test]
-    fn fire_cancel_storm_leaves_the_bridge_empty() {
-        use crate::agent::Command;
-        use crate::event::TimerTable;
+    fn fire_cancel_storm_leaves_the_pending_list_empty() {
         use crate::rng::SimRng;
         use crate::time::SimTime;
 
@@ -382,64 +377,87 @@ mod tests {
             budget: 500,
         });
         let mut rng = SimRng::seed_from_u64(1);
-        let mut timers = TimerTable::new();
         let mut commands = Vec::new();
-        // The engine's side of the contract: timers armed and not yet
-        // fired or cancelled, in arming order.
-        let mut live: Vec<(TimerId, u64)> = Vec::new();
+        // The engine's side of the contract: every armed timer's tag, in
+        // arming order. The engine cancels nothing, so each one pops.
+        let mut queued: Vec<u64> = Vec::new();
         let mut firing = None;
-        let mut rounds = 0;
+        let mut pops = 0;
         loop {
             {
                 let mut ctx = Ctx {
-                    now: SimTime::from_micros(rounds),
+                    now: SimTime::from_micros(pops),
                     node: NodeId(0),
                     machine: MachineClass::Pc3000,
                     rng: &mut rng,
                     groups: &[],
                     commands: &mut commands,
-                    timers: &mut timers,
                     obs: false,
                 };
                 match firing {
                     None => driver.on_start(&mut ctx),
-                    Some((id, tag)) => driver.on_timer(&mut ctx, id, tag),
+                    Some(tag) => driver.on_timer(&mut ctx, tag),
                 }
             }
             for command in commands.drain(..) {
                 match command {
-                    Command::SetTimer { id, tag, .. } => live.push((id, tag)),
-                    Command::CancelTimer { id } => {
-                        live.retain(|&(l, _)| l != id);
-                        // What the engine does, now and when the event pops.
-                        timers.cancel(id);
-                        assert!(!timers.fire(id), "a cancelled timer fired");
-                    }
+                    Command::SetTimer { tag, .. } => queued.push(tag),
                     other => panic!("unexpected command {other:?}"),
                 }
             }
             assert_eq!(
                 driver.pending.len(),
-                live.len(),
-                "bridge tracks pending timers"
+                driver.core().held.len(),
+                "the pending list holds exactly the core's live timers"
             );
-            if live.is_empty() {
+            if queued.is_empty() {
                 break;
             }
             // Fire out of arming order, as deadlines would.
-            let (id, tag) = live.remove(rounds as usize * 7 % live.len());
-            assert!(timers.fire(id));
-            firing = Some((id, tag));
-            rounds += 1;
+            firing = Some(queued.remove(pops as usize * 7 % queued.len()));
+            pops += 1;
         }
         assert!(driver.pending.is_empty());
         assert_eq!(driver.core().budget, 0, "the storm ran its course");
+        assert_eq!(pops, 8 + 500, "every arming popped once");
         assert!(driver.core().fired > 100);
-        assert_eq!(timers.armed(), 0);
+        assert!(
+            u64::from(driver.core().fired) < pops,
+            "cancelled fires were dropped"
+        );
+    }
+
+    /// Re-arms a 1 ms timer on every firing and counts the firings.
+    struct Ticker {
+        ticks: u32,
+    }
+
+    impl ProtocolCore for Ticker {
+        fn step(&mut self, input: Input<'_>, env: &mut Env<'_>) {
+            if let Input::TimerFired { .. } = input {
+                self.ticks += 1;
+            }
+            env.set_timer(Span::from_millis(1), 0);
+        }
     }
 
     #[test]
-    fn non_wire_payloads_are_ignored() {
+    fn no_old_timer_reaches_a_restarted_core() {
+        // The new incarnation's tokens count from zero again, so an old
+        // timer carries a token the new pending list may hold; the epoch
+        // check must drop it before the driver sees it.
+        let mut sim = Simulation::new(1);
+        let n = sim.add_node(host(), SimDriver::new(Ticker { ticks: 0 }));
+        sim.run_until(crate::time::SimTime::from_micros(10_500));
+        assert_eq!(sim.agent::<Ticker>(n).unwrap().ticks, 10);
+        sim.crash_node(n);
+        sim.restart_node(n, Box::new(SimDriver::new(Ticker { ticks: 0 })));
+        sim.run_until(crate::time::SimTime::from_micros(20_500));
+        assert_eq!(sim.agent::<Ticker>(n).unwrap().ticks, 10);
+    }
+
+    #[test]
+    fn bodiless_packets_are_ignored() {
         let mut sim = Simulation::new(5);
         let victim = sim.add_node(
             host(),
@@ -457,7 +475,7 @@ mod tests {
         }
         impl Agent for Noise {
             fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                ctx.send(self.peer, OutPacket::new(64, String::from("junk")));
+                ctx.send(self.peer, OutPacket::empty(64));
             }
             fn as_any(&self) -> &dyn Any {
                 self
@@ -469,6 +487,6 @@ mod tests {
         sim.add_node(host(), Noise { peer: victim });
         sim.run_for(SimDuration::from_millis(10));
         let echo = sim.agent::<Echo>(victim).expect("downcast");
-        assert_eq!(echo.received, 0, "non-WireMsg payloads never reach cores");
+        assert_eq!(echo.received, 0, "bodiless packets never reach cores");
     }
 }

@@ -16,14 +16,6 @@ use adamant_proto::CalendarQueue;
 use crate::packet::{NodeId, Packet};
 use crate::time::SimTime;
 
-/// A timer handle returned by [`Ctx::set_timer`](crate::Ctx::set_timer),
-/// usable to cancel the timer before it fires.
-///
-/// Internally encodes a slot index and a generation counter in the engine's
-/// timer table, which is what makes cancellation O(1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct TimerId(pub(crate) u64);
-
 /// What a scheduled event does when it fires.
 #[derive(Debug)]
 pub(crate) enum EventKind {
@@ -33,12 +25,9 @@ pub(crate) enum EventKind {
     Ingress { node: NodeId, slot: u32 },
     /// Deliver a packet to a node's agent (all pipeline delays already paid).
     Deliver { node: NodeId, slot: u32 },
-    /// Fire a timer on a node's agent.
-    Timer {
-        node: NodeId,
-        timer: TimerId,
-        tag: u64,
-    },
+    /// Fire a timer on a node's agent, handing back the tag it was armed
+    /// with.
+    Timer { node: NodeId, tag: u64 },
     /// Invoke an agent's `on_start`.
     Start { node: NodeId },
 }
@@ -110,7 +99,7 @@ impl EventQueue {
 }
 
 /// Every packet copy in flight, parked between `transmit` and delivery so
-/// queue events carry a `u32` slot instead of a 64-byte [`Packet`]. Freed
+/// queue events carry a `u32` slot instead of an 80-byte [`Packet`]. Freed
 /// slots are reused LIFO; the slab never shrinks, so it is bounded by the
 /// peak number of copies in flight.
 #[derive(Debug, Default)]
@@ -144,90 +133,6 @@ impl PacketSlab {
     pub fn take(&mut self, slot: u32) -> Packet {
         self.free.push(slot);
         self.slots[slot as usize].take().expect("live slot")
-    }
-}
-
-/// Slot-indexed timer registry with O(1) arm, cancel, and fire.
-///
-/// A [`TimerId`] encodes `(generation << 32) | slot`. Cancelling sets a
-/// flag in the slot; when the timer's queued event pops (live or belonging
-/// to a dead incarnation), the slot is released and its generation bumped,
-/// so stale ids can never touch a reused slot. This replaces the previous
-/// tombstone `HashMap` — no per-cancel allocation, no crash-time pruning
-/// scan, no hashing on the hot path.
-#[derive(Debug, Default)]
-pub(crate) struct TimerTable {
-    slots: Vec<TimerSlot>,
-    free: Vec<u32>,
-}
-
-#[derive(Debug)]
-struct TimerSlot {
-    generation: u32,
-    cancelled: bool,
-}
-
-impl TimerTable {
-    pub fn new() -> Self {
-        TimerTable::default()
-    }
-
-    /// Claims a slot for a newly set timer and returns its handle.
-    pub fn arm(&mut self) -> TimerId {
-        let slot = match self.free.pop() {
-            Some(slot) => slot,
-            None => {
-                assert!(self.slots.len() < u32::MAX as usize, "timer table full");
-                self.slots.push(TimerSlot {
-                    generation: 0,
-                    cancelled: false,
-                });
-                (self.slots.len() - 1) as u32
-            }
-        };
-        let state = &mut self.slots[slot as usize];
-        state.cancelled = false;
-        TimerId(((state.generation as u64) << 32) | slot as u64)
-    }
-
-    /// Marks a timer as cancelled. A no-op for already-fired (released)
-    /// timers: their slot generation no longer matches.
-    pub fn cancel(&mut self, id: TimerId) {
-        let (generation, slot) = Self::decode(id);
-        if let Some(state) = self.slots.get_mut(slot) {
-            if state.generation == generation {
-                state.cancelled = true;
-            }
-        }
-    }
-
-    /// Releases the slot backing `id` when its queued event pops, returning
-    /// whether the timer should actually fire (armed and not cancelled).
-    /// Events of dead incarnations release through here too, which is what
-    /// keeps crashed nodes from leaking slots.
-    pub fn fire(&mut self, id: TimerId) -> bool {
-        let (generation, slot) = Self::decode(id);
-        match self.slots.get_mut(slot) {
-            Some(state) if state.generation == generation => {
-                let live = !state.cancelled;
-                state.generation = state.generation.wrapping_add(1);
-                state.cancelled = false;
-                self.free.push(slot as u32);
-                live
-            }
-            _ => false,
-        }
-    }
-
-    /// Number of timers currently armed (set and not yet popped). Cancelled
-    /// timers count until their queued event pops and releases the slot.
-    pub fn armed(&self) -> usize {
-        self.slots.len() - self.free.len()
-    }
-
-    #[inline]
-    fn decode(id: TimerId) -> (u32, usize) {
-        ((id.0 >> 32) as u32, (id.0 & u32::MAX as u64) as usize)
     }
 }
 
@@ -345,10 +250,16 @@ mod tests {
 
     #[test]
     fn packet_slab_reuses_freed_slots() {
-        use crate::packet::{Destination, OutPacket};
-        let out = OutPacket::empty(64);
-        let copy =
-            |wire_id| Packet::from_out(&out, NodeId(0), Destination::Node(NodeId(1)), wire_id);
+        use crate::packet::{Destination, ProcessingCost};
+        let copy = |wire_id| Packet {
+            src: NodeId(0),
+            dst: Destination::Node(NodeId(1)),
+            size_bytes: 64,
+            tag: 0,
+            cost: ProcessingCost::FREE,
+            msg: None,
+            wire_id,
+        };
         let mut slab = PacketSlab::default();
         let a = slab.put(copy(1));
         let b = slab.put(copy(2));
@@ -364,39 +275,5 @@ mod tests {
         }
         assert_eq!(slab.live(), 0);
         slab.assert_consistent();
-    }
-
-    #[test]
-    fn timer_table_arm_fire_cycle() {
-        let mut t = TimerTable::new();
-        let a = t.arm();
-        let b = t.arm();
-        assert_ne!(a, b);
-        assert_eq!(t.armed(), 2);
-        assert!(t.fire(a), "uncancelled timer fires");
-        assert_eq!(t.armed(), 1);
-        assert!(!t.fire(a), "released id is dead");
-        assert!(t.fire(b));
-        assert_eq!(t.armed(), 0);
-    }
-
-    #[test]
-    fn timer_table_cancel_suppresses_fire() {
-        let mut t = TimerTable::new();
-        let a = t.arm();
-        t.cancel(a);
-        assert_eq!(t.armed(), 1, "cancelled timer holds its slot until pop");
-        assert!(!t.fire(a), "cancelled timer must not fire");
-        assert_eq!(t.armed(), 0);
-    }
-
-    #[test]
-    fn timer_table_stale_id_cannot_touch_reused_slot() {
-        let mut t = TimerTable::new();
-        let a = t.arm();
-        assert!(t.fire(a));
-        let b = t.arm(); // reuses a's slot with a bumped generation
-        t.cancel(a); // stale handle: must be a no-op
-        assert!(t.fire(b), "stale cancel must not hit the new occupant");
     }
 }

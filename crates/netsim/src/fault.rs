@@ -341,8 +341,8 @@ mod tests {
         fn on_start(&mut self, ctx: &mut Ctx<'_>) {
             ctx.set_timer(SimDuration::from_millis(1), 0);
         }
-        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _id: crate::TimerId, _tag: u64) {
-            ctx.send(self.peer, OutPacket::new(100, ()));
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _tag: u64) {
+            ctx.send(self.peer, OutPacket::empty(100));
             ctx.set_timer(SimDuration::from_millis(1), 0);
         }
         fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _pkt: Packet) {

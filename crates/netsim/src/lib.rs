@@ -44,7 +44,7 @@
 //! struct Sender(GroupId);
 //! impl Agent for Sender {
 //!     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-//!         ctx.send(self.0, OutPacket::new(12, "sample"));
+//!         ctx.send(self.0, OutPacket::empty(12));
 //!     }
 //!     fn as_any(&self) -> &dyn Any { self }
 //!     fn as_any_mut(&mut self) -> &mut dyn Any { self }
@@ -80,14 +80,10 @@ mod time;
 pub use adamant_proto::{CalendarQueue, DropReason, MemorySink, ObsEvent, TracedEvent};
 pub use agent::{Agent, Ctx};
 pub use driver::SimDriver;
-pub use event::TimerId;
 pub use fault::{Fault, FaultPlan, RestartFn};
 pub use host::{Bandwidth, HostConfig, LinkProfile, MachineClass};
 pub use loss::LossModel;
-pub use packet::{
-    empty_payload, Destination, GroupId, NodeId, OutPacket, Packet, PacketArena, Payload,
-    ProcessingCost,
-};
+pub use packet::{Destination, GroupId, NodeId, OutPacket, Packet, ProcessingCost};
 pub use rng::SimRng;
 pub use sim::{NetworkConfig, Simulation};
 pub use stats::{TagCounters, WireStats};

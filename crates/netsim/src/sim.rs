@@ -3,7 +3,7 @@
 use adamant_proto::{DropReason, MemorySink, ObsEvent, TracedEvent};
 
 use crate::agent::{Agent, Command, Ctx};
-use crate::event::{EventKind, EventQueue, PacketSlab, TimerId, TimerTable};
+use crate::event::{EventKind, EventQueue, PacketSlab};
 use crate::host::{Bandwidth, HostConfig, HostState};
 use crate::loss::{ChannelState, LossModel};
 use crate::packet::{Destination, GroupId, NodeId, OutPacket, Packet};
@@ -65,7 +65,7 @@ impl Default for NetworkConfig {
 /// }
 /// impl Agent for Pinger {
 ///     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-///         ctx.send(self.peer, OutPacket::new(64, ()));
+///         ctx.send(self.peer, OutPacket::empty(64));
 ///     }
 ///     fn as_any(&self) -> &dyn Any { self }
 ///     fn as_any_mut(&mut self) -> &mut dyn Any { self }
@@ -99,10 +99,6 @@ pub struct Simulation {
     groups: Vec<Vec<NodeId>>,
     stats: WireStats,
     network: NetworkConfig,
-    /// Slot-indexed timer registry: O(1) arm/cancel/fire, with slots
-    /// released lazily when the timer's queued event pops (live or dead
-    /// incarnation alike), so crashes need no pruning scan.
-    timers: TimerTable,
     /// Every packet copy between `transmit` and its delivery (or its
     /// dead-epoch drop); queue events name copies by slot.
     packets: PacketSlab,
@@ -152,7 +148,6 @@ impl Simulation {
             groups: Vec::new(),
             stats: WireStats::new(),
             network: NetworkConfig::default(),
-            timers: TimerTable::new(),
             packets: PacketSlab::default(),
             command_buf: Vec::new(),
             fanout_buf: Vec::new(),
@@ -294,13 +289,6 @@ impl Simulation {
         self.events_processed
     }
 
-    /// Number of timer slots currently held (set and not yet popped).
-    /// Cancelled timers hold their slot until their queued event pops and
-    /// releases it — the slots are recycled lazily, with no pruning scans.
-    pub fn armed_timers(&self) -> usize {
-        self.timers.armed()
-    }
-
     /// The host configuration of `node`.
     pub fn host_config(&self, node: NodeId) -> HostConfig {
         self.hosts[node.index()].config
@@ -390,11 +378,6 @@ impl Simulation {
             // copy still counts as traffic that hit a downed NIC; timers
             // and deliveries of the old incarnation vanish silently.
             match event.kind {
-                // Release the dead incarnation's slot so crashed nodes
-                // never leak timer-table entries.
-                EventKind::Timer { timer, .. } => {
-                    self.timers.fire(timer);
-                }
                 EventKind::Ingress { slot, .. } => {
                     let packet = self.packets.take(slot);
                     self.stats.record_crash_drop(packet.tag);
@@ -408,7 +391,7 @@ impl Simulation {
                 }
                 // Frees the slab slot; the copy itself vanishes silently.
                 EventKind::Deliver { slot, .. } => drop(self.packets.take(slot)),
-                EventKind::Start { .. } => {}
+                EventKind::Start { .. } | EventKind::Timer { .. } => {}
             }
             self.obs_emit(self.now, || ObsEvent::EpochDropped { node: target });
             return true;
@@ -420,11 +403,7 @@ impl Simulation {
                 let packet = self.packets.take(slot);
                 self.dispatch(node, AgentCall::Packet(packet));
             }
-            EventKind::Timer { node, timer, tag } => {
-                if self.timers.fire(timer) {
-                    self.dispatch(node, AgentCall::Timer(timer, tag));
-                }
-            }
+            EventKind::Timer { node, tag } => self.dispatch(node, AgentCall::Timer(tag)),
         }
         true
     }
@@ -448,13 +427,12 @@ impl Simulation {
                 rng: &mut self.node_rngs[node.index()],
                 groups: &self.groups,
                 commands: &mut commands,
-                timers: &mut self.timers,
                 obs: self.obs.is_some(),
             };
             match call {
                 AgentCall::Start => agent.on_start(&mut ctx),
                 AgentCall::Packet(pkt) => agent.on_packet(&mut ctx, pkt),
-                AgentCall::Timer(id, tag) => agent.on_timer(&mut ctx, id, tag),
+                AgentCall::Timer(tag) => agent.on_timer(&mut ctx, tag),
             }
         }
         self.agents[node.index()] = Some(agent);
@@ -467,18 +445,13 @@ impl Simulation {
     fn apply(&mut self, from: NodeId, command: Command) {
         match command {
             Command::Send { dst, packet } => self.transmit(from, dst, packet),
-            Command::SetTimer { id, fire_at, tag } => {
+            Command::SetTimer { fire_at, tag } => {
                 self.queue.schedule(
                     fire_at,
                     self.epochs[from.index()],
-                    EventKind::Timer {
-                        node: from,
-                        timer: id,
-                        tag,
-                    },
+                    EventKind::Timer { node: from, tag },
                 );
             }
-            Command::CancelTimer { id } => self.timers.cancel(id),
             Command::Emit { event } => self.obs_emit(self.now, || event),
         }
     }
@@ -486,28 +459,49 @@ impl Simulation {
     /// Runs the sender half of the delivery pipeline and schedules the
     /// receiver half for each destination copy.
     fn transmit(&mut self, from: NodeId, dst: Destination, out: OutPacket) {
+        let OutPacket {
+            size_bytes,
+            tag,
+            cost,
+            msg,
+        } = out;
         let wire_id = self.next_wire_id;
         self.next_wire_id += 1;
-        self.stats.record_send(from, out.tag, out.size_bytes);
+        self.stats.record_send(from, tag, size_bytes);
         self.obs_emit(self.now, || ObsEvent::PacketSent {
             node: from,
-            tag: out.tag,
+            tag,
             wire_id,
-            size_bytes: out.size_bytes,
+            size_bytes,
         });
 
         // Sender side: CPU, then egress serialization (once, even for
         // multicast — the switch replicates). CPU contention stretches the
         // reference cost before the machine-class scaling in `occupy_cpu`.
         let contention = self.cpu_contention[from.index()];
-        let contended_tx = out.cost.tx.scale(contention);
+        let contended_tx = cost.tx.scale(contention);
         let tx_cost = contended_tx.scale(self.hosts[from.index()].config.cpu_scale());
         self.cpu_busy[from.index()] += tx_cost;
         let cpu_done = self.hosts[from.index()].occupy_cpu_scaled(self.now, tx_cost);
-        let egress_done = self.hosts[from.index()].occupy_egress(cpu_done, out.size_bytes);
+        let egress_done = self.hosts[from.index()].occupy_egress(cpu_done, size_bytes);
         let at_switch =
             egress_done + self.network.propagation + self.hosts[from.index()].config.uplink_delay;
 
+        // Each copy but the last is parked as a clone and the last takes
+        // the message itself: a Data or Heartbeat clone is a plain copy and
+        // a Repair's or Discovery ad's body an `Arc`, so fan-out allocates
+        // nothing, and a unicast NAK's list is moved. Parking waits for the
+        // next survivor, which leaves the order of schedules unchanged.
+        let copy = Packet {
+            src: from,
+            dst,
+            size_bytes,
+            tag,
+            cost,
+            msg,
+            wire_id,
+        };
+        let mut held = None;
         // Fan-out targets go into a buffer reused across transmissions.
         let mut targets = std::mem::take(&mut self.fanout_buf);
         debug_assert!(targets.is_empty());
@@ -526,20 +520,20 @@ impl Simulation {
             // they consume no randomness: injecting a fault never perturbs
             // the loss pattern seen by unaffected links.
             if self.agents[target.index()].is_none() {
-                self.stats.record_crash_drop(out.tag);
+                self.stats.record_crash_drop(tag);
                 self.obs_emit(self.now, || ObsEvent::PacketDropped {
                     node: target,
-                    tag: out.tag,
+                    tag,
                     wire_id,
                     reason: DropReason::Crash,
                 });
                 continue;
             }
             if !self.reachable(from, target) {
-                self.stats.record_partition_drop(out.tag);
+                self.stats.record_partition_drop(tag);
                 self.obs_emit(self.now, || ObsEvent::PacketDropped {
                     node: target,
-                    tag: out.tag,
+                    tag,
                     wire_id,
                     reason: DropReason::Partition,
                 });
@@ -549,10 +543,10 @@ impl Simulation {
                 && self.channel_states[target.index()]
                     .should_drop(&self.network.loss, &mut self.engine_rng)
             {
-                self.stats.record_link_drop(out.tag);
+                self.stats.record_link_drop(tag);
                 self.obs_emit(self.now, || ObsEvent::PacketDropped {
                     node: target,
-                    tag: out.tag,
+                    tag,
                     wire_id,
                     reason: DropReason::Link,
                 });
@@ -563,22 +557,30 @@ impl Simulation {
             // fires, so per-resource queueing is FIFO in true arrival
             // order (crucial when hosts have heterogeneous uplink delays).
             let at_port = at_switch + self.hosts[target.index()].config.uplink_delay;
-            // Each copy clones the payload handle (an `Arc`), never the
-            // payload bytes — multicast fan-out is O(targets) refcounts.
-            let slot = self.packets.put(Packet::from_out(&out, from, dst, wire_id));
             self.obs_emit(self.now, || ObsEvent::PacketEnqueued {
                 node: target,
-                tag: out.tag,
+                tag,
                 wire_id,
             });
-            self.queue.schedule(
-                at_port,
-                self.epochs[target.index()],
-                EventKind::Ingress { node: target, slot },
-            );
+            if let Some(prev) = held.replace((target, at_port)) {
+                self.enqueue(prev, copy.clone());
+            }
+        }
+        if let Some(last) = held {
+            self.enqueue(last, copy);
         }
         targets.clear();
         self.fanout_buf = targets;
+    }
+
+    /// Parks `copy` and schedules its arrival at `target`'s switch port.
+    fn enqueue(&mut self, (target, at_port): (NodeId, SimTime), copy: Packet) {
+        let slot = self.packets.put(copy);
+        self.queue.schedule(
+            at_port,
+            self.epochs[target.index()],
+            EventKind::Ingress { node: target, slot },
+        );
     }
 
     /// Receiver half of the delivery pipeline, run at switch-port arrival
@@ -622,8 +624,7 @@ impl Simulation {
         if agent.is_some() {
             self.epochs[node.index()] += 1;
             // No timer cleanup needed here: the dead incarnation's queued
-            // timer events release their slots lazily when they pop and
-            // fail the epoch check.
+            // timer events fail the epoch check when they pop.
             let epoch = self.epochs[node.index()];
             self.obs_emit(self.now, || ObsEvent::NodeCrashed { node, epoch });
         }
@@ -768,7 +769,7 @@ impl Simulation {
 enum AgentCall {
     Start,
     Packet(Packet),
-    Timer(TimerId, u64),
+    Timer(u64),
 }
 
 #[cfg(test)]
@@ -813,7 +814,7 @@ mod tests {
     impl Agent for Blaster {
         fn on_start(&mut self, ctx: &mut Ctx<'_>) {
             for _ in 0..self.count {
-                ctx.send(self.dst, OutPacket::new(self.size, ()).cost(self.cost));
+                ctx.send(self.dst, OutPacket::empty(self.size).cost(self.cost));
             }
         }
         fn as_any(&self) -> &dyn Any {
@@ -977,18 +978,17 @@ mod tests {
     }
 
     #[test]
-    fn timers_fire_and_cancel() {
+    fn timers_fire_in_deadline_order_with_their_tags() {
         struct TimerUser {
             fired: Vec<u64>,
         }
         impl Agent for TimerUser {
             fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                ctx.set_timer(SimDuration::from_millis(1), 1);
-                let cancel_me = ctx.set_timer(SimDuration::from_millis(2), 2);
                 ctx.set_timer(SimDuration::from_millis(3), 3);
-                ctx.cancel_timer(cancel_me);
+                ctx.set_timer(SimDuration::from_millis(1), 1);
+                ctx.set_timer(SimDuration::from_millis(2), 2);
             }
-            fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _id: TimerId, tag: u64) {
+            fn on_timer(&mut self, _ctx: &mut Ctx<'_>, tag: u64) {
                 self.fired.push(tag);
             }
             fn as_any(&self) -> &dyn Any {
@@ -1001,7 +1001,7 @@ mod tests {
         let mut sim = Simulation::new(1);
         let n = sim.add_node(gbit_host(), TimerUser { fired: vec![] });
         sim.run();
-        assert_eq!(sim.agent::<TimerUser>(n).unwrap().fired, vec![1, 3]);
+        assert_eq!(sim.agent::<TimerUser>(n).unwrap().fired, vec![1, 2, 3]);
         assert_eq!(sim.now(), SimTime::from_millis(3));
     }
 
@@ -1012,7 +1012,7 @@ mod tests {
             fn on_start(&mut self, ctx: &mut Ctx<'_>) {
                 ctx.set_timer(SimDuration::from_millis(1), 0);
             }
-            fn on_timer(&mut self, ctx: &mut Ctx<'_>, _id: TimerId, _tag: u64) {
+            fn on_timer(&mut self, ctx: &mut Ctx<'_>, _tag: u64) {
                 ctx.set_timer(SimDuration::from_millis(1), 0);
             }
             fn as_any(&self) -> &dyn Any {
@@ -1039,7 +1039,7 @@ mod tests {
             fn on_start(&mut self, ctx: &mut Ctx<'_>) {
                 ctx.set_timer(SimDuration::ZERO, 0);
             }
-            fn on_timer(&mut self, ctx: &mut Ctx<'_>, _id: TimerId, _tag: u64) {
+            fn on_timer(&mut self, ctx: &mut Ctx<'_>, _tag: u64) {
                 ctx.set_timer(SimDuration::ZERO, 0);
             }
             fn as_any(&self) -> &dyn Any {
@@ -1114,7 +1114,7 @@ mod tests {
             fn on_start(&mut self, ctx: &mut Ctx<'_>) {
                 ctx.set_timer(SimDuration::from_millis(1), 0);
             }
-            fn on_timer(&mut self, ctx: &mut Ctx<'_>, _id: TimerId, _tag: u64) {
+            fn on_timer(&mut self, ctx: &mut Ctx<'_>, _tag: u64) {
                 self.ticks += 1;
                 ctx.set_timer(SimDuration::from_millis(1), 0);
             }
@@ -1297,37 +1297,52 @@ mod tests {
     }
 
     #[test]
-    fn crashed_and_cancelled_timer_slots_are_reclaimed() {
-        // Regression (formerly for the tombstone map, now for the slot
-        // table): cancelled timers of both live and crashed nodes must
-        // release their slots once their queued events pop — a crashed
-        // node's timer events fail the epoch check but still free slots.
-        struct Canceller;
-        impl Agent for Canceller {
-            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                let t = ctx.set_timer(SimDuration::from_secs(1), 0);
-                ctx.cancel_timer(t);
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
+    fn a_cancelled_core_timer_pops_as_one_silent_event() {
+        // `reference_cells` pins `events_processed`, which counts a
+        // cancelled timer's pop: it must stay exactly one event that
+        // reaches no core, emits nothing and draws nothing.
+        use crate::driver::SimDriver;
+        use adamant_proto::{Env, Input, ProtocolCore, Span};
+
+        struct Cancels {
+            fired: Vec<u64>,
+        }
+        impl ProtocolCore for Cancels {
+            fn step(&mut self, input: Input<'_>, env: &mut Env<'_>) {
+                // Every step draws and traces, so a stepped core shows.
+                env.rng().next_u64();
+                env.emit(|node| ObsEvent::EpochDropped { node });
+                match input {
+                    Input::Start => {
+                        let doomed = env.set_timer(Span::from_millis(1), 1);
+                        env.set_timer(Span::from_millis(2), 2);
+                        env.cancel_timer(doomed);
+                    }
+                    Input::TimerFired { tag, .. } => self.fired.push(tag),
+                    _ => {}
+                }
             }
         }
-        let mut sim = Simulation::new(1);
-        let a = sim.add_node(gbit_host(), Canceller);
-        let _b = sim.add_node(gbit_host(), Canceller);
+        let mut sim = Simulation::new(1).with_obs_sink(MemorySink::new());
+        let n = sim.add_node(gbit_host(), SimDriver::new(Cancels { fired: vec![] }));
+        sim.run_until(SimTime::from_micros(500));
+        assert_eq!(sim.events_processed(), 1, "the start");
+        let traced = sim.take_obs_events().len();
+        assert_eq!(traced, 1, "the start's own trace");
+        sim.set_obs_sink(MemorySink::new());
+        let rng = sim.node_rngs[n.index()].clone();
+        let pending = sim.queue.len();
+
         sim.run_until(SimTime::from_millis(1));
-        // Both cancelled timers hold their slots until their events pop.
-        assert_eq!(sim.armed_timers(), 2);
-        sim.crash_node(a);
-        // Lazy release: the crash itself does no timer bookkeeping.
-        assert_eq!(sim.armed_timers(), 2);
+        assert_eq!(sim.events_processed(), 2, "the cancelled timer popped once");
+        assert_eq!(sim.queue.len(), pending - 1, "and scheduled nothing");
+        assert!(sim.take_obs_events().is_empty(), "and emitted nothing");
+        assert_eq!(sim.node_rngs[n.index()], rng, "and drew nothing");
+        assert!(sim.agent::<Cancels>(n).unwrap().fired.is_empty());
+
         sim.run();
-        // b's event released on the live (cancelled) path, a's on the
-        // dead-epoch path. No slot leaks either way.
-        assert_eq!(sim.armed_timers(), 0);
+        assert_eq!(sim.events_processed(), 3);
+        assert_eq!(sim.agent::<Cancels>(n).unwrap().fired, vec![2]);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::any::Any;
 
 use adamant_netsim::{
     Agent, Bandwidth, Ctx, HostConfig, MachineClass, OutPacket, Packet, ProcessingCost,
-    SimDuration, SimTime, Simulation, TimerId,
+    SimDuration, SimTime, Simulation,
 };
 
 /// Records every packet arrival instant.
@@ -38,10 +38,10 @@ impl Agent for Blaster {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         ctx.set_timer(SimDuration::ZERO, 0);
     }
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _id: TimerId, _tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _tag: u64) {
         if let Some(&size) = self.sizes.get(self.next) {
             self.next += 1;
-            ctx.send(self.dst, OutPacket::new(size, ()).cost(self.cost));
+            ctx.send(self.dst, OutPacket::empty(size).cost(self.cost));
             ctx.set_timer(self.interval, 0);
         }
     }

@@ -50,6 +50,12 @@ pub enum Input<'a> {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TimerToken(u64);
 
+impl From<TimerToken> for u64 {
+    fn from(token: TimerToken) -> u64 {
+        token.0
+    }
+}
+
 /// One side effect requested by a protocol core.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Effect {
@@ -101,15 +107,9 @@ pub trait Membership {
     fn members(&self, group: GroupId) -> &[NodeId];
 }
 
-impl Membership for &[Vec<NodeId>] {
+impl<T: AsRef<[Vec<NodeId>]>> Membership for T {
     fn members(&self, group: GroupId) -> &[NodeId] {
-        &self[group.index()]
-    }
-}
-
-impl Membership for Vec<Vec<NodeId>> {
-    fn members(&self, group: GroupId) -> &[NodeId] {
-        &self[group.index()]
+        &self.as_ref()[group.index()]
     }
 }
 
@@ -266,10 +266,10 @@ impl<'a> Env<'a> {
 
 /// A runtime-agnostic protocol state machine.
 ///
-/// `Send + 'static` so drivers can box cores, move them across threads
-/// (the real-UDP runtime runs one event loop per endpoint), and downcast
-/// them after a run.
-pub trait ProtocolCore: Send + 'static {
+/// `Any + Send` so drivers can box cores, move them across threads (the
+/// real-UDP runtime runs one event loop per endpoint), and downcast a
+/// `dyn ProtocolCore` after a run by upcasting it to `dyn Any`.
+pub trait ProtocolCore: std::any::Any + Send {
     /// Consumes one input, appending any requested effects to the
     /// environment's buffer.
     fn step(&mut self, input: Input<'_>, env: &mut Env<'_>);

@@ -278,13 +278,6 @@ impl GroupPlan {
     }
 }
 
-/// A boxed core that is both steppable and downcastable: `ProtocolCore` is
-/// `Send + 'static`, so every sized core is `Any`, and a `dyn ClusterCore`
-/// upcasts to `dyn Any`.
-trait ClusterCore: ProtocolCore + Any {}
-
-impl<T: ProtocolCore> ClusterCore for T {}
-
 /// Deterministic seed of endpoint `index`'s `incarnation`: SplitMix64-style
 /// stream derivation from the cluster seed, so one cluster seed determines
 /// every core's stream and a restarted core never replays its
@@ -306,7 +299,7 @@ const MAX_ENDPOINTS: usize = 1 << 24;
 struct MuxEntry {
     node: NodeId,
     host: EnvHost,
-    core: Box<dyn ClusterCore>,
+    core: Box<dyn ProtocolCore>,
     peers: Peers,
     report: EndpointReport,
     started: bool,

@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use adamant_netsim::SimDuration;
+use adamant_proto::Span;
 
 /// Which transport protocol a pub/sub session uses, with its parameters.
 ///
@@ -18,7 +18,7 @@ pub enum ProtocolKind {
     /// waits `timeout` before NAKing the sender, which retransmits.
     Nakcast {
         /// Delay between detecting a missing packet and sending the NAK.
-        timeout: SimDuration,
+        timeout: Span,
     },
     /// Ricochet-style lateral error correction. Every receiver XORs each
     /// window of `r` received packets into a repair packet sent to `c`
@@ -34,7 +34,7 @@ pub enum ProtocolKind {
     /// retransmits anything unacknowledged after `rto`.
     Ackcast {
         /// Sender retransmission timeout.
-        rto: SimDuration,
+        rto: Span,
     },
     /// Slingshot-style proactive replication (Balakrishnan et al., NCA
     /// 2005): receivers forward a copy of every received packet to `c`
@@ -67,16 +67,16 @@ impl ProtocolKind {
     pub fn paper_candidates() -> [ProtocolKind; 6] {
         [
             ProtocolKind::Nakcast {
-                timeout: SimDuration::from_millis(50),
+                timeout: Span::from_millis(50),
             },
             ProtocolKind::Nakcast {
-                timeout: SimDuration::from_millis(25),
+                timeout: Span::from_millis(25),
             },
             ProtocolKind::Nakcast {
-                timeout: SimDuration::from_millis(10),
+                timeout: Span::from_millis(10),
             },
             ProtocolKind::Nakcast {
-                timeout: SimDuration::from_millis(1),
+                timeout: Span::from_millis(1),
             },
             ProtocolKind::Ricochet { r: 4, c: 3 },
             ProtocolKind::Ricochet { r: 8, c: 3 },
@@ -123,14 +123,14 @@ impl ProtocolKind {
         match code >> 56 {
             0 if payload == 0 => Some(ProtocolKind::Udp),
             1 => Some(ProtocolKind::Nakcast {
-                timeout: SimDuration::from_nanos(payload),
+                timeout: Span::from_nanos(payload),
             }),
             2 => Some(ProtocolKind::Ricochet {
                 r: ((payload >> 8) & 0xff) as u8,
                 c: (payload & 0xff) as u8,
             }),
             3 => Some(ProtocolKind::Ackcast {
-                rto: SimDuration::from_nanos(payload),
+                rto: Span::from_nanos(payload),
             }),
             4 => Some(ProtocolKind::Slingshot {
                 c: (payload & 0xff) as u8,
@@ -259,12 +259,12 @@ pub struct ProtocolProperties {
 pub struct Tuning {
     /// Interval between sender session heartbeats (carrying the highest
     /// sequence sent) that bound NAKcast/ACKcast gap-detection delay.
-    pub heartbeat_interval: SimDuration,
+    pub heartbeat_interval: Span,
     /// Give-up bound on NAK retries per missing packet.
     pub nak_max_retries: u32,
     /// Ricochet flushes a partially filled repair window after this long,
     /// so low-rate flows still repair promptly.
-    pub ricochet_flush: SimDuration,
+    pub ricochet_flush: Span,
     /// How many recent packets a Ricochet receiver retains for XOR
     /// reconstruction.
     pub ricochet_store: usize,
@@ -279,7 +279,7 @@ pub struct Tuning {
     pub ack_retx_rate_per_sec: f64,
     /// Interval between receiver membership heartbeats (Ricochet failure
     /// detection); heartbeats stop once the stream ends.
-    pub membership_interval: SimDuration,
+    pub membership_interval: Span,
     /// A peer is suspected dead after missing this many heartbeat periods.
     pub membership_timeout_factor: u32,
     /// Reference CPU cost (pc3000) of the OS/UDP path per packet, each side.
@@ -307,13 +307,13 @@ pub struct Tuning {
     pub repair_efficacy: f64,
     /// StreamCast: interval between connection-request (SYN) retries while
     /// a receiver waits for the sender's SYN-ACK.
-    pub stream_syn_retry: SimDuration,
+    pub stream_syn_retry: Span,
     /// StreamCast: floor on the adaptive retransmission timeout, so a few
     /// low-RTT samples cannot collapse the RTO into spurious retransmits.
-    pub stream_rto_min: SimDuration,
+    pub stream_rto_min: Span,
     /// StreamCast: ceiling on the adaptive retransmission timeout under
     /// exponential backoff.
-    pub stream_rto_max: SimDuration,
+    pub stream_rto_max: Span,
     /// StreamCast: duplicate cumulative ACKs of the same value that
     /// trigger a fast retransmit ahead of the RTO.
     pub stream_dupack_threshold: u32,
@@ -325,7 +325,7 @@ pub struct Tuning {
 
 impl Tuning {
     /// Replaces the sender heartbeat interval (builder-style).
-    pub fn with_heartbeat_interval(mut self, interval: SimDuration) -> Self {
+    pub fn with_heartbeat_interval(mut self, interval: Span) -> Self {
         self.heartbeat_interval = interval;
         self
     }
@@ -337,7 +337,7 @@ impl Tuning {
     }
 
     /// Replaces the Ricochet partial-window flush delay (builder-style).
-    pub fn with_ricochet_flush(mut self, flush: SimDuration) -> Self {
+    pub fn with_ricochet_flush(mut self, flush: Span) -> Self {
         self.ricochet_flush = flush;
         self
     }
@@ -349,7 +349,7 @@ impl Tuning {
     }
 
     /// Replaces the receiver membership-heartbeat interval (builder-style).
-    pub fn with_membership_interval(mut self, interval: SimDuration) -> Self {
+    pub fn with_membership_interval(mut self, interval: Span) -> Self {
         self.membership_interval = interval;
         self
     }
@@ -361,13 +361,13 @@ impl Tuning {
     }
 
     /// Replaces the StreamCast SYN retry interval (builder-style).
-    pub fn with_stream_syn_retry(mut self, interval: SimDuration) -> Self {
+    pub fn with_stream_syn_retry(mut self, interval: Span) -> Self {
         self.stream_syn_retry = interval;
         self
     }
 
     /// Replaces the StreamCast RTO clamp range (builder-style).
-    pub fn with_stream_rto_range(mut self, min: SimDuration, max: SimDuration) -> Self {
+    pub fn with_stream_rto_range(mut self, min: Span, max: Span) -> Self {
         self.stream_rto_min = min;
         self.stream_rto_max = max;
         self
@@ -383,15 +383,15 @@ impl Tuning {
 impl Default for Tuning {
     fn default() -> Self {
         Tuning {
-            heartbeat_interval: SimDuration::from_millis(30),
+            heartbeat_interval: Span::from_millis(30),
             nak_max_retries: 20,
-            ricochet_flush: SimDuration::from_millis(5),
+            ricochet_flush: Span::from_millis(5),
             ricochet_store: 1024,
             ricochet_pending_repairs: 64,
             ack_window: 16,
             ack_retx_burst: 32.0,
             ack_retx_rate_per_sec: 2_000.0,
-            membership_interval: SimDuration::from_millis(500),
+            membership_interval: Span::from_millis(500),
             membership_timeout_factor: 3,
             os_packet_cost_us: 15.0,
             nak_tracking_cost_us: 4.0,
@@ -401,9 +401,9 @@ impl Default for Tuning {
             fec_maintenance_every: 128,
             fec_maintenance_cost_us: 12_000.0,
             repair_efficacy: 0.7,
-            stream_syn_retry: SimDuration::from_millis(10),
-            stream_rto_min: SimDuration::from_millis(5),
-            stream_rto_max: SimDuration::from_secs(2),
+            stream_syn_retry: Span::from_millis(10),
+            stream_rto_min: Span::from_millis(5),
+            stream_rto_max: Span::from_secs(2),
             stream_dupack_threshold: 3,
             shm_packet_cost_us: 0.8,
         }
@@ -452,7 +452,7 @@ mod tests {
         assert_eq!(
             c[3],
             ProtocolKind::Nakcast {
-                timeout: SimDuration::from_millis(1)
+                timeout: Span::from_millis(1)
             }
         );
         assert_eq!(c[4], ProtocolKind::Ricochet { r: 4, c: 3 });
@@ -468,7 +468,7 @@ mod tests {
         assert_eq!(ProtocolKind::Udp.label(), "udp");
         assert_eq!(
             ProtocolKind::Nakcast {
-                timeout: SimDuration::from_millis(1)
+                timeout: Span::from_millis(1)
             }
             .label(),
             "nakcast-0.001s"
@@ -479,7 +479,7 @@ mod tests {
         );
         assert_eq!(
             ProtocolKind::Ackcast {
-                rto: SimDuration::from_millis(20)
+                rto: Span::from_millis(20)
             }
             .label(),
             "ackcast-0.020s"
@@ -489,7 +489,7 @@ mod tests {
     #[test]
     fn properties_compose_sensibly() {
         let nak = ProtocolKind::Nakcast {
-            timeout: SimDuration::from_millis(1),
+            timeout: Span::from_millis(1),
         }
         .properties();
         assert!(nak.multicast && nak.nak_reliability && nak.ordered_delivery);
@@ -502,7 +502,7 @@ mod tests {
         assert!(udp.multicast && !udp.packet_tracking);
 
         let ack = ProtocolKind::Ackcast {
-            rto: SimDuration::from_millis(20),
+            rto: Span::from_millis(20),
         }
         .properties();
         assert!(ack.ack_reliability && ack.flow_control);
@@ -513,11 +513,11 @@ mod tests {
         let kinds = [
             ProtocolKind::Udp,
             ProtocolKind::Nakcast {
-                timeout: SimDuration::from_millis(25),
+                timeout: Span::from_millis(25),
             },
             ProtocolKind::Ricochet { r: 8, c: 3 },
             ProtocolKind::Ackcast {
-                rto: SimDuration::from_millis(20),
+                rto: Span::from_millis(20),
             },
             ProtocolKind::Slingshot { c: 2 },
             ProtocolKind::StreamCast { window: 64 },
@@ -571,12 +571,9 @@ mod tests {
         assert_eq!(cfg.kind, ProtocolKind::Udp);
         assert_eq!(cfg.tuning, Tuning::default());
         let custom = TransportConfig::new(ProtocolKind::Udp).with_tuning(Tuning {
-            heartbeat_interval: SimDuration::from_millis(5),
+            heartbeat_interval: Span::from_millis(5),
             ..Tuning::default()
         });
-        assert_eq!(
-            custom.tuning.heartbeat_interval,
-            SimDuration::from_millis(5)
-        );
+        assert_eq!(custom.tuning.heartbeat_interval, Span::from_millis(5));
     }
 }

@@ -1,7 +1,7 @@
 //! What the layers above the transport contribute to every packet: the
 //! middleware stack profile and the application's traffic specification.
 
-use adamant_netsim::{ProcessingCost, SimDuration};
+use adamant_proto::{ProcessingCost, Span};
 
 /// Per-packet contribution of the middleware stack above the transport
 /// (marshalling cost and header bytes). The DDS layer supplies one of these
@@ -20,7 +20,7 @@ impl StackProfile {
     /// `header_bytes` of framing.
     pub fn new(us: f64, header_bytes: u32) -> Self {
         StackProfile {
-            per_packet: ProcessingCost::symmetric(SimDuration::from_micros_f64(us)),
+            per_packet: ProcessingCost::symmetric(Span::from_micros_f64(us)),
             header_bytes,
         }
     }
@@ -33,7 +33,7 @@ pub struct AppSpec {
     /// Number of samples to publish.
     pub total_samples: u64,
     /// Interval between samples (the inverse of the sending rate).
-    pub interval: SimDuration,
+    pub interval: Span,
     /// Application payload bytes per sample (12 in the paper).
     pub payload_bytes: u32,
 }
@@ -54,7 +54,7 @@ impl AppSpec {
         );
         AppSpec {
             total_samples,
-            interval: SimDuration::from_secs_f64(1.0 / rate_hz),
+            interval: Span::from_secs_f64(1.0 / rate_hz),
             payload_bytes,
         }
     }
@@ -70,7 +70,7 @@ impl AppSpec {
     }
 
     /// How long the publishing phase lasts.
-    pub fn publish_span(&self) -> SimDuration {
+    pub fn publish_span(&self) -> Span {
         self.interval * self.total_samples
     }
 }
@@ -82,17 +82,17 @@ mod tests {
     #[test]
     fn stack_profile_costs() {
         let p = StackProfile::new(25.0, 48);
-        assert_eq!(p.per_packet.tx, SimDuration::from_micros(25));
-        assert_eq!(p.per_packet.rx, SimDuration::from_micros(25));
+        assert_eq!(p.per_packet.tx, Span::from_micros(25));
+        assert_eq!(p.per_packet.rx, Span::from_micros(25));
         assert_eq!(p.header_bytes, 48);
     }
 
     #[test]
     fn app_spec_rates() {
         let app = AppSpec::at_rate(100, 25.0, 12);
-        assert_eq!(app.interval, SimDuration::from_millis(40));
+        assert_eq!(app.interval, Span::from_millis(40));
         assert!((app.rate_hz() - 25.0).abs() < 1e-9);
-        assert_eq!(app.publish_span(), SimDuration::from_secs(4));
+        assert_eq!(app.publish_span(), Span::from_secs(4));
     }
 
     #[test]
@@ -100,7 +100,7 @@ mod tests {
         let app = AppSpec::paper_workload(50.0);
         assert_eq!(app.total_samples, 20_000);
         assert_eq!(app.payload_bytes, 12);
-        assert_eq!(app.interval, SimDuration::from_millis(20));
+        assert_eq!(app.interval, Span::from_millis(20));
     }
 
     #[test]

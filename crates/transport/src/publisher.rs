@@ -270,8 +270,8 @@ mod tests {
 
     impl Agent for Sink {
         fn on_packet(&mut self, _ctx: &mut Ctx<'_>, pkt: Packet) {
-            match pkt.payload_as::<WireMsg>() {
-                Some(WireMsg::Data(d)) => self.data.push(*d),
+            match pkt.msg {
+                Some(WireMsg::Data(d)) => self.data.push(d),
                 Some(WireMsg::Heartbeat(_)) => self.heartbeats += 1,
                 Some(WireMsg::Fin(_)) => self.fins += 1,
                 _ => {}

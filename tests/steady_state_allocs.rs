@@ -123,8 +123,8 @@ fn warmed_event_loops_and_training_epochs_allocate_nothing() {
     let (raw_calls, raw_events) = steady_window(sim);
 
     // (b) A NAKcast sender and three receivers at 10 kHz behind
-    // `SimDriver`, which adds what the raw agents bypass: a payload per send
-    // and the token/id timer bridge.
+    // `SimDriver`, which adds what the raw agents bypass: a `WireMsg` body
+    // per send, cloned at fan-out, and the driver's pending-timer list.
     const SAMPLES: u64 = 8_000;
     let mut sim = Simulation::new(1).with_network(network);
     let group = sim.create_group(&[]);
