@@ -171,6 +171,34 @@ mod tests {
         assert_eq!(spec(0).seed(), spec(0).seed());
     }
 
+    // Every labelling run is seeded by a hash of its `RunSpec`, protocol
+    // included, so a change to how `ProtocolKind` hashes silently reseeds
+    // the whole dataset. These are the seeds of UDP and the eight
+    // candidates on one fixed configuration.
+    #[test]
+    fn run_seeds_are_pinned_for_udp_and_every_candidate() {
+        let pinned: [u64; 9] = [
+            0x6d7b_e6c1_bdfe_26e6, // UDP
+            0xcfe1_140b_9f8c_425c, // NAKcast 50 ms
+            0x8478_1b88_12e3_47f2, // NAKcast 25 ms
+            0xa937_6f06_2884_f40c, // NAKcast 10 ms
+            0xc0a5_5b90_a729_f5b9, // NAKcast 1 ms
+            0x4a61_873b_3e68_ef58, // Ricochet R4 C3
+            0xc970_130a_cbe2_d0b1, // Ricochet R8 C3
+            0x1a64_421c_391c_92c5, // StreamCast W64
+            0x0973_415d_8d91_c2c9, // ShmCast Q256
+        ];
+        let protocols =
+            std::iter::once(ProtocolKind::Udp).chain(adamant::features::candidate_protocols());
+        for (protocol, seed) in protocols.zip(pinned) {
+            let run = RunSpec {
+                protocol,
+                ..spec(2)
+            };
+            assert_eq!(run.seed(), seed, "{protocol}");
+        }
+    }
+
     #[test]
     fn parallel_sweep_matches_serial_execution() {
         let specs: Vec<RunSpec> = (0..4).map(spec).collect();
