@@ -54,9 +54,7 @@ impl Scenario {
             ProtocolKind::Nakcast { .. }
             | ProtocolKind::StreamCast { .. }
             | ProtocolKind::ShmCast { .. } => QosProfile::reliable(),
-            ProtocolKind::Ricochet { .. }
-            | ProtocolKind::Ackcast { .. }
-            | ProtocolKind::Slingshot { .. } => QosProfile::time_critical(),
+            ProtocolKind::Ricochet { .. } => QosProfile::time_critical(),
         }
     }
 

@@ -2,7 +2,7 @@
 //!
 //! The sans-I/O protocol core of the ADAMANT reproduction.
 //!
-//! The ANT transports (UDP, NAKcast, ACKcast, Ricochet, Slingshot) are
+//! The ANT transports (UDP, NAKcast, Ricochet, StreamCast, ShmCast) are
 //! written against this crate as pure state machines: they implement
 //! [`ProtocolCore`], consuming typed [`Input`]s and emitting typed
 //! [`Effect`]s through an [`Env`]. Everything runtime-specific — sockets,

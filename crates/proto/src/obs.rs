@@ -157,7 +157,7 @@ pub enum ObsEvent {
         /// Application sequence number.
         seq: u64,
     },
-    /// A NAKcast/ACKcast receiver sent a NAK round.
+    /// A NAKcast receiver sent a NAK round.
     NakSent {
         /// The NAKing receiver.
         node: NodeId,
@@ -179,14 +179,13 @@ pub enum ObsEvent {
         /// The retransmitted sequence.
         seq: u64,
     },
-    /// A Ricochet receiver flushed an XOR repair window (or a Slingshot
-    /// receiver forwarded proactive copies).
+    /// A Ricochet receiver flushed an XOR repair window.
     RepairSent {
         /// The repairing node.
         node: NodeId,
         /// Peers the repair was sent to.
         copies: u32,
-        /// Packets XORed into the repair (1 for Slingshot copies).
+        /// Packets XORed into the repair.
         span: u32,
     },
     /// A Ricochet receiver reconstructed a missing packet from a repair.

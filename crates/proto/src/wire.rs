@@ -82,15 +82,6 @@ pub struct FinMsg {
     pub total: u64,
 }
 
-/// A cumulative acknowledgement with an explicit missing list (ACKcast).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AckMsg {
-    /// All sequences below this are delivered except those in `missing`.
-    pub below: u64,
-    /// Sequences below `below` not yet received.
-    pub missing: Vec<u64>,
-}
-
 /// A group-membership heartbeat from a receiver (failure detection).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MembershipMsg {
@@ -162,8 +153,8 @@ pub struct StreamSynAckMsg {
 }
 
 /// A StreamCast cumulative acknowledgement: every sequence below `cum_ack`
-/// has been received in order. Unlike [`AckMsg`] there is no missing list —
-/// loss shows up as duplicate ACKs, TCP-style.
+/// has been received in order. There is no missing list — loss shows up
+/// as duplicate ACKs, TCP-style.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamAckMsg {
     /// All sequences `< cum_ack` are received and delivered in order.
@@ -197,12 +188,8 @@ pub enum WireMsg {
     Heartbeat(HeartbeatMsg),
     /// An end-of-stream marker.
     Fin(FinMsg),
-    /// A cumulative acknowledgement (ACKcast).
-    Ack(AckMsg),
     /// A receiver membership heartbeat (Ricochet failure detection).
     Membership(MembershipMsg),
-    /// A proactively forwarded copy of a data sample (Slingshot).
-    Forwarded(DataMsg),
     /// A participant discovery announcement (dds layer).
     Discovery(Arc<DiscoveryMsg>),
     /// A durable writer's retained-history advertisement.
@@ -224,9 +211,9 @@ const KIND_NAK: u8 = 2;
 const KIND_REPAIR: u8 = 3;
 const KIND_HEARTBEAT: u8 = 4;
 const KIND_FIN: u8 = 5;
-const KIND_ACK: u8 = 6;
+// Kinds 6 and 8 were two retired transports' ACK and forwarded copy; they
+// decode to `None` like any unknown kind.
 const KIND_MEMBERSHIP: u8 = 7;
-const KIND_FORWARDED: u8 = 8;
 const KIND_DISCOVERY: u8 = 9;
 const KIND_DURABLE_HEARTBEAT: u8 = 10;
 const KIND_DURABLE_NAK: u8 = 11;
@@ -326,10 +313,6 @@ impl WireMsg {
                 buf.push(KIND_DATA);
                 data_body(buf, m);
             }
-            WireMsg::Forwarded(m) => {
-                buf.push(KIND_FORWARDED);
-                data_body(buf, m);
-            }
             WireMsg::Nak(m) => {
                 buf.push(KIND_NAK);
                 put_u32(buf, m.seqs.len() as u32);
@@ -358,14 +341,6 @@ impl WireMsg {
             WireMsg::Fin(m) => {
                 buf.push(KIND_FIN);
                 put_u64(buf, m.total);
-            }
-            WireMsg::Ack(m) => {
-                buf.push(KIND_ACK);
-                put_u64(buf, m.below);
-                put_u32(buf, m.missing.len() as u32);
-                for &seq in &m.missing {
-                    put_u64(buf, seq);
-                }
             }
             WireMsg::Membership(m) => {
                 buf.push(KIND_MEMBERSHIP);
@@ -429,7 +404,6 @@ impl WireMsg {
         let kind = r.u8()?;
         let msg = match kind {
             KIND_DATA => WireMsg::Data(read_data_body(&mut r)?),
-            KIND_FORWARDED => WireMsg::Forwarded(read_data_body(&mut r)?),
             KIND_NAK => {
                 let count = r.count(8)?;
                 let mut seqs = Vec::with_capacity(count);
@@ -456,15 +430,6 @@ impl WireMsg {
                 WireMsg::Heartbeat(HeartbeatMsg { highest_seq })
             }
             KIND_FIN => WireMsg::Fin(FinMsg { total: r.u64()? }),
-            KIND_ACK => {
-                let below = r.u64()?;
-                let count = r.count(8)?;
-                let mut missing = Vec::with_capacity(count);
-                for _ in 0..count {
-                    missing.push(r.u64()?);
-                }
-                WireMsg::Ack(AckMsg { below, missing })
-            }
             KIND_MEMBERSHIP => WireMsg::Membership(MembershipMsg { epoch: r.u64()? }),
             KIND_DURABLE_HEARTBEAT => WireMsg::DurableHeartbeat(DurableHeartbeatMsg {
                 first_seq: r.u64()?,
@@ -919,11 +884,6 @@ mod tests {
             published_at: TimePoint::from_micros(5),
             retransmission: true,
         }));
-        round_trip(WireMsg::Forwarded(DataMsg {
-            seq: 2,
-            published_at: TimePoint::from_micros(1),
-            retransmission: false,
-        }));
         round_trip(WireMsg::Nak(NakMsg {
             seqs: vec![1, 5, 9],
         }));
@@ -939,10 +899,6 @@ mod tests {
         }));
         round_trip(WireMsg::Heartbeat(HeartbeatMsg { highest_seq: None }));
         round_trip(WireMsg::Fin(FinMsg { total: 100 }));
-        round_trip(WireMsg::Ack(AckMsg {
-            below: 12,
-            missing: vec![3, 4],
-        }));
         round_trip(WireMsg::Membership(MembershipMsg { epoch: 42 }));
         round_trip(WireMsg::Discovery(Arc::new(DiscoveryMsg {
             participant_id: 3,
@@ -1002,6 +958,22 @@ mod tests {
     }
 
     #[test]
+    fn retired_kinds_decode_to_nothing() {
+        // Kind 6 (a cumulative ACK with an empty missing list) and kind 8
+        // (a forwarded data copy), each well formed for its old layout.
+        let mut ack = vec![6u8];
+        ack.extend_from_slice(&12u64.to_le_bytes());
+        ack.extend_from_slice(&0u32.to_le_bytes());
+        let mut forwarded = vec![8u8];
+        forwarded.extend_from_slice(&2u64.to_le_bytes());
+        forwarded.extend_from_slice(&1_000u64.to_le_bytes());
+        forwarded.push(0);
+        for bytes in [ack, forwarded] {
+            assert_eq!(WireMsg::decode(&bytes), None, "kind {}", bytes[0]);
+        }
+    }
+
+    #[test]
     fn hostile_length_prefix_does_not_allocate_unbounded() {
         // A NAK frame claiming u32::MAX sequences but carrying none.
         let mut bytes = vec![2u8];
@@ -1031,8 +1003,9 @@ mod tests {
         assert!(WireMsg::decode(&nak).is_none());
         // Repair claiming 1<<20 16-byte entries with an empty body.
         assert!(WireMsg::decode(&counted(KIND_REPAIR, &[], 1 << 20, &[])).is_none());
-        // ACK: valid `below`, hostile missing-count, no missing list.
-        let ack = counted(KIND_ACK, &3u64.to_le_bytes(), 1 << 20, &[]);
+        // ACK (the retired kind 6): valid `below`, hostile missing-count,
+        // no missing list.
+        let ack = counted(6, &3u64.to_le_bytes(), 1 << 20, &[]);
         assert!(WireMsg::decode(&ack).is_none());
         // Durable NAK with the same shape.
         assert!(WireMsg::decode(&counted(KIND_DURABLE_NAK, &[], 1 << 20, &[])).is_none());

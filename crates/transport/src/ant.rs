@@ -10,7 +10,6 @@ use adamant_metrics::QosReport;
 use adamant_netsim::{Agent, GroupId, HostConfig, NodeId, SimDriver, SimDuration, Simulation};
 use adamant_proto::ProtocolCore;
 
-use crate::ackcast::{AckcastReceiver, AckcastSender};
 use crate::config::{ProtocolKind, TransportConfig};
 use crate::failover::NakcastStandby;
 use crate::nakcast::{NakcastReceiver, NakcastSender};
@@ -18,7 +17,6 @@ use crate::profile::{AppSpec, StackProfile};
 use crate::receiver::DataReader;
 use crate::ricochet::{RicochetReceiver, RicochetSender};
 use crate::shmcast::{ShmCastReceiver, ShmCastSender};
-use crate::slingshot::{SlingshotReceiver, SlingshotSender};
 use crate::streamcast::{StreamCastReceiver, StreamCastSender};
 use crate::tags;
 use crate::udp::{UdpReceiver, UdpSender};
@@ -75,12 +73,6 @@ fn sender_agent(spec: &SessionSpec, group: GroupId) -> Box<dyn Agent> {
         ProtocolKind::Ricochet { .. } => Box::new(SimDriver::new(RicochetSender::new(
             app, stack, tuning, group,
         ))),
-        ProtocolKind::Ackcast { .. } => Box::new(SimDriver::new(AckcastSender::new(
-            app, stack, tuning, group,
-        ))),
-        ProtocolKind::Slingshot { .. } => Box::new(SimDriver::new(SlingshotSender::new(
-            app, stack, tuning, group,
-        ))),
         ProtocolKind::StreamCast { window } => Box::new(SimDriver::new(StreamCastSender::new(
             app, stack, tuning, group, window,
         ))),
@@ -110,22 +102,6 @@ fn receiver_agent(spec: &SessionSpec, sender: NodeId, group: GroupId) -> Box<dyn
             app.total_samples,
             app.payload_bytes,
             r,
-            c,
-            tuning,
-            spec.drop_probability,
-        )),
-        ProtocolKind::Ackcast { rto } => spec.mount(AckcastReceiver::new(
-            sender,
-            app.total_samples,
-            rto,
-            tuning,
-            spec.drop_probability,
-        )),
-        ProtocolKind::Slingshot { c } => spec.mount(SlingshotReceiver::new(
-            sender,
-            group,
-            app.total_samples,
-            app.payload_bytes,
             c,
             tuning,
             spec.drop_probability,
@@ -293,14 +269,6 @@ pub fn published_count(sim: &Simulation, handles: &SessionHandles) -> u64 {
             .agent::<RicochetSender>(node)
             .expect("sender")
             .published(),
-        ProtocolKind::Ackcast { .. } => sim
-            .agent::<AckcastSender>(node)
-            .expect("sender")
-            .published(),
-        ProtocolKind::Slingshot { .. } => sim
-            .agent::<SlingshotSender>(node)
-            .expect("sender")
-            .published(),
         ProtocolKind::StreamCast { .. } => sim
             .agent::<StreamCastSender>(node)
             .expect("sender")
@@ -332,8 +300,6 @@ pub fn reader<'a>(
         ProtocolKind::Udp => get::<UdpReceiver>(sim, node),
         ProtocolKind::Nakcast { .. } => get::<NakcastReceiver>(sim, node),
         ProtocolKind::Ricochet { .. } => get::<RicochetReceiver>(sim, node),
-        ProtocolKind::Ackcast { .. } => get::<AckcastReceiver>(sim, node),
-        ProtocolKind::Slingshot { .. } => get::<SlingshotReceiver>(sim, node),
         ProtocolKind::StreamCast { .. } => get::<StreamCastReceiver>(sim, node),
         ProtocolKind::ShmCast { .. } => get::<ShmCastReceiver>(sim, node),
     }
@@ -358,8 +324,6 @@ pub fn reader_mut<'a>(
         ProtocolKind::Udp => get::<UdpReceiver>(sim, node),
         ProtocolKind::Nakcast { .. } => get::<NakcastReceiver>(sim, node),
         ProtocolKind::Ricochet { .. } => get::<RicochetReceiver>(sim, node),
-        ProtocolKind::Ackcast { .. } => get::<AckcastReceiver>(sim, node),
-        ProtocolKind::Slingshot { .. } => get::<SlingshotReceiver>(sim, node),
         ProtocolKind::StreamCast { .. } => get::<StreamCastReceiver>(sim, node),
         ProtocolKind::ShmCast { .. } => get::<ShmCastReceiver>(sim, node),
     }
@@ -427,9 +391,6 @@ mod tests {
                 timeout: SimDuration::from_millis(1),
             },
             ProtocolKind::Ricochet { r: 4, c: 3 },
-            ProtocolKind::Ackcast {
-                rto: SimDuration::from_millis(20),
-            },
         ] {
             let report = run(kind, 3);
             assert_eq!(report.receivers, 3);

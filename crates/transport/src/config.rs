@@ -2,6 +2,7 @@
 //! ANT framework (and ADAMANT's machine-learning selector) operates on.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use adamant_proto::Span;
 
@@ -9,8 +10,10 @@ use adamant_proto::Span;
 ///
 /// These are the QoS mechanisms the ADAMANT paper evaluates: NAKcast with
 /// four NAK-timeout settings and Ricochet with two `(R, C)` settings, plus
-/// plain UDP multicast and an ACK-based reliable multicast as baselines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// plain UDP multicast as a baseline, and the two transports the widened
+/// choice space adds: StreamCast for lossy wide-area paths and ShmCast for
+/// same-host deployments.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProtocolKind {
     /// Best-effort UDP multicast: no recovery at all.
     Udp,
@@ -28,19 +31,6 @@ pub enum ProtocolKind {
         /// Packets received before a repair packet is emitted.
         r: u8,
         /// Receivers each repair packet is sent to.
-        c: u8,
-    },
-    /// ACK-based reliable multicast: receivers ACK in windows; the sender
-    /// retransmits anything unacknowledged after `rto`.
-    Ackcast {
-        /// Sender retransmission timeout.
-        rto: Span,
-    },
-    /// Slingshot-style proactive replication (Balakrishnan et al., NCA
-    /// 2005): receivers forward a copy of every received packet to `c`
-    /// random peers. Lowest recovery latency, highest repair bandwidth.
-    Slingshot {
-        /// Peers each packet copy is forwarded to.
         c: u8,
     },
     /// TCP-like reliable ordered stream for WAN/cross-AZ paths: receiver-
@@ -91,8 +81,6 @@ impl ProtocolKind {
                 format!("nakcast-{:.3}s", timeout.as_secs_f64())
             }
             ProtocolKind::Ricochet { r, c } => format!("ricochet-r{r}c{c}"),
-            ProtocolKind::Ackcast { rto } => format!("ackcast-{:.3}s", rto.as_secs_f64()),
-            ProtocolKind::Slingshot { c } => format!("slingshot-c{c}"),
             ProtocolKind::StreamCast { window } => format!("streamcast-w{window}"),
             ProtocolKind::ShmCast { queue } => format!("shmcast-q{queue}"),
         }
@@ -104,14 +92,13 @@ impl ProtocolKind {
     /// carry its parameters (nanosecond timeouts fit comfortably — the
     /// paper's settings are all under a second). The encoding is stable so
     /// golden traces survive refactors, and [`ProtocolKind::from_code`]
-    /// round-trips it.
+    /// round-trips it. Families 3 and 4 belonged to two retired transports
+    /// (an ACK-window multicast and proactive replication) and stay unused.
     pub fn code(&self) -> u64 {
         match self {
             ProtocolKind::Udp => 0,
             ProtocolKind::Nakcast { timeout } => (1 << 56) | timeout.as_nanos(),
             ProtocolKind::Ricochet { r, c } => (2 << 56) | (u64::from(*r) << 8) | u64::from(*c),
-            ProtocolKind::Ackcast { rto } => (3 << 56) | rto.as_nanos(),
-            ProtocolKind::Slingshot { c } => (4 << 56) | u64::from(*c),
             ProtocolKind::StreamCast { window } => (5 << 56) | u64::from(*window),
             ProtocolKind::ShmCast { queue } => (6 << 56) | u64::from(*queue),
         }
@@ -127,12 +114,6 @@ impl ProtocolKind {
             }),
             2 => Some(ProtocolKind::Ricochet {
                 r: ((payload >> 8) & 0xff) as u8,
-                c: (payload & 0xff) as u8,
-            }),
-            3 => Some(ProtocolKind::Ackcast {
-                rto: Span::from_nanos(payload),
-            }),
-            4 => Some(ProtocolKind::Slingshot {
                 c: (payload & 0xff) as u8,
             }),
             5 => Some(ProtocolKind::StreamCast {
@@ -168,21 +149,6 @@ impl ProtocolKind {
                 fault_detection: true,
                 ..ProtocolProperties::default()
             },
-            ProtocolKind::Ackcast { .. } => ProtocolProperties {
-                multicast: true,
-                packet_tracking: true,
-                ack_reliability: true,
-                flow_control: true,
-                group_membership: true,
-                ..ProtocolProperties::default()
-            },
-            ProtocolKind::Slingshot { .. } => ProtocolProperties {
-                multicast: true,
-                packet_tracking: true,
-                lateral_error_correction: true,
-                group_membership: true,
-                ..ProtocolProperties::default()
-            },
             ProtocolKind::StreamCast { .. } => ProtocolProperties {
                 multicast: true,
                 packet_tracking: true,
@@ -203,6 +169,27 @@ impl ProtocolKind {
     }
 }
 
+/// Hashes as the derived impl did while the two retired families were
+/// variants 3 and 4: the family number of [`ProtocolKind::code`] as the
+/// discriminant, then the fields in declaration order. A run's seed is a
+/// hash of its protocol, so a derived hash over the current variants would
+/// renumber StreamCast and ShmCast and reseed every run of them.
+impl Hash for ProtocolKind {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        ((self.code() >> 56) as isize).hash(state);
+        match self {
+            ProtocolKind::Udp => {}
+            ProtocolKind::Nakcast { timeout } => timeout.hash(state),
+            ProtocolKind::Ricochet { r, c } => {
+                r.hash(state);
+                c.hash(state);
+            }
+            ProtocolKind::StreamCast { window } => window.hash(state),
+            ProtocolKind::ShmCast { queue } => queue.hash(state),
+        }
+    }
+}
+
 impl fmt::Display for ProtocolKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -211,8 +198,6 @@ impl fmt::Display for ProtocolKind {
                 write!(f, "NAKcast {:.3}", timeout.as_secs_f64())
             }
             ProtocolKind::Ricochet { r, c } => write!(f, "Ricochet R{r} C{c}"),
-            ProtocolKind::Ackcast { rto } => write!(f, "ACKcast {:.3}", rto.as_secs_f64()),
-            ProtocolKind::Slingshot { c } => write!(f, "Slingshot C{c}"),
             ProtocolKind::StreamCast { window } => write!(f, "StreamCast W{window}"),
             ProtocolKind::ShmCast { queue } => write!(f, "ShmCast Q{queue}"),
         }
@@ -258,7 +243,7 @@ pub struct ProtocolProperties {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Tuning {
     /// Interval between sender session heartbeats (carrying the highest
-    /// sequence sent) that bound NAKcast/ACKcast gap-detection delay.
+    /// sequence sent) that bound NAKcast gap-detection delay.
     pub heartbeat_interval: Span,
     /// Give-up bound on NAK retries per missing packet.
     pub nak_max_retries: u32,
@@ -271,12 +256,6 @@ pub struct Tuning {
     /// How many unresolved repair packets a Ricochet receiver retains for
     /// iterative decoding.
     pub ricochet_pending_repairs: usize,
-    /// ACKcast window size (samples per ACK round).
-    pub ack_window: u32,
-    /// ACKcast retransmission flow control: token-bucket burst size.
-    pub ack_retx_burst: f64,
-    /// ACKcast retransmission flow control: sustained tokens per second.
-    pub ack_retx_rate_per_sec: f64,
     /// Interval between receiver membership heartbeats (Ricochet failure
     /// detection); heartbeats stop once the stream ends.
     pub membership_interval: Span,
@@ -342,12 +321,6 @@ impl Tuning {
         self
     }
 
-    /// Replaces the ACKcast window size (builder-style).
-    pub fn with_ack_window(mut self, window: u32) -> Self {
-        self.ack_window = window;
-        self
-    }
-
     /// Replaces the receiver membership-heartbeat interval (builder-style).
     pub fn with_membership_interval(mut self, interval: Span) -> Self {
         self.membership_interval = interval;
@@ -388,9 +361,6 @@ impl Default for Tuning {
             ricochet_flush: Span::from_millis(5),
             ricochet_store: 1024,
             ricochet_pending_repairs: 64,
-            ack_window: 16,
-            ack_retx_burst: 32.0,
-            ack_retx_rate_per_sec: 2_000.0,
             membership_interval: Span::from_millis(500),
             membership_timeout_factor: 3,
             os_packet_cost_us: 15.0,
@@ -477,13 +447,6 @@ mod tests {
             ProtocolKind::Ricochet { r: 4, c: 3 }.to_string(),
             "Ricochet R4 C3"
         );
-        assert_eq!(
-            ProtocolKind::Ackcast {
-                rto: Span::from_millis(20)
-            }
-            .label(),
-            "ackcast-0.020s"
-        );
     }
 
     #[test]
@@ -500,12 +463,6 @@ mod tests {
 
         let udp = ProtocolKind::Udp.properties();
         assert!(udp.multicast && !udp.packet_tracking);
-
-        let ack = ProtocolKind::Ackcast {
-            rto: Span::from_millis(20),
-        }
-        .properties();
-        assert!(ack.ack_reliability && ack.flow_control);
     }
 
     #[test]
@@ -516,10 +473,6 @@ mod tests {
                 timeout: Span::from_millis(25),
             },
             ProtocolKind::Ricochet { r: 8, c: 3 },
-            ProtocolKind::Ackcast {
-                rto: Span::from_millis(20),
-            },
-            ProtocolKind::Slingshot { c: 2 },
             ProtocolKind::StreamCast { window: 64 },
             ProtocolKind::ShmCast { queue: 256 },
         ];
@@ -529,8 +482,11 @@ mod tests {
         }
         codes.sort_unstable();
         codes.dedup();
-        assert_eq!(codes.len(), 7, "codes must be distinct");
+        assert_eq!(codes.len(), 5, "codes must be distinct");
         assert_eq!(ProtocolKind::from_code(99 << 56), None);
+        // The retired families decode to nothing.
+        assert_eq!(ProtocolKind::from_code((3 << 56) | 20_000_000), None);
+        assert_eq!(ProtocolKind::from_code((4 << 56) | 2), None);
         // Family codes are pinned: discovery ads and golden traces carry
         // them, so they must never shift between releases.
         assert_eq!(

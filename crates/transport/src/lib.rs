@@ -10,8 +10,6 @@
 //! * [`NAKcast`](NakcastReceiver) — NAK-based reliable ordered multicast
 //!   with a tunable NAK timeout.
 //! * [`UDP multicast`](UdpReceiver) — the best-effort baseline.
-//! * [`ACKcast`](AckcastReceiver) — an ACK-window reliable multicast
-//!   baseline.
 //! * [`StreamCast`](StreamCastReceiver) — a TCP-like reliable ordered
 //!   byte-stream transport (handshake, cumulative ACKs, adaptive RTO,
 //!   windowed flow control) for lossy wide-area paths.
@@ -53,32 +51,26 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod ackcast;
 pub mod ant;
 mod config;
 mod failover;
-mod flow;
 mod nakcast;
 mod profile;
 mod publisher;
 mod receiver;
 mod ricochet;
 mod shmcast;
-mod slingshot;
 mod streamcast;
 pub mod tags;
 mod udp;
 
-pub use ackcast::{AckcastReceiver, AckcastSender};
 pub use ant::{SessionHandles, SessionSpec};
 pub use config::{ProtocolKind, ProtocolProperties, TransportConfig, Tuning};
 pub use failover::NakcastStandby;
-pub use flow::TokenBucket;
 pub use nakcast::{nakcast_recovery_bound, NakcastReceiver, NakcastSender};
 pub use profile::{AppSpec, StackProfile};
 pub use receiver::{DataReader, ProtocolStats, Reception};
 pub use ricochet::{RicochetReceiver, RicochetSender};
 pub use shmcast::{ShmCastReceiver, ShmCastSender, SHM_FRAMING_BYTES};
-pub use slingshot::{SlingshotReceiver, SlingshotSender};
 pub use streamcast::{StreamCastReceiver, StreamCastSender};
 pub use udp::{UdpReceiver, UdpSender};

@@ -11,11 +11,11 @@ use adamant_proto::{Env, Insert, ObsEvent, TimePoint};
 pub struct ProtocolStats {
     /// NAK packets sent (NAKcast).
     pub naks_sent: u64,
-    /// ACK packets or credit grants sent (ACKcast, StreamCast, ShmCast).
+    /// ACK packets or credit grants sent (StreamCast, ShmCast).
     pub acks_sent: u64,
-    /// Repair/copy packets sent to peers (Ricochet, Slingshot).
+    /// Repair packets sent to peers (Ricochet).
     pub repairs_sent: u64,
-    /// Repair/copy packets received from peers (Ricochet, Slingshot).
+    /// Repair packets received from peers (Ricochet).
     pub repairs_received: u64,
     /// Samples delivered through a recovery path.
     pub recovered: u64,

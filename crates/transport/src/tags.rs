@@ -2,14 +2,12 @@
 
 /// Tag for original multicast data packets.
 pub const TAG_DATA: u16 = 1;
-/// Tag for unicast retransmissions of lost data (NAKcast / ACKcast).
+/// Tag for unicast retransmissions of lost data (NAKcast / StreamCast).
 pub const TAG_RETRANSMIT: u16 = 2;
 /// Tag for negative acknowledgements (receiver → sender).
 pub const TAG_NAK: u16 = 3;
 /// Tag for Ricochet lateral repair packets (receiver → receiver).
 pub const TAG_REPAIR: u16 = 4;
-/// Tag for positive acknowledgements (ACKcast).
-pub const TAG_ACK: u16 = 5;
 /// Tag for sender session heartbeats.
 pub const TAG_HEARTBEAT: u16 = 6;
 /// Tag for end-of-stream markers.
@@ -29,7 +27,6 @@ pub fn register_all(sim: &mut adamant_netsim::Simulation) {
     sim.register_tag(TAG_RETRANSMIT, "retransmit");
     sim.register_tag(TAG_NAK, "nak");
     sim.register_tag(TAG_REPAIR, "repair");
-    sim.register_tag(TAG_ACK, "ack");
     sim.register_tag(TAG_HEARTBEAT, "heartbeat");
     sim.register_tag(TAG_FIN, "fin");
     sim.register_tag(TAG_MEMBERSHIP, "membership");
@@ -64,7 +61,6 @@ mod tests {
             TAG_RETRANSMIT,
             TAG_NAK,
             TAG_REPAIR,
-            TAG_ACK,
             TAG_HEARTBEAT,
             TAG_FIN,
             TAG_MEMBERSHIP,

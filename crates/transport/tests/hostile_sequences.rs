@@ -19,10 +19,7 @@ use adamant_proto::{
     Effect, EnvHost, GroupId, Input, NodeId, ObsEvent, ProtocolCore, Span, TimePoint, WireMsg,
     RESYNC_AFTER, SPAN,
 };
-use adamant_transport::{
-    AckcastReceiver, DataReader, NakcastReceiver, RicochetReceiver, SlingshotReceiver, Tuning,
-    UdpReceiver,
-};
+use adamant_transport::{DataReader, NakcastReceiver, RicochetReceiver, Tuning, UdpReceiver};
 
 const PREFIX: u64 = 6;
 const HOSTILE: [u64; 3] = [1 << 40, u64::MAX - 1, u64::MAX];
@@ -92,20 +89,6 @@ fn nakcast_refuses_hostile_data_heartbeats_and_fins() {
 }
 
 #[test]
-fn ackcast_refuses_hostile_data() {
-    for seq in HOSTILE {
-        let rx = AckcastReceiver::new(NodeId(0), 100, Span::from_millis(5), Tuning::default(), 0.0);
-        let mut rx = refuses(rx, &data(seq));
-        // No missing entry was made: a FIN closing the real stream finds
-        // no gap to acknowledge.
-        let fin = WireMsg::Fin(FinMsg { total: PREFIX + 1 });
-        let effects = step(&mut EnvHost::new(NodeId(1), 8), &mut rx, 100, &fin);
-        assert!(effects.is_empty(), "{effects:?}");
-        assert_eq!(rx.protocol_stats().acks_sent, 0);
-    }
-}
-
-#[test]
 fn udp_refuses_hostile_data() {
     for seq in HOSTILE {
         refuses(UdpReceiver::new(100, 0.0), &data(seq));
@@ -154,18 +137,6 @@ fn ricochet_refuses_a_hostile_repair() {
     refuses_recovery(rx, &repair);
 }
 
-#[test]
-fn slingshot_refuses_a_hostile_copy() {
-    let rx = SlingshotReceiver::new(NodeId(0), GroupId(0), 100, 12, 2, Tuning::default(), 0.0);
-    let seq = HOSTILE[0];
-    let copy = WireMsg::Forwarded(DataMsg {
-        seq,
-        published_at: TimePoint::from_nanos(seq),
-        retransmission: false,
-    });
-    refuses_recovery(rx, &copy);
-}
-
 fn retransmitted(seq: u64) -> WireMsg {
     WireMsg::Data(DataMsg {
         seq,
@@ -211,11 +182,6 @@ fn readers_follow_a_stream_that_resumes_past_the_window() {
     // NAKcast holds the stream back until the refused frames are repaired,
     // then delivers all of it in order.
     let (resume, got) = resumes(&mut nakcast(), refused);
-    assert_eq!(got, (resume..resume + 20).collect::<Vec<_>>());
-    // ACKcast delivers as it hears, and the repairs after.
-    let mut rx = AckcastReceiver::new(NodeId(0), 100, Span::from_millis(5), Tuning::default(), 0.0);
-    let (resume, mut got) = resumes(&mut rx, refused);
-    got.sort_unstable();
     assert_eq!(got, (resume..resume + 20).collect::<Vec<_>>());
     // UDP repairs nothing: the refused frames are lost, the rest delivered.
     let (resume, got) = resumes(&mut UdpReceiver::new(100, 0.0), 0);

@@ -128,7 +128,7 @@ fn udp_matches_bernoulli_loss() {
 #[test]
 fn report_consistency() {
     let mut rng = CaseRng(34);
-    for kind_idx in 0usize..4 {
+    for kind_idx in 0usize..3 {
         for _ in 0..3 {
             let drop = rng.unit() * 0.1;
             let seed = rng.range_u64(0, 50);
@@ -138,9 +138,6 @@ fn report_consistency() {
                     timeout: SimDuration::from_millis(10),
                 },
                 ProtocolKind::Ricochet { r: 4, c: 3 },
-                ProtocolKind::Ackcast {
-                    rto: SimDuration::from_millis(20),
-                },
             ][kind_idx];
             let report = run(kind, 200, 100.0, 3, drop, seed);
             assert_eq!(report.samples_sent, 200);

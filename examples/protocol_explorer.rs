@@ -38,13 +38,9 @@ fn main() {
     println!("environment: {env}");
     println!("application: {app}\n");
 
-    // The six ANN candidates plus the two framework baselines.
+    // The six ANN candidates plus the best-effort baseline.
     let mut protocols: Vec<ProtocolKind> = ProtocolKind::paper_candidates().to_vec();
     protocols.push(ProtocolKind::Udp);
-    protocols.push(ProtocolKind::Ackcast {
-        rto: SimDuration::from_millis(20),
-    });
-    protocols.push(ProtocolKind::Slingshot { c: 2 });
 
     println!(
         "{:<18} {:>10} {:>10} {:>10} {:>12} {:>14}",
@@ -80,9 +76,9 @@ fn main() {
         results.push((*kind, relate2, relate2jit));
     }
 
-    // Rank only the ANN's candidate set: the UDP and ACKcast baselines are
-    // framework demonstrations (UDP's zero jitter is an artifact of a
-    // cross-traffic-free simulation and would degenerate ReLate2Jit).
+    // Rank only the ANN's candidate set: the UDP baseline is a framework
+    // demonstration (its zero jitter is an artifact of a cross-traffic-free
+    // simulation and would degenerate ReLate2Jit).
     let candidates = ProtocolKind::paper_candidates();
     let best_relate2 = results
         .iter()

@@ -43,9 +43,7 @@ fn reference_env(protocol: ProtocolKind) -> Environment {
 fn run_captured(scenario: &Scenario, transport: TransportConfig) -> (Simulation, SessionHandles) {
     let qos = match transport.kind {
         ProtocolKind::Udp => QosProfile::best_effort(),
-        ProtocolKind::Ricochet { .. }
-        | ProtocolKind::Ackcast { .. }
-        | ProtocolKind::Slingshot { .. } => QosProfile::time_critical(),
+        ProtocolKind::Ricochet { .. } => QosProfile::time_critical(),
         _ => QosProfile::reliable(),
     };
     let mut participant = DomainParticipant::new(0, scenario.env.dds);

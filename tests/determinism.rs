@@ -23,9 +23,6 @@ fn scenario_runs_are_reproducible() {
             timeout: SimDuration::from_millis(10),
         },
         ProtocolKind::Ricochet { r: 4, c: 3 },
-        ProtocolKind::Ackcast {
-            rto: SimDuration::from_millis(20),
-        },
     ] {
         let run = || {
             Scenario::paper(env(), AppParams::new(4, 50), 1234)

@@ -22,19 +22,13 @@ fn next(state: &mut u64) -> u64 {
 }
 
 fn random_protocol(state: &mut u64) -> ProtocolKind {
-    match next(state) % 5 {
+    match next(state) % 3 {
         0 => ProtocolKind::Udp,
         1 => ProtocolKind::Nakcast {
             timeout: SimDuration::from_millis(1 + next(state) % 50),
         },
-        2 => ProtocolKind::Ricochet {
+        _ => ProtocolKind::Ricochet {
             r: 3 + (next(state) % 4) as u8,
-            c: 2 + (next(state) % 3) as u8,
-        },
-        3 => ProtocolKind::Ackcast {
-            rto: SimDuration::from_millis(5 + next(state) % 40),
-        },
-        _ => ProtocolKind::Slingshot {
             c: 2 + (next(state) % 3) as u8,
         },
     }
