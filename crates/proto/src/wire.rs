@@ -211,8 +211,8 @@ const KIND_NAK: u8 = 2;
 const KIND_REPAIR: u8 = 3;
 const KIND_HEARTBEAT: u8 = 4;
 const KIND_FIN: u8 = 5;
-// Kinds 6 and 8 were two retired transports' ACK and forwarded copy; they
-// decode to `None` like any unknown kind.
+// Kinds 6 and 8 are retired and never reused: they decode to `None` like
+// any unknown kind.
 const KIND_MEMBERSHIP: u8 = 7;
 const KIND_DISCOVERY: u8 = 9;
 const KIND_DURABLE_HEARTBEAT: u8 = 10;

@@ -92,8 +92,8 @@ impl ProtocolKind {
     /// carry its parameters (nanosecond timeouts fit comfortably — the
     /// paper's settings are all under a second). The encoding is stable so
     /// golden traces survive refactors, and [`ProtocolKind::from_code`]
-    /// round-trips it. Families 3 and 4 belonged to two retired transports
-    /// (an ACK-window multicast and proactive replication) and stay unused.
+    /// round-trips it. Families 3 and 4 are retired and stay unused, so a
+    /// code in an older trace never names a different protocol.
     pub fn code(&self) -> u64 {
         match self {
             ProtocolKind::Udp => 0,
