@@ -11,16 +11,25 @@
 //! cells of `sim_grid`) lives, and only the faster rate fills a repair
 //! window before its flush timer fires.
 //!
+//! Those cells run 100 samples, so they never reach the paths that need a
+//! long stream or a long round trip: a Ricochet reader's packet-store
+//! maintenance (every 128 data packets) and store pruning (past 1 024
+//! packets), and a StreamCast reader's SYN retry (10 ms, shorter than a
+//! WAN round trip but longer than a LAN one). Two more cells reach them
+//! and are pinned the same way.
+//!
 //! If a PR changes behaviour *on purpose*, regenerate with
 //! `cargo test --test reference_cells -- --nocapture` and paste the printed
 //! table; the diff is then the visible record of what moved.
 
 use adamant::features::candidate_protocols;
 use adamant::{AppParams, BandwidthClass, Environment, Scenario};
-use adamant_dds::DdsImplementation;
-use adamant_netsim::MachineClass;
+use adamant_dds::{DdsImplementation, DomainParticipant, QosProfile};
+use adamant_netsim::{MachineClass, SimDuration, SimTime, Simulation};
 use adamant_proto::fingerprint_debug;
-use adamant_transport::{ProtocolKind, TransportConfig};
+use adamant_transport::{
+    ant, AppSpec, ProtocolKind, SessionHandles, StreamCastReceiver, TransportConfig,
+};
 
 /// `(label, receivers, rate_hz, report digest, events processed)`.
 const PINNED: &[(&str, u32, u32, u64, u64)] = &[
@@ -93,6 +102,141 @@ fn reference_cells_reproduce_pinned_digests_and_event_counts() {
             (got.0.as_str(), got.1, got.2, got.3, got.4),
             *want,
             "reference cell moved"
+        );
+    }
+}
+
+/// `(label, bandwidth, receivers, rate_hz, samples, report digest, events
+/// processed)` of the cells that reach the long-stream and long-round-trip
+/// paths.
+const PINNED_DEEP: &[(&str, BandwidthClass, u32, u32, u64, u64, u64)] = &[
+    (
+        "ricochet-r4c3",
+        BandwidthClass::Gbps1,
+        15,
+        100,
+        1200,
+        0x08c2e02a16d5ce2c,
+        168373,
+    ),
+    (
+        "streamcast-w64",
+        BandwidthClass::Wan50ms,
+        3,
+        25,
+        100,
+        0x77b6a4bcb7c9a7a5,
+        1599,
+    ),
+];
+
+/// `scenario` over `protocol`, installed and run as `Scenario::run_counted`
+/// does, keeping the simulation so the readers can be inspected.
+fn run_kept(scenario: &Scenario, protocol: ProtocolKind) -> (Simulation, SessionHandles) {
+    let qos = match protocol {
+        ProtocolKind::Ricochet { .. } => QosProfile::time_critical(),
+        _ => QosProfile::reliable(),
+    };
+    let mut participant = DomainParticipant::new(0, scenario.env.dds);
+    participant.set_capture(false);
+    let topic = participant
+        .create_topic::<[u8; 12]>("adamant/experiment", qos)
+        .unwrap();
+    let host = scenario.env.host_config();
+    let rate_hz = f64::from(scenario.app.rate_hz);
+    let app = AppSpec::at_rate(scenario.samples, rate_hz, 12);
+    participant
+        .create_data_writer(topic, qos, app, host)
+        .unwrap();
+    for _ in 0..scenario.app.receivers {
+        participant
+            .create_data_reader(topic, qos, host, scenario.env.drop_probability())
+            .unwrap();
+    }
+    let mut sim = Simulation::new(scenario.seed).with_network(scenario.env.network_config());
+    let handles = participant
+        .install(&mut sim, topic, TransportConfig::new(protocol))
+        .unwrap();
+    let publish_span = SimDuration::from_secs_f64(scenario.samples as f64 / rate_hz);
+    sim.run_until(SimTime::ZERO + publish_span + SimDuration::from_secs(3));
+    (sim, handles)
+}
+
+#[test]
+fn long_stream_and_wan_cells_reproduce_pinned_digests_and_event_counts() {
+    let cells = [
+        (
+            ProtocolKind::Ricochet { r: 4, c: 3 },
+            BandwidthClass::Gbps1,
+            15u32,
+            100u32,
+            1_200u64,
+        ),
+        (
+            ProtocolKind::StreamCast { window: 64 },
+            BandwidthClass::Wan50ms,
+            3,
+            25,
+            100,
+        ),
+    ];
+    let mut measured = Vec::new();
+    for (protocol, bandwidth, receivers, rate_hz, samples) in cells {
+        let env = Environment::new(
+            MachineClass::Pc3000,
+            bandwidth,
+            DdsImplementation::OpenSplice,
+            5,
+        );
+        let scenario =
+            Scenario::paper(env, AppParams::new(receivers, rate_hz), 42).with_samples(samples);
+        let (report, events) = scenario.run_counted(TransportConfig::new(protocol));
+
+        // The cell reaches the path it is here for.
+        let (sim, handles) = run_kept(&scenario, protocol);
+        match protocol {
+            ProtocolKind::Ricochet { .. } => assert!(
+                handles
+                    .receivers
+                    .iter()
+                    .all(|&node| ant::reader(&sim, &handles, node)
+                        .reception()
+                        .log()
+                        .delivered_count()
+                        > 1_024),
+                "every Ricochet reader's store must overflow"
+            ),
+            _ => assert!(
+                handles.receivers.iter().any(|&node| sim
+                    .agent::<StreamCastReceiver>(node)
+                    .unwrap()
+                    .syns_sent()
+                    > 1),
+                "some StreamCast reader must retry its SYN"
+            ),
+        }
+
+        measured.push((
+            protocol.label(),
+            bandwidth,
+            receivers,
+            rate_hz,
+            samples,
+            fingerprint_debug(&report),
+            events,
+        ));
+    }
+    for (label, bandwidth, receivers, rate_hz, samples, digest, events) in &measured {
+        println!(
+            "    (\"{label}\", BandwidthClass::{bandwidth:?}, {receivers}, {rate_hz}, {samples}, {digest:#018x}, {events}),"
+        );
+    }
+    assert_eq!(measured.len(), PINNED_DEEP.len());
+    for (got, want) in measured.iter().zip(PINNED_DEEP) {
+        assert_eq!(
+            (got.0.as_str(), got.1, got.2, got.3, got.4, got.5, got.6),
+            *want,
+            "deep reference cell moved"
         );
     }
 }
