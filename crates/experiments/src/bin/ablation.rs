@@ -13,8 +13,12 @@
 //! 3. `fec_maintenance_cost` — the LEC stall vs. the Fig 11 crossover.
 //! 4. Metric family — which protocol each composite metric (including the
 //!    extended ReLate2Burst / ReLate2Net) would pick per environment.
+//!
+//! Each winner is labelled as the training data is: two scores within
+//! [`LABEL_MARGIN`] of each other go to NAKcast, the candidate that sorts
+//! first in `candidate_protocols()`.
 
-use adamant::{AppParams, Environment};
+use adamant::{best_class_with_margin, AppParams, Environment, LABEL_MARGIN};
 use adamant_experiments::figures::{fast_environment, headline_protocols, slow_environment};
 use adamant_experiments::{run_all, RunSpec};
 use adamant_metrics::{MetricKind, QosReport};
@@ -50,11 +54,7 @@ fn duel(
 }
 
 fn winner(nak: f64, ric: f64) -> &'static str {
-    if ric < nak {
-        "Ricochet"
-    } else {
-        "NAKcast"
-    }
+    ["NAKcast", "Ricochet"][best_class_with_margin(&[nak, ric], LABEL_MARGIN)]
 }
 
 fn main() {
