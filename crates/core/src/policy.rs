@@ -32,7 +32,7 @@ use adamant_ann::{train_with_validation, Activation, NeuralNetwork, TrainParams}
 use adamant_dds::{DomainParticipant, QosProfile};
 use adamant_metrics::{Delivery, MetricKind, QosAccumulator, QosReport, WindowQos};
 use adamant_netsim::{FaultPlan, MemorySink, ObsEvent, SimDuration, SimTime, Simulation};
-use adamant_transport::{ant, AppSpec, TransportConfig};
+use adamant_transport::{ant, AppSpec, TransportConfig, PAPER_PAYLOAD_BYTES};
 
 use crate::dataset::{best_class_with_margin, DatasetRow, LabeledDataset, LABEL_MARGIN};
 use crate::env::{AppParams, Environment};
@@ -458,8 +458,6 @@ pub struct StreamConfig {
     /// Samples the writer publishes over the whole session, switches
     /// included.
     pub samples: u64,
-    /// Payload bytes per sample.
-    pub payload_bytes: u32,
     /// Simulation seed.
     pub seed: u64,
     /// Monitoring window length.
@@ -471,14 +469,13 @@ pub struct StreamConfig {
 }
 
 impl StreamConfig {
-    /// A stream with the standard defaults: 12-byte payloads, 1 s windows,
-    /// 3 s grace, no trace capture.
+    /// A stream of the paper's 12-byte samples with the standard defaults:
+    /// 1 s windows, 3 s grace, no trace capture.
     pub fn new(env: Environment, app: AppParams, samples: u64, seed: u64) -> Self {
         StreamConfig {
             env,
             app,
             samples,
-            payload_bytes: 12,
             seed,
             window: SimDuration::from_secs(1),
             grace: SimDuration::from_secs(3),
@@ -502,12 +499,6 @@ impl StreamConfig {
     /// Overrides the post-publication grace period.
     pub fn with_grace(mut self, grace: SimDuration) -> Self {
         self.grace = grace;
-        self
-    }
-
-    /// Overrides the payload size.
-    pub fn with_payload_bytes(mut self, payload_bytes: u32) -> Self {
-        self.payload_bytes = payload_bytes;
         self
     }
 }
@@ -643,7 +634,7 @@ impl AdaptivePolicy {
             .create_data_writer(
                 topic,
                 qos,
-                AppSpec::at_rate(cfg.samples, cfg.app.rate_hz as f64, cfg.payload_bytes),
+                AppSpec::at_rate(cfg.samples, cfg.app.rate_hz as f64, PAPER_PAYLOAD_BYTES),
                 host,
             )
             .expect("topic has no writer yet");

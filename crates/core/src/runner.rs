@@ -5,7 +5,7 @@
 use adamant_dds::{DomainParticipant, QosProfile};
 use adamant_metrics::QosReport;
 use adamant_netsim::{SimDuration, Simulation};
-use adamant_transport::{ant, AppSpec, ProtocolKind, TransportConfig};
+use adamant_transport::{ant, AppSpec, ProtocolKind, TransportConfig, PAPER_PAYLOAD_BYTES};
 
 use crate::env::{AppParams, Environment};
 
@@ -19,8 +19,6 @@ pub struct Scenario {
     pub app: AppParams,
     /// Samples the data writer publishes (20 000 in the paper).
     pub samples: u64,
-    /// Payload bytes per sample (12 in the paper).
-    pub payload_bytes: u32,
     /// Simulation seed; repetitions use consecutive seeds.
     pub seed: u64,
 }
@@ -32,7 +30,6 @@ impl Scenario {
             env,
             app,
             samples: 20_000,
-            payload_bytes: 12,
             seed,
         }
     }
@@ -90,7 +87,7 @@ impl Scenario {
             .create_data_writer(
                 topic,
                 qos,
-                AppSpec::at_rate(self.samples, self.app.rate_hz as f64, self.payload_bytes),
+                AppSpec::at_rate(self.samples, self.app.rate_hz as f64, PAPER_PAYLOAD_BYTES),
                 host,
             )
             .expect("topic has no writer yet");

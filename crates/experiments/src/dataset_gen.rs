@@ -194,22 +194,6 @@ pub fn generate_default(progress: &mut dyn FnMut(usize, usize)) -> LabeledDatase
     )
 }
 
-/// Generates the widened v2 dataset (paper subset + WAN + same-host)
-/// with the paper-scale defaults.
-pub fn generate_v2_default(progress: &mut dyn FnMut(usize, usize)) -> LabeledDataset {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    generate_over(
-        &dataset_grid_v2(),
-        LABEL_SAMPLES,
-        REPETITIONS,
-        threads,
-        Tuning::default(),
-        progress,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -154,11 +154,6 @@ pub struct McConfig {
     /// giving scenarios with forever-re-arming timers (durable adverts) a
     /// finite quiescent frontier.
     pub horizon: Option<TimePoint>,
-    /// Deliver same-(src,dst) messages in send order (UDP on one LAN path
-    /// reorders rarely; FIFO links are the classic partial-order
-    /// reduction and shrink the state space enormously). Cross-link
-    /// interleavings, drops, and duplicates are still explored.
-    pub fifo_links: bool,
 }
 
 impl Default for McConfig {
@@ -170,7 +165,6 @@ impl Default for McConfig {
             max_drops: 0,
             max_dups: 0,
             horizon: None,
-            fifo_links: true,
         }
     }
 }
@@ -209,12 +203,6 @@ impl McConfig {
     /// Sets the virtual-time horizon (builder-style).
     pub fn with_horizon(mut self, horizon: TimePoint) -> Self {
         self.horizon = Some(horizon);
-        self
-    }
-
-    /// Enables or disables FIFO link discipline (builder-style).
-    pub fn with_fifo_links(mut self, fifo: bool) -> Self {
-        self.fifo_links = fifo;
         self
     }
 }

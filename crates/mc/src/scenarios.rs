@@ -76,7 +76,7 @@ fn stream_sender(samples: u64) -> StreamCastSender {
 }
 
 fn stream_receiver(samples: u64) -> StreamCastReceiver {
-    StreamCastReceiver::new(NodeId(0), samples, 4, stream_tuning(), 0.0)
+    StreamCastReceiver::new(NodeId(0), samples, 4, 0.0)
 }
 
 /// 1 writer, 2 readers, StreamCast (window 4), `samples` samples at

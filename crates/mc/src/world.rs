@@ -144,7 +144,6 @@ pub struct World {
     drops_left: u32,
     dups_left: u32,
     horizon: Option<TimePoint>,
-    fifo_links: bool,
     trace: Vec<TracedEvent>,
     scratch: Vec<Effect>,
 }
@@ -165,7 +164,6 @@ impl World {
             drops_left: cfg.max_drops,
             dups_left: cfg.max_dups,
             horizon: cfg.horizon,
-            fifo_links: cfg.fifo_links,
             trace: Vec::new(),
             scratch: Vec::new(),
         };
@@ -194,11 +192,6 @@ impl World {
     /// The trace of everything observed along this path.
     pub fn trace(&self) -> &[TracedEvent] {
         &self.trace
-    }
-
-    /// Messages currently in flight.
-    pub fn in_flight_count(&self) -> usize {
-        self.in_flight.len()
     }
 
     /// The core at `index`, downcast to its concrete type.
@@ -335,13 +328,14 @@ impl World {
     }
 
     /// Whether an in-flight message is blocked behind an older message on
-    /// the same (src, dst) link under FIFO link discipline.
+    /// the same (src, dst) link. Links deliver in send order: UDP on one
+    /// LAN path reorders rarely, and FIFO links are the classic
+    /// partial-order reduction that shrinks the state space enormously.
+    /// Cross-link interleavings, drops and duplicates are still explored.
     fn fifo_blocked(&self, m: &InFlight) -> bool {
-        self.fifo_links
-            && self
-                .in_flight
-                .iter()
-                .any(|other| other.id < m.id && other.src == m.src && other.dst == m.dst)
+        self.in_flight
+            .iter()
+            .any(|other| other.id < m.id && other.src == m.src && other.dst == m.dst)
     }
 
     /// All transitions enabled in this state, in deterministic order.

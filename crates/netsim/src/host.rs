@@ -177,8 +177,6 @@ pub struct HostConfig {
     /// NIC bandwidth (the LAN in the paper is homogeneous, but per-host
     /// bandwidth supports heterogeneous extensions).
     pub bandwidth: Bandwidth,
-    /// Optional override of the machine's CPU scale factor (for ablations).
-    pub cpu_scale_override: Option<f64>,
     /// Extra one-way delay on this host's link, each direction — e.g. a
     /// GEO satellite uplink (~250 ms) connecting a remote sensor to the
     /// datacenter LAN, per the paper's §2 deployment sketch.
@@ -191,7 +189,6 @@ impl HostConfig {
         HostConfig {
             machine,
             bandwidth,
-            cpu_scale_override: None,
             uplink_delay: SimDuration::ZERO,
         }
     }
@@ -201,17 +198,6 @@ impl HostConfig {
     pub fn with_uplink_delay(mut self, delay: SimDuration) -> Self {
         self.uplink_delay = delay;
         self
-    }
-
-    /// Overrides the CPU scale factor (used by ablation benches).
-    pub fn with_cpu_scale(mut self, scale: f64) -> Self {
-        self.cpu_scale_override = Some(scale);
-        self
-    }
-
-    /// The effective CPU scale factor for this host.
-    pub fn cpu_scale(&self) -> f64 {
-        self.cpu_scale_override.unwrap_or(self.machine.cpu_scale())
     }
 }
 
@@ -258,7 +244,7 @@ impl HostState {
     /// the completion instant.
     #[cfg(test)]
     pub fn occupy_cpu(&mut self, now: SimTime, ref_cost: SimDuration) -> SimTime {
-        let cost = ref_cost.scale(self.config.cpu_scale());
+        let cost = ref_cost.scale(self.config.machine.cpu_scale());
         self.occupy_cpu_scaled(now, cost)
     }
 
@@ -353,12 +339,6 @@ mod tests {
         let s = HostState::new(slow).occupy_cpu(SimTime::ZERO, c);
         assert_eq!(f, SimTime::from_micros(10));
         assert_eq!(s, SimTime::from_micros(35));
-    }
-
-    #[test]
-    fn cpu_scale_override_wins() {
-        let cfg = HostConfig::new(MachineClass::Pc850, Bandwidth::GBPS_1).with_cpu_scale(2.0);
-        assert_eq!(cfg.cpu_scale(), 2.0);
     }
 
     #[test]

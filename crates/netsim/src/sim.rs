@@ -480,7 +480,7 @@ impl Simulation {
         // reference cost before the machine-class scaling in `occupy_cpu`.
         let contention = self.cpu_contention[from.index()];
         let contended_tx = cost.tx.scale(contention);
-        let tx_cost = contended_tx.scale(self.hosts[from.index()].config.cpu_scale());
+        let tx_cost = contended_tx.scale(self.hosts[from.index()].config.machine.cpu_scale());
         self.cpu_busy[from.index()] += tx_cost;
         let cpu_done = self.hosts[from.index()].occupy_cpu_scaled(self.now, tx_cost);
         let egress_done = self.hosts[from.index()].occupy_egress(cpu_done, size_bytes);
@@ -593,7 +593,7 @@ impl Simulation {
         let contended_rx = packet.cost.rx.scale(contention);
         let host = &mut self.hosts[target.index()];
         let ingress_done = host.occupy_ingress(self.now, size_bytes);
-        let rx_cost = contended_rx.scale(host.config.cpu_scale());
+        let rx_cost = contended_rx.scale(host.config.machine.cpu_scale());
         let rx_done = host.occupy_cpu_scaled(ingress_done, rx_cost);
         self.cpu_busy[target.index()] += rx_cost;
         self.stats.record_delivery(target, tag, size_bytes, rx_done);

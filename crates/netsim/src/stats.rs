@@ -134,11 +134,6 @@ impl WireStats {
         self.per_tag.iter().map(|(_, c)| c.bytes_delivered).sum()
     }
 
-    /// Total transmissions initiated across all tags.
-    pub fn total_sends(&self) -> u64 {
-        self.per_tag.iter().map(|(_, c)| c.sends).sum()
-    }
-
     /// Total copies delivered across all tags.
     pub fn total_deliveries(&self) -> u64 {
         self.per_tag.iter().map(|(_, c)| c.deliveries).sum()

@@ -289,11 +289,6 @@ impl<C> DurableCore<C> {
         &self.inner
     }
 
-    /// Mutable access to the wrapped core.
-    pub fn inner_mut(&mut self) -> &mut C {
-        &mut self.inner
-    }
-
     /// The configured durability mode.
     pub fn mode(&self) -> DurabilityMode {
         self.config.mode

@@ -7,11 +7,10 @@
 //! protocol properties into concrete agents on simulated hosts.
 
 use adamant_metrics::QosReport;
-use adamant_netsim::{Agent, GroupId, HostConfig, NodeId, SimDriver, SimDuration, Simulation};
+use adamant_netsim::{Agent, GroupId, HostConfig, NodeId, SimDriver, Simulation};
 use adamant_proto::ProtocolCore;
 
 use crate::config::{ProtocolKind, TransportConfig};
-use crate::failover::NakcastStandby;
 use crate::nakcast::{NakcastReceiver, NakcastSender};
 use crate::profile::{AppSpec, StackProfile};
 use crate::receiver::DataReader;
@@ -76,9 +75,9 @@ fn sender_agent(spec: &SessionSpec, group: GroupId) -> Box<dyn Agent> {
         ProtocolKind::StreamCast { window } => Box::new(SimDriver::new(StreamCastSender::new(
             app, stack, tuning, group, window,
         ))),
-        ProtocolKind::ShmCast { queue } => Box::new(SimDriver::new(ShmCastSender::new(
-            app, stack, tuning, group, queue,
-        ))),
+        ProtocolKind::ShmCast { queue } => {
+            Box::new(SimDriver::new(ShmCastSender::new(app, stack, group, queue)))
+        }
     }
 }
 
@@ -110,15 +109,11 @@ fn receiver_agent(spec: &SessionSpec, sender: NodeId, group: GroupId) -> Box<dyn
             sender,
             app.total_samples,
             window,
-            tuning,
             spec.drop_probability,
         )),
-        ProtocolKind::ShmCast { queue } => spec.mount(ShmCastReceiver::new(
-            sender,
-            app.total_samples,
-            queue,
-            tuning,
-        )),
+        ProtocolKind::ShmCast { queue } => {
+            spec.mount(ShmCastReceiver::new(sender, app.total_samples, queue))
+        }
     }
 }
 
@@ -159,61 +154,6 @@ pub fn install(sim: &mut Simulation, spec: &SessionSpec) -> SessionHandles {
         group,
         expected_samples: spec.app.total_samples,
     }
-}
-
-/// Restarts receiver `index` of an installed session after a crash, with a
-/// fresh agent of the session's protocol (same node id, host, and group
-/// membership). The new incarnation starts with an empty reception log and
-/// catches up on the stream through the protocol's own recovery machinery
-/// (e.g. NAKcast's heartbeat-advertised high-water mark).
-///
-/// # Panics
-///
-/// Panics if the receiver is not currently crashed.
-pub fn rejoin_receiver(
-    sim: &mut Simulation,
-    spec: &SessionSpec,
-    handles: &SessionHandles,
-    index: usize,
-) {
-    let node = handles.receivers[index];
-    let agent = receiver_agent(spec, handles.sender, handles.group);
-    sim.restart_node(node, agent);
-    sim.join_group(handles.group, node);
-}
-
-/// Adds a warm-standby sender to an installed NAKcast session on `host`.
-/// The standby overhears the group, detects primary silence after
-/// `detect_timeout`, and promotes itself to continue the stream.
-///
-/// # Panics
-///
-/// Panics if the session's protocol is not NAKcast (other protocols have
-/// no standby implementation).
-pub fn install_standby(
-    sim: &mut Simulation,
-    spec: &SessionSpec,
-    handles: &SessionHandles,
-    host: HostConfig,
-    detect_timeout: SimDuration,
-) -> NodeId {
-    assert!(
-        matches!(spec.transport.kind, ProtocolKind::Nakcast { .. }),
-        "warm standby is only implemented for NAKcast, not {}",
-        spec.transport.kind
-    );
-    let standby = sim.add_node(
-        host,
-        SimDriver::new(NakcastStandby::new(
-            spec.app,
-            spec.stack,
-            spec.transport.tuning,
-            handles.group,
-            detect_timeout,
-        )),
-    );
-    sim.join_group(handles.group, standby);
-    standby
 }
 
 /// Tears down a running session's agents and installs `spec`'s protocol on

@@ -232,13 +232,16 @@ pub struct ProtocolProperties {
     pub lossless_path: bool,
 }
 
-/// Engineering constants of the protocol implementations.
+/// The protocol settings that some caller varies.
 ///
-/// Defaults are calibrated so the simulated protocols reproduce the
-/// *relative* behaviour measured in the paper (see DESIGN.md §3); every
-/// value is overridable for ablation studies — either through the
-/// consuming `with_*` builders (the repo-wide pre-bind construction
-/// idiom, shared with `MuxConfig` and [`TransportConfig`]) or via struct
+/// `ablation` sweeps the heartbeat interval, the repair efficacy and the
+/// LEC stall; the model checker's scenarios shorten the heartbeat and
+/// StreamCast's RTO clamp and fast-retransmit threshold; tests lower the
+/// NAK give-up bound, the pending-repair cap and the membership settings
+/// to reach those paths in bounded time. Defaults are calibrated so the
+/// simulated protocols reproduce the *relative* behaviour measured in the
+/// paper (see DESIGN.md §3.0). A calibration value no caller varies is a
+/// named constant next to the code that reads it. Set a field with struct
 /// update syntax on [`Tuning::default()`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Tuning {
@@ -247,12 +250,6 @@ pub struct Tuning {
     pub heartbeat_interval: Span,
     /// Give-up bound on NAK retries per missing packet.
     pub nak_max_retries: u32,
-    /// Ricochet flushes a partially filled repair window after this long,
-    /// so low-rate flows still repair promptly.
-    pub ricochet_flush: Span,
-    /// How many recent packets a Ricochet receiver retains for XOR
-    /// reconstruction.
-    pub ricochet_store: usize,
     /// How many unresolved repair packets a Ricochet receiver retains for
     /// iterative decoding.
     pub ricochet_pending_repairs: usize,
@@ -261,32 +258,15 @@ pub struct Tuning {
     pub membership_interval: Span,
     /// A peer is suspected dead after missing this many heartbeat periods.
     pub membership_timeout_factor: u32,
-    /// Reference CPU cost (pc3000) of the OS/UDP path per packet, each side.
-    pub os_packet_cost_us: f64,
-    /// Extra reference receive cost per data packet for NAKcast tracking.
-    pub nak_tracking_cost_us: f64,
-    /// Extra reference receive cost per data packet for Ricochet XOR-buffer
-    /// maintenance (the LEC bookkeeping runs on every packet).
-    pub fec_data_cost_us: f64,
-    /// Reference cost to construct and send one repair packet.
-    pub fec_repair_tx_cost_us: f64,
-    /// Reference cost to process one received repair packet (XOR decode
-    /// attempt against the packet store).
-    pub fec_repair_rx_cost_us: f64,
-    /// Every this many data packets, the LEC packet store performs
-    /// maintenance (compaction / rebuild of the XOR window index), stalling
-    /// the receive path once.
-    pub fec_maintenance_every: u64,
-    /// Reference cost of one LEC store-maintenance stall.
+    /// Reference cost of one Ricochet packet-store maintenance stall
+    /// (compaction / rebuild of the XOR window index), which the receive
+    /// path takes once every 128 data packets.
     pub fec_maintenance_cost_us: f64,
     /// Probability that a decodable repair actually reconstructs its
     /// missing packet. Models the XOR-window collisions and receive-buffer
     /// slot reuse of the real LEC implementation, which this simplified
     /// single-group decoder would otherwise not exhibit.
     pub repair_efficacy: f64,
-    /// StreamCast: interval between connection-request (SYN) retries while
-    /// a receiver waits for the sender's SYN-ACK.
-    pub stream_syn_retry: Span,
     /// StreamCast: floor on the adaptive retransmission timeout, so a few
     /// low-RTT samples cannot collapse the RTO into spurious retransmits.
     pub stream_rto_min: Span,
@@ -296,61 +276,6 @@ pub struct Tuning {
     /// StreamCast: duplicate cumulative ACKs of the same value that
     /// trigger a fast retransmit ahead of the RTO.
     pub stream_dupack_threshold: u32,
-    /// ShmCast: reference per-packet cost of the shared-memory path, both
-    /// sides. Replaces `os_packet_cost_us` — a same-host enqueue touches a
-    /// ring buffer, not the OS network stack.
-    pub shm_packet_cost_us: f64,
-}
-
-impl Tuning {
-    /// Replaces the sender heartbeat interval (builder-style).
-    pub fn with_heartbeat_interval(mut self, interval: Span) -> Self {
-        self.heartbeat_interval = interval;
-        self
-    }
-
-    /// Replaces the NAK retry give-up bound (builder-style).
-    pub fn with_nak_max_retries(mut self, retries: u32) -> Self {
-        self.nak_max_retries = retries;
-        self
-    }
-
-    /// Replaces the Ricochet partial-window flush delay (builder-style).
-    pub fn with_ricochet_flush(mut self, flush: Span) -> Self {
-        self.ricochet_flush = flush;
-        self
-    }
-
-    /// Replaces the receiver membership-heartbeat interval (builder-style).
-    pub fn with_membership_interval(mut self, interval: Span) -> Self {
-        self.membership_interval = interval;
-        self
-    }
-
-    /// Replaces the modelled repair efficacy (builder-style).
-    pub fn with_repair_efficacy(mut self, efficacy: f64) -> Self {
-        self.repair_efficacy = efficacy;
-        self
-    }
-
-    /// Replaces the StreamCast SYN retry interval (builder-style).
-    pub fn with_stream_syn_retry(mut self, interval: Span) -> Self {
-        self.stream_syn_retry = interval;
-        self
-    }
-
-    /// Replaces the StreamCast RTO clamp range (builder-style).
-    pub fn with_stream_rto_range(mut self, min: Span, max: Span) -> Self {
-        self.stream_rto_min = min;
-        self.stream_rto_max = max;
-        self
-    }
-
-    /// Replaces the ShmCast per-packet reference cost (builder-style).
-    pub fn with_shm_packet_cost_us(mut self, cost: f64) -> Self {
-        self.shm_packet_cost_us = cost;
-        self
-    }
 }
 
 impl Default for Tuning {
@@ -358,24 +283,14 @@ impl Default for Tuning {
         Tuning {
             heartbeat_interval: Span::from_millis(30),
             nak_max_retries: 20,
-            ricochet_flush: Span::from_millis(5),
-            ricochet_store: 1024,
             ricochet_pending_repairs: 64,
             membership_interval: Span::from_millis(500),
             membership_timeout_factor: 3,
-            os_packet_cost_us: 15.0,
-            nak_tracking_cost_us: 4.0,
-            fec_data_cost_us: 45.0,
-            fec_repair_tx_cost_us: 60.0,
-            fec_repair_rx_cost_us: 90.0,
-            fec_maintenance_every: 128,
             fec_maintenance_cost_us: 12_000.0,
             repair_efficacy: 0.7,
-            stream_syn_retry: Span::from_millis(10),
             stream_rto_min: Span::from_millis(5),
             stream_rto_max: Span::from_secs(2),
             stream_dupack_threshold: 3,
-            shm_packet_cost_us: 0.8,
         }
     }
 }

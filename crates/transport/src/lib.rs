@@ -68,7 +68,7 @@ pub use ant::{SessionHandles, SessionSpec};
 pub use config::{ProtocolKind, ProtocolProperties, TransportConfig, Tuning};
 pub use failover::NakcastStandby;
 pub use nakcast::{nakcast_recovery_bound, NakcastReceiver, NakcastSender};
-pub use profile::{AppSpec, StackProfile};
+pub use profile::{AppSpec, StackProfile, PAPER_PAYLOAD_BYTES};
 pub use receiver::{DataReader, ProtocolStats, Reception};
 pub use ricochet::{RicochetReceiver, RicochetSender};
 pub use shmcast::{ShmCastReceiver, ShmCastSender, SHM_FRAMING_BYTES};

@@ -17,12 +17,12 @@ use std::collections::BTreeMap;
 
 use adamant_proto::wire::{DataMsg, NakMsg};
 use adamant_proto::{
-    beyond, Env, GroupId, Input, LiveJoin, NodeId, ObsEvent, ProcessingCost, ProtocolCore,
-    Refusals, Span, TimePoint, TimerToken, WireMsg,
+    beyond, Env, GroupId, Input, LiveJoin, NodeId, ObsEvent, ProtocolCore, Refusals, Span,
+    TimePoint, TimerToken, WireMsg,
 };
 
 use crate::config::Tuning;
-use crate::profile::{AppSpec, StackProfile};
+use crate::profile::{AppSpec, StackProfile, CONTROL_COST};
 use crate::publisher::PublisherCore;
 use crate::receiver::{DataReader, Reception};
 use crate::tags::{FRAMING_BYTES, NAK_BASE_BYTES, NAK_PER_SEQ_BYTES, TAG_NAK};
@@ -304,7 +304,6 @@ impl NakcastReceiver {
         }
         if !due.is_empty() {
             let size = FRAMING_BYTES + NAK_BASE_BYTES + NAK_PER_SEQ_BYTES * due.len() as u32;
-            let os = Span::from_micros_f64(self.tuning.os_packet_cost_us);
             let count = due.len() as u32;
             for seq in &due {
                 if let Some(state) = self.missing.get_mut(seq) {
@@ -316,7 +315,7 @@ impl NakcastReceiver {
                 self.sender,
                 size,
                 TAG_NAK,
-                ProcessingCost::symmetric(os),
+                CONTROL_COST,
                 WireMsg::Nak(NakMsg { seqs: due }),
             );
             self.reception.stats.naks_sent += 1;

@@ -3,6 +3,16 @@
 
 use adamant_proto::{ProcessingCost, Span};
 
+/// Reference CPU cost (pc3000) of the OS/UDP path per packet, each side.
+pub(crate) const OS_PACKET_COST: Span = Span::from_micros(15);
+
+/// Processing cost of a small control packet (heartbeat, NAK, ACK, SYN,
+/// FIN, membership): the OS path only.
+pub(crate) const CONTROL_COST: ProcessingCost = ProcessingCost::symmetric(OS_PACKET_COST);
+
+/// Application payload bytes per sample in the paper's workload (§4.2).
+pub const PAPER_PAYLOAD_BYTES: u32 = 12;
+
 /// Per-packet contribution of the middleware stack above the transport
 /// (marshalling cost and header bytes). The DDS layer supplies one of these
 /// per DDS implementation profile.
@@ -34,7 +44,8 @@ pub struct AppSpec {
     pub total_samples: u64,
     /// Interval between samples (the inverse of the sending rate).
     pub interval: Span,
-    /// Application payload bytes per sample (12 in the paper).
+    /// Application payload bytes per sample ([`PAPER_PAYLOAD_BYTES`] in
+    /// the paper).
     pub payload_bytes: u32,
 }
 
@@ -61,7 +72,7 @@ impl AppSpec {
 
     /// The paper's workload: 12-byte samples, 20 000 of them, at `rate_hz`.
     pub fn paper_workload(rate_hz: f64) -> Self {
-        AppSpec::at_rate(20_000, rate_hz, 12)
+        AppSpec::at_rate(20_000, rate_hz, PAPER_PAYLOAD_BYTES)
     }
 
     /// The sending rate in hertz.

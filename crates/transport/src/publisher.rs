@@ -9,7 +9,7 @@ use adamant_proto::wire::{DataMsg, FinMsg, HeartbeatMsg};
 use adamant_proto::{Env, GroupId, HistoryCache, NodeId, ProcessingCost, Span, TimePoint, WireMsg};
 
 use crate::config::Tuning;
-use crate::profile::{AppSpec, StackProfile};
+use crate::profile::{AppSpec, StackProfile, CONTROL_COST, OS_PACKET_COST};
 use crate::tags::{
     CONTROL_BYTES, DATA_HEADER_BYTES, FRAMING_BYTES, TAG_DATA, TAG_FIN, TAG_HEARTBEAT,
     TAG_RETRANSMIT,
@@ -84,14 +84,8 @@ impl PublisherCore {
 
     /// Processing cost of one data packet (OS + middleware + protocol).
     pub fn data_cost(&self) -> ProcessingCost {
-        let os = Span::from_micros_f64(self.tuning.os_packet_cost_us);
-        ProcessingCost::new(os, os + self.extra_data_rx).plus(self.profile.per_packet)
-    }
-
-    /// Processing cost of a small control packet (OS path only).
-    pub fn control_cost(&self) -> ProcessingCost {
-        let os = Span::from_micros_f64(self.tuning.os_packet_cost_us);
-        ProcessingCost::symmetric(os)
+        ProcessingCost::new(OS_PACKET_COST, OS_PACKET_COST + self.extra_data_rx)
+            .plus(self.profile.per_packet)
     }
 
     /// Sequence numbers published so far.
@@ -196,7 +190,7 @@ impl PublisherCore {
             self.group,
             FRAMING_BYTES + CONTROL_BYTES,
             TAG_FIN,
-            self.control_cost(),
+            CONTROL_COST,
             WireMsg::Fin(FinMsg {
                 total: self.app.total_samples,
             }),
@@ -208,7 +202,7 @@ impl PublisherCore {
             self.group,
             FRAMING_BYTES + CONTROL_BYTES,
             TAG_HEARTBEAT,
-            self.control_cost(),
+            CONTROL_COST,
             WireMsg::Heartbeat(HeartbeatMsg {
                 highest_seq: self.next_seq.checked_sub(1),
             }),

@@ -26,7 +26,7 @@ use adamant_proto::{
 };
 
 use crate::config::Tuning;
-use crate::profile::{AppSpec, StackProfile};
+use crate::profile::{AppSpec, StackProfile, CONTROL_COST, OS_PACKET_COST};
 use crate::publisher::PublisherCore;
 use crate::receiver::{DataReader, Reception};
 use crate::tags::{
@@ -39,6 +39,24 @@ const TIMER_FLUSH: u64 = 20;
 /// Timer tag for membership heartbeats.
 const TIMER_MEMBERSHIP: u64 = 21;
 
+/// Reference receive cost per data packet of the XOR-buffer maintenance
+/// (the LEC bookkeeping runs on every packet).
+const FEC_DATA_COST: Span = Span::from_micros(45);
+/// Reference cost to construct and send one repair packet.
+const FEC_REPAIR_TX_COST: Span = Span::from_micros(60);
+/// Reference cost to process one received repair packet (an XOR decode
+/// attempt against the packet store).
+const FEC_REPAIR_RX_COST: Span = Span::from_micros(90);
+/// Every this many data packets, the packet store performs maintenance
+/// (compaction / rebuild of the XOR window index), stalling the receive
+/// path once for [`Tuning::fec_maintenance_cost_us`].
+const FEC_MAINTENANCE_EVERY: u64 = 128;
+/// A partially filled repair window is flushed after this long, so
+/// low-rate flows still repair promptly.
+const FLUSH_AFTER: Span = Span::from_millis(5);
+/// How many recent packets a receiver retains for XOR reconstruction.
+const STORE_CAPACITY: usize = 1024;
+
 /// Sender side of Ricochet: publish-only (recovery is lateral), with a FIN
 /// so receivers flush their final repair windows.
 #[derive(Debug)]
@@ -49,10 +67,9 @@ pub struct RicochetSender {
 impl RicochetSender {
     /// Creates a sender publishing `app` into `group`.
     pub fn new(app: AppSpec, profile: StackProfile, tuning: Tuning, group: GroupId) -> Self {
-        let fec_rx = Span::from_micros_f64(tuning.fec_data_cost_us);
         RicochetSender {
             core: PublisherCore::new(app, profile, tuning, group, false, true)
-                .with_extra_data_rx(fec_rx),
+                .with_extra_data_rx(FEC_DATA_COST),
         }
     }
 
@@ -143,10 +160,6 @@ impl RicochetReceiver {
         }
     }
 
-    fn control_cost(&self) -> ProcessingCost {
-        ProcessingCost::symmetric(Span::from_micros_f64(self.tuning.os_packet_cost_us))
-    }
-
     /// Whether `peer` is currently believed alive by the failure detector.
     fn peer_alive(&self, peer: NodeId, now: TimePoint) -> bool {
         let grace = self.tuning.membership_interval * self.tuning.membership_timeout_factor as u64;
@@ -158,7 +171,7 @@ impl RicochetReceiver {
     }
 
     fn prune_store(&mut self) {
-        while self.store.len() > self.tuning.ricochet_store {
+        while self.store.len() > STORE_CAPACITY {
             let oldest = *self.store.keys().next().expect("store not empty");
             self.store.remove(&oldest);
         }
@@ -191,19 +204,20 @@ impl RicochetReceiver {
                 + REPAIR_BASE_BYTES
                 + REPAIR_PER_SEQ_BYTES * span
                 + self.payload_bytes;
-            let os = Span::from_micros_f64(self.tuning.os_packet_cost_us);
-            let construct = Span::from_micros_f64(self.tuning.fec_repair_tx_cost_us);
-            let decode = Span::from_micros_f64(self.tuning.fec_repair_rx_cost_us);
             let copies = chosen.len() as u32;
             for (i, &peer_idx) in chosen.iter().enumerate() {
                 // XOR construction happens once; the extra copies pay only
                 // the OS send path.
-                let tx = if i == 0 { os + construct } else { os };
+                let tx = if i == 0 {
+                    OS_PACKET_COST + FEC_REPAIR_TX_COST
+                } else {
+                    OS_PACKET_COST
+                };
                 env.send(
                     peers[peer_idx],
                     size,
                     TAG_REPAIR,
-                    ProcessingCost::new(tx, os + decode),
+                    ProcessingCost::new(tx, OS_PACKET_COST + FEC_REPAIR_RX_COST),
                     WireMsg::Repair(msg.clone()),
                 );
                 self.reception.stats.repairs_sent += 1;
@@ -298,11 +312,7 @@ impl RicochetReceiver {
         // the stall scales with the machine's CPU factor and is visible to
         // the application as delayed delivery.
         let mut now = env.now();
-        if self.tuning.fec_maintenance_every > 0
-            && self
-                .data_packets
-                .is_multiple_of(self.tuning.fec_maintenance_every)
-        {
+        if self.data_packets.is_multiple_of(FEC_MAINTENANCE_EVERY) {
             let stall =
                 Span::from_micros_f64(self.tuning.fec_maintenance_cost_us).scale(env.cpu_scale());
             now += stall;
@@ -316,7 +326,7 @@ impl RicochetReceiver {
                 env.cancel_timer(token);
             }
         } else if self.flush_timer.is_none() {
-            self.flush_timer = Some(env.set_timer(self.tuning.ricochet_flush, TIMER_FLUSH));
+            self.flush_timer = Some(env.set_timer(FLUSH_AFTER, TIMER_FLUSH));
         }
     }
 
@@ -408,7 +418,7 @@ impl ProtocolCore for RicochetReceiver {
                         self.group,
                         FRAMING_BYTES + CONTROL_BYTES,
                         TAG_MEMBERSHIP,
-                        self.control_cost(),
+                        CONTROL_COST,
                         WireMsg::Membership(MembershipMsg { epoch: self.epoch }),
                     );
                     env.set_timer(self.tuning.membership_interval, TIMER_MEMBERSHIP);

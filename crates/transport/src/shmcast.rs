@@ -9,17 +9,15 @@
 //! nothing, which is exactly why the autonomic selector should pick it
 //! when the environment descriptor says both ends are co-located.
 //!
-//! Costs are charged per packet like every other core, but through
-//! [`Tuning::shm_packet_cost_us`] (a ring-buffer enqueue, ~sub-µs) instead
-//! of the OS/UDP path cost, and with a minimal framing header instead of
-//! Ethernet+IP+UDP.
+//! Costs are charged per packet like every other core, but at the cost of
+//! a ring-buffer enqueue (0.8 µs) instead of the OS/UDP path cost, and with
+//! a minimal framing header instead of Ethernet+IP+UDP.
 
 use std::collections::BTreeMap;
 
 use adamant_proto::wire::{DataMsg, FinMsg, ShmCreditMsg};
 use adamant_proto::{Env, GroupId, Input, NodeId, ProcessingCost, ProtocolCore, Span, WireMsg};
 
-use crate::config::Tuning;
 use crate::profile::{AppSpec, StackProfile};
 use crate::receiver::{DataReader, Reception};
 use crate::tags::{DATA_HEADER_BYTES, TAG_DATA, TAG_FIN, TAG_SHM_CREDIT};
@@ -31,12 +29,16 @@ const TIMER_PUBLISH: u64 = 50;
 /// UDP — just a slot length + flags word.
 pub const SHM_FRAMING_BYTES: u32 = 8;
 
+/// Reference processing cost of one packet on the shared-memory path, each
+/// side: a same-host enqueue touches a ring buffer, not the OS network
+/// stack.
+const SLOT_COST: ProcessingCost = ProcessingCost::symmetric(Span::from_nanos(800));
+
 /// Sender side of ShmCast.
 #[derive(Debug, Clone)]
 pub struct ShmCastSender {
     app: AppSpec,
     profile: StackProfile,
-    tuning: Tuning,
     group: GroupId,
     queue: u32,
     next_seq: u64,
@@ -50,17 +52,10 @@ pub struct ShmCastSender {
 impl ShmCastSender {
     /// Creates a sender publishing `app` into `group` against receivers
     /// with bounded queues of `queue` slots.
-    pub fn new(
-        app: AppSpec,
-        profile: StackProfile,
-        tuning: Tuning,
-        group: GroupId,
-        queue: u32,
-    ) -> Self {
+    pub fn new(app: AppSpec, profile: StackProfile, group: GroupId, queue: u32) -> Self {
         ShmCastSender {
             app,
             profile,
-            tuning,
             group,
             queue: queue.max(1),
             next_seq: 0,
@@ -95,13 +90,8 @@ impl ShmCastSender {
         SHM_FRAMING_BYTES + DATA_HEADER_BYTES + self.profile.header_bytes + self.app.payload_bytes
     }
 
-    fn shm_cost(&self) -> ProcessingCost {
-        let slot = Span::from_micros_f64(self.tuning.shm_packet_cost_us);
-        ProcessingCost::symmetric(slot)
-    }
-
     fn data_cost(&self) -> ProcessingCost {
-        self.shm_cost().plus(self.profile.per_packet)
+        SLOT_COST.plus(self.profile.per_packet)
     }
 
     /// The lowest credit grant across attached receivers; publication is
@@ -144,7 +134,7 @@ impl ShmCastSender {
                 self.group,
                 SHM_FRAMING_BYTES + 8,
                 TAG_FIN,
-                self.shm_cost(),
+                SLOT_COST,
                 WireMsg::Fin(FinMsg {
                     total: self.app.total_samples,
                 }),
@@ -190,7 +180,6 @@ impl ProtocolCore for ShmCastSender {
 pub struct ShmCastReceiver {
     sender: NodeId,
     queue: u32,
-    tuning: Tuning,
     reception: Reception,
     /// Samples consumed (drives credit re-grants).
     consumed: u64,
@@ -201,11 +190,10 @@ pub struct ShmCastReceiver {
 impl ShmCastReceiver {
     /// Creates a receiver expecting `expected` samples from `sender`
     /// through a bounded queue of `queue` slots.
-    pub fn new(sender: NodeId, expected: u64, queue: u32, tuning: Tuning) -> Self {
+    pub fn new(sender: NodeId, expected: u64, queue: u32) -> Self {
         ShmCastReceiver {
             sender,
             queue: queue.max(1),
-            tuning,
             reception: Reception::new(expected, 0.0),
             consumed: 0,
             granted: 0,
@@ -215,12 +203,11 @@ impl ShmCastReceiver {
     fn send_credit(&mut self, env: &mut Env<'_>) {
         self.granted = self.consumed + u64::from(self.queue);
         self.reception.stats.acks_sent += 1;
-        let slot = Span::from_micros_f64(self.tuning.shm_packet_cost_us);
         env.send(
             self.sender,
             SHM_FRAMING_BYTES + 8,
             TAG_SHM_CREDIT,
-            ProcessingCost::symmetric(slot),
+            SLOT_COST,
             WireMsg::ShmCredit(ShmCreditMsg { upto: self.granted }),
         );
     }
@@ -296,14 +283,12 @@ mod tests {
         sim.set_network(same_host_network());
         let cfg = HostConfig::new(MachineClass::Pc3000, Bandwidth::GBPS_1);
         let app = AppSpec::at_rate(samples, rate_hz, 12);
-        let tuning = Tuning::default();
         let group = sim.create_group(&[]);
         let tx = sim.add_node(
             cfg,
             SimDriver::new(ShmCastSender::new(
                 app,
                 StackProfile::new(10.0, 48),
-                tuning,
                 group,
                 queue,
             )),
@@ -313,7 +298,7 @@ mod tests {
         for _ in 0..3 {
             let rx = sim.add_node(
                 cfg,
-                SimDriver::new(capturing(ShmCastReceiver::new(tx, samples, queue, tuning))),
+                SimDriver::new(capturing(ShmCastReceiver::new(tx, samples, queue))),
             );
             sim.join_group(group, rx);
             rxs.push(rx);
@@ -368,7 +353,6 @@ mod tests {
             SimDriver::new(ShmCastSender::new(
                 AppSpec::at_rate(10, 100.0, 12),
                 StackProfile::new(10.0, 48),
-                Tuning::default(),
                 group,
                 8,
             )),

@@ -25,7 +25,7 @@ use adamant_proto::{
 use adamant_proto::HistoryCache;
 
 use crate::config::Tuning;
-use crate::profile::{AppSpec, StackProfile};
+use crate::profile::{AppSpec, StackProfile, CONTROL_COST, OS_PACKET_COST};
 use crate::receiver::{DataReader, Reception};
 use crate::tags::{
     CONTROL_BYTES, DATA_HEADER_BYTES, FRAMING_BYTES, TAG_DATA, TAG_FIN, TAG_RETRANSMIT,
@@ -41,6 +41,10 @@ const TIMER_PUBLISH: u64 = 42;
 
 /// Initial RTO before the first RTT sample (clamped into the tuned range).
 const INITIAL_RTO: Span = Span::from_millis(100);
+
+/// Interval between a receiver's connection requests (SYNs) while it waits
+/// for the sender's SYN-ACK.
+const SYN_RETRY: Span = Span::from_millis(10);
 
 /// Per-receiver connection state on the sender.
 #[derive(Debug, Clone, Copy)]
@@ -198,13 +202,7 @@ impl StreamCastSender {
     }
 
     fn data_cost(&self) -> ProcessingCost {
-        let os = Span::from_micros_f64(self.tuning.os_packet_cost_us);
-        ProcessingCost::new(os, os).plus(self.profile.per_packet)
-    }
-
-    fn control_cost(&self) -> ProcessingCost {
-        let os = Span::from_micros_f64(self.tuning.os_packet_cost_us);
-        ProcessingCost::symmetric(os)
+        ProcessingCost::symmetric(OS_PACKET_COST).plus(self.profile.per_packet)
     }
 
     /// The current retransmission timeout, with backoff applied.
@@ -313,7 +311,7 @@ impl StreamCastSender {
                 self.group,
                 FRAMING_BYTES + CONTROL_BYTES,
                 TAG_FIN,
-                self.control_cost(),
+                CONTROL_COST,
                 WireMsg::Fin(FinMsg {
                     total: self.app.total_samples,
                 }),
@@ -353,7 +351,7 @@ impl StreamCastSender {
             src,
             FRAMING_BYTES + CONTROL_BYTES,
             TAG_STREAM_SYN,
-            self.control_cost(),
+            CONTROL_COST,
             WireMsg::StreamSynAck(StreamSynAckMsg {
                 window: self.window,
             }),
@@ -502,7 +500,6 @@ impl ProtocolCore for StreamCastSender {
 pub struct StreamCastReceiver {
     sender: NodeId,
     window: u32,
-    tuning: Tuning,
     reception: Reception,
     /// Everything below this has been delivered in order.
     cum_ack: u64,
@@ -515,17 +512,10 @@ pub struct StreamCastReceiver {
 impl StreamCastReceiver {
     /// Creates a receiver expecting `expected` samples from `sender`,
     /// buffering at most `window` out-of-order packets.
-    pub fn new(
-        sender: NodeId,
-        expected: u64,
-        window: u32,
-        tuning: Tuning,
-        drop_probability: f64,
-    ) -> Self {
+    pub fn new(sender: NodeId, expected: u64, window: u32, drop_probability: f64) -> Self {
         StreamCastReceiver {
             sender,
             window: window.max(1),
-            tuning,
             reception: Reception::new(expected, drop_probability),
             cum_ack: 0,
             buffer: BTreeMap::new(),
@@ -553,23 +543,18 @@ impl StreamCastReceiver {
         self.syns_sent
     }
 
-    fn control_cost(&self) -> ProcessingCost {
-        let os = Span::from_micros_f64(self.tuning.os_packet_cost_us);
-        ProcessingCost::symmetric(os)
-    }
-
     fn send_syn(&mut self, env: &mut Env<'_>) {
         self.syns_sent += 1;
         env.send(
             self.sender,
             FRAMING_BYTES + CONTROL_BYTES,
             TAG_STREAM_SYN,
-            self.control_cost(),
+            CONTROL_COST,
             WireMsg::StreamSyn(StreamSynMsg {
                 window: self.window,
             }),
         );
-        env.set_timer(self.tuning.stream_syn_retry, TIMER_SYN);
+        env.set_timer(SYN_RETRY, TIMER_SYN);
     }
 
     fn send_ack(&mut self, env: &mut Env<'_>) {
@@ -579,7 +564,7 @@ impl StreamCastReceiver {
             self.sender,
             FRAMING_BYTES + CONTROL_BYTES,
             TAG_STREAM_ACK,
-            self.control_cost(),
+            CONTROL_COST,
             WireMsg::StreamAck(StreamAckMsg {
                 cum_ack: self.cum_ack,
                 window: remaining,
@@ -694,7 +679,6 @@ mod tests {
                     tx,
                     samples,
                     window,
-                    tuning,
                     drop_probability,
                 )),
             );

@@ -20,7 +20,9 @@ use adamant::{AdaptivePolicy, AppParams, BandwidthClass, Environment, Scenario, 
 use adamant_dds::{DdsImplementation, DomainParticipant, QosProfile};
 use adamant_metrics::{Delivery, LatencyHistogram, MetricKind, QosReport, Welford};
 use adamant_netsim::{FaultPlan, MachineClass, ObsEvent, SimDuration, SimTime, Simulation};
-use adamant_transport::{ant, AppSpec, ProtocolKind, SessionHandles, TransportConfig};
+use adamant_transport::{
+    ant, AppSpec, ProtocolKind, SessionHandles, TransportConfig, PAPER_PAYLOAD_BYTES,
+};
 
 /// The reference cells' environment (as in `reference_cells.rs`).
 fn reference_env(protocol: ProtocolKind) -> Environment {
@@ -52,7 +54,7 @@ fn run_captured(scenario: &Scenario, transport: TransportConfig) -> (Simulation,
         .unwrap();
     let host = scenario.env.host_config();
     let rate_hz = f64::from(scenario.app.rate_hz);
-    let app = AppSpec::at_rate(scenario.samples, rate_hz, scenario.payload_bytes);
+    let app = AppSpec::at_rate(scenario.samples, rate_hz, PAPER_PAYLOAD_BYTES);
     participant
         .create_data_writer(topic, qos, app, host)
         .unwrap();

@@ -336,8 +336,7 @@ fn stream_sender_core(group: adamant_proto::GroupId) -> StreamCastSender {
 }
 
 fn stream_receiver_core(sender: NodeId) -> StreamCastReceiver {
-    let mut core =
-        StreamCastReceiver::new(sender, SAMPLES, STREAM_WINDOW, Tuning::default(), DROP_P);
+    let mut core = StreamCastReceiver::new(sender, SAMPLES, STREAM_WINDOW, DROP_P);
     core.log_mut().capture();
     core
 }
@@ -469,7 +468,6 @@ fn shmcast_runs_over_the_mux_runtime_on_one_host() {
             ShmCastSender::new(
                 AppSpec::at_rate(SAMPLES, RATE_HZ, 12),
                 StackProfile::new(10.0, 48),
-                Tuning::default(),
                 adamant_proto::GroupId(0),
                 QUEUE,
             ),
@@ -477,7 +475,7 @@ fn shmcast_runs_over_the_mux_runtime_on_one_host() {
         .expect("add shm sender");
     let rx_ids: Vec<_> = (1..=RECEIVERS as u32)
         .map(|n| {
-            let mut core = ShmCastReceiver::new(NodeId(0), SAMPLES, QUEUE, Tuning::default());
+            let mut core = ShmCastReceiver::new(NodeId(0), SAMPLES, QUEUE);
             core.log_mut().capture();
             cluster
                 .add_endpoint(NodeId(n), core)

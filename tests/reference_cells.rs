@@ -29,6 +29,7 @@ use adamant_netsim::{MachineClass, SimDuration, SimTime, Simulation};
 use adamant_proto::fingerprint_debug;
 use adamant_transport::{
     ant, AppSpec, ProtocolKind, SessionHandles, StreamCastReceiver, TransportConfig,
+    PAPER_PAYLOAD_BYTES,
 };
 
 /// `(label, receivers, rate_hz, report digest, events processed)`.
@@ -144,7 +145,7 @@ fn run_kept(scenario: &Scenario, protocol: ProtocolKind) -> (Simulation, Session
         .unwrap();
     let host = scenario.env.host_config();
     let rate_hz = f64::from(scenario.app.rate_hz);
-    let app = AppSpec::at_rate(scenario.samples, rate_hz, 12);
+    let app = AppSpec::at_rate(scenario.samples, rate_hz, PAPER_PAYLOAD_BYTES);
     participant
         .create_data_writer(topic, qos, app, host)
         .unwrap();
