@@ -18,7 +18,7 @@
 
 use adamant_metrics::{MetricKind, QosReport, WindowQos};
 use adamant_netsim::{Bandwidth, SimDuration, SimTime, Simulation, TracedEvent};
-use adamant_transport::{ProtocolKind, SessionHandles};
+use adamant_transport::ProtocolKind;
 
 use crate::env::{AppParams, BandwidthClass, Environment};
 use crate::policy::OnlineStats;
@@ -338,7 +338,7 @@ impl HealingOutcome {
 pub(crate) fn probe_environment(
     provisioned: &Environment,
     sim: &Simulation,
-    handles: &SessionHandles,
+    handles: &adamant_dds::SessionHandles,
     window: &WindowQos,
     recovered: u64,
 ) -> Environment {

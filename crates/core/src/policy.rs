@@ -29,10 +29,10 @@
 //!    and configuration produce identical outcomes.
 
 use adamant_ann::{train_with_validation, Activation, NeuralNetwork, TrainParams};
-use adamant_dds::{DomainParticipant, QosProfile};
+use adamant_dds::{session, DomainParticipant, QosProfile};
 use adamant_metrics::{Delivery, MetricKind, QosAccumulator, QosReport, WindowQos};
 use adamant_netsim::{FaultPlan, MemorySink, ObsEvent, SimDuration, SimTime, Simulation};
-use adamant_transport::{ant, AppSpec, TransportConfig, PAPER_PAYLOAD_BYTES};
+use adamant_transport::{AppSpec, TransportConfig, PAPER_PAYLOAD_BYTES};
 
 use crate::dataset::{best_class_with_margin, DatasetRow, LabeledDataset, LABEL_MARGIN};
 use crate::env::{AppParams, Environment};
@@ -685,7 +685,7 @@ impl AdaptivePolicy {
             let measure_at = SimTime::from_nanos((start + cfg.window).as_nanos() - 1);
             plan.run_until(&mut sim, measure_at);
 
-            let published_total = published_before + ant::published_count(&sim, &handles);
+            let published_total = published_before + session::published_count(&sim, &handles);
             let published = (published_total - last_published_total) * receiver_count;
             last_published_total = published_total;
 
@@ -696,7 +696,7 @@ impl AdaptivePolicy {
             let mut qos = QosAccumulator::default();
             for &node in &handles.receivers {
                 if !sim.is_crashed(node) {
-                    let log = ant::reader_mut(&mut sim, &handles, node).log_mut();
+                    let log = session::reader_mut(&mut sim, node).log_mut();
                     let captured = log.take_captured().expect("readers capture");
                     fold_window(&mut qos, start, captured);
                 }
@@ -722,7 +722,7 @@ impl AdaptivePolicy {
                     if backoff.may_switch(sim.now()) {
                         for (slot, &node) in harvested.iter_mut().zip(&handles.receivers) {
                             if !sim.is_crashed(node) {
-                                let r = ant::reader(&sim, &handles, node);
+                                let r = session::reader(&sim, node);
                                 slot.0.merge(r.log().qos());
                                 slot.1 += r.duplicates();
                             }
@@ -803,7 +803,7 @@ impl AdaptivePolicy {
         for ((qos, duplicates), &node) in harvested.iter().zip(&handles.receivers) {
             builder.merge_receiver(qos, *duplicates);
             if !sim.is_crashed(node) {
-                let r = ant::reader(&sim, &handles, node);
+                let r = session::reader(&sim, node);
                 builder.merge_receiver(r.log().qos(), r.duplicates());
             }
         }

@@ -2,10 +2,10 @@
 //! hosts, DDS entities, ANT transport — for one experiment configuration
 //! and returns its pooled QoS report.
 
-use adamant_dds::{DomainParticipant, QosProfile};
+use adamant_dds::{session::collect_report, DomainParticipant, QosProfile};
 use adamant_metrics::QosReport;
 use adamant_netsim::{SimDuration, Simulation};
-use adamant_transport::{ant, AppSpec, ProtocolKind, TransportConfig, PAPER_PAYLOAD_BYTES};
+use adamant_transport::{AppSpec, ProtocolKind, TransportConfig, PAPER_PAYLOAD_BYTES};
 
 use crate::env::{AppParams, Environment};
 
@@ -107,7 +107,7 @@ impl Scenario {
             SimDuration::from_secs_f64(self.samples as f64 / self.app.rate_hz as f64);
         let grace = SimDuration::from_secs(3);
         sim.run_until(adamant_netsim::SimTime::ZERO + publish_span + grace);
-        (ant::collect_report(&sim, &handles), sim.events_processed())
+        (collect_report(&sim, &handles), sim.events_processed())
     }
 
     /// Runs `repetitions` independent repetitions (consecutive seeds), as

@@ -6,10 +6,11 @@
 use std::fmt;
 
 use adamant_netsim::{HostConfig, Simulation};
-use adamant_transport::{ant, AppSpec, ProtocolKind, SessionHandles, SessionSpec, TransportConfig};
+use adamant_transport::{AppSpec, ProtocolKind, SessionSpec, TransportConfig};
 
 use crate::implementation::DdsImplementation;
 use crate::qos::{Ordering, QosMismatch, QosProfile, Reliability};
+use crate::session::{self, SessionHandles};
 
 /// Errors from entity creation and session installation.
 #[derive(Debug, Clone, PartialEq)]
@@ -304,8 +305,8 @@ impl DomainParticipant {
         topic: Topic,
         transport: TransportConfig,
     ) -> Result<SessionHandles, DdsError> {
-        let spec = self.validated_spec(topic, transport)?;
-        Ok(ant::install(sim, &spec))
+        let (spec, sender_host, receiver_hosts) = self.validated_spec(topic, transport)?;
+        Ok(session::install(sim, &spec, sender_host, &receiver_hosts))
     }
 
     /// Re-validates QoS against `transport` and swaps a live session over
@@ -329,17 +330,18 @@ impl DomainParticipant {
         transport: TransportConfig,
         remaining_samples: u64,
     ) -> Result<SessionHandles, DdsError> {
-        let mut spec = self.validated_spec(topic, transport)?;
+        let (mut spec, ..) = self.validated_spec(topic, transport)?;
         spec.app.total_samples = remaining_samples;
-        Ok(ant::reinstall(sim, &spec, handles))
+        Ok(session::reinstall(sim, &spec, handles))
     }
 
-    /// Runs the full install-time validation and builds the session spec.
+    /// Runs the full install-time validation and builds the session spec,
+    /// with the writer's host and the readers' hosts.
     fn validated_spec(
         &self,
         topic: Topic,
         transport: TransportConfig,
-    ) -> Result<SessionSpec, DdsError> {
+    ) -> Result<(SessionSpec, HostConfig, Vec<HostConfig>), DdsError> {
         let name = self.topic_name(topic).to_owned();
         let writer = {
             let mut writers = self.writers.iter().filter(|w| w.topic == topic.index);
@@ -376,15 +378,14 @@ impl DomainParticipant {
             return Err(DdsError::HeterogeneousLoss(name.clone()));
         }
         self.check_transport(&name, writer.qos, &readers, transport.kind)?;
-        Ok(SessionSpec {
+        let spec = SessionSpec {
             transport,
             app: writer.app,
             stack: self.implementation.stack_profile(),
-            sender_host: writer.host,
-            receiver_hosts: readers.iter().map(|r| r.host).collect(),
             drop_probability,
             capture: self.capture,
-        })
+        };
+        Ok((spec, writer.host, readers.iter().map(|r| r.host).collect()))
     }
 
     fn check_transport(
@@ -496,7 +497,7 @@ mod tests {
         });
         let handles = p.install(&mut sim, t, transport).unwrap();
         sim.run_until(SimTime::from_secs(5));
-        let report = ant::collect_report(&sim, &handles);
+        let report = session::collect_report(&sim, &handles);
         assert_eq!(report.receivers, 2);
         assert!(report.reliability() > 0.99);
     }
@@ -530,9 +531,9 @@ mod tests {
             )
             .unwrap();
         sim.run_until(SimTime::from_secs(2));
-        let published = ant::published_count(&sim, &first);
+        let published = session::published_count(&sim, &first);
         assert!((150..=210).contains(&published), "published {published}");
-        let first_leg = ant::collect_report(&sim, &first);
+        let first_leg = session::collect_report(&sim, &first);
 
         let remaining = 400 - published;
         let second = p
@@ -550,7 +551,7 @@ mod tests {
         assert_eq!(second.receivers, first.receivers);
         assert_eq!(second.group, first.group);
         sim.run_until(SimTime::from_secs(8));
-        let second_leg = ant::collect_report(&sim, &second);
+        let second_leg = session::collect_report(&sim, &second);
         assert_eq!(second_leg.samples_sent, remaining);
         assert!(second_leg.reliability() > 0.999);
         // The first leg delivered (nearly) everything published before the

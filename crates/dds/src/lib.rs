@@ -13,15 +13,17 @@
 //!   and OpenSplice 3.4.2 cost models, one of the paper's environment
 //!   variables.
 //! * **Entities** ([`DomainParticipant`], topics, writers, readers) — and
-//!   the pluggable-transport binding that installs a topic's session onto
-//!   the simulator over any [`TransportConfig`](adamant_transport::TransportConfig).
+//!   the pluggable-transport binding ([`session`]) that mounts the cores
+//!   any [`TransportConfig`](adamant_transport::TransportConfig) builds for
+//!   a topic's session on simulated hosts.
 //!
 //! ## Example
 //!
 //! ```
 //! use adamant_dds::{DdsImplementation, DomainParticipant, QosProfile};
 //! use adamant_netsim::{Bandwidth, HostConfig, MachineClass, SimTime, Simulation};
-//! use adamant_transport::{ant, AppSpec, ProtocolKind, TransportConfig};
+//! use adamant_dds::session;
+//! use adamant_transport::{AppSpec, ProtocolKind, TransportConfig};
 //!
 //! # fn main() -> Result<(), adamant_dds::DdsError> {
 //! let mut participant = DomainParticipant::new(0, DdsImplementation::OpenSplice);
@@ -41,7 +43,7 @@
 //! let transport = TransportConfig::new(ProtocolKind::Ricochet { r: 4, c: 3 });
 //! let handles = participant.install(&mut sim, topic, transport)?;
 //! sim.run_until(SimTime::from_secs(10));
-//! let report = ant::collect_report(&sim, &handles);
+//! let report = session::collect_report(&sim, &handles);
 //! assert!(report.reliability() > 0.95);
 //! # Ok(())
 //! # }
@@ -54,11 +56,13 @@ pub mod discovery;
 mod domain;
 mod implementation;
 mod qos;
+pub mod session;
 mod status;
 
 pub use domain::{DataReader, DataWriter, DdsError, DomainParticipant, Topic};
 pub use implementation::DdsImplementation;
 pub use qos::{Durability, History, Ordering, QosMismatch, QosProfile, Reliability};
+pub use session::SessionHandles;
 pub use status::{
     per_instance_statuses, OrderViolationStatus, ReaderStatuses, RequestedDeadlineMissedStatus,
     SampleLostStatus, SampleRejectedStatus,

@@ -103,7 +103,7 @@ fn install_is_total_and_sound() {
                 assert!(writer_qos.compatible_with(&reader_qos).is_ok());
                 // The session actually runs to completion.
                 sim.run_until(adamant_netsim::SimTime::from_secs(3));
-                let report = adamant_transport::ant::collect_report(&sim, &handles);
+                let report = adamant_dds::session::collect_report(&sim, &handles);
                 assert!(report.reliability() > 0.5);
             }
             Err(e) => {

@@ -8,10 +8,11 @@
 //! every data frame it was sent as dropped and delivers nothing; ShmCast
 //! has no loss stage and delivers the whole stream.
 
+use adamant_dds::session;
 use adamant_netsim::{Bandwidth, HostConfig, MachineClass, SimDuration, SimTime, Simulation};
 use adamant_transport::tags::{TAG_DATA, TAG_RETRANSMIT};
 use adamant_transport::{
-    ant, AppSpec, ProtocolKind, ProtocolStats, SessionSpec, StackProfile, TransportConfig,
+    AppSpec, ProtocolKind, ProtocolStats, SessionSpec, StackProfile, TransportConfig,
 };
 
 const SAMPLES: u64 = 300;
@@ -36,20 +37,20 @@ fn run(kind: ProtocolKind, drop_probability: f64) -> (Simulation, Vec<(ProtocolS
         transport: TransportConfig::new(kind),
         app: AppSpec::at_rate(SAMPLES, 100.0, 12),
         stack: StackProfile::new(20.0, 48),
-        sender_host: host,
-        receiver_hosts: vec![host; 3],
         drop_probability,
         capture: false,
     };
     let mut sim = Simulation::new(29);
-    let handles = ant::install(&mut sim, &spec);
+    let handles = session::install(&mut sim, &spec, host, &[host; 3]);
     sim.run_until(SimTime::from_secs(10));
-    let stats = ant::collect_protocol_stats(&sim, &handles);
-    let delivered = handles
+    let readers = handles
         .receivers
         .iter()
-        .map(|&node| ant::reader(&sim, &handles, node).log().delivered_count());
-    let readers = stats.into_iter().zip(delivered).collect();
+        .map(|&node| {
+            let reader = session::reader(&sim, node);
+            (reader.protocol_stats(), reader.log().delivered_count())
+        })
+        .collect();
     (sim, readers)
 }
 

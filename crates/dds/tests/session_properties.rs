@@ -1,9 +1,10 @@
 //! Property-style tests of protocol invariants under seeded randomized
-//! workloads and loss rates.
+//! workloads and loss rates, on whole sessions installed on the simulator.
 
+use adamant_dds::session;
 use adamant_metrics::QosReport;
 use adamant_netsim::{Bandwidth, HostConfig, MachineClass, SimDuration, SimTime, Simulation};
-use adamant_transport::{ant, AppSpec, ProtocolKind, SessionSpec, StackProfile, TransportConfig};
+use adamant_transport::{AppSpec, ProtocolKind, SessionSpec, StackProfile, TransportConfig};
 
 /// Splitmix-style case generator.
 struct CaseRng(u64);
@@ -39,16 +40,14 @@ fn run(
         transport: TransportConfig::new(kind),
         app: AppSpec::at_rate(samples, rate_hz, 12),
         stack: StackProfile::new(20.0, 48),
-        sender_host: host,
-        receiver_hosts: vec![host; receivers],
         drop_probability: drop,
         capture: false,
     };
     let mut sim = Simulation::new(seed);
-    let handles = ant::install(&mut sim, &spec);
+    let handles = session::install(&mut sim, &spec, host, &vec![host; receivers]);
     let span = samples as f64 / rate_hz;
     sim.run_until(SimTime::from_secs(span as u64 + 5));
-    ant::collect_report(&sim, &handles)
+    session::collect_report(&sim, &handles)
 }
 
 /// NAKcast recovers to full (or near-full) reliability for any loss
@@ -162,16 +161,14 @@ fn ricochet_no_duplicate_deliveries() {
             transport: TransportConfig::new(ProtocolKind::Ricochet { r: 4, c: 3 }),
             app: AppSpec::at_rate(500, 200.0, 12),
             stack: StackProfile::new(20.0, 48),
-            sender_host: host,
-            receiver_hosts: vec![host; 4],
             drop_probability: 0.1,
             capture: true,
         };
         let mut sim = Simulation::new(seed);
-        let handles = ant::install(&mut sim, &spec);
+        let handles = session::install(&mut sim, &spec, host, &[host; 4]);
         sim.run_until(SimTime::from_secs(10));
         for &node in &handles.receivers {
-            let reader = ant::reader(&sim, &handles, node);
+            let reader = session::reader(&sim, node);
             let mut seqs: Vec<u64> = reader
                 .log()
                 .deliveries()
@@ -191,7 +188,7 @@ mod edge_cases {
     use super::*;
     use adamant_metrics::MetricKind;
     use adamant_netsim::SimDuration;
-    use adamant_transport::{DataReader, NakcastReceiver, RicochetReceiver, Tuning};
+    use adamant_transport::Tuning;
 
     fn host() -> HostConfig {
         HostConfig::new(MachineClass::Pc3000, Bandwidth::GBPS_1)
@@ -212,23 +209,21 @@ mod edge_cases {
             .with_tuning(tuning),
             app: AppSpec::at_rate(500, 200.0, 12),
             stack: StackProfile::new(20.0, 48),
-            sender_host: host(),
-            receiver_hosts: vec![host(); 2],
             drop_probability: 0.5, // retransmissions also drop 50%
             capture: true,
         };
         let mut sim = Simulation::new(5);
-        let handles = ant::install(&mut sim, &spec);
+        let handles = session::install(&mut sim, &spec, host(), &[host(); 2]);
         sim.run_until(SimTime::from_secs(20));
         let mut total_give_ups = 0;
         for &node in &handles.receivers {
-            let r = sim.agent::<NakcastReceiver>(node).unwrap();
+            let r = session::reader(&sim, node);
             total_give_ups += r.protocol_stats().give_ups;
             // Delivery made progress despite abandonment (no deadlock).
             assert!(r.log().delivered_count() > 300);
         }
         assert!(total_give_ups > 0, "50% loss with 1 retry must abandon");
-        let report = ant::collect_report(&sim, &handles);
+        let report = session::collect_report(&sim, &handles);
         assert!(report.reliability() < 1.0);
         assert!(MetricKind::ReLate2.score(&report).is_finite());
     }
@@ -246,16 +241,14 @@ mod edge_cases {
                 .with_tuning(tuning),
             app: AppSpec::at_rate(2_000, 1_000.0, 12),
             stack: StackProfile::new(20.0, 48),
-            sender_host: host(),
-            receiver_hosts: vec![host(); 4],
             drop_probability: 0.3,
             capture: true,
         };
         let mut sim = Simulation::new(9);
-        let handles = ant::install(&mut sim, &spec);
+        let handles = session::install(&mut sim, &spec, host(), &[host(); 4]);
         sim.run_until(SimTime::from_secs(10));
         // The run completes and recovery still functions with a tiny cap.
-        let report = ant::collect_report(&sim, &handles);
+        let report = session::collect_report(&sim, &handles);
         assert!(report.reliability() > 0.7);
         assert!(report.recovered > 0);
     }
@@ -275,20 +268,18 @@ mod edge_cases {
                 .with_tuning(tuning),
             app: AppSpec::at_rate(4_000, 200.0, 12),
             stack: StackProfile::new(20.0, 48),
-            sender_host: host(),
-            receiver_hosts: vec![host(); 4],
             drop_probability: 0.05,
             capture: true,
         };
         let mut sim = Simulation::new(31);
-        let handles = ant::install(&mut sim, &spec);
+        let handles = session::install(&mut sim, &spec, host(), &[host(); 4]);
         sim.run_until(SimTime::from_secs(4));
         sim.crash_node(handles.receivers[3]);
         sim.run_until(SimTime::from_secs(25));
         // Survivors keep healing: late-stream losses (after the crash and
         // the aging window) are still recovered laterally.
         for &node in &handles.receivers[..3] {
-            let r = sim.agent::<RicochetReceiver>(node).unwrap();
+            let r = session::reader(&sim, node);
             let late_recoveries = r
                 .log()
                 .deliveries()
@@ -315,16 +306,14 @@ mod edge_cases {
             }),
             app: AppSpec::at_rate(1_000, 500.0, 12),
             stack: StackProfile::new(20.0, 48),
-            sender_host: host(),
-            receiver_hosts: vec![host(); 3],
             drop_probability: 0.1,
             capture: true,
         };
         let mut sim = Simulation::new(13);
-        let handles = ant::install(&mut sim, &spec);
+        let handles = session::install(&mut sim, &spec, host(), &[host(); 3]);
         sim.run_until(SimTime::from_secs(15));
         for &node in &handles.receivers {
-            let r = ant::reader(&sim, &handles, node);
+            let r = session::reader(&sim, node);
             let mut seqs: Vec<u64> = r
                 .log()
                 .deliveries()

@@ -97,9 +97,11 @@ fn bind_cluster(workers: usize, seed: u64) -> adamant_rt::MuxCluster {
     adamant_rt::MuxCluster::bind("127.0.0.1:0", cfg).expect("bind sockets on 127.0.0.1")
 }
 
-/// Hosts the NAKcast session in a sharded [`adamant_rt::MuxCluster`]: one
+/// Hosts a NAKcast session in a sharded [`adamant_rt::MuxCluster`]: one
 /// writer and `endpoints - 1` readers partitioned across `workers` worker
-/// threads, each worker batching socket I/O for its shard.
+/// threads, each worker batching socket I/O for its shard. The cores come
+/// from the same [`adamant_transport::SessionSpec`] builder that the
+/// simulator binding mounts, and are read back as the same trait objects.
 fn run_udp_nakcast(
     loss: f64,
     endpoints: usize,
@@ -111,31 +113,29 @@ fn run_udp_nakcast(
     use adamant_proto::{GroupId, NodeId, Span};
     use adamant_rt::EndpointId;
     use adamant_transport::{
-        AppSpec, DataReader, NakcastReceiver, NakcastSender, StackProfile, Tuning,
+        AppSpec, DataReader, ProtocolKind, SessionSpec, StackProfile, TransportConfig, WriterCore,
     };
     use std::time::Duration;
 
-    let tuning = Tuning::default();
+    let spec = SessionSpec {
+        transport: TransportConfig::new(ProtocolKind::Nakcast {
+            timeout: Span::from_millis(2),
+        }),
+        app: AppSpec::at_rate(samples, rate, 12),
+        stack: StackProfile::new(10.0, 48),
+        drop_probability: loss,
+        capture: false,
+    };
+    let (writer, group) = (NodeId(0), GroupId(0));
     let receivers = endpoints - 1;
     let mut cluster = bind_cluster(workers, seed);
     let writer_id = cluster
-        .add_endpoint(
-            NodeId(0),
-            NakcastSender::new(
-                AppSpec::at_rate(samples, rate, 12),
-                StackProfile::new(10.0, 48),
-                tuning,
-                GroupId(0),
-            ),
-        )
+        .add_endpoint(writer, spec.build_writer(group))
         .expect("add writer");
     let reader_ids: Vec<EndpointId> = (1..=receivers as u32)
         .map(|n| {
             cluster
-                .add_endpoint(
-                    NodeId(n),
-                    NakcastReceiver::new(NodeId(0), samples, Span::from_millis(2), tuning, loss),
-                )
+                .add_endpoint(NodeId(n), spec.build_reader(writer, group))
                 .expect("add reader")
         })
         .collect();
@@ -163,14 +163,14 @@ fn run_udp_nakcast(
     cluster.run_for(wall).expect("cluster run");
 
     let published = cluster
-        .core::<NakcastSender>(writer_id)
+        .core::<Box<dyn WriterCore>>(writer_id)
         .map_or(0, |s| s.published());
     let writer_sent = cluster.report(writer_id).map_or(0, |r| r.datagrams_sent);
     println!("\nwriter: published {published} samples, {writer_sent} datagrams out");
     let mut complete = true;
     for (i, &id) in reader_ids.iter().enumerate() {
         let reader = cluster
-            .core::<NakcastReceiver>(id)
+            .core::<Box<dyn DataReader>>(id)
             .expect("reader core survives the run");
         let (delivered, stats) = (reader.log().delivered_count(), reader.protocol_stats());
         complete &= delivered == samples;

@@ -11,7 +11,10 @@
 //! * `shapes`   — re-check the paper's qualitative claims on saved figures.
 //! * `all`      — everything, in order.
 //!
-//! Artifacts land in `$ADAMANT_ARTIFACTS` (default `./artifacts`).
+//! Artifacts land in `$ADAMANT_ARTIFACTS` (default `./artifacts`). A
+//! `--quick` run saves and loads its own under `quick/` there, so a
+//! checking run never replaces the full-scale dataset and figures that
+//! `shapes`, `report`, `train` and `adamant_cli` read.
 
 use adamant::{LabeledDataset, ProtocolSelector, SelectorConfig};
 use adamant_ann::TrainParams;
@@ -29,6 +32,12 @@ const FIGURES_ARTIFACT: &str = "figures.json";
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
+    if quick {
+        std::env::set_var(
+            "ADAMANT_ARTIFACTS",
+            artifacts::artifacts_dir().join("quick"),
+        );
+    }
     let scale = if quick {
         FigureScale::quick()
     } else {

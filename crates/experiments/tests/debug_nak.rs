@@ -10,12 +10,12 @@
 //! statistics rest on.
 
 use adamant::Environment;
-use adamant_dds::DdsImplementation;
+use adamant_dds::{session, DdsImplementation};
 use adamant_metrics::Delivery;
 use adamant_netsim::{MachineClass, SimDuration, SimTime, Simulation};
 use adamant_proto::{Effect, EnvHost, Input, NodeId, TimePoint, WireMsg};
 use adamant_transport::{
-    ant, nakcast_recovery_bound, AppSpec, DataReader, NakcastReceiver, ProtocolKind, SessionSpec,
+    nakcast_recovery_bound, AppSpec, DataReader, NakcastReceiver, ProtocolKind, SessionSpec,
     TransportConfig, Tuning,
 };
 
@@ -37,18 +37,16 @@ fn recovered_latency_distribution_stays_in_the_nak_bound() {
         .with_tuning(tuning),
         app: AppSpec::at_rate(1000, 100.0, 12),
         stack: env.dds.stack_profile(),
-        sender_host: env.host_config(),
-        receiver_hosts: vec![env.host_config(); 3],
         drop_probability: 0.05,
         capture: true,
     };
     let mut sim = Simulation::new(1).with_network(env.network_config());
-    let handles = ant::install(&mut sim, &spec);
+    let handles = session::install(&mut sim, &spec, env.host_config(), &[env.host_config(); 3]);
     sim.run_until(SimTime::from_secs(30));
 
     let bound = nakcast_recovery_bound(NAK_TIMEOUT, &tuning);
     for &node in &handles.receivers {
-        let r = ant::reader(&sim, &handles, node);
+        let r = session::reader(&sim, node);
         let (rec, orig): (Vec<Delivery>, Vec<Delivery>) = r
             .log()
             .deliveries()

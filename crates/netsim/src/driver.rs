@@ -31,9 +31,9 @@ use crate::packet::{OutPacket, Packet};
 /// Packets exchanged through this driver carry a
 /// [`WireMsg`](adamant_proto::WireMsg); bodiless packets are ignored (the
 /// core never sees them). [`Agent::as_any`] exposes the *core*, not the
-/// driver, so harnesses keep downcasting with
-/// `sim.agent::<NakcastReceiver>(node)` exactly as they did when the
-/// protocols were hand-written agents.
+/// driver, so a harness reads a node back as the type it mounted: a session
+/// reader as `sim.agent::<Box<dyn DataReader>>(node)` whatever the
+/// protocol, a hand-mounted core as its own type.
 pub struct SimDriver<C: ProtocolCore> {
     core: C,
     next_timer: u64,

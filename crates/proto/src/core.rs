@@ -275,6 +275,14 @@ pub trait ProtocolCore: std::any::Any + Send {
     fn step(&mut self, input: Input<'_>, env: &mut Env<'_>);
 }
 
+/// A boxed core steps as the core it holds, so a host mounts the trait
+/// objects a session builder returns like any other core.
+impl<C: ProtocolCore + ?Sized> ProtocolCore for Box<C> {
+    fn step(&mut self, input: Input<'_>, env: &mut Env<'_>) {
+        (**self).step(input, env);
+    }
+}
+
 /// A self-contained host for stepping a core outside any driver: owns the
 /// entropy stream, the membership table, and the effect buffer. Used by
 /// the property tests, the NAK debugging harness, and the `proto_step`

@@ -1,9 +1,8 @@
 //! # adamant-transport
 //!
 //! ANT (*Adaptive Network Transports*)-style composable transport protocols
-//! over the [`adamant-netsim`](adamant_netsim) simulator, reproducing the
-//! protocol substrate of the ADAMANT paper (Hoffert, Schmidt, Gokhale —
-//! Middleware 2010, §3.1):
+//! as sans-I/O cores, reproducing the protocol substrate of the ADAMANT
+//! paper (Hoffert, Schmidt, Gokhale — Middleware 2010, §3.1):
 //!
 //! * [`Ricochet`](RicochetReceiver) — time-critical multicast with lateral
 //!   error correction, tunable `R`/`C` (Balakrishnan et al., NSDI'07).
@@ -21,37 +20,38 @@
 //! correction, ordered delivery, flow control, group membership, and
 //! heartbeat fault detection.
 //!
-//! Use [`ant::install`] to stand up a complete session from a
-//! [`TransportConfig`] and [`ant::collect_report`] to pool the resulting
-//! QoS measurements.
+//! A [`SessionSpec`] builds a session's cores from a [`TransportConfig`]:
+//! one [`WriterCore`] and a [`DataReader`] per reader, boxed, whatever the
+//! protocol. They know no host. `adamant_dds::session` mounts them on the
+//! simulator and pools their QoS; `adamant_rt::MuxCluster` mounts the same
+//! cores on UDP sockets.
 //!
 //! ## Example
 //!
 //! ```
-//! use adamant_netsim::{Bandwidth, HostConfig, MachineClass, SimTime, Simulation};
-//! use adamant_transport::{ant, AppSpec, ProtocolKind, SessionSpec, StackProfile, TransportConfig};
+//! use adamant_proto::{GroupId, NodeId, Span};
+//! use adamant_transport::{AppSpec, ProtocolKind, SessionSpec, StackProfile, TransportConfig};
 //!
-//! let host = HostConfig::new(MachineClass::Pc3000, Bandwidth::GBPS_1);
 //! let spec = SessionSpec {
-//!     transport: TransportConfig::new(ProtocolKind::Ricochet { r: 4, c: 3 }),
+//!     transport: TransportConfig::new(ProtocolKind::Nakcast {
+//!         timeout: Span::from_millis(2),
+//!     }),
 //!     app: AppSpec::at_rate(200, 100.0, 12),
 //!     stack: StackProfile::new(20.0, 48),
-//!     sender_host: host,
-//!     receiver_hosts: vec![host; 3],
 //!     drop_probability: 0.05,
 //!     capture: false,
 //! };
-//! let mut sim = Simulation::new(42);
-//! let handles = ant::install(&mut sim, &spec);
-//! sim.run_until(SimTime::from_secs(10));
-//! let report = ant::collect_report(&sim, &handles);
-//! assert!(report.reliability() > 0.95);
+//! let (writer_node, group) = (NodeId(0), GroupId(0));
+//! let writer = spec.build_writer(group);
+//! let readers: Vec<_> = (0..3).map(|_| spec.build_reader(writer_node, group)).collect();
+//! assert_eq!(writer.published(), 0);
+//! assert!(readers.iter().all(|r| r.log().delivered_count() == 0));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ant;
+mod ant;
 mod config;
 mod failover;
 mod nakcast;
@@ -64,7 +64,7 @@ mod streamcast;
 pub mod tags;
 mod udp;
 
-pub use ant::{SessionHandles, SessionSpec};
+pub use ant::{SessionSpec, WriterCore};
 pub use config::{ProtocolKind, ProtocolProperties, TransportConfig, Tuning};
 pub use failover::NakcastStandby;
 pub use nakcast::{nakcast_recovery_bound, NakcastReceiver, NakcastSender};

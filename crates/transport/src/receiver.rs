@@ -2,7 +2,7 @@
 //! runs its data through, and the [`DataReader`] read-out over it.
 
 use adamant_metrics::{Delivery, DenseReceptionLog};
-use adamant_proto::{Env, Insert, ObsEvent, TimePoint};
+use adamant_proto::{Env, Insert, ObsEvent, ProtocolCore, TimePoint};
 
 /// Per-receiver protocol activity counters, unified across protocols so
 /// harnesses can report recovery behaviour without downcasting. Fields a
@@ -129,9 +129,9 @@ impl Reception {
     }
 }
 
-/// Common read-out interface of every protocol's data reader core, used
-/// by the experiment harness to collect results after a run.
-pub trait DataReader {
+/// A session's reader core: the protocol state machine and the read-out a
+/// host uses to collect its results after a run, whatever the protocol.
+pub trait DataReader: ProtocolCore {
     /// The reader's reception stage.
     fn reception(&self) -> &Reception;
 

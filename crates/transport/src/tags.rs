@@ -21,19 +21,19 @@ pub const TAG_STREAM_ACK: u16 = 10;
 /// Tag for ShmCast flow-control credit grants.
 pub const TAG_SHM_CREDIT: u16 = 11;
 
-/// Registers human-readable labels for every tag on a simulation.
-pub fn register_all(sim: &mut adamant_netsim::Simulation) {
-    sim.register_tag(TAG_DATA, "data");
-    sim.register_tag(TAG_RETRANSMIT, "retransmit");
-    sim.register_tag(TAG_NAK, "nak");
-    sim.register_tag(TAG_REPAIR, "repair");
-    sim.register_tag(TAG_HEARTBEAT, "heartbeat");
-    sim.register_tag(TAG_FIN, "fin");
-    sim.register_tag(TAG_MEMBERSHIP, "membership");
-    sim.register_tag(TAG_STREAM_SYN, "stream-syn");
-    sim.register_tag(TAG_STREAM_ACK, "stream-ack");
-    sim.register_tag(TAG_SHM_CREDIT, "shm-credit");
-}
+/// The human-readable label of every tag, for a host's per-tag statistics.
+pub const LABELS: [(u16, &str); 10] = [
+    (TAG_DATA, "data"),
+    (TAG_RETRANSMIT, "retransmit"),
+    (TAG_NAK, "nak"),
+    (TAG_REPAIR, "repair"),
+    (TAG_HEARTBEAT, "heartbeat"),
+    (TAG_FIN, "fin"),
+    (TAG_MEMBERSHIP, "membership"),
+    (TAG_STREAM_SYN, "stream-syn"),
+    (TAG_STREAM_ACK, "stream-ack"),
+    (TAG_SHM_CREDIT, "shm-credit"),
+];
 
 /// Ethernet + IP + UDP framing bytes charged to every packet.
 pub const FRAMING_BYTES: u32 = 42;
@@ -55,30 +55,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tags_are_distinct() {
-        let tags = [
-            TAG_DATA,
-            TAG_RETRANSMIT,
-            TAG_NAK,
-            TAG_REPAIR,
-            TAG_HEARTBEAT,
-            TAG_FIN,
-            TAG_MEMBERSHIP,
-            TAG_STREAM_SYN,
-            TAG_STREAM_ACK,
-            TAG_SHM_CREDIT,
-        ];
-        let mut sorted = tags.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), tags.len());
-    }
-
-    #[test]
-    fn register_all_labels() {
-        let mut sim = adamant_netsim::Simulation::new(0);
-        register_all(&mut sim);
-        assert_eq!(sim.stats().tag_label(TAG_DATA), Some("data"));
-        assert_eq!(sim.stats().tag_label(TAG_REPAIR), Some("repair"));
+    fn tags_and_labels_are_distinct() {
+        let mut tags: Vec<u16> = LABELS.iter().map(|&(tag, _)| tag).collect();
+        let mut labels: Vec<&str> = LABELS.iter().map(|&(_, label)| label).collect();
+        tags.sort_unstable();
+        tags.dedup();
+        labels.sort_unstable();
+        labels.dedup();
+        assert_eq!((tags.len(), labels.len()), (LABELS.len(), LABELS.len()));
     }
 }

@@ -20,7 +20,7 @@
 
 use adamant::prelude::*;
 use adamant::{Adamant, LabeledDataset, SimulatedCloud};
-use adamant_transport::ant;
+use adamant_dds::session;
 
 fn train_adamant() -> Adamant {
     // Train on a compact slice of the configuration space (see the
@@ -124,8 +124,8 @@ fn main() {
         .expect("install video");
     sim.run_until(SimTime::from_secs(125));
 
-    let infrared_report = ant::collect_report(&sim, &infrared_handles);
-    let video_report = ant::collect_report(&sim, &video_handles);
+    let infrared_report = session::collect_report(&sim, &infrared_handles);
+    let video_report = session::collect_report(&sim, &video_handles);
     for (name, report, metric) in [
         ("infrared", &infrared_report, MetricKind::ReLate2),
         ("video   ", &video_report, MetricKind::ReLate2Jit),

@@ -16,7 +16,7 @@
 //! ```
 
 use adamant::prelude::*;
-use adamant_transport::ant;
+use adamant_dds::session;
 
 const GEO_ONE_WAY: SimDuration = SimDuration::from_millis(250);
 
@@ -48,7 +48,7 @@ fn run(kind: ProtocolKind) -> adamant_metrics::QosReport {
         .install(&mut sim, topic, TransportConfig::new(kind))
         .expect("install");
     sim.run_until(SimTime::from_secs(50));
-    ant::collect_report(&sim, &handles)
+    session::collect_report(&sim, &handles)
 }
 
 fn main() {

@@ -17,12 +17,10 @@
 
 use adamant::features::candidate_protocols;
 use adamant::{AdaptivePolicy, AppParams, BandwidthClass, Environment, Scenario, StreamConfig};
-use adamant_dds::{DdsImplementation, DomainParticipant, QosProfile};
+use adamant_dds::{session, DdsImplementation, DomainParticipant, QosProfile, SessionHandles};
 use adamant_metrics::{Delivery, LatencyHistogram, MetricKind, QosReport, Welford};
 use adamant_netsim::{FaultPlan, MachineClass, ObsEvent, SimDuration, SimTime, Simulation};
-use adamant_transport::{
-    ant, AppSpec, ProtocolKind, SessionHandles, TransportConfig, PAPER_PAYLOAD_BYTES,
-};
+use adamant_transport::{AppSpec, ProtocolKind, TransportConfig, PAPER_PAYLOAD_BYTES};
 
 /// The reference cells' environment (as in `reference_cells.rs`).
 fn reference_env(protocol: ProtocolKind) -> Environment {
@@ -129,11 +127,11 @@ fn reference_cells_report_what_their_captured_deliveries_say() {
 
             let (sim, handles) = run_captured(&scenario, transport);
             assert_eq!(sim.events_processed(), events, "{ctx}: events");
-            assert_eq!(ant::collect_report(&sim, &handles), report, "{ctx}");
+            assert_eq!(session::collect_report(&sim, &handles), report, "{ctx}");
             let mut want = PerDelivery::default();
             let mut duplicates = 0;
             for &node in &handles.receivers {
-                let reader = ant::reader(&sim, &handles, node);
+                let reader = session::reader(&sim, node);
                 reader
                     .log()
                     .deliveries()

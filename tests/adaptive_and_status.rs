@@ -4,10 +4,10 @@ use adamant::{
     AdaptivePolicy, AppParams, BandwidthClass, Environment, LabeledDataset, ProtocolSelector,
     Scenario, SelectorConfig,
 };
-use adamant_dds::{DdsImplementation, DomainParticipant, QosProfile, ReaderStatuses};
+use adamant_dds::{session, DdsImplementation, DomainParticipant, QosProfile, ReaderStatuses};
 use adamant_metrics::MetricKind;
 use adamant_netsim::{MachineClass, SimDuration, SimTime, Simulation};
-use adamant_transport::{ant, AppSpec, ProtocolKind, TransportConfig};
+use adamant_transport::{AppSpec, ProtocolKind, TransportConfig};
 
 fn fast() -> Environment {
     Environment::new(
@@ -116,7 +116,7 @@ fn reader_statuses_reflect_protocol_semantics() {
             .install(&mut sim, topic, TransportConfig::new(kind))
             .unwrap();
         sim.run_until(SimTime::from_secs(25));
-        let reader = ant::reader(&sim, &handles, handles.receivers[0]);
+        let reader = session::reader(&sim, handles.receivers[0]);
         ReaderStatuses::from_log(
             reader.log(),
             2_000,

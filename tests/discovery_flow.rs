@@ -3,11 +3,11 @@
 //! bring-up sequence.
 
 use adamant_dds::discovery::{DiscoveryConfig, DiscoveryCore, EndpointInfo};
-use adamant_dds::{DdsImplementation, DomainParticipant, QosProfile};
+use adamant_dds::{session, DdsImplementation, DomainParticipant, QosProfile};
 use adamant_netsim::{
     Bandwidth, HostConfig, MachineClass, SimDriver, SimDuration, SimTime, Simulation,
 };
-use adamant_transport::{ant, AppSpec, ProtocolKind, TransportConfig};
+use adamant_transport::{AppSpec, ProtocolKind, TransportConfig};
 
 #[test]
 fn discovery_then_data_end_to_end() {
@@ -78,7 +78,7 @@ fn discovery_then_data_end_to_end() {
         )
         .expect("install");
     data_sim.run_until(SimTime::from_secs(10));
-    let report = ant::collect_report(&data_sim, &handles);
+    let report = session::collect_report(&data_sim, &handles);
     assert_eq!(report.receivers as usize, matched_readers);
     assert!(report.reliability() > 0.98);
 }

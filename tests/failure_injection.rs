@@ -1,11 +1,11 @@
 //! Failure injection across the full stack: crashed receivers, bursty
 //! loss, and degraded environments.
 
-use adamant_dds::{DdsImplementation, DomainParticipant, QosProfile};
+use adamant_dds::{session, DdsImplementation, DomainParticipant, QosProfile};
 use adamant_netsim::{
     Bandwidth, HostConfig, LossModel, MachineClass, NetworkConfig, SimDuration, SimTime, Simulation,
 };
-use adamant_transport::{ant, AppSpec, ProtocolKind, TransportConfig};
+use adamant_transport::{AppSpec, ProtocolKind, TransportConfig};
 
 fn host() -> HostConfig {
     HostConfig::new(MachineClass::Pc3000, Bandwidth::GBPS_1)
@@ -18,7 +18,7 @@ fn ricochet_session(
     samples: u64,
     drop: f64,
     seed: u64,
-) -> (Simulation, adamant_transport::SessionHandles) {
+) -> (Simulation, adamant_dds::SessionHandles) {
     let mut participant = DomainParticipant::new(0, DdsImplementation::OpenSplice);
     let qos = QosProfile::time_critical();
     let topic = participant
@@ -53,7 +53,7 @@ fn survivors_keep_qos_after_receiver_crash() {
     sim.run_until(SimTime::from_secs(40));
 
     for &node in &handles.receivers[..4] {
-        let reader = ant::reader(&sim, &handles, node);
+        let reader = session::reader(&sim, node);
         let reliability = reader.log().delivered_count() as f64 / 3_000.0;
         assert!(
             reliability > 0.98,
@@ -98,7 +98,7 @@ fn nakcast_rides_through_network_loss_plus_endhost_loss() {
         )
         .unwrap();
     sim.run_until(SimTime::from_secs(30));
-    let report = ant::collect_report(&sim, &handles);
+    let report = session::collect_report(&sim, &handles);
     assert!(
         report.reliability() > 0.999,
         "NAKcast reliability {} under compound loss",
@@ -115,7 +115,7 @@ fn sender_crash_stops_the_stream_cleanly() {
     // Roughly 5 s × 100 Hz samples arrived; nothing after the crash, and
     // nothing panicked or looped forever.
     for &node in &handles.receivers {
-        let reader = ant::reader(&sim, &handles, node);
+        let reader = session::reader(&sim, node);
         let delivered = reader.log().delivered_count();
         assert!(
             (400..=600).contains(&delivered),
@@ -130,7 +130,7 @@ fn extreme_loss_degrades_gracefully() {
     // loses more but the system stays live and accounting stays sane.
     let (mut sim, handles) = ricochet_session(3, 2_000, 0.30, 5);
     sim.run_until(SimTime::from_secs(30));
-    let report = ant::collect_report(&sim, &handles);
+    let report = session::collect_report(&sim, &handles);
     assert!(report.reliability() > 0.70);
     assert!(report.reliability() < 0.999);
     assert!(report.recovered > 0, "lateral repairs still fire");

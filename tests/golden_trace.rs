@@ -15,13 +15,13 @@
 //! ```
 
 use adamant::{AppParams, BandwidthClass, Environment, StreamConfig};
-use adamant_dds::DdsImplementation;
+use adamant_dds::{session, DdsImplementation};
 use adamant_experiments::chaos::build_policy;
 use adamant_netsim::{
     Bandwidth, FaultPlan, HostConfig, LossModel, MachineClass, MemorySink, NetworkConfig, ObsEvent,
     SimDuration, SimTime, Simulation, TracedEvent,
 };
-use adamant_transport::{ant, AppSpec, ProtocolKind, SessionSpec, StackProfile, TransportConfig};
+use adamant_transport::{AppSpec, ProtocolKind, SessionSpec, StackProfile, TransportConfig};
 use std::path::PathBuf;
 
 const SEED: u64 = 4242;
@@ -38,13 +38,11 @@ fn golden_run() -> Vec<TracedEvent> {
         }),
         app: AppSpec::at_rate(SAMPLES, 100.0, 12),
         stack: StackProfile::new(40.0, 28),
-        sender_host: host,
-        receiver_hosts: vec![host; 2],
         drop_probability: 0.08,
         capture: false,
     };
     let mut sim = Simulation::new(SEED).with_obs_sink(MemorySink::new());
-    let handles = ant::install(&mut sim, &spec);
+    let handles = session::install(&mut sim, &spec, host, &[host; 2]);
     let plan = FaultPlan::new().crash_at(SimTime::from_millis(150), handles.receivers[1]);
     plan.run(&mut sim, SimTime::from_secs(2));
     sim.take_obs_events()

@@ -24,12 +24,13 @@
 
 use adamant::features::candidate_protocols;
 use adamant::{AppParams, BandwidthClass, Environment, Scenario};
-use adamant_dds::{DdsImplementation, DomainParticipant, QosProfile};
+use std::any::Any;
+
+use adamant_dds::{session, DdsImplementation, DomainParticipant, QosProfile, SessionHandles};
 use adamant_netsim::{MachineClass, SimDuration, SimTime, Simulation};
 use adamant_proto::fingerprint_debug;
 use adamant_transport::{
-    ant, AppSpec, ProtocolKind, SessionHandles, StreamCastReceiver, TransportConfig,
-    PAPER_PAYLOAD_BYTES,
+    AppSpec, ProtocolKind, StreamCastReceiver, TransportConfig, PAPER_PAYLOAD_BYTES,
 };
 
 /// `(label, receivers, rate_hz, report digest, events processed)`.
@@ -200,7 +201,7 @@ fn long_stream_and_wan_cells_reproduce_pinned_digests_and_event_counts() {
                 handles
                     .receivers
                     .iter()
-                    .all(|&node| ant::reader(&sim, &handles, node)
+                    .all(|&node| session::reader(&sim, node)
                         .reception()
                         .log()
                         .delivered_count()
@@ -208,11 +209,14 @@ fn long_stream_and_wan_cells_reproduce_pinned_digests_and_event_counts() {
                 "every Ricochet reader's store must overflow"
             ),
             _ => assert!(
-                handles.receivers.iter().any(|&node| sim
-                    .agent::<StreamCastReceiver>(node)
-                    .unwrap()
-                    .syns_sent()
-                    > 1),
+                handles.receivers.iter().any(|&node| {
+                    let reader: &dyn Any = session::reader(&sim, node);
+                    reader
+                        .downcast_ref::<StreamCastReceiver>()
+                        .unwrap()
+                        .syns_sent()
+                        > 1
+                }),
                 "some StreamCast reader must retry its SYN"
             ),
         }

@@ -5,11 +5,12 @@
 //! latencies into a `QosAccumulator`, whose mean does not depend on the
 //! order they arrive in.
 
+use adamant_dds::session;
 use adamant_metrics::{verify_trace, InvariantKind, MetricKind, VerifySpec};
 use adamant_netsim::{
     Bandwidth, HostConfig, MachineClass, MemorySink, SimDuration, SimTime, Simulation,
 };
-use adamant_transport::{ant, AppSpec, ProtocolKind, SessionSpec, StackProfile, TransportConfig};
+use adamant_transport::{AppSpec, ProtocolKind, SessionSpec, StackProfile, TransportConfig};
 
 /// Deterministic splitmix-style generator so the "random" configurations
 /// are reproducible without an external property-testing dependency.
@@ -53,17 +54,15 @@ fn trace_recomputed_relate2_matches_reported() {
             transport: TransportConfig::new(kind),
             app: AppSpec::at_rate(samples, 100.0, 12),
             stack: StackProfile::new(40.0, 28),
-            sender_host: host,
-            receiver_hosts: vec![host; receivers],
             drop_probability: drop,
             capture: false,
         };
 
         let mut sim = Simulation::new(seed).with_obs_sink(MemorySink::new());
-        let handles = ant::install(&mut sim, &spec);
+        let handles = session::install(&mut sim, &spec, host, &vec![host; receivers]);
         sim.run_until(SimTime::ZERO + spec.app.publish_span() + SimDuration::from_secs(3));
         let trace = sim.take_obs_events();
-        let report = ant::collect_report(&sim, &handles);
+        let report = session::collect_report(&sim, &handles);
 
         let reported = MetricKind::ReLate2.score(&report);
         let vspec = VerifySpec::new(samples, receivers as u32).with_reported_relate2(reported);
