@@ -171,7 +171,6 @@ mod tests {
             &TrainParams {
                 stopping_mse: 1e-3,
                 max_epochs: 3_000,
-                ..TrainParams::default()
             },
         );
         let eval = evaluate(&net, &data);

@@ -122,7 +122,6 @@ mod tests {
             &TrainParams {
                 stopping_mse: 1e-3,
                 max_epochs: 1_500,
-                ..TrainParams::default()
             },
             5,
             11,

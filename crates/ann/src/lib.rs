@@ -22,8 +22,8 @@
 //!   ISA and dispatched at run time, bit-identical to per-row `run`. The
 //!   sigmoid's `exp` is the crate's own, so results do not depend on the
 //!   platform's libm.
-//! * [`train`] — iRPROP− (FANN's default) and incremental backpropagation,
-//!   driven to a stopping MSE. Every gradient sweep runs through a tiled
+//! * [`train`] — iRPROP− (FANN's default, and the paper's), driven to a
+//!   stopping MSE. Every gradient sweep runs through a tiled
 //!   kernel dispatched like the forward one, bit-identical to
 //!   backpropagating one example at a time.
 //! * [`evaluate`] / [`one_hot`] / [`argmax`] — classification utilities.
@@ -65,7 +65,6 @@ pub use cv::{cross_validate, fold_assignment, CrossValidation};
 pub use network::{BatchScratch, NeuralNetwork};
 pub use scale::MinMaxScaler;
 pub use train::{
-    train, train_with_validation, Algorithm, TrainOutcome, TrainParams, TrainingData,
-    ValidatedOutcome,
+    train, train_with_validation, TrainOutcome, TrainParams, TrainingData, ValidatedOutcome,
 };
 pub use tree::{DecisionTree, DecisionTreeParams};

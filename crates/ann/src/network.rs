@@ -187,16 +187,15 @@ impl TrainingTiles {
 }
 
 /// The batch-gradient sweep for squared error over `set`'s rows `rows`,
-/// `L` rows (lanes) at a time — [`TILE`]-row tiles for a batch, one lane for
-/// a single row (incremental training), which is then the scalar pass. The
-/// tile goes forward through [`Layer::forward_tile`] with every layer's
-/// activations kept; the output deltas `(y − t)·f′(y)` and hidden deltas
-/// `(Σₒ d·w from 0)·f′(y)` are computed across the lanes in the per-example
-/// order; then for each weight, a chain adds the tile's products row after
-/// row — so every gradient accumulates in example order, and the squared
-/// error in example, then output, order, as one example at a time would.
-/// Lanes past the range are computed and never added. `set.grads` receives
-/// the sums, `error` the squared error.
+/// `L` rows (lanes) at a time ([`TILE`]-row tiles; one lane would be the
+/// scalar pass). The tile goes forward through [`Layer::forward_tile`]
+/// with every layer's activations kept; the output deltas `(y − t)·f′(y)`
+/// and hidden deltas `(Σₒ d·w from 0)·f′(y)` are computed across the lanes
+/// in the per-example order; then for each weight, a chain adds the
+/// tile's products row after row — so every gradient accumulates in
+/// example order, and the squared error in example, then output, order, as
+/// one example at a time would. Lanes past the range are computed and
+/// never added. `set.grads` receives the sums, `error` the squared error.
 #[inline(always)]
 fn gradient_tiles<const L: usize>(
     layers: &[Layer],
@@ -315,9 +314,6 @@ impl Tiles<'_> {
         match self {
             Tiles::Forward(layers, cols, rows, tiled, out) => {
                 forward_tiles(layers, cols, rows, tiled, out)
-            }
-            Tiles::Gradients(layers, set, rows, error) if rows.len() == 1 => {
-                gradient_tiles::<1>(layers, set, rows, error)
             }
             Tiles::Gradients(layers, set, rows, error) => {
                 gradient_tiles::<TILE>(layers, set, rows, error)

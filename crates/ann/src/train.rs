@@ -1,8 +1,7 @@
-//! Training: batch backpropagation gradients with iRPROP− or plain online
-//! gradient descent, driven to a target MSE (FANN's "stopping error").
+//! Training: batch backpropagation gradients with iRPROP−, driven to a
+//! target MSE (FANN's "stopping error").
 
 use crate::network::{NeuralNetwork, TrainingTiles};
-use crate::rng::InitRng;
 
 /// A supervised training set.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -86,41 +85,21 @@ impl TrainingData {
     }
 }
 
-/// Which optimisation algorithm drives training.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Algorithm {
-    /// iRPROP− — FANN's default: per-weight adaptive steps from gradient
-    /// signs only. Fast and insensitive to learning-rate choice.
-    Rprop,
-    /// Plain online (incremental) gradient descent.
-    Incremental {
-        /// Learning rate.
-        learning_rate: f64,
-        /// Momentum factor in `[0, 1)`.
-        momentum: f64,
-    },
-}
-
-/// Training configuration.
+/// Training configuration for iRPROP− — FANN's default and the paper's:
+/// per-weight adaptive steps from gradient signs only.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainParams {
-    /// Optimiser.
-    pub algorithm: Algorithm,
     /// Stop once dataset MSE falls to this value (the paper uses 1e-4).
     pub stopping_mse: f64,
     /// Hard cap on training epochs.
     pub max_epochs: u32,
-    /// Seed for example shuffling (incremental training).
-    pub seed: u64,
 }
 
 impl Default for TrainParams {
     fn default() -> Self {
         TrainParams {
-            algorithm: Algorithm::Rprop,
             stopping_mse: 1e-4,
             max_epochs: 2_000,
-            seed: 0,
         }
     }
 }
@@ -148,23 +127,6 @@ const RPROP_STEP_MIN: f64 = 1e-9;
 const RPROP_STEP_MAX: f64 = 50.0;
 const RPROP_STEP_INIT: f64 = 0.1;
 
-/// Trains `net` on `data` until the stopping error or epoch cap.
-///
-/// # Panics
-///
-/// Panics if the data dimensions do not match the network.
-pub fn train(net: &mut NeuralNetwork, data: &TrainingData, params: &TrainParams) -> TrainOutcome {
-    assert_eq!(data.input_dim(), net.input_size(), "input dim mismatch");
-    assert_eq!(data.target_dim(), net.output_size(), "target dim mismatch");
-    match params.algorithm {
-        Algorithm::Rprop => train_rprop(net, data, params),
-        Algorithm::Incremental {
-            learning_rate,
-            momentum,
-        } => train_incremental(net, data, params, learning_rate, momentum),
-    }
-}
-
 /// One fused pass over the dataset through the tile kernel: the batch
 /// gradients into `set.grads`, and the MSE of the *current* weights
 /// returned. The error accumulates per output in example order — the exact
@@ -176,7 +138,15 @@ fn batch_gradients(net: &NeuralNetwork, data: &TrainingData, set: &mut TrainingT
     net.gradients(set, 0..data.len()) / (data.len() * data.target_dim()) as f64
 }
 
-fn train_rprop(net: &mut NeuralNetwork, data: &TrainingData, params: &TrainParams) -> TrainOutcome {
+/// Trains `net` on `data` with iRPROP− until the stopping error or epoch
+/// cap.
+///
+/// # Panics
+///
+/// Panics if the data dimensions do not match the network.
+pub fn train(net: &mut NeuralNetwork, data: &TrainingData, params: &TrainParams) -> TrainOutcome {
+    assert_eq!(data.input_dim(), net.input_size(), "input dim mismatch");
+    assert_eq!(data.target_dim(), net.output_size(), "target dim mismatch");
     let mut states: Vec<(RpropState, RpropState)> = net
         .layers
         .iter()
@@ -237,62 +207,6 @@ fn rprop_update(params: &mut [f64], grad: &[f64], state: &mut RpropState) {
             params[i] -= g.signum() * state.step[i];
             state.prev_grad[i] = g;
         }
-    }
-}
-
-fn train_incremental(
-    net: &mut NeuralNetwork,
-    data: &TrainingData,
-    params: &TrainParams,
-    learning_rate: f64,
-    momentum: f64,
-) -> TrainOutcome {
-    let mut rng = InitRng::new(params.seed);
-    let mut velocity: Vec<(Vec<f64>, Vec<f64>)> = net
-        .layers
-        .iter()
-        .map(|l| (vec![0.0; l.weights.len()], vec![0.0; l.biases.len()]))
-        .collect();
-    let mut order: Vec<usize> = (0..data.len()).collect();
-    let mut set = TrainingTiles::new(net, data.inputs(), data.targets());
-    let mut epochs = 0;
-    loop {
-        // The batch sweep's MSE (its gradients go unused): `mse`'s bits.
-        let mse = batch_gradients(net, data, &mut set);
-        if mse <= params.stopping_mse {
-            return TrainOutcome {
-                epochs,
-                final_mse: mse,
-                reached_target: true,
-            };
-        }
-        if epochs >= params.max_epochs {
-            return TrainOutcome {
-                epochs,
-                final_mse: mse,
-                reached_target: false,
-            };
-        }
-        // Fisher-Yates shuffle for stochastic example order.
-        for i in (1..order.len()).rev() {
-            let j = rng.below(i + 1);
-            order.swap(i, j);
-        }
-        for &idx in &order {
-            net.gradients(&mut set, idx..idx + 1);
-            for (l, (gw, gb)) in set.grads.iter().enumerate() {
-                let (vw, vb) = &mut velocity[l];
-                for i in 0..gw.len() {
-                    vw[i] = momentum * vw[i] - learning_rate * gw[i];
-                    net.layers[l].weights[i] += vw[i];
-                }
-                for i in 0..gb.len() {
-                    vb[i] = momentum * vb[i] - learning_rate * gb[i];
-                    net.layers[l].biases[i] += vb[i];
-                }
-            }
-        }
-        epochs += 1;
     }
 }
 
@@ -384,6 +298,7 @@ mod tests {
     use super::*;
     use crate::activation::Activation;
     use crate::network::{tests::tiers, Tiles};
+    use crate::rng::InitRng;
     use std::ops::Range;
 
     type Grads = Vec<(Vec<f64>, Vec<f64>)>;
@@ -514,9 +429,8 @@ mod tests {
     /// to two hidden layers, widths up to 32) and row counts on both sides
     /// of every tile boundary, each ISA tier of the gradient kernel equals
     /// the per-example sweep bit for bit — over the whole set, a range
-    /// starting mid-tile, and single rows as incremental training sweeps
-    /// them. Every third case scales inputs to ±50, so saturated neurons
-    /// engage `f′`'s clamp.
+    /// starting mid-tile, and single rows. Every third case scales inputs
+    /// to ±50, so saturated neurons engage `f′`'s clamp.
     #[test]
     fn every_gradient_tier_is_bit_identical_to_the_per_example_sweep() {
         const ROWS: [usize; 7] = [1, 31, 32, 33, 64, 180, 394];
@@ -597,7 +511,6 @@ mod tests {
             &TrainParams {
                 stopping_mse: 1e-3,
                 max_epochs: 5_000,
-                ..TrainParams::default()
             },
         );
         assert!(
@@ -607,29 +520,6 @@ mod tests {
         );
         assert!(net.run(&[0.0, 1.0])[0] > 0.9);
         assert!(net.run(&[1.0, 1.0])[0] < 0.1);
-    }
-
-    #[test]
-    fn incremental_learns_xor() {
-        let mut net = NeuralNetwork::new(&[2, 8, 1], Activation::fann_default(), 3);
-        let outcome = train(
-            &mut net,
-            &xor_data(),
-            &TrainParams {
-                algorithm: Algorithm::Incremental {
-                    learning_rate: 0.7,
-                    momentum: 0.5,
-                },
-                stopping_mse: 1e-2,
-                max_epochs: 20_000,
-                seed: 11,
-            },
-        );
-        assert!(
-            outcome.reached_target,
-            "incremental XOR did not converge: mse {}",
-            outcome.final_mse
-        );
     }
 
     #[test]
@@ -660,7 +550,6 @@ mod tests {
             &TrainParams {
                 max_epochs: 300,
                 stopping_mse: 0.0,
-                ..TrainParams::default()
             },
         );
         let after = net.mse(data.inputs(), data.targets());
@@ -676,7 +565,6 @@ mod tests {
             &TrainParams {
                 stopping_mse: 0.0, // unreachable
                 max_epochs: 17,
-                ..TrainParams::default()
             },
         );
         assert_eq!(outcome.epochs, 17);
@@ -751,7 +639,6 @@ mod tests {
             &TrainParams {
                 stopping_mse: 0.0,
                 max_epochs: 4_000,
-                ..TrainParams::default()
             },
             50,
             3,
@@ -774,7 +661,6 @@ mod tests {
             &TrainParams {
                 stopping_mse: 0.0,
                 max_epochs: 73,
-                ..TrainParams::default()
             },
             20,
             100, // patience never fires

@@ -126,7 +126,6 @@ fn training_reduces_mse() {
             &TrainParams {
                 stopping_mse: 0.0,
                 max_epochs: 100,
-                ..TrainParams::default()
             },
         );
         let after = net.mse(data.inputs(), data.targets());

@@ -41,10 +41,6 @@ pub enum DdsError {
     },
     /// Readers of one topic must share the same injected loss rate.
     HeterogeneousLoss(String),
-    /// The real-UDP runtime failed underneath the facade. Carries the
-    /// rendered [`adamant_rt::RtError`] (this enum is `Clone + PartialEq`;
-    /// `io::Error` is neither, so the source is stringified).
-    Runtime(String),
 }
 
 impl fmt::Display for DdsError {
@@ -66,18 +62,11 @@ impl fmt::Display for DdsError {
             DdsError::HeterogeneousLoss(t) => {
                 write!(f, "readers of topic `{t}` have differing loss rates")
             }
-            DdsError::Runtime(e) => write!(f, "runtime failure: {e}"),
         }
     }
 }
 
 impl std::error::Error for DdsError {}
-
-impl From<adamant_rt::RtError> for DdsError {
-    fn from(e: adamant_rt::RtError) -> Self {
-        DdsError::Runtime(e.to_string())
-    }
-}
 
 /// Handle to a topic created on a [`DomainParticipant`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -691,13 +680,5 @@ mod tests {
             err.to_string(),
             "incompatible qos on topic `x`: requested reliability exceeds offered"
         );
-    }
-
-    #[test]
-    fn runtime_errors_convert_from_rt() {
-        let rt = adamant_rt::RtError::ShardPanicked { shard: 2 };
-        let dds: DdsError = rt.into();
-        assert!(matches!(&dds, DdsError::Runtime(msg) if msg.contains("worker 2")));
-        assert!(dds.to_string().starts_with("runtime failure:"));
     }
 }

@@ -28,7 +28,6 @@ pub fn fig18(dataset: &LabeledDataset, scale: FigureScale) -> FigureData {
                 train: TrainParams {
                     stopping_mse: 1e-4,
                     max_epochs: scale.max_epochs,
-                    ..TrainParams::default()
                 },
                 seed: 1_000 + restart as u64,
             };
@@ -88,7 +87,6 @@ pub fn fig19(dataset: &LabeledDataset, scale: FigureScale) -> FigureData {
                 &TrainParams {
                     stopping_mse: 1e-4,
                     max_epochs: scale.max_epochs,
-                    ..TrainParams::default()
                 },
                 10,
                 2_000 + restart as u64,

@@ -180,7 +180,6 @@ fn ann_figures(scale: FigureScale, quick: bool) {
         train: TrainParams {
             stopping_mse: 1e-4,
             max_epochs: if quick { 300 } else { 2_000 },
-            ..TrainParams::default()
         },
         seed: 7,
     };

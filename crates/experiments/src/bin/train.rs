@@ -39,7 +39,6 @@ fn main() {
         train: TrainParams {
             stopping_mse: 1e-4,
             max_epochs,
-            ..TrainParams::default()
         },
         seed: 7,
     };

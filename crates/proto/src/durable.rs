@@ -49,6 +49,8 @@ pub const TAG_DURABLE_NAK: u16 = 13;
 
 /// Wire size charged for a durable control packet (framing + body).
 const DURABLE_CONTROL_BYTES: u32 = 62;
+/// Declared CPU cost of a durable control packet, each side.
+const DURABLE_CONTROL_COST: ProcessingCost = ProcessingCost::symmetric(Span::from_micros(15));
 /// Bytes per sequence listed in a catch-up NAK.
 const DURABLE_NAK_PER_SEQ_BYTES: u32 = 8;
 /// Live packets a not-yet-joined reader will hold before shedding the
@@ -95,8 +97,6 @@ pub struct DurableConfig {
     pub nak_timeout: Span,
     /// Catch-up retry rounds permitted after the first.
     pub max_retries: u32,
-    /// Declared CPU cost of durable control packets.
-    pub control_cost: ProcessingCost,
 }
 
 impl DurableConfig {
@@ -108,7 +108,6 @@ impl DurableConfig {
             advert_interval: Span::from_millis(50),
             nak_timeout: Span::from_millis(20),
             max_retries: 10,
-            control_cost: ProcessingCost::symmetric(Span::from_micros(15)),
         }
     }
 
@@ -425,7 +424,7 @@ fn writer_step<C: ProtocolCore>(
                     w.group,
                     DURABLE_CONTROL_BYTES,
                     TAG_DURABLE_HEARTBEAT,
-                    config.control_cost,
+                    DURABLE_CONTROL_COST,
                     WireMsg::DurableHeartbeat(DurableHeartbeatMsg {
                         first_seq: first,
                         last_seq: last,
@@ -441,7 +440,7 @@ fn writer_step<C: ProtocolCore>(
             let (size, tag, cost) = w.template.unwrap_or((
                 DURABLE_CONTROL_BYTES,
                 TAG_DURABLE_HEARTBEAT,
-                config.control_cost,
+                DURABLE_CONTROL_COST,
             ));
             for &seq in &nak.seqs {
                 let Some(published_at) = w.cache.get(seq) else {
@@ -707,7 +706,7 @@ fn send_catch_up_round(r: &mut ReaderState, config: &DurableConfig, env: &mut En
         r.writer,
         DURABLE_CONTROL_BYTES + DURABLE_NAK_PER_SEQ_BYTES * count,
         TAG_DURABLE_NAK,
-        config.control_cost,
+        DURABLE_CONTROL_COST,
         WireMsg::DurableNak(DurableNakMsg { seqs }),
     );
     r.catch_up_naks += 1;

@@ -66,11 +66,9 @@ impl SessionSpec {
     pub fn build_writer(&self, group: GroupId) -> Box<dyn WriterCore> {
         let (app, stack, tuning) = (self.app, self.stack, self.transport.tuning);
         match self.transport.kind {
-            ProtocolKind::Udp => Box::new(UdpSender::new(app, stack, tuning, group)),
+            ProtocolKind::Udp => Box::new(UdpSender::new(app, stack, group)),
             ProtocolKind::Nakcast { .. } => Box::new(NakcastSender::new(app, stack, tuning, group)),
-            ProtocolKind::Ricochet { .. } => {
-                Box::new(RicochetSender::new(app, stack, tuning, group))
-            }
+            ProtocolKind::Ricochet { .. } => Box::new(RicochetSender::new(app, stack, group)),
             ProtocolKind::StreamCast { window } => {
                 Box::new(StreamCastSender::new(app, stack, tuning, group, window))
             }

@@ -16,6 +16,7 @@ use std::collections::BTreeMap;
 use adamant_proto::{Env, GroupId, Input, ObsEvent, ProtocolCore, Span, TimePoint, WireMsg};
 
 use crate::config::Tuning;
+use crate::nakcast::NakcastSender;
 use crate::profile::{AppSpec, StackProfile};
 use crate::publisher::PublisherCore;
 
@@ -40,7 +41,6 @@ pub struct NakcastStandby {
     started_at: TimePoint,
     promoted: bool,
     promoted_at: Option<TimePoint>,
-    retransmissions_sent: u64,
 }
 
 impl NakcastStandby {
@@ -57,7 +57,8 @@ impl NakcastStandby {
     ) -> Self {
         let check_interval = Span::from_nanos((detect_timeout.as_nanos() / 4).max(1));
         NakcastStandby {
-            core: PublisherCore::new(app, profile, tuning, group, true, true),
+            // Once promoted, it publishes exactly as a NAKcast sender does.
+            core: NakcastSender::new(app, profile, tuning, group).core,
             detect_timeout,
             check_interval,
             observed: BTreeMap::new(),
@@ -66,7 +67,6 @@ impl NakcastStandby {
             started_at: TimePoint::ZERO,
             promoted: false,
             promoted_at: None,
-            retransmissions_sent: 0,
         }
     }
 
@@ -87,7 +87,7 @@ impl NakcastStandby {
 
     /// Unicast retransmissions answered since promotion.
     pub fn retransmissions_sent(&self) -> u64 {
-        self.retransmissions_sent
+        self.core.retransmissions_sent()
     }
 
     /// Samples published by this standby's own incarnation of the stream
@@ -155,10 +155,7 @@ impl ProtocolCore for NakcastStandby {
                 if self.promoted {
                     if let WireMsg::Nak(nak) = msg {
                         for &seq in &nak.seqs {
-                            if self.core.retransmit(env, src, seq) {
-                                self.retransmissions_sent += 1;
-                                env.emit(|node| ObsEvent::Retransmitted { node, seq });
-                            }
+                            self.core.retransmit(env, src, seq);
                         }
                     }
                     return;

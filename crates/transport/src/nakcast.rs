@@ -17,13 +17,13 @@ use std::collections::BTreeMap;
 
 use adamant_proto::wire::{DataMsg, NakMsg};
 use adamant_proto::{
-    beyond, Env, GroupId, Input, LiveJoin, NodeId, ObsEvent, ProtocolCore, Refusals, Span,
-    TimePoint, TimerToken, WireMsg,
+    beyond, Env, GroupId, HistoryCache, Input, LiveJoin, NodeId, ObsEvent, ProtocolCore, Refusals,
+    Span, TimePoint, TimerToken, WireMsg,
 };
 
 use crate::config::Tuning;
 use crate::profile::{AppSpec, StackProfile, CONTROL_COST};
-use crate::publisher::PublisherCore;
+use crate::publisher::{PublisherCore, UDP_PATH};
 use crate::receiver::{DataReader, Reception};
 use crate::tags::{FRAMING_BYTES, NAK_BASE_BYTES, NAK_PER_SEQ_BYTES, TAG_NAK};
 
@@ -63,22 +63,22 @@ pub fn nakcast_recovery_bound(timeout: Span, tuning: &Tuning) -> Span {
 /// unicast retransmissions.
 #[derive(Debug, Clone)]
 pub struct NakcastSender {
-    core: PublisherCore,
-    retransmissions_sent: u64,
+    pub(crate) core: PublisherCore,
 }
 
 impl NakcastSender {
     /// Creates a sender publishing `app` into `group`.
     pub fn new(app: AppSpec, profile: StackProfile, tuning: Tuning, group: GroupId) -> Self {
+        let heartbeat = Some(tuning.heartbeat_interval);
         NakcastSender {
-            core: PublisherCore::new(app, profile, tuning, group, true, true),
-            retransmissions_sent: 0,
+            core: PublisherCore::new(app, profile, UDP_PATH, group, heartbeat, true)
+                .with_history(HistoryCache::unbounded()),
         }
     }
 
     /// Unicast retransmissions sent in response to NAKs.
     pub fn retransmissions_sent(&self) -> u64 {
-        self.retransmissions_sent
+        self.core.retransmissions_sent()
     }
 
     /// Sequence numbers published so far.
@@ -89,7 +89,7 @@ impl NakcastSender {
     /// Bounds the retransmission history retained for NAK replays
     /// (builder-style); unbounded by default.
     pub fn with_history_depth(mut self, depth: usize) -> Self {
-        self.core = self.core.with_history_depth(depth);
+        self.core = self.core.with_history(HistoryCache::bounded(depth));
         self
     }
 }
@@ -108,10 +108,7 @@ impl ProtocolCore for NakcastSender {
                 msg: WireMsg::Nak(nak),
             } => {
                 for &seq in &nak.seqs {
-                    if self.core.retransmit(env, src, seq) {
-                        self.retransmissions_sent += 1;
-                        env.emit(|node| ObsEvent::Retransmitted { node, seq });
-                    }
+                    self.core.retransmit(env, src, seq);
                 }
             }
             Input::PacketIn { .. } | Input::Tick => {}

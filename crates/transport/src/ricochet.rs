@@ -27,7 +27,7 @@ use adamant_proto::{
 
 use crate::config::Tuning;
 use crate::profile::{AppSpec, StackProfile, CONTROL_COST, OS_PACKET_COST};
-use crate::publisher::PublisherCore;
+use crate::publisher::{Path, PublisherCore, UDP_PATH};
 use crate::receiver::{DataReader, Reception};
 use crate::tags::{
     CONTROL_BYTES, FRAMING_BYTES, REPAIR_BASE_BYTES, REPAIR_PER_SEQ_BYTES, TAG_MEMBERSHIP,
@@ -57,19 +57,28 @@ const FLUSH_AFTER: Span = Span::from_millis(5);
 /// How many recent packets a receiver retains for XOR reconstruction.
 const STORE_CAPACITY: usize = 1024;
 
+/// The UDP path with the receive side of every data packet charged the
+/// XOR-buffer maintenance.
+const RICOCHET_PATH: Path = Path {
+    data_cost: ProcessingCost::new(
+        OS_PACKET_COST,
+        Span::from_nanos(OS_PACKET_COST.as_nanos() + FEC_DATA_COST.as_nanos()),
+    ),
+    ..UDP_PATH
+};
+
 /// Sender side of Ricochet: publish-only (recovery is lateral), with a FIN
 /// so receivers flush their final repair windows.
 #[derive(Debug)]
 pub struct RicochetSender {
-    core: PublisherCore,
+    pub(crate) core: PublisherCore,
 }
 
 impl RicochetSender {
     /// Creates a sender publishing `app` into `group`.
-    pub fn new(app: AppSpec, profile: StackProfile, tuning: Tuning, group: GroupId) -> Self {
+    pub fn new(app: AppSpec, profile: StackProfile, group: GroupId) -> Self {
         RicochetSender {
-            core: PublisherCore::new(app, profile, tuning, group, false, true)
-                .with_extra_data_rx(FEC_DATA_COST),
+            core: PublisherCore::new(app, profile, RICOCHET_PATH, group, None, true),
         }
     }
 
@@ -456,7 +465,7 @@ mod tests {
         let group = sim.create_group(&[]);
         let tx = sim.add_node(
             cfg(),
-            SimDriver::new(RicochetSender::new(app, profile, tuning, group)),
+            SimDriver::new(RicochetSender::new(app, profile, group)),
         );
         sim.join_group(group, tx);
         let mut rx_nodes = Vec::new();
@@ -589,12 +598,7 @@ mod tests {
         let group = sim.create_group(&[]);
         let tx = sim.add_node(
             cfg(),
-            SimDriver::new(RicochetSender::new(
-                app,
-                StackProfile::new(10.0, 48),
-                tuning,
-                group,
-            )),
+            SimDriver::new(RicochetSender::new(app, StackProfile::new(10.0, 48), group)),
         );
         sim.join_group(group, tx);
         let mut rxs = Vec::new();

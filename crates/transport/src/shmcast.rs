@@ -15,15 +15,13 @@
 
 use std::collections::BTreeMap;
 
-use adamant_proto::wire::{DataMsg, FinMsg, ShmCreditMsg};
+use adamant_proto::wire::{DataMsg, ShmCreditMsg};
 use adamant_proto::{Env, GroupId, Input, NodeId, ProcessingCost, ProtocolCore, Span, WireMsg};
 
 use crate::profile::{AppSpec, StackProfile};
+use crate::publisher::{Path, PublisherCore, TIMER_PUBLISH};
 use crate::receiver::{DataReader, Reception};
-use crate::tags::{DATA_HEADER_BYTES, TAG_DATA, TAG_FIN, TAG_SHM_CREDIT};
-
-/// Timer tag for the sender's next publication tick.
-const TIMER_PUBLISH: u64 = 50;
+use crate::tags::TAG_SHM_CREDIT;
 
 /// Framing bytes of a shared-memory ring slot header: no Ethernet, IP, or
 /// UDP — just a slot length + flags word.
@@ -34,19 +32,22 @@ pub const SHM_FRAMING_BYTES: u32 = 8;
 /// stack.
 const SLOT_COST: ProcessingCost = ProcessingCost::symmetric(Span::from_nanos(800));
 
+/// The shared-memory path: ring-slot framing, and a slot's cost for data
+/// and control packets alike. A control slot carries an 8-byte body.
+const SHM_PATH: Path = Path {
+    framing_bytes: SHM_FRAMING_BYTES,
+    data_cost: SLOT_COST,
+    control_bytes: SHM_FRAMING_BYTES + 8,
+    control_cost: SLOT_COST,
+};
+
 /// Sender side of ShmCast.
 #[derive(Debug, Clone)]
 pub struct ShmCastSender {
-    app: AppSpec,
-    profile: StackProfile,
-    group: GroupId,
+    pub(crate) core: PublisherCore,
     queue: u32,
-    next_seq: u64,
-    finished: bool,
-    stalled: bool,
     /// Per-receiver credit: the sender may publish sequences `< granted`.
     credits: BTreeMap<NodeId, u64>,
-    stalls: u64,
 }
 
 impl ShmCastSender {
@@ -54,44 +55,30 @@ impl ShmCastSender {
     /// with bounded queues of `queue` slots.
     pub fn new(app: AppSpec, profile: StackProfile, group: GroupId, queue: u32) -> Self {
         ShmCastSender {
-            app,
-            profile,
-            group,
+            core: PublisherCore::new(app, profile, SHM_PATH, group, None, true),
             queue: queue.max(1),
-            next_seq: 0,
-            finished: false,
-            stalled: false,
             credits: BTreeMap::new(),
-            stalls: 0,
         }
     }
 
     /// Samples published so far.
     pub fn published(&self) -> u64 {
-        self.next_seq
+        self.core.published()
     }
 
     /// Whether the final sample has been published.
     pub fn is_finished(&self) -> bool {
-        self.finished
+        self.core.is_finished()
     }
 
     /// Publication ticks deferred for want of receiver credit.
     pub fn stalls(&self) -> u64 {
-        self.stalls
+        self.core.stalls()
     }
 
     /// The ring capacity (in slots) each receiver is assumed to run.
     pub fn queue(&self) -> u32 {
         self.queue
-    }
-
-    fn data_packet_bytes(&self) -> u32 {
-        SHM_FRAMING_BYTES + DATA_HEADER_BYTES + self.profile.header_bytes + self.app.payload_bytes
-    }
-
-    fn data_cost(&self) -> ProcessingCost {
-        SLOT_COST.plus(self.profile.per_packet)
     }
 
     /// The lowest credit grant across attached receivers; publication is
@@ -101,45 +88,10 @@ impl ShmCastSender {
     }
 
     fn publish_tick(&mut self, env: &mut Env<'_>) {
-        if self.finished {
-            return;
-        }
-        if self.next_seq >= self.credit_limit() {
-            // Out of credit: a receiver's ring is full (or none attached
-            // yet). The next grant resumes the stream.
-            self.stalled = true;
-            self.stalls += 1;
-            return;
-        }
-        self.stalled = false;
-        let seq = self.next_seq;
-        let now = env.now();
-        self.next_seq += 1;
-        env.send(
-            self.group,
-            self.data_packet_bytes(),
-            TAG_DATA,
-            self.data_cost(),
-            WireMsg::Data(DataMsg {
-                seq,
-                published_at: now,
-                retransmission: false,
-            }),
-        );
-        if self.next_seq < self.app.total_samples {
-            env.set_timer(self.app.interval, TIMER_PUBLISH);
-        } else {
-            self.finished = true;
-            env.send(
-                self.group,
-                SHM_FRAMING_BYTES + 8,
-                TAG_FIN,
-                SLOT_COST,
-                WireMsg::Fin(FinMsg {
-                    total: self.app.total_samples,
-                }),
-            );
-        }
+        // Out of credit: a receiver's ring is full (or none attached yet).
+        // The next grant resumes the stream.
+        let open = self.core.published() < self.credit_limit();
+        self.core.publish(env, open);
     }
 
     fn on_credit(&mut self, env: &mut Env<'_>, src: NodeId, credit: ShmCreditMsg) {
@@ -148,7 +100,7 @@ impl ShmCastSender {
         if credit.upto > *entry {
             *entry = credit.upto;
         }
-        if self.stalled {
+        if self.core.is_stalled() {
             self.publish_tick(env);
         }
     }
@@ -157,9 +109,7 @@ impl ShmCastSender {
 impl ProtocolCore for ShmCastSender {
     fn step(&mut self, input: Input<'_>, env: &mut Env<'_>) {
         match input {
-            Input::Start => {
-                env.set_timer(Span::ZERO, TIMER_PUBLISH);
-            }
+            Input::Start => self.core.start(env),
             Input::TimerFired {
                 tag: TIMER_PUBLISH, ..
             } => self.publish_tick(env),
@@ -205,9 +155,9 @@ impl ShmCastReceiver {
         self.reception.stats.acks_sent += 1;
         env.send(
             self.sender,
-            SHM_FRAMING_BYTES + 8,
+            SHM_PATH.control_bytes,
             TAG_SHM_CREDIT,
-            SLOT_COST,
+            SHM_PATH.control_cost,
             WireMsg::ShmCredit(ShmCreditMsg { upto: self.granted }),
         );
     }

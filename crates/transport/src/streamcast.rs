@@ -17,27 +17,21 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use adamant_proto::wire::{DataMsg, FinMsg, StreamAckMsg, StreamSynAckMsg, StreamSynMsg};
+use adamant_proto::wire::{DataMsg, StreamAckMsg, StreamSynAckMsg, StreamSynMsg};
 use adamant_proto::{
-    Env, GroupId, Input, NodeId, ObsEvent, ProcessingCost, ProtocolCore, Span, TimePoint, WireMsg,
+    Env, GroupId, HistoryCache, Input, NodeId, ProtocolCore, Span, TimePoint, WireMsg,
 };
-
-use adamant_proto::HistoryCache;
 
 use crate::config::Tuning;
-use crate::profile::{AppSpec, StackProfile, CONTROL_COST, OS_PACKET_COST};
+use crate::profile::{AppSpec, StackProfile, CONTROL_COST};
+use crate::publisher::{PublisherCore, TIMER_PUBLISH, UDP_PATH};
 use crate::receiver::{DataReader, Reception};
-use crate::tags::{
-    CONTROL_BYTES, DATA_HEADER_BYTES, FRAMING_BYTES, TAG_DATA, TAG_FIN, TAG_RETRANSMIT,
-    TAG_STREAM_ACK, TAG_STREAM_SYN,
-};
+use crate::tags::{CONTROL_BYTES, FRAMING_BYTES, TAG_STREAM_ACK, TAG_STREAM_SYN};
 
 /// Timer tag for the sender's retransmission timeout.
 const TIMER_RTO: u64 = 40;
 /// Timer tag for the receiver's SYN retry cycle.
 const TIMER_SYN: u64 = 41;
-/// Timer tag for the sender's next publication tick.
-const TIMER_PUBLISH: u64 = 42;
 
 /// Initial RTO before the first RTT sample (clamped into the tuned range).
 const INITIAL_RTO: Span = Span::from_millis(100);
@@ -63,16 +57,10 @@ struct PeerState {
 /// Sender side of StreamCast.
 #[derive(Debug, Clone)]
 pub struct StreamCastSender {
-    app: AppSpec,
-    profile: StackProfile,
+    core: PublisherCore,
     tuning: Tuning,
-    group: GroupId,
     window: u32,
-    next_seq: u64,
-    history: HistoryCache,
-    finished: bool,
     started: bool,
-    stalled: bool,
     peers: BTreeMap<NodeId, PeerState>,
     /// Sequences ever retransmitted — excluded from RTT sampling (Karn).
     retx_seqs: BTreeSet<u64>,
@@ -87,8 +75,6 @@ pub struct StreamCastSender {
     acked_floor: u64,
     last_progress: TimePoint,
     rto_armed: bool,
-    stalls: u64,
-    retransmissions_sent: u64,
     fast_retransmits: u64,
     rto_fires: u64,
     give_ups: u64,
@@ -105,16 +91,11 @@ impl StreamCastSender {
         window: u32,
     ) -> Self {
         StreamCastSender {
-            app,
-            profile,
+            core: PublisherCore::new(app, profile, UDP_PATH, group, None, true)
+                .with_history(HistoryCache::unbounded()),
             tuning,
-            group,
             window: window.max(1),
-            next_seq: 0,
-            history: HistoryCache::unbounded(),
-            finished: false,
             started: false,
-            stalled: false,
             peers: BTreeMap::new(),
             retx_seqs: BTreeSet::new(),
             srtt: None,
@@ -124,8 +105,6 @@ impl StreamCastSender {
             acked_floor: 0,
             last_progress: TimePoint::ZERO,
             rto_armed: false,
-            stalls: 0,
-            retransmissions_sent: 0,
             fast_retransmits: 0,
             rto_fires: 0,
             give_ups: 0,
@@ -158,17 +137,17 @@ impl StreamCastSender {
 
     /// Samples published so far.
     pub fn published(&self) -> u64 {
-        self.next_seq
+        self.core.published()
     }
 
     /// Whether the final sample has been published.
     pub fn is_finished(&self) -> bool {
-        self.finished
+        self.core.is_finished()
     }
 
     /// Retransmissions sent (fast retransmit + RTO).
     pub fn retransmissions_sent(&self) -> u64 {
-        self.retransmissions_sent
+        self.core.retransmissions_sent()
     }
 
     /// Retransmissions triggered by duplicate cumulative ACKs.
@@ -183,7 +162,7 @@ impl StreamCastSender {
 
     /// Publication ticks deferred because the send window was closed.
     pub fn stalls(&self) -> u64 {
-        self.stalls
+        self.core.stalls()
     }
 
     /// Peers abandoned after the RTO retry budget ran out.
@@ -195,14 +174,6 @@ impl StreamCastSender {
     /// sample has been taken.
     pub fn srtt(&self) -> Option<Span> {
         self.srtt
-    }
-
-    fn data_packet_bytes(&self) -> u32 {
-        FRAMING_BYTES + DATA_HEADER_BYTES + self.profile.header_bytes + self.app.payload_bytes
-    }
-
-    fn data_cost(&self) -> ProcessingCost {
-        ProcessingCost::symmetric(OS_PACKET_COST).plus(self.profile.per_packet)
     }
 
     /// The current retransmission timeout, with backoff applied.
@@ -241,26 +212,27 @@ impl StreamCastSender {
         }
     }
 
-    /// The lowest cumulative ACK across live peers, or `next_seq` when
-    /// every peer (if any) is fully caught up.
+    /// The lowest cumulative ACK across live peers, or the next sequence
+    /// when every peer (if any) is fully caught up.
     fn min_cum_ack(&self) -> u64 {
         self.peers
             .values()
             .filter(|p| !p.abandoned)
             .map(|p| p.cum_ack)
             .min()
-            .unwrap_or(self.next_seq)
+            .unwrap_or(self.core.published())
     }
 
     fn window_open(&self) -> bool {
+        let next_seq = self.core.published();
         self.peers
             .values()
             .filter(|p| !p.abandoned)
-            .all(|p| self.next_seq < p.cum_ack + u64::from(self.window.min(p.window.max(1))))
+            .all(|p| next_seq < p.cum_ack + u64::from(self.window.min(p.window.max(1))))
     }
 
     fn outstanding(&self) -> bool {
-        self.min_cum_ack() < self.next_seq
+        self.min_cum_ack() < self.core.published()
     }
 
     fn arm_rto(&mut self, env: &mut Env<'_>) {
@@ -271,73 +243,28 @@ impl StreamCastSender {
     }
 
     fn publish_tick(&mut self, env: &mut Env<'_>) {
-        if self.finished || !self.started {
+        if self.core.is_finished() || !self.started {
             return;
         }
-        if !self.window_open() {
-            // Window closed: stall until a cumulative ACK reopens it. The
-            // backlog drains ACK-clocked, one publication per advance.
-            self.stalled = true;
-            self.stalls += 1;
-            return;
-        }
-        self.stalled = false;
-        let seq = self.next_seq;
-        let now = env.now();
-        if !self.outstanding() {
+        // A closed window stalls the publisher until a cumulative ACK
+        // reopens it. The backlog drains ACK-clocked, one publication per
+        // advance.
+        let open = self.window_open();
+        if open && !self.outstanding() {
             // Everything sent so far is acknowledged: this send restarts
             // the retransmission deadline, exactly like TCP restarting
             // its timer when data enters an empty pipe.
-            self.last_progress = now;
+            self.last_progress = env.now();
         }
-        self.history.push(seq, now);
-        self.next_seq += 1;
-        env.send(
-            self.group,
-            self.data_packet_bytes(),
-            TAG_DATA,
-            self.data_cost(),
-            WireMsg::Data(DataMsg {
-                seq,
-                published_at: now,
-                retransmission: false,
-            }),
-        );
-        if self.next_seq < self.app.total_samples {
-            env.set_timer(self.app.interval, TIMER_PUBLISH);
-        } else {
-            self.finished = true;
-            env.send(
-                self.group,
-                FRAMING_BYTES + CONTROL_BYTES,
-                TAG_FIN,
-                CONTROL_COST,
-                WireMsg::Fin(FinMsg {
-                    total: self.app.total_samples,
-                }),
-            );
+        if self.core.publish(env, open) {
+            self.arm_rto(env);
         }
-        self.arm_rto(env);
     }
 
     fn retransmit(&mut self, env: &mut Env<'_>, to: NodeId, seq: u64) {
-        let Some(published_at) = self.history.get(seq) else {
-            return;
-        };
-        self.retx_seqs.insert(seq);
-        self.retransmissions_sent += 1;
-        env.send(
-            to,
-            self.data_packet_bytes(),
-            TAG_RETRANSMIT,
-            self.data_cost(),
-            WireMsg::Data(DataMsg {
-                seq,
-                published_at,
-                retransmission: true,
-            }),
-        );
-        env.emit(|node| ObsEvent::Retransmitted { node, seq });
+        if self.core.retransmit(env, to, seq) {
+            self.retx_seqs.insert(seq);
+        }
     }
 
     fn on_syn(&mut self, env: &mut Env<'_>, src: NodeId, syn: StreamSynMsg) {
@@ -360,12 +287,12 @@ impl StreamCastSender {
             // The stream starts flowing once the first receiver connects.
             self.started = true;
             self.last_progress = env.now();
-            env.set_timer(Span::ZERO, TIMER_PUBLISH);
+            self.core.start(env);
         }
     }
 
     fn on_ack(&mut self, env: &mut Env<'_>, src: NodeId, ack: StreamAckMsg) {
-        let next_seq = self.next_seq;
+        let next_seq = self.core.published();
         let Some(peer) = self.peers.get_mut(&src) else {
             return;
         };
@@ -378,7 +305,7 @@ impl StreamCastSender {
             // samples; the newest acknowledged one is representative.
             let newest = ack.cum_ack - 1;
             if !self.retx_seqs.contains(&newest) {
-                if let Some(sent_at) = self.history.get(newest) {
+                if let Some(sent_at) = self.core.published_at(newest) {
                     let rtt = env.now() - sent_at;
                     self.sample_rtt(rtt);
                 }
@@ -395,7 +322,7 @@ impl StreamCastSender {
             }
             // In place: `split_off` would allocate a new root per ack.
             self.retx_seqs.retain(|&seq| seq >= floor);
-            if self.stalled {
+            if self.core.is_stalled() {
                 self.publish_tick(env);
             }
         } else if ack.cum_ack == peer.cum_ack && ack.cum_ack < next_seq {
@@ -426,14 +353,14 @@ impl StreamCastSender {
         if self.rto_retries >= self.tuning.nak_max_retries {
             // Retry budget exhausted: abandon the peers that stopped
             // progressing so the stream can finish for everyone else.
-            let next_seq = self.next_seq;
+            let next_seq = self.core.published();
             for peer in self.peers.values_mut() {
                 if !peer.abandoned && peer.cum_ack < next_seq {
                     peer.abandoned = true;
                     self.give_ups += 1;
                 }
             }
-            if self.stalled {
+            if self.core.is_stalled() {
                 self.publish_tick(env);
             }
             self.arm_rto(env);
@@ -447,7 +374,7 @@ impl StreamCastSender {
         // schedule: one receiver's ACKs delayed (defining the floor), the
         // other missing a dropped segment above it; a floor-only resend
         // starves the second receiver for a full extra RTO.
-        let next_seq = self.next_seq;
+        let next_seq = self.core.published();
         let lagging: Vec<(NodeId, u64)> = self
             .peers
             .iter()
@@ -487,7 +414,7 @@ impl ProtocolCore for StreamCastSender {
                 // immediately; a dynamic sender waits for the first SYN.
                 if self.started {
                     self.last_progress = env.now();
-                    env.set_timer(Span::ZERO, TIMER_PUBLISH);
+                    self.core.start(env);
                 }
             }
             Input::Tick => {}

@@ -2,22 +2,21 @@
 
 use adamant_proto::{Env, GroupId, Input, ProtocolCore, WireMsg};
 
-use crate::config::Tuning;
 use crate::profile::{AppSpec, StackProfile};
-use crate::publisher::PublisherCore;
+use crate::publisher::{PublisherCore, UDP_PATH};
 use crate::receiver::{DataReader, Reception};
 
 /// Sender side of plain UDP multicast: publishes and nothing else.
 #[derive(Debug)]
 pub struct UdpSender {
-    core: PublisherCore,
+    pub(crate) core: PublisherCore,
 }
 
 impl UdpSender {
     /// Creates a sender publishing `app` into `group`.
-    pub fn new(app: AppSpec, profile: StackProfile, tuning: Tuning, group: GroupId) -> Self {
+    pub fn new(app: AppSpec, profile: StackProfile, group: GroupId) -> Self {
         UdpSender {
-            core: PublisherCore::new(app, profile, tuning, group, false, false),
+            core: PublisherCore::new(app, profile, UDP_PATH, group, None, false),
         }
     }
 
@@ -101,12 +100,7 @@ mod tests {
         let app = AppSpec::at_rate(1_000, 1_000.0, 12);
         let tx = sim.add_node(
             cfg,
-            SimDriver::new(UdpSender::new(
-                app,
-                StackProfile::new(10.0, 48),
-                Tuning::default(),
-                group,
-            )),
+            SimDriver::new(UdpSender::new(app, StackProfile::new(10.0, 48), group)),
         );
         sim.join_group(group, tx);
         sim.run();
@@ -138,7 +132,6 @@ mod tests {
             SimDriver::new(UdpSender::new(
                 AppSpec::at_rate(5, 100.0, 12),
                 StackProfile::default(),
-                Tuning::default(),
                 group,
             )),
         );

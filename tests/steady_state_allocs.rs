@@ -100,7 +100,6 @@ fn training_calls(data: &TrainingData, max_epochs: u32) -> u64 {
     let params = TrainParams {
         stopping_mse: 0.0,
         max_epochs,
-        ..TrainParams::default()
     };
     std::hint::black_box(train(&mut net, data, &params));
     calls() - before

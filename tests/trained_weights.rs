@@ -95,7 +95,6 @@ fn trained_weights_reproduce_pinned_digests() {
                 train: TrainParams {
                     stopping_mse: 0.0,
                     max_epochs: 200,
-                    ..TrainParams::default()
                 },
                 ..SelectorConfig::default()
             },
@@ -107,7 +106,6 @@ fn trained_weights_reproduce_pinned_digests() {
                 train: TrainParams {
                     stopping_mse: 0.0,
                     max_epochs: 50,
-                    ..TrainParams::default()
                 },
                 ..SelectorConfig::default()
             },
@@ -128,7 +126,6 @@ fn trained_weights_reproduce_pinned_digests() {
         &TrainParams {
             stopping_mse: 0.0,
             max_epochs: 10,
-            ..TrainParams::default()
         },
     );
     measured.push((
