@@ -3,9 +3,9 @@
 
 use crate::classify::evaluate;
 use crate::network::NeuralNetwork;
-use crate::rng::InitRng;
 use crate::train::{train, TrainParams, TrainingData};
 use crate::Activation;
+use adamant_proto::splitmix64;
 
 /// Deterministically assigns each of `n` examples to one of `k` folds
 /// (shuffled by `seed`), returning the fold index per example.
@@ -17,9 +17,9 @@ pub fn fold_assignment(n: usize, k: usize, seed: u64) -> Vec<usize> {
     assert!(k > 0, "need at least one fold");
     assert!(k <= n, "more folds than examples");
     let mut order: Vec<usize> = (0..n).collect();
-    let mut rng = InitRng::new(seed);
+    let mut rng = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
     for i in (1..n).rev() {
-        let j = rng.below(i + 1);
+        let j = (splitmix64(&mut rng) % (i as u64 + 1)) as usize;
         order.swap(i, j);
     }
     let mut folds = vec![0usize; n];

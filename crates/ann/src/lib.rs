@@ -54,7 +54,6 @@ mod activation;
 mod classify;
 mod cv;
 mod network;
-mod rng;
 mod scale;
 mod train;
 mod tree;

@@ -5,9 +5,16 @@
 use std::ops::Range;
 
 use adamant_json::impl_json_struct;
+use adamant_proto::splitmix64;
 
 use crate::activation::Activation;
-use crate::rng::InitRng;
+
+/// The next draw of the SplitMix64 stream `state`, uniform in
+/// `[-half_range, half_range)`; a seed's stream starts one step past it.
+pub(crate) fn uniform(state: &mut u64, half_range: f64) -> f64 {
+    let unit = (splitmix64(state) >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+    (unit * 2.0 - 1.0) * half_range
+}
 
 /// One fully connected layer.
 #[derive(Debug, Clone, PartialEq)]
@@ -21,16 +28,16 @@ pub(crate) struct Layer {
 }
 
 impl Layer {
-    fn new(inputs: usize, outputs: usize, activation: Activation, rng: &mut InitRng) -> Self {
+    fn new(inputs: usize, outputs: usize, activation: Activation, rng: &mut u64) -> Self {
         // FANN-style init: uniform in ±(1/sqrt(fan_in)).
         let half_range = 1.0 / (inputs as f64).sqrt();
         Layer {
             inputs,
             outputs,
             weights: (0..inputs * outputs)
-                .map(|_| rng.uniform(half_range))
+                .map(|_| uniform(rng, half_range))
                 .collect(),
-            biases: (0..outputs).map(|_| rng.uniform(half_range)).collect(),
+            biases: (0..outputs).map(|_| uniform(rng, half_range)).collect(),
             activation,
         }
     }
@@ -403,7 +410,7 @@ impl NeuralNetwork {
             layer_sizes.iter().all(|&n| n > 0),
             "layer sizes must be positive"
         );
-        let mut rng = InitRng::new(seed);
+        let mut rng = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let layers = layer_sizes
             .windows(2)
             .map(|w| Layer::new(w[0], w[1], activation, &mut rng))
@@ -567,6 +574,12 @@ impl_json_struct!(NeuralNetwork { layers });
 pub(crate) mod tests {
     use super::*;
 
+    /// The SplitMix64 state `NeuralNetwork::new` and `fold_assignment`
+    /// start a seed's stream from, for test inputs drawn the same way.
+    pub(crate) fn stream(seed: u64) -> u64 {
+        seed.wrapping_add(0x9e37_79b9_7f4a_7c15)
+    }
+
     #[test]
     fn construction_shapes() {
         let net = NeuralNetwork::new(&[7, 24, 6], Activation::fann_default(), 1);
@@ -687,9 +700,9 @@ pub(crate) mod tests {
     /// Asserts bit-equality with per-row `run` over `rows` random queries:
     /// of every tier's kernel on the full tiles (when the network fits the
     /// tile buffers), and of `run_batch_cols_into` on every row.
-    fn assert_batch_matches_run(net: &NeuralNetwork, rows: usize, rng: &mut InitRng, what: &str) {
+    fn assert_batch_matches_run(net: &NeuralNetwork, rows: usize, rng: &mut u64, what: &str) {
         let (in_dim, out_dim) = (net.input_size(), net.output_size());
-        let cols: Vec<f64> = (0..rows * in_dim).map(|_| rng.uniform(3.0)).collect();
+        let cols: Vec<f64> = (0..rows * in_dim).map(|_| uniform(rng, 3.0)).collect();
         let expected: Vec<Vec<f64>> = (0..rows)
             .map(|r| net.run(&(0..in_dim).map(|i| cols[i * rows + r]).collect::<Vec<_>>()))
             .collect();
@@ -728,7 +741,7 @@ pub(crate) mod tests {
     #[test]
     fn every_kernel_tier_is_bit_identical_to_scalar_run() {
         const ROWS: [usize; 7] = [0, 1, 31, 32, 33, 64, 1031];
-        let mut rng = InitRng::new(0xBA7C4);
+        let mut rng = stream(0xBA7C4);
         for case in 0..200u64 {
             let inputs = 1 + (case % 11) as usize;
             let hidden = 1 + ((case / 11) % 17) as usize;
@@ -756,7 +769,7 @@ pub(crate) mod tests {
 
     #[test]
     fn a_network_wider_than_the_tile_buffers_falls_back_to_the_scalar_rows() {
-        let mut rng = InitRng::new(7);
+        let mut rng = stream(7);
         let net = NeuralNetwork::new(&[5, TILE_WIDTH + 1, 3], Activation::fann_default(), 11);
         for rows in [32, 97] {
             assert_batch_matches_run(&net, rows, &mut rng, "wide");

@@ -297,8 +297,9 @@ pub fn train_with_validation(
 mod tests {
     use super::*;
     use crate::activation::Activation;
-    use crate::network::{tests::tiers, Tiles};
-    use crate::rng::InitRng;
+    use crate::network::tests::{stream, tiers};
+    use crate::network::{uniform, Tiles};
+    use adamant_proto::splitmix64;
     use std::ops::Range;
 
     type Grads = Vec<(Vec<f64>, Vec<f64>)>;
@@ -417,8 +418,8 @@ mod tests {
     }
 
     /// `rows` random examples, inputs uniform in ±`scale`, targets in ±1.
-    fn random_data(rows: usize, sizes: &[usize], scale: f64, rng: &mut InitRng) -> TrainingData {
-        let mut row = |dim: usize, scale: f64| (0..dim).map(|_| rng.uniform(scale)).collect();
+    fn random_data(rows: usize, sizes: &[usize], scale: f64, rng: &mut u64) -> TrainingData {
+        let mut row = |dim: usize, scale: f64| (0..dim).map(|_| uniform(rng, scale)).collect();
         let (inputs, targets) = (0..rows)
             .map(|_| (row(sizes[0], scale), row(sizes[sizes.len() - 1], 1.0)))
             .unzip();
@@ -434,7 +435,7 @@ mod tests {
     #[test]
     fn every_gradient_tier_is_bit_identical_to_the_per_example_sweep() {
         const ROWS: [usize; 7] = [1, 31, 32, 33, 64, 180, 394];
-        let mut rng = InitRng::new(0x6AD);
+        let mut rng = stream(0x6AD);
         for case in 0..200u64 {
             let inputs = 1 + (case % 11) as usize;
             let hidden = 1 + ((case / 7) % 32) as usize;
@@ -453,7 +454,8 @@ mod tests {
             let scale = if case % 3 == 0 { 50.0 } else { 1.0 };
             let rows = ROWS[case as usize % 7];
             let data = random_data(rows, &sizes, scale, &mut rng);
-            let (start, last) = (rng.below(rows), rng.below(rows));
+            let below = |rng: &mut u64| (splitmix64(rng) % rows as u64) as usize;
+            let (start, last) = (below(&mut rng), below(&mut rng));
             let ranges = [
                 0..rows,
                 start.min(last)..start.max(last) + 1,
@@ -468,7 +470,7 @@ mod tests {
     fn a_nan_row_poisons_the_same_gradients_in_every_tier() {
         let sizes = [9, 24, 8];
         let net = NeuralNetwork::new(&sizes, Activation::fann_default(), 3);
-        let data = random_data(180, &sizes, 1.0, &mut InitRng::new(0x4A4));
+        let data = random_data(180, &sizes, 1.0, &mut stream(0x4A4));
         let mut inputs = data.inputs().to_vec();
         inputs[77][4] = f64::NAN;
         let poisoned = TrainingData::new(inputs, data.targets().to_vec());
@@ -485,7 +487,7 @@ mod tests {
     fn layers_wider_than_the_batch_kernels_buffers_sweep_the_same() {
         for sizes in [[3, 33, 2], [9, 40, 8], [4, 5, 64]] {
             let net = NeuralNetwork::new(&sizes, Activation::fann_default(), 5);
-            let data = random_data(70, &sizes, 1.0, &mut InitRng::new(9));
+            let data = random_data(70, &sizes, 1.0, &mut stream(9));
             assert_tiers_match_oracle(&net, &data, &[0..70, 33..34], &format!("{sizes:?}"));
         }
     }

@@ -7,16 +7,12 @@ use adamant_ann::{
     NeuralNetwork, TrainParams, TrainingData,
 };
 
-/// A tiny splitmix-style generator for test-case values.
+/// Test-case values drawn from the shared SplitMix64 stream.
 struct CaseRng(u64);
 
 impl CaseRng {
     fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        adamant_proto::splitmix64(&mut self.0)
     }
 
     fn in_range(&mut self, lo: f64, hi: f64) -> f64 {

@@ -629,18 +629,13 @@ impl AdaptivePolicy {
         let topic = participant
             .create_topic::<[u8; 12]>("adamant/self-healing", qos)
             .expect("fresh participant has no topics");
-        let host = cfg.env.host_config();
+        let app = AppSpec::at_rate(cfg.samples, cfg.app.rate_hz as f64, PAPER_PAYLOAD_BYTES);
         participant
-            .create_data_writer(
-                topic,
-                qos,
-                AppSpec::at_rate(cfg.samples, cfg.app.rate_hz as f64, PAPER_PAYLOAD_BYTES),
-                host,
-            )
+            .create_data_writer(topic, qos, app)
             .expect("topic has no writer yet");
         for _ in 0..cfg.app.receivers {
             participant
-                .create_data_reader(topic, qos, host, cfg.env.drop_probability())
+                .create_data_reader(topic, qos, cfg.env.drop_probability())
                 .expect("reader creation is infallible here");
         }
 
@@ -648,9 +643,11 @@ impl AdaptivePolicy {
         if cfg.observe {
             sim.set_obs_sink(MemorySink::new());
         }
-        let mut handles = participant
-            .install(&mut sim, topic, initial)
-            .expect("initial transport must satisfy time-critical qos");
+        let host = cfg.env.host_config();
+        let readers = vec![host; cfg.app.receivers as usize];
+        let mut handles =
+            session::install_topic(&mut sim, &participant, topic, initial, host, &readers)
+                .expect("initial transport must satisfy time-critical qos");
 
         let receiver_count = handles.receivers.len() as u64;
         let mut live = self.selector.clone();
@@ -729,15 +726,15 @@ impl AdaptivePolicy {
                         }
                         published_before = published_total;
                         let from = current;
-                        handles = participant
-                            .reinstall(
-                                &mut sim,
-                                topic,
-                                &handles,
-                                TransportConfig::new(choice.protocol),
-                                remaining,
-                            )
-                            .expect("candidate protocols satisfy time-critical qos");
+                        handles = session::reinstall_topic(
+                            &mut sim,
+                            &participant,
+                            topic,
+                            &handles,
+                            TransportConfig::new(choice.protocol),
+                            remaining,
+                        )
+                        .expect("candidate protocols satisfy time-critical qos");
                         current = choice.protocol;
                         backoff.record_switch(sim.now());
                         sim.emit(ObsEvent::HealSwitch {

@@ -2,7 +2,8 @@
 //! hosts, DDS entities, ANT transport — for one experiment configuration
 //! and returns its pooled QoS report.
 
-use adamant_dds::{session::collect_report, DomainParticipant, QosProfile};
+use adamant_dds::session::{collect_report, install_topic};
+use adamant_dds::{DomainParticipant, QosProfile};
 use adamant_metrics::QosReport;
 use adamant_netsim::{SimDuration, Simulation};
 use adamant_transport::{AppSpec, ProtocolKind, TransportConfig, PAPER_PAYLOAD_BYTES};
@@ -82,25 +83,21 @@ impl Scenario {
         let topic = participant
             .create_topic::<[u8; 12]>("adamant/experiment", qos)
             .expect("fresh participant has no topics");
-        let host = self.env.host_config();
+        let app = AppSpec::at_rate(self.samples, self.app.rate_hz as f64, PAPER_PAYLOAD_BYTES);
         participant
-            .create_data_writer(
-                topic,
-                qos,
-                AppSpec::at_rate(self.samples, self.app.rate_hz as f64, PAPER_PAYLOAD_BYTES),
-                host,
-            )
+            .create_data_writer(topic, qos, app)
             .expect("topic has no writer yet");
         for _ in 0..self.app.receivers {
             participant
-                .create_data_reader(topic, qos, host, self.env.drop_probability())
+                .create_data_reader(topic, qos, self.env.drop_probability())
                 .expect("reader creation is infallible here");
         }
 
         participant.set_capture(false);
         let mut sim = Simulation::new(self.seed).with_network(self.env.network_config());
-        let handles = participant
-            .install(&mut sim, topic, transport)
+        let host = self.env.host_config();
+        let readers = vec![host; self.app.receivers as usize];
+        let handles = install_topic(&mut sim, &participant, topic, transport, host, &readers)
             .expect("candidate protocols satisfy their matching qos");
 
         let publish_span =

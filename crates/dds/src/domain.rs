@@ -1,16 +1,16 @@
 //! DDS entities: domain participants, topics, data writers and readers,
-//! and the binding that installs a topic's session onto the simulator
-//! through a pluggable transport (the OpenDDS/OpenSplice pluggable-protocol
-//! seam that ANT exploits).
+//! and the validation that turns a topic into a transport session spec
+//! (the OpenDDS/OpenSplice pluggable-protocol seam that ANT exploits).
+//! Where a session's endpoints run is the host binding's business: see
+//! [`session`](crate::session) for the simulator.
 
 use std::fmt;
 
-use adamant_netsim::{HostConfig, Simulation};
+use adamant_proto::Span;
 use adamant_transport::{AppSpec, ProtocolKind, SessionSpec, TransportConfig};
 
 use crate::implementation::DdsImplementation;
 use crate::qos::{Ordering, QosMismatch, QosProfile, Reliability};
-use crate::session::{self, SessionHandles};
 
 /// Errors from entity creation and session installation.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,6 +41,16 @@ pub enum DdsError {
     },
     /// Readers of one topic must share the same injected loss rate.
     HeterogeneousLoss(String),
+    /// A binding was given a different number of reader hosts than the
+    /// topic has readers.
+    ReaderPlacement {
+        /// Topic being installed.
+        topic: String,
+        /// Readers the topic has.
+        readers: usize,
+        /// Hosts the binding was given.
+        hosts: usize,
+    },
 }
 
 impl fmt::Display for DdsError {
@@ -62,6 +72,11 @@ impl fmt::Display for DdsError {
             DdsError::HeterogeneousLoss(t) => {
                 write!(f, "readers of topic `{t}` have differing loss rates")
             }
+            DdsError::ReaderPlacement {
+                topic,
+                readers,
+                hosts,
+            } => write!(f, "topic `{topic}` has {readers} readers but {hosts} hosts"),
         }
     }
 }
@@ -98,14 +113,12 @@ struct WriterEntry {
     topic: usize,
     qos: QosProfile,
     app: AppSpec,
-    host: HostConfig,
 }
 
 #[derive(Debug, Clone)]
 struct ReaderEntry {
     topic: usize,
     qos: QosProfile,
-    host: HostConfig,
     drop_probability: f64,
 }
 
@@ -116,20 +129,16 @@ struct ReaderEntry {
 ///
 /// ```
 /// use adamant_dds::{DdsImplementation, DomainParticipant, QosProfile};
-/// use adamant_netsim::{Bandwidth, HostConfig, MachineClass};
-/// use adamant_transport::AppSpec;
+/// use adamant_transport::{AppSpec, ProtocolKind, TransportConfig};
 ///
 /// # fn main() -> Result<(), adamant_dds::DdsError> {
 /// let mut participant = DomainParticipant::new(0, DdsImplementation::OpenSplice);
 /// let topic = participant.create_topic::<[u8; 12]>("uav/infrared", QosProfile::reliable())?;
-/// let host = HostConfig::new(MachineClass::Pc3000, Bandwidth::GBPS_1);
-/// participant.create_data_writer(
-///     topic,
-///     QosProfile::reliable(),
-///     AppSpec::at_rate(100, 25.0, 12),
-///     host,
-/// )?;
-/// participant.create_data_reader(topic, QosProfile::best_effort(), host, 0.05)?;
+/// let app = AppSpec::at_rate(100, 25.0, 12);
+/// participant.create_data_writer(topic, QosProfile::reliable(), app)?;
+/// participant.create_data_reader(topic, QosProfile::best_effort(), 0.05)?;
+/// let spec = participant.session_spec(topic, TransportConfig::new(ProtocolKind::Udp))?;
+/// assert_eq!(spec.drop_probability, 0.05);
 /// # Ok(())
 /// # }
 /// ```
@@ -206,7 +215,7 @@ impl DomainParticipant {
         self.topics[topic.index].qos
     }
 
-    /// Creates the data writer for `topic`, publishing `app` from `host`.
+    /// Creates the data writer for `topic`, publishing `app`.
     ///
     /// # Errors
     ///
@@ -217,7 +226,6 @@ impl DomainParticipant {
         topic: Topic,
         qos: QosProfile,
         app: AppSpec,
-        host: HostConfig,
     ) -> Result<DataWriter, DdsError> {
         if self.writers.iter().any(|w| w.topic == topic.index) {
             return Err(DdsError::MultipleWriters(self.topic_name(topic).to_owned()));
@@ -226,27 +234,24 @@ impl DomainParticipant {
             topic: topic.index,
             qos,
             app,
-            host,
         });
         Ok(DataWriter {
             index: self.writers.len() - 1,
         })
     }
 
-    /// Creates a data reader for `topic` on `host`, dropping incoming data
+    /// Creates a data reader for `topic`, dropping incoming data
     /// with probability `drop_probability` (the paper's end-host loss
     /// injection).
     pub fn create_data_reader(
         &mut self,
         topic: Topic,
         qos: QosProfile,
-        host: HostConfig,
         drop_probability: f64,
     ) -> Result<DataReader, DdsError> {
         self.readers.push(ReaderEntry {
             topic: topic.index,
             qos,
-            host,
             drop_probability,
         });
         Ok(DataReader {
@@ -270,14 +275,14 @@ impl DomainParticipant {
         match (qos.reliability, qos.ordering) {
             (Reliability::BestEffort, _) => ProtocolKind::Udp,
             (Reliability::Reliable, Ordering::SourceOrdered) => ProtocolKind::Nakcast {
-                timeout: adamant_netsim::SimDuration::from_millis(10),
+                timeout: Span::from_millis(10),
             },
             (Reliability::Reliable, Ordering::Unordered) => ProtocolKind::Ricochet { r: 4, c: 3 },
         }
     }
 
-    /// Validates QoS and installs the topic's pub/sub session into `sim`
-    /// over `transport`, returning the live session handles.
+    /// Validates `topic` for a session over `transport` and returns the
+    /// spec every host binding builds its cores from.
     ///
     /// # Errors
     ///
@@ -285,52 +290,15 @@ impl DomainParticipant {
     ///   incomplete.
     /// * [`DdsError::IncompatibleQos`] if any reader requests more than the
     ///   writer offers.
-    /// * [`DdsError::TransportUnsuitable`] if `transport` cannot honour the
-    ///   session's reliability/ordering needs.
     /// * [`DdsError::HeterogeneousLoss`] if readers disagree on loss rate.
-    pub fn install(
-        &self,
-        sim: &mut Simulation,
-        topic: Topic,
-        transport: TransportConfig,
-    ) -> Result<SessionHandles, DdsError> {
-        let (spec, sender_host, receiver_hosts) = self.validated_spec(topic, transport)?;
-        Ok(session::install(sim, &spec, sender_host, &receiver_hosts))
-    }
-
-    /// Re-validates QoS against `transport` and swaps a live session over
-    /// to it mid-stream — the self-healing protocol switch. The session
-    /// keeps its nodes, hosts, and multicast group; the new sender
-    /// publishes `remaining_samples` fresh samples (numbered from zero).
-    ///
-    /// Reception logs of the old protocol's agents are destroyed by the
-    /// swap: callers must harvest deliveries *before* switching.
-    ///
-    /// # Errors
-    ///
-    /// The same validation as [`install`](Self::install); in particular a
-    /// transport that cannot honour the topic's QoS is refused, so a
-    /// mis-trained selector cannot downgrade a reliable session to UDP.
-    pub fn reinstall(
-        &self,
-        sim: &mut Simulation,
-        topic: Topic,
-        handles: &SessionHandles,
-        transport: TransportConfig,
-        remaining_samples: u64,
-    ) -> Result<SessionHandles, DdsError> {
-        let (mut spec, ..) = self.validated_spec(topic, transport)?;
-        spec.app.total_samples = remaining_samples;
-        Ok(session::reinstall(sim, &spec, handles))
-    }
-
-    /// Runs the full install-time validation and builds the session spec,
-    /// with the writer's host and the readers' hosts.
-    fn validated_spec(
+    /// * [`DdsError::TransportUnsuitable`] if `transport` cannot honour the
+    ///   session's reliability/ordering needs, so a mis-trained selector
+    ///   cannot downgrade a reliable session to UDP.
+    pub fn session_spec(
         &self,
         topic: Topic,
         transport: TransportConfig,
-    ) -> Result<(SessionSpec, HostConfig, Vec<HostConfig>), DdsError> {
+    ) -> Result<SessionSpec, DdsError> {
         let name = self.topic_name(topic).to_owned();
         let writer = {
             let mut writers = self.writers.iter().filter(|w| w.topic == topic.index);
@@ -367,14 +335,13 @@ impl DomainParticipant {
             return Err(DdsError::HeterogeneousLoss(name.clone()));
         }
         self.check_transport(&name, writer.qos, &readers, transport.kind)?;
-        let spec = SessionSpec {
+        Ok(SessionSpec {
             transport,
             app: writer.app,
             stack: self.implementation.stack_profile(),
             drop_probability,
             capture: self.capture,
-        };
-        Ok((spec, writer.host, readers.iter().map(|r| r.host).collect()))
+        })
     }
 
     fn check_transport(
@@ -417,11 +384,6 @@ impl DomainParticipant {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adamant_netsim::{Bandwidth, MachineClass, SimDuration, SimTime};
-
-    fn host() -> HostConfig {
-        HostConfig::new(MachineClass::Pc3000, Bandwidth::GBPS_1)
-    }
 
     fn participant_with_topic(
         topic_qos: QosProfile,
@@ -430,10 +392,10 @@ mod tests {
     ) -> (DomainParticipant, Topic) {
         let mut p = DomainParticipant::new(0, DdsImplementation::OpenSplice);
         let t = p.create_topic::<[u8; 12]>("sar/video", topic_qos).unwrap();
-        p.create_data_writer(t, writer_qos, AppSpec::at_rate(100, 100.0, 12), host())
+        p.create_data_writer(t, writer_qos, AppSpec::at_rate(100, 100.0, 12))
             .unwrap();
-        p.create_data_reader(t, reader_qos, host(), 0.02).unwrap();
-        p.create_data_reader(t, reader_qos, host(), 0.02).unwrap();
+        p.create_data_reader(t, reader_qos, 0.02).unwrap();
+        p.create_data_reader(t, reader_qos, 0.02).unwrap();
         (p, t)
     }
 
@@ -465,111 +427,42 @@ mod tests {
         let mut p = DomainParticipant::new(0, DdsImplementation::OpenDds);
         let t = p.create_topic::<u32>("t", QosProfile::reliable()).unwrap();
         let app = AppSpec::at_rate(10, 10.0, 12);
-        p.create_data_writer(t, QosProfile::reliable(), app, host())
+        p.create_data_writer(t, QosProfile::reliable(), app)
             .unwrap();
         assert_eq!(
-            p.create_data_writer(t, QosProfile::reliable(), app, host()),
+            p.create_data_writer(t, QosProfile::reliable(), app),
             Err(DdsError::MultipleWriters("t".into()))
         );
     }
 
     #[test]
-    fn install_full_session_end_to_end() {
-        let (p, t) = participant_with_topic(
+    fn session_spec_carries_the_topics_session() {
+        let (mut p, t) = participant_with_topic(
             QosProfile::reliable(),
             QosProfile::reliable(),
             QosProfile::best_effort(),
         );
-        let mut sim = Simulation::new(5);
+        p.set_capture(false);
         let transport = TransportConfig::new(ProtocolKind::Nakcast {
-            timeout: SimDuration::from_millis(1),
+            timeout: Span::from_millis(1),
         });
-        let handles = p.install(&mut sim, t, transport).unwrap();
-        sim.run_until(SimTime::from_secs(5));
-        let report = session::collect_report(&sim, &handles);
-        assert_eq!(report.receivers, 2);
-        assert!(report.reliability() > 0.99);
+        let spec = p.session_spec(t, transport).unwrap();
+        assert_eq!(spec.transport, transport);
+        assert_eq!(spec.app, AppSpec::at_rate(100, 100.0, 12));
+        assert_eq!(spec.stack, DdsImplementation::OpenSplice.stack_profile());
+        assert_eq!(spec.drop_probability, 0.02);
+        assert!(!spec.capture);
     }
 
     #[test]
-    fn reinstall_switches_protocol_mid_stream() {
-        // Start 400 samples over Ricochet on a time-critical topic, switch
-        // to NAKcast for the remainder at t=2s, and require the second leg
-        // to finish the stream on the same nodes and group.
-        let mut p = DomainParticipant::new(0, DdsImplementation::OpenSplice);
-        let t = p
-            .create_topic::<[u8; 12]>("sar/video", QosProfile::time_critical())
-            .unwrap();
-        p.create_data_writer(
-            t,
-            QosProfile::time_critical(),
-            AppSpec::at_rate(400, 100.0, 12),
-            host(),
-        )
-        .unwrap();
-        p.create_data_reader(t, QosProfile::time_critical(), host(), 0.02)
-            .unwrap();
-        p.create_data_reader(t, QosProfile::time_critical(), host(), 0.02)
-            .unwrap();
-        let mut sim = Simulation::new(9);
-        let first = p
-            .install(
-                &mut sim,
-                t,
-                TransportConfig::new(ProtocolKind::Ricochet { r: 4, c: 3 }),
-            )
-            .unwrap();
-        sim.run_until(SimTime::from_secs(2));
-        let published = session::published_count(&sim, &first);
-        assert!((150..=210).contains(&published), "published {published}");
-        let first_leg = session::collect_report(&sim, &first);
-
-        let remaining = 400 - published;
-        let second = p
-            .reinstall(
-                &mut sim,
-                t,
-                &first,
-                TransportConfig::new(ProtocolKind::Nakcast {
-                    timeout: SimDuration::from_millis(1),
-                }),
-                remaining,
-            )
-            .unwrap();
-        assert_eq!(second.sender, first.sender);
-        assert_eq!(second.receivers, first.receivers);
-        assert_eq!(second.group, first.group);
-        sim.run_until(SimTime::from_secs(8));
-        let second_leg = session::collect_report(&sim, &second);
-        assert_eq!(second_leg.samples_sent, remaining);
-        assert!(second_leg.reliability() > 0.999);
-        // The first leg delivered (nearly) everything published before the
-        // switch, across both receivers.
-        assert!(first_leg.delivered as f64 > 0.9 * (published * 2) as f64);
-
-        // A switch to an unsuitable transport is still refused.
-        let err = p
-            .reinstall(
-                &mut sim,
-                t,
-                &second,
-                TransportConfig::new(ProtocolKind::Udp),
-                10,
-            )
-            .unwrap_err();
-        assert!(matches!(err, DdsError::TransportUnsuitable { .. }));
-    }
-
-    #[test]
-    fn incompatible_qos_refused_at_install() {
+    fn incompatible_qos_refused() {
         let (p, t) = participant_with_topic(
             QosProfile::best_effort(),
             QosProfile::best_effort(),
             QosProfile::reliable(),
         );
-        let mut sim = Simulation::new(5);
         let err = p
-            .install(&mut sim, t, TransportConfig::new(ProtocolKind::Udp))
+            .session_spec(t, TransportConfig::new(ProtocolKind::Udp))
             .unwrap_err();
         assert!(matches!(err, DdsError::IncompatibleQos { .. }));
     }
@@ -581,16 +474,14 @@ mod tests {
             QosProfile::reliable(),
             QosProfile::reliable(),
         );
-        let mut sim = Simulation::new(5);
         // UDP cannot honour reliable QoS.
         let err = p
-            .install(&mut sim, t, TransportConfig::new(ProtocolKind::Udp))
+            .session_spec(t, TransportConfig::new(ProtocolKind::Udp))
             .unwrap_err();
         assert!(matches!(err, DdsError::TransportUnsuitable { .. }));
         // Ricochet cannot honour ordered delivery.
         let err = p
-            .install(
-                &mut sim,
+            .session_spec(
                 t,
                 TransportConfig::new(ProtocolKind::Ricochet { r: 4, c: 3 }),
             )
@@ -604,22 +495,15 @@ mod tests {
         let t = p
             .create_topic::<u32>("lonely", QosProfile::reliable())
             .unwrap();
-        let mut sim = Simulation::new(1);
+        let udp = TransportConfig::new(ProtocolKind::Udp);
         assert_eq!(
-            p.install(&mut sim, t, TransportConfig::new(ProtocolKind::Udp))
-                .unwrap_err(),
+            p.session_spec(t, udp).unwrap_err(),
             DdsError::NoWriter("lonely".into())
         );
-        p.create_data_writer(
-            t,
-            QosProfile::best_effort(),
-            AppSpec::at_rate(1, 1.0, 12),
-            host(),
-        )
-        .unwrap();
+        p.create_data_writer(t, QosProfile::best_effort(), AppSpec::at_rate(1, 1.0, 12))
+            .unwrap();
         assert_eq!(
-            p.install(&mut sim, t, TransportConfig::new(ProtocolKind::Udp))
-                .unwrap_err(),
+            p.session_spec(t, udp).unwrap_err(),
             DdsError::NoReaders("lonely".into())
         );
     }
@@ -630,20 +514,14 @@ mod tests {
         let t = p
             .create_topic::<u32>("t", QosProfile::best_effort())
             .unwrap();
-        p.create_data_writer(
-            t,
-            QosProfile::best_effort(),
-            AppSpec::at_rate(10, 10.0, 12),
-            host(),
-        )
-        .unwrap();
-        p.create_data_reader(t, QosProfile::best_effort(), host(), 0.01)
+        p.create_data_writer(t, QosProfile::best_effort(), AppSpec::at_rate(10, 10.0, 12))
             .unwrap();
-        p.create_data_reader(t, QosProfile::best_effort(), host(), 0.05)
+        p.create_data_reader(t, QosProfile::best_effort(), 0.01)
             .unwrap();
-        let mut sim = Simulation::new(1);
+        p.create_data_reader(t, QosProfile::best_effort(), 0.05)
+            .unwrap();
         assert_eq!(
-            p.install(&mut sim, t, TransportConfig::new(ProtocolKind::Udp))
+            p.session_spec(t, TransportConfig::new(ProtocolKind::Udp))
                 .unwrap_err(),
             DdsError::HeterogeneousLoss("t".into())
         );

@@ -7,15 +7,16 @@
 //! The crate models the slice of OMG DDS the paper exercises:
 //!
 //! * **QoS policies** ([`QosProfile`]) — reliability, history, durability,
-//!   ordering, deadline, latency budget — with requested-vs-offered
-//!   compatibility checking.
+//!   ordering, deadline — with requested-vs-offered compatibility checking.
 //! * **Implementation profiles** ([`DdsImplementation`]) — OpenDDS 1.2.1
 //!   and OpenSplice 3.4.2 cost models, one of the paper's environment
 //!   variables.
-//! * **Entities** ([`DomainParticipant`], topics, writers, readers) — and
-//!   the pluggable-transport binding ([`session`]) that mounts the cores
-//!   any [`TransportConfig`](adamant_transport::TransportConfig) builds for
-//!   a topic's session on simulated hosts.
+//! * **Entities** ([`DomainParticipant`], topics, writers, readers), which
+//!   know no hosts: a topic validates into the
+//!   [`SessionSpec`](adamant_transport::SessionSpec) any
+//!   [`TransportConfig`](adamant_transport::TransportConfig) builds cores
+//!   from. The simulator binding ([`session`]) takes the writer's and
+//!   readers' hosts and mounts those cores on them.
 //!
 //! ## Example
 //!
@@ -28,20 +29,17 @@
 //! # fn main() -> Result<(), adamant_dds::DdsError> {
 //! let mut participant = DomainParticipant::new(0, DdsImplementation::OpenSplice);
 //! let topic = participant.create_topic::<[u8; 12]>("uav/infrared", QosProfile::time_critical())?;
-//! let host = HostConfig::new(MachineClass::Pc3000, Bandwidth::GBPS_1);
-//! participant.create_data_writer(
-//!     topic,
-//!     QosProfile::time_critical(),
-//!     AppSpec::at_rate(500, 100.0, 12),
-//!     host,
-//! )?;
+//! let app = AppSpec::at_rate(500, 100.0, 12);
+//! participant.create_data_writer(topic, QosProfile::time_critical(), app)?;
 //! for _ in 0..3 {
-//!     participant.create_data_reader(topic, QosProfile::time_critical(), host, 0.05)?;
+//!     participant.create_data_reader(topic, QosProfile::time_critical(), 0.05)?;
 //! }
 //!
 //! let mut sim = Simulation::new(42);
 //! let transport = TransportConfig::new(ProtocolKind::Ricochet { r: 4, c: 3 });
-//! let handles = participant.install(&mut sim, topic, transport)?;
+//! let host = HostConfig::new(MachineClass::Pc3000, Bandwidth::GBPS_1);
+//! let readers = [host; 3];
+//! let handles = session::install_topic(&mut sim, &participant, topic, transport, host, &readers)?;
 //! sim.run_until(SimTime::from_secs(10));
 //! let report = session::collect_report(&sim, &handles);
 //! assert!(report.reliability() > 0.95);

@@ -1,7 +1,7 @@
 //! DDS QoS policy vocabulary (a pragmatic subset of the OMG DDS 1.2
 //! specification) with requested-vs-offered compatibility checking.
 
-use adamant_proto::{DurabilityMode, DurableConfig, Span};
+use adamant_proto::Span;
 
 /// RELIABILITY QoS policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,16 +28,6 @@ pub enum Durability {
     Volatile,
     /// Late-joining readers receive the writer's history cache.
     TransientLocal,
-}
-
-impl Durability {
-    /// The transport-layer durability mode implementing this policy.
-    pub fn mode(self) -> DurabilityMode {
-        match self {
-            Durability::Volatile => DurabilityMode::Volatile,
-            Durability::TransientLocal => DurabilityMode::TransientLocal,
-        }
-    }
 }
 
 /// Ordering guarantee requested by the application (DESTINATION_ORDER
@@ -72,8 +62,6 @@ pub struct QosProfile {
     pub ordering: Ordering,
     /// Maximum tolerated inter-sample gap, if any (DEADLINE).
     pub deadline: Option<Span>,
-    /// Acceptable added latency for batching (LATENCY_BUDGET).
-    pub latency_budget: Span,
 }
 
 impl QosProfile {
@@ -86,7 +74,6 @@ impl QosProfile {
             durability: Durability::Volatile,
             ordering: Ordering::SourceOrdered,
             deadline: None,
-            latency_budget: Span::ZERO,
         }
     }
 
@@ -98,7 +85,6 @@ impl QosProfile {
             durability: Durability::Volatile,
             ordering: Ordering::Unordered,
             deadline: None,
-            latency_budget: Span::ZERO,
         }
     }
 
@@ -111,7 +97,6 @@ impl QosProfile {
             durability: Durability::Volatile,
             ordering: Ordering::Unordered,
             deadline: None,
-            latency_budget: Span::ZERO,
         }
     }
 
@@ -161,12 +146,6 @@ impl QosProfile {
         self
     }
 
-    /// Sets the LATENCY_BUDGET (builder-style).
-    pub fn with_latency_budget(mut self, budget: Span) -> Self {
-        self.latency_budget = budget;
-        self
-    }
-
     /// Sets the HISTORY policy (builder-style).
     pub fn with_history(mut self, history: History) -> Self {
         self.history = history;
@@ -177,18 +156,6 @@ impl QosProfile {
     pub fn with_durability(mut self, durability: Durability) -> Self {
         self.durability = durability;
         self
-    }
-
-    /// Lowers this profile's DURABILITY + HISTORY policies to the
-    /// transport-layer [`DurableConfig`] the session cores consume: the
-    /// durability policy picks the mode, and a `KeepLast(depth)` history
-    /// bounds the writer's retained window.
-    pub fn durable_config(&self) -> DurableConfig {
-        let config = DurableConfig::for_mode(self.durability.mode());
-        match self.history {
-            History::KeepLast(depth) if depth > 0 => config.with_history_depth(depth as usize),
-            _ => config,
-        }
     }
 }
 
@@ -203,14 +170,15 @@ impl QosProfile {
     /// bits (deadlines above ~65 s travel as 0xFFFE ms; `None` is 0xFFFF),
     /// and `KeepLast` depths saturate at 4095. Every profile the workspace
     /// actually uses — the canonical constructors plus millisecond-scale
-    /// deadlines and budgets — round-trips exactly through
+    /// deadlines — round-trips exactly through
     /// [`from_code`](QosProfile::from_code); matching semantics
     /// ([`compatible_with`](QosProfile::compatible_with)) are preserved for
     /// any profile whose deadline is a whole number of milliseconds.
     ///
     /// Layout (LSB first): bit 0 reliability, bit 1 durability, bit 2
     /// ordering, bit 3 history-is-keep-all, bits 4–15 history depth, bits
-    /// 16–31 deadline ms, bits 32–47 latency budget ms.
+    /// 16–31 deadline ms. Higher bits are written as zero and ignored on
+    /// decode.
     pub fn code(&self) -> u64 {
         let mut code = 0u64;
         if self.reliability == Reliability::Reliable {
@@ -230,10 +198,7 @@ impl QosProfile {
             None => CODE_NO_DEADLINE,
             Some(d) => (d.as_nanos() / 1_000_000).min(CODE_NO_DEADLINE - 1),
         };
-        code |= deadline_ms << 16;
-        let budget_ms = (self.latency_budget.as_nanos() / 1_000_000).min(0xFFFF);
-        code |= budget_ms << 32;
-        code
+        code | deadline_ms << 16
     }
 
     /// Reconstructs a profile from its [`code`](QosProfile::code).
@@ -268,7 +233,6 @@ impl QosProfile {
             } else {
                 Some(Span::from_millis(deadline_ms))
             },
-            latency_budget: Span::from_millis((code >> 32) & 0xFFFF),
         }
     }
 }
@@ -376,34 +340,12 @@ mod tests {
     fn builder_methods_compose() {
         let qos = QosProfile::best_effort()
             .with_deadline(Span::from_millis(50))
-            .with_latency_budget(Span::from_millis(5))
             .with_history(History::KeepLast(8))
             .with_durability(Durability::TransientLocal);
         assert_eq!(qos.deadline, Some(Span::from_millis(50)));
-        assert_eq!(qos.latency_budget, Span::from_millis(5));
         assert_eq!(qos.history, History::KeepLast(8));
         assert_eq!(qos.durability, Durability::TransientLocal);
         assert_eq!(qos.reliability, Reliability::BestEffort);
-    }
-
-    #[test]
-    fn qos_lowers_to_transport_durable_config() {
-        let volatile = QosProfile::reliable().durable_config();
-        assert_eq!(volatile.mode, DurabilityMode::Volatile);
-        assert_eq!(volatile.history_depth, None);
-
-        let durable = QosProfile::reliable()
-            .with_durability(Durability::TransientLocal)
-            .with_history(History::KeepLast(32))
-            .durable_config();
-        assert_eq!(durable.mode, DurabilityMode::TransientLocal);
-        assert_eq!(durable.history_depth, Some(32));
-
-        // KeepAll retains everything: no transport-layer bound.
-        let keep_all = QosProfile::reliable()
-            .with_durability(Durability::TransientLocal)
-            .durable_config();
-        assert_eq!(keep_all.history_depth, None);
     }
 
     #[test]
@@ -415,7 +357,6 @@ mod tests {
             QosProfile::reliable().with_deadline(Span::from_millis(100)),
             QosProfile::best_effort()
                 .with_deadline(Span::from_millis(50))
-                .with_latency_budget(Span::from_millis(5))
                 .with_history(History::KeepLast(8))
                 .with_durability(Durability::TransientLocal),
         ];
@@ -444,9 +385,14 @@ mod tests {
             QosProfile::reliable()
                 .with_durability(Durability::TransientLocal)
                 .with_history(History::KeepLast(32))
-                .with_latency_budget(Span::from_millis(5))
                 .code(),
-            0x5_FFFF_0207
+            0xFFFF_0207
+        );
+        // A code from a peer that still sets the retired budget bits
+        // (32–47) decodes to the same profile.
+        assert_eq!(
+            QosProfile::from_code(0x5_FFFF_0207),
+            QosProfile::from_code(0xFFFF_0207)
         );
         // Saturation behaviour is part of the contract too.
         assert_eq!(

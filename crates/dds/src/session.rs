@@ -1,6 +1,8 @@
-//! The simulator binding of a transport session: mounts the cores a
-//! [`SessionSpec`] builds on simulated hosts, reads them back after a run,
-//! and pools their QoS into a [`QosReport`].
+//! The simulator binding of a transport session: places a topic's writer
+//! and readers on simulated hosts, mounts the cores a [`SessionSpec`]
+//! builds there, reads them back after a run, and pools their QoS into a
+//! [`QosReport`]. The DDS entities know no hosts; placement is an argument
+//! here.
 //!
 //! A session's nodes carry boxed cores — `Box<dyn WriterCore>` on the
 //! sender, `Box<dyn DataReader>` on each receiver — so every read-back
@@ -8,7 +10,9 @@
 
 use adamant_metrics::QosReport;
 use adamant_netsim::{GroupId, HostConfig, NodeId, SimDriver, Simulation};
-use adamant_transport::{tags, DataReader, SessionSpec, WriterCore};
+use adamant_transport::{tags, DataReader, SessionSpec, TransportConfig, WriterCore};
+
+use crate::domain::{DdsError, DomainParticipant, Topic};
 
 /// Node handles of an installed session.
 #[derive(Debug, Clone)]
@@ -21,6 +25,57 @@ pub struct SessionHandles {
     pub group: GroupId,
     /// Samples the writer will publish.
     pub expected_samples: u64,
+}
+
+/// Validates `topic` for a session over `transport` and installs it into
+/// `sim`: the writer on a node of `writer_host`, then one reader node per
+/// entry of `reader_hosts`, in the order the readers were created.
+///
+/// # Errors
+///
+/// Every error of [`DomainParticipant::session_spec`], and
+/// [`DdsError::ReaderPlacement`] unless `reader_hosts` holds one host per
+/// reader of the topic. A refused install adds nothing to `sim`.
+pub fn install_topic(
+    sim: &mut Simulation,
+    participant: &DomainParticipant,
+    topic: Topic,
+    transport: TransportConfig,
+    writer_host: HostConfig,
+    reader_hosts: &[HostConfig],
+) -> Result<SessionHandles, DdsError> {
+    let spec = participant.session_spec(topic, transport)?;
+    let readers = participant.reader_count(topic);
+    if reader_hosts.len() != readers {
+        return Err(DdsError::ReaderPlacement {
+            topic: participant.topic_name(topic).to_owned(),
+            readers,
+            hosts: reader_hosts.len(),
+        });
+    }
+    Ok(install(sim, &spec, writer_host, reader_hosts))
+}
+
+/// Re-validates `topic` against `transport` and swaps the live session
+/// `handles` over to it mid-stream — the self-healing protocol switch, by
+/// [`reinstall`]. Every node keeps its host; the new writer publishes
+/// `remaining_samples` fresh samples.
+///
+/// # Errors
+///
+/// Every error of [`DomainParticipant::session_spec`]; in particular a
+/// transport that cannot honour the topic's QoS is refused.
+pub fn reinstall_topic(
+    sim: &mut Simulation,
+    participant: &DomainParticipant,
+    topic: Topic,
+    handles: &SessionHandles,
+    transport: TransportConfig,
+    remaining_samples: u64,
+) -> Result<SessionHandles, DdsError> {
+    let mut spec = participant.session_spec(topic, transport)?;
+    spec.app.total_samples = remaining_samples;
+    Ok(reinstall(sim, &spec, handles))
 }
 
 /// Installs `spec`'s session into `sim`: the writer on a node of
@@ -141,7 +196,13 @@ mod tests {
     use super::*;
     use adamant_netsim::{Bandwidth, MachineClass, SimDuration, SimTime};
     use adamant_transport::tags::{TAG_DATA, TAG_REPAIR};
-    use adamant_transport::{AppSpec, ProtocolKind, ProtocolStats, StackProfile, TransportConfig};
+    use adamant_transport::{AppSpec, ProtocolKind, ProtocolStats, StackProfile};
+
+    use crate::{DdsImplementation, QosProfile};
+
+    fn host() -> HostConfig {
+        HostConfig::new(MachineClass::Pc3000, Bandwidth::GBPS_1)
+    }
 
     fn spec(kind: ProtocolKind) -> SessionSpec {
         SessionSpec {
@@ -154,9 +215,8 @@ mod tests {
     }
 
     fn run_kept(kind: ProtocolKind, seed: u64) -> (Simulation, SessionHandles) {
-        let host = HostConfig::new(MachineClass::Pc3000, Bandwidth::GBPS_1);
         let mut sim = Simulation::new(seed);
-        let handles = install(&mut sim, &spec(kind), host, &[host; 3]);
+        let handles = install(&mut sim, &spec(kind), host(), &[host(); 3]);
         sim.run_until(SimTime::from_secs(10));
         (sim, handles)
     }
@@ -256,5 +316,80 @@ mod tests {
             timeout: SimDuration::from_millis(10),
         };
         assert_eq!(run(kind, 11), run(kind, 11));
+    }
+
+    #[test]
+    fn installs_a_topic_end_to_end() {
+        let mut p = DomainParticipant::new(0, DdsImplementation::OpenSplice);
+        let t = p
+            .create_topic::<[u8; 12]>("sar/video", QosProfile::reliable())
+            .unwrap();
+        p.create_data_writer(t, QosProfile::reliable(), AppSpec::at_rate(100, 100.0, 12))
+            .unwrap();
+        p.create_data_reader(t, QosProfile::best_effort(), 0.02)
+            .unwrap();
+        p.create_data_reader(t, QosProfile::best_effort(), 0.02)
+            .unwrap();
+        let mut sim = Simulation::new(5);
+        let transport = TransportConfig::new(ProtocolKind::Nakcast {
+            timeout: SimDuration::from_millis(1),
+        });
+        let handles = install_topic(&mut sim, &p, t, transport, host(), &[host(); 2]).unwrap();
+        sim.run_until(SimTime::from_secs(5));
+        let report = collect_report(&sim, &handles);
+        assert_eq!(report.receivers, 2);
+        assert!(report.reliability() > 0.99);
+    }
+
+    #[test]
+    fn reinstall_switches_protocol_mid_stream() {
+        // Start 400 samples over Ricochet on a time-critical topic, switch
+        // to NAKcast for the remainder at t=2s, and require the second leg
+        // to finish the stream on the same nodes, hosts and group.
+        let mut p = DomainParticipant::new(0, DdsImplementation::OpenSplice);
+        let qos = QosProfile::time_critical();
+        let t = p.create_topic::<[u8; 12]>("sar/video", qos).unwrap();
+        p.create_data_writer(t, qos, AppSpec::at_rate(400, 100.0, 12))
+            .unwrap();
+        p.create_data_reader(t, qos, 0.02).unwrap();
+        p.create_data_reader(t, qos, 0.02).unwrap();
+        let mut sim = Simulation::new(9);
+        let uplink = HostConfig::new(MachineClass::Pc850, Bandwidth::MBPS_100);
+        let first = install_topic(
+            &mut sim,
+            &p,
+            t,
+            TransportConfig::new(ProtocolKind::Ricochet { r: 4, c: 3 }),
+            uplink,
+            &[host(); 2],
+        )
+        .unwrap();
+        sim.run_until(SimTime::from_secs(2));
+        let published = published_count(&sim, &first);
+        assert!((150..=210).contains(&published), "published {published}");
+        let first_leg = collect_report(&sim, &first);
+
+        let remaining = 400 - published;
+        let nakcast = TransportConfig::new(ProtocolKind::Nakcast {
+            timeout: SimDuration::from_millis(1),
+        });
+        let second = reinstall_topic(&mut sim, &p, t, &first, nakcast, remaining).unwrap();
+        assert_eq!(second.sender, first.sender);
+        assert_eq!(second.receivers, first.receivers);
+        assert_eq!(second.group, first.group);
+        assert_eq!(sim.host_config(second.sender), uplink);
+        assert_eq!(sim.host_config(second.receivers[1]), host());
+        sim.run_until(SimTime::from_secs(8));
+        let second_leg = collect_report(&sim, &second);
+        assert_eq!(second_leg.samples_sent, remaining);
+        assert!(second_leg.reliability() > 0.999);
+        // The first leg delivered (nearly) everything published before the
+        // switch, across both receivers.
+        assert!(first_leg.delivered as f64 > 0.9 * (published * 2) as f64);
+
+        // A switch to an unsuitable transport is still refused.
+        let udp = TransportConfig::new(ProtocolKind::Udp);
+        let err = reinstall_topic(&mut sim, &p, t, &second, udp, 10).unwrap_err();
+        assert!(matches!(err, DdsError::TransportUnsuitable { .. }));
     }
 }

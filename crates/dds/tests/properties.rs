@@ -3,9 +3,10 @@
 //! consistently (deterministic sweeps over the QoS lattice).
 
 use adamant_dds::{
-    DdsImplementation, DomainParticipant, Durability, History, Ordering, QosProfile, Reliability,
+    session, DdsError, DdsImplementation, DomainParticipant, Durability, History, Ordering,
+    QosProfile, Reliability,
 };
-use adamant_netsim::{Bandwidth, HostConfig, MachineClass, SimDuration, Simulation};
+use adamant_netsim::{Bandwidth, HostConfig, MachineClass, NodeId, SimDuration, Simulation};
 use adamant_transport::{AppSpec, ProtocolKind, TransportConfig};
 
 /// A representative sweep over the QoS lattice (both poles of every
@@ -27,7 +28,6 @@ fn qos_cases() -> Vec<QosProfile> {
                             durability,
                             ordering,
                             deadline,
-                            latency_budget: SimDuration::ZERO,
                         });
                     }
                 }
@@ -65,14 +65,13 @@ fn strongest_offer_satisfies_all() {
         durability: Durability::TransientLocal,
         ordering: Ordering::SourceOrdered,
         deadline: Some(SimDuration::from_nanos(1)),
-        latency_budget: SimDuration::ZERO,
     };
     for requested in qos_cases() {
         assert!(offered.compatible_with(&requested).is_ok(), "{requested:?}");
     }
 }
 
-/// `install` never panics for arbitrary QoS/protocol combinations: it
+/// `install_topic` never panics for arbitrary QoS/protocol combinations: it
 /// either installs a coherent session or returns a typed error — and
 /// when it succeeds, every reader's QoS was compatible and the
 /// transport satisfies the session's needs.
@@ -89,21 +88,23 @@ fn install_is_total_and_sound() {
         let topic = participant.create_topic::<u32>("t", writer_qos).unwrap();
         let host = HostConfig::new(MachineClass::Pc3000, Bandwidth::GBPS_1);
         participant
-            .create_data_writer(topic, writer_qos, AppSpec::at_rate(10, 100.0, 12), host)
+            .create_data_writer(topic, writer_qos, AppSpec::at_rate(10, 100.0, 12))
             .unwrap();
         for _ in 0..readers {
             participant
-                .create_data_reader(topic, reader_qos, host, 0.01)
+                .create_data_reader(topic, reader_qos, 0.01)
                 .unwrap();
         }
         let mut sim = Simulation::new(1);
-        match participant.install(&mut sim, topic, TransportConfig::new(protocol)) {
+        let transport = TransportConfig::new(protocol);
+        let hosts = vec![host; readers];
+        match session::install_topic(&mut sim, &participant, topic, transport, host, &hosts) {
             Ok(handles) => {
                 assert_eq!(handles.receivers.len(), readers);
                 assert!(writer_qos.compatible_with(&reader_qos).is_ok());
                 // The session actually runs to completion.
                 sim.run_until(adamant_netsim::SimTime::from_secs(3));
-                let report = adamant_dds::session::collect_report(&sim, &handles);
+                let report = session::collect_report(&sim, &handles);
                 assert!(report.reliability() > 0.5);
             }
             Err(e) => {
@@ -124,4 +125,39 @@ fn duplicate_topics_always_rejected() {
         participant.create_topic::<u32>("same", a).unwrap();
         assert!(participant.create_topic::<u64>("same", b).is_err());
     }
+}
+
+/// A binding given fewer reader hosts than the topic has readers refuses
+/// with a typed error before it touches the simulation: the next install
+/// still gets the first node.
+#[test]
+fn reader_placement_must_cover_every_reader() {
+    let qos = QosProfile::reliable();
+    let mut participant = DomainParticipant::new(0, DdsImplementation::OpenDds);
+    let topic = participant.create_topic::<u32>("placed", qos).unwrap();
+    participant
+        .create_data_writer(topic, qos, AppSpec::at_rate(10, 100.0, 12))
+        .unwrap();
+    for _ in 0..3 {
+        participant.create_data_reader(topic, qos, 0.0).unwrap();
+    }
+    let host = HostConfig::new(MachineClass::Pc3000, Bandwidth::GBPS_1);
+    let transport = TransportConfig::new(ProtocolKind::Nakcast {
+        timeout: SimDuration::from_millis(5),
+    });
+    let mut sim = Simulation::new(1);
+    let err = session::install_topic(&mut sim, &participant, topic, transport, host, &[host; 2])
+        .unwrap_err();
+    assert_eq!(
+        err,
+        DdsError::ReaderPlacement {
+            topic: "placed".into(),
+            readers: 3,
+            hosts: 2,
+        }
+    );
+    let handles =
+        session::install_topic(&mut sim, &participant, topic, transport, host, &[host; 3]).unwrap();
+    assert_eq!(handles.sender, NodeId(0));
+    assert_eq!(handles.group.index(), 0);
 }

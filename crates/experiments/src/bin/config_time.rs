@@ -16,7 +16,7 @@
 use std::time::Instant;
 
 use adamant::{AppParams, Environment, LinuxProcProbe, ProtocolSelector};
-use adamant_dds::{DomainParticipant, QosProfile};
+use adamant_dds::{session, DomainParticipant, QosProfile};
 use adamant_experiments::artifacts;
 use adamant_metrics::MetricKind;
 use adamant_netsim::Simulation;
@@ -74,22 +74,20 @@ fn main() {
             .create_topic::<[u8; 12]>("t", qos)
             .expect("topic");
         participant
-            .create_data_writer(
-                topic,
-                qos,
-                AppSpec::at_rate(100, 25.0, 12),
-                env.host_config(),
-            )
+            .create_data_writer(topic, qos, AppSpec::at_rate(100, 25.0, 12))
             .expect("writer");
         for _ in 0..app.receivers {
             participant
-                .create_data_reader(topic, qos, env.host_config(), env.drop_probability())
+                .create_data_reader(topic, qos, env.drop_probability())
                 .expect("reader");
         }
         let mut sim = Simulation::new(1).with_network(env.network_config());
-        let handles = participant
-            .install(&mut sim, topic, TransportConfig::new(selected))
-            .expect("install");
+        let host = env.host_config();
+        let readers = vec![host; app.receivers as usize];
+        let transport = TransportConfig::new(selected);
+        let handles =
+            session::install_topic(&mut sim, &participant, topic, transport, host, &readers)
+                .expect("install");
         std::hint::black_box(handles);
     }
     let install_us = start.elapsed().as_nanos() as f64 / iterations as f64 / 1_000.0;

@@ -53,16 +53,12 @@ impl Agent for Blaster {
     }
 }
 
-/// Splitmix-style case generator.
+/// Case generator over the shared SplitMix64 stream.
 struct CaseRng(u64);
 
 impl CaseRng {
     fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        adamant_proto::splitmix64(&mut self.0)
     }
 
     fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {

@@ -49,7 +49,7 @@ pub use durable::{
 pub use history::{catch_up_backoff, GapTracker, HistoryCache};
 pub use ids::{Destination, GroupId, NodeId, ProcessingCost};
 pub use obs::{DropReason, MemorySink, ObsEvent, TracedEvent};
-pub use rng::{DetRng, Entropy};
+pub use rng::{splitmix64, DetRng, Entropy};
 pub use snapshot::{fingerprint_debug, Fnv64, StateHash};
 pub use time::{Span, TimePoint};
 pub use timer::{CalendarQueue, TimerFire, TimerWheel};

@@ -5,9 +5,7 @@
 //! repair peer selection, timer phase) draws through [`Entropy`], so a
 //! core is a pure function of its inputs and its entropy stream. The
 //! reference implementation is [`DetRng`], a xoshiro256++ generator seeded
-//! through SplitMix64 per the reference recommendation — the same stream
-//! the simulator forks per node, which is what keeps the refactored cores
-//! byte-identical to the pre-refactor agents.
+//! through [`splitmix64`]: the same stream the simulator forks per node.
 
 /// A seedable, deterministic pseudo-random number generator (xoshiro256++).
 ///
@@ -25,7 +23,9 @@ pub struct DetRng {
     s: [u64; 4],
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
+/// The SplitMix64 generator: advances `state` and returns its next output.
+/// It seeds [`DetRng`], and the ANN draws its initial weights from it.
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -95,11 +95,11 @@ fn main() {
         .create_topic::<[u8; 12]>("sar/uav/infrared", qos)
         .expect("fresh topic");
     participant
-        .create_data_writer(infrared_topic, qos, AppSpec::at_rate(3_000, 25.0, 12), host)
+        .create_data_writer(infrared_topic, qos, AppSpec::at_rate(3_000, 25.0, 12))
         .expect("writer");
     for _ in 0..infrared_app.receivers {
         participant
-            .create_data_reader(infrared_topic, qos, host, env.drop_probability())
+            .create_data_reader(infrared_topic, qos, env.drop_probability())
             .expect("reader");
     }
 
@@ -107,21 +107,35 @@ fn main() {
         .create_topic::<[u8; 12]>("sar/cameras/video", qos)
         .expect("fresh topic");
     participant
-        .create_data_writer(video_topic, qos, AppSpec::at_rate(1_200, 10.0, 12), host)
+        .create_data_writer(video_topic, qos, AppSpec::at_rate(1_200, 10.0, 12))
         .expect("writer");
     for _ in 0..video_app.receivers {
         participant
-            .create_data_reader(video_topic, qos, host, env.drop_probability())
+            .create_data_reader(video_topic, qos, env.drop_probability())
             .expect("reader");
     }
 
     let mut sim = Simulation::new(2026).with_network(env.network_config());
-    let infrared_handles = participant
-        .install(&mut sim, infrared_topic, infrared.transport())
-        .expect("install infrared");
-    let video_handles = participant
-        .install(&mut sim, video_topic, video.transport())
-        .expect("install video");
+    let infrared_readers = vec![host; infrared_app.receivers as usize];
+    let infrared_handles = session::install_topic(
+        &mut sim,
+        &participant,
+        infrared_topic,
+        infrared.transport(),
+        host,
+        &infrared_readers,
+    )
+    .expect("install infrared");
+    let video_readers = vec![host; video_app.receivers as usize];
+    let video_handles = session::install_topic(
+        &mut sim,
+        &participant,
+        video_topic,
+        video.transport(),
+        host,
+        &video_readers,
+    )
+    .expect("install video");
     sim.run_until(SimTime::from_secs(125));
 
     let infrared_report = session::collect_report(&sim, &infrared_handles);

@@ -31,22 +31,25 @@ fn run(kind: ProtocolKind) -> adamant_metrics::QosReport {
         .create_topic::<[u8; 12]>("uav/infrared", qos)
         .expect("fresh topic");
     participant
-        .create_data_writer(
-            topic,
-            qos,
-            AppSpec::at_rate(2_000, 50.0, 12),
-            ground_station,
-        )
+        .create_data_writer(topic, qos, AppSpec::at_rate(2_000, 50.0, 12))
         .expect("writer");
     for _ in 0..5 {
         participant
-            .create_data_reader(topic, qos, datacenter, 0.05)
+            .create_data_reader(topic, qos, 0.05)
             .expect("reader");
     }
     let mut sim = Simulation::new(404);
-    let handles = participant
-        .install(&mut sim, topic, TransportConfig::new(kind))
-        .expect("install");
+    let transport = TransportConfig::new(kind);
+    let readers = [datacenter; 5];
+    let handles = session::install_topic(
+        &mut sim,
+        &participant,
+        topic,
+        transport,
+        ground_station,
+        &readers,
+    )
+    .expect("install");
     sim.run_until(SimTime::from_secs(50));
     session::collect_report(&sim, &handles)
 }

@@ -99,22 +99,19 @@ fn reader_statuses_reflect_protocol_semantics() {
             .create_topic::<[u8; 12]>("status/stream", qos)
             .unwrap();
         participant
-            .create_data_writer(
-                topic,
-                qos,
-                AppSpec::at_rate(2_000, 500.0, 12),
-                env.host_config(),
-            )
+            .create_data_writer(topic, qos, AppSpec::at_rate(2_000, 500.0, 12))
             .unwrap();
         for _ in 0..3 {
             participant
-                .create_data_reader(topic, qos, env.host_config(), env.drop_probability())
+                .create_data_reader(topic, qos, env.drop_probability())
                 .unwrap();
         }
         let mut sim = Simulation::new(17).with_network(env.network_config());
-        let handles = participant
-            .install(&mut sim, topic, TransportConfig::new(kind))
-            .unwrap();
+        let host = env.host_config();
+        let transport = TransportConfig::new(kind);
+        let handles =
+            session::install_topic(&mut sim, &participant, topic, transport, host, &[host; 3])
+                .unwrap();
         sim.run_until(SimTime::from_secs(25));
         let reader = session::reader(&sim, handles.receivers[0]);
         ReaderStatuses::from_log(

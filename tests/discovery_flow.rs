@@ -62,21 +62,23 @@ fn discovery_then_data_end_to_end() {
         .create_topic::<[u8; 12]>("sar/stream", qos)
         .expect("topic");
     participant
-        .create_data_writer(topic, qos, AppSpec::at_rate(500, 100.0, 12), host)
+        .create_data_writer(topic, qos, AppSpec::at_rate(500, 100.0, 12))
         .expect("writer");
     for _ in 0..matched_readers {
         participant
-            .create_data_reader(topic, qos, host, 0.05)
+            .create_data_reader(topic, qos, 0.05)
             .expect("reader");
     }
     let mut data_sim = Simulation::new(6);
-    let handles = participant
-        .install(
-            &mut data_sim,
-            topic,
-            TransportConfig::new(ProtocolKind::Ricochet { r: 4, c: 3 }),
-        )
-        .expect("install");
+    let handles = session::install_topic(
+        &mut data_sim,
+        &participant,
+        topic,
+        TransportConfig::new(ProtocolKind::Ricochet { r: 4, c: 3 }),
+        host,
+        &vec![host; matched_readers],
+    )
+    .expect("install");
     data_sim.run_until(SimTime::from_secs(10));
     let report = session::collect_report(&data_sim, &handles);
     assert_eq!(report.receivers as usize, matched_readers);
@@ -120,17 +122,19 @@ fn qos_incompatible_readers_are_never_wired() {
     let mut participant = DomainParticipant::new(0, DdsImplementation::OpenDds);
     let topic = participant.create_topic::<u32>("t", offered).unwrap();
     participant
-        .create_data_writer(topic, offered, AppSpec::at_rate(10, 10.0, 12), host)
+        .create_data_writer(topic, offered, AppSpec::at_rate(10, 10.0, 12))
         .unwrap();
     participant
-        .create_data_reader(topic, requested, host, 0.0)
+        .create_data_reader(topic, requested, 0.0)
         .unwrap();
     let mut data_sim = Simulation::new(1);
-    assert!(participant
-        .install(
-            &mut data_sim,
-            topic,
-            TransportConfig::new(ProtocolKind::Udp)
-        )
-        .is_err());
+    assert!(session::install_topic(
+        &mut data_sim,
+        &participant,
+        topic,
+        TransportConfig::new(ProtocolKind::Udp),
+        host,
+        &[host],
+    )
+    .is_err());
 }

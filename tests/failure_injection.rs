@@ -25,21 +25,21 @@ fn ricochet_session(
         .create_topic::<[u8; 12]>("test/stream", qos)
         .unwrap();
     participant
-        .create_data_writer(topic, qos, AppSpec::at_rate(samples, 100.0, 12), host())
+        .create_data_writer(topic, qos, AppSpec::at_rate(samples, 100.0, 12))
         .unwrap();
     for _ in 0..receivers {
-        participant
-            .create_data_reader(topic, qos, host(), drop)
-            .unwrap();
+        participant.create_data_reader(topic, qos, drop).unwrap();
     }
     let mut sim = Simulation::new(seed);
-    let handles = participant
-        .install(
-            &mut sim,
-            topic,
-            TransportConfig::new(ProtocolKind::Ricochet { r: 4, c: 3 }),
-        )
-        .unwrap();
+    let handles = session::install_topic(
+        &mut sim,
+        &participant,
+        topic,
+        TransportConfig::new(ProtocolKind::Ricochet { r: 4, c: 3 }),
+        host(),
+        &vec![host(); receivers],
+    )
+    .unwrap();
     (sim, handles)
 }
 
@@ -72,12 +72,10 @@ fn nakcast_rides_through_network_loss_plus_endhost_loss() {
         .create_topic::<[u8; 12]>("test/reliable", qos)
         .unwrap();
     participant
-        .create_data_writer(topic, qos, AppSpec::at_rate(1_000, 100.0, 12), host())
+        .create_data_writer(topic, qos, AppSpec::at_rate(1_000, 100.0, 12))
         .unwrap();
     for _ in 0..3 {
-        participant
-            .create_data_reader(topic, qos, host(), 0.05)
-            .unwrap();
+        participant.create_data_reader(topic, qos, 0.05).unwrap();
     }
     let mut sim = Simulation::new(99).with_network(NetworkConfig {
         propagation: SimDuration::from_micros(50),
@@ -88,15 +86,17 @@ fn nakcast_rides_through_network_loss_plus_endhost_loss() {
             loss_bad: 0.35,
         },
     });
-    let handles = participant
-        .install(
-            &mut sim,
-            topic,
-            TransportConfig::new(ProtocolKind::Nakcast {
-                timeout: SimDuration::from_millis(1),
-            }),
-        )
-        .unwrap();
+    let handles = session::install_topic(
+        &mut sim,
+        &participant,
+        topic,
+        TransportConfig::new(ProtocolKind::Nakcast {
+            timeout: SimDuration::from_millis(1),
+        }),
+        host(),
+        &[host(); 3],
+    )
+    .unwrap();
     sim.run_until(SimTime::from_secs(30));
     let report = session::collect_report(&sim, &handles);
     assert!(

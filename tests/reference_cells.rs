@@ -147,18 +147,17 @@ fn run_kept(scenario: &Scenario, protocol: ProtocolKind) -> (Simulation, Session
     let host = scenario.env.host_config();
     let rate_hz = f64::from(scenario.app.rate_hz);
     let app = AppSpec::at_rate(scenario.samples, rate_hz, PAPER_PAYLOAD_BYTES);
-    participant
-        .create_data_writer(topic, qos, app, host)
-        .unwrap();
+    participant.create_data_writer(topic, qos, app).unwrap();
     for _ in 0..scenario.app.receivers {
         participant
-            .create_data_reader(topic, qos, host, scenario.env.drop_probability())
+            .create_data_reader(topic, qos, scenario.env.drop_probability())
             .unwrap();
     }
+    let readers = vec![host; scenario.app.receivers as usize];
     let mut sim = Simulation::new(scenario.seed).with_network(scenario.env.network_config());
-    let handles = participant
-        .install(&mut sim, topic, TransportConfig::new(protocol))
-        .unwrap();
+    let transport = TransportConfig::new(protocol);
+    let handles =
+        session::install_topic(&mut sim, &participant, topic, transport, host, &readers).unwrap();
     let publish_span = SimDuration::from_secs_f64(scenario.samples as f64 / rate_hz);
     sim.run_until(SimTime::ZERO + publish_span + SimDuration::from_secs(3));
     (sim, handles)

@@ -10,27 +10,18 @@ use adamant_metrics::{verify_trace, InvariantKind, MetricKind, VerifySpec};
 use adamant_netsim::{
     Bandwidth, HostConfig, MachineClass, MemorySink, SimDuration, SimTime, Simulation,
 };
+use adamant_proto::splitmix64;
 use adamant_transport::{AppSpec, ProtocolKind, SessionSpec, StackProfile, TransportConfig};
 
-/// Deterministic splitmix-style generator so the "random" configurations
-/// are reproducible without an external property-testing dependency.
-fn next(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 fn random_protocol(state: &mut u64) -> ProtocolKind {
-    match next(state) % 3 {
+    match splitmix64(state) % 3 {
         0 => ProtocolKind::Udp,
         1 => ProtocolKind::Nakcast {
-            timeout: SimDuration::from_millis(1 + next(state) % 50),
+            timeout: SimDuration::from_millis(1 + splitmix64(state) % 50),
         },
         _ => ProtocolKind::Ricochet {
-            r: 3 + (next(state) % 4) as u8,
-            c: 2 + (next(state) % 3) as u8,
+            r: 3 + (splitmix64(state) % 4) as u8,
+            c: 2 + (splitmix64(state) % 3) as u8,
         },
     }
 }
@@ -40,11 +31,11 @@ fn trace_recomputed_relate2_matches_reported() {
     let mut state = 0x5eed_cafe_f00d_u64;
     for case in 0..24u64 {
         let kind = random_protocol(&mut state);
-        let receivers = 2 + (next(&mut state) % 4) as usize;
-        let samples = 80 + next(&mut state) % 160;
-        let drop = (next(&mut state) % 9) as f64 / 100.0;
-        let seed = next(&mut state);
-        let machine = if next(&mut state).is_multiple_of(2) {
+        let receivers = 2 + (splitmix64(&mut state) % 4) as usize;
+        let samples = 80 + splitmix64(&mut state) % 160;
+        let drop = (splitmix64(&mut state) % 9) as f64 / 100.0;
+        let seed = splitmix64(&mut state);
+        let machine = if splitmix64(&mut state).is_multiple_of(2) {
             MachineClass::Pc3000
         } else {
             MachineClass::Pc850
